@@ -376,7 +376,13 @@ def contract_bounds(d: Contract) -> tuple[float, float]:
 
 
 def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract:
-    """Pointwise weighted sum; piece lists merge on the union of breakpoints."""
+    """Pointwise weighted sum; piece lists merge on the union of breakpoints.
+
+    Each cell of the union sums, operand by operand, the weighted
+    coefficients of the piece holding a probe point of the cell.  Probes
+    never decrease from cell to cell, so each operand's piece is found by a
+    walk that only moves forward: the cost is cells times operands.
+    """
     if len(contracts) != len(weights) or not contracts:
         raise ValueError("need matching nonempty contract/weight lists")
     first = contracts[0]
@@ -394,6 +400,15 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
         raise OutcomeMismatch("contracts use different outcome coordinates")
     cuts = sorted({b for c in contracts for b in c.breakpoints()})
     edges = [-INF] + cuts + [INF]
+    # per operand: where its later pieces start, each piece's weighted
+    # coefficients, and the index of the piece holding the current probe
+    walks = []
+    for c, w in zip(contracts, weights):
+        w = float(w)
+        walks.append([[p.lo for p in c.pieces[1:]],
+                      [(w * c0, w * c1, w * c2)
+                       for c0, c1, c2 in (p.coeffs for p in c.pieces)],
+                      0])
     pieces = []
     for lo, hi in zip(edges, edges[1:]):
         if math.isinf(lo):
@@ -402,21 +417,34 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
             probe = lo + 1.0
         else:
             probe = 0.5 * (lo + hi)
-        acc = [0.0, 0.0, 0.0]
-        mag = [0.0, 0.0, 0.0]
-        for c, w in zip(contracts, weights):
-            i = bisect_right([p.lo for p in c.pieces], probe) - 1
-            i = max(i, 0)
-            for j in range(3):
-                term = float(w) * c.pieces[i].coeffs[j]
-                acc[j] += term
-                mag[j] = max(mag[j], abs(term))
+        # running sums acc and largest magnitudes mag, one per coefficient
+        acc0 = acc1 = acc2 = mag0 = mag1 = mag2 = 0.0
+        for walk in walks:
+            starts, terms, i = walk
+            # the piece holding the probe is the last one starting at or below it
+            while i < len(starts) and starts[i] <= probe:
+                i += 1
+            walk[2] = i
+            t0, t1, t2 = terms[i]
+            acc0 += t0
+            acc1 += t1
+            acc2 += t2
+            t0, t1, t2 = abs(t0), abs(t1), abs(t2)
+            if t0 > mag0:
+                mag0 = t0
+            if t1 > mag1:
+                mag1 = t1
+            if t2 > mag2:
+                mag2 = t2
         # snap cancellation residue: sums below 1e-12 of the largest term
         # are float noise from exact algebraic cancellations
-        for j in range(3):
-            if acc[j] != 0.0 and abs(acc[j]) <= STRUCT_TOL * mag[j]:
-                acc[j] = 0.0
-        pieces.append(Piece(lo, hi, tuple(acc)))
+        if acc0 != 0.0 and abs(acc0) <= STRUCT_TOL * mag0:
+            acc0 = 0.0
+        if acc1 != 0.0 and abs(acc1) <= STRUCT_TOL * mag1:
+            acc1 = 0.0
+        if acc2 != 0.0 and abs(acc2) <= STRUCT_TOL * mag2:
+            acc2 = 0.0
+        pieces.append(Piece(lo, hi, (acc0, acc1, acc2)))
     # compact runs of identical polynomials
     merged = [pieces[0]]
     for p in pieces[1:]:

@@ -99,6 +99,9 @@ class ShareSpace:
 # ---------------------------------------------------------------------------
 # the market as a scoring rule over share states
 
+# best_response searches share states within this many units of zero
+SEARCH_BOUND = 12
+
 
 class CostRule(ScoringRule):
     """S(q, y) = q . phi(y) - C(q); reports are share states.
@@ -169,10 +172,24 @@ class CostRule(ScoringRule):
             raise ValueError("expected security payoff outside the price range")
         return float(q[0]) if self.k == 1 else q
 
+    def best_response(self, p, grid=None, xtol: float = 1e-10):
+        """On a lattice share space, the best lattice state: refining between
+        lattice states would return a state no lattice trade reaches."""
+        if not self.shares.is_lattice:
+            return super().best_response(p, grid, xtol)
+        if grid is None:
+            grid = self._default_search_grid(p)
+        vals = [self.expected_score(q, p) for q in grid]
+        return grid[int(np.argmax(vals))]
+
     def _default_search_grid(self, p):
         if self.shares.is_lattice:
             return [float(v[0]) if self.k == 1 else v
-                    for v in self.shares.lattice_points(12)]
+                    for v in self.shares.lattice_points(SEARCH_BOUND)]
+        if self.k == 1:
+            # share states 0.1 apart, as far out as the lattice search reaches
+            return self.report_space.grid(20 * SEARCH_BOUND + 1,
+                                          (-SEARCH_BOUND, SEARCH_BOUND))
         return super()._default_search_grid(p)
 
     def loss_bound(self, r0) -> float | None:

@@ -2,8 +2,11 @@
 
 A session pays trader t the score difference between the report they move
 the market to and the report they found it at.  Payments telescope, so the
-maker's total exposure only depends on the first and last states; that
-identity and path independence are enforced exactly.
+maker's total exposure only depends on the first and last states: the
+position is the single contract S(r_T, .) - S(r_0, .), and
+``worst_case_loss`` reads its bounds at a cost independent of the ledger
+length.  Settlement still sums the ledger trade by trade and reports it
+beside the telescoped loss, and path independence is checked pair by pair.
 """
 from __future__ import annotations
 
@@ -61,11 +64,11 @@ class MarketSession:
         return contract
 
     def position_contract(self) -> Contract:
-        """The maker's cumulative payout as a contract."""
+        """The maker's cumulative payout as a contract: by telescoping, the
+        one trade from r0 to the current report."""
         if not self.records:
             return constant_contract(self.rule.outcome_space, 0.0)
-        return combine([r.contract for r in self.records],
-                       [1.0] * len(self.records))
+        return self.rule.trade_contract(self.r0, self.current)
 
     def settle(self, y) -> Settlement:
         by_trader: dict[str, float] = {}
@@ -80,7 +83,8 @@ class MarketSession:
 
     def worst_case_loss(self) -> float:
         """sup over outcomes of the cumulative maker payout at the current
-        state; +inf when the position is unbounded."""
+        state, read from the telescoped contract S(r_T, .) - S(r_0, .);
+        +inf when the position is unbounded."""
         return contract_bounds(self.position_contract())[1]
 
     def verify_path_independence(self) -> AxiomReport:
@@ -92,8 +96,7 @@ class MarketSession:
         worst = 0.0
         for a, b in zip(self.records, self.records[1:]):
             direct = self.rule.trade_contract(a.r_old, b.r_new)
-            stepped = combine([a.contract, b.contract], [1.0, 1.0])
-            gap = _max_gap(direct, stepped)
+            gap = _max_gap(direct, a.contract, b.contract)
             worst = max(worst, gap)
             if gap > STRUCT_TOL:
                 return AxiomReport(
@@ -140,10 +143,16 @@ def _unjson(r):
     return r
 
 
-def _max_gap(a: Contract, b: Contract) -> float:
-    if a.is_finite:
-        return float(np.max(np.abs(a.values - b.values)))
-    lo, hi = contract_bounds(combine([a, b], [1.0, -1.0]))
+def _max_gap(direct: Contract, first: Contract, second: Contract) -> float:
+    """Largest payoff gap between a direct trade and its two steps."""
+    if direct.is_finite:
+        stepped = combine([first, second], [1.0, 1.0])
+        return float(np.max(np.abs(direct.values - stepped.values)))
+    # one three-operand sum, so each coefficient is snapped against the
+    # largest of the terms that produced it: cancellation between the two
+    # steps leaves a residue that a separate two-step sum would keep
+    lo, hi = contract_bounds(combine([direct, first, second],
+                                     [1.0, -1.0, -1.0]))
     span = max(abs(lo), abs(hi))
     return span if math.isfinite(span) else math.inf
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from srmarket.contracts import OutcomeSpace, finite_belief, project_cashless
+from srmarket.contracts import OutcomeSpace, finite_belief, logit, project_cashless
 from srmarket.convex import (
     binary_negentropy,
     from_callables,
@@ -30,6 +30,7 @@ from srmarket.costmarket import (
     price_bound_check,
     roundtrip_residual,
 )
+from srmarket.engine import MarketSession
 from srmarket.scoring import ExpectationRule, InvalidReport, ModeRule, RatioRule
 
 
@@ -151,6 +152,24 @@ class TestPrices:
         p = finite_belief(rule.outcome_space, [0.25, 0.75])
         q = rule.property_value(p)
         assert q == pytest.approx(math.log(3.0), abs=1e-8)
+
+
+class TestBestResponse:
+    def test_full_space_pmf_belief(self):
+        rule = binary_lmsr_rule()
+        p = finite_belief(rule.outcome_space, [0.3, 0.7])
+        q = rule.best_response(p)
+        assert abs(q - rule.property_value(p)) <= 1e-6
+        assert abs(q - logit(0.7)) <= 1e-6
+
+    def test_lattice_answer_is_tradable(self):
+        rule = discretized_lmsr_rule()
+        p = finite_belief(rule.outcome_space, [0.3, 0.7])
+        q = rule.best_response(p)
+        assert q == 1.0  # the lattice state nearest logit(0.7) = 0.847
+        session = MarketSession(rule, 0.0)
+        session.execute_trade("a", q)
+        assert session.current == 1.0
 
 
 class TestNeutralization:

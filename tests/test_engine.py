@@ -6,8 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from srmarket.contracts import SIGMOID, contract_bounds, finite_belief
-from srmarket.convex import quadratic
+from srmarket.contracts import (
+    SIGMOID,
+    STRUCT_TOL,
+    OutcomeSpace,
+    Piece,
+    combine,
+    contract_bounds,
+    finite_belief,
+    piecewise_contract,
+)
+from srmarket.convex import interval_negentropy, quadratic
+from srmarket.costmarket import binary_lmsr_rule
 from srmarket.engine import (
     MarketSession,
     open_session,
@@ -21,7 +31,13 @@ from srmarket.scoring import (
     InvalidReport,
     ModeRule,
     QuantileRule,
+    RatioRule,
 )
+
+# trades from 0.0 on ExpectileRule(0.3) whose two-step sum leaves an
+# 8.9e-16 rounding residue in an unbounded tail slope
+EXPECTILE_TRADES = (-1.6540547683787272, 1.5083204016972385,
+                    -1.6536170941426578)
 
 
 class TestSession:
@@ -148,6 +164,70 @@ class TestPathIndependence:
         rep = verify_path_independence(s)
         assert rep.verdict == "holds"
         assert rep.margin <= 1e-12
+
+    def test_tail_slope_residue_is_not_a_gap(self):
+        s = open_session(ExpectileRule(0.3), 0.0)
+        for i, r in enumerate(EXPECTILE_TRADES):
+            s.execute_trade(f"t{i}", r)
+        rep = verify_path_independence(s)
+        assert rep.verdict == "holds" and rep.margin <= 1e-12
+
+    def test_real_tail_slope_gap_fails(self):
+        s = open_session(ExpectileRule(0.3), 0.0)
+        for i, r in enumerate(EXPECTILE_TRADES):
+            s.execute_trade(f"t{i}", r)
+        rec = s.records[-1]
+        *body, (lo, hi, (c0, c1, c2)) = [(p.lo, p.hi, p.coeffs)
+                                         for p in rec.contract.pieces]
+        rec.contract = piecewise_contract(
+            [Piece(*p) for p in body] + [Piece(lo, hi, (c0, c1 + 1e-9, c2))])
+        rep = verify_path_independence(s)
+        assert rep.verdict == "fails" and rep.margin == math.inf
+
+
+def _long_session_ledgers(seed: int, n: int = 350):
+    """Seeded ledgers on the families of the long-session benchmark."""
+    rng = np.random.default_rng(seed)
+    ratio = RatioRule(interval_negentropy(0.0, 3.0), [0.0, 1.0, 3.0],
+                      [2.0, 1.0, 1.0], OutcomeSpace.finite([1, 2, 3]))
+    specs = [
+        (QuantileRule(0.3, SIGMOID), 0.0, rng.normal(0.0, 2.0, n)),
+        (ExpectileRule(0.3), 0.0, rng.uniform(-3.0, 3.0, n)),
+        (binary_lmsr_rule(), 0.0, rng.normal(0.0, 3.0, n)),
+        (ratio, 1.0, rng.uniform(0.05, 2.95, n)),
+    ]
+    for rule, r0, reports in specs:
+        s = open_session(rule, r0)
+        for i, r in enumerate(reports):
+            s.execute_trade(f"t{i % 7}", float(r))
+        yield s, rng
+
+
+class TestTelescopedPosition:
+    def test_no_trades_is_zero(self):
+        s = open_session(QuantileRule(0.3, SIGMOID), 0.0)
+        assert contract_bounds(s.position_contract()) == (0.0, 0.0)
+        assert worst_case_loss(s) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_sum_of_ledger(self, seed):
+        for s, rng in _long_session_ledgers(seed):
+            summed = combine([r.contract for r in s.records],
+                             [1.0] * len(s.records))
+            position = s.position_contract()
+            for want, got in zip(contract_bounds(summed),
+                                 contract_bounds(position)):
+                assert math.isfinite(want) == math.isfinite(got)
+                if math.isfinite(want):
+                    assert abs(got - want) <= STRUCT_TOL * max(abs(want), 1.0)
+            if position.is_finite:
+                outcomes = list(s.rule.outcome_space.labels)
+            else:
+                outcomes = (summed.breakpoints() + position.breakpoints()
+                            + [float(y) for y in rng.uniform(-6.0, 6.0, 20)])
+            for y in outcomes:
+                want = summed(y)
+                assert abs(position(y) - want) <= STRUCT_TOL * (1.0 + abs(want))
 
 
 class TestWorstCaseLoss:
