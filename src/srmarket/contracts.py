@@ -293,6 +293,10 @@ def finite_contract(space: OutcomeSpace, values) -> Contract:
     arr = np.asarray(values, dtype=float)
     if arr.shape != (space.n,):
         raise ValueError(f"expected {space.n} payoffs, got {arr.shape}")
+    # a loop over Python floats: a fraction of np.isfinite's cost on the
+    # few outcomes of a finite space, and every finite contract passes here
+    if not all(map(math.isfinite, arr.tolist())):
+        raise ValueError("payoffs must be finite")
     arr.flags.writeable = False
     return Contract(space=space, values=arr)
 
@@ -355,6 +359,11 @@ def _poly_extremes(coeffs, ta: float, tb: float) -> tuple[float, float]:
         tv = -c1 / (2.0 * c2)
         if ta < tv < tb:
             v = at(tv)
+            lo_vals.append(v)
+            hi_vals.append(v)
+        elif math.isinf(tv) and tv in (ta, tb):
+            # a vertex beyond the largest float, on an unbounded side
+            v = c0 - c1 * c1 / (4.0 * c2)
             lo_vals.append(v)
             hi_vals.append(v)
     return min(lo_vals), max(hi_vals)
@@ -453,10 +462,6 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
         else:
             merged.append(p)
     return piecewise_contract(merged, first.transform)
-
-
-def negate(d: Contract) -> Contract:
-    return combine([d], [-1.0])
 
 
 def project_cashless(d: Contract) -> tuple[Contract, float]:
@@ -596,6 +601,8 @@ def finite_belief(space: OutcomeSpace, pmf) -> Belief:
     arr = np.asarray(pmf, dtype=float)
     if arr.shape != (space.n,):
         raise ValueError(f"expected {space.n} probabilities")
+    if not np.isfinite(arr).all():
+        raise ValueError("probabilities must be finite")
     if np.any(arr < -STRUCT_TOL):
         raise ValueError("probabilities must be nonnegative")
     if abs(float(np.sum(arr)) - 1.0) > 1e-12:
@@ -612,12 +619,17 @@ def cdf_belief(xs, fs) -> Belief:
     f = np.asarray(fs, dtype=float)
     if x.ndim != 1 or x.shape != f.shape or len(x) < 2:
         raise ValueError("need matching breakpoint arrays of length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(f).all()):
+        raise ValueError("CDF breakpoints and values must be finite")
     if np.any(np.diff(x) <= 0):
         raise ValueError("CDF breakpoints must be strictly increasing")
     if abs(f[0]) > STRUCT_TOL or abs(f[-1] - 1.0) > STRUCT_TOL:
         raise ValueError("CDF must start at 0 and end at 1")
     if np.any(np.diff(f) <= 0):
         raise ValueError("CDF must be strictly increasing on its support")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.diff(f) / np.diff(x)).all():
+            raise ValueError("CDF density overflows between breakpoints")
     x.flags.writeable = False
     f.flags.writeable = False
     return Belief(space=REAL_LINE, xs=x, fs=f)
@@ -628,7 +640,14 @@ def uniform_belief(a: float, b: float) -> Belief:
 
 
 def expected_payoff(d: Contract, p: Belief) -> float:
-    """E_p d(Y), exact for the supported representations."""
+    """E_p d(Y), exact for the supported representations.
+
+    On the real line the support splits into cells at the belief's knots
+    and at the contract's breakpoints and transform kinks inside it.  The
+    CDF at every cell edge comes from one ``np.interp`` call; cell edges
+    ascend, so each cell's piece is found by a walk that only moves forward.
+    The cost is one interpolation plus cells times pieces.
+    """
     if d.values is not None:
         if p.pmf is None or p.space.labels != d.space.labels:
             raise OutcomeMismatch("belief kind must match the outcome space")
@@ -637,18 +656,29 @@ def expected_payoff(d: Contract, p: Belief) -> float:
         raise OutcomeMismatch("belief kind must match the outcome space")
     T = d.transform
     lo, hi = p.support()
-    cuts = set(float(x) for x in p.xs)
-    cuts.update(b for b in d.breakpoints() if lo < b < hi)
+    # where each piece but the last ends
+    ends = d.breakpoints()
+    cuts = set(p.xs.tolist())
+    cuts.update(b for b in ends if lo < b < hi)
     cuts.update(k for k in T.kinks() if lo < k < hi)
     edges = sorted(cuts)
+    # the CDF is exactly 0 and 1 at the ends of the support, which the
+    # stored values meet only within STRUCT_TOL
+    F = np.interp(edges, p.xs, p.fs).tolist()
+    F[0] = 0.0
+    F[-1] = 1.0
     total = []
-    los = [pc.lo for pc in d.pieces]
-    for a, b in zip(edges, edges[1:]):
-        fa, fb = p.cdf(a), p.cdf(b)
+    i = 0
+    for a, b, fa, fb in zip(edges, edges[1:], F, F[1:]):
         dens = (fb - fa) / (b - a)
-        if dens == 0.0:
+        # a cell narrower than the CDF's rounding can carry an overflowing
+        # density; the probability on it is below 1e-12
+        if dens == 0.0 or math.isinf(dens):
             continue
-        i = max(bisect_right(los, 0.5 * (a + b)) - 1, 0)
+        # the piece holding the cell's midpoint
+        mid = 0.5 * (a + b)
+        while i < len(ends) and ends[i] <= mid:
+            i += 1
         c0, c1, c2 = d.pieces[i].coeffs
         cell = 0.0
         if c0 != 0.0:

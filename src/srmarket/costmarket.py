@@ -192,6 +192,10 @@ class CostRule(ScoringRule):
                                           (-SEARCH_BOUND, SEARCH_BOUND))
         return super()._default_search_grid(p)
 
+    def _search_box(self) -> BoxReports:
+        # the report space is all of R^k, which no grid covers
+        return BoxReports((-SEARCH_BOUND,) * self.k, (SEARCH_BOUND,) * self.k)
+
     def loss_bound(self, r0) -> float | None:
         if self.conjugate_closure_values is None:
             return None

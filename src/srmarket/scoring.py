@@ -163,7 +163,11 @@ class ScoringRule:
             return _golden_max(lambda r: self.expected_score(r, p), lo, hi, xtol)
         return _coordinate_golden_max(
             lambda r: self.expected_score(r, p), np.asarray(grid[i], dtype=float),
-            self.report_space, xtol)
+            self._search_box(), xtol)
+
+    def _search_box(self) -> BoxReports:
+        """The box a multi-dimensional best_response searches."""
+        return self.report_space
 
     def _default_search_grid(self, p: Belief) -> list:
         if isinstance(self.report_space, RealReports):
@@ -171,7 +175,7 @@ class ScoringRule:
             pad = 1.0 + 0.1 * (b - a)
             return self.report_space.grid(201, (a - pad, b + pad))
         if isinstance(self.report_space, BoxReports):
-            return self.report_space.grid(41)
+            return self._search_box().grid(41)
         return self.report_space.grid()
 
     # -- family hooks used by the axiom checkers -----------------------------

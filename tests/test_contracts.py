@@ -61,6 +61,14 @@ class TestBounds:
         lo, hi = contract_bounds(d)
         assert (lo, hi) == (0.0, 1.0)
 
+    def test_vertex_beyond_float_range(self):
+        # the vertex -1 / (2 * c2) overflows; the infimum -1 / (4 * c2) does not
+        c2 = 2.225073858507203e-309
+        lo, hi = contract_bounds(
+            piecewise_contract([Piece(-INF, INF, (0.0, 1.0, c2))]))
+        assert lo == pytest.approx(-1.0 / (4.0 * c2), rel=1e-12)
+        assert hi == INF
+
     def test_self_cancellation_is_zero(self):
         d = piecewise_contract([
             Piece(-INF, 0.0, (1.0, 2.0, 0.0)),
@@ -68,6 +76,13 @@ class TestBounds:
         ])
         z = combine([d, d], [1.0, -1.0])
         assert contract_bounds(z) == (0.0, 0.0)
+
+
+class TestFiniteContract:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            finite_contract(OutcomeSpace.finite((0, 1)), [bad, 0.0])
 
 
 class TestCombine:
@@ -188,6 +203,17 @@ class TestExpectedPayoff:
         approx, _ = quad(integrand, -2.0, 3.0, points=[1.0], limit=200)
         assert exact == pytest.approx(approx, abs=1e-9)
 
+    def test_cell_narrower_than_cdf_rounding(self):
+        # the cell (-5e-324, 0) gets the 1e-13 that the CDF's clamp to 0
+        # moves at the left end: its density overflowed to inf
+        p = cdf_belief([-5e-324, 1.0], [1e-13, 1.0])
+        zero = piecewise_contract([Piece(-INF, 0.0, (0.0, 0.0, 0.0)),
+                                   Piece(0.0, INF, (0.0, 0.0, 0.0))])
+        ones = piecewise_contract([Piece(-INF, 0.0, (1.0, 0.0, 0.0)),
+                                   Piece(0.0, INF, (1.0, 0.0, 0.0))])
+        assert expected_payoff(zero, p) == 0.0
+        assert expected_payoff(ones, p) == pytest.approx(1.0, abs=1e-12)
+
     def test_mismatched_kind_rejected(self):
         p = finite_belief(SPACE3, [0.2, 0.5, 0.3])
         with pytest.raises(OutcomeMismatch):
@@ -233,6 +259,19 @@ class TestBeliefs:
             cdf_belief([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])  # flat start
         with pytest.raises(ValueError):
             cdf_belief([0.0, 0.0, 2.0], [0.0, 0.5, 1.0])
+
+    def test_pmf_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            finite_belief(OutcomeSpace.finite((0, 1)), [math.nan, math.nan])
+
+    def test_cdf_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            cdf_belief([0.0, math.nan, 2.0], [0.0, 0.5, 1.0])
+
+    def test_cdf_rejects_overflowing_density(self):
+        # 1 / 2.2e-311 overflows: every expectation came out inf
+        with pytest.raises(ValueError):
+            cdf_belief([0.0, 2.2e-311], [0.0, 1.0])
 
     def test_quantile_inverts_cdf(self):
         p = cdf_belief([0.0, 1.0, 4.0], [0.0, 0.25, 1.0])

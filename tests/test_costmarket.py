@@ -171,6 +171,14 @@ class TestBestResponse:
         session.execute_trade("a", q)
         assert session.current == 1.0
 
+    def test_two_securities_full_space(self):
+        rule = exp_family_rule([[1, 0], [0, 1], [0, 0]])
+        p = finite_belief(rule.outcome_space, [0.2, 0.3, 0.5])
+        q = rule.best_response(p)
+        target = rule.property_value(p)  # log(p_y / p_3) = (-0.916, -0.511)
+        assert np.all(np.isfinite(q))
+        assert np.max(np.abs(q - target)) <= 1e-5
+
 
 class TestNeutralization:
     def test_single_bundle(self):

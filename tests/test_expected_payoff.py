@@ -1,0 +1,237 @@
+"""``expected_payoff`` on the real line: a differential test against the
+cell-by-cell implementation it replaced, kept here as the reference (outputs
+must be equal bit for bit), and property tests of the expectation itself."""
+
+import math
+from bisect import bisect_right
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from srmarket.contracts import (
+    IDENTITY,
+    INF,
+    REAL_LINE,
+    SIGMOID,
+    Piece,
+    PiecewiseLinearTransform,
+    cdf_belief,
+    combine,
+    contract_bounds,
+    expected_payoff,
+    ones_contract,
+    piecewise_contract,
+)
+from srmarket.convex import quadratic
+from srmarket.scoring import ExpectationRule, ExpectileRule, QuantileRule
+
+
+def reference_expected_payoff(d, p):
+    """E_p d(Y) on the real line: per cell, the CDF at both ends from the
+    scalar ``Belief.cdf`` and the piece from a bisection at the midpoint."""
+    T = d.transform
+    lo, hi = p.support()
+    cuts = set(float(x) for x in p.xs)
+    cuts.update(b for b in d.breakpoints() if lo < b < hi)
+    cuts.update(k for k in T.kinks() if lo < k < hi)
+    edges = sorted(cuts)
+    total = []
+    los = [pc.lo for pc in d.pieces]
+    for a, b in zip(edges, edges[1:]):
+        fa, fb = p.cdf(a), p.cdf(b)
+        dens = (fb - fa) / (b - a)
+        if dens == 0.0:
+            continue
+        i = max(bisect_right(los, 0.5 * (a + b)) - 1, 0)
+        c0, c1, c2 = d.pieces[i].coeffs
+        cell = 0.0
+        if c0 != 0.0:
+            cell += c0 * T.power_integral(0, a, b)
+        if c1 != 0.0:
+            cell += c1 * T.power_integral(1, a, b)
+        if c2 != 0.0:
+            cell += c2 * T.power_integral(2, a, b)
+        total.append(dens * cell)
+    return float(math.fsum(total))
+
+
+# Belief knots, contract breakpoints and transform kinks draw from one pool,
+# so they often coincide.
+POOL = [-3.0, -1.0, -0.25, 0.0, 0.5, 2.0, 7.5]
+POINTS = st.one_of(st.sampled_from(POOL),
+                   st.floats(-20.0, 20.0, allow_nan=False))
+# multiples of 1/16: cells no narrower than that, where the closed-form
+# integrals keep their relative precision
+GRID_POINTS = st.one_of(st.sampled_from(POOL),
+                        st.integers(-320, 320).map(lambda k: k / 16.0))
+COEFFS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.3, -0.7, 1e-13]),
+                   st.floats(-1e3, 1e3, allow_nan=False))
+# CDF end values off by up to the 1e-12 that cdf_belief accepts
+F_FIRST = st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12])
+F_LAST = st.sampled_from([1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1.0 - 1e-12, 1.0 + 9.9e-13])
+
+
+def _distinct(draw, points, min_size, max_size):
+    return sorted(set(draw(st.lists(points, min_size=min_size, max_size=max_size))))
+
+
+@st.composite
+def transforms(draw):
+    kind = draw(st.sampled_from(["identity", "sigmoid", "pwlinear"]))
+    if kind == "identity":
+        return IDENTITY
+    if kind == "sigmoid":
+        return SIGMOID
+    # knots on the grid keep the knot values strictly increasing
+    xs = _distinct(draw, GRID_POINTS, 2, 5)
+    if len(xs) < 2:
+        xs = [xs[0], xs[0] + 1.0]
+    slopes = draw(st.lists(st.floats(0.25, 4.0), min_size=len(xs) - 1,
+                           max_size=len(xs) - 1))
+    ts = [0.0]
+    for a, b, m in zip(xs, xs[1:], slopes):
+        ts.append(ts[-1] + m * (b - a))
+    return PiecewiseLinearTransform(xs, ts)
+
+
+@st.composite
+def contracts(draw, points=POINTS, transform=None):
+    """Piecewise contracts of 1-6 pieces, zero coefficients included."""
+    if transform is None:
+        transform = draw(transforms())
+    edges = [-INF] + _distinct(draw, points, 0, 5) + [INF]
+    m = len(edges) - 1
+    flat = draw(st.lists(COEFFS, min_size=3 * m, max_size=3 * m))
+    pieces = [Piece(lo, hi, tuple(flat[3 * i:3 * i + 3]))
+              for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+    return piecewise_contract(pieces, transform)
+
+
+@st.composite
+def beliefs(draw, points=POINTS):
+    """Piecewise-linear CDFs of 1-7 cells with end values off by <= 1e-12."""
+    xs = _distinct(draw, points, 2, 8)
+    if len(xs) < 2:
+        xs = [xs[0], xs[0] + 1.0]
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=len(xs) - 1,
+                          max_size=len(xs) - 1))
+    fs = np.concatenate([[0.0], np.cumsum(steps)]) / sum(steps)
+    fs[0] = draw(F_FIRST)
+    fs[-1] = draw(F_LAST)
+    # cdf_belief rejects knots so close that the density overflows
+    with np.errstate(over="ignore"):
+        assume(np.isfinite(np.diff(fs) / np.diff(xs)).all())
+    return cdf_belief(xs, fs)
+
+
+def _split(coeffs, cuts, transform=IDENTITY):
+    edges = [-INF] + list(cuts) + [INF]
+    return piecewise_contract([Piece(lo, hi, coeffs)
+                               for lo, hi in zip(edges, edges[1:])], transform)
+
+
+KINKED = PiecewiseLinearTransform([-1.0, 0.5, 2.0], [0.0, 3.0, 3.5])
+# breakpoints on every knot of the belief; the belief's end values are off
+# by the most cdf_belief accepts
+ON_KNOTS = (_split((0.3, -0.7, 1.0), [-1.0, 0.5, 2.0]),
+            cdf_belief([-1.0, 0.5, 2.0], [1e-12, 0.4, 1.0 - 1e-12]))
+# kinks inside the support and on its ends, a breakpoint between them
+PW_KINKS = (_split((1.0, 2.0, -0.5), [0.0], KINKED),
+            cdf_belief([-1.0, 0.25, 1.0, 2.0], [1e-13, 0.3, 0.6, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(contracts(), beliefs())
+@example(*ON_KNOTS)
+@example(*PW_KINKS)
+def test_matches_reference_bit_for_bit(d, p):
+    got = expected_payoff(d, p)
+    try:
+        want = reference_expected_payoff(d, p)
+    except ValueError:  # fsum of inf and -inf
+        want = math.nan
+    if math.isfinite(want):
+        assert got == want
+    else:
+        # the reference overflows on a cell narrower than the CDF's rounding
+        assert math.isfinite(got)
+
+
+def _elicitation_beliefs(rng, count, cells=6):
+    """Piecewise-linear CDFs drawn the way the elicitation benchmark draws them."""
+    out = []
+    for _ in range(count):
+        xs = rng.uniform(-2.0, 2.0) + np.concatenate(
+            [[0.0], np.cumsum(rng.uniform(0.3, 1.2, cells))])
+        fs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.0, cells))])
+        fs = fs / fs[-1]
+        fs[-1] = 1.0
+        out.append(cdf_belief(xs, fs))
+    return out
+
+
+def test_rule_contracts_match_reference():
+    rng = np.random.default_rng(401)
+    rules = [ExpectationRule(quadratic(1)), QuantileRule(0.3),
+             QuantileRule(0.7, SIGMOID), ExpectileRule(0.3)]
+    checked = 0
+    for rule in rules:
+        for p in _elicitation_beliefs(rng, 15):
+            lo, hi = p.support()
+            # reports inside, outside and on the knots of the belief
+            reports = ([float(r) for r in rng.uniform(lo - 1.0, hi + 1.0, 8)]
+                       + [float(x) for x in p.xs])
+            for r0, r1 in zip(reports, reports[1:]):
+                for d in (rule.score_contract(r1), rule.trade_contract(r0, r1)):
+                    assert expected_payoff(d, p) == reference_expected_payoff(d, p)
+                    checked += 1
+    assert checked == 4 * 15 * 14 * 2
+
+
+def _sup_on_support(d, p):
+    """A bound on |d| over the belief's support: every addend of the
+    expectation is at most the cell's probability times this."""
+    T = d.transform
+    lo, hi = p.support()
+    t = max(abs(T(lo)), abs(T(hi)))
+    return max(abs(c0) + abs(c1) * t + abs(c2) * t * t
+               for c0, c1, c2 in (pc.coeffs for pc in d.pieces))
+
+
+WEIGHTS = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 0.5, -2.5]),
+                    st.floats(-10.0, 10.0, allow_nan=False))
+
+
+@st.composite
+def same_coordinate_pairs(draw):
+    transform = draw(transforms())
+    return (draw(contracts(GRID_POINTS, transform)),
+            draw(contracts(GRID_POINTS, transform)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_coordinate_pairs(), WEIGHTS, WEIGHTS, beliefs(GRID_POINTS))
+def test_linear_in_the_contract(pair, a, b, p):
+    d1, d2 = pair
+    lhs = expected_payoff(combine([d1, d2], [a, b]), p)
+    rhs = a * expected_payoff(d1, p) + b * expected_payoff(d2, p)
+    scale = abs(a) * _sup_on_support(d1, p) + abs(b) * _sup_on_support(d2, p)
+    assert abs(lhs - rhs) <= 1e-10 * max(scale, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(contracts(GRID_POINTS), beliefs(GRID_POINTS))
+def test_within_contract_bounds(d, p):
+    lo, hi = contract_bounds(d)
+    e = expected_payoff(d, p)
+    slack = 1e-10 * max(_sup_on_support(d, p), 1.0)
+    assert lo - slack <= e <= hi + slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(transforms(), st.lists(POINTS, max_size=4), beliefs())
+def test_cash_integrates_to_one(transform, cuts, p):
+    assert abs(expected_payoff(ones_contract(REAL_LINE), p) - 1.0) <= 1e-12
+    ones = _split((1.0, 0.0, 0.0), sorted(set(cuts)), transform)
+    assert abs(expected_payoff(ones, p) - 1.0) <= 1e-12
