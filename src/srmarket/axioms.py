@@ -19,6 +19,7 @@ import numpy as np
 from .contracts import (
     INF,
     Belief,
+    OutcomeMismatch,
     cdf_belief,
     combine,
     contract_argmin,
@@ -162,6 +163,44 @@ def portfolio_scenarios(grid, count: int, size: int,
 # IC and ARB
 
 
+def _trade_rows(table: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Payoffs of the trades from a report scoring ``s`` to the report of
+    each table row, in the float arithmetic of ``combine`` with weights
+    (1, -1): the same floats ``trade_contract`` carries."""
+    return (0.0 + table) + (-1.0 * s)
+
+
+def _require_finite(rows: np.ndarray) -> np.ndarray:
+    # trade_contract rejects a trade whose payoffs overflow
+    if not np.isfinite(rows).all():
+        raise ValueError("payoffs must be finite")
+    return rows
+
+
+def _expected_trade_payoffs(rule: ScoringRule, grid, states):
+    """values(p, k): the expected payoff under p of the trade from
+    states[k] to each grid report.
+
+    On a finite outcome space the grid and the states are scored once, and
+    each value is the ``np.dot`` that ``expected_payoff`` takes of the
+    trade's payoff vector."""
+    if not rule.outcome_space.is_finite:
+        def values(p, k):
+            return [expected_payoff(rule.trade_contract(states[k], r), p)
+                    for r in grid]
+        return values
+    table = rule.score_table(grid)
+    state_rows = rule.score_table(states)
+    labels = rule.outcome_space.labels
+
+    def values(p, k):
+        if p.pmf is None or p.space.labels != labels:
+            raise OutcomeMismatch("belief kind must match the outcome space")
+        rows = _require_finite(_trade_rows(table, state_rows[k]))
+        return [float(np.dot(row, p.pmf)) for row in rows]
+    return values
+
+
 def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
              cfg: SearchConfig = SearchConfig(), states=None) -> AxiomReport:
     """Grid argmax of the expected trade payoff must match the elicited
@@ -182,13 +221,13 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
             np.diff(np.asarray(grid, dtype=float), axis=0), axis=1)))
     else:
         step = 0.0
+    expected_trades = _expected_trade_payoffs(rule, grid, states)
     worst = 0.0
     for bi, p in enumerate(beliefs):
         gamma = rule.property_value(p)
         argmaxes = []
-        for state in states:
-            vals = [expected_payoff(rule.trade_contract(state, r), p)
-                    for r in grid]
+        for k, state in enumerate(states):
+            vals = expected_trades(p, k)
             i = int(np.argmax(vals))
             argmaxes.append(i)
             pick = grid[i]
@@ -229,19 +268,10 @@ def check_arb(rule: ScoringRule, grid=None,
     inf F(r'|r) <= 0 for all report pairs on the grid."""
     if grid is None:
         grid = cfg.report_grid(rule)
-    worst = -INF
-    bad = []
-    for r in grid:
-        for rp in grid:
-            lo, _ = contract_bounds(rule.trade_contract(r, rp))
-            if lo > worst:
-                worst = lo
-            if lo > cfg.delta:
-                bad.append({"r": _j(r), "r_new": _j(rp), "inf": lo})
-                if len(bad) >= 10:
-                    break
-        if len(bad) >= 10:
-            break
+    if rule.outcome_space.is_finite:
+        worst, bad = _arb_scan_table(rule, grid, cfg.delta)
+    else:
+        worst, bad = _arb_scan(rule, grid, cfg.delta)
     if bad:
         return AxiomReport(axiom="ARB", verdict=FAILS, margin=worst,
                            witness={"pairs": bad},
@@ -250,6 +280,44 @@ def check_arb(rule: ScoringRule, grid=None,
     return AxiomReport(axiom="ARB", verdict=verdict, margin=worst,
                        budget={"grid": len(grid),
                                "pairs": len(grid) ** 2})
+
+
+def _arb_scan(rule: ScoringRule, grid, delta: float) -> tuple:
+    """(worst infimum, up to 10 pairs with infimum above delta) over the
+    trades r -> r' of the grid in row-major order, stopping at the 10th."""
+    worst = -INF
+    bad = []
+    for r in grid:
+        for rp in grid:
+            lo, _ = contract_bounds(rule.trade_contract(r, rp))
+            if lo > worst:
+                worst = lo
+            if lo > delta:
+                bad.append({"r": _j(r), "r_new": _j(rp), "inf": lo})
+                if len(bad) >= 10:
+                    return worst, bad
+    return worst, bad
+
+
+def _arb_scan_table(rule: ScoringRule, grid, delta: float) -> tuple:
+    """``_arb_scan`` on a finite outcome space: one score table, and the
+    infima of all trades from one report per row of the table."""
+    table = rule.score_table(grid)
+    worst = -INF
+    bad = []
+    for i, r in enumerate(grid):
+        rows = _trade_rows(table, table[i])
+        los = rows.min(axis=1)
+        hits = np.flatnonzero(los > delta)[:10 - len(bad)]
+        # the scan stops at the 10th pair above delta
+        stop = int(hits[-1]) + 1 if len(bad) + len(hits) >= 10 else len(grid)
+        _require_finite(rows[:stop])
+        worst = max(worst, float(los[:stop].max()))
+        bad.extend({"r": _j(r), "r_new": _j(grid[j]), "inf": float(los[j])}
+                   for j in hits)
+        if len(bad) >= 10:
+            break
+    return worst, bad
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +339,29 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
     witness; a family closed-form bound upgrades the verdict to holds."""
     grid = cfg.report_grid(rule)
     grid_sup = 0.0
-    for r in grid:
-        d = rule.trade_contract(r0, r)
-        _, hi = contract_bounds(d)
-        if hi == INF:
-            if hasattr(rule, "divergence_probe") and getattr(rule, "phi", 1) is None:
-                losses = rule.divergence_probe(r0)
-                trade_to = float(r0) + 1.0
-            else:
-                losses = _outcome_probe(d)
-                trade_to = r
-            return AxiomReport(
-                axiom="WCL", verdict=FAILS, margin=losses[-1][1],
-                witness={"r0": _j(r0), "trade_to": _j(trade_to),
-                         "losses": [[_j(y), v] for y, v in losses],
-                         "diverges": True},
-                budget={"grid": len(grid)})
-        grid_sup = max(grid_sup, hi)
+    if rule.outcome_space.is_finite:
+        # finite payoffs are bounded: the grid sup is one table's maximum
+        table = rule.score_table(grid)
+        rows = _require_finite(_trade_rows(table, rule.score_table([r0])[0]))
+        grid_sup = max(grid_sup, float(rows.max(initial=-INF)))
+    else:
+        for r in grid:
+            d = rule.trade_contract(r0, r)
+            _, hi = contract_bounds(d)
+            if hi == INF:
+                if hasattr(rule, "divergence_probe") and getattr(rule, "phi", 1) is None:
+                    losses = rule.divergence_probe(r0)
+                    trade_to = float(r0) + 1.0
+                else:
+                    losses = _outcome_probe(d)
+                    trade_to = r
+                return AxiomReport(
+                    axiom="WCL", verdict=FAILS, margin=losses[-1][1],
+                    witness={"r0": _j(r0), "trade_to": _j(trade_to),
+                             "losses": [[_j(y), v] for y, v in losses],
+                             "diverges": True},
+                    budget={"grid": len(grid)})
+            grid_sup = max(grid_sup, hi)
     bound = rule.loss_bound(r0)
     if bound is not None:
         if grid_sup > bound + 1e-9:

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -277,24 +276,27 @@ def _verdict_matches(expected: str, actual: str) -> bool:
     return expected == actual
 
 
-def run_check(config: dict, out_dir: str, jobs: int = 1) -> int:
-    rule = build_rule(config["market"])
+def _required(config: dict, key: str):
+    if key not in config:
+        raise ConfigError(f"config has no {key!r} entry")
+    return config[key]
+
+
+def run_check(config: dict, out_dir: str) -> int:
+    axioms = config.get("axioms")
+    if not axioms:
+        raise ConfigError("a check config needs a nonempty 'axioms' list")
+    expected = config.get("expected", {})
+    not_run = sorted(set(expected) - set(axioms))
+    if not_run:
+        raise ConfigError(f"'expected' names axioms that are not run: {not_run}")
+    rule = build_rule(_required(config, "market"))
     cfg = build_search(config.get("search"), config.get("seed"))
-    axioms = config.get("axioms", [])
     name = config.get("name", "check")
-
-    def one(axiom):
-        return axiom, run_axiom(axiom, rule, config, cfg)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(one, axioms))
-    else:
-        results = dict(one(a) for a in axioms)
 
     verdicts = {}
     for axiom in axioms:
-        rep = results[axiom]
+        rep = run_axiom(axiom, rule, config, cfg)
         verdicts[axiom] = rep.verdict
         _write(os.path.join(out_dir, f"{name}__{axiom}.report.txt"),
                _header(config) + rep.to_text())
@@ -303,9 +305,8 @@ def run_check(config: dict, out_dir: str, jobs: int = 1) -> int:
     _write(os.path.join(out_dir, f"{name}__summary.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
-    expected = config.get("expected", {})
     bad = {a: (expected[a], verdicts[a]) for a in expected
-           if a in verdicts and not _verdict_matches(expected[a], verdicts[a])}
+           if not _verdict_matches(expected[a], verdicts[a])}
     if bad:
         for a, (want, got) in sorted(bad.items()):
             print(f"{name}: {a} expected {want}, got {got}", file=sys.stderr)
@@ -314,9 +315,9 @@ def run_check(config: dict, out_dir: str, jobs: int = 1) -> int:
 
 
 def run_session(config: dict, out_dir: str) -> int:
-    rule = build_rule(config["market"])
+    rule = build_rule(_required(config, "market"))
     name = config.get("name", "session")
-    session = MarketSession(rule, config["r0"])
+    session = MarketSession(rule, _required(config, "r0"))
     for trader in config.get("traders", []):
         belief = build_belief(trader["belief"], rule.outcome_space)
         report = rule.best_response(belief)
@@ -345,7 +346,7 @@ def run_session(config: dict, out_dir: str) -> int:
 
 
 def run_extract(config: dict, out_dir: str) -> int:
-    rule = build_rule(config["market"])
+    rule = build_rule(_required(config, "market"))
     name = config.get("name", "extract")
     gspec = config.get("grid")
     if isinstance(gspec, dict):
@@ -493,7 +494,6 @@ def main(argv=None) -> int:
                        help="config path or bundled config name")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--expect", default=None,
                        help="golden verdict JSON file")
     args = parser.parse_args(argv)
@@ -516,7 +516,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "check":
-            return run_check(config, args.out, args.jobs)
+            return run_check(config, args.out)
         if args.command == "session":
             return run_session(config, args.out)
         if args.command == "extract":

@@ -604,7 +604,7 @@ def extract_cost_market(rule: ScoringRule, grid, pivot_tol: float = 1e-9,
     if not rule.outcome_space.is_finite:
         raise ValueError("cost extraction needs a finite outcome space")
     reports = list(grid)
-    scores = np.asarray([rule.score_contract(r).values for r in reports])
+    scores = rule.score_table(reports)
     n = scores.shape[1]
     h = scores - np.mean(scores, axis=1, keepdims=True)
 
@@ -697,7 +697,7 @@ def reconstructed_trade_values(ext: Extraction, i: int, j: int) -> np.ndarray:
 
 def roundtrip_residual(rule: ScoringRule, ext: Extraction) -> float:
     """Max |F_reconstructed - F| over all grid report pairs and outcomes."""
-    scores = np.asarray([rule.score_contract(r).values for r in ext.reports])
+    scores = rule.score_table(ext.reports)
     worst = 0.0
     for i in range(len(ext.reports)):
         for j in range(len(ext.reports)):

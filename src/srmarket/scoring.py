@@ -21,6 +21,7 @@ from .contracts import (
     REAL_LINE,
     Belief,
     Contract,
+    OutcomeMismatch,
     OutcomeSpace,
     Piece,
     Transform,
@@ -60,16 +61,26 @@ class BoxReports:
     lo: tuple
     hi: tuple
 
+    def __post_init__(self):
+        # the corners converted once, since every validate_report asks; a
+        # scalar report of a 1-D box compares with plain floats
+        object.__setattr__(self, "_lo", np.asarray(self.lo, dtype=float))
+        object.__setattr__(self, "_hi", np.asarray(self.hi, dtype=float))
+        object.__setattr__(self, "_interval", (float(self._lo[0]), float(self._hi[0]))
+                           if self._lo.shape == (1,) else None)
+
     @property
     def dim(self) -> int:
         return len(self.lo)
 
     def contains(self, r) -> bool:
+        if self._interval is not None and isinstance(r, (float, int)):
+            lo, hi = self._interval
+            return lo < float(r) < hi
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.dim,):
             return False
-        return bool(np.all(r > np.asarray(self.lo)) and
-                    np.all(r < np.asarray(self.hi)))
+        return bool(np.all(r > self._lo) and np.all(r < self._hi))
 
     def grid(self, num: int = 51, inset: float = 0.02) -> list:
         axes = []
@@ -130,6 +141,15 @@ class ScoringRule:
 
     def score_contract(self, r) -> Contract:
         raise NotImplementedError
+
+    def score_table(self, reports) -> np.ndarray:
+        """The payoff vectors of ``score_contract(r)`` for each report, one
+        row per report: an (R, n) array over a finite outcome space.  Each
+        report is validated as ``score_contract`` validates it."""
+        if not self.outcome_space.is_finite:
+            raise OutcomeMismatch("score tables need a finite outcome space")
+        rows = [self.score_contract(r).values for r in reports]
+        return np.array(rows).reshape(len(rows), self.outcome_space.n)
 
     def trade_contract(self, r_old, r_new) -> Contract:
         """The contract handed out for moving the state r_old -> r_new."""
@@ -727,11 +747,17 @@ class RatioRule(ScoringRule):
                 hi *= 2.0
         if self.potential.grad([lo])[0] > q[0] or self.potential.grad([hi])[0] < q[0]:
             return None
+        # once the bracket is two adjacent floats the midpoint equals one end
+        # and every later step repeats; stop at the first step moving neither
         for _ in range(300):
             m = 0.5 * (lo + hi)
             if self.potential.grad([m])[0] < q[0]:
+                if m == lo:
+                    break
                 lo = m
             else:
+                if m == hi:
+                    break
                 hi = m
         out = 0.5 * (lo + hi)
         return out if self.report_space.contains(out) else None

@@ -86,13 +86,25 @@ class TestRunCheck:
         cfg["expected"]["WN"] = "holds"
         assert run_check(cfg, str(tmp_path)) == 1
 
-    def test_parallel_jobs_same_verdicts(self, tmp_path):
-        cfg = load_config("quantile_sigmoid")
-        assert run_check(cfg, str(tmp_path / "a"), jobs=1) == 0
-        assert run_check(cfg, str(tmp_path / "b"), jobs=4) == 0
-        sa = (tmp_path / "a" / "quantile_sigmoid__summary.json").read_bytes()
-        sb = (tmp_path / "b" / "quantile_sigmoid__summary.json").read_bytes()
-        assert sa == sb
+    @pytest.mark.parametrize("axioms", [None, []])
+    def test_no_axioms_is_config_error(self, tmp_path, axioms):
+        cfg = load_config("mode_market")
+        del cfg["expected"]
+        if axioms is None:
+            del cfg["axioms"]
+        else:
+            cfg["axioms"] = axioms
+        with pytest.raises(ConfigError, match="axioms"):
+            run_check(cfg, str(tmp_path))
+        assert not os.listdir(tmp_path)
+
+    def test_expected_axiom_not_run_is_config_error(self, tmp_path):
+        cfg = load_config("mode_market")
+        cfg["axioms"] = ["WCL"]
+        cfg["expected"] = {"WCL": "holds", "WN": "holds"}
+        with pytest.raises(ConfigError, match="WN"):
+            run_check(cfg, str(tmp_path))
+        assert not os.listdir(tmp_path)
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = load_config("ratio_market")
@@ -202,6 +214,37 @@ class TestMain:
     def test_bad_config_exit_two(self, tmp_path, capsys):
         assert main(["check", "--config", "missing_config",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command,name,key", [
+        ("check", "mode_market", "market"),
+        ("session", "session_mean", "market"),
+        ("session", "session_mean", "r0"),
+        ("extract", "extract_mode", "market")])
+    def test_missing_entry_exit_two(self, tmp_path, capsys, command, name,
+                                    key):
+        cfg = load_config(name)
+        del cfg[key]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{key}'" in err
+
+    def test_missing_axioms_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({
+            "name": "typo", "market": {"family": "mode", "outcomes": [1, 2]},
+            "axiom": ["WN"], "expected": {"WN": "holds"}}))
+        assert main(["check", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_jobs_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", "mode_market", "--out", str(tmp_path),
+                  "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_expect_file_override(self, tmp_path):
         golden = tmp_path / "golden.json"
