@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .contracts import (
     contract_is_constant,
     expected_payoff,
     finite_belief,
+    trade_infima,
+    trade_rows,
 )
 from .engine import MarketSession
 from .reports import FAILS, HOLDS, HOLDS_AT_BUDGET, AxiomReport
@@ -163,18 +166,18 @@ def portfolio_scenarios(grid, count: int, size: int,
 # IC and ARB
 
 
-def _trade_rows(table: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Payoffs of the trades from a report scoring ``s`` to the report of
-    each table row, in the float arithmetic of ``combine`` with weights
-    (1, -1): the same floats ``trade_contract`` carries."""
-    return (0.0 + table) + (-1.0 * s)
-
-
 def _require_finite(rows: np.ndarray) -> np.ndarray:
     # trade_contract rejects a trade whose payoffs overflow
     if not np.isfinite(rows).all():
         raise ValueError("payoffs must be finite")
     return rows
+
+
+def _require_belief_kind(rule: ScoringRule, p: Belief) -> None:
+    labels = rule.outcome_space.labels
+    if (p.pmf is None) != (labels is None) or \
+            (labels is not None and p.space.labels != labels):
+        raise OutcomeMismatch("belief kind must match the outcome space")
 
 
 def _expected_trade_payoffs(rule: ScoringRule, grid, states):
@@ -183,20 +186,26 @@ def _expected_trade_payoffs(rule: ScoringRule, grid, states):
 
     On a finite outcome space the grid and the states are scored once, and
     each value is the ``np.dot`` that ``expected_payoff`` takes of the
-    trade's payoff vector."""
+    trade's payoff vector.  On the real line each value is
+    E_p S(r, .) - E_p S(states[k], .), by linearity of expectation: one
+    ``expected_payoff`` per grid report per belief, plus one per state."""
     if not rule.outcome_space.is_finite:
+        contracts = [rule.score_contract(r) for r in grid]
+        state_contracts = [rule.score_contract(s) for s in states]
+
+        @lru_cache(maxsize=1)
+        def scores(p):
+            return [expected_payoff(c, p) for c in contracts]
+
         def values(p, k):
-            return [expected_payoff(rule.trade_contract(states[k], r), p)
-                    for r in grid]
+            base = expected_payoff(state_contracts[k], p)
+            return [v - base for v in scores(p)]
         return values
     table = rule.score_table(grid)
     state_rows = rule.score_table(states)
-    labels = rule.outcome_space.labels
 
     def values(p, k):
-        if p.pmf is None or p.space.labels != labels:
-            raise OutcomeMismatch("belief kind must match the outcome space")
-        rows = _require_finite(_trade_rows(table, state_rows[k]))
+        rows = _require_finite(trade_rows(table, state_rows[k]))
         return [float(np.dot(row, p.pmf)) for row in rows]
     return values
 
@@ -205,7 +214,13 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
              cfg: SearchConfig = SearchConfig(), states=None) -> AxiomReport:
     """Grid argmax of the expected trade payoff must match the elicited
     statistic, from every market state (the argmax is state-free because
-    payments telescope)."""
+    payments telescope).
+
+    Each grid report and each state is scored once.  Over a finite outcome
+    space the expected trade payoffs are read off the score table; on the
+    real line they are differences of expected scores, which equal the
+    per-trade values within rounding.  A belief of the wrong kind for the
+    outcome space raises ``OutcomeMismatch``."""
     rng = cfg.rng()
     grid = cfg.report_grid(rule)
     if beliefs is None:
@@ -224,6 +239,7 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
     expected_trades = _expected_trade_payoffs(rule, grid, states)
     worst = 0.0
     for bi, p in enumerate(beliefs):
+        _require_belief_kind(rule, p)
         gamma = rule.property_value(p)
         argmaxes = []
         for k, state in enumerate(states):
@@ -265,13 +281,14 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
 def check_arb(rule: ScoringRule, grid=None,
               cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """No trade may pay strictly positively in every outcome:
-    inf F(r'|r) <= 0 for all report pairs on the grid."""
+    inf F(r'|r) <= 0 for all report pairs on the grid.
+
+    Each grid report is scored once; ``contracts.trade_infima`` gives the
+    infima of all trades from one report at a time, equal to
+    ``contract_bounds(trade_contract(r, r'))`` on either outcome kind."""
     if grid is None:
         grid = cfg.report_grid(rule)
-    if rule.outcome_space.is_finite:
-        worst, bad = _arb_scan_table(rule, grid, cfg.delta)
-    else:
-        worst, bad = _arb_scan(rule, grid, cfg.delta)
+    worst, bad = _arb_scan(rule, grid, cfg.delta)
     if bad:
         return AxiomReport(axiom="ARB", verdict=FAILS, margin=worst,
                            witness={"pairs": bad},
@@ -284,34 +301,18 @@ def check_arb(rule: ScoringRule, grid=None,
 
 def _arb_scan(rule: ScoringRule, grid, delta: float) -> tuple:
     """(worst infimum, up to 10 pairs with infimum above delta) over the
-    trades r -> r' of the grid in row-major order, stopping at the 10th."""
+    trades r -> r' of the grid in row-major order, stopping at the 10th;
+    ``worst`` covers the visited pairs only."""
     worst = -INF
     bad = []
-    for r in grid:
-        for rp in grid:
-            lo, _ = contract_bounds(rule.trade_contract(r, rp))
-            if lo > worst:
-                worst = lo
-            if lo > delta:
-                bad.append({"r": _j(r), "r_new": _j(rp), "inf": lo})
-                if len(bad) >= 10:
-                    return worst, bad
-    return worst, bad
-
-
-def _arb_scan_table(rule: ScoringRule, grid, delta: float) -> tuple:
-    """``_arb_scan`` on a finite outcome space: one score table, and the
-    infima of all trades from one report per row of the table."""
-    table = rule.score_table(grid)
-    worst = -INF
-    bad = []
-    for i, r in enumerate(grid):
-        rows = _trade_rows(table, table[i])
-        los = rows.min(axis=1)
+    rows = trade_infima([rule.score_contract(r) for r in grid])
+    for r, (los, finite) in zip(grid, rows):
         hits = np.flatnonzero(los > delta)[:10 - len(bad)]
         # the scan stops at the 10th pair above delta
         stop = int(hits[-1]) + 1 if len(bad) + len(hits) >= 10 else len(grid)
-        _require_finite(rows[:stop])
+        # trade_contract rejects a trade whose payoffs overflow
+        if not finite[:stop].all():
+            raise ValueError("payoffs must be finite")
         worst = max(worst, float(los[:stop].max()))
         bad.extend({"r": _j(r), "r_new": _j(grid[j]), "inf": float(los[j])}
                    for j in hits)
@@ -342,7 +343,7 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
     if rule.outcome_space.is_finite:
         # finite payoffs are bounded: the grid sup is one table's maximum
         table = rule.score_table(grid)
-        rows = _require_finite(_trade_rows(table, rule.score_table([r0])[0]))
+        rows = _require_finite(trade_rows(table, rule.score_table([r0])[0]))
         grid_sup = max(grid_sup, float(rows.max(initial=-INF)))
     else:
         for r in grid:

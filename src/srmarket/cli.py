@@ -107,6 +107,17 @@ def build_shares(spec):
 
 
 def build_rule(spec: dict):
+    """The rule a ``market`` block describes; a value its constructor
+    rejects is a config error."""
+    try:
+        return _build_rule(spec)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"market {spec.get('family')!r}: {exc}") from exc
+
+
+def _build_rule(spec: dict):
     family = spec.get("family")
     if family == "mode":
         return ModeRule(spec["outcomes"])

@@ -464,6 +464,140 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
     return piecewise_contract(merged, first.transform)
 
 
+@dataclass(frozen=True, eq=False)
+class ContractTable:
+    """Piecewise contracts over one coordinate, laid out on the union of
+    their breakpoints.
+
+    ``ends`` is -inf, the breakpoints in ascending order, and +inf; cell x
+    is [ends[x], ends[x + 1]).
+    ``coeffs[k, x]`` holds contract k's piece on cell x and ``t_ends`` the
+    coordinate of each cell end (the transform's limits at +-inf).  For the
+    cells of the union of two contracts' breakpoints, ``left[k, x]`` and
+    ``right[k, x]`` give the positions in ``ends`` of contract k's nearest
+    breakpoints at or below cell x's lower end and at or above its upper
+    end.
+    """
+
+    ends: np.ndarray
+    t_ends: np.ndarray
+    coeffs: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def contract_table(contracts: Sequence[Contract]) -> ContractTable:
+    """Lay piecewise contracts on the union of their breakpoints."""
+    first = contracts[0]
+    key = first.transform.key()
+    if any(c.pieces is None or c.transform.key() != key for c in contracts):
+        raise OutcomeMismatch("contracts use different outcome coordinates")
+    T = first.transform
+    edges = sorted({b for c in contracts for b in c.breakpoints()})
+    at = {e: x for x, e in enumerate(edges, 1)}
+    m = len(edges) + 1
+    breaks = np.zeros((len(contracts), m + 1), dtype=bool)
+    breaks[:, [0, m]] = True
+    coeffs = np.empty((len(contracts), m, 3))
+    for k, c in enumerate(contracts):
+        starts = [0] + [at[p.lo] for p in c.pieces[1:]]
+        breaks[k, starts] = True
+        coeffs[k] = np.repeat([p.coeffs for p in c.pieces],
+                              np.diff(starts + [m]), axis=0)
+    cells = np.arange(m)
+    left = np.maximum.accumulate(np.where(breaks[:, :-1], cells, 0), axis=1)
+    right = np.minimum.accumulate(
+        np.where(breaks[:, 1:], cells + 1, m)[:, ::-1], axis=1)[:, ::-1]
+    return ContractTable(
+        ends=np.array([-INF] + edges + [INF]),
+        t_ends=np.array([T.lo_limit()] + [T(e) for e in edges] + [T.hi_limit()]),
+        coeffs=coeffs, left=left, right=right)
+
+
+def _trade_row_infima(tab: ContractTable, i: int) -> tuple:
+    """``contract_bounds(combine([c_j, c_i], [1, -1]))[0]`` for every j,
+    to the bit, and whether each trade's coefficients are finite.
+
+    Each cell of the table lies in one cell of the pair's union; it takes
+    the pieces ``combine`` finds at that cell's probe, the sum ``combine``
+    forms with its snap, and the run of identical cells ``combine``
+    compacts into one piece, whose extremes are ``_poly_extremes``'.
+    """
+    R, m = tab.left.shape
+    lo = tab.ends[np.maximum(tab.left, tab.left[i])]
+    hi = tab.ends[np.minimum(tab.right, tab.right[i])]
+    probe = np.where(np.isinf(lo), np.where(np.isinf(hi), 0.0, hi - 1.0),
+                     np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi)))
+    # each operand's walk only moves forward
+    cell = np.maximum.accumulate(
+        np.searchsorted(tab.ends[1:-1], probe, side="right"), axis=1)
+    t_new = tab.coeffs[np.arange(R)[:, None], cell]
+    t_old = -1.0 * tab.coeffs[i][cell]
+    acc = (0.0 + t_new) + t_old
+    mag = np.maximum(np.abs(t_new), np.abs(t_old))
+    acc[(acc != 0.0) & (np.abs(acc) <= STRUCT_TOL * mag)] = 0.0
+    finite = np.isfinite(acc).all(axis=(1, 2))
+    # runs of identical cells are one piece; each cell reads its run's ends
+    first = np.ones((R, m), dtype=bool)
+    first[:, 1:] = (acc[:, 1:] != acc[:, :-1]).any(axis=2)
+    last = np.ones((R, m), dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    cells = np.arange(m)
+    ta = tab.t_ends[np.maximum.accumulate(np.where(first, cells, 0), axis=1)]
+    tb = tab.t_ends[np.minimum.accumulate(
+        np.where(last, cells, m - 1)[:, ::-1], axis=1)[:, ::-1] + 1]
+    c0, c1, c2 = acc[..., 0], acc[..., 1], acc[..., 2]
+
+    def poly(t):
+        return c0 + t * (c1 + t * c2)
+
+    def limit(slope):
+        return np.where(c2 != 0.0, np.where(c2 > 0, INF, -INF),
+                        np.where(c1 != 0.0, np.where(slope > 0, INF, -INF), c0))
+
+    lo_end = np.where(np.isinf(ta), limit(-c1), poly(ta))
+    hi_end = np.where(np.isinf(tb), limit(c1), poly(tb))
+    tv = -c1 / (2.0 * c2)
+    vertex = np.where(
+        (c2 != 0.0) & (ta < tv) & (tv < tb), poly(tv),
+        # a vertex beyond the largest float, on an unbounded side
+        np.where((c2 != 0.0) & np.isinf(tv) & ((tv == ta) | (tv == tb)),
+                 c0 - c1 * c1 / (4.0 * c2), INF))
+    return np.minimum(np.minimum(lo_end, hi_end), vertex).min(axis=1), finite
+
+
+def trade_infima(contracts: Sequence[Contract]):
+    """For each contract c_i in turn: the infimum of every trade
+    ``combine([c_j, c_i], [1, -1])``, one per c_j, equal to
+    ``contract_bounds`` of that trade, and whether each trade's payoffs
+    are finite.  The contracts are tabled once; each row is array
+    reductions, so a scan may stop after any row."""
+    if not contracts:
+        return
+    first = contracts[0]
+    if first.values is None:
+        tab = contract_table(contracts)
+        for i in range(len(contracts)):
+            with np.errstate(all="ignore"):
+                row = _trade_row_infima(tab, i)
+            yield row
+        return
+    if any(c.values is None or c.space.labels != first.space.labels
+           for c in contracts):
+        raise OutcomeMismatch("contracts live over different outcome spaces")
+    table = np.array([c.values for c in contracts])
+    for row in table:
+        trades = trade_rows(table, row)
+        yield trades.min(axis=1), np.isfinite(trades).all(axis=1)
+
+
+def trade_rows(table: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Payoff vectors of the trades from a contract paying ``s`` to each row
+    of ``table``, in the float arithmetic of ``combine`` with weights
+    (1, -1): the same floats ``trade_contract`` carries."""
+    return (0.0 + table) + (-1.0 * s)
+
+
 def project_cashless(d: Contract) -> tuple[Contract, float]:
     """Split d = d0 + cash * ones with d0 orthogonal to the all-ones contract."""
     if d.values is None:

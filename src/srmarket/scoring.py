@@ -525,19 +525,6 @@ class QuantileRule(ScoringRule):
             return None
         return max(self.alpha, 1.0 - self.alpha) * (t_hi - t_lo)
 
-    def trade_min(self, r, rp) -> float:
-        """Closed-form minimum payoff of the trade r -> rp.
-
-        Upward trades bottom out at (alpha - 1)(g(rp) - g(r)) on any outcome
-        below r; downward trades at alpha (g(rp) - g(r)) on outcomes above r.
-        """
-        g = self.transform
-        if rp > r:
-            return (self.alpha - 1.0) * (g(rp) - g(r))
-        if rp < r:
-            return self.alpha * (g(rp) - g(r))
-        return 0.0
-
 
 # ---------------------------------------------------------------------------
 # expectile markets

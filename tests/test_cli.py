@@ -231,6 +231,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"'{key}'" in err
 
+    @pytest.mark.parametrize("market,reason", [
+        ({"family": "quantile", "alpha": 1.5}, "quantile level"),
+        ({"family": "expectile", "tau": 0}, "expectile level"),
+        ({"family": "expectile", "tau": 0.3, "g_coeffs": [0.0, 1.0, -1.0]},
+         "positive curvature"),
+        ({"family": "weighted_mode", "outcomes": [1, 2], "weights": [1, 0]},
+         "weights must be positive")])
+    def test_rejected_constructor_value_exit_two(self, tmp_path, capsys,
+                                                 market, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "market": market,
+                                    "r0": 0.0, "axioms": ["WCL"]}))
+        assert main(["check", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert reason in err
+
     def test_missing_axioms_exit_two(self, tmp_path, capsys):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({

@@ -175,15 +175,6 @@ class TestQuantileRule:
                 assert r_id == pytest.approx(r_sig, abs=1e-6)
                 assert r_id == pytest.approx(p.quantile(alpha), abs=1e-6)
 
-    def test_trade_min_closed_form(self):
-        rule = QuantileRule(0.4)
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            r, rp = rng.normal(size=2) * 2
-            d = rule.trade_contract(r, rp)
-            lo, _ = contract_bounds(d)
-            assert lo == pytest.approx(rule.trade_min(r, rp), abs=1e-12)
-
     def test_user_monotone_piecewise_transform(self):
         from srmarket.contracts import PiecewiseLinearTransform
 
