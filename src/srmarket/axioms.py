@@ -7,13 +7,16 @@ family-specific closed-form bound upgrades them to ``holds``.  Every
 and session primitives alone.
 
 The strictness margin ``delta`` separates the axioms' strict inequalities
-from numerical ties.
+from numerical ties.  ``AXIOMS`` maps each axiom name to its check, its
+replay and the config keys it reads; the CLI and ``replay_witness`` both
+dispatch through it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,14 @@ from .contracts import (
     finite_belief,
     trade_infima,
     trade_rows,
+    uniform_belief,
+)
+from .costmarket import (
+    CostRule,
+    check_open,
+    check_quasi_open,
+    market_subgroup,
+    price_bound_check,
 )
 from .engine import MarketSession
 from .reports import FAILS, HOLDS, HOLDS_AT_BUDGET, AxiomReport
@@ -219,8 +230,10 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
     Each grid report and each state is scored once.  Over a finite outcome
     space the expected trade payoffs are read off the score table; on the
     real line they are differences of expected scores, which equal the
-    per-trade values within rounding.  A belief of the wrong kind for the
-    outcome space raises ``OutcomeMismatch``."""
+    per-trade values within rounding.  Argmaxes that all lie in a
+    set-valued property agree, whichever member rounding picks from each
+    state.  A belief of the wrong kind for the outcome space raises
+    ``OutcomeMismatch``."""
     rng = cfg.rng()
     grid = cfg.report_grid(rule)
     if beliefs is None:
@@ -237,45 +250,58 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
     else:
         step = 0.0
     expected_trades = _expected_trade_payoffs(rule, grid, states)
+    budget = {"beliefs": len(beliefs), "grid": len(grid)}
     worst = 0.0
-    for bi, p in enumerate(beliefs):
+    for p in beliefs:
         _require_belief_kind(rule, p)
         gamma = rule.property_value(p)
-        argmaxes = []
+        picks, scores = [], []
         for k, state in enumerate(states):
             vals = expected_trades(p, k)
             i = int(np.argmax(vals))
-            argmaxes.append(i)
             pick = grid[i]
-            if isinstance(gamma, tuple):
-                bad = pick not in gamma
-                gap = 0.0 if not bad else 1.0
-            else:
-                gap = float(np.max(np.abs(
-                    np.atleast_1d(np.asarray(pick, dtype=float)) -
-                    np.atleast_1d(np.asarray(gamma, dtype=float)))))
-                bad = gap > step + 1e-9
+            picks.append(pick)
+            scores.append(vals[i])
+            gap = _ic_gap(pick, gamma)
             worst = max(worst, gap)
-            if bad:
+            if gap > step + 1e-9:
                 return AxiomReport(
                     axiom="IC", verdict=FAILS, margin=gap,
                     witness={"belief": p.to_dict(), "state": _j(state),
                              "argmax": _j(pick), "property": _j(gamma),
                              "argmax_score": vals[i],
                              "grid_resolution": step},
-                    budget={"beliefs": len(beliefs), "grid": len(grid)})
-        if len(set(argmaxes)) != 1:
+                    budget=budget)
+        if _ic_disagreement(picks, gamma):
             return AxiomReport(
                 axiom="IC", verdict=FAILS, margin=1.0,
                 witness={"belief": p.to_dict(),
                          "states": [_j(s) for s in states],
-                         "argmaxes": [_j(grid[i]) for i in argmaxes],
+                         "argmaxes": [_j(r) for r in picks],
+                         "argmax_scores": scores,
                          "reason": "argmax varies with the market state"},
-                budget={"beliefs": len(beliefs), "grid": len(grid)})
+                budget=budget)
     return AxiomReport(axiom="IC", verdict=HOLDS_AT_BUDGET, margin=worst,
-                       budget={"beliefs": len(beliefs), "grid": len(grid),
-                               "states": len(states),
+                       budget={**budget, "states": len(states),
                                "grid_resolution": step})
+
+
+def _ic_gap(pick, gamma) -> float:
+    """Distance of a grid argmax from the property value; for a set-valued
+    property 0 inside the set and 1 outside it."""
+    if isinstance(gamma, tuple):
+        return 0.0 if pick in gamma else 1.0
+    return float(np.max(np.abs(
+        np.atleast_1d(np.asarray(pick, dtype=float)) -
+        np.atleast_1d(np.asarray(gamma, dtype=float)))))
+
+
+def _ic_disagreement(picks, gamma) -> float:
+    """1 when the argmaxes from different states differ, unless they all lie
+    in a set-valued property; else 0."""
+    if isinstance(gamma, tuple) and all(r in gamma for r in picks):
+        return 0.0
+    return float(any(_j(r) != _j(picks[0]) for r in picks))
 
 
 def check_arb(rule: ScoringRule, grid=None,
@@ -398,6 +424,12 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
 
 # ---------------------------------------------------------------------------
 # neutralization family
+#
+# WN, TN and PN ask one question: does some trade from the market state lift
+# a held position above its worst-case payoff?  They differ in the position
+# (one held trade, or a portfolio of them) and in the value of held + trade
+# that must beat it: its own worst-case payoff for WN, its cash level for TN
+# and PN, which is -inf unless held + trade is flat.
 
 
 def _improved(new_inf: float, base: float, delta: float) -> bool:
@@ -439,167 +471,156 @@ def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig,
     return cands
 
 
+def _cash_level(net) -> float:
+    flat, level = contract_is_constant(net, tol=1e-9)
+    return level if flat else -INF
+
+
+def _worst_entry(net, c) -> dict:
+    y_bad, v_bad, _ = contract_argmin(net)
+    return {"candidate": _j(c), "inf": contract_bounds(net)[0],
+            "bad_outcome": _j(y_bad), "value": v_bad}
+
+
+def _cash_entry(net, c) -> dict:
+    flat, level = contract_is_constant(net, tol=1e-9)
+    lo, hi = contract_bounds(net)
+    return {"candidate": _j(c), "flat": bool(flat),
+            "level": level if flat else None,
+            "spread": (hi - lo) if math.isfinite(hi - lo) else INF}
+
+
+class _Position(NamedTuple):
+    """What a scenario holds: one trade r1 -> r1' with the market at r2 (WN,
+    TN), or a portfolio of trades with the market at a state (PN)."""
+    count: str          # budget key of the scenario count
+    sample: Callable    # (rule, cfg) -> the seeded scenarios
+    hold: Callable      # (rule, scenario) -> (held contract, market state)
+    failure: Callable   # (scenario, held inf, entries, n, k) -> witness, budget
+    read: Callable      # witness -> scenario
+
+
+_ONE_TRADE = _Position(
+    "scenarios",
+    lambda rule, cfg: scenario_triples(cfg.report_grid(rule),
+                                       cfg.scenario_count, cfg.rng()),
+    lambda rule, sc: (rule.trade_contract(sc[0], sc[1]), sc[2]),
+    lambda sc, base, entries, n, k: (
+        {"scenario": {"r1": _j(sc[0]), "r1_new": _j(sc[1]), "state": _j(sc[2])},
+         "held_inf": base, "candidates": entries},
+        {"scenarios": n, "candidates": k}),
+    lambda w: tuple(_unj(w["scenario"][key]) for key in ("r1", "r1_new", "state")))
+
+_PORTFOLIO = _Position(
+    "portfolios",
+    lambda rule, cfg: portfolio_scenarios(cfg.report_grid(rule), cfg.portfolio_count,
+                                          cfg.portfolio_size, cfg.rng()),
+    lambda rule, sc: (combine([rule.trade_contract(a, b) for a, b in sc[0]],
+                              [1.0] * len(sc[0])), sc[1]),
+    lambda sc, base, entries, n, k: (
+        {"portfolio": [[_j(a), _j(b)] for a, b in sc[0]], "state": _j(sc[1]),
+         "position_inf": base, "candidates": entries},
+        {"portfolios": n}),
+    lambda w: ([(_unj(a), _unj(b)) for a, b in w["portfolio"]], _unj(w["state"])))
+
+# axiom -> (position, analytic-candidate hook, value of held + trade that
+#           must beat the held infimum, failure entry, failure entries kept)
+_NEUTRALIZATION = {
+    "WN": (_ONE_TRADE, "wn_candidate", lambda net: contract_bounds(net)[0],
+           _worst_entry, None),
+    "TN": (_ONE_TRADE, "tn_candidate", _cash_level, _cash_entry, 80),
+    "PN": (_PORTFOLIO, "pn_candidate", _cash_level, _cash_entry, 80),
+}
+
+
+def _net(rule, held, state, c):
+    return combine([held, rule.trade_contract(state, c)], [1.0, 1.0])
+
+
+def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
+    """(held infimum, values, margin, witness, budget) of a failing
+    scenario, from the value and the entry of each candidate it lists."""
+    position, _, value, entry, _ = _NEUTRALIZATION[axiom]
+    held, state = position.hold(rule, scenario)
+    base, _ = contract_bounds(held)
+    nets = [_net(rule, held, state, c) for c in cands]
+    values = [value(net) for net in nets]
+    gap = max(values, default=-INF) - base  # 0 when either side is infinite
+    witness, budget = position.failure(
+        scenario, base, [entry(net, c) for net, c in zip(nets, cands)], n, k)
+    return base, values, gap if math.isfinite(gap) else 0.0, witness, budget
+
+
+def _neutralize(axiom: str, rule: ScoringRule, scenarios,
+                cfg: SearchConfig) -> AxiomReport:
+    """The WN/TN/PN check: every non-degenerate scenario needs a candidate
+    whose value beats the held infimum by more than ``cfg.delta``; the first
+    scenario without one fails, listing its candidates' entries."""
+    position, hook, value, _, cap = _NEUTRALIZATION[axiom]
+    if scenarios is None:
+        scenarios = position.sample(rule, cfg)
+    degenerate = 0
+    worst = INF
+    for scenario in scenarios:
+        held, state = position.hold(rule, scenario)
+        if contract_is_constant(held)[0]:
+            degenerate += 1
+            continue
+        base, _ = contract_bounds(held)
+        cands = _scenario_candidates(rule, state, cfg,
+                                     getattr(rule, hook)(*scenario))
+        for c in cands:
+            best = value(_net(rule, held, state, c))
+            if _improved(best, base, cfg.delta):
+                break
+        else:
+            _, _, margin, witness, budget = _failure(
+                axiom, rule, scenario, cands[:cap], len(scenarios), len(cands))
+            return AxiomReport(axiom=axiom, verdict=FAILS, margin=margin,
+                               witness=witness, budget=budget)
+        worst = min(worst, (best - base) if base > -INF else INF)
+    return AxiomReport(axiom=axiom, verdict=HOLDS_AT_BUDGET,
+                       margin=worst if worst < INF else 0.0,
+                       budget={position.count: len(scenarios),
+                               "degenerate": degenerate})
+
+
 def check_wn(rule: ScoringRule, scenarios=None,
              cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Weak neutralization: some candidate trade strictly raises the held
     contract's worst-case payoff."""
-    rng = cfg.rng()
-    if scenarios is None:
-        scenarios = scenario_triples(cfg.report_grid(rule),
-                                     cfg.scenario_count, rng)
-    degenerate = 0
-    best_overall = INF
-    for (r1, r1p, r2) in scenarios:
-        held = rule.trade_contract(r1, r1p)
-        flat, _ = contract_is_constant(held)
-        if flat:
-            degenerate += 1
-            continue
-        base, _ = contract_bounds(held)
-        cands = _scenario_candidates(rule, r2, cfg,
-                                     rule.wn_candidate(r1, r1p, r2))
-        best, best_c = -INF, None
-        entries = []
-        for c in cands:
-            comb = combine([held, rule.trade_contract(r2, c)], [1.0, 1.0])
-            lo, _ = contract_bounds(comb)
-            if lo > best:
-                best, best_c = lo, c
-            if _improved(lo, base, cfg.delta):
-                break
-        if not _improved(best, base, cfg.delta):
-            for c in cands:
-                comb = combine([held, rule.trade_contract(r2, c)], [1.0, 1.0])
-                lo, _ = contract_bounds(comb)
-                y_bad, v_bad, _ = contract_argmin(comb)
-                entries.append({"candidate": _j(c), "inf": lo,
-                                "bad_outcome": _j(y_bad), "value": v_bad})
-            margin = (best - base) if base > -INF else 0.0
-            return AxiomReport(
-                axiom="WN", verdict=FAILS, margin=margin,
-                witness={"scenario": {"r1": _j(r1), "r1_new": _j(r1p),
-                                      "state": _j(r2)},
-                         "held_inf": base, "candidates": entries},
-                budget={"scenarios": len(scenarios),
-                        "candidates": len(cands)})
-        gain = (best - base) if base > -INF else INF
-        best_overall = min(best_overall, gain)
-    return AxiomReport(axiom="WN", verdict=HOLDS_AT_BUDGET,
-                       margin=best_overall if best_overall < INF else 0.0,
-                       budget={"scenarios": len(scenarios),
-                               "degenerate": degenerate})
+    return _neutralize("WN", rule, scenarios, cfg)
 
 
 def check_tn(rule: ScoringRule, scenarios=None,
              cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Trade neutralization: some candidate trade turns the held contract
     into cash strictly above its worst-case payoff."""
-    rng = cfg.rng()
-    if scenarios is None:
-        scenarios = scenario_triples(cfg.report_grid(rule),
-                                     cfg.scenario_count, rng)
-    degenerate = 0
-    worst_level = INF
-    for (r1, r1p, r2) in scenarios:
-        held = rule.trade_contract(r1, r1p)
-        flat, _ = contract_is_constant(held)
-        if flat:
-            degenerate += 1
-            continue
-        base, _ = contract_bounds(held)
-        cands = _scenario_candidates(rule, r2, cfg,
-                                     rule.tn_candidate(r1, r1p, r2))
-        found = None
-        entries = []
-        for c in cands:
-            comb = combine([held, rule.trade_contract(r2, c)], [1.0, 1.0])
-            is_flat, level = contract_is_constant(comb, tol=1e-9)
-            if is_flat and _improved(level, base, cfg.delta):
-                found = (c, level)
-                break
-        if found is None:
-            for c in cands[:80]:
-                comb = combine([held, rule.trade_contract(r2, c)], [1.0, 1.0])
-                is_flat, level = contract_is_constant(comb, tol=1e-9)
-                lo, hi = contract_bounds(comb)
-                entries.append({"candidate": _j(c), "flat": bool(is_flat),
-                                "level": level if is_flat else None,
-                                "spread": (hi - lo) if math.isfinite(hi - lo)
-                                else INF})
-            flats = [e["level"] for e in entries if e["flat"]]
-            margin = (max(flats) - base) if flats and base > -INF else -INF
-            return AxiomReport(
-                axiom="TN", verdict=FAILS,
-                margin=margin if margin > -INF else 0.0,
-                witness={"scenario": {"r1": _j(r1), "r1_new": _j(r1p),
-                                      "state": _j(r2)},
-                         "held_inf": base, "candidates": entries},
-                budget={"scenarios": len(scenarios),
-                        "candidates": len(cands)})
-        gain = (found[1] - base) if base > -INF else INF
-        worst_level = min(worst_level, gain)
-    return AxiomReport(axiom="TN", verdict=HOLDS_AT_BUDGET,
-                       margin=worst_level if worst_level < INF else 0.0,
-                       budget={"scenarios": len(scenarios),
-                               "degenerate": degenerate})
+    return _neutralize("TN", rule, scenarios, cfg)
 
 
 def check_pn(rule: ScoringRule, portfolios=None,
              cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Portfolio neutralization: one trade converts the whole held portfolio
     into cash strictly above its worst-case payoff."""
-    rng = cfg.rng()
-    if portfolios is None:
-        portfolios = portfolio_scenarios(cfg.report_grid(rule),
-                                         cfg.portfolio_count,
-                                         cfg.portfolio_size, rng)
-    degenerate = 0
-    worst_gain = INF
-    for trades, state in portfolios:
-        position = combine([rule.trade_contract(a, b) for a, b in trades],
-                           [1.0] * len(trades))
-        flat, _ = contract_is_constant(position)
-        if flat:
-            degenerate += 1
-            continue
-        base, _ = contract_bounds(position)
-        cands = _scenario_candidates(rule, state, cfg,
-                                     rule.pn_candidate(trades, state))
-        found = None
-        entries = []
-        for c in cands:
-            comb = combine([position, rule.trade_contract(state, c)],
-                           [1.0, 1.0])
-            is_flat, level = contract_is_constant(comb, tol=1e-9)
-            if is_flat and _improved(level, base, cfg.delta):
-                found = (c, level)
-                break
-        if found is None:
-            for c in cands[:80]:
-                comb = combine([position, rule.trade_contract(state, c)],
-                               [1.0, 1.0])
-                is_flat, level = contract_is_constant(comb, tol=1e-9)
-                lo, hi = contract_bounds(comb)
-                entries.append({"candidate": _j(c), "flat": bool(is_flat),
-                                "level": level if is_flat else None,
-                                "spread": (hi - lo) if math.isfinite(hi - lo)
-                                else INF})
-            return AxiomReport(
-                axiom="PN", verdict=FAILS, margin=0.0,
-                witness={"portfolio": [[_j(a), _j(b)] for a, b in trades],
-                         "state": _j(state), "position_inf": base,
-                         "candidates": entries},
-                budget={"portfolios": len(portfolios)})
-        gain = (found[1] - base) if base > -INF else INF
-        worst_gain = min(worst_gain, gain)
-    return AxiomReport(axiom="PN", verdict=HOLDS_AT_BUDGET,
-                       margin=worst_gain if worst_gain < INF else 0.0,
-                       budget={"portfolios": len(portfolios),
-                               "degenerate": degenerate})
+    return _neutralize("PN", rule, portfolios, cfg)
 
 
 # ---------------------------------------------------------------------------
 # bounded trader budget
+
+
+def _btb_entry(rule: ScoringRule, belief: Belief, state, c) -> dict:
+    d = rule.trade_contract(state, c)
+    return {"candidate": _j(c), "inf": contract_bounds(d)[0],
+            "expected": expected_payoff(d, belief)}
+
+
+def _btb_margin(entries, eps: float, delta: float) -> float:
+    """The best candidate's slack min(inf + eps, expected - delta), clipped
+    at 0: a budget that no candidate meets has none."""
+    return max([0.0] + [min(e["inf"] + eps, e["expected"] - delta)
+                        for e in entries])
 
 
 def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
@@ -610,166 +631,155 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
     if epsilons is None:
         epsilons = cfg.epsilons
     target = min_label(rule.property_value(belief))
-    t_arr = np.atleast_1d(np.asarray(target, dtype=float)) \
-        if not isinstance(rule.report_space, FiniteReports) else None
     if isinstance(rule.report_space, FiniteReports):
-        if target == state:
-            raise ValueError("precondition: the belief's statistic differs "
-                             "from the market state")
+        at_target = target == state
         candidates = [r for r in rule.report_space.labels if r != state]
     else:
+        t_arr = np.atleast_1d(np.asarray(target, dtype=float))
         s_arr = np.atleast_1d(np.asarray(state, dtype=float))
-        if float(np.max(np.abs(t_arr - s_arr))) <= 1e-12:
-            raise ValueError("precondition: the belief's statistic differs "
-                             "from the market state")
+        at_target = float(np.max(np.abs(t_arr - s_arr))) <= 1e-12
         candidates = []
         for i in range(55):
-            step = (t_arr - s_arr) * (0.5 ** i)
-            cand = s_arr + step
+            cand = s_arr + (t_arr - s_arr) * (0.5 ** i)
             candidates.append(cand if len(cand) > 1 else float(cand[0]))
+    if at_target:
+        raise ValueError("precondition: the belief's statistic differs "
+                         "from the market state")
+    budget = {"epsilons": list(epsilons), "candidates": len(candidates)}
     results = []
     worst_ok = INF
     for eps in epsilons:
-        hit = None
         entries = []
         for c in candidates:
-            d = rule.trade_contract(state, c)
-            lo, _ = contract_bounds(d)
-            gain = expected_payoff(d, belief)
-            if lo > -eps and gain > cfg.delta:
-                hit = {"epsilon": eps, "trade_to": _j(c), "inf": lo,
-                       "expected": gain}
-                worst_ok = min(worst_ok, min(lo + eps, gain))
+            e = _btb_entry(rule, belief, state, c)
+            if e["inf"] > -eps and e["expected"] > cfg.delta:
+                results.append({"epsilon": eps, "trade_to": e["candidate"],
+                                "inf": e["inf"], "expected": e["expected"]})
+                worst_ok = min(worst_ok, e["inf"] + eps, e["expected"])
                 break
-            entries.append({"candidate": _j(c), "inf": lo, "expected": gain})
-        if hit is None:
+            entries.append(e)
+        else:
             return AxiomReport(
-                axiom="BTB", verdict=FAILS, margin=0.0,
+                axiom="BTB", verdict=FAILS,
+                margin=_btb_margin(entries, eps, cfg.delta),
                 witness={"epsilon": eps, "state": _j(state),
                          "belief": belief.to_dict(), "candidates": entries},
-                budget={"epsilons": list(epsilons),
-                        "candidates": len(candidates)})
-        results.append(hit)
+                budget=budget)
     return AxiomReport(axiom="BTB", verdict=HOLDS_AT_BUDGET,
                        margin=worst_ok if worst_ok < INF else 0.0,
-                       witness={"trades": results},
-                       budget={"epsilons": list(epsilons),
-                               "candidates": len(candidates)})
+                       witness={"trades": results}, budget=budget)
 
 
 # ---------------------------------------------------------------------------
 # witness replay
+#
+# A replay rebuilds a fails witness from the rule alone.  It recomputes the
+# numbers the witness stores with the check's own code, and the margin from
+# them as the check computed it; ``replay_witness`` raises AssertionError
+# when a recomputed number differs from the stored one by more than 1e-9
+# (relative above 1), and each replay raises when the violation no longer
+# holds.
 
 
 def replay_witness(rule: ScoringRule, report: AxiomReport) -> float:
-    """Recompute a fails-witness through sessions and contract primitives;
-    returns the recomputed violation margin.
-
-    Raises if the witness does not reproduce the violating inequality."""
+    """The violation margin of a fails-witness, recomputed through sessions
+    and contract primitives; raises if the witness does not reproduce."""
     if report.verdict != FAILS:
         raise ValueError("only fails verdicts carry replayable witnesses")
+    axiom = AXIOMS.get(report.axiom)
+    if axiom is None or axiom.replay is None:
+        raise ValueError(f"no replay path for axiom {report.axiom}")
+    recomputed, margin = axiom.replay(rule, report)
+    _expect(_same(recomputed, {k: report.witness[k] for k in recomputed}),
+            report.axiom, "does not reproduce")
+    return float(margin)
+
+
+def _same(a, b, tol: float = 1e-9) -> bool:
+    """JSON-like values equal up to tol * max(1, |b|) in every number."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and \
+            all(_same(a[k], b[k], tol) for k in a)
+    if isinstance(a, (list, tuple)):
+        return isinstance(b, (list, tuple)) and len(a) == len(b) and \
+            all(_same(x, y, tol) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, (int, float)) and a != b:
+        return abs(a - b) <= tol * max(1.0, abs(b))
+    return a == b
+
+
+def _expect(holds: bool, axiom: str, what: str) -> None:
+    if not holds:
+        raise AssertionError(f"{axiom} witness {what}")
+
+
+# each replay: (rule, fails report) -> (recomputed witness entries, margin)
+
+
+def _replay_arb(rule, report) -> tuple:
+    pairs = []
+    for p in report.witness["pairs"]:
+        d = MarketSession(rule, _unj(p["r"])).execute_trade("replay",
+                                                            _unj(p["r_new"]))
+        pairs.append({**p, "inf": contract_bounds(d)[0]})
+    margin = max(p["inf"] for p in pairs)
+    _expect(margin > 0, "ARB", "no longer violates")
+    return {"pairs": pairs}, margin
+
+
+def _replay_wcl(rule, report) -> tuple:
     w = report.witness
-    axiom = report.axiom
-    if axiom == "ARB":
-        worst = -INF
-        for pair in w["pairs"]:
-            session = MarketSession(rule, _unj(pair["r"]))
-            d = session.execute_trade("replay", _unj(pair["r_new"]))
-            lo, _ = contract_bounds(d)
-            if abs(lo - pair["inf"]) > 1e-9:
-                raise AssertionError("ARB witness does not reproduce")
-            worst = max(worst, lo)
-        if worst <= 0:
-            raise AssertionError("ARB witness no longer violates")
-        return worst
-    if axiom == "WCL":
-        if "losses" in w:
-            session = MarketSession(rule, _unj(w["r0"]))
-            d = session.execute_trade("replay", _unj(w["trade_to"]))
-            vals = [d(_unj(y)) for y, _ in w["losses"]]
-            for v, (_, stored) in zip(vals, w["losses"]):
-                if abs(v - stored) > 1e-6 * max(1.0, abs(stored)):
-                    raise AssertionError("WCL witness does not reproduce")
-            if not vals[-1] > vals[0]:
-                raise AssertionError("WCL loss sequence is not increasing")
-            return vals[-1]
-        worst = 0.0
-        for r, stored in w["trade_sups"]:
-            d = rule.trade_contract(_unj(w["r0"]), _unj(r))
-            _, hi = contract_bounds(d)
-            if abs(hi - stored) > 1e-6 * max(1.0, abs(stored)):
-                raise AssertionError("WCL witness does not reproduce")
-            worst = max(worst, hi)
-        return worst
-    if axiom == "WN":
-        sc = w["scenario"]
-        held = rule.trade_contract(_unj(sc["r1"]), _unj(sc["r1_new"]))
-        base, _ = contract_bounds(held)
-        if base == -INF:
-            raise AssertionError("WN fails-witness needs a bounded held trade")
-        if abs(base - w["held_inf"]) > 1e-9:
-            raise AssertionError("WN witness base does not reproduce")
-        best = -INF
-        for e in w["candidates"]:
-            comb = combine(
-                [held, rule.trade_contract(_unj(sc["state"]),
-                                           _unj(e["candidate"]))], [1.0, 1.0])
-            # the payoff at the stored bad outcome caps the candidate's
-            # infimum; it must certify no improvement beyond the margin
-            v = comb(_unj(e["bad_outcome"]))
-            if v > base + 2e-9:
-                raise AssertionError("WN candidate improves after all")
-            best = max(best, v - base)
-        return best
-    if axiom == "TN":
-        sc = w["scenario"]
-        held = rule.trade_contract(_unj(sc["r1"]), _unj(sc["r1_new"]))
-        base, _ = contract_bounds(held)
-        for e in w["candidates"]:
-            comb = combine(
-                [held, rule.trade_contract(_unj(sc["state"]),
-                                           _unj(e["candidate"]))], [1.0, 1.0])
-            flat, level = contract_is_constant(comb, tol=1e-9)
-            if flat != e["flat"]:
-                raise AssertionError("TN witness flatness flipped")
-            if flat and level > base + 1e-9:
-                raise AssertionError("TN candidate neutralizes after all")
-        return report.margin
-    if axiom == "PN":
-        trades = [( _unj(a), _unj(b)) for a, b in w["portfolio"]]
-        position = combine([rule.trade_contract(a, b) for a, b in trades],
-                           [1.0] * len(trades))
-        base, _ = contract_bounds(position)
-        for e in w["candidates"]:
-            comb = combine(
-                [position, rule.trade_contract(_unj(w["state"]),
-                                               _unj(e["candidate"]))],
-                [1.0, 1.0])
-            flat, level = contract_is_constant(comb, tol=1e-9)
-            if flat and level > base + 1e-9:
-                raise AssertionError("PN candidate neutralizes after all")
-        return report.margin
-    if axiom == "BTB":
-        eps = w["epsilon"]
-        belief = _belief_from_dict(rule, w["belief"])
-        state = _unj(w["state"])
-        for e in w["candidates"]:
-            d = rule.trade_contract(state, _unj(e["candidate"]))
-            lo, _ = contract_bounds(d)
-            gain = expected_payoff(d, belief)
-            if lo > -eps + 1e-12 and gain > 1e-9:
-                raise AssertionError("BTB candidate works after all")
-        return report.margin
-    if axiom == "IC":
-        belief = _belief_from_dict(rule, w["belief"])
-        state = _unj(w["state"])
-        pick = _unj(w["argmax"])
-        d = rule.trade_contract(state, pick)
-        score = expected_payoff(d, belief)
-        if abs(score - w["argmax_score"]) > 1e-9:
-            raise AssertionError("IC witness does not reproduce")
-        return report.margin
-    raise ValueError(f"no replay path for axiom {axiom}")
+    r0 = _unj(w["r0"])
+    if "losses" in w:
+        d = MarketSession(rule, r0).execute_trade("replay", _unj(w["trade_to"]))
+        losses = [[y, d(_unj(y))] for y, _ in w["losses"]]
+        _expect(losses[-1][1] > losses[0][1], "WCL", "losses do not grow")
+        return {"losses": losses}, losses[-1][1]
+    sups = [[r, contract_bounds(rule.trade_contract(r0, _unj(r)))[1]]
+            for r, _ in w["trade_sups"]]
+    return {"trade_sups": sups}, max(s for _, s in sups)
+
+
+def _replay_neutralization(rule, report) -> tuple:
+    """WN, TN and PN: the held position and each listed candidate's value
+    and entry, recomputed with the check's own functions."""
+    w = report.witness
+    scenario = _NEUTRALIZATION[report.axiom][0].read(w)
+    base, values, margin, witness, _ = _failure(
+        report.axiom, rule, scenario,
+        [_unj(e["candidate"]) for e in w["candidates"]], 0, 0)
+    _expect(not any(_improved(v, base, SearchConfig.delta) for v in values),
+            report.axiom, "candidate improves after all")
+    return witness, margin
+
+
+def _replay_btb(rule, report) -> tuple:
+    w = report.witness
+    belief = build_belief(w["belief"], rule.outcome_space)
+    entries = [_btb_entry(rule, belief, _unj(w["state"]), _unj(e["candidate"]))
+               for e in w["candidates"]]
+    margin = _btb_margin(entries, w["epsilon"], SearchConfig.delta)
+    _expect(margin == 0.0, "BTB", "candidate meets the budget after all")
+    return {"candidates": entries}, margin
+
+
+def _replay_ic(rule, report) -> tuple:
+    w = report.witness
+    belief = build_belief(w["belief"], rule.outcome_space)
+    gamma = rule.property_value(belief)
+    if "argmaxes" in w:
+        picks = [_unj(r) for r in w["argmaxes"]]
+        scores = [expected_payoff(rule.trade_contract(_unj(s), r), belief)
+                  for s, r in zip(w["states"], picks)]
+        margin = _ic_disagreement(picks, gamma)
+        _expect(margin > 0, "IC", "argmaxes agree after all")
+        return {"argmax_scores": scores}, margin
+    pick = _unj(w["argmax"])
+    gap = _ic_gap(pick, gamma)
+    _expect(gap > w["grid_resolution"] + 1e-9, "IC",
+            "argmax lies within a grid step after all")
+    score = expected_payoff(rule.trade_contract(_unj(w["state"]), pick), belief)
+    return {"argmax_score": score, "property": _j(gamma)}, gap
 
 
 def _unj(v):
@@ -778,21 +788,109 @@ def _unj(v):
     return v
 
 
-def _belief_from_dict(rule: ScoringRule, d: dict) -> Belief:
-    if "pmf" in d:
-        return finite_belief(rule.outcome_space, d["pmf"])
-    return cdf_belief(d["cdf"]["x"], d["cdf"]["F"])
+# ---------------------------------------------------------------------------
+# the axiom table: what each axiom runs, replays and reads from a config
 
 
-def implication_chain_consistent(verdicts: dict) -> bool:
-    """No instance may record (TN holds, WN fails) or (PN holds, TN fails)."""
-    def ok(v):
-        return v in (HOLDS, HOLDS_AT_BUDGET)
+class ConfigError(ValueError):
+    """A config that cannot be run as written."""
 
-    if "TN" in verdicts and "WN" in verdicts:
-        if ok(verdicts["TN"]) and verdicts["WN"] == FAILS:
-            return False
-    if "PN" in verdicts and "TN" in verdicts:
-        if ok(verdicts["PN"]) and verdicts["TN"] == FAILS:
-            return False
-    return True
+
+def config_block(block, where: str, required=(), optional=()) -> dict:
+    """``block``, once it is an object holding every required key and no
+    key outside required + optional."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    missing = [key for key in required if key not in block]
+    unknown = sorted(set(block) - set(required) - set(optional))
+    if missing or unknown:
+        raise ConfigError(f"{where} has no {missing[0]!r} entry" if missing
+                          else f"{where} has unknown keys {unknown}")
+    return block
+
+
+def build_belief(spec, space) -> Belief:
+    """The belief a pmf, cdf or uniform spec describes; pmf and cdf are the
+    forms ``Belief.to_dict`` writes."""
+    try:
+        if "pmf" in spec:
+            return finite_belief(space, spec["pmf"])
+        if "cdf" in spec:
+            return cdf_belief(spec["cdf"]["x"], spec["cdf"]["F"])
+        if "uniform" in spec:
+            return uniform_belief(*spec["uniform"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"belief {spec!r}: {exc}") from exc
+    raise ConfigError(f"unknown belief spec {spec!r}")
+
+
+def _scenarios(rule, config):
+    """Every (r1, r1', r2) triple of a finite report space when the search
+    block asks for them; None, for the seeded sample, otherwise."""
+    if config.get("search", {}).get("exhaustive_scenarios") and \
+            isinstance(rule.report_space, FiniteReports):
+        return exhaustive_triples(list(rule.report_space.labels))
+
+
+def _run_ic(rule, config, cfg) -> AxiomReport:
+    beliefs = config.get("ic_beliefs")
+    if beliefs is not None:
+        beliefs = [build_belief(b, rule.outcome_space) for b in beliefs]
+    return check_ic(rule, beliefs, cfg)
+
+
+def _run_btb(rule, config, cfg) -> AxiomReport:
+    btb = config_block(config["btb"], "the btb block", ("state", "belief"),
+                       ("epsilons",))
+    belief = build_belief(btb["belief"], rule.outcome_space)
+    try:  # a state outside the reports, or at the belief's statistic
+        return check_btb(rule, belief, btb["state"],
+                         tuple(btb.get("epsilons", cfg.epsilons)), cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _cost_market(check):
+    """A structure check that applies to cost markets only."""
+    def run(rule, config, cfg):
+        if not isinstance(rule, CostRule):
+            raise ConfigError("applies to cost markets")
+        return check(rule, config, cfg)
+    return run
+
+
+def _run_subgroup(rule, config, cfg) -> AxiomReport:
+    if not (isinstance(rule.report_space, FiniteReports) or
+            isinstance(rule, CostRule) and rule.shares.is_lattice):
+        raise ConfigError("needs a finite rule or a lattice market")
+    return market_subgroup(rule, cfg.lattice_bound)
+
+
+class Axiom(NamedTuple):
+    check: Callable           # (rule, config, cfg) -> AxiomReport
+    replay: Callable | None   # (rule, fails report) -> recomputed entries,
+    #                           margin
+    needs: tuple = ()         # config keys it reads; "?" marks optional
+
+
+AXIOMS = {
+    "ARB": Axiom(lambda r, c, cfg: check_arb(r, cfg=cfg), _replay_arb),
+    "WCL": Axiom(lambda r, c, cfg: check_wcl(r, c["r0"], cfg), _replay_wcl,
+                 ("r0",)),
+    "IC": Axiom(_run_ic, _replay_ic, ("ic_beliefs?",)),
+    "WN": Axiom(lambda r, c, cfg: check_wn(r, _scenarios(r, c), cfg),
+                _replay_neutralization),
+    "TN": Axiom(lambda r, c, cfg: check_tn(r, _scenarios(r, c), cfg),
+                _replay_neutralization),
+    "PN": Axiom(lambda r, c, cfg: check_pn(r, None, cfg),
+                _replay_neutralization),
+    "BTB": Axiom(_run_btb, _replay_btb, ("btb",)),
+    "OPEN": Axiom(_cost_market(lambda r, c, cfg: check_open(r, cfg.rng())),
+                  None),
+    "QUASI-OPEN": Axiom(_cost_market(lambda r, c, cfg: check_quasi_open(
+        r, cfg.lattice_bound, cfg.rng())), None),
+    "PRICE-BOUND": Axiom(_cost_market(lambda r, c, cfg: price_bound_check(
+        r, c.get("price_bound_trials", 1000), cfg.rng())), None,
+        ("price_bound_trials?",)),
+    "SUBGROUP": Axiom(_run_subgroup, None),
+}

@@ -13,23 +13,15 @@ import hashlib
 import json
 import os
 import sys
+import traceback
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .axioms import (
-    SearchConfig,
-    check_arb,
-    check_btb,
-    check_ic,
-    check_pn,
-    check_tn,
-    check_wcl,
-    check_wn,
-    exhaustive_triples,
-)
-from .contracts import IDENTITY, SIGMOID, cdf_belief, finite_belief, uniform_belief
+from .axioms import AXIOMS, ConfigError, SearchConfig, build_belief, config_block
+from .contracts import IDENTITY, SIGMOID, OutcomeSpace
 from .convex import (
     binary_lmsr_cost,
     binary_negentropy,
@@ -41,29 +33,25 @@ from .convex import (
 from .costmarket import (
     CostRule,
     ShareSpace,
-    check_open,
-    check_quasi_open,
-    check_subgroup,
     extract_cost_market,
-    price_bound_check,
     roundtrip_residual,
 )
 from .engine import MarketSession
-from .reports import HOLDS, HOLDS_AT_BUDGET, AxiomReport
+from .reports import HOLDS, HOLDS_AT_BUDGET
 from .scoring import (
     ExpectationRule,
     ExpectileRule,
     FiniteRule,
-    FiniteReports,
     ModeRule,
     QuantileRule,
     RatioRule,
 )
-from .contracts import OutcomeSpace, project_cashless
 
-
-class ConfigError(ValueError):
-    pass
+# top-level keys of each command's configs; a check config also takes the
+# needs of the axioms it runs
+CHECK_KEYS = ("name", "seed", "market", "r0", "axioms", "expected", "search")
+SESSION_KEYS = ("name", "seed", "market", "r0", "traders", "outcome")
+EXTRACT_KEYS = ("name", "market", "grid", "expect_failure")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +101,10 @@ def build_rule(spec: dict):
         return _build_rule(spec)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"market {spec.get('family')!r} has no {exc} entry") \
+            from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"market {spec.get('family')!r}: {exc}") from exc
 
 
@@ -156,19 +147,9 @@ def _build_rule(spec: dict):
     raise ConfigError(f"unknown family {family!r}")
 
 
-def build_belief(spec: dict, space: OutcomeSpace):
-    if "pmf" in spec:
-        return finite_belief(space, spec["pmf"])
-    if "cdf" in spec:
-        return cdf_belief(spec["cdf"]["x"], spec["cdf"]["F"])
-    if "uniform" in spec:
-        a, b = spec["uniform"]
-        return uniform_belief(a, b)
-    raise ConfigError(f"unknown belief spec {spec!r}")
-
-
 def build_search(spec: dict | None, seed=None) -> SearchConfig:
-    spec = dict(spec or {})
+    keys = ("exhaustive_scenarios",) + tuple(f.name for f in fields(SearchConfig))
+    spec = dict(config_block(spec or {}, "search", (), keys))
     spec.pop("exhaustive_scenarios", None)
     if seed is not None:
         spec["seed"] = seed
@@ -176,7 +157,10 @@ def build_search(spec: dict | None, seed=None) -> SearchConfig:
         spec["report_window"] = tuple(spec["report_window"])
     if "epsilons" in spec:
         spec["epsilons"] = tuple(spec["epsilons"])
-    return SearchConfig(**spec)
+    try:
+        return SearchConfig(**spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"search: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -203,82 +187,12 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _scenarios_for(rule, config, cfg: SearchConfig):
-    if config.get("search", {}).get("exhaustive_scenarios") and \
-            isinstance(rule.report_space, FiniteReports):
-        return exhaustive_triples(list(rule.report_space.labels))
-    return None
-
-
-def run_axiom(axiom: str, rule, config: dict, cfg: SearchConfig) -> AxiomReport:
-    r0 = config.get("r0")
-    if axiom == "WCL":
-        if r0 is None:
-            raise ConfigError("WCL needs r0")
-        return check_wcl(rule, r0, cfg)
-    if axiom == "ARB":
-        return check_arb(rule, cfg=cfg)
-    if axiom == "IC":
-        beliefs = None
-        if "ic_beliefs" in config:
-            beliefs = [build_belief(b, rule.outcome_space)
-                       for b in config["ic_beliefs"]]
-        return check_ic(rule, beliefs, cfg)
-    if axiom == "WN":
-        return check_wn(rule, _scenarios_for(rule, config, cfg), cfg)
-    if axiom == "TN":
-        return check_tn(rule, _scenarios_for(rule, config, cfg), cfg)
-    if axiom == "PN":
-        return check_pn(rule, None, cfg)
-    if axiom == "BTB":
-        btb = config.get("btb")
-        if not btb:
-            raise ConfigError("BTB needs a btb block: state, belief, epsilons")
-        belief = build_belief(btb["belief"], rule.outcome_space)
-        return check_btb(rule, belief, btb["state"],
-                         tuple(btb.get("epsilons", cfg.epsilons)), cfg)
-    if axiom == "OPEN":
-        if not isinstance(rule, CostRule):
-            raise ConfigError("OPEN applies to cost markets")
-        return check_open(rule, cfg.rng())
-    if axiom == "QUASI-OPEN":
-        if not isinstance(rule, CostRule):
-            raise ConfigError("QUASI-OPEN applies to cost markets")
-        return check_quasi_open(rule, cfg.lattice_bound, cfg.rng())
-    if axiom == "PRICE-BOUND":
-        if not isinstance(rule, CostRule):
-            raise ConfigError("PRICE-BOUND applies to cost markets")
-        return price_bound_check(rule, config.get("price_bound_trials", 1000),
-                                 cfg.rng())
-    if axiom == "SUBGROUP":
-        return _subgroup_report(rule, cfg)
-    raise ConfigError(f"unknown axiom {axiom!r}")
-
-
-def _subgroup_report(rule, cfg: SearchConfig) -> AxiomReport:
-    if isinstance(rule, CostRule) and rule.shares.is_lattice:
-        pts = rule.shares.lattice_points(cfg.lattice_bound)
-        centered = rule.phi - np.mean(rule.phi, axis=0)
-        sample = [centered @ w for w in pts]
-        pinv = np.linalg.pinv(centered)
-
-        def region(cand):
-            n = np.linalg.solve(rule.shares._b(), pinv @ cand)
-            back = centered @ (rule.shares._b() @ n)
-            if np.max(np.abs(back - cand)) > 1e-9:
-                return False
-            return bool(np.all(np.abs(n) <= cfg.lattice_bound + 1e-9) and
-                        np.max(np.abs(n - np.round(n))) <= 1e-9)
-
-        return check_subgroup(sample, region=region)
-    if isinstance(rule.report_space, FiniteReports):
-        hs = []
-        for r in rule.report_space.labels:
-            d0, _ = project_cashless(rule.score_contract(r))
-            hs.append(d0.values)
-        sample = [h1 - h2 for h1 in hs for h2 in hs]
-        return check_subgroup(sample, exhaustive=True)
-    raise ConfigError("SUBGROUP needs a finite rule or a lattice market")
+def _market(config: dict):
+    """The rule of a config's market block, once r0 lies in its reports."""
+    rule = build_rule(config["market"])
+    if "r0" in config and not rule.report_space.contains(config["r0"]):
+        raise ConfigError(f"r0 {config['r0']!r} lies outside the reports")
+    return rule
 
 
 def _verdict_matches(expected: str, actual: str) -> bool:
@@ -287,27 +201,31 @@ def _verdict_matches(expected: str, actual: str) -> bool:
     return expected == actual
 
 
-def _required(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config has no {key!r} entry")
-    return config[key]
-
-
 def run_check(config: dict, out_dir: str) -> int:
     axioms = config.get("axioms")
     if not axioms:
         raise ConfigError("a check config needs a nonempty 'axioms' list")
+    unknown = [a for a in axioms if a not in AXIOMS]
+    if unknown:
+        raise ConfigError(f"unknown axioms {unknown}")
     expected = config.get("expected", {})
     not_run = sorted(set(expected) - set(axioms))
     if not_run:
         raise ConfigError(f"'expected' names axioms that are not run: {not_run}")
-    rule = build_rule(_required(config, "market"))
+    needs = [key for a in axioms for key in AXIOMS[a].needs]
+    config_block(config, "the check config",
+                 ("market",) + tuple(k for k in needs if k[-1] != "?"),
+                 CHECK_KEYS + tuple(k.rstrip("?") for k in needs))
+    rule = _market(config)
     cfg = build_search(config.get("search"), config.get("seed"))
     name = config.get("name", "check")
 
     verdicts = {}
     for axiom in axioms:
-        rep = run_axiom(axiom, rule, config, cfg)
+        try:
+            rep = AXIOMS[axiom].check(rule, config, cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"{axiom}: {exc}") from exc
         verdicts[axiom] = rep.verdict
         _write(os.path.join(out_dir, f"{name}__{axiom}.report.txt"),
                _header(config) + rep.to_text())
@@ -326,9 +244,10 @@ def run_check(config: dict, out_dir: str) -> int:
 
 
 def run_session(config: dict, out_dir: str) -> int:
-    rule = build_rule(_required(config, "market"))
+    config_block(config, "the session config", ("market", "r0"), SESSION_KEYS)
+    rule = _market(config)
     name = config.get("name", "session")
-    session = MarketSession(rule, _required(config, "r0"))
+    session = MarketSession(rule, config["r0"])
     for trader in config.get("traders", []):
         belief = build_belief(trader["belief"], rule.outcome_space)
         report = rule.best_response(belief)
@@ -357,7 +276,8 @@ def run_session(config: dict, out_dir: str) -> int:
 
 
 def run_extract(config: dict, out_dir: str) -> int:
-    rule = build_rule(_required(config, "market"))
+    config_block(config, "the extract config", ("market",), EXTRACT_KEYS)
+    rule = _market(config)
     name = config.get("name", "extract")
     gspec = config.get("grid")
     if isinstance(gspec, dict):
@@ -481,11 +401,16 @@ def run_figure(config: dict, out_dir: str) -> int:
 def load_config(path_or_name: str) -> dict:
     if os.path.exists(path_or_name):
         with open(path_or_name) as fh:
-            return json.load(fh)
-    bundle = resources.files("srmarket") / "configs" / f"{path_or_name}.json"
-    if bundle.is_file():
-        return json.loads(bundle.read_text())
-    raise ConfigError(f"no config file or bundled config named {path_or_name!r}")
+            config = json.load(fh)
+    else:
+        bundle = resources.files("srmarket") / "configs" / f"{path_or_name}.json"
+        if not bundle.is_file():
+            raise ConfigError(
+                f"no config file or bundled config named {path_or_name!r}")
+        config = json.loads(bundle.read_text())
+    if not isinstance(config, dict):
+        raise ConfigError("a config must be a JSON object")
+    return config
 
 
 def bundled_config_names() -> list[str]:
@@ -525,19 +450,17 @@ def main(argv=None) -> int:
             return 2
         config.setdefault("expected", {}).update(overrides)
 
+    run = {"check": run_check, "session": run_session, "extract": run_extract,
+           "figure": run_figure}[args.command]
     try:
-        if args.command == "check":
-            return run_check(config, args.out)
-        if args.command == "session":
-            return run_session(config, args.out)
-        if args.command == "extract":
-            return run_extract(config, args.out)
-        if args.command == "figure":
-            return run_figure(config, args.out)
+        return run(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    except Exception as exc:  # a fault of srmarket, not of the config
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

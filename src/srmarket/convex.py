@@ -36,6 +36,8 @@ class ConvexFn:
     name: str = ""
     conjugate_fn: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
     closure_fn: Callable[[np.ndarray], float] | None = None
+    # vertices of a polytope that bounds the domain inside the box
+    vertices: np.ndarray | None = None
 
     def value(self, x) -> float:
         return float(self.value_fn(_vec(x)))
@@ -185,6 +187,7 @@ def simplex_negentropy(k: int) -> ConvexFn:
         name=f"simplex-negentropy-{k}",
         conjugate_fn=conj,
         closure_fn=clo,
+        vertices=np.vstack([np.zeros(k), np.eye(k)]),
     )
 
 

@@ -505,6 +505,32 @@ def check_subgroup(sample_d, exhaustive: bool = False, region=None,
                                "exhaustive": exhaustive})
 
 
+def market_subgroup(rule: ScoringRule, bound: int = 8) -> AxiomReport:
+    """``check_subgroup`` on a market's cashless trades: a lattice cost
+    market's lattice ball of radius ``bound``, or all differences of a
+    finite rule's cashless score vectors."""
+    if isinstance(rule, CostRule) and rule.shares.is_lattice:
+        b = rule.shares._b()
+        centered = rule.phi - np.mean(rule.phi, axis=0)
+        pinv = np.linalg.pinv(centered)
+
+        def region(cand):
+            n = np.linalg.solve(b, pinv @ cand)
+            if np.max(np.abs(centered @ (b @ n) - cand)) > 1e-9:
+                return False
+            return bool(np.all(np.abs(n) <= bound + 1e-9) and
+                        np.max(np.abs(n - np.round(n))) <= 1e-9)
+
+        return check_subgroup([centered @ w
+                               for w in rule.shares.lattice_points(bound)],
+                              region=region)
+    if not isinstance(rule.report_space, FiniteReports):
+        raise ValueError("SUBGROUP needs a finite rule or a lattice market")
+    hs = [project_cashless(rule.score_contract(r))[0].values
+          for r in rule.report_space.labels]
+    return check_subgroup([h1 - h2 for h1 in hs for h2 in hs], exhaustive=True)
+
+
 def score_range_membership(rule: ScoringRule, window: tuple,
                            num: int = 4001):
     """Distance oracle to the cashless score range of a rule with scalar

@@ -157,23 +157,5 @@ def _max_gap(direct: Contract, first: Contract, second: Contract) -> float:
     return span if math.isfinite(span) else math.inf
 
 
-# functional aliases matching the operation names
-
 def open_session(rule: ScoringRule, r0) -> MarketSession:
     return MarketSession(rule, r0)
-
-
-def execute_trade(session: MarketSession, trader: str, r_new) -> Contract:
-    return session.execute_trade(trader, r_new)
-
-
-def settle(session: MarketSession, y) -> Settlement:
-    return session.settle(y)
-
-
-def verify_path_independence(session: MarketSession) -> AxiomReport:
-    return session.verify_path_independence()
-
-
-def worst_case_loss(session: MarketSession) -> float:
-    return session.worst_case_loss()

@@ -10,7 +10,7 @@ their agreement is itself a checked property.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ from .contracts import (
     IDENTITY,
     INF,
     REAL_LINE,
+    STRUCT_TOL,
     Belief,
     Contract,
     OutcomeMismatch,
@@ -30,7 +31,7 @@ from .contracts import (
     finite_contract,
     piecewise_contract,
 )
-from .convex import ConvexFn
+from .convex import ConvexFn, hull_margin
 
 
 class InvalidReport(ValueError):
@@ -56,10 +57,13 @@ class FiniteReports:
 
 @dataclass(frozen=True)
 class BoxReports:
-    """Open box in R^k; reports validated strictly inside."""
+    """Open box in R^k; reports validated strictly inside, and more than
+    ``STRUCT_TOL`` inside the convex hull of ``hull``'s points when it is
+    given (the hull's facet equations carry rounding)."""
 
     lo: tuple
     hi: tuple
+    hull: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # the corners converted once, since every validate_report asks; a
@@ -67,7 +71,7 @@ class BoxReports:
         object.__setattr__(self, "_lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "_hi", np.asarray(self.hi, dtype=float))
         object.__setattr__(self, "_interval", (float(self._lo[0]), float(self._hi[0]))
-                           if self._lo.shape == (1,) else None)
+                           if self._lo.shape == (1,) and self.hull is None else None)
 
     @property
     def dim(self) -> int:
@@ -80,7 +84,8 @@ class BoxReports:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.dim,):
             return False
-        return bool(np.all(r > self._lo) and np.all(r < self._hi))
+        return bool(np.all(r > self._lo) and np.all(r < self._hi)) and \
+            (self.hull is None or hull_margin(self.hull, r) > STRUCT_TOL)
 
     def grid(self, num: int = 51, inset: float = 0.02) -> list:
         axes = []
@@ -363,9 +368,12 @@ class ExpectationRule(ScoringRule):
                 raise ValueError("phi columns must match the potential dimension")
             self.outcome_space = outcome_space
             if report_space is None:
+                # the box phi spans, cut to the potential's polytope domain
                 lo = tuple(float(v) for v in np.min(self.phi, axis=0))
                 hi = tuple(float(v) for v in np.max(self.phi, axis=0))
-                report_space = BoxReports(lo, hi)
+                hull = None if potential.vertices is None else \
+                    tuple(map(tuple, potential.vertices.tolist()))
+                report_space = BoxReports(lo, hi, hull)
             self.report_space = report_space
 
     @property

@@ -1,12 +1,16 @@
 """Axiom checkers: verdicts on canonical instances, witness content, and
 witness replay through the session primitives."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
+from implication import implication_chain_consistent
 from srmarket.axioms import (
+    AXIOMS,
     SearchConfig,
     check_arb,
     check_btb,
@@ -16,12 +20,12 @@ from srmarket.axioms import (
     check_wcl,
     check_wn,
     exhaustive_triples,
-    implication_chain_consistent,
     min_label,
     random_beliefs_for,
     replay_witness,
     scenario_triples,
 )
+from srmarket.cli import build_rule, bundled_config_names, load_config, main
 from srmarket.contracts import (
     SIGMOID,
     OutcomeSpace,
@@ -30,6 +34,7 @@ from srmarket.contracts import (
 )
 from srmarket.convex import binary_negentropy, interval_negentropy, quadratic
 from srmarket.costmarket import binary_lmsr_rule, discretized_lmsr_rule
+from srmarket.reports import AxiomReport
 from srmarket.scoring import (
     ExpectationRule,
     ExpectileRule,
@@ -56,6 +61,11 @@ def ratio_rule():
     return RatioRule(interval_negentropy(0.0, 3.0),
                      phi=np.array([0.0, 1.0, 3.0]),
                      b=np.array([2.0, 1.0, 1.0]))
+
+
+def priced_cash_rule():
+    return FiniteRule(np.array([[1.0, 0.0], [0.0, 1.0], [-4.0, -5.0],
+                                [-5.0, -8.0]]), OutcomeSpace.finite((1, 2)))
 
 
 class TestSearchConfig:
@@ -87,6 +97,35 @@ class TestIC:
 
     def test_ratio(self):
         assert check_ic(ratio_rule(), cfg=CFG).ok
+
+    def test_set_valued_property_picks_agree(self):
+        # rounding in the trade rows breaks the tie between labels 1 and 2
+        # differently from state 4
+        rule = FiniteRule(np.array([
+            [0.7857857007138075, 0.4146558493556708, 0.7344835717887294],
+            [0.8857857007138075, 0.41307126522535736, 0.7344835717887294],
+            [-4.067940313386622, -4.8850673667190945, -4.270984882923691],
+            [-4.07257607137544, -4.032073810075354, -4.985293695034631],
+            [-4.136359909754424, -4.0188049599336555, -4.042789820389037]]),
+            OutcomeSpace.finite((0, 1, 2)))
+        p = finite_belief(rule.outcome_space, [
+            0.008206770373050174, 0.5179131998139413, 0.47388002981300836])
+        assert rule.property_value(p) == (1, 2)
+        rep = check_ic(rule, [p], SearchConfig(), states=[1, 2, 3, 4, 5])
+        assert rep.ok, rep.witness
+
+    def test_argmax_varies_replays(self):
+        # the mean 0.068 lies midway between the grid reports 0.02 and
+        # 0.116, whose expected trade payoffs tie up to rounding
+        rule = ExpectationRule(quadratic(1, lo=[-1.0], hi=[2.0]),
+                               phi=[[0.0], [1.0]])
+        cfg = SearchConfig(report_points=11)
+        grid = cfg.report_grid(rule)
+        p = finite_belief(rule.outcome_space, [0.932, 0.068])
+        rep = check_ic(rule, [p], cfg, states=grid)
+        assert rep.verdict == "fails"
+        assert set(map(float, rep.witness["argmaxes"])) == {0.02, 0.116}
+        assert replay_witness(rule, rep) == rep.margin == 1.0
 
     def test_argmax_state_free(self):
         rep = check_ic(entropy_rule(), cfg=CFG)
@@ -234,6 +273,17 @@ class TestPN:
         assert rep.verdict == "fails"
         replay_witness(rule, rep)
 
+    def test_fails_margin_is_best_flat_level_over_position_inf(self):
+        # from state 3 the trade to report 4 turns the held trade 1 -> 2
+        # into cash, but at -2, below the held worst case -1
+        rule = priced_cash_rule()
+        rep = check_pn(rule, portfolios=[([(1, 2)], 3)], cfg=CFG)
+        assert rep.verdict == "fails"
+        assert rep.witness["position_inf"] == -1.0
+        assert rep.margin == -1.0
+        assert replay_witness(rule, rep) == -1.0
+        assert check_tn(rule, scenarios=[(1, 2, 3)], cfg=CFG).margin == -1.0
+
     def test_degenerate_constant_portfolio_skipped(self):
         rule = entropy_rule()
         ports = [([(0.3, 0.7), (0.7, 0.3)], 0.5)]
@@ -315,3 +365,125 @@ class TestHelpers:
             {"PN": "holds-at-budget", "TN": "fails"})
         assert implication_chain_consistent(
             {"PN": "fails", "TN": "fails", "WN": "holds-at-budget"})
+
+
+class WrongMode(ModeRule):
+    """A mode market that claims the least likely outcome as its statistic."""
+
+    def property_value(self, p):
+        return (self.report_space.labels[int(np.argmin(p.pmf))],)
+
+
+class ShiftedMean(ExpectationRule):
+    def property_value(self, p):
+        return super().property_value(p) + 1.0
+
+
+def targeted_fails() -> dict:
+    """name -> (rule, fails report): every replay path and witness shape."""
+    mode = mode3()
+    mean = ExpectationRule(quadratic(1))
+    box = ExpectationRule(quadratic(1, lo=[-1.0], hi=[2.0]),
+                          phi=[[0.0], [1.0]])
+    wrong, shifted = WrongMode([1, 2, 3]), ShiftedMean(quadratic(1))
+    arb = FiniteRule(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                               [0.0, 1.0, 0.0]]), OutcomeSpace.finite((1, 2, 3)))
+    priced, median = priced_cash_rule(), QuantileRule(0.5)
+    pmf = finite_belief(mode.outcome_space, [0.2, 0.5, 0.3])
+    box_cfg = SearchConfig(report_points=11)
+    return {
+        "ARB": (arb, check_arb(arb, cfg=CFG)),
+        "WCL-losses": (mean, check_wcl(mean, 0.0, CFG)),
+        "WCL-reports": (median, check_wcl(median, 0.0, CFG)),
+        "WN-mode": (mode, check_wn(mode, exhaustive_triples([1, 2, 3]), CFG)),
+        "WN-median": (median, check_wn(median, [(1.0, 2.0, 0.0)], CFG)),
+        "TN-priced": (priced, check_tn(priced, [(1, 2, 3)], CFG)),
+        "TN-ratio": (ratio_rule(), check_tn(ratio_rule(), cfg=CFG)),
+        "PN-priced": (priced, check_pn(priced, [([(1, 2)], 3)], CFG)),
+        "PN-median": (median, check_pn(
+            median, [([(0.0, 1.0), (2.0, 1.5)], -1.0)], CFG)),
+        "BTB-mode": (mode, check_btb(mode, pmf, 3, epsilons=(0.5,), cfg=CFG)),
+        "BTB-mean": (mean, check_btb(mean, uniform_belief(0.0, 1.0), 0.1,
+                                     epsilons=(0.5,), cfg=CFG)),
+        "IC-set": (wrong, check_ic(wrong, [pmf], CFG)),
+        "IC-scalar": (shifted, check_ic(shifted, cfg=CFG)),
+        "IC-varies": (box, check_ic(
+            box, [finite_belief(box.outcome_space, [0.932, 0.068])], box_cfg,
+            states=box_cfg.report_grid(box))),
+    }
+
+
+def parse_report(text: str) -> AxiomReport:
+    head, block = text.split("witness-block:\n")
+    fields = dict(line.split(": ", 1) for line in head.splitlines()
+                  if not line.startswith("#"))
+    return AxiomReport(axiom=fields["axiom"], verdict=fields["verdict"],
+                       margin=float(fields["margin"]), **json.loads(block))
+
+
+# one stored number per witness shape, moved off its recomputed value
+TAMPERS = {
+    "ARB": lambda w: w["pairs"][0].update(inf=w["pairs"][0]["inf"] + 1e-3),
+    "WCL-losses": lambda w: w["losses"][-1].__setitem__(
+        1, w["losses"][-1][1] * 1.001),
+    "WCL-reports": lambda w: w["trade_sups"][-1].__setitem__(
+        1, w["trade_sups"][-1][1] + 1.0),
+    "WN-mode": lambda w: w.update(held_inf=w["held_inf"] - 1e-3),
+    "WN-median": lambda w: w["candidates"][0].update(
+        value=w["candidates"][0]["value"] + 1.0),
+    "TN-priced": lambda w: w["candidates"][-1].update(level=-2.5),
+    "TN-ratio": lambda w: w["candidates"][0].update(
+        spread=w["candidates"][0]["spread"] + 1.0),
+    "PN-priced": lambda w: w.update(position_inf=-0.5),
+    "PN-median": lambda w: w["portfolio"][0].__setitem__(1, 0.5),
+    "BTB-mode": lambda w: w["candidates"][0].update(inf=-0.75),
+    "BTB-mean": lambda w: w["candidates"][-1].update(expected=1.0),
+    "IC-set": lambda w: w.update(property=[3]),
+    "IC-scalar": lambda w: w.update(argmax_score=w["argmax_score"] + 1e-3),
+    "IC-varies": lambda w: w["argmax_scores"].__setitem__(
+        0, w["argmax_scores"][0] + 1e-3),
+}
+
+
+class TestReplay:
+    def test_one_table_entry_per_axiom(self):
+        assert sorted(AXIOMS) == sorted([
+            "ARB", "WCL", "IC", "WN", "TN", "PN", "BTB", "OPEN",
+            "QUASI-OPEN", "PRICE-BOUND", "SUBGROUP"])
+
+    def test_targeted_fails_replay_to_their_margins(self):
+        for name, (rule, rep) in targeted_fails().items():
+            assert rep.verdict == "fails", name
+            assert abs(replay_witness(rule, rep) - rep.margin) <= 1e-9, name
+
+    def test_bundled_fails_replay_from_their_report_files(self, tmp_path):
+        replayed = 0
+        for name in bundled_config_names():
+            config = load_config(name)
+            if "axioms" not in config:
+                continue
+            assert main(["check", "--config", name, "--out",
+                         str(tmp_path)]) == 0
+            rule = build_rule(config["market"])
+            for axiom in config["axioms"]:
+                rep = parse_report(
+                    (tmp_path / f"{name}__{axiom}.report.txt").read_text())
+                if rep.verdict == "fails":
+                    margin = replay_witness(rule, rep)
+                    assert abs(margin - rep.margin) <= 1e-9, (name, axiom)
+                    replayed += 1
+        assert replayed == 6
+
+    def test_tampered_margin_does_not_come_back(self):
+        for name, (rule, rep) in targeted_fails().items():
+            tampered = dataclasses.replace(rep, margin=rep.margin + 1.0)
+            assert abs(replay_witness(rule, tampered) - rep.margin) <= 1e-9, \
+                name
+
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_tampered_witness_number_is_rejected(self, name):
+        rule, rep = targeted_fails()[name]
+        witness = json.loads(json.dumps(rep.witness))
+        TAMPERS[name](witness)
+        with pytest.raises(AssertionError):
+            replay_witness(rule, dataclasses.replace(rep, witness=witness))

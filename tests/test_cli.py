@@ -258,6 +258,45 @@ class TestMain:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda c: c["btb"].pop("belief"), "'belief'"),
+        (lambda c: c.setdefault("search", {}).update(report_ponits=5),
+         "report_ponits"),
+        (lambda c: c.update(serach={}), "serach"),
+        (lambda c: c["axioms"].remove("BTB") or c["expected"].pop("BTB"),
+         "btb"),
+        (lambda c: c.pop("r0"), "'r0'"),
+        (lambda c: c["market"].pop("outcomes"), "'outcomes'"),
+        (lambda c: c.update(r0=7), "r0 7"),
+        (lambda c: c["btb"].update(state=2), "precondition")])
+    def test_config_typo_exit_two(self, tmp_path, capsys, edit, reason):
+        # a missing need, a misspelt search key, an unknown top-level key,
+        # a block no axiom run reads, WCL without its initial state, a
+        # market without its outcomes, an initial state outside the
+        # reports, and a BTB state at the belief's statistic
+        cfg = load_config("mode_market")
+        edit(cfg)
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert reason in err
+
+    def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        from srmarket import axioms
+
+        def broken(*args):
+            raise RuntimeError("checker fault")
+
+        monkeypatch.setattr(axioms, "check_wcl", broken)
+        assert main(["check", "--config", "mode_market",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.endswith("\ninternal error: RuntimeError: checker fault\n")
+
     def test_jobs_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--config", "mode_market", "--out", str(tmp_path),

@@ -18,13 +18,7 @@ from srmarket.contracts import (
 )
 from srmarket.convex import interval_negentropy, quadratic
 from srmarket.costmarket import binary_lmsr_rule
-from srmarket.engine import (
-    MarketSession,
-    open_session,
-    settle,
-    verify_path_independence,
-    worst_case_loss,
-)
+from srmarket.engine import MarketSession, open_session
 from srmarket.scoring import (
     ExpectationRule,
     ExpectileRule,
@@ -82,14 +76,14 @@ class TestSettlement:
         s = open_session(rule, 1)
         s.execute_trade("a", 2)
         s.execute_trade("b", 3)
-        st = settle(s, 3)
+        st = s.settle(3)
         assert st.maker_loss == pytest.approx(1.0, abs=1e-12)
         assert st.telescoped_loss == pytest.approx(st.maker_loss, abs=1e-12)
 
     def test_no_trades_zero_payoffs(self):
         rule = ModeRule([1, 2, 3])
         s = open_session(rule, 2)
-        st = settle(s, 1)
+        st = s.settle(1)
         assert st.payoffs == [] and st.maker_loss == 0.0
 
     def test_round_trip_nets_to_zero(self):
@@ -98,7 +92,7 @@ class TestSettlement:
         s.execute_trade("a", 1.0)
         s.execute_trade("a", 0.0)
         for y in (-2.0, 0.3, 5.0):
-            st = settle(s, y)
+            st = s.settle(y)
             assert st.maker_loss == pytest.approx(0.0, abs=1e-12)
 
     def test_telescoping_random_ledgers(self):
@@ -109,7 +103,7 @@ class TestSettlement:
             for t in range(10):
                 s.execute_trade(f"t{t % 3}", float(rng.normal() * 2))
             y = float(rng.normal())
-            st = settle(s, y)
+            st = s.settle(y)
             assert st.maker_loss == pytest.approx(st.telescoped_loss,
                                                   abs=1e-12)
 
@@ -119,7 +113,7 @@ class TestSettlement:
         s.execute_trade("a", 2)
         s.execute_trade("b", 1)
         s.execute_trade("a", 2)
-        st = settle(s, 2)
+        st = s.settle(2)
         paid = dict(st.payoffs)
         # a: (S(2)-S(1)) + (S(2)-S(1)) at y=2 -> 2; b: S(1)-S(2) -> -1
         assert paid["a"] == pytest.approx(2.0)
@@ -132,7 +126,7 @@ class TestPathIndependence:
         s = open_session(rule, 1)
         s.execute_trade("a", 2)
         s.execute_trade("b", 3)
-        rep = verify_path_independence(s)
+        rep = s.verify_path_independence()
         assert rep.verdict == "holds" and rep.margin <= 1e-12
 
     def test_requires_two_trades(self):
@@ -140,7 +134,7 @@ class TestPathIndependence:
         s = open_session(rule, 1)
         s.execute_trade("a", 2)
         with pytest.raises(ValueError):
-            verify_path_independence(s)
+            s.verify_path_independence()
 
     @pytest.mark.parametrize("make_rule,reports", [
         (lambda: ExpectationRule(quadratic(1)), None),
@@ -161,7 +155,7 @@ class TestPathIndependence:
         s = open_session(rule, r0)
         for i, r in enumerate(seq):
             s.execute_trade(f"t{i}", r)
-        rep = verify_path_independence(s)
+        rep = s.verify_path_independence()
         assert rep.verdict == "holds"
         assert rep.margin <= 1e-12
 
@@ -169,7 +163,7 @@ class TestPathIndependence:
         s = open_session(ExpectileRule(0.3), 0.0)
         for i, r in enumerate(EXPECTILE_TRADES):
             s.execute_trade(f"t{i}", r)
-        rep = verify_path_independence(s)
+        rep = s.verify_path_independence()
         assert rep.verdict == "holds" and rep.margin <= 1e-12
 
     def test_real_tail_slope_gap_fails(self):
@@ -181,7 +175,7 @@ class TestPathIndependence:
                                          for p in rec.contract.pieces]
         rec.contract = piecewise_contract(
             [Piece(*p) for p in body] + [Piece(lo, hi, (c0, c1 + 1e-9, c2))])
-        rep = verify_path_independence(s)
+        rep = s.verify_path_independence()
         assert rep.verdict == "fails" and rep.margin == math.inf
 
 
@@ -207,7 +201,7 @@ class TestTelescopedPosition:
     def test_no_trades_is_zero(self):
         s = open_session(QuantileRule(0.3, SIGMOID), 0.0)
         assert contract_bounds(s.position_contract()) == (0.0, 0.0)
-        assert worst_case_loss(s) == 0.0
+        assert s.worst_case_loss() == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_sum_of_ledger(self, seed):
@@ -236,13 +230,13 @@ class TestWorstCaseLoss:
         for r in (2, 3):
             s = open_session(rule, 1)
             s.execute_trade("a", r)
-            assert worst_case_loss(s) <= 1.0 + 1e-12
+            assert s.worst_case_loss() <= 1.0 + 1e-12
 
     def test_mean_unbounded(self):
         rule = ExpectationRule(quadratic(1))
         s = open_session(rule, 0.0)
         s.execute_trade("a", 1.0)
-        assert worst_case_loss(s) == math.inf
+        assert s.worst_case_loss() == math.inf
 
     def test_sigmoid_quantile_bounded_by_one(self):
         rule = QuantileRule(0.5, SIGMOID)
@@ -250,16 +244,16 @@ class TestWorstCaseLoss:
         s = open_session(rule, 0.0)
         for i in range(6):
             s.execute_trade(f"t{i}", float(rng.normal(scale=2)))
-        assert worst_case_loss(s) <= 1.0 + 1e-12
+        assert s.worst_case_loss() <= 1.0 + 1e-12
 
     def test_settlement_below_wcl_bound(self):
         rule = ModeRule([1, 2, 3])
         s = open_session(rule, 1)
         s.execute_trade("a", 3)
         s.execute_trade("b", 2)
-        wcl = worst_case_loss(s)
+        wcl = s.worst_case_loss()
         for y in (1, 2, 3):
-            assert settle(s, y).maker_loss <= wcl + 1e-12
+            assert s.settle(y).maker_loss <= wcl + 1e-12
 
 
 class TestLedgerReplay:

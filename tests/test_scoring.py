@@ -13,7 +13,12 @@ from srmarket.contracts import (
     finite_belief,
     uniform_belief,
 )
-from srmarket.convex import binary_negentropy, interval_negentropy, quadratic
+from srmarket.convex import (
+    binary_negentropy,
+    interval_negentropy,
+    quadratic,
+    simplex_negentropy,
+)
 from srmarket.scoring import (
     ExpectationRule,
     ExpectileRule,
@@ -131,6 +136,23 @@ class TestExpectationRule:
                                phi=np.array([[0.0], [1.0]]))
         r = rule.invert_share(rule.share(0.3))
         assert r == pytest.approx(0.3, abs=1e-10)
+
+    def test_reports_outside_the_potential_domain_are_invalid(self):
+        # the box [0, 1]^2 spanned by phi reaches outside the simplex on
+        # which the negative entropy is defined
+        rule = ExpectationRule(simplex_negentropy(2),
+                               phi=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert rule.report_space.contains([0.2, 0.3])
+        assert not rule.report_space.contains([0.8, 0.8])
+        with pytest.raises(InvalidReport):
+            rule.score_contract([0.8, 0.8])
+        with pytest.raises(InvalidReport):
+            rule.best_response(finite_belief(rule.outcome_space,
+                                             [0.2, 0.3, 0.5]))
+        # the box alone still bounds a potential defined on all of it
+        box = ExpectationRule(quadratic(2), phi=[[0.0, 0.0], [1.0, 0.0],
+                                                 [0.0, 1.0]])
+        assert box.report_space.contains([0.8, 0.8])
 
 
 class TestQuantileRule:
