@@ -24,9 +24,6 @@ from .convex import (  # noqa: F401
     ConvexFn,
     binary_lmsr_cost,
     binary_negentropy,
-    bregman,
-    check_convexity,
-    conjugate,
     log_partition,
     quadratic,
     simplex_negentropy,

@@ -365,12 +365,16 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
     unbounded growth along the report space fails with a report-sequence
     witness; a family closed-form bound upgrades the verdict to holds."""
     grid = cfg.report_grid(rule)
-    grid_sup = 0.0
+    # the grid sup, and the report it is attained at (r0 for the null trade)
+    grid_sup, sup_at = 0.0, r0
     if rule.outcome_space.is_finite:
         # finite payoffs are bounded: the grid sup is one table's maximum
         table = rule.score_table(grid)
         rows = _require_finite(trade_rows(table, rule.score_table([r0])[0]))
-        grid_sup = max(grid_sup, float(rows.max(initial=-INF)))
+        sups = rows.max(axis=1, initial=-INF)
+        if len(sups) and sups.max() > grid_sup:
+            i = int(np.argmax(sups))
+            grid_sup, sup_at = float(sups[i]), grid[i]
     else:
         for r in grid:
             d = rule.trade_contract(r0, r)
@@ -388,13 +392,15 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
                              "losses": [[_j(y), v] for y, v in losses],
                              "diverges": True},
                     budget={"grid": len(grid)})
-            grid_sup = max(grid_sup, hi)
+            if hi > grid_sup:
+                grid_sup, sup_at = hi, r
     bound = rule.loss_bound(r0)
     if bound is not None:
         if grid_sup > bound + 1e-9:
             return AxiomReport(axiom="WCL", verdict=FAILS, margin=grid_sup,
                                witness={"reason": "closed-form bound violated",
-                                        "bound": bound, "grid_sup": grid_sup},
+                                        "bound": bound, "grid_sup": grid_sup,
+                                        "r0": _j(r0), "trade_to": _j(sup_at)},
                                budget={"grid": len(grid)})
         return AxiomReport(axiom="WCL", verdict=HOLDS, margin=bound,
                            witness={"bound": bound, "grid_sup": grid_sup},
@@ -730,6 +736,12 @@ def _replay_arb(rule, report) -> tuple:
 def _replay_wcl(rule, report) -> tuple:
     w = report.witness
     r0 = _unj(w["r0"])
+    if "bound" in w:
+        bound = rule.loss_bound(r0)
+        grid_sup = contract_bounds(
+            rule.trade_contract(r0, _unj(w["trade_to"])))[1]
+        _expect(grid_sup > bound + 1e-9, "WCL", "bound holds after all")
+        return {"bound": bound, "grid_sup": grid_sup}, grid_sup
     if "losses" in w:
         d = MarketSession(rule, r0).execute_trade("replay", _unj(w["trade_to"]))
         losses = [[y, d(_unj(y))] for y, _ in w["losses"]]

@@ -52,6 +52,17 @@ from .scoring import (
 CHECK_KEYS = ("name", "seed", "market", "r0", "axioms", "expected", "search")
 SESSION_KEYS = ("name", "seed", "market", "r0", "traders", "outcome")
 EXTRACT_KEYS = ("name", "market", "grid", "expect_failure")
+# each family's market keys beside "family": (required, optional)
+FAMILY_KEYS = {
+    "mode": (("outcomes",), ()),
+    "finite": (("outcomes", "matrix"), ("reports",)),
+    "weighted_mode": (("outcomes", "weights"), ()),
+    "expectation": (("potential",), ("phi", "outcomes")),
+    "quantile": (("alpha",), ("transform",)),
+    "expectile": (("tau",), ("g_coeffs",)),
+    "ratio": (("potential", "phi", "b"), ("outcomes",)),
+    "cost": (("cost", "phi"), ("outcomes", "shares", "conjugate_closure")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +121,10 @@ def build_rule(spec: dict):
 
 def _build_rule(spec: dict):
     family = spec.get("family")
+    if family not in FAMILY_KEYS:
+        raise ConfigError(f"unknown family {family!r}")
+    required, optional = FAMILY_KEYS[family]
+    config_block(spec, f"market {family!r}", ("family",) + required, optional)
     if family == "mode":
         return ModeRule(spec["outcomes"])
     if family == "finite":
@@ -137,14 +152,11 @@ def _build_rule(spec: dict):
         return RatioRule(build_potential(spec["potential"]),
                          np.asarray(spec["phi"], dtype=float),
                          np.asarray(spec["b"], dtype=float), space)
-    if family == "cost":
-        space = OutcomeSpace.finite(spec["outcomes"]) \
-            if "outcomes" in spec else None
-        return CostRule(build_potential(spec["cost"]),
-                        np.asarray(spec["phi"], dtype=float), space,
-                        build_shares(spec.get("shares")),
-                        spec.get("conjugate_closure"))
-    raise ConfigError(f"unknown family {family!r}")
+    space = OutcomeSpace.finite(spec["outcomes"]) if "outcomes" in spec else None
+    return CostRule(build_potential(spec["cost"]),
+                    np.asarray(spec["phi"], dtype=float), space,
+                    build_shares(spec.get("shares")),
+                    spec.get("conjugate_closure"))
 
 
 def build_search(spec: dict | None, seed=None) -> SearchConfig:

@@ -9,7 +9,12 @@ closed form.
 
 Tolerance policy: structural identities (telescoping, projection) are
 held to STRUCT_TOL; anything derived from iterative optimization is held
-to OPT_TOL.
+to OPT_TOL.  The searches of ``convex`` bracket a finite domain inset by
+BRACKET_PAD of its span and an infinite one by doubling out to
+BRACKET_LIMIT; one that does not run to adjacent floats stops at a bracket
+SEARCH_XTOL wide.  A gradient inversion in more than one dimension stops
+once its residual is within OPT_TOL and accepts its point within
+RESIDUAL_ACCEPT.
 """
 from __future__ import annotations
 
@@ -22,6 +27,10 @@ import numpy as np
 
 STRUCT_TOL = 1e-12
 OPT_TOL = 1e-8
+SEARCH_XTOL = 1e-10
+BRACKET_PAD = 1e-13
+BRACKET_LIMIT = 2.0 ** 200
+RESIDUAL_ACCEPT = 1e-6
 
 INF = math.inf
 
@@ -671,13 +680,6 @@ def contract_argmin(d: Contract) -> tuple[object, float, bool]:
                 best = (y, v)
     attained = abs(best[1] - lo) <= max(1e-12, 1e-9 * (1.0 + abs(lo)))
     return best[0], best[1], attained
-
-
-def contracts_allclose(a: Contract, b: Contract, tol: float = STRUCT_TOL) -> bool:
-    """Structural equality of payoffs within tol."""
-    diff = combine([a, b], [1.0, -1.0])
-    flat, lvl = contract_is_constant(diff, tol)
-    return flat and abs(lvl) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ v and receives v . phi(y), so the trade contract is
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -16,13 +15,21 @@ import numpy as np
 
 from .contracts import (
     INF,
+    SEARCH_XTOL,
     OutcomeSpace,
     combine,
     contract_is_constant,
     finite_contract,
     project_cashless,
 )
-from .convex import ConvexFn, binary_lmsr_cost, hull_margin, log_partition
+from .convex import (
+    ConvexFn,
+    binary_lmsr_cost,
+    golden_max,
+    hull_margin,
+    invert_gradient,
+    log_partition,
+)
 from .reports import FAILS, HOLDS_AT_BUDGET, AxiomReport
 from .scoring import (
     BoxReports,
@@ -167,12 +174,12 @@ class CostRule(ScoringRule):
     def property_value(self, p):
         """Share state whose prices match E_p phi (full-space markets)."""
         target = p.pmf @ self.phi
-        q = invert_gradient(self.cost, target)
+        q = invert_gradient(self.cost, target, SEARCH_XTOL)
         if q is None:
             raise ValueError("expected security payoff outside the price range")
         return float(q[0]) if self.k == 1 else q
 
-    def best_response(self, p, grid=None, xtol: float = 1e-10):
+    def best_response(self, p, grid=None, xtol: float = SEARCH_XTOL):
         """On a lattice share space, the best lattice state: refining between
         lattice states would return a state no lattice trade reaches."""
         if not self.shares.is_lattice:
@@ -289,52 +296,7 @@ def exp_family_rule(phi, outcome_space: OutcomeSpace | None = None) -> CostRule:
 
 
 # ---------------------------------------------------------------------------
-# gradient inversion and structure checks
-
-
-def invert_gradient(fn: ConvexFn, target, tol: float = 1e-10,
-                    max_width: float = 1e9):
-    """Solve grad C(q) = target by cyclic per-coordinate bisection.
-
-    Each gradient component is monotone in its own coordinate for convex C,
-    so the scalar solves are safe; cycling handles the cross terms.  Returns
-    None when the target is not attained (gradient range boundary)."""
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    k = fn.dim
-    q = np.zeros(k)
-    for _ in range(40):
-        for i in range(k):
-            lo, hi = -1.0, 1.0
-            for _ in range(80):
-                probe = q.copy()
-                probe[i] = lo
-                if fn.grad(probe)[i] <= target[i]:
-                    break
-                lo *= 2.0
-                if abs(lo) > max_width:
-                    return None
-            for _ in range(80):
-                probe = q.copy()
-                probe[i] = hi
-                if fn.grad(probe)[i] >= target[i]:
-                    break
-                hi *= 2.0
-                if abs(hi) > max_width:
-                    return None
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                probe = q.copy()
-                probe[i] = mid
-                if fn.grad(probe)[i] < target[i]:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= tol:
-                    break
-            q[i] = 0.5 * (lo + hi)
-        if float(np.max(np.abs(fn.grad(q) - target))) <= 1e-8:
-            return q
-    return q if float(np.max(np.abs(fn.grad(q) - target))) <= 1e-6 else None
+# structure checks
 
 
 def check_open(rule: CostRule, rng=None, grad_samples: int = 100,
@@ -362,7 +324,7 @@ def check_open(rule: CostRule, rng=None, grad_samples: int = 100,
         w = rng.uniform(0.2, 1.0, size=rule.phi.shape[0])
         w = w / np.sum(w)
         target = w @ rule.phi
-        q = invert_gradient(rule.cost, target)
+        q = invert_gradient(rule.cost, target, SEARCH_XTOL)
         gap = INF if q is None else float(
             np.max(np.abs(rule.cost.grad(q) - target)))
         if gap > tol:
@@ -548,27 +510,13 @@ def score_range_membership(rule: ScoringRule, window: tuple,
         i = int(np.argmin(dists))
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, num - 1)]
-        # golden refine on the 1-d distance slice
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
 
         def dist_at(r):
             d0, _ = project_cashless(rule.score_contract(float(r)))
             return float(np.max(np.abs(d0.values - target)))
 
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = dist_at(c), dist_at(d)
-        for _ in range(80):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = dist_at(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = dist_at(d)
-        best_r = 0.5 * (a + b)
+        # golden refine on the 1-d distance slice
+        best_r = golden_max(lambda r: -dist_at(r), lo, hi, steps=80)
         return dist_at(best_r), best_r
 
     return oracle

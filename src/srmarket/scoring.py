@@ -19,6 +19,7 @@ from .contracts import (
     IDENTITY,
     INF,
     REAL_LINE,
+    SEARCH_XTOL,
     STRUCT_TOL,
     Belief,
     Contract,
@@ -31,7 +32,14 @@ from .contracts import (
     finite_contract,
     piecewise_contract,
 )
-from .convex import ConvexFn, hull_margin
+from .convex import (
+    ConvexFn,
+    bisect,
+    bracket,
+    golden_max,
+    hull_margin,
+    invert_gradient,
+)
 
 
 class InvalidReport(ValueError):
@@ -170,7 +178,7 @@ class ScoringRule:
         raise NotImplementedError
 
     def best_response(self, p: Belief, grid: Sequence | None = None,
-                      xtol: float = 1e-10):
+                      xtol: float = SEARCH_XTOL):
         """Maximizer of expected score found by search, independent of
         property_value.  Continuous spaces refine the grid argmax by
         golden-section (the expected score is unimodal for every family)."""
@@ -185,7 +193,7 @@ class ScoringRule:
         if getattr(self.report_space, "dim", 1) == 1 and np.isscalar(grid[0]):
             lo = grid[max(i - 1, 0)]
             hi = grid[min(i + 1, len(grid) - 1)]
-            return _golden_max(lambda r: self.expected_score(r, p), lo, hi, xtol)
+            return golden_max(lambda r: self.expected_score(r, p), lo, hi, xtol)
         return _coordinate_golden_max(
             lambda r: self.expected_score(r, p), np.asarray(grid[i], dtype=float),
             self._search_box(), xtol)
@@ -223,24 +231,6 @@ class ScoringRule:
         return None
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _coordinate_golden_max(f, x0: np.ndarray, box: BoxReports,
                            xtol: float, cycles: int = 5) -> np.ndarray:
     x = x0.astype(float).copy()
@@ -253,7 +243,7 @@ def _coordinate_golden_max(f, x0: np.ndarray, box: BoxReports,
                 z = x.copy()
                 z[i] = v
                 return f(z)
-            x[i] = _golden_max(slice_f, lo[i] + pad[i], hi[i] - pad[i], xtol)
+            x[i] = golden_max(slice_f, lo[i] + pad[i], hi[i] - pad[i], xtol)
     return x
 
 
@@ -333,10 +323,40 @@ class ModeRule(FiniteRule):
 
 
 # ---------------------------------------------------------------------------
-# expectation markets
+# rules on a convex potential: expectations and ratios of expectations
 
 
-class ExpectationRule(ScoringRule):
+class PotentialRule(ScoringRule):
+    """A rule on a convex potential G whose shares dG(r) trade by matching:
+    a trade's share change is undone by inverting the potential's gradient."""
+
+    potential: ConvexFn
+
+    @property
+    def k(self) -> int:
+        return self.potential.dim
+
+    def _r(self, r) -> np.ndarray:
+        self.validate_report(r)
+        return np.atleast_1d(np.asarray(r, dtype=float))
+
+    def share(self, r) -> np.ndarray:
+        return self.potential.grad(self._r(r))
+
+    def invert_share(self, q):
+        """The report whose share is q, or None when no report has it."""
+        x = invert_gradient(self.potential, q)
+        if x is None:
+            return None
+        r = x if self.k > 1 else float(x[0])
+        return r if self.report_space.contains(r) else None
+
+    def wn_candidate(self, r1, r1p, r2):
+        delta = self.share(r1p) - self.share(r1)
+        return self.invert_share(self.share(r2) - delta)
+
+
+class ExpectationRule(PotentialRule):
     """S(r, y) = G(r) + dG_r . (phi(y) - r) for strictly convex G.
 
     Elicits the expected security payoff E_p phi(Y).  ``phi`` is a payoff
@@ -375,14 +395,6 @@ class ExpectationRule(ScoringRule):
                     tuple(map(tuple, potential.vertices.tolist()))
                 report_space = BoxReports(lo, hi, hull)
             self.report_space = report_space
-
-    @property
-    def k(self) -> int:
-        return self.potential.dim
-
-    def _r(self, r) -> np.ndarray:
-        self.validate_report(r)
-        return np.atleast_1d(np.asarray(r, dtype=float))
 
     def score(self, r, y) -> float:
         rv = self._r(r)
@@ -430,55 +442,8 @@ class ExpectationRule(ScoringRule):
 
     # analytic neutralization via share matching -----------------------------
 
-    def share(self, r) -> np.ndarray:
-        return self.potential.grad(self._r(r))
-
-    def invert_share(self, q, tol: float = 1e-12):
-        """Report with dG(report) = q, or None when q escapes the gradient
-        range.  Componentwise monotone bisection."""
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        if isinstance(self.report_space, RealReports):
-            lo, hi = np.array([-1.0]), np.array([1.0])
-            for _ in range(200):
-                if self.potential.grad(lo)[0] <= q[0]:
-                    break
-                lo *= 2.0
-            for _ in range(200):
-                if self.potential.grad(hi)[0] >= q[0]:
-                    break
-                hi *= 2.0
-        else:
-            span = np.asarray(self.report_space.hi) - np.asarray(self.report_space.lo)
-            lo = np.asarray(self.report_space.lo) + 1e-13 * span
-            hi = np.asarray(self.report_space.hi) - 1e-13 * span
-        x = 0.5 * (lo + hi)
-        for _ in range(8):
-            for i in range(self.k):
-                a, b = lo[i], hi[i]
-                # bisect to adjacent floats; the gradient may be steep
-                for _ in range(110):
-                    m = 0.5 * (a + b)
-                    if m <= a or m >= b:
-                        break
-                    x[i] = m
-                    if self.potential.grad(x)[i] < q[i]:
-                        a = m
-                    else:
-                        b = m
-                x[i] = 0.5 * (a + b)
-            if float(np.max(np.abs(self.potential.grad(x) - q))) <= 1e-11:
-                break
-        if float(np.max(np.abs(self.potential.grad(x) - q))) > 1e-7:
-            return None
-        r = x if self.k > 1 else float(x[0])
-        return r if self.report_space.contains(r) else None
-
     def tn_candidate(self, r1, r1p, r2):
-        delta = self.share(r1p) - self.share(r1)
-        return self.invert_share(self.share(r2) - delta)
-
-    def wn_candidate(self, r1, r1p, r2):
-        return self.tn_candidate(r1, r1p, r2)
+        return self.wn_candidate(r1, r1p, r2)
 
     def pn_candidate(self, trades, r):
         total = np.zeros(self.k)
@@ -573,12 +538,11 @@ class ExpectileRule(ScoringRule):
     def _weight(self, r, y) -> float:
         return abs((1.0 if y <= r else 0.0) - self.tau)
 
-    def bregman(self, y: float, r: float) -> float:
-        return self.g(y) - self.g(r) - self.gprime(r) * (y - r)
-
     def score(self, r, y) -> float:
         self.validate_report(r)
-        return -self._weight(r, y) * self.bregman(y, r)
+        # the Bregman divergence D_g(y, r)
+        breg = self.g(y) - self.g(r) - self.gprime(r) * (y - r)
+        return -self._weight(r, y) * breg
 
     def score_contract(self, r) -> Contract:
         self.validate_report(r)
@@ -602,48 +566,26 @@ class ExpectileRule(ScoringRule):
         above = Piece(float(x), INF, (t * x, -t, 0.0))
         return expected_payoff(piecewise_contract([below, above]), p)
 
-    def property_value(self, p: Belief, tol: float = 1e-10) -> float:
+    def property_value(self, p: Belief, tol: float = SEARCH_XTOL) -> float:
         # the gap is strictly increasing in x, so bisection is globally safe
         a, b = p.support()
-        a, b = a - 1.0, b + 1.0
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if self.identification_gap(m, p) < 0.0:
-                a = m
-            else:
-                b = m
-            if b - a <= tol:
-                break
-        return 0.5 * (a + b)
+        return bisect(lambda x: self.identification_gap(x, p), 0.0,
+                      a - 1.0, b + 1.0, tol)
 
     def wn_candidate(self, r1, r1p, r2):
         """Match tail slopes: g'(r2') - g'(r2) = g'(r1) - g'(r1p)."""
         if self.g_coeffs is not None:
             return float(r2) + (float(r1) - float(r1p))
         target = self.gprime(r2) + self.gprime(r1) - self.gprime(r1p)
-        lo, hi = -1.0, 1.0
-        for _ in range(200):
-            if self.gprime(lo) <= target:
-                break
-            lo *= 2.0
-        for _ in range(200):
-            if self.gprime(hi) >= target:
-                break
-            hi *= 2.0
-        for _ in range(200):
-            m = 0.5 * (lo + hi)
-            if self.gprime(m) < target:
-                lo = m
-            else:
-                hi = m
-        return 0.5 * (lo + hi)
+        ends = bracket(self.gprime, target)
+        return None if ends is None else bisect(self.gprime, target, *ends)
 
 
 # ---------------------------------------------------------------------------
 # ratio-of-expectations markets
 
 
-class RatioRule(ScoringRule):
+class RatioRule(PotentialRule):
     """S(r, y) = b(y) G(r) + dG_r . (phi(y) - r b(y)) over a finite space.
 
     Elicits E_p phi / E_p b; the denominator security b stays strictly
@@ -681,14 +623,6 @@ class RatioRule(ScoringRule):
                 tuple(float(v) for v in np.max(ratios, axis=0)))
         self.report_space = report_space
 
-    @property
-    def k(self) -> int:
-        return self.potential.dim
-
-    def _r(self, r) -> np.ndarray:
-        self.validate_report(r)
-        return np.atleast_1d(np.asarray(r, dtype=float))
-
     def score(self, r, y) -> float:
         rv = self._r(r)
         i = self.outcome_space.index(y)
@@ -718,60 +652,3 @@ class RatioRule(ScoringRule):
             return None
         base = self.score_contract(r0)
         return top - float(np.min(base.values))
-
-    def share(self, r) -> np.ndarray:
-        return self.potential.grad(self._r(r))
-
-    def invert_share(self, q):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        if self.k != 1:
-            raise ValueError("share inversion implemented for scalar reports")
-        dlo, dhi = float(self.potential.lo[0]), float(self.potential.hi[0])
-        if math.isfinite(dlo) and math.isfinite(dhi):
-            pad = 1e-13 * (dhi - dlo)
-            lo, hi = dlo + pad, dhi - pad
-        else:
-            lo, hi = -1.0, 1.0
-            for _ in range(400):
-                if self.potential.grad([lo])[0] <= q[0]:
-                    break
-                lo *= 2.0
-            for _ in range(400):
-                if self.potential.grad([hi])[0] >= q[0]:
-                    break
-                hi *= 2.0
-        if self.potential.grad([lo])[0] > q[0] or self.potential.grad([hi])[0] < q[0]:
-            return None
-        # once the bracket is two adjacent floats the midpoint equals one end
-        # and every later step repeats; stop at the first step moving neither
-        for _ in range(300):
-            m = 0.5 * (lo + hi)
-            if self.potential.grad([m])[0] < q[0]:
-                if m == lo:
-                    break
-                lo = m
-            else:
-                if m == hi:
-                    break
-                hi = m
-        out = 0.5 * (lo + hi)
-        return out if self.report_space.contains(out) else None
-
-    def wn_candidate(self, r1, r1p, r2):
-        delta = self.share(r1p) - self.share(r1)
-        return self.invert_share(self.share(r2) - delta)
-
-    def first_order_gap(self, p: Belief, r, step: float = 1e-5) -> float:
-        """Max |central difference| of the expected score at r; the elicited
-        report is a stationary point."""
-        rv = np.atleast_1d(np.asarray(r, dtype=float))
-        worst = 0.0
-        for i in range(self.k):
-            hi, lo = rv.copy(), rv.copy()
-            hi[i] += step
-            lo[i] -= step
-            hi_r = hi if self.k > 1 else float(hi[0])
-            lo_r = lo if self.k > 1 else float(lo[0])
-            d = (self.expected_score(hi_r, p) - self.expected_score(lo_r, p)) / (2 * step)
-            worst = max(worst, abs(d))
-        return worst

@@ -269,7 +269,7 @@ class TestCriterion2:
             cases.append((ExpectationRule(
                 sx, phi=np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])),
                 grid2, lambda r: sx.grad(r),
-                lambda q: sx.conjugate_fn(q)[0]))
+                lambda q: math.log(1.0 + float(np.sum(np.exp(q))))))
             for rule, grid, canon_share, canon_cost in cases:
                 assert len(grid) >= 9
                 ext = extract_cost_market(rule, grid)

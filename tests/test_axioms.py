@@ -374,6 +374,13 @@ class WrongMode(ModeRule):
         return (self.report_space.labels[int(np.argmin(p.pmf))],)
 
 
+class LowBoundMode(ModeRule):
+    """A mode market whose closed-form loss bound understates its losses."""
+
+    def loss_bound(self, r0) -> float:
+        return 0.5
+
+
 class ShiftedMean(ExpectationRule):
     def property_value(self, p):
         return super().property_value(p) + 1.0
@@ -389,12 +396,14 @@ def targeted_fails() -> dict:
     arb = FiniteRule(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
                                [0.0, 1.0, 0.0]]), OutcomeSpace.finite((1, 2, 3)))
     priced, median = priced_cash_rule(), QuantileRule(0.5)
+    low = LowBoundMode([1, 2, 3])
     pmf = finite_belief(mode.outcome_space, [0.2, 0.5, 0.3])
     box_cfg = SearchConfig(report_points=11)
     return {
         "ARB": (arb, check_arb(arb, cfg=CFG)),
         "WCL-losses": (mean, check_wcl(mean, 0.0, CFG)),
         "WCL-reports": (median, check_wcl(median, 0.0, CFG)),
+        "WCL-bound": (low, check_wcl(low, 1, CFG)),
         "WN-mode": (mode, check_wn(mode, exhaustive_triples([1, 2, 3]), CFG)),
         "WN-median": (median, check_wn(median, [(1.0, 2.0, 0.0)], CFG)),
         "TN-priced": (priced, check_tn(priced, [(1, 2, 3)], CFG)),
@@ -428,6 +437,7 @@ TAMPERS = {
         1, w["losses"][-1][1] * 1.001),
     "WCL-reports": lambda w: w["trade_sups"][-1].__setitem__(
         1, w["trade_sups"][-1][1] + 1.0),
+    "WCL-bound": lambda w: w.update(grid_sup=w["grid_sup"] + 1e-3),
     "WN-mode": lambda w: w.update(held_inf=w["held_inf"] - 1e-3),
     "WN-median": lambda w: w["candidates"][0].update(
         value=w["candidates"][0]["value"] + 1.0),
@@ -455,6 +465,15 @@ class TestReplay:
         for name, (rule, rep) in targeted_fails().items():
             assert rep.verdict == "fails", name
             assert abs(replay_witness(rule, rep) - rep.margin) <= 1e-9, name
+
+    def test_closed_form_bound_witness_replays(self):
+        # the witness names r0 and the grid report attaining the sup, and
+        # the replay recomputes the sup from their trade
+        rule, rep = targeted_fails()["WCL-bound"]
+        assert rep.witness["reason"] == "closed-form bound violated"
+        assert (rep.witness["r0"], rep.witness["trade_to"]) == (1, 2)
+        assert rep.margin == rep.witness["grid_sup"] == 1.0
+        assert replay_witness(rule, rep) == 1.0
 
     def test_bundled_fails_replay_from_their_report_files(self, tmp_path):
         replayed = 0

@@ -237,7 +237,8 @@ class TestMain:
         ({"family": "expectile", "tau": 0.3, "g_coeffs": [0.0, 1.0, -1.0]},
          "positive curvature"),
         ({"family": "weighted_mode", "outcomes": [1, 2], "weights": [1, 0]},
-         "weights must be positive")])
+         "weights must be positive"),
+        ({"family": "quantile", "alpha": 0.4, "alhpa": 3}, "alhpa")])
     def test_rejected_constructor_value_exit_two(self, tmp_path, capsys,
                                                  market, reason):
         path = tmp_path / "bad.json"

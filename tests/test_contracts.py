@@ -19,7 +19,6 @@ from srmarket.contracts import (
     contract_argmin,
     contract_bounds,
     contract_is_constant,
-    contracts_allclose,
     expected_payoff,
     finite_belief,
     finite_contract,
@@ -328,10 +327,3 @@ class TestHelpers:
         assert attained
         assert v == pytest.approx(0.0, abs=1e-12)
         assert y == pytest.approx(1.0, abs=1e-9)
-
-    def test_allclose(self):
-        a = finite_contract(SPACE3, [1.0, 2.0, 3.0])
-        b = finite_contract(SPACE3, [1.0, 2.0, 3.0 + 5e-13])
-        assert contracts_allclose(a, b)
-        c = finite_contract(SPACE3, [1.0, 2.0, 3.1])
-        assert not contracts_allclose(a, c)

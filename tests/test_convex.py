@@ -1,5 +1,6 @@
-"""Convex potentials: conjugates (closed form vs numerical search),
-Bregman divergences, convexity checks, gradient ranges."""
+"""Convex potentials: values, gradients and their ranges, the conjugate
+pair of the binary LMSR cost and the negative entropy, and the Bregman
+kernel of the expectile score."""
 
 import math
 
@@ -7,88 +8,32 @@ import numpy as np
 import pytest
 
 from srmarket.convex import (
-    ConvexFn,
-    DivergentConjugate,
     binary_lmsr_cost,
     binary_negentropy,
-    bregman,
-    check_convexity,
-    conjugate,
-    from_callables,
-    gradient_range,
     hull_margin,
     interval_negentropy,
     log_partition,
     quadratic,
     simplex_negentropy,
 )
+from srmarket.scoring import ExpectileRule
 
 
 class TestConjugate:
-    def test_binary_negentropy_at_zero_is_log2(self):
-        v, arg = conjugate(binary_negentropy(), 0.0)
-        assert v == pytest.approx(math.log(2.0), abs=1e-12)
-        assert arg[0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_quadratic_closed_form(self):
-        v, arg = conjugate(quadratic(1), 2.0)
-        assert v == pytest.approx(1.0, abs=1e-12)
-        assert arg[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_numeric_matches_closed_form_binary(self):
-        g = binary_negentropy()
-        numeric = ConvexFn(dim=1, value_fn=g.value_fn, grad_fn=g.grad_fn,
-                           lo=g.lo, hi=g.hi, name="numeric")
-        for q in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            v_num, _ = conjugate(numeric, q)
-            v_cf, _ = conjugate(g, q)
-            assert v_num == pytest.approx(v_cf, abs=1e-8)
-
-    def test_numeric_matches_closed_form_lmsr(self):
-        c = binary_lmsr_cost()
-        numeric = ConvexFn(dim=1, value_fn=c.value_fn, grad_fn=c.grad_fn,
-                           lo=c.lo, hi=c.hi, name="numeric-lmsr")
-        g = binary_negentropy()
-        for p in (0.15, 0.4, 0.5, 0.75, 0.9):
-            v_num, _ = conjugate(numeric, p)
-            assert v_num == pytest.approx(g.value([p]), abs=1e-8)
-
-    def test_numeric_coercive_unbounded_domain(self):
-        g = quadratic(1)
-        numeric = ConvexFn(dim=1, value_fn=g.value_fn, grad_fn=g.grad_fn,
-                           lo=g.lo, hi=g.hi, name="numeric-quad")
-        v, arg = conjugate(numeric, 3.0)
-        assert v == pytest.approx(9.0 / 4.0, abs=1e-8)
-        assert arg[0] == pytest.approx(1.5, abs=1e-6)
-
-    def test_divergent_supremum_rejected(self):
-        lin = from_callables(1, lambda x: float(x[0]),
-                             lambda x: np.array([1.0]))
-        with pytest.raises(DivergentConjugate):
-            conjugate(lin, 5.0)
-
-    def test_interval_negentropy_conjugate(self):
-        g = interval_negentropy(0.0, 3.0)
-        # independent oracle: dense grid maximization of q x - G(x)
-        for q in (-1.0, 0.0, 0.7):
-            xs = np.linspace(1e-6, 3.0 - 1e-6, 300001)
-            vals = q * xs - np.array([g.value([x]) for x in xs])
-            v, arg = conjugate(g, q)
-            assert v == pytest.approx(float(np.max(vals)), abs=1e-9)
-
     def test_fenchel_young(self):
+        # the conjugate of the binary negative entropy is log(1 + e^q)
         rng = np.random.default_rng(0)
         g = binary_negentropy()
         for _ in range(200):
             x = rng.uniform(0.01, 0.99)
             q = rng.normal(scale=3.0)
             vg = g.value([x])
-            vc, _ = conjugate(g, q)
+            vc = math.log1p(math.exp(q))
             assert vg + vc >= q * x - 1e-8
         # equality when q is the gradient at x
         for x in (0.2, 0.5, 0.9):
             q = g.grad([x])[0]
-            vc, _ = conjugate(g, q)
+            vc = math.log1p(math.exp(q))
             assert g.value([x]) + vc == pytest.approx(q * x, abs=1e-10)
 
     def test_double_conjugate_recovers_value(self):
@@ -101,49 +46,43 @@ class TestConjugate:
                                                          abs=1e-6)
 
 
+def _negentropy_expectile():
+    """The expectile rule at tau = 1/2 on the binary negative entropy: its
+    score is -D(y, r) / 2 for the entropy's Bregman divergence D."""
+    def g(p):
+        return p * math.log(p) + (1 - p) * math.log(1 - p)
+
+    return ExpectileRule(0.5, g=g, gprime=lambda p: math.log(p / (1 - p)))
+
+
 class TestBregman:
     def test_quadratic_is_squared_distance(self):
-        assert bregman(quadratic(1), 3.0, 1.0) == pytest.approx(4.0)
+        assert -2.0 * ExpectileRule(0.5).score(1.0, 3.0) == pytest.approx(4.0)
 
     def test_zero_at_equal_arguments(self):
+        rule = _negentropy_expectile()
         for x in (0.1, 0.5, 0.83):
-            assert bregman(binary_negentropy(), x, x) == 0.0
+            assert rule.score(x, x) == 0.0
 
     def test_negentropy_matches_direct_formula(self):
-        g = binary_negentropy()
         y, x = 0.5, 0.25
         direct = (y * math.log(y / x) +
                   (1 - y) * math.log((1 - y) / (1 - x)))
-        assert bregman(g, y, x) == pytest.approx(direct, abs=1e-12)
-        assert bregman(g, y, x) > 0
+        d = -2.0 * _negentropy_expectile().score(x, y)
+        assert d == pytest.approx(direct, abs=1e-12)
+        assert d > 0
 
     def test_nonnegativity_random(self):
         rng = np.random.default_rng(1)
-        g = binary_negentropy()
+        rule = _negentropy_expectile()
         for _ in range(200):
             y, x = rng.uniform(0.01, 0.99, size=2)
-            assert bregman(g, y, x) >= -1e-12
-
-    def test_domain_enforced(self):
-        with pytest.raises(ValueError):
-            bregman(binary_negentropy(), 1.5, 0.5)
+            assert -2.0 * rule.score(x, y) >= -1e-12
 
 
 class TestConvexityCheck:
-    def test_quadratic_passes(self):
-        assert check_convexity(quadratic(1)).ok
-
-    def test_concave_fails_with_witness(self):
-        bad = from_callables(1, lambda x: -float(x[0]) ** 2,
-                             lambda x: -2.0 * x)
-        rep = check_convexity(bad)
-        assert rep.verdict == "fails"
-        assert "x" in rep.witness and "z" in rep.witness
-
     def test_log_partition_gradients_in_simplex(self):
         c = log_partition(np.array([[0.0], [1.0]]))
-        rep = check_convexity(c, box=([-4.0], [4.0]))
-        assert rep.ok
         for q in np.linspace(-5, 5, 21):
             g = c.grad([q])[0]
             assert 0.0 < g < 1.0
@@ -152,29 +91,23 @@ class TestConvexityCheck:
 class TestGradientRange:
     def test_binary_lmsr_inside_unit_interval(self):
         c = binary_lmsr_cost()
-        summary = gradient_range(c, [np.array([q]) for q in
-                                     np.linspace(-6, 6, 25)],
-                                 np.array([[0.0], [1.0]]))
-        assert summary.all_inside
-        assert summary.min_margin > 0
+        margins = [hull_margin(np.array([[0.0], [1.0]]), c.grad([q]))
+                   for q in np.linspace(-6, 6, 25)]
+        assert min(margins) > 0
 
     def test_quadratic_escapes(self):
         g = quadratic(1)
-        summary = gradient_range(g, [np.array([5.0])],
-                                 np.array([[0.0], [1.0]]))
-        assert not summary.all_inside
-        assert summary.outside_witness is not None
+        assert hull_margin(np.array([[0.0], [1.0]]), g.grad([5.0])) <= 0
 
     def test_simplex_log_partition_strictly_inside(self):
         phi = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         c = log_partition(phi)
-        qs = [np.array([a, b]) for a in (-2.0, 0.0, 2.0)
-              for b in (-1.0, 1.0)]
-        summary = gradient_range(c, qs, phi)
-        assert summary.all_inside
-        # gradients are softmax mixtures: check strict inequalities directly
-        for pt in summary.points:
-            assert pt[0] > 0 and pt[1] > 0 and pt[0] + pt[1] < 1
+        for a in (-2.0, 0.0, 2.0):
+            for b in (-1.0, 1.0):
+                pt = c.grad(np.array([a, b]))
+                assert hull_margin(phi, pt) > 0
+                # gradients are softmax mixtures: strict inequalities
+                assert pt[0] > 0 and pt[1] > 0 and pt[0] + pt[1] < 1
 
     def test_hull_margin_interval(self):
         assert hull_margin(np.array([0.0, 1.0]), 0.25) == pytest.approx(0.25)
@@ -183,12 +116,14 @@ class TestGradientRange:
 
 class TestBuiltins:
     def test_simplex_negentropy_grad_and_conjugate(self):
+        # the conjugate is log(1 + sum e^q), maximized at the softmax of q
         g = simplex_negentropy(2)
         x = np.array([0.2, 0.3])
-        v, arg = conjugate(g, g.grad(x))
-        assert np.allclose(arg, x, atol=1e-10)
-        # Fenchel-Young equality at the gradient
         q = g.grad(x)
+        z = 1.0 + float(np.sum(np.exp(q)))
+        assert np.allclose(np.exp(q) / z, x, atol=1e-10)
+        # Fenchel-Young equality at the gradient
+        v = math.log(z)
         assert g.value(x) + v == pytest.approx(float(np.dot(q, x)), abs=1e-10)
 
     def test_binary_lmsr_value_stable(self):

@@ -271,14 +271,12 @@ class TestExpectileRule:
             assert np.min(second) > -1e-9
 
     def test_bregman_kernel_quasi_convex_in_second_argument(self):
-        # no strict interior local max along x for D(y, x)
-        from srmarket.convex import bregman, from_callables
-
-        g = from_callables(1, lambda x: math.exp(x[0]),
-                           lambda x: np.array([math.exp(x[0])]))
+        # no strict interior local max along x for D(y, x); at tau = 1/2 the
+        # weight is 1/2 on both sides, so the score is -D(y, x) / 2
+        rule = ExpectileRule(0.5, g=math.exp, gprime=math.exp)
         for y in (-1.0, 0.0, 1.5):
             xs = np.linspace(-3, 3, 601)
-            vals = np.array([bregman(g, y, x) for x in xs])
+            vals = np.array([-2.0 * rule.score(x, y) for x in xs])
             inner = (vals[1:-1] > vals[:-2] + 1e-12) & \
                     (vals[1:-1] > vals[2:] + 1e-12)
             assert not np.any(inner)
@@ -328,7 +326,11 @@ class TestRatioRule:
             p = finite_belief(self.rule.outcome_space, pmf)
             gamma = self.rule.property_value(p)
             if 0.05 < gamma < 2.95:
-                assert self.rule.first_order_gap(p, gamma) <= 1e-6
+                # the central difference of the expected score at gamma
+                step = 1e-5
+                slope = (self.rule.expected_score(gamma + step, p) -
+                         self.rule.expected_score(gamma - step, p)) / (2 * step)
+                assert abs(slope) <= 1e-6
 
     def test_positive_denominator_required(self):
         with pytest.raises(ValueError):
