@@ -31,7 +31,7 @@ from .contracts import (
     contract_is_constant,
     expected_payoff,
     finite_belief,
-    trade_infima,
+    trade_bounds,
     trade_rows,
     uniform_belief,
 )
@@ -177,11 +177,10 @@ def portfolio_scenarios(grid, count: int, size: int,
 # IC and ARB
 
 
-def _require_finite(rows: np.ndarray) -> np.ndarray:
+def _require_finite(finite) -> None:
     # trade_contract rejects a trade whose payoffs overflow
-    if not np.isfinite(rows).all():
+    if not np.all(finite):
         raise ValueError("payoffs must be finite")
-    return rows
 
 
 def _require_belief_kind(rule: ScoringRule, p: Belief) -> None:
@@ -216,7 +215,8 @@ def _expected_trade_payoffs(rule: ScoringRule, grid, states):
     state_rows = rule.score_table(states)
 
     def values(p, k):
-        rows = _require_finite(trade_rows(table, state_rows[k]))
+        rows = trade_rows(table, state_rows[k])
+        _require_finite(np.isfinite(rows))
         return [float(np.dot(row, p.pmf)) for row in rows]
     return values
 
@@ -309,7 +309,7 @@ def check_arb(rule: ScoringRule, grid=None,
     """No trade may pay strictly positively in every outcome:
     inf F(r'|r) <= 0 for all report pairs on the grid.
 
-    Each grid report is scored once; ``contracts.trade_infima`` gives the
+    Each grid report is scored once; ``contracts.trade_bounds`` gives the
     infima of all trades from one report at a time, equal to
     ``contract_bounds(trade_contract(r, r'))`` on either outcome kind."""
     if grid is None:
@@ -331,14 +331,12 @@ def _arb_scan(rule: ScoringRule, grid, delta: float) -> tuple:
     ``worst`` covers the visited pairs only."""
     worst = -INF
     bad = []
-    rows = trade_infima([rule.score_contract(r) for r in grid])
-    for r, (los, finite) in zip(grid, rows):
+    rows = trade_bounds([rule.score_contract(r) for r in grid])
+    for r, (los, _, finite) in zip(grid, rows):
         hits = np.flatnonzero(los > delta)[:10 - len(bad)]
         # the scan stops at the 10th pair above delta
         stop = int(hits[-1]) + 1 if len(bad) + len(hits) >= 10 else len(grid)
-        # trade_contract rejects a trade whose payoffs overflow
-        if not finite[:stop].all():
-            raise ValueError("payoffs must be finite")
+        _require_finite(finite[:stop])
         worst = max(worst, float(los[:stop].max()))
         bad.extend({"r": _j(r), "r_new": _j(grid[j]), "inf": float(los[j])}
                    for j in hits)
@@ -358,42 +356,43 @@ def _outcome_probe(contract, count: int = 14) -> list:
     return up if up[-1][1] >= dn[-1][1] else dn
 
 
+def _trade_sups(rule: ScoringRule, r0, reports) -> np.ndarray:
+    """``contract_bounds(trade_contract(r0, r))[1]`` for each report r: the
+    r0 row of one ``trade_bounds`` table."""
+    score = rule.score_contract
+    _, sups, finite = next(trade_bounds([score(r0)] +
+                                        [score(r) for r in reports]))
+    _require_finite(finite)
+    return sups[1:]
+
+
 def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Bounded worst-case maker loss from the initial state r0.
 
     Unbounded single-trade payoffs fail with an outcome-sequence witness;
     unbounded growth along the report space fails with a report-sequence
-    witness; a family closed-form bound upgrades the verdict to holds."""
+    witness; a family closed-form bound upgrades the verdict to holds.  The
+    trades from r0 are read off one trade table per report list; a trade
+    contract is built only for a divergence witness."""
     grid = cfg.report_grid(rule)
+    sups = _trade_sups(rule, r0, grid)
+    # the first grid report whose trade attains the largest sup
+    i = int(np.argmax(sups))
+    if sups[i] == INF:
+        if hasattr(rule, "divergence_probe") and getattr(rule, "phi", 1) is None:
+            losses = rule.divergence_probe(r0)
+            trade_to = float(r0) + 1.0
+        else:
+            losses = _outcome_probe(rule.trade_contract(r0, grid[i]))
+            trade_to = grid[i]
+        return AxiomReport(
+            axiom="WCL", verdict=FAILS, margin=losses[-1][1],
+            witness={"r0": _j(r0), "trade_to": _j(trade_to),
+                     "losses": [[_j(y), v] for y, v in losses],
+                     "diverges": True},
+            budget={"grid": len(grid)})
     # the grid sup, and the report it is attained at (r0 for the null trade)
-    grid_sup, sup_at = 0.0, r0
-    if rule.outcome_space.is_finite:
-        # finite payoffs are bounded: the grid sup is one table's maximum
-        table = rule.score_table(grid)
-        rows = _require_finite(trade_rows(table, rule.score_table([r0])[0]))
-        sups = rows.max(axis=1, initial=-INF)
-        if len(sups) and sups.max() > grid_sup:
-            i = int(np.argmax(sups))
-            grid_sup, sup_at = float(sups[i]), grid[i]
-    else:
-        for r in grid:
-            d = rule.trade_contract(r0, r)
-            _, hi = contract_bounds(d)
-            if hi == INF:
-                if hasattr(rule, "divergence_probe") and getattr(rule, "phi", 1) is None:
-                    losses = rule.divergence_probe(r0)
-                    trade_to = float(r0) + 1.0
-                else:
-                    losses = _outcome_probe(d)
-                    trade_to = r
-                return AxiomReport(
-                    axiom="WCL", verdict=FAILS, margin=losses[-1][1],
-                    witness={"r0": _j(r0), "trade_to": _j(trade_to),
-                             "losses": [[_j(y), v] for y, v in losses],
-                             "diverges": True},
-                    budget={"grid": len(grid)})
-            if hi > grid_sup:
-                grid_sup, sup_at = hi, r
+    grid_sup, sup_at = (float(sups[i]), grid[i]) if sups[i] > 0.0 else (0.0, r0)
     bound = rule.loss_bound(r0)
     if bound is not None:
         if grid_sup > bound + 1e-9:
@@ -406,22 +405,19 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
                            witness={"bound": bound, "grid_sup": grid_sup},
                            budget={"grid": len(grid)})
     if isinstance(rule.report_space, RealReports):
-        seq = []
         base = max(abs(cfg.report_window[0]), abs(cfg.report_window[1]), 1.0)
-        for i in range(10):
-            r = base * (4.0 ** i)
-            for cand in (r, -r):
-                _, hi = contract_bounds(rule.trade_contract(r0, cand))
-                seq.append([cand, hi])
-        sups = [s for _, s in seq]
-        if max(sups) > 10.0 * grid_sup + 100.0:
+        cands = [c for r in (base * 4.0 ** i for i in range(10))
+                 for c in (r, -r)]
+        sups = _trade_sups(rule, r0, cands)
+        seq = [[c, float(s)] for c, s in zip(cands, sups)]
+        if sups.max() > 10.0 * grid_sup + 100.0:
             seq.sort(key=lambda e: e[1])
             return AxiomReport(
                 axiom="WCL", verdict=FAILS, margin=seq[-1][1],
                 witness={"r0": _j(r0), "trade_sups": seq[-10:],
                          "diverges": True, "direction": "reports"},
                 budget={"grid": len(grid)})
-        grid_sup = max(grid_sup, max(sups))
+        grid_sup = max(grid_sup, float(sups.max()))
     verdict = HOLDS if _is_exhaustive(rule, grid) else HOLDS_AT_BUDGET
     return AxiomReport(axiom="WCL", verdict=verdict, margin=grid_sup,
                        witness={"grid_sup": grid_sup},

@@ -396,10 +396,11 @@ def contract_bounds(d: Contract) -> tuple[float, float]:
 def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract:
     """Pointwise weighted sum; piece lists merge on the union of breakpoints.
 
-    Each cell of the union sums, operand by operand, the weighted
-    coefficients of the piece holding a probe point of the cell.  Probes
-    never decrease from cell to cell, so each operand's piece is found by a
-    walk that only moves forward: the cost is cells times operands.
+    Each cell [lo, hi) of the union sums, operand by operand, the weighted
+    coefficients of the piece holding lo (piece 0 on the first cell), which
+    holds the whole cell.  Lower ends ascend, so each operand's piece is
+    found by a walk that only moves forward: the cost is cells times
+    operands.
     """
     if len(contracts) != len(weights) or not contracts:
         raise ValueError("need matching nonempty contract/weight lists")
@@ -419,7 +420,7 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
     cuts = sorted({b for c in contracts for b in c.breakpoints()})
     edges = [-INF] + cuts + [INF]
     # per operand: where its later pieces start, each piece's weighted
-    # coefficients, and the index of the piece holding the current probe
+    # coefficients, and the index of the piece holding the current cell
     walks = []
     for c, w in zip(contracts, weights):
         w = float(w)
@@ -429,18 +430,12 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
                       0])
     pieces = []
     for lo, hi in zip(edges, edges[1:]):
-        if math.isinf(lo):
-            probe = hi - 1.0 if math.isfinite(hi) else 0.0
-        elif math.isinf(hi):
-            probe = lo + 1.0
-        else:
-            probe = 0.5 * (lo + hi)
         # running sums acc and largest magnitudes mag, one per coefficient
         acc0 = acc1 = acc2 = mag0 = mag1 = mag2 = 0.0
         for walk in walks:
             starts, terms, i = walk
-            # the piece holding the probe is the last one starting at or below it
-            while i < len(starts) and starts[i] <= probe:
+            # the piece holding lo is the last one starting at or below it
+            while i < len(starts) and starts[i] <= lo:
                 i += 1
             walk[2] = i
             t0, t1, t2 = terms[i]
@@ -473,30 +468,14 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
     return piecewise_contract(merged, first.transform)
 
 
-@dataclass(frozen=True, eq=False)
-class ContractTable:
-    """Piecewise contracts over one coordinate, laid out on the union of
-    their breakpoints.
+def contract_table(contracts: Sequence[Contract]) -> tuple:
+    """Lay piecewise contracts on the union of their breakpoints.
 
-    ``ends`` is -inf, the breakpoints in ascending order, and +inf; cell x
-    is [ends[x], ends[x + 1]).
-    ``coeffs[k, x]`` holds contract k's piece on cell x and ``t_ends`` the
-    coordinate of each cell end (the transform's limits at +-inf).  For the
-    cells of the union of two contracts' breakpoints, ``left[k, x]`` and
-    ``right[k, x]`` give the positions in ``ends`` of contract k's nearest
-    breakpoints at or below cell x's lower end and at or above its upper
-    end.
+    Returns ``(t_ends, coeffs)``: cell x runs between the x-th and the
+    (x + 1)-th of -inf, the ascending breakpoints and +inf, whose
+    coordinates ``t_ends`` holds (the transform's limits at +-inf), and
+    ``coeffs[k, x]`` holds the coefficients of contract k's piece on it.
     """
-
-    ends: np.ndarray
-    t_ends: np.ndarray
-    coeffs: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-
-def contract_table(contracts: Sequence[Contract]) -> ContractTable:
-    """Lay piecewise contracts on the union of their breakpoints."""
     first = contracts[0]
     key = first.transform.key()
     if any(c.pieces is None or c.transform.key() != key for c in contracts):
@@ -505,45 +484,28 @@ def contract_table(contracts: Sequence[Contract]) -> ContractTable:
     edges = sorted({b for c in contracts for b in c.breakpoints()})
     at = {e: x for x, e in enumerate(edges, 1)}
     m = len(edges) + 1
-    breaks = np.zeros((len(contracts), m + 1), dtype=bool)
-    breaks[:, [0, m]] = True
     coeffs = np.empty((len(contracts), m, 3))
     for k, c in enumerate(contracts):
         starts = [0] + [at[p.lo] for p in c.pieces[1:]]
-        breaks[k, starts] = True
         coeffs[k] = np.repeat([p.coeffs for p in c.pieces],
                               np.diff(starts + [m]), axis=0)
-    cells = np.arange(m)
-    left = np.maximum.accumulate(np.where(breaks[:, :-1], cells, 0), axis=1)
-    right = np.minimum.accumulate(
-        np.where(breaks[:, 1:], cells + 1, m)[:, ::-1], axis=1)[:, ::-1]
-    return ContractTable(
-        ends=np.array([-INF] + edges + [INF]),
-        t_ends=np.array([T.lo_limit()] + [T(e) for e in edges] + [T.hi_limit()]),
-        coeffs=coeffs, left=left, right=right)
+    t_ends = np.array([T.lo_limit()] + [T(e) for e in edges] + [T.hi_limit()])
+    return t_ends, coeffs
 
 
-def _trade_row_infima(tab: ContractTable, i: int) -> tuple:
-    """``contract_bounds(combine([c_j, c_i], [1, -1]))[0]`` for every j,
-    to the bit, and whether each trade's coefficients are finite.
+def _trade_row_bounds(t_ends: np.ndarray, coeffs: np.ndarray, i: int) -> tuple:
+    """``contract_bounds(combine([c_j, c_i], [1, -1]))`` for every j, to the
+    bit, as (infima, sups), and whether each trade's coefficients are finite.
 
-    Each cell of the table lies in one cell of the pair's union; it takes
-    the pieces ``combine`` finds at that cell's probe, the sum ``combine``
-    forms with its snap, and the run of identical cells ``combine``
-    compacts into one piece, whose extremes are ``_poly_extremes``'.
+    Each cell of the table lies in one cell of the pair's union and holds
+    the pieces ``combine`` sums there; the sum is ``combine``'s, snap
+    included, and each run of identical cells is the one piece ``combine``
+    compacts it into, whose extremes are ``_poly_extremes``'.
     """
-    R, m = tab.left.shape
-    lo = tab.ends[np.maximum(tab.left, tab.left[i])]
-    hi = tab.ends[np.minimum(tab.right, tab.right[i])]
-    probe = np.where(np.isinf(lo), np.where(np.isinf(hi), 0.0, hi - 1.0),
-                     np.where(np.isinf(hi), lo + 1.0, 0.5 * (lo + hi)))
-    # each operand's walk only moves forward
-    cell = np.maximum.accumulate(
-        np.searchsorted(tab.ends[1:-1], probe, side="right"), axis=1)
-    t_new = tab.coeffs[np.arange(R)[:, None], cell]
-    t_old = -1.0 * tab.coeffs[i][cell]
-    acc = (0.0 + t_new) + t_old
-    mag = np.maximum(np.abs(t_new), np.abs(t_old))
+    R, m, _ = coeffs.shape
+    t_old = -1.0 * coeffs[i]
+    acc = (0.0 + coeffs) + t_old
+    mag = np.maximum(np.abs(coeffs), np.abs(t_old))
     acc[(acc != 0.0) & (np.abs(acc) <= STRUCT_TOL * mag)] = 0.0
     finite = np.isfinite(acc).all(axis=(1, 2))
     # runs of identical cells are one piece; each cell reads its run's ends
@@ -552,8 +514,8 @@ def _trade_row_infima(tab: ContractTable, i: int) -> tuple:
     last = np.ones((R, m), dtype=bool)
     last[:, :-1] = first[:, 1:]
     cells = np.arange(m)
-    ta = tab.t_ends[np.maximum.accumulate(np.where(first, cells, 0), axis=1)]
-    tb = tab.t_ends[np.minimum.accumulate(
+    ta = t_ends[np.maximum.accumulate(np.where(first, cells, 0), axis=1)]
+    tb = t_ends[np.minimum.accumulate(
         np.where(last, cells, m - 1)[:, ::-1], axis=1)[:, ::-1] + 1]
     c0, c1, c2 = acc[..., 0], acc[..., 1], acc[..., 2]
 
@@ -567,28 +529,30 @@ def _trade_row_infima(tab: ContractTable, i: int) -> tuple:
     lo_end = np.where(np.isinf(ta), limit(-c1), poly(ta))
     hi_end = np.where(np.isinf(tb), limit(c1), poly(tb))
     tv = -c1 / (2.0 * c2)
+    # a vertex inside the piece, or beyond the largest float on an unbounded
+    # side; nan, which fmin and fmax pass over, where the piece has none
     vertex = np.where(
         (c2 != 0.0) & (ta < tv) & (tv < tb), poly(tv),
-        # a vertex beyond the largest float, on an unbounded side
         np.where((c2 != 0.0) & np.isinf(tv) & ((tv == ta) | (tv == tb)),
-                 c0 - c1 * c1 / (4.0 * c2), INF))
-    return np.minimum(np.minimum(lo_end, hi_end), vertex).min(axis=1), finite
+                 c0 - c1 * c1 / (4.0 * c2), np.nan))
+    return (np.fmin(np.minimum(lo_end, hi_end), vertex).min(axis=1),
+            np.fmax(np.maximum(lo_end, hi_end), vertex).max(axis=1), finite)
 
 
-def trade_infima(contracts: Sequence[Contract]):
-    """For each contract c_i in turn: the infimum of every trade
-    ``combine([c_j, c_i], [1, -1])``, one per c_j, equal to
-    ``contract_bounds`` of that trade, and whether each trade's payoffs
-    are finite.  The contracts are tabled once; each row is array
-    reductions, so a scan may stop after any row."""
+def trade_bounds(contracts: Sequence[Contract]):
+    """For each contract c_i in turn: the infimum and the supremum of every
+    trade ``combine([c_j, c_i], [1, -1])``, one per c_j, equal to
+    ``contract_bounds`` of that trade, and whether each trade's payoffs are
+    finite.  The contracts are tabled once; each row is array reductions,
+    so a scan may stop after any row."""
     if not contracts:
         return
     first = contracts[0]
     if first.values is None:
-        tab = contract_table(contracts)
+        t_ends, coeffs = contract_table(contracts)
         for i in range(len(contracts)):
             with np.errstate(all="ignore"):
-                row = _trade_row_infima(tab, i)
+                row = _trade_row_bounds(t_ends, coeffs, i)
             yield row
         return
     if any(c.values is None or c.space.labels != first.space.labels
@@ -597,7 +561,8 @@ def trade_infima(contracts: Sequence[Contract]):
     table = np.array([c.values for c in contracts])
     for row in table:
         trades = trade_rows(table, row)
-        yield trades.min(axis=1), np.isfinite(trades).all(axis=1)
+        yield (trades.min(axis=1), trades.max(axis=1),
+               np.isfinite(trades).all(axis=1))
 
 
 def trade_rows(table: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ class ConvexFn:
     lo: np.ndarray
     hi: np.ndarray
     differentiable: bool = True
-    strictly_convex: bool = True
     bounded: bool = False
     name: str = ""
     closure_fn: Callable[[np.ndarray], float] | None = None
@@ -57,11 +56,6 @@ class ConvexFn:
         if self.closure_fn is not None:
             return float(self.closure_fn(_vec(x)))
         return self.value(x)
-
-    def bounded_box(self, fallback: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.where(np.isfinite(self.lo), self.lo, -fallback)
-        hi = np.where(np.isfinite(self.hi), self.hi, fallback)
-        return lo, hi
 
 
 def _box(dim, lo, hi):
@@ -201,7 +195,6 @@ def log_partition(phi: np.ndarray) -> ConvexFn:
         value_fn=val,
         grad_fn=grad,
         lo=np.full(k, -INF), hi=np.full(k, INF),
-        strictly_convex=False,
         name="log-partition",
     )
 
@@ -210,7 +203,6 @@ def binary_lmsr_cost() -> ConvexFn:
     """C(q) = log(1 + e^q) for a single security paying 1{Y = 1}."""
     fn = log_partition(np.array([[0.0], [1.0]]))
     fn.name = "binary-lmsr"
-    fn.strictly_convex = True
     return fn
 
 
@@ -259,13 +251,16 @@ def bracket(f, target):
 def golden_max(f, lo: float, hi: float, xtol: float = 0.0,
                steps: int | None = None) -> float:
     """Golden-section maximizer of a unimodal f on [lo, hi], refined until
-    the bracket is xtol wide or, when given, for a fixed number of steps."""
+    the bracket is xtol wide or its probes stop lying strictly inside it,
+    or, when given, for a fixed number of steps."""
     a, b = float(lo), float(hi)
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
     fc, fd = f(c), f(d)
     n = 0
     while b - a > xtol and n != steps:
+        if steps is None and not (a < c < b and a < d < b):
+            break
         n += 1
         if fc > fd:
             b, d, fd = d, c, fc

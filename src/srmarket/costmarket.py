@@ -20,7 +20,6 @@ from .contracts import (
     combine,
     contract_is_constant,
     finite_contract,
-    project_cashless,
 )
 from .convex import (
     ConvexFn,
@@ -488,9 +487,15 @@ def market_subgroup(rule: ScoringRule, bound: int = 8) -> AxiomReport:
                               region=region)
     if not isinstance(rule.report_space, FiniteReports):
         raise ValueError("SUBGROUP needs a finite rule or a lattice market")
-    hs = [project_cashless(rule.score_contract(r))[0].values
-          for r in rule.report_space.labels]
+    hs = _cashless_table(rule, rule.report_space.labels)
     return check_subgroup([h1 - h2 for h1 in hs for h2 in hs], exhaustive=True)
+
+
+def _cashless_table(rule: ScoringRule, reports) -> np.ndarray:
+    """``score_table`` less each row's mean: the cashless part of each
+    report's score vector, one row per report."""
+    scores = rule.score_table(reports)
+    return scores - np.mean(scores, axis=1, keepdims=True)
 
 
 def score_range_membership(rule: ScoringRule, window: tuple,
@@ -498,11 +503,7 @@ def score_range_membership(rule: ScoringRule, window: tuple,
     """Distance oracle to the cashless score range of a rule with scalar
     reports: target -> (min distance, nearest report)."""
     grid = np.linspace(window[0], window[1], num)
-    hs = []
-    for r in grid:
-        d0, _ = project_cashless(rule.score_contract(float(r)))
-        hs.append(d0.values)
-    hs = np.asarray(hs)
+    hs = _cashless_table(rule, grid.tolist())
 
     def oracle(target):
         target = np.asarray(target, dtype=float).ravel()
@@ -512,8 +513,8 @@ def score_range_membership(rule: ScoringRule, window: tuple,
         hi = grid[min(i + 1, num - 1)]
 
         def dist_at(r):
-            d0, _ = project_cashless(rule.score_contract(float(r)))
-            return float(np.max(np.abs(d0.values - target)))
+            h = _cashless_table(rule, [float(r)])[0]
+            return float(np.max(np.abs(h - target)))
 
         # golden refine on the 1-d distance slice
         best_r = golden_max(lambda r: -dist_at(r), lo, hi, steps=80)

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .contracts import (
+    BRACKET_PAD,
     IDENTITY,
     INF,
     REAL_LINE,
@@ -232,12 +233,14 @@ class ScoringRule:
 
 
 def _coordinate_golden_max(f, x0: np.ndarray, box: BoxReports,
-                           xtol: float, cycles: int = 5) -> np.ndarray:
+                           xtol: float) -> np.ndarray:
+    """Golden-section search of each coordinate in turn, the others held,
+    for 5 cycles, within the box inset by BRACKET_PAD of its span."""
     x = x0.astype(float).copy()
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
-    pad = 1e-9 * (hi - lo)
-    for _ in range(cycles):
+    pad = BRACKET_PAD * (hi - lo)
+    for _ in range(5):
         for i in range(len(x)):
             def slice_f(v, i=i):
                 z = x.copy()

@@ -1,11 +1,12 @@
-"""Differential test: the merge-walk ``combine`` against the probe-and-bisect
-implementation it replaced, kept here as the reference.  Outputs must be
-equal bit for bit."""
+"""Differential test: the merge-walk ``combine`` against a reference that
+bisects each operand's piece starts at every cell's lower end.  Outputs must
+be equal bit for bit.  Regression tests pin each cell's sum at its lower end
+against ``Contract.__call__`` of the operands."""
 
-import math
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,22 +24,16 @@ from srmarket.scoring import ExpectileRule, QuantileRule
 
 def reference_combine(contracts, weights):
     """Piecewise weighted sum: for every cell of the union of breakpoints,
-    bisect each operand's piece starts at a probe point of the cell."""
+    bisect each operand's piece starts at the cell's lower end."""
     first = contracts[0]
     cuts = sorted({b for c in contracts for b in c.breakpoints()})
     edges = [-INF] + cuts + [INF]
     pieces = []
     for lo, hi in zip(edges, edges[1:]):
-        if math.isinf(lo):
-            probe = hi - 1.0 if math.isfinite(hi) else 0.0
-        elif math.isinf(hi):
-            probe = lo + 1.0
-        else:
-            probe = 0.5 * (lo + hi)
         acc = [0.0, 0.0, 0.0]
         mag = [0.0, 0.0, 0.0]
         for c, w in zip(contracts, weights):
-            i = bisect_right([p.lo for p in c.pieces], probe) - 1
+            i = bisect_right([p.lo for p in c.pieces], lo) - 1
             i = max(i, 0)
             for j in range(3):
                 term = float(w) * c.pieces[i].coeffs[j]
@@ -136,3 +131,32 @@ def test_long_ledgers_match_reference():
                         [float(w) for w in rng.uniform(-2.0, 2.0, n + 1)]):
             assert (combine(contracts, weights).to_dict()
                     == reference_combine(contracts, weights).to_dict())
+
+
+def _steps(cuts, levels):
+    """A piecewise-constant contract: levels[k] from cuts[k - 1] on."""
+    ends = [-INF] + list(cuts) + [INF]
+    return piecewise_contract([Piece(lo, hi, (v, 0.0, 0.0))
+                               for lo, hi, v in zip(ends, ends[1:], levels)])
+
+
+_QUANTILE = QuantileRule(0.3)
+
+
+@pytest.mark.parametrize("contracts,weights,ys", [
+    # the trade -1e17 -> 0: beyond 2**53 no float lies within 1.0 below the
+    # first breakpoint; -4e17 lies in the first cell
+    ([_QUANTILE.score_contract(0.0), _QUANTILE.score_contract(-1e17)],
+     [1.0, -1.0], [-4e17, -1e17, 0.0]),
+    # a cell one float wide, whose midpoint rounds onto its upper end
+    ([_steps([-5e-324], [1.0, 2.0]), _steps([0.0], [0.0, 1.0])],
+     [1.0, 1.0], [-5e-324, 0.0]),
+    # a cell whose ends sum past the largest float
+    ([_steps([1e308], [1.0, 2.0]), _steps([1.7e308], [0.0, 1.0])],
+     [1.0, 1.0], [1e308, 1.7e308]),
+], ids=["quantile_trade_beyond_2_53", "adjacent_floats", "overflowing_midpoint"])
+def test_each_cell_sums_the_pieces_at_its_lower_end(contracts, weights, ys):
+    total = combine(contracts, weights)
+    for y in ys:
+        want = sum(w * c(y) for c, w in zip(contracts, weights))
+        assert total(y) == pytest.approx(want, rel=1e-12)

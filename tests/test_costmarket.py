@@ -54,7 +54,7 @@ def capped_cost():
             return np.array([(q + 1.0) / 4.0])
         return np.array([1.0])
 
-    return from_callables(1, val, grad, strictly_convex=False)
+    return from_callables(1, val, grad)
 
 
 class TestShareSpace:

@@ -1,12 +1,15 @@
-"""Real-line ARB and IC score each grid report once: a differential test
-against the per-pair paths they replaced, kept here as the references.
+"""Real-line ARB, IC and WCL score each grid report once: a differential
+test against the per-pair paths they replaced, kept here as the references
+(WCL's is ``test_score_table.reference_check_wcl``).
 
-ARB: every infimum of ``contracts.trade_infima`` must equal
+ARB: every infimum of ``contracts.trade_bounds`` must equal
 ``contract_bounds(trade_contract(r, r'))`` bit for bit, and ``check_arb``'s
-report must equal the per-pair scan's to the byte.  IC: the expected trade
+report must equal the per-pair scan's to the byte; so must every sup, which
+WCL reads.  IC: the expected trade
 payoffs are now differences of expected scores, equal to the per-trade
 values within rounding, so each argmax must be the reference's or tied
-with it in the reference values, and verdicts must agree.
+with it in the reference values, and verdicts must agree.  WCL: the report
+must equal the per-report trades' to the byte.
 """
 
 import math
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_score_table import reference_check_wcl
 
 from srmarket import axioms
 from srmarket.axioms import (
@@ -24,8 +28,11 @@ from srmarket.axioms import (
     _j,
     check_arb,
     check_ic,
+    check_wcl,
     random_cdf_belief,
 )
+from srmarket.cli import build_rule, build_search, bundled_config_names, \
+    load_config
 from srmarket.contracts import (
     IDENTITY,
     INF,
@@ -39,7 +46,7 @@ from srmarket.contracts import (
     expected_payoff,
     finite_belief,
     piecewise_contract,
-    trade_infima,
+    trade_bounds,
     uniform_belief,
 )
 from srmarket.convex import ConvexFn
@@ -189,7 +196,8 @@ def mean_rules(draw):
 RULES = st.one_of(quantile_rules(), expectile_rules(), mean_rules())
 
 # reports 1e-13 apart leave rounding residue in trade coefficients, which
-# the snap clears; beyond 2**53 a first cell's probe ``hi - 1.0`` is ``hi``
+# the snap clears; at 1e17 they lie beyond 2**53, where adjacent floats are
+# more than 1.0 apart
 WIDTHS = st.sampled_from([1e-13, 1e-9, 0.5, 3.0, 40.0, 1e6, 1e17])
 
 
@@ -212,10 +220,11 @@ def grids(draw, rule, max_points=60):
 
 def assert_arb_matches(rule, grid, cfg=SearchConfig()):
     contracts = [rule.score_contract(r) for r in grid]
-    for r, (los, finite) in zip(grid, trade_infima(contracts)):
+    for r, (los, sups, finite) in zip(grid, trade_bounds(contracts)):
         assert finite.all()
-        ref = [contract_bounds(rule.trade_contract(r, rp))[0] for rp in grid]
-        assert los.tolist() == ref
+        ref = [contract_bounds(rule.trade_contract(r, rp)) for rp in grid]
+        assert los.tolist() == [lo for lo, _ in ref]
+        assert sups.tolist() == [hi for _, hi in ref]
     assert check_arb(rule, grid, cfg).to_text() == \
         reference_check_arb(rule, grid, cfg).to_text()
 
@@ -272,13 +281,17 @@ def test_quantile_infima_match_closed_form(data):
     rule = QuantileRule(data.draw(LEVELS),
                         data.draw(st.sampled_from([IDENTITY, SIGMOID])))
     n = data.draw(st.integers(2, 40))
+    # reports at +-1e17 lie beyond 2**53, where adjacent floats are more
+    # than 1.0 apart
     grid = [float(v) for v in np.linspace(-6.0, 6.0, n)] + \
-        data.draw(st.lists(st.floats(-8.0, 8.0), max_size=5))
+        data.draw(st.lists(st.floats(-8.0, 8.0), max_size=5)) + \
+        data.draw(st.lists(st.sampled_from([-1e17, 1e17]), max_size=2))
     contracts = [rule.score_contract(r) for r in grid]
-    for r, (los, _) in zip(grid, trade_infima(contracts)):
+    for r, (los, _, _) in zip(grid, trade_bounds(contracts)):
         for rp, lo in zip(grid, los):
+            # within 1e-12, or a few ulps where 1e-12 is below one ulp
             assert lo == pytest.approx(quantile_trade_min(rule, r, rp),
-                                       abs=1e-12)
+                                       rel=1e-15, abs=1e-12)
 
 
 def test_check_arb_builds_no_trade_contract():
@@ -298,8 +311,7 @@ def test_overflowing_trade_coefficients_are_rejected():
 
 # generated piecewise contracts reach what score contracts of one rule do
 # not: quadratic tails (a vertex beyond the float range), breakpoints one
-# float apart, and sums of breakpoints that overflow the probe to +-inf,
-# where combine's walk does not step back
+# float apart, and cells whose ends sum beyond the largest float
 EDGES = st.one_of(
     st.sampled_from([-1.7e308, -1e308, -3.0, -1.0, 0.0, 1.0,
                      float(np.nextafter(1.0, 2.0)), 2.5, 1e17, 1e17 + 16.0,
@@ -347,9 +359,9 @@ COMPACTED = [_tail(0.0, 0.0), piecewise_contract(
     [Piece(-INF, -0.6795197320038475, _BOWL),
      Piece(-0.6795197320038475, INF, _BOWL)])]
 
-# the first cell's probe -1.7e308 - 1.0 is -1.7e308, in the second piece;
-# the second cell's probe overflows to -inf, but the walk stays there
-WALK_BACK = [_tail(0.0, 0.0), piecewise_contract(
+# beyond 2**53, the first cell [-inf, -1.7e308) takes the first piece; the
+# second cell, whose ends sum past the largest float, takes the second
+FAR_CELLS = [_tail(0.0, 0.0), piecewise_contract(
     [Piece(-INF, -1.7e308, (-9.0, 0.0, 0.0)),
      Piece(-1.7e308, -1e308, (3.0, 0.0, 0.0)),
      Piece(-1e308, INF, (2.0, 0.0, 0.0))])]
@@ -360,27 +372,28 @@ WALK_BACK = [_tail(0.0, 0.0), piecewise_contract(
 @example(OVERFLOWED_VERTEX)
 @example(SNAPPED_RESIDUE)
 @example(COMPACTED)
-@example(WALK_BACK)
+@example(FAR_CELLS)
 def test_generated_contracts_match_combine_bounds(contracts):
-    for i, (los, finite) in enumerate(trade_infima(contracts)):
+    for i, (los, sups, finite) in enumerate(trade_bounds(contracts)):
         assert finite.all()
-        ref = [contract_bounds(combine([c, contracts[i]], [1.0, -1.0]))[0]
+        ref = [contract_bounds(combine([c, contracts[i]], [1.0, -1.0]))
                for c in contracts]
-        assert los.tolist() == ref
+        assert los.tolist() == [lo for lo, _ in ref]
+        assert sups.tolist() == [hi for _, hi in ref]
 
 
 def test_overflowed_vertex_decides_the_infimum():
-    rows = list(trade_infima(OVERFLOWED_VERTEX))
+    rows = list(trade_bounds(OVERFLOWED_VERTEX))
     assert rows[1][0][0] == -INF
     assert contract_bounds(combine(OVERFLOWED_VERTEX, [1.0, -1.0]))[0] == -INF
 
 
-def test_trade_infima_rejects_mixed_coordinates():
+def test_trade_bounds_rejects_mixed_coordinates():
     with pytest.raises(OutcomeMismatch):
-        list(trade_infima([QuantileRule(0.5).score_contract(0.0),
+        list(trade_bounds([QuantileRule(0.5).score_contract(0.0),
                            QuantileRule(0.5, SIGMOID).score_contract(0.0)]))
     with pytest.raises(OutcomeMismatch):
-        list(trade_infima([ModeRule([1, 2]).score_contract(1),
+        list(trade_bounds([ModeRule([1, 2]).score_contract(1),
                            ModeRule([1, 3]).score_contract(1)]))
 
 
@@ -485,3 +498,58 @@ def test_ic_fails_witness_replays():
     assert rep.verdict == FAILS
     assert math.isfinite(rep.witness["argmax_score"])
     assert axioms.replay_witness(rule, rep) == rep.margin
+
+
+# ---------------------------------------------------------------------------
+# WCL
+
+
+def _real_line_configs():
+    configs = {name: load_config(name) for name in bundled_config_names()}
+    return [name for name, c in configs.items() if "market" in c and
+            not build_rule(c["market"]).outcome_space.is_finite]
+
+
+@pytest.mark.parametrize("name", _real_line_configs())
+def test_bundled_real_line_wcl_matches_per_report_trades(name):
+    config = load_config(name)
+    rule = build_rule(config["market"])
+    cfg = build_search(config.get("search"), config.get("seed"))
+    r0 = config.get("r0", 0.0)
+    assert check_wcl(rule, r0, cfg).to_text() == \
+        reference_check_wcl(rule, r0, cfg).to_text()
+
+
+def test_every_real_line_market_is_covered():
+    assert set(_real_line_configs()) >= {
+        "expectile_market", "mean_unbounded", "quantile_sigmoid"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_wcl_matches_per_report_trades(data):
+    rule = data.draw(RULES)
+    lo = data.draw(st.floats(-6.0, 0.0))
+    cfg = SearchConfig(report_points=data.draw(st.integers(2, 60)),
+                       report_window=(lo, lo + data.draw(st.floats(0.5, 10.0))))
+    r0 = data.draw(st.one_of(st.just(lo), st.floats(-8.0, 8.0)))
+    assert check_wcl(rule, r0, cfg).to_text() == \
+        reference_check_wcl(rule, r0, cfg).to_text()
+
+
+def test_wcl_builds_a_trade_contract_only_for_a_witness():
+    # a closed-form bound, the report sequence, an outcome-sequence witness
+    for rule, calls in ((QuantileRule(0.3, SIGMOID), 0), (QuantileRule(0.3), 0),
+                        (ExpectileRule(0.7), 1)):
+        with mock.patch.object(rule, "trade_contract",
+                               wraps=rule.trade_contract) as spy:
+            rep = check_wcl(rule, 0.0, SearchConfig(report_points=9))
+        assert spy.call_count == calls
+        assert ("losses" in rep.witness) == bool(calls)
+
+
+def test_wcl_rejects_overflowing_trade_coefficients():
+    # above both reports the trade -1e308 -> 1e308 pays -0.9e308 - 0.9e308
+    cfg = SearchConfig(report_points=2, report_window=(0.0, 1e308))
+    with pytest.raises(ValueError, match="finite"):
+        check_wcl(QuantileRule(0.9), -1e308, cfg)

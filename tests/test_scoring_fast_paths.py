@@ -9,7 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from srmarket.contracts import RESIDUAL_ACCEPT, SIGMOID, cdf_belief, finite_belief
+from srmarket.contracts import (
+    RESIDUAL_ACCEPT,
+    SIGMOID,
+    cdf_belief,
+    finite_belief,
+    project_cashless,
+)
 from srmarket.convex import (
     binary_negentropy,
     golden_max,
@@ -19,7 +25,7 @@ from srmarket.convex import (
     quadratic,
     simplex_negentropy,
 )
-from srmarket.costmarket import project_cashless, score_range_membership
+from srmarket.costmarket import score_range_membership
 from srmarket.scoring import (
     BoxReports,
     ExpectationRule,
@@ -529,6 +535,31 @@ def test_golden_max_fixed_steps_equals_old_loop(case):
     for steps in (1, 5, 80):
         assert golden_max(lambda r: -f(r), lo, hi, steps=steps) == \
             reference_golden_min_steps(f, lo, hi, steps)
+
+
+def _budgeted(f, calls: int):
+    """f, failing once it is called more than ``calls`` times: a search
+    that does not stop fails instead of running on."""
+    count = [0]
+
+    def g(*args):
+        count[0] += 1
+        assert count[0] <= calls, "the search does not stop"
+        return f(*args)
+    return g
+
+
+def test_golden_max_stops_at_adjacent_floats():
+    # the ulp of 1e7 is 1.9e-9, above xtol
+    f = _budgeted(lambda r: -(r - 1e7) ** 2, 1000)
+    assert golden_max(f, 1e7 - 1, 1e7 + 1, 1e-10) == 1e7
+
+
+def test_best_response_returns_where_xtol_is_below_an_ulp():
+    rule = QuantileRule(0.5)
+    rule.expected_score = _budgeted(rule.expected_score, 2000)
+    r = rule.best_response(cdf_belief([1e7, 1e7 + 1.0], [0.0, 1.0]))
+    assert 1e7 <= r <= 1e7 + 1.0
 
 
 def test_best_response_golden_equals_old_loop():
