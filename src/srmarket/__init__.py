@@ -39,7 +39,6 @@ from .scoring import (  # noqa: F401
     RatioRule,
 )
 from .costmarket import (  # noqa: F401
-    CostMarket,
     CostRule,
     ShareSpace,
     binary_lmsr_rule,

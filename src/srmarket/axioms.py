@@ -115,12 +115,13 @@ def random_finite_belief(rng: np.random.Generator, space) -> Belief:
     return finite_belief(space, pmf)
 
 
-def random_cdf_belief(rng: np.random.Generator, window: tuple = (-4.0, 4.0),
-                      knots: int = 5) -> Belief:
+def random_cdf_belief(rng: np.random.Generator,
+                      window: tuple = (-4.0, 4.0)) -> Belief:
+    """A piecewise-linear CDF on the window with 6 seeded knots."""
     a, b = window
-    gx = np.cumsum(rng.uniform(0.5, 1.5, size=knots + 1))
+    gx = np.cumsum(rng.uniform(0.5, 1.5, size=6))
     xs = a + (b - a) * (gx - gx[0]) / (gx[-1] - gx[0])
-    gf = np.cumsum(rng.uniform(0.5, 1.5, size=knots + 1))
+    gf = np.cumsum(rng.uniform(0.5, 1.5, size=6))
     fs = (gf - gf[0]) / (gf[-1] - gf[0])
     return cdf_belief(xs, fs)
 
@@ -349,10 +350,11 @@ def _arb_scan(rule: ScoringRule, grid, delta: float) -> tuple:
 # worst-case loss
 
 
-def _outcome_probe(contract, count: int = 14) -> list:
-    """Outcomes marching outward along the direction where the payoff grows."""
-    up = [[4.0 ** i, contract(4.0 ** i)] for i in range(count)]
-    dn = [[-(4.0 ** i), contract(-(4.0 ** i))] for i in range(count)]
+def _outcome_probe(contract) -> list:
+    """The 14 outcomes +-4^i marching outward along the direction where the
+    payoff grows."""
+    up = [[4.0 ** i, contract(4.0 ** i)] for i in range(14)]
+    dn = [[-(4.0 ** i), contract(-(4.0 ** i))] for i in range(14)]
     return up if up[-1][1] >= dn[-1][1] else dn
 
 
@@ -817,19 +819,26 @@ def config_block(block, where: str, required=(), optional=()) -> dict:
     return block
 
 
+# the forms of a belief spec, of which it takes exactly one
+BELIEF_KEYS = ("pmf", "cdf", "uniform")
+
+
 def build_belief(spec, space) -> Belief:
     """The belief a pmf, cdf or uniform spec describes; pmf and cdf are the
     forms ``Belief.to_dict`` writes."""
+    config_block(spec, "a belief", (), BELIEF_KEYS)
+    if len(spec) != 1:
+        raise ConfigError(f"a belief takes exactly one of {list(BELIEF_KEYS)}, "
+                          f"not {spec!r}")
     try:
         if "pmf" in spec:
             return finite_belief(space, spec["pmf"])
         if "cdf" in spec:
-            return cdf_belief(spec["cdf"]["x"], spec["cdf"]["F"])
-        if "uniform" in spec:
-            return uniform_belief(*spec["uniform"])
-    except (KeyError, TypeError, ValueError) as exc:
+            cdf = config_block(spec["cdf"], "a cdf belief", ("x", "F"))
+            return cdf_belief(cdf["x"], cdf["F"])
+        return uniform_belief(*spec["uniform"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"belief {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown belief spec {spec!r}")
 
 
 def _scenarios(rule, config):
@@ -843,6 +852,8 @@ def _scenarios(rule, config):
 def _run_ic(rule, config, cfg) -> AxiomReport:
     beliefs = config.get("ic_beliefs")
     if beliefs is not None:
+        if not isinstance(beliefs, list):
+            raise ConfigError("'ic_beliefs' must be a list")
         beliefs = [build_belief(b, rule.outcome_space) for b in beliefs]
     return check_ic(rule, beliefs, cfg)
 
@@ -856,6 +867,13 @@ def _run_btb(rule, config, cfg) -> AxiomReport:
                          tuple(btb.get("epsilons", cfg.epsilons)), cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _run_price_bound(rule, config, cfg) -> AxiomReport:
+    trials = config.get("price_bound_trials", 1000)
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        raise ConfigError("'price_bound_trials' must be a positive integer")
+    return price_bound_check(rule, trials, cfg.rng())
 
 
 def _cost_market(check):
@@ -897,8 +915,7 @@ AXIOMS = {
                   None),
     "QUASI-OPEN": Axiom(_cost_market(lambda r, c, cfg: check_quasi_open(
         r, cfg.lattice_bound, cfg.rng())), None),
-    "PRICE-BOUND": Axiom(_cost_market(lambda r, c, cfg: price_bound_check(
-        r, c.get("price_bound_trials", 1000), cfg.rng())), None,
-        ("price_bound_trials?",)),
+    "PRICE-BOUND": Axiom(_cost_market(_run_price_bound), None,
+                         ("price_bound_trials?",)),
     "SUBGROUP": Axiom(_run_subgroup, None),
 }

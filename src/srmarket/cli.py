@@ -63,6 +63,27 @@ FAMILY_KEYS = {
     "ratio": (("potential", "phi", "b"), ("outcomes",)),
     "cost": (("cost", "phi"), ("outcomes", "shares", "conjugate_closure")),
 }
+# each potential's keys beside "name": (required, optional)
+POTENTIAL_KEYS = {
+    "quadratic": ((), ("dim", "lo", "hi")),
+    "binary_negentropy": ((), ()),
+    "interval_negentropy": (("lo", "hi"), ()),
+    "simplex_negentropy": (("k",), ()),
+    "log_partition": (("phi",), ()),
+    "binary_lmsr": ((), ()),
+}
+# a lattice share space is named by its first key: (required, optional)
+SHARE_KEYS = {
+    "lattice_scale": (("lattice_scale",), ("k",)),
+    "basis": (("basis",), ()),
+}
+# each figure's keys beside "name" and "figure", all optional
+FIGURE_KEYS = {
+    "mode_position": ("outcomes", "r_left", "r_center", "trade"),
+    "mean_position": ("trade", "state", "contracts", "window", "points"),
+    "median_position": ("alpha", "trade", "scenario", "window", "points"),
+    "discretized_lmsr": ("bound",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +99,11 @@ def build_transform(name: str):
 
 
 def build_potential(spec: dict):
-    name = spec.get("name")
+    name = spec.get("name") if isinstance(spec, dict) else None
+    if name not in POTENTIAL_KEYS:
+        raise ConfigError(f"unknown potential {name!r}")
+    required, optional = POTENTIAL_KEYS[name]
+    config_block(spec, f"potential {name!r}", ("name",) + required, optional)
     if name == "quadratic":
         return quadratic(spec.get("dim", 1), spec.get("lo"), spec.get("hi"))
     if name == "binary_negentropy":
@@ -89,20 +114,21 @@ def build_potential(spec: dict):
         return simplex_negentropy(spec["k"])
     if name == "log_partition":
         return log_partition(np.asarray(spec["phi"], dtype=float))
-    if name == "binary_lmsr":
-        return binary_lmsr_cost()
-    raise ConfigError(f"unknown potential {name!r}")
+    return binary_lmsr_cost()
 
 
 def build_shares(spec):
     if spec in (None, "full"):
         return ShareSpace.full()
-    if isinstance(spec, dict) and "lattice_scale" in spec:
+    kind = next((k for k in SHARE_KEYS if k in spec), None) \
+        if isinstance(spec, dict) else None
+    if kind is None:
+        raise ConfigError(f"unknown share space {spec!r}")
+    config_block(spec, "the share space", *SHARE_KEYS[kind])
+    if kind == "lattice_scale":
         return ShareSpace.integer_lattice(spec.get("k", 1),
                                           spec["lattice_scale"])
-    if isinstance(spec, dict) and "basis" in spec:
-        return ShareSpace.lattice(spec["basis"])
-    raise ConfigError(f"unknown share space {spec!r}")
+    return ShareSpace.lattice(spec["basis"])
 
 
 def build_rule(spec: dict):
@@ -120,6 +146,8 @@ def build_rule(spec: dict):
 
 
 def _build_rule(spec: dict):
+    if not isinstance(spec, dict):
+        raise ConfigError("the market block must be an object")
     family = spec.get("family")
     if family not in FAMILY_KEYS:
         raise ConfigError(f"unknown family {family!r}")
@@ -215,12 +243,14 @@ def _verdict_matches(expected: str, actual: str) -> bool:
 
 def run_check(config: dict, out_dir: str) -> int:
     axioms = config.get("axioms")
-    if not axioms:
+    if not axioms or not isinstance(axioms, list):
         raise ConfigError("a check config needs a nonempty 'axioms' list")
     unknown = [a for a in axioms if a not in AXIOMS]
     if unknown:
         raise ConfigError(f"unknown axioms {unknown}")
     expected = config.get("expected", {})
+    if not isinstance(expected, dict):
+        raise ConfigError("'expected' must be an object")
     not_run = sorted(set(expected) - set(axioms))
     if not_run:
         raise ConfigError(f"'expected' names axioms that are not run: {not_run}")
@@ -259,15 +289,20 @@ def run_session(config: dict, out_dir: str) -> int:
     config_block(config, "the session config", ("market", "r0"), SESSION_KEYS)
     rule = _market(config)
     name = config.get("name", "session")
+    traders = config.get("traders", [])
+    if not isinstance(traders, list):
+        raise ConfigError("'traders' must be a list")
+    beliefs = [build_belief(config_block(t, "a trader", ("id", "belief"))["belief"],
+                            rule.outcome_space) for t in traders]
+    outcome = config.get("outcome")
+    if outcome is not None and not rule.outcome_space.contains(outcome):
+        raise ConfigError(f"outcome {outcome!r} lies outside the outcome space")
     session = MarketSession(rule, config["r0"])
-    for trader in config.get("traders", []):
-        belief = build_belief(trader["belief"], rule.outcome_space)
-        report = rule.best_response(belief)
-        session.execute_trade(trader["id"], report)
+    for trader, belief in zip(traders, beliefs):
+        session.execute_trade(trader["id"], rule.best_response(belief))
     lines = [_header(config)]
     lines.append("ledger:")
     lines.extend(session.ledger_lines())
-    outcome = config.get("outcome")
     if outcome is not None:
         st = session.settle(outcome)
         lines.append("settlement:")
@@ -293,12 +328,18 @@ def run_extract(config: dict, out_dir: str) -> int:
     name = config.get("name", "extract")
     gspec = config.get("grid")
     if isinstance(gspec, dict):
-        grid = [float(v) for v in np.linspace(gspec["lo"], gspec["hi"],
-                                              gspec["num"])]
-    elif gspec is not None:
+        config_block(gspec, "the extract grid", ("lo", "hi", "num"))
+        try:
+            grid = [float(v) for v in np.linspace(gspec["lo"], gspec["hi"],
+                                                  gspec["num"])]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"the extract grid: {exc}") from exc
+    elif isinstance(gspec, list):
         grid = gspec
-    else:
+    elif gspec is None:
         grid = rule.report_grid()
+    else:
+        raise ConfigError("the extract grid must be an object or a list")
     ext = extract_cost_market(rule, grid)
     lines = [_header(config)]
     lines.append(f"ok: {ext.ok}")
@@ -340,7 +381,11 @@ def _dat(path: str, config: dict, columns: list[str], rows) -> None:
 
 def run_figure(config: dict, out_dir: str) -> int:
     which = config.get("figure")
-    name = config.get("name", which or "figure")
+    if which not in FIGURE_KEYS:
+        raise ConfigError(f"unknown figure {which!r}")
+    config_block(config, f"figure {which!r}", ("figure",),
+                 ("name",) + FIGURE_KEYS[which])
+    name = config.get("name", which)
     path = os.path.join(out_dir, f"{name}.dat")
     if which == "mode_position":
         rule = ModeRule(config.get("outcomes", [1, 2, 3]))
@@ -396,24 +441,30 @@ def run_figure(config: dict, out_dir: str) -> int:
                 "held", "candidate", "net"]
         _dat(path, config, cols, rows)
         return 0
-    if which == "discretized_lmsr":
-        cost = binary_lmsr_cost()
-        bound = config.get("bound", 6)
-        rows = [[q, cost.value([q]), cost.grad([q])[0]]
-                for q in range(-bound, bound + 1)]
-        _dat(path, config, ["q", "C(q)", "price"], rows)
-        return 0
-    raise ConfigError(f"unknown figure {which!r}")
+    # discretized_lmsr
+    cost = binary_lmsr_cost()
+    bound = config.get("bound", 6)
+    rows = [[q, cost.value([q]), cost.grad([q])[0]]
+            for q in range(-bound, bound + 1)]
+    _dat(path, config, ["q", "C(q)", "price"], rows)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+def _read_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config(path_or_name: str) -> dict:
     if os.path.exists(path_or_name):
-        with open(path_or_name) as fh:
-            config = json.load(fh)
+        config = _read_json(path_or_name)
     else:
         bundle = resources.files("srmarket") / "configs" / f"{path_or_name}.json"
         if not bundle.is_file():
@@ -441,30 +492,27 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True,
                        help="config path or bundled config name")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--expect", default=None,
-                       help="golden verdict JSON file")
+        # each command offers only the flags it reads
+        if cmd in ("check", "session"):
+            p.add_argument("--seed", type=int, default=None,
+                           help="overrides the config seed")
+        if cmd == "check":
+            p.add_argument("--expect", default=None,
+                           help="golden verdict JSON file")
     args = parser.parse_args(argv)
-
-    try:
-        config = load_config(args.config)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.expect:
-        try:
-            with open(args.expect) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        config.setdefault("expected", {}).update(overrides)
 
     run = {"check": run_check, "session": run_session, "extract": run_extract,
            "figure": run_figure}[args.command]
     try:
+        config = load_config(args.config)
+        if getattr(args, "seed", None) is not None:
+            config["seed"] = args.seed
+        if getattr(args, "expect", None):
+            overrides = _read_json(args.expect)
+            expected = config.get("expected", {})
+            if not (isinstance(overrides, dict) and isinstance(expected, dict)):
+                raise ConfigError("'expected' and --expect must be JSON objects")
+            config["expected"] = {**expected, **overrides}
         return run(config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,7 +14,12 @@ BRACKET_PAD of its span and an infinite one by doubling out to
 BRACKET_LIMIT; one that does not run to adjacent floats stops at a bracket
 SEARCH_XTOL wide.  A gradient inversion in more than one dimension stops
 once its residual is within OPT_TOL and accepts its point within
-RESIDUAL_ACCEPT.
+RESIDUAL_ACCEPT; openness counts a price target as reached, and cost
+extraction a translate as in the score range, within RESIDUAL_ACCEPT too.
+A bundle lies on a share lattice, and a vector in a subgroup sample, when
+it is within MEMBER_TOL of a member.  Cost extraction takes a difference
+vector as a new security when it leaves the span of the earlier ones by
+more than PIVOT_TOL of the largest difference.
 """
 from __future__ import annotations
 
@@ -31,6 +36,8 @@ SEARCH_XTOL = 1e-10
 BRACKET_PAD = 1e-13
 BRACKET_LIMIT = 2.0 ** 200
 RESIDUAL_ACCEPT = 1e-6
+MEMBER_TOL = 1e-9
+PIVOT_TOL = 1e-9
 
 INF = math.inf
 
@@ -745,9 +752,10 @@ def expected_payoff(d: Contract, p: Belief) -> float:
 
     On the real line the support splits into cells at the belief's knots
     and at the contract's breakpoints and transform kinks inside it.  The
-    CDF at every cell edge comes from one ``np.interp`` call; cell edges
-    ascend, so each cell's piece is found by a walk that only moves forward.
-    The cost is one interpolation plus cells times pieces.
+    CDF at every cell edge comes from one ``np.interp`` call.  Each cell
+    takes the piece that holds its lower end, the cell rule of ``combine``;
+    cell edges ascend, so that piece is found by a walk that only moves
+    forward.  The cost is one interpolation plus cells times pieces.
     """
     if d.values is not None:
         if p.pmf is None or p.space.labels != d.space.labels:
@@ -776,9 +784,8 @@ def expected_payoff(d: Contract, p: Belief) -> float:
         # density; the probability on it is below 1e-12
         if dens == 0.0 or math.isinf(dens):
             continue
-        # the piece holding the cell's midpoint
-        mid = 0.5 * (a + b)
-        while i < len(ends) and ends[i] <= mid:
+        # the piece holding the cell's lower end
+        while i < len(ends) and ends[i] <= a:
             i += 1
         c0, c1, c2 = d.pieces[i].coeffs
         cell = 0.0

@@ -2,8 +2,10 @@
 cost-extraction pipeline that rewrites a score-difference mechanism over a
 finite outcome space as shares + convex cost.
 
-Sign convention, fixed once: a trader pays C(q + v) - C(q) for the bundle
-v and receives v . phi(y), so the trade contract is
+A cost market is the scoring rule ``CostRule`` over share states, traded by
+``engine.MarketSession`` like any other rule.  Sign convention, fixed once:
+a trader pays C(q + v) - C(q) for the bundle v and receives v . phi(y), so
+buying v at the state q is the trade q -> q + v, whose contract is
     v . phi(y) - (C(q + v) - C(q)).
 """
 from __future__ import annotations
@@ -15,10 +17,11 @@ import numpy as np
 
 from .contracts import (
     INF,
+    MEMBER_TOL,
+    PIVOT_TOL,
+    RESIDUAL_ACCEPT,
     SEARCH_XTOL,
     OutcomeSpace,
-    combine,
-    contract_is_constant,
     finite_contract,
 )
 from .convex import (
@@ -78,16 +81,12 @@ class ShareSpace:
     def _b(self) -> np.ndarray:
         return np.asarray(self.basis, dtype=float)
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis) if self.basis is not None else 0
-
-    def contains(self, v, tol: float = 1e-9) -> bool:
+    def contains(self, v) -> bool:
         if self.basis is None:
             return True
         v = np.atleast_1d(np.asarray(v, dtype=float))
         n = np.linalg.solve(self._b(), v)
-        return bool(np.max(np.abs(n - np.round(n))) <= tol)
+        return bool(np.max(np.abs(n - np.round(n))) <= MEMBER_TOL)
 
     def lattice_points(self, bound: int, include_zero: bool = True) -> list:
         if self.basis is None:
@@ -211,12 +210,9 @@ class CostRule(ScoringRule):
         return max(vals) + self.cost.value(q0)
 
     def tn_candidate(self, r1, r1p, r2):
-        v = self._q(r1p) - self._q(r1)
-        out = self._q(r2) - v
-        return float(out[0]) if self.k == 1 else out
+        return self.pn_candidate([(r1, r1p)], r2)
 
-    def wn_candidate(self, r1, r1p, r2):
-        return self.tn_candidate(r1, r1p, r2)
+    wn_candidate = tn_candidate
 
     def pn_candidate(self, trades, r):
         total = np.zeros(self.k)
@@ -224,59 +220,6 @@ class CostRule(ScoringRule):
             total = total + self._q(rb) - self._q(ra)
         out = self._q(r) - total
         return float(out[0]) if self.k == 1 else out
-
-
-@dataclass
-class TradeResult:
-    bundle: np.ndarray
-    cost: float
-    contract: object
-
-
-class CostMarket:
-    """Mutable share state over a CostRule; trades advance the state."""
-
-    def __init__(self, rule: CostRule, q0=None):
-        self.rule = rule
-        self.state = rule._q(q0 if q0 is not None else np.zeros(rule.k))
-
-    @property
-    def k(self) -> int:
-        return self.rule.k
-
-    def trade(self, v) -> TradeResult:
-        v = self.rule._q(v)
-        if not self.rule.shares.contains(v):
-            raise InvalidReport(f"bundle {v.tolist()} is not in the share space")
-        q = self.state
-        cost = self.rule.cost.value(q + v) - self.rule.cost.value(q)
-        contract = finite_contract(self.rule.outcome_space,
-                                   self.rule.phi @ v - cost)
-        self.state = q + v
-        return TradeResult(bundle=v, cost=cost, contract=contract)
-
-    def price(self) -> np.ndarray:
-        return self.rule.price(self.state)
-
-    def neutralizing_bundle(self, trades: list[TradeResult]) -> tuple:
-        """Sell the summed position: v* = -sum(v_i).  Executes v* at the
-        current state and returns (v*, cash, diagnostics); cash is the
-        constant level of the post-trade net position."""
-        if not trades:
-            raise ValueError("empty position")
-        v_star = -sum((t.bundle for t in trades), np.zeros(self.k))
-        pre = combine([t.contract for t in trades], [1.0] * len(trades))
-        pre_inf = float(np.min(pre.values))
-        closing = self.trade(v_star)
-        net = combine([pre, closing.contract], [1.0, 1.0])
-        flat, cash = contract_is_constant(net, tol=1e-9)
-        diag = {
-            "flat": flat,
-            "pre_inf": pre_inf,
-            "improvement": cash - pre_inf,
-            "degenerate": bool(np.max(np.abs(v_star)) <= 1e-12),
-        }
-        return v_star, cash, diag
 
 
 def binary_lmsr_rule(shares: ShareSpace = ShareSpace.full()) -> CostRule:
@@ -298,15 +241,21 @@ def exp_family_rule(phi, outcome_space: OutcomeSpace | None = None) -> CostRule:
 # structure checks
 
 
-def check_open(rule: CostRule, rng=None, grad_samples: int = 100,
-               invert_targets: int = 9, tol: float = 1e-6) -> AxiomReport:
+# budgets of the seeded structure checks
+GRAD_SAMPLES = 100     # OPEN: sampled share states
+INVERT_TARGETS = 9     # OPEN: interior price targets inverted
+Q_SAMPLES = 40         # QUASI-OPEN on a full share space: states, directions
+MAX_PAIRS = 4000       # SUBGROUP: sums tried
+
+
+def check_open(rule: CostRule, rng=None) -> AxiomReport:
     """Openness: gradients stay strictly inside conv(phi) and every interior
-    grid target is hit by gradient inversion within tol."""
+    grid target is hit by gradient inversion within RESIDUAL_ACCEPT."""
     rng = rng or np.random.default_rng(0)
     if not rule.cost.differentiable:
         return AxiomReport(axiom="OPEN", verdict=FAILS, margin=0.0,
                            witness={"reason": "cost not differentiable"})
-    qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(grad_samples)]
+    qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(GRAD_SAMPLES)]
     min_margin = INF
     for q in qs:
         m = hull_margin(rule.phi, rule.cost.grad(q))
@@ -316,30 +265,29 @@ def check_open(rule: CostRule, rng=None, grad_samples: int = 100,
                 axiom="OPEN", verdict=FAILS, margin=m,
                 witness={"q": q.tolist(), "gradient": rule.cost.grad(q).tolist(),
                          "hull_margin": m},
-                budget={"grad_samples": grad_samples})
+                budget={"grad_samples": GRAD_SAMPLES})
     # interior targets: strict convex mixtures of the security payoffs
     misses = []
-    for _ in range(invert_targets):
+    for _ in range(INVERT_TARGETS):
         w = rng.uniform(0.2, 1.0, size=rule.phi.shape[0])
         w = w / np.sum(w)
         target = w @ rule.phi
         q = invert_gradient(rule.cost, target, SEARCH_XTOL)
         gap = INF if q is None else float(
             np.max(np.abs(rule.cost.grad(q) - target)))
-        if gap > tol:
+        if gap > RESIDUAL_ACCEPT:
             misses.append({"target": target.tolist(), "gap": gap})
     if misses:
         return AxiomReport(axiom="OPEN", verdict=FAILS, margin=-1.0,
                            witness={"unreached_targets": misses},
-                           budget={"grad_samples": grad_samples,
-                                   "invert_targets": invert_targets})
+                           budget={"grad_samples": GRAD_SAMPLES,
+                                   "invert_targets": INVERT_TARGETS})
     return AxiomReport(axiom="OPEN", verdict=HOLDS_AT_BUDGET, margin=min_margin,
-                       budget={"grad_samples": grad_samples,
-                               "invert_targets": invert_targets})
+                       budget={"grad_samples": GRAD_SAMPLES,
+                               "invert_targets": INVERT_TARGETS})
 
 
-def check_quasi_open(rule: CostRule, bound: int = 8, rng=None,
-                     q_samples: int = 40) -> AxiomReport:
+def check_quasi_open(rule: CostRule, bound: int = 8, rng=None) -> AxiomReport:
     """x . v < max_y v . phi(y) for sampled states q, directions v in the
     share space, and the subgradient selection x of C at q."""
     rng = rng or np.random.default_rng(0)
@@ -347,8 +295,8 @@ def check_quasi_open(rule: CostRule, bound: int = 8, rng=None,
         qs = rule.shares.lattice_points(bound)
         vs = rule.shares.lattice_points(bound, include_zero=False)
     else:
-        qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(q_samples)]
-        vs = [rng.normal(scale=2.0, size=rule.k) for _ in range(q_samples)]
+        qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(Q_SAMPLES)]
+        vs = [rng.normal(scale=2.0, size=rule.k) for _ in range(Q_SAMPLES)]
         vs = [v for v in vs if np.linalg.norm(v) > 1e-9]
     min_margin = INF
     for q in qs:
@@ -370,9 +318,10 @@ def check_quasi_open(rule: CostRule, bound: int = 8, rng=None,
                                "bound": bound})
 
 
-def price_bound_check(rule: CostRule, trials: int = 1000, rng=None,
-                      q_scale: float = 4.0, v_scale: float = 3.0) -> AxiomReport:
-    """max_y v . phi(y) > C(q + v) - C(q) on seeded (q, v) trials."""
+def price_bound_check(rule: CostRule, trials: int = 1000, rng=None) -> AxiomReport:
+    """max_y v . phi(y) > C(q + v) - C(q) on seeded (q, v) trials: lattice
+    states and bundles within 8 and 6 steps of zero, or normal draws of
+    scale 4 and 3 on a full share space."""
     rng = rng or np.random.default_rng(0)
     min_margin = INF
     worst = None
@@ -385,8 +334,8 @@ def price_bound_check(rule: CostRule, trials: int = 1000, rng=None,
                 n[0] = 1.0
             v = b @ n
         else:
-            q = rng.normal(scale=q_scale, size=rule.k)
-            v = rng.normal(scale=v_scale, size=rule.k)
+            q = rng.normal(scale=4.0, size=rule.k)
+            v = rng.normal(scale=3.0, size=rule.k)
             if np.linalg.norm(v) < 1e-6:
                 v = np.ones(rule.k)
         margin = float(np.max(rule.phi @ v)) - (
@@ -407,63 +356,43 @@ def price_bound_check(rule: CostRule, trials: int = 1000, rng=None,
 # subgroup structure of the cashless trade set
 
 
-def _present(sample: np.ndarray, candidate: np.ndarray, tol: float) -> bool:
-    return bool(np.min(np.max(np.abs(sample - candidate), axis=1)) <= tol)
-
-
-def check_subgroup(sample_d, exhaustive: bool = False, region=None,
-                   h_sample=None, membership=None, tol: float = 1e-9,
-                   max_pairs: int = 4000) -> AxiomReport:
+def check_subgroup(sample_d, region=None) -> AxiomReport:
     """Falsifier for the additive-subgroup structure of the cashless trade
-    contracts.
+    contracts: every -d and d + d' of the sample must be in it.
 
-    * exhaustive: ``sample_d`` is the complete set; any missing -d or d + d'
-      is a counterexample.
-    * region: predicate telling whether a candidate element should have been
-      sampled (lattice balls); closure is only demanded inside the region.
-    * membership + h_sample: oracle check that d + h stays in the cashless
-      score range, for rules whose reports are continuous.
-    """
+    With ``region`` None the sample is the complete set, so any missing
+    element is a counterexample.  Otherwise ``region`` tells whether a
+    candidate should have been sampled (lattice balls), and closure is only
+    demanded inside it.  The first MAX_PAIRS sums are tried."""
     arr = np.asarray([np.asarray(d, dtype=float).ravel() for d in sample_d])
+
+    def missing(cand) -> bool:
+        return (region is None or region(cand)) and \
+            np.min(np.max(np.abs(arr - cand), axis=1)) > MEMBER_TOL
+
     checked = 0
     for i in range(len(arr)):
-        cand = -arr[i]
-        if (exhaustive or (region is not None and region(cand))) \
-                and not _present(arr, cand, tol):
+        if missing(-arr[i]):
             return AxiomReport(
                 axiom="SUBGROUP", verdict=FAILS, margin=0.0,
                 witness={"kind": "negation", "d": arr[i].tolist()},
                 budget={"size": len(arr), "checked": checked})
     for i in range(len(arr)):
         for j in range(i, len(arr)):
-            if checked >= max_pairs:
+            if checked >= MAX_PAIRS:
                 break
             checked += 1
             cand = arr[i] + arr[j]
-            inside = exhaustive or (region is not None and region(cand))
-            if inside and not _present(arr, cand, tol):
+            if missing(cand):
                 return AxiomReport(
                     axiom="SUBGROUP", verdict=FAILS, margin=0.0,
                     witness={"kind": "sum", "d": arr[i].tolist(),
                              "d_prime": arr[j].tolist(),
                              "candidate": cand.tolist()},
                     budget={"size": len(arr), "checked": checked})
-    if membership is not None and h_sample is not None:
-        hs = np.asarray([np.asarray(h, dtype=float).ravel() for h in h_sample])
-        for d in arr:
-            for h in hs:
-                dist, at = membership(d + h)
-                if dist > max(1e-6, tol):
-                    return AxiomReport(
-                        axiom="SUBGROUP", verdict=FAILS, margin=dist,
-                        witness={"kind": "translate", "d": d.tolist(),
-                                 "h": h.tolist(), "distance": dist,
-                                 "closest_report": at},
-                        budget={"size": len(arr), "h_size": len(hs)})
-    verdict = HOLDS_AT_BUDGET
-    return AxiomReport(axiom="SUBGROUP", verdict=verdict, margin=0.0,
+    return AxiomReport(axiom="SUBGROUP", verdict=HOLDS_AT_BUDGET, margin=0.0,
                        budget={"size": len(arr), "checked": checked,
-                               "exhaustive": exhaustive})
+                               "exhaustive": region is None})
 
 
 def market_subgroup(rule: ScoringRule, bound: int = 8) -> AxiomReport:
@@ -477,10 +406,10 @@ def market_subgroup(rule: ScoringRule, bound: int = 8) -> AxiomReport:
 
         def region(cand):
             n = np.linalg.solve(b, pinv @ cand)
-            if np.max(np.abs(centered @ (b @ n) - cand)) > 1e-9:
+            if np.max(np.abs(centered @ (b @ n) - cand)) > MEMBER_TOL:
                 return False
-            return bool(np.all(np.abs(n) <= bound + 1e-9) and
-                        np.max(np.abs(n - np.round(n))) <= 1e-9)
+            return bool(np.all(np.abs(n) <= bound + MEMBER_TOL) and
+                        np.max(np.abs(n - np.round(n))) <= MEMBER_TOL)
 
         return check_subgroup([centered @ w
                                for w in rule.shares.lattice_points(bound)],
@@ -488,7 +417,7 @@ def market_subgroup(rule: ScoringRule, bound: int = 8) -> AxiomReport:
     if not isinstance(rule.report_space, FiniteReports):
         raise ValueError("SUBGROUP needs a finite rule or a lattice market")
     hs = _cashless_table(rule, rule.report_space.labels)
-    return check_subgroup([h1 - h2 for h1 in hs for h2 in hs], exhaustive=True)
+    return check_subgroup([h1 - h2 for h1 in hs for h2 in hs])
 
 
 def _cashless_table(rule: ScoringRule, reports) -> np.ndarray:
@@ -498,10 +427,11 @@ def _cashless_table(rule: ScoringRule, reports) -> np.ndarray:
     return scores - np.mean(scores, axis=1, keepdims=True)
 
 
-def score_range_membership(rule: ScoringRule, window: tuple,
-                           num: int = 4001):
+def score_range_membership(rule: ScoringRule, window: tuple):
     """Distance oracle to the cashless score range of a rule with scalar
-    reports: target -> (min distance, nearest report)."""
+    reports, from 4,001 reports across the window refined by golden
+    section: target -> (min distance, nearest report)."""
+    num = 4001
     grid = np.linspace(window[0], window[1], num)
     hs = _cashless_table(rule, grid.tolist())
 
@@ -562,8 +492,7 @@ def _lower_envelope_gap(shares: np.ndarray, costs: np.ndarray) -> tuple:
     return worst, worst_i
 
 
-def extract_cost_market(rule: ScoringRule, grid, pivot_tol: float = 1e-9,
-                        membership_window: tuple | None = None) -> Extraction:
+def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
     """Rewrite score differences on a report grid as shares and a cost.
 
     Steps: project score differences to the cashless hyperplane, pick a
@@ -574,7 +503,10 @@ def extract_cost_market(rule: ScoringRule, grid, pivot_tol: float = 1e-9,
     Finite report spaces are screened first for subgroup closure of the
     complete cashless difference set.  Rules whose extracted share count
     exceeds the intrinsic report dimension are rejected: their share image
-    is a lower-dimensional curve, not an additive subgroup.
+    is a lower-dimensional curve, not an additive subgroup; for scalar
+    reports the witness adds a translate d + h of a cashless score h by a
+    difference d that lies farther than RESIDUAL_ACCEPT from every
+    cashless score.
     """
     if not rule.outcome_space.is_finite:
         raise ValueError("cost extraction needs a finite outcome space")
@@ -585,7 +517,7 @@ def extract_cost_market(rule: ScoringRule, grid, pivot_tol: float = 1e-9,
 
     if isinstance(rule.report_space, FiniteReports):
         diffs = [h[i] - h[j] for i in range(len(h)) for j in range(len(h))]
-        sub = check_subgroup(diffs, exhaustive=True)
+        sub = check_subgroup(diffs)
         if not sub.ok:
             return Extraction(ok=False, failure_step="subgroup",
                               witness=sub.witness, reports=reports)
@@ -599,7 +531,7 @@ def extract_cost_market(rule: ScoringRule, grid, pivot_tol: float = 1e-9,
         for b in basis_orth:
             res = res - np.dot(res, b) * b
         norm = float(np.linalg.norm(res))
-        if norm > pivot_tol * scale:
+        if norm > PIVOT_TOL * scale:
             basis.append(row.copy())
             basis_orth.append(res / norm)
     k = len(basis)
@@ -617,22 +549,20 @@ def extract_cost_market(rule: ScoringRule, grid, pivot_tol: float = 1e-9,
                              "than the extracted span; the cashless trade "
                              "set cannot be an additive subgroup"}
         if intrinsic == 1:
-            window = membership_window
-            if window is None:
-                rs = [float(r) for r in reports]
-                span = max(rs) - min(rs)
-                window = (min(rs) - 2 * span, max(rs) + 2 * span)
-                if isinstance(rule.report_space, BoxReports):
-                    lo = float(rule.report_space.lo[0])
-                    hi = float(rule.report_space.hi[0])
-                    pad = 1e-6 * (hi - lo)
-                    window = (max(window[0], lo + pad),
-                              min(window[1], hi - pad))
-            oracle = score_range_membership(rule, window)
-            sub = check_subgroup([diffs[-1]], h_sample=[h[len(h) // 2]],
-                                 membership=oracle)
-            if not sub.ok:
-                witness["translate_witness"] = sub.witness
+            rs = [float(r) for r in reports]
+            span = max(rs) - min(rs)
+            window = (min(rs) - 2 * span, max(rs) + 2 * span)
+            if isinstance(rule.report_space, BoxReports):
+                lo = float(rule.report_space.lo[0])
+                hi = float(rule.report_space.hi[0])
+                pad = 1e-6 * (hi - lo)
+                window = (max(window[0], lo + pad), min(window[1], hi - pad))
+            d, hm = diffs[-1], h[len(h) // 2]
+            dist, at = score_range_membership(rule, window)(d + hm)
+            if dist > RESIDUAL_ACCEPT:
+                witness["translate_witness"] = {
+                    "kind": "translate", "d": d.tolist(), "h": hm.tolist(),
+                    "distance": dist, "closest_report": at}
         return Extraction(ok=False, failure_step="subgroup", witness=witness,
                           reports=reports, k=k, phi=phi)
 
@@ -663,20 +593,16 @@ def extract_cost_market(rule: ScoringRule, grid, pivot_tol: float = 1e-9,
                       solve_residual=residual, convexity_gap=gap)
 
 
-def reconstructed_trade_values(ext: Extraction, i: int, j: int) -> np.ndarray:
-    """Payoff vector of the trade grid[i] -> grid[j] in the extracted market."""
-    dv = ext.shares[j] - ext.shares[i]
-    dc = ext.cost_values[j] - ext.cost_values[i]
-    return ext.phi @ dv - dc
-
-
 def roundtrip_residual(rule: ScoringRule, ext: Extraction) -> float:
-    """Max |F_reconstructed - F| over all grid report pairs and outcomes."""
+    """Max |F_reconstructed - F| over all grid report pairs and outcomes,
+    where the extracted market pays phi . (v_j - v_i) - (c_j - c_i) for the
+    trade grid[i] -> grid[j]."""
     scores = rule.score_table(ext.reports)
     worst = 0.0
     for i in range(len(ext.reports)):
         for j in range(len(ext.reports)):
             direct = scores[j] - scores[i]
-            rebuilt = reconstructed_trade_values(ext, i, j)
+            rebuilt = ext.phi @ (ext.shares[j] - ext.shares[i]) - \
+                (ext.cost_values[j] - ext.cost_values[i])
             worst = max(worst, float(np.max(np.abs(direct - rebuilt))))
     return worst

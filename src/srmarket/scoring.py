@@ -60,7 +60,7 @@ class FiniteReports:
     def contains(self, r) -> bool:
         return r in self.labels
 
-    def grid(self, num: int | None = None) -> list:
+    def grid(self) -> list:
         return list(self.labels)
 
 
@@ -96,10 +96,11 @@ class BoxReports:
         return bool(np.all(r > self._lo) and np.all(r < self._hi)) and \
             (self.hull is None or hull_margin(self.hull, r) > STRUCT_TOL)
 
-    def grid(self, num: int = 51, inset: float = 0.02) -> list:
+    def grid(self, num: int = 51) -> list:
+        """``num`` points per axis, inset by 2% of the axis span."""
         axes = []
         for a, b in zip(self.lo, self.hi):
-            pad = inset * (b - a)
+            pad = 0.02 * (b - a)
             axes.append(np.linspace(a + pad, b - pad, num))
         if self.dim == 1:
             return [float(v) for v in axes[0]]
@@ -276,10 +277,6 @@ class FiniteRule(ScoringRule):
         self.report_space = FiniteReports(labels)
 
     @classmethod
-    def mode(cls, labels: Sequence) -> "ModeRule":
-        return ModeRule(labels)
-
-    @classmethod
     def weighted_mode(cls, labels: Sequence, weights: Sequence) -> "FiniteRule":
         w = np.asarray(weights, dtype=float)
         if np.any(w <= 0):
@@ -434,14 +431,15 @@ class ExpectationRule(PotentialRule):
         base = self.score_contract(r0)
         return top - float(np.min(base.values))
 
-    def divergence_probe(self, r0, v: float = 1.0, count: int = 12) -> list:
-        """Losses of a fixed trade r0 -> r0 + v on outcomes marching to
-        infinity; witnesses unbounded worst-case loss on the real line."""
+    def divergence_probe(self, r0) -> list:
+        """Losses of the trade r0 -> r0 + 1 on the 12 outcomes r0 + 4^i,
+        marching to infinity; witnesses unbounded worst-case loss on the
+        real line."""
         if self.phi is not None:
             raise ValueError("the divergence probe needs an unbounded domain")
         r0 = float(r0)
-        d = self.trade_contract(r0, r0 + v)
-        return [[r0 + 4.0 ** i, d(r0 + 4.0 ** i)] for i in range(count)]
+        d = self.trade_contract(r0, r0 + 1.0)
+        return [[r0 + 4.0 ** i, d(r0 + 4.0 ** i)] for i in range(12)]
 
     # analytic neutralization via share matching -----------------------------
 
@@ -569,11 +567,11 @@ class ExpectileRule(ScoringRule):
         above = Piece(float(x), INF, (t * x, -t, 0.0))
         return expected_payoff(piecewise_contract([below, above]), p)
 
-    def property_value(self, p: Belief, tol: float = SEARCH_XTOL) -> float:
+    def property_value(self, p: Belief) -> float:
         # the gap is strictly increasing in x, so bisection is globally safe
         a, b = p.support()
         return bisect(lambda x: self.identification_gap(x, p), 0.0,
-                      a - 1.0, b + 1.0, tol)
+                      a - 1.0, b + 1.0, SEARCH_XTOL)
 
     def wn_candidate(self, r1, r1p, r2):
         """Match tail slopes: g'(r2') - g'(r2) = g'(r1) - g'(r1p)."""

@@ -299,7 +299,7 @@ class TestCriterion3:
                 d0, _ = project_cashless(mode.score_contract(r))
                 hs.append(d0.values)
             sample = [a - b for a in hs for b in hs]
-            rep = check_subgroup(sample, exhaustive=True)
+            rep = check_subgroup(sample)
             assert rep.verdict == "fails" and rep.witness["kind"] == "sum"
 
             lat = ShareSpace.integer_lattice(1)

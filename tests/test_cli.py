@@ -214,6 +214,10 @@ class TestMain:
     def test_bad_config_exit_two(self, tmp_path, capsys):
         assert main(["check", "--config", "missing_config",
                      "--out", str(tmp_path)]) == 2
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main(["check", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("command,name,key", [
         ("check", "mode_market", "market"),
@@ -304,12 +308,109 @@ class TestMain:
                   "--jobs", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command,name,flag", [
+        ("extract", "extract_entropy", "--seed"),
+        ("figure", "fig_mode_position", "--seed"),
+        ("session", "session_mean", "--expect"),
+        ("extract", "extract_entropy", "--expect"),
+        ("figure", "fig_mode_position", "--expect")])
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+            self, tmp_path, command, name, flag):
+        golden = tmp_path / "golden.json"
+        golden.write_text("{}")
+        value = "1" if flag == "--seed" else str(golden)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", name, "--out", str(tmp_path / "out"),
+                  flag, value])
+        assert exc.value.code == 2
+
+    def test_session_seed_flag_changes_hash(self, tmp_path):
+        headers = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert main(["session", "--config", "session_mean",
+                         "--out", str(out), "--seed", seed]) == 0
+            text = (out / "session_mean__session.txt").read_text()
+            headers.append(text.splitlines()[2])
+        assert headers[0].startswith("# config_sha256:")
+        assert headers[0] != headers[1]
+
+    @pytest.mark.parametrize("command,name,edit,reason", [
+        # traders, outcome, grid, ic_beliefs, expected, trials, market,
+        # axioms
+        ("session", "session_mean", lambda c: c["traders"][0].pop("belief"),
+         "'belief'"),
+        ("session", "session_mean", lambda c: c.update(traders="abc"),
+         "'traders'"),
+        ("session", "session_mean", lambda c: c.update(outcome="abc"), "'abc'"),
+        ("extract", "extract_entropy", lambda c: c["grid"].pop("num"), "'num'"),
+        ("extract", "extract_entropy", lambda c: c["grid"].update(num="x"),
+         "extract grid"),
+        ("extract", "extract_entropy", lambda c: c.update(grid=5),
+         "extract grid"),
+        ("check", "mode_market", lambda c: c.update(ic_beliefs=5),
+         "'ic_beliefs'"),
+        ("check", "mode_market", lambda c: c.update(expected=["WN"]),
+         "'expected'"),
+        ("check", "lmsr_open", lambda c: c.update(
+            axioms=["PRICE-BOUND"], expected={}, price_bound_trials="x"),
+         "'price_bound_trials'"),
+        ("check", "mode_market", lambda c: c.update(market=5), "market block"),
+        ("check", "mode_market", lambda c: c.update(axioms=5), "'axioms'")])
+    def test_value_of_the_wrong_shape_exit_two(self, tmp_path, capsys, command,
+                                               name, edit, reason):
+        self._assert_config_error(tmp_path, capsys, command, name, edit, reason)
+
+    @pytest.mark.parametrize("command,name,edit,reason", [
+        # a potential, a share space, belief specs, figures
+        ("session", "session_mean",
+         lambda c: c["market"]["potential"].update(dimm=2), "dimm"),
+        ("check", "discretized_lmsr",
+         lambda c: c["market"]["shares"].update(kk=3), "kk"),
+        ("check", "discretized_lmsr",
+         lambda c: c["market"]["shares"].update(basis=[[1.0]]), "basis"),
+        ("session", "session_mean",
+         lambda c: c["traders"][0]["belief"].update(pmff=[1]), "pmff"),
+        ("session", "session_mean",
+         lambda c: c["traders"][0]["belief"].update(pmf=[1]), "exactly one"),
+        ("session", "session_mean", lambda c: c["traders"][0].update(
+            belief={"cdf": {"x": [0, 1], "F": [0, 1], "G": 1}}), "'G'"),
+        ("figure", "fig_mode_position", lambda c: c.update(r_lfet=2), "r_lfet"),
+        ("figure", "fig_mean_position", lambda c: c.update(seed=1), "seed")])
+    def test_unknown_nested_key_exit_two(self, tmp_path, capsys, command, name,
+                                         edit, reason):
+        self._assert_config_error(tmp_path, capsys, command, name, edit, reason)
+
+    @staticmethod
+    def _assert_config_error(tmp_path, capsys, command, name, edit, reason):
+        cfg = load_config(name)
+        edit(cfg)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert reason in err
+
     def test_expect_file_override(self, tmp_path):
         golden = tmp_path / "golden.json"
         golden.write_text(json.dumps({"WN": "holds"}))
         code = main(["check", "--config", "mode_market",
                      "--out", str(tmp_path), "--expect", str(golden)])
         assert code == 1
+
+    @pytest.mark.parametrize("golden,expected", [
+        ([["WN", "holds"]], {"WN": "fails"}), ({"WN": "fails"}, ["WN"])])
+    def test_expect_needs_objects(self, tmp_path, capsys, golden, expected):
+        cfg = load_config("mode_market")
+        cfg["expected"] = expected
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        (tmp_path / "golden.json").write_text(json.dumps(golden))
+        assert main(["check", "--config", str(path), "--out", str(tmp_path),
+                     "--expect", str(tmp_path / "golden.json")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_seed_flag_changes_hash(self, tmp_path):
         main(["check", "--config", "expectile_market",

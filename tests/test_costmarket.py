@@ -1,13 +1,24 @@
 """Cost-function markets: trades, prices, lattices, neutralization,
 openness checks, the price-bound inequality, subgroup falsification, and
-the cost-extraction pipeline."""
+the cost-extraction pipeline.
+
+A cost market is a ``CostRule`` traded by ``MarketSession``: buying the
+bundle v at the share state q is the trade q -> q + v, whose contract pays
+v . phi(y) - (C(q + v) - C(q))."""
 
 import math
 
 import numpy as np
 import pytest
 
-from srmarket.contracts import OutcomeSpace, finite_belief, logit, project_cashless
+from srmarket.contracts import (
+    OutcomeSpace,
+    combine,
+    contract_is_constant,
+    finite_belief,
+    logit,
+    project_cashless,
+)
 from srmarket.convex import (
     binary_negentropy,
     from_callables,
@@ -16,7 +27,6 @@ from srmarket.convex import (
     simplex_negentropy,
 )
 from srmarket.costmarket import (
-    CostMarket,
     CostRule,
     ShareSpace,
     binary_lmsr_rule,
@@ -80,32 +90,33 @@ class TestShareSpace:
             ShareSpace.lattice([[1.0, 1.0], [1.0, 1.0]])
 
 
+def buy(session: MarketSession, v):
+    """Buy the bundle v at the session's share state: its trade contract."""
+    return session.execute_trade("t", session.current + v)
+
+
 class TestTrading:
     def test_lmsr_cost_of_first_share(self):
-        m = CostMarket(binary_lmsr_rule(), 0.0)
-        t = m.trade(1.0)
-        assert t.cost == pytest.approx(math.log((1 + math.e) / 2), abs=1e-12)
-        assert np.allclose(t.contract.values, [-t.cost, 1.0 - t.cost])
+        d = buy(MarketSession(binary_lmsr_rule(), 0.0), 1.0)
+        cost = math.log((1 + math.e) / 2)
+        assert d.values == pytest.approx([-cost, 1.0 - cost], abs=1e-12)
 
     def test_zero_bundle_free(self):
-        m = CostMarket(binary_lmsr_rule(), 0.5)
-        t = m.trade(0.0)
-        assert t.cost == 0.0
-        assert np.allclose(t.contract.values, 0.0)
+        d = buy(MarketSession(binary_lmsr_rule(), 0.5), 0.0)
+        assert np.all(d.values == 0.0)
 
     def test_lattice_rejects_fractional(self):
-        m = CostMarket(discretized_lmsr_rule(), 0.0)
+        session = MarketSession(discretized_lmsr_rule(), 0.0)
         with pytest.raises(InvalidReport):
-            m.trade(0.5)
-        m.trade(2.0)  # integers fine
+            buy(session, 0.5)
+        buy(session, 2.0)  # integers fine
 
     def test_cost_path_independence(self):
         rule = binary_lmsr_rule()
-        m1 = CostMarket(rule, 0.0)
-        c_total = m1.trade(1.5).cost + m1.trade(-0.7).cost
-        m2 = CostMarket(rule, 0.0)
-        c_direct = m2.trade(0.8).cost
-        assert c_total == pytest.approx(c_direct, abs=1e-12)
+        s1 = MarketSession(rule, 0.0)
+        paid = buy(s1, 1.5).values + buy(s1, -0.7).values
+        direct = buy(MarketSession(rule, 0.0), 0.8).values
+        assert paid == pytest.approx(direct, abs=1e-12)
 
     def test_session_trade_validation_through_engine(self):
         from srmarket.engine import open_session
@@ -135,12 +146,11 @@ class TestTrading:
 
 class TestPrices:
     def test_lmsr_symmetry_at_zero(self):
-        m = CostMarket(binary_lmsr_rule(), 0.0)
-        assert m.price()[0] == pytest.approx(0.5, abs=1e-15)
+        assert binary_lmsr_rule().price(0.0)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_lmsr_price_at_log3(self):
-        m = CostMarket(binary_lmsr_rule(), math.log(3.0))
-        assert m.price()[0] == pytest.approx(0.75, abs=1e-12)
+        assert binary_lmsr_rule().price(math.log(3.0))[0] == \
+            pytest.approx(0.75, abs=1e-12)
 
     def test_exp_family_uniform_at_zero(self):
         phi = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -180,33 +190,41 @@ class TestBestResponse:
         assert np.max(np.abs(q - target)) <= 1e-5
 
 
+def neutralize(rule, bundles: list) -> tuple:
+    """Buy each bundle in turn from the zero state, then move to the
+    state ``pn_candidate`` picks: (closing bundle, held portfolio, net
+    position)."""
+    session = MarketSession(rule, 0.0)
+    held = [buy(session, v) for v in bundles]
+    trades = [(r.r_old, r.r_new) for r in session.records]
+    q_star = rule.pn_candidate(trades, session.current)
+    v_star = q_star - session.current
+    closing = session.execute_trade("t", q_star)
+    portfolio = combine(held, [1.0] * len(held))
+    return v_star, portfolio, combine([portfolio, closing], [1.0, 1.0])
+
+
 class TestNeutralization:
     def test_single_bundle(self):
-        m = CostMarket(binary_lmsr_rule(), 0.0)
-        t = m.trade(2.0)
-        v_star, cash, diag = m.neutralizing_bundle([t])
-        assert v_star[0] == -2.0
-        assert diag["flat"]
-        assert diag["improvement"] > 0
+        v_star, held, net = neutralize(binary_lmsr_rule(), [2.0])
+        assert v_star == -2.0
+        flat, cash = contract_is_constant(net, tol=1e-9)
+        assert flat
+        assert cash - float(np.min(held.values)) > 0
 
     def test_portfolio_cancellation(self):
-        m = CostMarket(binary_lmsr_rule(), 0.0)
-        ts = [m.trade(2.0), m.trade(-1.0), m.trade(3.0)]
-        v_star, cash, diag = m.neutralizing_bundle(ts)
-        assert v_star[0] == pytest.approx(-4.0)
-        assert diag["flat"]
+        v_star, _, net = neutralize(binary_lmsr_rule(), [2.0, -1.0, 3.0])
+        assert v_star == pytest.approx(-4.0)
+        assert contract_is_constant(net, tol=1e-9)[0]
 
     def test_empty_sum_is_degenerate(self):
-        m = CostMarket(binary_lmsr_rule(), 0.0)
-        ts = [m.trade(1.0), m.trade(-1.0)]
-        v_star, cash, diag = m.neutralizing_bundle(ts)
-        assert diag["degenerate"]
-        assert cash == pytest.approx(-(ts[0].cost + ts[1].cost), abs=1e-12)
-
-    def test_empty_position_rejected(self):
-        m = CostMarket(binary_lmsr_rule(), 0.0)
-        with pytest.raises(ValueError):
-            m.neutralizing_bundle([])
+        rule = binary_lmsr_rule()
+        v_star, _, net = neutralize(rule, [1.0, -1.0])
+        assert abs(v_star) <= 1e-12
+        costs = [rule.cost.value([1.0]) - rule.cost.value([0.0]),
+                 rule.cost.value([0.0]) - rule.cost.value([1.0])]
+        flat, cash = contract_is_constant(net, tol=1e-9)
+        assert flat and cash == pytest.approx(-sum(costs), abs=1e-12)
 
     def test_mean_market_share_matching(self):
         # quadratic-potential market over outcomes {0, 1}: holding the trade
@@ -220,8 +238,6 @@ class TestNeutralization:
         assert np.allclose(held.values, [-4.0, 0.0])
         cand = rule.tn_candidate(0.0, 2.0, 5.0)
         assert cand == pytest.approx(3.0, abs=1e-9)
-        from srmarket.contracts import combine, contract_is_constant
-
         net = combine([held, rule.trade_contract(5.0, cand)], [1.0, 1.0])
         flat, level = contract_is_constant(net, tol=1e-7)
         assert flat and level == pytest.approx(12.0, abs=1e-7)
@@ -296,7 +312,7 @@ class TestSubgroup:
             d0, _ = project_cashless(rule.score_contract(r))
             hs.append(d0.values)
         sample = [a - b for a in hs for b in hs]
-        rep = check_subgroup(sample, exhaustive=True)
+        rep = check_subgroup(sample)
         assert rep.verdict == "fails"
         assert rep.witness["kind"] == "sum"
         # the witness candidate is really absent from the closure sample
@@ -319,8 +335,15 @@ class TestSubgroup:
         assert rep.ok
 
     def test_singleton_zero_sample(self):
-        rep = check_subgroup([np.zeros(3)], exhaustive=True)
+        rep = check_subgroup([np.zeros(3)])
         assert rep.ok
+
+    def test_sample_without_its_negation_fails(self):
+        # with no region the sample is the whole set: a check that demands
+        # nothing cannot pass
+        rep = check_subgroup([np.array([1.0])])
+        assert rep.verdict == "fails"
+        assert rep.witness == {"kind": "negation", "d": [1.0]}
 
 
 class TestExtraction:

@@ -6,6 +6,7 @@ import math
 from bisect import bisect_right
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,7 @@ from srmarket.scoring import ExpectationRule, ExpectileRule, QuantileRule
 
 def reference_expected_payoff(d, p):
     """E_p d(Y) on the real line: per cell, the CDF at both ends from the
-    scalar ``Belief.cdf`` and the piece from a bisection at the midpoint."""
+    scalar ``Belief.cdf`` and the piece from a bisection at the lower end."""
     T = d.transform
     lo, hi = p.support()
     cuts = set(float(x) for x in p.xs)
@@ -43,7 +44,7 @@ def reference_expected_payoff(d, p):
         dens = (fb - fa) / (b - a)
         if dens == 0.0:
             continue
-        i = max(bisect_right(los, 0.5 * (a + b)) - 1, 0)
+        i = max(bisect_right(los, a) - 1, 0)
         c0, c1, c2 = d.pieces[i].coeffs
         cell = 0.0
         if c0 != 0.0:
@@ -156,6 +157,16 @@ def test_matches_reference_bit_for_bit(d, p):
     else:
         # the reference overflows on a cell narrower than the CDF's rounding
         assert math.isfinite(got)
+
+
+@pytest.mark.parametrize("x", [1.0, 1e300])
+def test_each_cell_takes_the_piece_at_its_lower_end(x):
+    # d pays 0 below x and x from x on; the belief puts half its mass on the
+    # one-ulp cell below x, whose midpoint rounds onto x
+    d = piecewise_contract([Piece(-INF, x, (0.0, 0.0, 0.0)),
+                            Piece(x, INF, (x, 0.0, 0.0))])
+    p = cdf_belief([0.0, math.nextafter(x, 0.0), x], [0.0, 0.5, 1.0])
+    assert expected_payoff(d, p) == 0.0
 
 
 def _elicitation_beliefs(rng, count, cells=6):

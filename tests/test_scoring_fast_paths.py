@@ -587,8 +587,8 @@ def test_score_range_membership_golden_equals_old_loop():
     rule = RatioRule(interval_negentropy(0.0, 3.0), [0.0, 1.0, 3.0],
                      [2.0, 1.0, 1.0])
     window = (0.05, 2.95)
-    got = score_range_membership(rule, window, num=301)
-    want = reference_score_range_membership(rule, window, num=301)
+    got = score_range_membership(rule, window)
+    want = reference_score_range_membership(rule, window, num=4001)
     rng = np.random.default_rng(36)
     targets = [project_cashless(rule.score_contract(float(r)))[0].values
                for r in rng.uniform(0.1, 2.9, 6)]
