@@ -22,6 +22,9 @@ import numpy as np
 
 from .contracts import (
     INF,
+    REPLAY_TOL,
+    STRUCT_TOL,
+    VERDICT_TOL,
     Belief,
     OutcomeMismatch,
     cdf_belief,
@@ -265,7 +268,7 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
             scores.append(vals[i])
             gap = _ic_gap(pick, gamma)
             worst = max(worst, gap)
-            if gap > step + 1e-9:
+            if gap > step + VERDICT_TOL:
                 return AxiomReport(
                     axiom="IC", verdict=FAILS, margin=gap,
                     witness={"belief": p.to_dict(), "state": _j(state),
@@ -397,7 +400,7 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
     grid_sup, sup_at = (float(sups[i]), grid[i]) if sups[i] > 0.0 else (0.0, r0)
     bound = rule.loss_bound(r0)
     if bound is not None:
-        if grid_sup > bound + 1e-9:
+        if grid_sup > bound + VERDICT_TOL:
             return AxiomReport(axiom="WCL", verdict=FAILS, margin=grid_sup,
                                witness={"reason": "closed-form bound violated",
                                         "bound": bound, "grid_sup": grid_sup,
@@ -442,20 +445,18 @@ def _improved(new_inf: float, base: float, delta: float) -> bool:
     return new_inf > base + delta
 
 
-def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig,
-                         analytic) -> list:
+def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig, analytic):
+    """A scenario's candidate trade targets, built as they are tried: the
+    analytic candidate first, then the share lattice around the state r2,
+    or local moves around it and then the candidate grid."""
+    if analytic is not None and rule.report_space.contains(analytic):
+        yield analytic
     shares = getattr(rule, "shares", None)
     if shares is not None and shares.is_lattice:
         base_q = np.atleast_1d(np.asarray(r2, dtype=float))
-        pts = shares.lattice_points(cfg.lattice_bound)
-        cands = [float((base_q + w)[0]) if len(w) == 1 else base_q + w
-                 for w in pts]
-        if analytic is not None and rule.report_space.contains(analytic):
-            cands.insert(0, analytic)
-        return cands
-    cands = []
-    if analytic is not None and rule.report_space.contains(analytic):
-        cands.append(analytic)
+        for w in shares.lattice_points(cfg.lattice_bound):
+            yield float((base_q + w)[0]) if len(w) == 1 else base_q + w
+        return
     # local moves around the state: small trades are the improving ones for
     # share-like markets whose cash is itself a security
     if isinstance(rule.report_space, RealReports):
@@ -469,14 +470,13 @@ def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig,
         while step > 1e-4 * span:
             for cand in (r2 + step, r2 - step):
                 if rule.report_space.contains(cand):
-                    cands.append(float(cand))
+                    yield float(cand)
             step *= 0.5
-    cands.extend(cfg.candidate_grid(rule))
-    return cands
+    yield from cfg.candidate_grid(rule)
 
 
 def _cash_level(net) -> float:
-    flat, level = contract_is_constant(net, tol=1e-9)
+    flat, level = contract_is_constant(net)
     return level if flat else -INF
 
 
@@ -487,7 +487,7 @@ def _worst_entry(net, c) -> dict:
 
 
 def _cash_entry(net, c) -> dict:
-    flat, level = contract_is_constant(net, tol=1e-9)
+    flat, level = contract_is_constant(net)
     lo, hi = contract_bounds(net)
     return {"candidate": _j(c), "flat": bool(flat),
             "level": level if flat else None,
@@ -571,15 +571,16 @@ def _neutralize(axiom: str, rule: ScoringRule, scenarios,
             degenerate += 1
             continue
         base, _ = contract_bounds(held)
-        cands = _scenario_candidates(rule, state, cfg,
-                                     getattr(rule, hook)(*scenario))
-        for c in cands:
+        tried = []
+        for c in _scenario_candidates(rule, state, cfg,
+                                      getattr(rule, hook)(*scenario)):
+            tried.append(c)
             best = value(_net(rule, held, state, c))
             if _improved(best, base, cfg.delta):
                 break
         else:
             _, _, margin, witness, budget = _failure(
-                axiom, rule, scenario, cands[:cap], len(scenarios), len(cands))
+                axiom, rule, scenario, tried[:cap], len(scenarios), len(tried))
             return AxiomReport(axiom=axiom, verdict=FAILS, margin=margin,
                                witness=witness, budget=budget)
         worst = min(worst, (best - base) if base > -INF else INF)
@@ -641,7 +642,7 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
     else:
         t_arr = np.atleast_1d(np.asarray(target, dtype=float))
         s_arr = np.atleast_1d(np.asarray(state, dtype=float))
-        at_target = float(np.max(np.abs(t_arr - s_arr))) <= 1e-12
+        at_target = float(np.max(np.abs(t_arr - s_arr))) <= STRUCT_TOL
         candidates = []
         for i in range(55):
             cand = s_arr + (t_arr - s_arr) * (0.5 ** i)
@@ -680,7 +681,7 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
 # A replay rebuilds a fails witness from the rule alone.  It recomputes the
 # numbers the witness stores with the check's own code, and the margin from
 # them as the check computed it; ``replay_witness`` raises AssertionError
-# when a recomputed number differs from the stored one by more than 1e-9
+# when a recomputed number differs from the stored one by more than REPLAY_TOL
 # (relative above 1), and each replay raises when the violation no longer
 # holds.
 
@@ -699,7 +700,7 @@ def replay_witness(rule: ScoringRule, report: AxiomReport) -> float:
     return float(margin)
 
 
-def _same(a, b, tol: float = 1e-9) -> bool:
+def _same(a, b, tol: float = REPLAY_TOL) -> bool:
     """JSON-like values equal up to tol * max(1, |b|) in every number."""
     if isinstance(a, dict):
         return isinstance(b, dict) and a.keys() == b.keys() and \
@@ -738,7 +739,7 @@ def _replay_wcl(rule, report) -> tuple:
         bound = rule.loss_bound(r0)
         grid_sup = contract_bounds(
             rule.trade_contract(r0, _unj(w["trade_to"])))[1]
-        _expect(grid_sup > bound + 1e-9, "WCL", "bound holds after all")
+        _expect(grid_sup > bound + VERDICT_TOL, "WCL", "bound holds after all")
         return {"bound": bound, "grid_sup": grid_sup}, grid_sup
     if "losses" in w:
         d = MarketSession(rule, r0).execute_trade("replay", _unj(w["trade_to"]))
@@ -786,7 +787,7 @@ def _replay_ic(rule, report) -> tuple:
         return {"argmax_scores": scores}, margin
     pick = _unj(w["argmax"])
     gap = _ic_gap(pick, gamma)
-    _expect(gap > w["grid_resolution"] + 1e-9, "IC",
+    _expect(gap > w["grid_resolution"] + VERDICT_TOL, "IC",
             "argmax lies within a grid step after all")
     score = expected_payoff(rule.trade_contract(_unj(w["state"]), pick), belief)
     return {"argmax_score": score, "property": _j(gamma)}, gap

@@ -7,19 +7,29 @@ payoff bounds and expectations against piecewise-linear CDFs exact: every
 piece is analyzed at its endpoints and vertex, and every integral has a
 closed form.
 
-Tolerance policy: structural identities (telescoping, projection) are
-held to STRUCT_TOL; anything derived from iterative optimization is held
-to OPT_TOL.  The searches of ``convex`` bracket a finite domain inset by
-BRACKET_PAD of its span and an infinite one by doubling out to
-BRACKET_LIMIT; one that does not run to adjacent floats stops at a bracket
-SEARCH_XTOL wide.  A gradient inversion in more than one dimension stops
-once its residual is within OPT_TOL and accepts its point within
-RESIDUAL_ACCEPT; openness counts a price target as reached, and cost
-extraction a translate as in the score range, within RESIDUAL_ACCEPT too.
-A bundle lies on a share lattice, and a vector in a subgroup sample, when
-it is within MEMBER_TOL of a member.  Cost extraction takes a difference
-vector as a new security when it leaves the span of the earlier ones by
-more than PIVOT_TOL of the largest difference.
+Tolerance policy: structural identities (telescoping, projection, a BTB
+state at its target) are held to STRUCT_TOL, and a lattice basis whose
+determinant is below it is singular; anything derived from iterative
+optimization is held to OPT_TOL.  The searches of ``convex`` bracket a
+finite domain inset by BRACKET_PAD of its span and an infinite one by
+doubling out to BRACKET_LIMIT, and a closed-form gradient inverse is
+attained within the same box; a search that does not run to adjacent
+floats stops at a bracket SEARCH_XTOL wide.  A gradient inversion in more
+than one dimension stops once its residual is within OPT_TOL and accepts
+its point within RESIDUAL_ACCEPT; openness counts a price target as
+reached, and cost extraction a translate as in the score range, within
+RESIDUAL_ACCEPT too.  A bundle lies on a share lattice, and a vector in a
+subgroup sample, when it is within MEMBER_TOL of a member, and a sampled
+direction within MEMBER_TOL of zero is zero.  Cost extraction takes a
+difference vector as a new security when it leaves the span of the earlier
+ones by more than PIVOT_TOL of the largest difference, and securities are
+affinely independent at that rank tolerance; extraction fits the shares and
+costs within FIT_TOL of their scale, in a report window inset by WINDOW_PAD
+of the report box's span.  A contract is cash when its payoff is constant
+within FLAT_TOL.  A grid verdict fails only past VERDICT_TOL: an IC argmax
+beyond a grid step of the property, a WCL grid sup above the closed-form
+bound.  A replayed witness reproduces when every number it recomputes is
+within REPLAY_TOL of the stored one (relative above 1).
 """
 from __future__ import annotations
 
@@ -38,6 +48,11 @@ BRACKET_LIMIT = 2.0 ** 200
 RESIDUAL_ACCEPT = 1e-6
 MEMBER_TOL = 1e-9
 PIVOT_TOL = 1e-9
+FIT_TOL = 1e-7
+WINDOW_PAD = 1e-6
+FLAT_TOL = 1e-9
+VERDICT_TOL = 1e-9
+REPLAY_TOL = 1e-9
 
 INF = math.inf
 
@@ -588,7 +603,7 @@ def project_cashless(d: Contract) -> tuple[Contract, float]:
     return d0, cash
 
 
-def contract_is_constant(d: Contract, tol: float = 1e-9) -> tuple[bool, float]:
+def contract_is_constant(d: Contract, tol: float = FLAT_TOL) -> tuple[bool, float]:
     """Whether the payoff is constant within tol; returns (flag, level)."""
     if d.values is not None:
         lvl = float(np.mean(d.values))

@@ -4,7 +4,8 @@ These power the expectation and ratio scoring families and every
 cost-function market.  A ConvexFn bundles an evaluator, a subgradient
 selection and domain bounds.  Every market trades by matching shares,
 which are gradients of a potential, so one gradient inversion
-(``invert_gradient``, on ``bracket`` and ``bisect``) serves all of them;
+(``invert_gradient``) serves all of them: the potential's closed-form
+``grad_inverse`` where it has one, else ``bracket`` and ``bisect``;
 ``golden_max`` is the one golden-section search.
 """
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .contracts import (
     OPT_TOL,
     RESIDUAL_ACCEPT,
     logit,
+    sigmoid,
 )
 
 
@@ -44,6 +46,9 @@ class ConvexFn:
     closure_fn: Callable[[np.ndarray], float] | None = None
     # vertices of a polytope that bounds the domain inside the box
     vertices: np.ndarray | None = None
+    # the inverse of the gradient in closed form, when the potential has one:
+    # the gradient of its convex conjugate, grad G*
+    grad_inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value(self, x) -> float:
         return float(self.value_fn(_vec(x)))
@@ -65,7 +70,7 @@ def _box(dim, lo, hi):
 
 
 def quadratic(dim: int = 1, lo=None, hi=None) -> ConvexFn:
-    """G(x) = ||x||^2 with gradient 2x."""
+    """G(x) = ||x||^2 with gradient 2x and inverse t / 2."""
     lo, hi = _box(dim, lo, hi)
     full = not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)))
     return ConvexFn(
@@ -75,11 +80,13 @@ def quadratic(dim: int = 1, lo=None, hi=None) -> ConvexFn:
         lo=lo, hi=hi,
         bounded=not full,
         name="quadratic",
+        grad_inverse=lambda t: 0.5 * t,
     )
 
 
 def binary_negentropy() -> ConvexFn:
-    """G(p) = p log p + (1-p) log(1-p) on (0, 1)."""
+    """G(p) = p log p + (1-p) log(1-p) on (0, 1); its gradient is the logit,
+    whose inverse is the sigmoid."""
 
     def val(x):
         p = x[0]
@@ -102,6 +109,7 @@ def binary_negentropy() -> ConvexFn:
         bounded=True,
         name="binary-negentropy",
         closure_fn=clo,
+        grad_inverse=lambda t: np.array([sigmoid(t[0])]),
     )
 
 
@@ -134,6 +142,7 @@ def interval_negentropy(lo: float, hi: float) -> ConvexFn:
         bounded=True,
         name=f"interval-negentropy[{lo},{hi}]",
         closure_fn=clo,
+        grad_inverse=lambda t: np.array([lo + span * sigmoid(span * t[0])]),
     )
 
 
@@ -142,7 +151,8 @@ def simplex_negentropy(k: int) -> ConvexFn:
 
     G(x) = sum_i x_i log x_i + x0 log x0 with x0 = 1 - sum x.  Off the open
     simplex the gradient is nan, which the searches read as not below a
-    target.
+    target.  The gradient log x - log x0 inverts to the softmax
+    e^t / (1 + sum e^t), shifted by the largest exponent.
     """
 
     def val(x):
@@ -159,6 +169,11 @@ def simplex_negentropy(k: int) -> ConvexFn:
         parts = list(x) + [1.0 - float(np.sum(x))]
         return sum(p * math.log(p) for p in parts if p > 0.0)
 
+    def inverse(t):
+        m = max(0.0, float(np.max(t)))
+        e = np.exp(t - m)
+        return e / (math.exp(-m) + float(np.sum(e)))
+
     return ConvexFn(
         dim=k,
         value_fn=val,
@@ -168,6 +183,7 @@ def simplex_negentropy(k: int) -> ConvexFn:
         name=f"simplex-negentropy-{k}",
         closure_fn=clo,
         vertices=np.vstack([np.zeros(k), np.eye(k)]),
+        grad_inverse=inverse,
     )
 
 
@@ -274,26 +290,33 @@ def golden_max(f, lo: float, hi: float, xtol: float = 0.0,
 
 
 def invert_gradient(fn: ConvexFn, target, xtol: float = 0.0):
-    """A point x with grad fn(x) = target, or None when the search finds none.
+    """A point x with grad fn(x) = target, or None when there is none.
 
-    Each gradient component is monotone in its own coordinate, so each
-    coordinate is bisected in turn with the others held: within the domain
-    box inset by BRACKET_PAD of its span where that box is finite, within a
-    doubled ``bracket`` elsewhere.  A scalar target is attained when its
+    The search box of each coordinate is the domain box inset by
+    BRACKET_PAD of its span where that box is finite, and the real line out
+    to BRACKET_LIMIT elsewhere.  A potential with a closed-form
+    ``grad_inverse`` returns it when it is finite and within that box.
+    Otherwise each gradient component is monotone in its own coordinate, so
+    each coordinate is bisected in turn with the others held, within the
+    box or a doubled ``bracket``.  A scalar target is attained when its
     bracket encloses it.  In more dimensions the coordinates cycle until the
     residual is within OPT_TOL, and the point is accepted within
     RESIDUAL_ACCEPT."""
     target = np.atleast_1d(np.asarray(target, dtype=float))
-    x = np.zeros(fn.dim)
     boxes = []
-    for i in range(fn.dim):
-        a, b = float(fn.lo[i]), float(fn.hi[i])
-        if math.isfinite(a) and math.isfinite(b):
-            pad = BRACKET_PAD * (b - a)
-            boxes.append((a + pad, b - pad))
-            x[i] = 0.5 * (boxes[i][0] + boxes[i][1])
-        else:
-            boxes.append(None)
+    for a, b in zip(fn.lo.tolist(), fn.hi.tolist()):
+        pad = BRACKET_PAD * (b - a)
+        boxes.append((a + pad, b - pad)
+                     if math.isfinite(a) and math.isfinite(b) else None)
+    if fn.grad_inverse is not None:
+        x = np.asarray(fn.grad_inverse(target), dtype=float)
+        for v, box in zip(x.tolist(), boxes):
+            if not (box[0] <= v <= box[1] if box is not None
+                    else abs(v) <= BRACKET_LIMIT):
+                return None
+        return x
+    x = np.array([0.5 * (box[0] + box[1]) if box is not None else 0.0
+                  for box in boxes])
 
     def solve(i) -> bool:
         def f(v):
@@ -323,21 +346,24 @@ def invert_gradient(fn: ConvexFn, target, xtol: float = 0.0):
         else None
 
 
-def hull_margin(points: np.ndarray, x) -> float:
-    """Signed distance of x to the boundary of conv(points): positive inside.
-
-    Exact interval arithmetic in one dimension; facet equations from the
-    convex hull otherwise.
-    """
+def hull_facets(points) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with conv(points) = {x : a @ x + b <= 0}, each row of a a unit
+    normal: exact intervals in one dimension, the convex hull's facet
+    equations otherwise."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    x = _vec(x)
     if pts.shape[1] == 1:
-        return float(min(x[0] - np.min(pts), np.max(pts) - x[0]))
+        return np.array([[-1.0], [1.0]]), \
+            np.array([float(np.min(pts)), -float(np.max(pts))])
     from scipy.spatial import ConvexHull
 
-    hull = ConvexHull(pts)
-    a = hull.equations[:, :-1]
-    b = hull.equations[:, -1]
-    return float(np.min(-(a @ x + b)))
+    eq = ConvexHull(pts).equations
+    return eq[:, :-1], eq[:, -1]
+
+
+def hull_margin(points: np.ndarray, x) -> float:
+    """Signed distance of x to the boundary of conv(points): positive
+    inside."""
+    a, b = hull_facets(points)
+    return float(np.min(-(a @ _vec(x) + b)))

@@ -16,11 +16,14 @@ from itertools import product
 import numpy as np
 
 from .contracts import (
+    FIT_TOL,
     INF,
     MEMBER_TOL,
     PIVOT_TOL,
     RESIDUAL_ACCEPT,
     SEARCH_XTOL,
+    STRUCT_TOL,
+    WINDOW_PAD,
     OutcomeSpace,
     finite_contract,
 )
@@ -70,7 +73,7 @@ class ShareSpace:
         b = np.asarray(basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("lattice basis must be square")
-        if abs(np.linalg.det(b)) < 1e-12:
+        if abs(np.linalg.det(b)) < STRUCT_TOL:
             raise ValueError("lattice basis must be invertible")
         return ShareSpace(tuple(tuple(row) for row in b))
 
@@ -131,7 +134,7 @@ class CostRule(ScoringRule):
         if self.phi.shape[1] != cost.dim:
             raise ValueError("phi columns must match the cost dimension")
         centered = self.phi - np.mean(self.phi, axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9) != self.phi.shape[1]:
+        if np.linalg.matrix_rank(centered, tol=PIVOT_TOL) != self.phi.shape[1]:
             raise ValueError("securities must be affinely independent")
         self.outcome_space = outcome_space
         self.shares = shares
@@ -297,7 +300,7 @@ def check_quasi_open(rule: CostRule, bound: int = 8, rng=None) -> AxiomReport:
     else:
         qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(Q_SAMPLES)]
         vs = [rng.normal(scale=2.0, size=rule.k) for _ in range(Q_SAMPLES)]
-        vs = [v for v in vs if np.linalg.norm(v) > 1e-9]
+        vs = [v for v in vs if np.linalg.norm(v) > MEMBER_TOL]
     min_margin = INF
     for q in qs:
         x = rule.cost.grad(q)
@@ -336,7 +339,7 @@ def price_bound_check(rule: CostRule, trials: int = 1000, rng=None) -> AxiomRepo
         else:
             q = rng.normal(scale=4.0, size=rule.k)
             v = rng.normal(scale=3.0, size=rule.k)
-            if np.linalg.norm(v) < 1e-6:
+            if np.linalg.norm(v) <= MEMBER_TOL:
                 v = np.ones(rule.k)
         margin = float(np.max(rule.phi @ v)) - (
             rule.cost.value(q + v) - rule.cost.value(q))
@@ -555,7 +558,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
             if isinstance(rule.report_space, BoxReports):
                 lo = float(rule.report_space.lo[0])
                 hi = float(rule.report_space.hi[0])
-                pad = 1e-6 * (hi - lo)
+                pad = WINDOW_PAD * (hi - lo)
                 window = (max(window[0], lo + pad), min(window[1], hi - pad))
             d, hm = diffs[-1], h[len(h) // 2]
             dist, at = score_range_membership(rule, window)(d + hm)
@@ -571,7 +574,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
     sol = sol.T  # one row per report: (v_1..v_k, g)
     recon = sol @ a.T
     residual = float(np.max(np.abs(recon - (scores - scores[0]))))
-    if residual > 1e-7 * scale:
+    if residual > FIT_TOL * scale:
         return Extraction(ok=False, failure_step="rank",
                           witness={"solve_residual": residual},
                           reports=reports, k=k, phi=phi)
@@ -579,7 +582,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
     cost_values = -sol[:, k]
 
     gap, at = _lower_envelope_gap(shares, cost_values)
-    if gap > 1e-7 * max(1.0, float(np.max(np.abs(cost_values)))):
+    if gap > FIT_TOL * max(1.0, float(np.max(np.abs(cost_values)))):
         return Extraction(ok=False, failure_step="convexity",
                           witness={"report": repr(reports[at]),
                                    "share": shares[at].tolist(),

@@ -19,6 +19,7 @@ from .contracts import (
     BRACKET_PAD,
     IDENTITY,
     INF,
+    PIVOT_TOL,
     REAL_LINE,
     SEARCH_XTOL,
     STRUCT_TOL,
@@ -38,7 +39,7 @@ from .convex import (
     bisect,
     bracket,
     golden_max,
-    hull_margin,
+    hull_facets,
     invert_gradient,
 )
 
@@ -75,12 +76,15 @@ class BoxReports:
     hull: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        # the corners converted once, since every validate_report asks; a
-        # scalar report of a 1-D box compares with plain floats
+        # the corners and the hull's facets converted once, since every
+        # validate_report asks; a scalar report of a 1-D box compares with
+        # plain floats
         object.__setattr__(self, "_lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "_hi", np.asarray(self.hi, dtype=float))
         object.__setattr__(self, "_interval", (float(self._lo[0]), float(self._hi[0]))
                            if self._lo.shape == (1,) and self.hull is None else None)
+        object.__setattr__(self, "_facets", None if self.hull is None
+                           else hull_facets(self.hull))
 
     @property
     def dim(self) -> int:
@@ -93,19 +97,26 @@ class BoxReports:
         r = np.atleast_1d(np.asarray(r, dtype=float))
         if r.shape != (self.dim,):
             return False
-        return bool(np.all(r > self._lo) and np.all(r < self._hi)) and \
-            (self.hull is None or hull_margin(self.hull, r) > STRUCT_TOL)
+        if not (np.all(r > self._lo) and np.all(r < self._hi)):
+            return False
+        if self._facets is None:
+            return True
+        a, b = self._facets
+        return float(np.min(-(a @ r + b))) > STRUCT_TOL
 
     def grid(self, num: int = 51) -> list:
-        """``num`` points per axis, inset by 2% of the axis span."""
+        """``num`` points per axis, inset by 2% of the axis span, less the
+        points the hull does not contain."""
         axes = []
         for a, b in zip(self.lo, self.hi):
             pad = 0.02 * (b - a)
             axes.append(np.linspace(a + pad, b - pad, num))
         if self.dim == 1:
-            return [float(v) for v in axes[0]]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return [np.array(v) for v in zip(*[m.ravel() for m in mesh])]
+            pts = [float(v) for v in axes[0]]
+        else:
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = [np.array(v) for v in zip(*[m.ravel() for m in mesh])]
+        return pts if self.hull is None else [p for p in pts if self.contains(p)]
 
 
 @dataclass(frozen=True)
@@ -236,18 +247,33 @@ class ScoringRule:
 def _coordinate_golden_max(f, x0: np.ndarray, box: BoxReports,
                            xtol: float) -> np.ndarray:
     """Golden-section search of each coordinate in turn, the others held,
-    for 5 cycles, within the box inset by BRACKET_PAD of its span."""
+    for 5 cycles, within the box inset by BRACKET_PAD of its span and, when
+    the box has a hull, within the hull inset by 2 STRUCT_TOL."""
     x = x0.astype(float).copy()
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
     pad = BRACKET_PAD * (hi - lo)
     for _ in range(5):
         for i in range(len(x)):
+            a, b = lo[i] + pad[i], hi[i] - pad[i]
+            if box._facets is not None:
+                # with the other coordinates held, facet j reads
+                # slope_j v + rest_j <= -2 STRUCT_TOL: a bound on v from
+                # above where slope_j > 0 and from below where it is < 0
+                normals, offsets = box._facets
+                slope = normals[:, i]
+                rest = normals @ x + offsets - slope * x[i]
+                ends = (-2.0 * STRUCT_TOL - rest) / np.where(slope == 0.0, 1.0, slope)
+                a = max([a] + ends[slope < 0.0].tolist())
+                b = min([b] + ends[slope > 0.0].tolist())
+                if not a < b:
+                    continue
+
             def slice_f(v, i=i):
                 z = x.copy()
                 z[i] = v
                 return f(z)
-            x[i] = golden_max(slice_f, lo[i] + pad[i], hi[i] - pad[i], xtol)
+            x[i] = golden_max(slice_f, a, b, xtol)
     return x
 
 
@@ -613,7 +639,7 @@ class RatioRule(PotentialRule):
         if self.phi.shape[1] != potential.dim:
             raise ValueError("phi columns must match the potential dimension")
         centered = self.phi - np.mean(self.phi, axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9) != self.phi.shape[1]:
+        if np.linalg.matrix_rank(centered, tol=PIVOT_TOL) != self.phi.shape[1]:
             raise ValueError("securities must be affinely independent")
         self.outcome_space = outcome_space
         if report_space is None:

@@ -236,6 +236,16 @@ class TestTN:
         assert rep.verdict == "fails"
         replay_witness(rule, rep)
 
+    def test_failure_lists_the_first_80_of_all_candidates_tried(self):
+        # candidates are built as they are tried; the witness keeps the
+        # first 80 and the budget counts every one
+        rule = ratio_rule()
+        rep = check_tn(rule, cfg=SearchConfig(candidate_points=101))
+        assert rep.verdict == "fails"
+        assert len(rep.witness["candidates"]) == 80
+        assert rep.budget["candidates"] == 125
+        replay_witness(rule, rep)
+
     def test_lattice_market_holds(self):
         rule = discretized_lmsr_rule()
         cfg = SearchConfig(seed=1, scenario_count=25, lattice_bound=6,

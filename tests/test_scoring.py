@@ -146,13 +146,26 @@ class TestExpectationRule:
         assert not rule.report_space.contains([0.8, 0.8])
         with pytest.raises(InvalidReport):
             rule.score_contract([0.8, 0.8])
-        with pytest.raises(InvalidReport):
-            rule.best_response(finite_belief(rule.outcome_space,
-                                             [0.2, 0.3, 0.5]))
         # the box alone still bounds a potential defined on all of it
         box = ExpectationRule(quadratic(2), phi=[[0.0, 0.0], [1.0, 0.0],
                                                  [0.0, 1.0]])
         assert box.report_space.contains([0.8, 0.8])
+
+    def test_simplex_searches_stay_in_the_hull(self):
+        # the report grid and the best response's coordinate search are cut
+        # to the simplex; on the whole box [0, 1]^2 both reached reports
+        # outside it and raised InvalidReport for every belief
+        from srmarket.axioms import check_arb, check_ic, check_wcl
+        rule = ExpectationRule(simplex_negentropy(2),
+                               phi=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        p = finite_belief(rule.outcome_space, [0.2, 0.3, 0.5])
+        r = rule.best_response(p)
+        assert float(np.max(np.abs(r - np.array([0.3, 0.5])))) < 1e-6
+        grid = rule.report_grid()
+        assert grid and all(rule.report_space.contains(g) for g in grid)
+        check_arb(rule)
+        check_ic(rule)
+        check_wcl(rule, np.array([0.2, 0.3]))
 
 
 class TestQuantileRule:

@@ -2,9 +2,16 @@
 code it replaced: ``RatioRule.invert_share`` stopping once its bracket
 stops moving, ``BoxReports.contains`` with its corners converted once, and
 the one search core of ``convex`` (``bisect``, ``bracket``, ``golden_max``
-and ``invert_gradient``) against the loops each caller hand-rolled."""
+and ``invert_gradient``) against the loops each caller hand-rolled.  The
+named potentials invert their gradients in closed form; the share-inversion
+tests run the bisection fallback, the same potential without its
+``grad_inverse``, and ``test_closed_form_inverses_are_within_ulps_of_exact``
+pins the closed forms against exact arithmetic."""
 
+import dataclasses
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,10 +72,17 @@ def reference_invert_share(rule, q):
     return out if rule.report_space.contains(out) else None
 
 
+def bisecting(fn):
+    """The potential fn without its closed-form inverse, so that
+    ``invert_gradient`` bisects."""
+    return dataclasses.replace(fn, grad_inverse=None)
+
+
 RATIO_RULES = {
-    "bounded": RatioRule(interval_negentropy(0.0, 3.0), [0.0, 1.0, 3.0],
-                         [2.0, 1.0, 1.0]),
-    "unbounded": RatioRule(quadratic(1), [0.0, 1.0, 3.0], [2.0, 1.0, 1.0]),
+    "bounded": RatioRule(bisecting(interval_negentropy(0.0, 3.0)),
+                         [0.0, 1.0, 3.0], [2.0, 1.0, 1.0]),
+    "unbounded": RatioRule(bisecting(quadratic(1)), [0.0, 1.0, 3.0],
+                           [2.0, 1.0, 1.0]),
 }
 
 
@@ -387,8 +401,8 @@ def _expectation_targets(kind, rule):
 
 @pytest.mark.parametrize("kind", ["binary_negentropy", "quadratic"])
 def test_expectation_invert_share_equals_old_loop(kind):
-    rule = ExpectationRule(binary_negentropy(), phi=[[0.0], [1.0]]) \
-        if kind == "binary_negentropy" else ExpectationRule(quadratic(1))
+    rule = ExpectationRule(bisecting(binary_negentropy()), phi=[[0.0], [1.0]]) \
+        if kind == "binary_negentropy" else ExpectationRule(bisecting(quadratic(1)))
     attained, sharper = set(), 0
     for q in _expectation_targets(kind, rule):
         got = rule.invert_share(q)
@@ -410,6 +424,53 @@ def test_expectation_invert_share_equals_old_loop(kind):
     assert sharper == (49 if kind == "quadratic" else 0)
 
 
+def exact_logistic_inverse(lo: float, span: float, t: float) -> Decimal:
+    """lo + span * sigmoid(span * t), the exact inverse of the (interval)
+    negative entropy's gradient, in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(lo) + Decimal(span) / (1 + (-Decimal(span) * Decimal(t)).exp())
+
+
+def _ulps(got: float, exact: Decimal) -> float:
+    return float(abs(Decimal(got) - exact) / Decimal(math.ulp(float(exact))))
+
+
+# potential, the reports whose shares are targets, and (lo, span) of a
+# logistic inverse; the bounded quadratic's reports reach beyond its box
+CLOSED_FORMS = {
+    "binary_negentropy": (binary_negentropy(), (0.0, 1.0), (0.0, 1.0)),
+    "interval_negentropy": (interval_negentropy(0.0, 3.0), (0.0, 3.0), (0.0, 3.0)),
+    "quadratic": (quadratic(1), (-2.0, 2.0), None),
+    "bounded_quadratic": (quadratic(1, lo=[-1.0], hi=[2.0]), (-1.5, 2.5), None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
+def test_closed_form_inverses_are_within_ulps_of_exact(kind):
+    fn, (a, b), logistic = CLOSED_FORMS[kind]
+    rng = np.random.default_rng(37)
+    targets = [fn.grad([r])[0] for r in rng.uniform(a, b, 200)]
+    if kind == "binary_negentropy":
+        targets += _expectation_targets(kind, ExpectationRule(fn, phi=[[0.0], [1.0]]))
+    elif kind == "quadratic":
+        targets += _expectation_targets(kind, ExpectationRule(fn))
+    found = 0
+    for t in targets:
+        got = invert_gradient(fn, t)
+        assert (got is None) == (invert_gradient(bisecting(fn), t) is None), t
+        if got is None:
+            continue
+        found += 1
+        if logistic is None:
+            assert Fraction(float(got[0])) == Fraction(float(t)) / 2, t
+        else:
+            # the bisection fallback is up to 24 ulps off on the binary
+            # targets and 9 on the interval ones
+            assert _ulps(float(got[0]), exact_logistic_inverse(*logistic, t)) <= 4.0, t
+    assert found >= 150
+
+
 def test_simplex_invert_share_matches_softmax():
     # the old loop raised "math domain error" on every target: its first
     # probe, the box midpoint (0.5, 0.5), lies on the simplex's edge; the
@@ -428,8 +489,16 @@ def test_simplex_invert_share_matches_softmax():
             assert float(np.max(np.abs(r - softmax))) < 1e-6
             assert float(np.max(np.abs(rule.potential.grad(r) - q))) \
                 <= RESIDUAL_ACCEPT
-    # the other six take more than 40 cycles to come within RESIDUAL_ACCEPT
-    assert found == 54
+    # the cycling bisection fallback misses six, which take more than 40
+    # cycles to come within RESIDUAL_ACCEPT
+    assert found == 60
+    # the softmax is shifted by the largest exponent, so it stays finite
+    # where e^t overflows; that point lies on the simplex's edge, outside
+    # the report space
+    far = np.array([800.0, 799.0])
+    w = 1.0 / (1.0 + math.exp(-1.0))
+    assert np.allclose(invert_gradient(rule.potential, far), [w, 1.0 - w])
+    assert rule.invert_share(far) is None
 
 
 LOG_PARTITIONS = {
