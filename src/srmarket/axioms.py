@@ -33,6 +33,7 @@ from .contracts import (
     contract_bounds,
     contract_is_constant,
     expected_payoff,
+    expected_scores,
     finite_belief,
     trade_bounds,
     trade_rows,
@@ -201,19 +202,20 @@ def _expected_trade_payoffs(rule: ScoringRule, grid, states):
     On a finite outcome space the grid and the states are scored once, and
     each value is the ``np.dot`` that ``expected_payoff`` takes of the
     trade's payoff vector.  On the real line each value is
-    E_p S(r, .) - E_p S(states[k], .), by linearity of expectation: one
-    ``expected_payoff`` per grid report per belief, plus one per state."""
+    E_p S(r, .) - E_p S(states[k], .), by linearity of expectation: the
+    grid's and the states' pieces are stacked once, and each belief reads
+    them in one ``expected_scores`` call."""
     if not rule.outcome_space.is_finite:
-        contracts = [rule.score_contract(r) for r in grid]
-        state_contracts = [rule.score_contract(s) for s in states]
+        ends, coeffs = rule.piece_table(list(grid) + list(states))
+        n = len(grid)
 
         @lru_cache(maxsize=1)
         def scores(p):
-            return [expected_payoff(c, p) for c in contracts]
+            return expected_scores(ends, coeffs, p, rule.transform)
 
         def values(p, k):
-            base = expected_payoff(state_contracts[k], p)
-            return [v - base for v in scores(p)]
+            s = scores(p)
+            return (s[:n] - s[n + k]).tolist()
         return values
     table = rule.score_table(grid)
     state_rows = rule.score_table(states)

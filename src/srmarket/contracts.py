@@ -5,44 +5,59 @@ real line are piecewise polynomials of degree <= 2 in a strictly
 increasing coordinate t = transform(y).  Restricting to this class keeps
 payoff bounds and expectations against piecewise-linear CDFs exact: every
 piece is analyzed at its endpoints and vertex, and every integral has a
-closed form.
+closed form.  A belief keeps, per transform, one moment table: the
+cumulative integrals of 1, s and s^2 dF at its knots and the transform's
+kinks, with s = t re-centred at the belief's mean of t where t is affine
+between kinks.  A piece's expectation is its coefficients dotted with the
+difference of the table read at its ends; ``expected_payoff`` and
+``expected_pieces`` read one payoff in floats, ``expected_scores`` many as
+arrays, by the same operations.
 
 Tolerance policy: structural identities (telescoping, projection, a BTB
 state at its target) are held to STRUCT_TOL, and a lattice basis whose
 determinant is below it is singular; anything derived from iterative
-optimization is held to OPT_TOL.  The searches of ``convex`` bracket a
-finite domain inset by BRACKET_PAD of its span and an infinite one by
+optimization is held to OPT_TOL.  Expected scores within TIE_TOL of the
+best tie, and the smallest tied report is picked (best responses over
+finite reports, the finite properties).  The searches of ``convex`` bracket
+a finite domain inset by BRACKET_PAD of its span and an infinite one by
 doubling out to BRACKET_LIMIT, and a closed-form gradient inverse is
-attained within the same box; a search that does not run to adjacent
-floats stops at a bracket SEARCH_XTOL wide.  A gradient inversion in more
-than one dimension stops once its residual is within OPT_TOL and accepts
-its point within RESIDUAL_ACCEPT; openness counts a price target as
-reached, and cost extraction a translate as in the score range, within
-RESIDUAL_ACCEPT too.  A bundle lies on a share lattice, and a vector in a
-subgroup sample, when it is within MEMBER_TOL of a member, and a sampled
-direction within MEMBER_TOL of zero is zero.  Cost extraction takes a
-difference vector as a new security when it leaves the span of the earlier
-ones by more than PIVOT_TOL of the largest difference, and securities are
-affinely independent at that rank tolerance; extraction fits the shares and
-costs within FIT_TOL of their scale, in a report window inset by WINDOW_PAD
-of the report box's span.  A contract is cash when its payoff is constant
-within FLAT_TOL.  A grid verdict fails only past VERDICT_TOL: an IC argmax
-beyond a grid step of the property, a WCL grid sup above the closed-form
-bound.  A replayed witness reproduces when every number it recomputes is
-within REPLAY_TOL of the stored one (relative above 1).
+attained within the same box; a search that does not run to adjacent floats
+stops at a bracket SEARCH_XTOL wide; a search of one coordinate at a time
+cycles until a cycle moves no coordinate by more than that width or no
+longer raises the objective, for at most SEARCH_CYCLES cycles.  A gradient
+inversion in more than one dimension stops once its residual is within
+OPT_TOL and accepts its point within RESIDUAL_ACCEPT; openness counts a
+price target as reached, and cost extraction a translate as in the score
+range, within RESIDUAL_ACCEPT too.  A bundle lies on a share lattice, and a
+vector in a subgroup sample, when it is within MEMBER_TOL of a member, and
+a sampled direction within MEMBER_TOL of zero is zero.  Cost extraction
+takes a difference vector as a new security when it leaves the span of the
+earlier ones by more than PIVOT_TOL of the largest difference, and
+securities are affinely independent at that rank tolerance; extraction fits
+the shares and costs within FIT_TOL of their scale, in a report window
+inset by WINDOW_PAD of the report box's span.  A contract is cash when its
+payoff is constant within FLAT_TOL, and a candidate outcome attains a
+contract's infimum within ATTAIN_TOL (relative above 1).  A grid verdict
+fails only past VERDICT_TOL: an IC argmax beyond a grid step of the
+property, a WCL grid sup above the closed-form bound.  A replayed witness
+reproduces when every number it recomputes is within REPLAY_TOL of the
+stored one (relative above 1).
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 STRUCT_TOL = 1e-12
 OPT_TOL = 1e-8
+TIE_TOL = 1e-12
 SEARCH_XTOL = 1e-10
+SEARCH_CYCLES = 200
+ATTAIN_TOL = 1e-9
 BRACKET_PAD = 1e-13
 BRACKET_LIMIT = 2.0 ** 200
 RESIDUAL_ACCEPT = 1e-6
@@ -153,19 +168,17 @@ class Transform:
     def inverse(self, t: float) -> float:
         return float(t)
 
+    # affine between kinks: a moment table re-centres t on the belief and
+    # integrates its powers as polynomials of the offset within a cell
+    affine = True
+
     def kinks(self) -> tuple:
-        """Interior points where the antiderivatives change formula."""
+        """Interior points where the slope changes."""
         return ()
 
-    def power_integral(self, k: int, a: float, b: float) -> float:
-        """Integral of t(y)**k dy over finite [a, b] free of kinks."""
-        if k == 0:
-            return b - a
-        if k == 1:
-            return (b * b - a * a) / 2.0
-        if k == 2:
-            return (b ** 3 - a ** 3) / 3.0
-        raise ValueError("degree above 2 unsupported")
+    def slope(self, y: float) -> float:
+        """dt/dy on the kink-free cell that starts at y (affine transforms)."""
+        return 1.0
 
     def key(self) -> tuple:
         return (self.name,)
@@ -194,15 +207,14 @@ class SigmoidTransform(Transform):
     def inverse(self, t: float) -> float:
         return logit(t)
 
-    def power_integral(self, k: int, a: float, b: float) -> float:
-        if k == 0:
-            return b - a
-        if k == 1:
-            return softplus(b) - softplus(a)
-        if k == 2:
-            # d/dy [softplus(y) - sigmoid(y)] = s - s(1 - s) = s^2
-            return (softplus(b) - sigmoid(b)) - (softplus(a) - sigmoid(a))
-        raise ValueError("degree above 2 unsupported")
+    affine = False
+
+    def antiderivatives(self, y: float) -> tuple:
+        """Antiderivatives of t and t^2 at y: softplus and, since
+        d/dy [softplus - sigmoid] = t - t(1 - t) = t^2, softplus less the
+        sigmoid."""
+        sp = softplus(y)
+        return sp, sp - sigmoid(y)
 
 
 SIGMOID = SigmoidTransform()
@@ -248,16 +260,8 @@ class PiecewiseLinearTransform(Transform):
     def kinks(self) -> tuple:
         return tuple(self.xs[1:-1])
 
-    def power_integral(self, k: int, a: float, b: float) -> float:
-        m, c = self._segment(0.5 * (a + b))
-        if k == 0:
-            return b - a
-        ta, tb = m * a + c, m * b + c
-        if k == 1:
-            return (tb * tb - ta * ta) / (2.0 * m)
-        if k == 2:
-            return (tb ** 3 - ta ** 3) / (3.0 * m)
-        raise ValueError("degree above 2 unsupported")
+    def slope(self, y: float) -> float:
+        return self._segment(y)[0]
 
     def key(self) -> tuple:
         return (self.name, tuple(self.xs), tuple(self.ts))
@@ -665,7 +669,7 @@ def contract_argmin(d: Contract) -> tuple[object, float, bool]:
             v = p.poly(T(y))
             if v < best[1]:
                 best = (y, v)
-    attained = abs(best[1] - lo) <= max(1e-12, 1e-9 * (1.0 + abs(lo)))
+    attained = abs(best[1] - lo) <= ATTAIN_TOL * (1.0 + abs(lo))
     return best[0], best[1], attained
 
 
@@ -681,10 +685,22 @@ class Belief:
     pmf: np.ndarray | None = None
     xs: np.ndarray | None = None
     fs: np.ndarray | None = None
+    # moment tables by transform key, built on first use
+    _moments: dict = field(default_factory=dict, repr=False)
 
     @property
     def is_finite(self) -> bool:
         return self.pmf is not None
+
+    def moments(self, transform: Transform) -> "MomentTable":
+        """The belief's moment table in the transform's coordinate."""
+        key = transform.key()
+        tab = self._moments.get(key)
+        if tab is None:
+            if self.xs is None:
+                raise OutcomeMismatch("belief kind must match the outcome space")
+            tab = self._moments[key] = MomentTable(self, transform)
+        return tab
 
     def cdf(self, y: float) -> float:
         x, f = self.xs, self.fs
@@ -704,8 +720,7 @@ class Belief:
         return float(self.xs[0]), float(self.xs[-1])
 
     def mean(self) -> float:
-        d = piecewise_contract([Piece(-INF, INF, (0.0, 1.0, 0.0))])
-        return expected_payoff(d, self)
+        return expected_pieces((), ((0.0, 1.0, 0.0),), self, IDENTITY)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size)
@@ -762,53 +777,171 @@ def uniform_belief(a: float, b: float) -> Belief:
     return cdf_belief([a, b], [0.0, 1.0])
 
 
-def expected_payoff(d: Contract, p: Belief) -> float:
-    """E_p d(Y), exact for the supported representations.
+class MomentTable:
+    """Cumulative moments M(y) = (F(y), int s dF, int s^2 dF) up to y of a
+    piecewise-linear CDF F, in the coordinate s = t - shift.
 
-    On the real line the support splits into cells at the belief's knots
-    and at the contract's breakpoints and transform kinks inside it.  The
-    CDF at every cell edge comes from one ``np.interp`` call.  Each cell
-    takes the piece that holds its lower end, the cell rule of ``combine``;
-    cell edges ascend, so that piece is found by a walk that only moves
-    forward.  The cost is one interpolation plus cells times pieces.
+    The cells run between the belief's knots and the transform's kinks
+    inside the support, and each holds the density of the belief cell it
+    lies in.  An affine transform is re-centred at the belief's mean of t,
+    and a cell's moments up to y are polynomials of the offset h = y - a
+    from its lower end a, with s(a) and the slope stored per cell; the
+    sigmoid keeps shift 0 and differences its antiderivatives.  ``at``
+    reads one point in plain floats, ``at_array`` an array of points, by
+    the same operations, so the two agree to the bit.
     """
+
+    def __init__(self, p: Belief, T: Transform):
+        lo, hi = p.support()
+        knots = sorted(set(p.xs.tolist()).union(
+            k for k in T.kinks() if lo < k < hi))
+        # the CDF is exactly 0 and 1 at the ends of the support, which the
+        # stored values meet only within STRUCT_TOL
+        f = np.array(p.fs)
+        f[0], f[-1] = 0.0, 1.0
+        dens = np.diff(f) / np.diff(p.xs)
+        cell = np.searchsorted(p.xs, knots[:-1], side="right") - 1
+        self.transform = T
+        self.knots = knots
+        self.dens = dens[cell].tolist()
+        self.affine = T.affine
+        if T.affine:
+            self.slopes = [T.slope(a) for a in knots[:-1]]
+            # centred at t(x0) first, then at the mean of t where it is
+            # finite: there the terms of an expectation, and so its
+            # rounding, are smallest
+            self._accumulate(T(knots[0]))
+            mean = self.shift + self.total[1]
+            if math.isfinite(mean):
+                self._accumulate(mean)
+        else:
+            self.anti = [T.antiderivatives(a) for a in knots]
+            self._accumulate(0.0)
+        # the same lists as arrays, for at_array; _local holds s(a) and the
+        # slope per cell, or the antiderivatives per knot
+        self._knots, self._dens, self._cum = (
+            np.array(v, dtype=float) for v in (knots, self.dens, self.cum))
+        self._local = np.array(list(zip(self.s_lo, self.slopes)) if T.affine
+                               else self.anti, dtype=float)
+
+    def _accumulate(self, shift: float) -> None:
+        self.shift = shift
+        if self.affine:
+            self.s_lo = [self.transform(a) - shift for a in self.knots[:-1]]
+        self.cum = [(0.0, 0.0, 0.0)]
+        for j, b in enumerate(self.knots[1:]):
+            self.cum.append(self._within(j, b))
+        self.total = self.cum[-1]
+
+    def _within(self, j: int, y: float) -> tuple:
+        """M(y) for y in cell j."""
+        m0, m1, m2 = self.cum[j]
+        h = y - self.knots[j]
+        w = self.dens[j]
+        if self.affine:
+            sa = self.s_lo[j]
+            mh = self.slopes[j] * h
+            return (m0 + w * h, m1 + w * (h * (sa + 0.5 * mh)),
+                    m2 + w * (h * (sa * sa + mh * (sa + mh / 3.0))))
+        a1, a2 = self.transform.antiderivatives(y)
+        b1, b2 = self.anti[j]
+        return m0 + w * h, m1 + w * (a1 - b1), m2 + w * (a2 - b2)
+
+    def at(self, y: float) -> tuple:
+        """M(y): zero below the support, the total above it."""
+        knots = self.knots
+        if y <= knots[0]:
+            return 0.0, 0.0, 0.0
+        if y >= knots[-1]:
+            return self.total
+        return self._within(bisect_right(knots, y) - 1, y)
+
+    def at_array(self, y: np.ndarray) -> np.ndarray:
+        """M at every entry of y, stacked on a last axis of 3."""
+        knots = self._knots
+        j = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, len(knots) - 2)
+        cum = self._cum[j]
+        h = y - knots[j]
+        w = self._dens[j]
+        local = self._local[j]
+        if self.affine:
+            sa = local[..., 0]
+            mh = local[..., 1] * h
+            parts = (h, h * (sa + 0.5 * mh), h * (sa * sa + mh * (sa + mh / 3.0)))
+        else:
+            # the float reader's antiderivatives, point by point: a narrow
+            # cell differences them, where another rounding would show
+            anti = np.array([self.transform.antiderivatives(v) for v in y.ravel().tolist()])
+            anti = anti.reshape(y.shape + (2,)) - local
+            parts = (h, anti[..., 0], anti[..., 1])
+        out = np.stack([cum[..., k] + w * parts[k] for k in range(3)], axis=-1)
+        out = np.where((y <= knots[0])[..., None], 0.0, out)
+        return np.where((y >= knots[-1])[..., None], self._cum[-1], out)
+
+
+def _shifted(c0, c1, c2, t0):
+    """Coefficients of c0 + c1 t + c2 t^2 in s = t - t0; floats or arrays."""
+    return c0 + t0 * (c1 + c2 * t0), c1 + 2.0 * c2 * t0, c2
+
+
+def expected_pieces(ends: Sequence[float], coeffs: Sequence, p: Belief,
+                    transform: Transform) -> float:
+    """E_p of the piecewise payoff whose P pieces carry ``coeffs`` (each
+    (c0, c1, c2) in the coordinate t = transform(y)) and break at the P - 1
+    ascending ``ends``: the float reader of the belief's moment table.
+
+    Each piece pays c . (M(hi) - M(lo)) in the table's coordinate, a piece
+    between two points of one cell included, so no point inside a piece is
+    computed; a zero coefficient adds nothing, whatever its moment.
+    """
+    tab = p.moments(transform)
+    t0 = tab.shift
+    prev = (0.0, 0.0, 0.0)
+    total = 0.0
+    for j, (c0, c1, c2) in enumerate(coeffs):
+        cur = tab.at(ends[j]) if j < len(ends) else tab.total
+        if t0 != 0.0:
+            c0, c1, c2 = _shifted(c0, c1, c2, t0)
+        if c0 != 0.0:
+            total += c0 * (cur[0] - prev[0])
+        if c1 != 0.0:
+            total += c1 * (cur[1] - prev[1])
+        if c2 != 0.0:
+            total += c2 * (cur[2] - prev[2])
+        prev = cur
+    return float(total)
+
+
+def expected_scores(ends: np.ndarray, coeffs: np.ndarray, p: Belief,
+                    transform: Transform) -> np.ndarray:
+    """``expected_pieces`` of R payoffs at once, the array reader of the same
+    table: ``ends`` has shape (R, P - 1) and ``coeffs`` (R, P, 3).  A row
+    with fewer pieces pads its ends with +inf and its coefficients with 0.
+    Each row takes the float reader's operations in its order."""
+    tab = p.moments(transform)
+    t0 = tab.shift
+    R, P, _ = coeffs.shape
+    with np.errstate(all="ignore"):
+        moments = tab.at_array(np.asarray(ends, dtype=float))
+        c = coeffs if t0 == 0.0 else np.stack(
+            _shifted(coeffs[..., 0], coeffs[..., 1], coeffs[..., 2], t0), axis=-1)
+        prev = np.zeros((R, 3))
+        total = np.zeros(R)
+        for j in range(P):
+            cur = moments[:, j] if j < P - 1 else np.array(tab.total)
+            for k in range(3):
+                ck = c[:, j, k]
+                total = total + np.where(ck != 0.0, ck * (cur[..., k] - prev[..., k]), 0.0)
+            prev = cur
+    return total
+
+
+def expected_payoff(d: Contract, p: Belief) -> float:
+    """E_p d(Y), exact for the supported representations: a dot product with
+    the pmf over a finite space, ``expected_pieces`` on the real line."""
     if d.values is not None:
         if p.pmf is None or p.space.labels != d.space.labels:
             raise OutcomeMismatch("belief kind must match the outcome space")
         return float(np.dot(d.values, p.pmf))
-    if p.pmf is not None:
-        raise OutcomeMismatch("belief kind must match the outcome space")
-    T = d.transform
-    lo, hi = p.support()
-    # where each piece but the last ends
-    ends = d.breakpoints()
-    cuts = set(p.xs.tolist())
-    cuts.update(b for b in ends if lo < b < hi)
-    cuts.update(k for k in T.kinks() if lo < k < hi)
-    edges = sorted(cuts)
-    # the CDF is exactly 0 and 1 at the ends of the support, which the
-    # stored values meet only within STRUCT_TOL
-    F = np.interp(edges, p.xs, p.fs).tolist()
-    F[0] = 0.0
-    F[-1] = 1.0
-    total = []
-    i = 0
-    for a, b, fa, fb in zip(edges, edges[1:], F, F[1:]):
-        dens = (fb - fa) / (b - a)
-        # a cell narrower than the CDF's rounding can carry an overflowing
-        # density; the probability on it is below 1e-12
-        if dens == 0.0 or math.isinf(dens):
-            continue
-        # the piece holding the cell's lower end
-        while i < len(ends) and ends[i] <= a:
-            i += 1
-        c0, c1, c2 = d.pieces[i].coeffs
-        cell = 0.0
-        if c0 != 0.0:
-            cell += c0 * T.power_integral(0, a, b)
-        if c1 != 0.0:
-            cell += c1 * T.power_integral(1, a, b)
-        if c2 != 0.0:
-            cell += c2 * T.power_integral(2, a, b)
-        total.append(dens * cell)
-    return float(math.fsum(total))
+    return expected_pieces(d.breakpoints(), [pc.coeffs for pc in d.pieces],
+                           p, d.transform)

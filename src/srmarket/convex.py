@@ -28,7 +28,9 @@ from .contracts import (
 
 
 def _vec(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    # np.atleast_1d, without its cost on the 1-D arrays most calls pass
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim else x.reshape(1)
 
 
 @dataclass(eq=False)

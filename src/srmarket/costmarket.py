@@ -25,7 +25,6 @@ from .contracts import (
     STRUCT_TOL,
     WINDOW_PAD,
     OutcomeSpace,
-    finite_contract,
 )
 from .convex import (
     ConvexFn,
@@ -162,10 +161,9 @@ class CostRule(ScoringRule):
         i = self.outcome_space.index(y)
         return float(np.dot(qv, self.phi[i])) - self.cost.value(qv)
 
-    def score_contract(self, q):
+    def score_row(self, q) -> np.ndarray:
         qv = self._q(q)
-        return finite_contract(self.outcome_space,
-                               self.phi @ qv - self.cost.value(qv))
+        return self.phi @ qv - self.cost.value(qv)
 
     def price(self, q) -> np.ndarray:
         """Instantaneous prices: the gradient (subgradient selection) of the
@@ -187,8 +185,7 @@ class CostRule(ScoringRule):
             return super().best_response(p, grid, xtol)
         if grid is None:
             grid = self._default_search_grid(p)
-        vals = [self.expected_score(q, p) for q in grid]
-        return grid[int(np.argmax(vals))]
+        return grid[int(np.argmax(self.grid_scores(grid, p)))]
 
     def _default_search_grid(self, p):
         if self.shares.is_lattice:

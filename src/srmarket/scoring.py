@@ -21,8 +21,10 @@ from .contracts import (
     INF,
     PIVOT_TOL,
     REAL_LINE,
+    SEARCH_CYCLES,
     SEARCH_XTOL,
     STRUCT_TOL,
+    TIE_TOL,
     Belief,
     Contract,
     OutcomeMismatch,
@@ -30,12 +32,14 @@ from .contracts import (
     Piece,
     Transform,
     combine,
-    expected_payoff,
+    expected_pieces,
+    expected_scores,
     finite_contract,
     piecewise_contract,
 )
 from .convex import (
     ConvexFn,
+    _vec,
     bisect,
     bracket,
     golden_max,
@@ -138,10 +142,15 @@ class RealReports:
 
 
 class ScoringRule:
+    """A rule defines ``score_contract``, or the form it wraps: ``score_row``
+    over a finite outcome space, ``score_pieces`` on the real line."""
+
     family = "abstract"
 
     outcome_space: OutcomeSpace
     report_space: object
+    # the coordinate of real-line score pieces
+    transform: Transform = IDENTITY
 
     # -- report plumbing ----------------------------------------------------
 
@@ -166,7 +175,24 @@ class ScoringRule:
         return self.score_contract(r)(y)
 
     def score_contract(self, r) -> Contract:
-        raise NotImplementedError
+        if self.outcome_space.is_finite:
+            return finite_contract(self.outcome_space, self.score_row(r))
+        ends, coeffs = self.score_pieces(r)
+        return piecewise_contract(map(Piece, (-INF, *ends), (*ends, INF), coeffs),
+                                  self.transform)
+
+    def score_row(self, r) -> np.ndarray:
+        """The payoffs of report r over a finite outcome space, the row
+        ``score_contract`` wraps before it checks them for finiteness.
+        Validates r."""
+        return self.score_contract(r).values
+
+    def score_pieces(self, r) -> tuple:
+        """``(ends, coeffs)`` of report r's real-line score: P pieces, each
+        (c0, c1, c2) in the coordinate ``transform``, breaking at P - 1
+        ascending ends.  Validates r."""
+        c = self.score_contract(r)
+        return c.breakpoints(), [p.coeffs for p in c.pieces]
 
     def score_table(self, reports) -> np.ndarray:
         """The payoff vectors of ``score_contract(r)`` for each report, one
@@ -174,16 +200,47 @@ class ScoringRule:
         report is validated as ``score_contract`` validates it."""
         if not self.outcome_space.is_finite:
             raise OutcomeMismatch("score tables need a finite outcome space")
-        rows = [self.score_contract(r).values for r in reports]
-        return np.array(rows).reshape(len(rows), self.outcome_space.n)
+        rows = [self.score_row(r) for r in reports]
+        table = np.array(rows, dtype=float).reshape(len(rows), self.outcome_space.n)
+        if not np.isfinite(table).all():
+            raise ValueError("payoffs must be finite")
+        return table
+
+    def piece_table(self, reports) -> tuple:
+        """``score_pieces`` of each report stacked for ``expected_scores``:
+        ends of shape (R, P - 1) and coefficients of shape (R, P, 3), rows
+        of fewer pieces padded with +inf ends and zero coefficients."""
+        rows = [self.score_pieces(r) for r in reports]
+        P = max(len(c) for _, c in rows)
+        ends = [tuple(e) + (INF,) * (P - 1 - len(e)) for e, _ in rows]
+        coeffs = [tuple(c) + ((0.0, 0.0, 0.0),) * (P - len(c)) for _, c in rows]
+        return (np.array(ends, dtype=float).reshape(len(rows), P - 1),
+                np.array(coeffs, dtype=float))
 
     def trade_contract(self, r_old, r_new) -> Contract:
         """The contract handed out for moving the state r_old -> r_new."""
         return combine([self.score_contract(r_new),
                         self.score_contract(r_old)], [1.0, -1.0])
 
+    def _pmf(self, p: Belief) -> np.ndarray:
+        if p.pmf is None or p.space.labels != self.outcome_space.labels:
+            raise OutcomeMismatch("belief kind must match the outcome space")
+        return p.pmf
+
     def expected_score(self, r, p: Belief) -> float:
-        return expected_payoff(self.score_contract(r), p)
+        if self.outcome_space.is_finite:
+            return _finite_values([self.score_row(r)], self._pmf(p))[0]
+        ends, coeffs = self.score_pieces(r)
+        return expected_pieces(ends, coeffs, p, self.transform)
+
+    def grid_scores(self, reports, p: Belief) -> list:
+        """``expected_score`` of each report: one dot product per payoff row
+        over a finite space, one ``expected_scores`` on the real line."""
+        if self.outcome_space.is_finite:
+            pmf = self._pmf(p)
+            return _finite_values([self.score_row(r) for r in reports], pmf)
+        return expected_scores(*self.piece_table(reports), p,
+                               self.transform).tolist()
 
     # -- elicitation --------------------------------------------------------
 
@@ -197,11 +254,11 @@ class ScoringRule:
         golden-section (the expected score is unimodal for every family)."""
         if grid is None:
             grid = self._default_search_grid(p)
-        vals = [self.expected_score(r, p) for r in grid]
+        vals = self.grid_scores(grid, p)
         i = int(np.argmax(vals))
         if isinstance(self.report_space, FiniteReports):
             best = max(vals)
-            ties = [g for g, v in zip(grid, vals) if best - v <= 1e-12]
+            ties = [g for g, v in zip(grid, vals) if best - v <= TIE_TOL]
             return min(ties)
         if getattr(self.report_space, "dim", 1) == 1 and np.isscalar(grid[0]):
             lo = grid[max(i - 1, 0)]
@@ -244,36 +301,60 @@ class ScoringRule:
         return None
 
 
+def _finite_values(rows, pmf: np.ndarray) -> list:
+    """E_p of each payoff row, ``float(np.dot(row, pmf))``; a row holding
+    inf or nan makes its value non-finite and raises."""
+    vals = [float(np.dot(row, pmf)) for row in rows]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("payoffs must be finite")
+    return vals
+
+
 def _coordinate_golden_max(f, x0: np.ndarray, box: BoxReports,
                            xtol: float) -> np.ndarray:
-    """Golden-section search of each coordinate in turn, the others held,
-    for 5 cycles, within the box inset by BRACKET_PAD of its span and, when
-    the box has a hull, within the hull inset by 2 STRUCT_TOL."""
-    x = x0.astype(float).copy()
+    """Golden-section search along each coordinate in turn, then along the
+    cycle's whole move (on a long diagonal ridge the moves of successive
+    cycles line up with it), within the box inset by BRACKET_PAD of its span
+    and, when the box has a hull, within the hull inset by 2 STRUCT_TOL.
+    The cycles stop once one moves no coordinate by more than xtol or no
+    longer raises f, whose rounding then decides the golden probes, and
+    after SEARCH_CYCLES."""
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
     pad = BRACKET_PAD * (hi - lo)
-    for _ in range(5):
-        for i in range(len(x)):
-            a, b = lo[i] + pad[i], hi[i] - pad[i]
-            if box._facets is not None:
-                # with the other coordinates held, facet j reads
-                # slope_j v + rest_j <= -2 STRUCT_TOL: a bound on v from
-                # above where slope_j > 0 and from below where it is < 0
-                normals, offsets = box._facets
-                slope = normals[:, i]
-                rest = normals @ x + offsets - slope * x[i]
-                ends = (-2.0 * STRUCT_TOL - rest) / np.where(slope == 0.0, 1.0, slope)
-                a = max([a] + ends[slope < 0.0].tolist())
-                b = min([b] + ends[slope > 0.0].tolist())
-                if not a < b:
-                    continue
+    # the search region as rows of normals @ x <= limits
+    eye = np.eye(len(x0))
+    normals, limits = np.vstack([eye, -eye]), np.concatenate([hi - pad, pad - lo])
+    if box._facets is not None:
+        a, b = box._facets
+        normals = np.vstack([normals, a])
+        limits = np.concatenate([limits, -b - 2.0 * STRUCT_TOL])
 
-            def slice_f(v, i=i):
-                z = x.copy()
-                z[i] = v
-                return f(z)
-            x[i] = golden_max(slice_f, a, b, xtol)
+    def line_max(x, d):
+        # x + s d stays in the region for s between the bounds each row sets;
+        # the box's rows bound s on both sides for any d != 0
+        slope = normals @ d
+        room = limits - normals @ x
+        s_lo = float(np.max(room[slope < 0.0] / slope[slope < 0.0]))
+        s_hi = float(np.min(room[slope > 0.0] / slope[slope > 0.0]))
+        if not s_lo < s_hi:
+            return x
+        s = golden_max(lambda s: f(x + s * d), s_lo, s_hi,
+                       xtol / float(np.max(np.abs(d))))
+        return x + s * d
+
+    x = x0.astype(float)
+    fx = f(x)
+    for _ in range(SEARCH_CYCLES):
+        start = x
+        for d in eye:
+            x = line_max(x, d)
+        if np.any(x != start):
+            x = line_max(x, x - start)
+        fy = f(x)
+        if not fy > fx or np.max(np.abs(x - start)) <= xtol:
+            return x
+        fx = fy
     return x
 
 
@@ -317,14 +398,14 @@ class FiniteRule(ScoringRule):
     def score(self, r, y) -> float:
         return float(self.matrix[self._row(r), self.outcome_space.index(y)])
 
-    def score_contract(self, r) -> Contract:
-        return finite_contract(self.outcome_space, self.matrix[self._row(r)])
+    def score_row(self, r) -> np.ndarray:
+        return self.matrix[self._row(r)]
 
     def property_value(self, p: Belief):
         expected = self.matrix @ p.pmf
         best = float(np.max(expected))
         return tuple(lbl for lbl, v in zip(self.report_space.labels, expected)
-                     if best - v <= 1e-12)
+                     if best - v <= TIE_TOL)
 
     def loss_bound(self, r0) -> float:
         # finitely many contracts: the loss is one of them, hence bounded
@@ -345,7 +426,7 @@ class ModeRule(FiniteRule):
         # direct argmax of the pmf, independent of the score matrix
         best = float(np.max(p.pmf))
         return tuple(lbl for lbl, v in zip(self.outcome_space.labels, p.pmf)
-                     if best - v <= 1e-12)
+                     if best - v <= TIE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +445,7 @@ class PotentialRule(ScoringRule):
 
     def _r(self, r) -> np.ndarray:
         self.validate_report(r)
-        return np.atleast_1d(np.asarray(r, dtype=float))
+        return _vec(r)
 
     def share(self, r) -> np.ndarray:
         return self.potential.grad(self._r(r))
@@ -432,16 +513,19 @@ class ExpectationRule(PotentialRule):
             ph = self.phi[self.outcome_space.index(y)]
         return g + float(np.dot(dg, ph - rv))
 
-    def score_contract(self, r) -> Contract:
+    def _affine(self, r) -> tuple:
+        """G(r) - dG_r . r and dG_r: the score is their sum with dG_r . phi."""
         rv = self._r(r)
-        g = self.potential.value(rv)
         dg = self.potential.grad(rv)
-        base = g - float(np.dot(dg, rv))
-        if self.phi is None:
-            return piecewise_contract(
-                [Piece(-INF, INF, (base, float(dg[0]), 0.0))])
-        values = base + self.phi @ dg
-        return finite_contract(self.outcome_space, values)
+        return self.potential.value(rv) - float(np.dot(dg, rv)), dg
+
+    def score_row(self, r) -> np.ndarray:
+        base, dg = self._affine(r)
+        return base + self.phi @ dg
+
+    def score_pieces(self, r) -> tuple:
+        base, dg = self._affine(r)
+        return (), ((base, float(dg[0]), 0.0),)
 
     def property_value(self, p: Belief):
         if self.phi is None:
@@ -508,13 +592,11 @@ class QuantileRule(ScoringRule):
         ind = 1.0 if r >= y else 0.0
         return (self.alpha - ind) * (g(r) - g(y))
 
-    def score_contract(self, r) -> Contract:
+    def score_pieces(self, r) -> tuple:
         self.validate_report(r)
         a = self.alpha
         gr = self.transform(r)
-        below = Piece(-INF, float(r), ((a - 1.0) * gr, 1.0 - a, 0.0))
-        above = Piece(float(r), INF, (a * gr, -a, 0.0))
-        return piecewise_contract([below, above], self.transform)
+        return (float(r),), (((a - 1.0) * gr, 1.0 - a, 0.0), (a * gr, -a, 0.0))
 
     def property_value(self, p: Belief) -> float:
         return p.quantile(self.alpha)
@@ -571,7 +653,7 @@ class ExpectileRule(ScoringRule):
         breg = self.g(y) - self.g(r) - self.gprime(r) * (y - r)
         return -self._weight(r, y) * breg
 
-    def score_contract(self, r) -> Contract:
+    def score_pieces(self, r) -> tuple:
         self.validate_report(r)
         if self.g_coeffs is None:
             raise InvalidReport(
@@ -579,19 +661,17 @@ class ExpectileRule(ScoringRule):
         a = self.g_coeffs[2]
         r = float(r)
 
-        def piece(w, lo, hi):
+        def piece(w):
             # -w * a * (y - r)^2
-            return Piece(lo, hi, (-w * a * r * r, 2.0 * w * a * r, -w * a))
+            return -w * a * r * r, 2.0 * w * a * r, -w * a
 
-        return piecewise_contract(
-            [piece(1.0 - self.tau, -INF, r), piece(self.tau, r, INF)])
+        return (r,), (piece(1.0 - self.tau), piece(self.tau))
 
     def identification_gap(self, x: float, p: Belief) -> float:
         """E_p |1{x >= Y} - tau| (x - Y); the expectile is its unique root."""
         t = self.tau
-        below = Piece(-INF, float(x), ((1 - t) * x, -(1 - t), 0.0))
-        above = Piece(float(x), INF, (t * x, -t, 0.0))
-        return expected_payoff(piecewise_contract([below, above]), p)
+        return expected_pieces((float(x),), (((1 - t) * x, -(1 - t), 0.0),
+                                             (t * x, -t, 0.0)), p, IDENTITY)
 
     def property_value(self, p: Belief) -> float:
         # the gap is strictly increasing in x, so bisection is globally safe
@@ -657,12 +737,11 @@ class RatioRule(PotentialRule):
         return self.b[i] * self.potential.value(rv) + float(
             np.dot(dg, self.phi[i] - rv * self.b[i]))
 
-    def score_contract(self, r) -> Contract:
+    def score_row(self, r) -> np.ndarray:
         rv = self._r(r)
         g = self.potential.value(rv)
         dg = self.potential.grad(rv)
-        values = self.b * (g - float(np.dot(dg, rv))) + self.phi @ dg
-        return finite_contract(self.outcome_space, values)
+        return self.b * (g - float(np.dot(dg, rv))) + self.phi @ dg
 
     def property_value(self, p: Belief):
         num = p.pmf @ self.phi

@@ -1,7 +1,9 @@
 """Differential test: the merge-walk ``combine`` against a reference that
 bisects each operand's piece starts at every cell's lower end.  Outputs must
 be equal bit for bit.  Regression tests pin each cell's sum at its lower end
-against ``Contract.__call__`` of the operands."""
+against ``Contract.__call__`` of the operands, and property tests hold
+``combine`` linear and associative within STRUCT_TOL of its operands'
+coefficient scale."""
 
 from bisect import bisect_right
 
@@ -15,8 +17,11 @@ from srmarket.contracts import (
     INF,
     SIGMOID,
     STRUCT_TOL,
+    OutcomeSpace,
     Piece,
     combine,
+    contract_table,
+    finite_contract,
     piecewise_contract,
 )
 from srmarket.scoring import ExpectileRule, QuantileRule
@@ -103,6 +108,70 @@ def test_matches_reference_bit_for_bit(case):
     contracts, weights = case
     got = combine(contracts, weights).to_dict()
     assert got == reference_combine(contracts, weights).to_dict()
+
+
+@st.composite
+def contracts_on(draw, transform):
+    """A piecewise contract of 1-4 pieces in the given coordinate, or a
+    payoff vector over three outcomes when the coordinate is None."""
+    if transform is None:
+        return finite_contract(SPACE3, draw(st.lists(COEFFS, min_size=3, max_size=3)))
+    cuts = sorted(set(draw(st.lists(EDGES, max_size=3))))
+    edges = [-INF] + cuts + [INF]
+    flat = draw(st.lists(COEFFS, min_size=3 * len(cuts) + 3, max_size=3 * len(cuts) + 3))
+    return piecewise_contract([Piece(lo, hi, tuple(flat[3 * i:3 * i + 3]))
+                               for i, (lo, hi) in enumerate(zip(edges, edges[1:]))],
+                              transform)
+
+
+SPACE3 = OutcomeSpace.finite([0, 1, 2])
+
+
+@st.composite
+def operand_triples(draw):
+    transform = draw(st.sampled_from([IDENTITY, SIGMOID, None]))
+    return [draw(contracts_on(transform)) for _ in range(3)]
+
+
+def _coefficients(contracts):
+    """Each contract's coefficients on the union of all their breakpoints,
+    or its payoff vector: comparable arrays however ``combine`` compacted."""
+    if contracts[0].values is not None:
+        return np.array([c.values for c in contracts])
+    return contract_table(contracts)[1]
+
+
+def _scale(contracts, weights):
+    """The largest weighted coefficient of any operand."""
+    return max([abs(w) * float(np.max(np.abs(_coefficients([c]))))
+                for c, w in zip(contracts, weights)] + [0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand_triples(), WEIGHTS, WEIGHTS)
+def test_combine_is_linear_within_struct_tol(ds, a, b):
+    d1, d2, _ = ds
+    direct = combine([d1, d2], [a, b])
+    summed = combine([combine([d1], [a]), combine([d2], [b])], [1.0, 1.0])
+    scaled = combine([combine([d1, d2], [1.0, 1.0])], [a])
+    both = combine([d1, d2], [a, a])
+    for lhs, rhs, scale in ((direct, summed, _scale([d1, d2], [a, b])),
+                            (scaled, both, _scale([d1, d2], [a, a]))):
+        x, y = _coefficients([lhs, rhs])
+        assert float(np.max(np.abs(x - y))) <= STRUCT_TOL * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand_triples(), st.lists(WEIGHTS, min_size=3, max_size=3))
+def test_combine_is_associative_within_struct_tol(ds, w):
+    d1, d2, d3 = ds
+    left = combine([combine([d1, d2], w[:2]), d3], [1.0, w[2]])
+    right = combine([d1, combine([d2, d3], w[1:])], [w[0], 1.0])
+    flat = combine(ds, w)
+    scale = _scale(ds, w)
+    x, y, z = _coefficients([left, right, flat])
+    assert float(np.max(np.abs(x - z))) <= STRUCT_TOL * scale
+    assert float(np.max(np.abs(y - z))) <= STRUCT_TOL * scale
 
 
 def _ledger_contracts(rule, reports):

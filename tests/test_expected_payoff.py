@@ -1,9 +1,11 @@
-"""``expected_payoff`` on the real line: a differential test against the
-cell-by-cell implementation it replaced, kept here as the reference (outputs
-must be equal bit for bit), and property tests of the expectation itself."""
+"""``expected_payoff`` on the real line: the moment table's readers against
+an exact rational reference and the cell-by-cell implementation they
+replaced, kept here, the array reader against the float reader, and
+property tests of the expectation itself."""
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from srmarket.contracts import (
     IDENTITY,
     INF,
     REAL_LINE,
+    SEARCH_XTOL,
     SIGMOID,
     Piece,
     PiecewiseLinearTransform,
@@ -21,16 +24,37 @@ from srmarket.contracts import (
     combine,
     contract_bounds,
     expected_payoff,
+    expected_scores,
     ones_contract,
     piecewise_contract,
+    sigmoid,
+    softplus,
+    uniform_belief,
 )
-from srmarket.convex import quadratic
-from srmarket.scoring import ExpectationRule, ExpectileRule, QuantileRule
+from srmarket.convex import golden_max, quadratic
+from srmarket.scoring import ExpectationRule, ExpectileRule, QuantileRule, ScoringRule
+
+
+def power_integral(T, k, a, b):
+    """Integral of T(y)**k dy over a finite [a, b] free of kinks."""
+    if k == 0:
+        return b - a
+    if T is SIGMOID:
+        # d/dy [softplus(y) - sigmoid(y)] = s - s(1 - s) = s^2
+        def anti(y):
+            return softplus(y) if k == 1 else softplus(y) - sigmoid(y)
+        return anti(b) - anti(a)
+    if isinstance(T, PiecewiseLinearTransform):
+        m, c = T._segment(0.5 * (a + b))
+        ta, tb = m * a + c, m * b + c
+        return (tb ** (k + 1) - ta ** (k + 1)) / ((k + 1) * m)
+    return (b ** (k + 1) - a ** (k + 1)) / (k + 1)
 
 
 def reference_expected_payoff(d, p):
-    """E_p d(Y) on the real line: per cell, the CDF at both ends from the
-    scalar ``Belief.cdf`` and the piece from a bisection at the lower end."""
+    """E_p d(Y) on the real line, cell by cell as before the moment table:
+    per cell, the CDF at both ends from the scalar ``Belief.cdf``, the piece
+    from a bisection at the lower end, and the power integrals of t."""
     T = d.transform
     lo, hi = p.support()
     cuts = set(float(x) for x in p.xs)
@@ -48,13 +72,68 @@ def reference_expected_payoff(d, p):
         c0, c1, c2 = d.pieces[i].coeffs
         cell = 0.0
         if c0 != 0.0:
-            cell += c0 * T.power_integral(0, a, b)
+            cell += c0 * power_integral(T, 0, a, b)
         if c1 != 0.0:
-            cell += c1 * T.power_integral(1, a, b)
+            cell += c1 * power_integral(T, 1, a, b)
         if c2 != 0.0:
-            cell += c2 * T.power_integral(2, a, b)
+            cell += c2 * power_integral(T, 2, a, b)
         total.append(dens * cell)
     return float(math.fsum(total))
+
+
+def exact_expected_payoff(d, p):
+    """E_p d(Y) in rational arithmetic, for the identity and piecewise-linear
+    transforms: the belief's CDF with its end values set to 0 and 1, each
+    cell of knots, breakpoints and kinks taking the piece at its lower end,
+    and the exact integrals of the affine t."""
+    T, F = d.transform, Fraction
+    xs = [F(x) for x in p.xs]
+    fs = [F(f) for f in p.fs]
+    fs[0], fs[-1] = F(0), F(1)
+    lo, hi = p.support()
+    cuts = set(xs)
+    cuts.update(F(b) for b in d.breakpoints() if lo < b < hi)
+    cuts.update(F(k) for k in T.kinks() if lo < k < hi)
+    edges = sorted(cuts)
+    los = [pc.lo for pc in d.pieces]
+    total = F(0)
+    for a, b in zip(edges, edges[1:]):
+        i = bisect_right(xs, a) - 1
+        dens = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
+        coeffs = d.pieces[max(bisect_right(los, a) - 1, 0)].coeffs
+        if isinstance(T, PiecewiseLinearTransform):
+            j = min(max(bisect_right(T.xs, a) - 1, 0), len(T.xs) - 2)
+            x0, t0 = F(T.xs[j]), F(T.ts[j])
+            m = (F(T.ts[j + 1]) - t0) / (F(T.xs[j + 1]) - x0)
+        else:
+            x0, t0, m = F(0), F(0), F(1)
+        ta, tb = t0 + m * (a - x0), t0 + m * (b - x0)
+        total += dens * sum(F(c) * (tb ** (k + 1) - ta ** (k + 1)) / ((k + 1) * m)
+                            for k, c in enumerate(coeffs))
+    return total
+
+
+def assert_within_reference_error(d, p):
+    """The moment table's error against the exact value is at most the
+    cell-by-cell reference's plus 4 ulps of the payoff's sup on the
+    support; on the sigmoid, whose integrals have no rational form, it is
+    within 1e-12 of that sup of the cell reference."""
+    got = expected_payoff(d, p)
+    scale = _sup_on_support(d, p)
+    try:
+        ref = reference_expected_payoff(d, p)
+    except ValueError:  # fsum of inf and -inf
+        ref = math.nan
+    if d.transform is SIGMOID:
+        if math.isfinite(ref):
+            assert abs(got - ref) <= 1e-12 * scale
+        else:
+            # the reference overflows on a cell narrower than the CDF's rounding
+            assert math.isfinite(got)
+        return
+    exact = exact_expected_payoff(d, p)
+    ref_err = abs(Fraction(ref) - exact) if math.isfinite(ref) else 0
+    assert abs(Fraction(got) - exact) <= ref_err + 4 * Fraction(math.ulp(scale))
 
 
 # Belief knots, contract breakpoints and transform kinks draw from one pool,
@@ -142,21 +221,75 @@ PW_KINKS = (_split((1.0, 2.0, -0.5), [0.0], KINKED),
             cdf_belief([-1.0, 0.25, 1.0, 2.0], [1e-13, 0.3, 0.6, 1.0]))
 
 
+# most of the mass far from the first knot: re-centred there rather than at
+# the mean of t, the table's terms reach 4 times the payoff's sup and its
+# error 7.2 ulps of it beyond the reference's
+FAR_FROM_X0 = (_split((853.8888989939592, 417.5896447351247, -293.08996030284356), []),
+               cdf_belief([-20.0, -3.5516027155689898, -0.25, -0.0, 0.44313096706163807,
+                           2.0, 8.49836555044185],
+                          [-1e-13, 0.07461065271685248, 0.19548369445010044,
+                           0.3259796274998148, 0.579646677212618, 0.7724026405790537,
+                           0.999999999999]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(contracts(), beliefs())
 @example(*ON_KNOTS)
 @example(*PW_KINKS)
-def test_matches_reference_bit_for_bit(d, p):
-    got = expected_payoff(d, p)
-    try:
-        want = reference_expected_payoff(d, p)
-    except ValueError:  # fsum of inf and -inf
-        want = math.nan
-    if math.isfinite(want):
-        assert got == want
-    else:
-        # the reference overflows on a cell narrower than the CDF's rounding
-        assert math.isfinite(got)
+@example(*FAR_FROM_X0)
+def test_matches_exact_reference(d, p):
+    assert_within_reference_error(d, p)
+
+
+@st.composite
+def contract_rows(draw):
+    """1-6 contracts in one coordinate, of 1-6 pieces each."""
+    transform = draw(transforms())
+    return [draw(contracts(transform=transform))
+            for _ in range(draw(st.integers(1, 6)))]
+
+
+class Listed(ScoringRule):
+    """A rule whose report k pays the k-th of the given contracts."""
+
+    outcome_space = REAL_LINE
+
+    def __init__(self, ds):
+        self.ds = ds
+        self.transform = ds[0].transform
+
+    def score_contract(self, r):
+        return self.ds[r]
+
+
+# pays 0 below 1e300 and 1e300 from there; under this belief the integrals
+# of t and t^2 overflow, which only zero coefficients read
+FAR = (piecewise_contract([Piece(-INF, 1e300, (0.0, 0.0, 0.0)),
+                           Piece(1e300, INF, (1e300, 0.0, 0.0))]),
+       cdf_belief([0.0, math.nextafter(1e300, 0.0), 1e300], [0.0, 0.5, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(contract_rows(), beliefs())
+@example([ON_KNOTS[0], _split((1.0, 0.0, 0.0), [])], ON_KNOTS[1])
+@example([PW_KINKS[0], _split((0.0, 1.0, 1.0), [-1.0, 0.5], KINKED)], PW_KINKS[1])
+@example([FAR[0], ones_contract(REAL_LINE)], FAR[1])
+def test_array_reader_agrees_with_float_reader(ds, p):
+    # piece_table pads rows of fewer pieces with +inf ends and zero pieces
+    got = expected_scores(*Listed(ds).piece_table(range(len(ds))), p,
+                          ds[0].transform)
+    assert got.shape == (len(ds),)
+    for g, d in zip(got.tolist(), ds):
+        assert abs(g - expected_payoff(d, p)) <= 4 * math.ulp(_sup_on_support(d, p))
+
+
+def test_quantile_far_from_the_origin_finds_the_median():
+    # centred on the belief, the expected scores near 1e7 cancel no terms of
+    # 1e14; in t itself their noise was above the curvature, and the pick
+    # 1e7 + 0.4604
+    p = uniform_belief(1e7, 1e7 + 1.0)
+    assert abs(QuantileRule(0.5).best_response(p) - (1e7 + 0.5)) <= 1e-6
+    assert abs(p.mean() - (1e7 + 0.5)) <= 1e-8
 
 
 @pytest.mark.parametrize("x", [1.0, 1e300])
@@ -195,9 +328,32 @@ def test_rule_contracts_match_reference():
                        + [float(x) for x in p.xs])
             for r0, r1 in zip(reports, reports[1:]):
                 for d in (rule.score_contract(r1), rule.trade_contract(r0, r1)):
-                    assert expected_payoff(d, p) == reference_expected_payoff(d, p)
+                    assert_within_reference_error(d, p)
                     checked += 1
     assert checked == 4 * 15 * 14 * 2
+
+
+def old_best_response(rule, p):
+    """``best_response`` on the cell-by-cell reference: grid argmax, then
+    golden section between its neighbours."""
+    def f(r):
+        return reference_expected_payoff(rule.score_contract(r), p)
+    grid = rule._default_search_grid(p)
+    i = int(np.argmax([f(r) for r in grid]))
+    return golden_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
+                      SEARCH_XTOL)
+
+
+def test_real_line_picks_match_old_picks_and_property():
+    rng = np.random.default_rng(402)
+    rules = [ExpectationRule(quadratic(1)), QuantileRule(0.3),
+             QuantileRule(0.7, SIGMOID), ExpectileRule(0.3)]
+    for rule in rules:
+        for p in _elicitation_beliefs(rng, 4):
+            r = rule.best_response(p)
+            tol = 1e-6 * (1.0 + abs(r))
+            assert abs(r - old_best_response(rule, p)) <= tol
+            assert abs(r - rule.property_value(p)) <= tol
 
 
 def _sup_on_support(d, p):

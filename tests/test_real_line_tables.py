@@ -37,6 +37,7 @@ from srmarket.contracts import (
     IDENTITY,
     INF,
     SIGMOID,
+    STRUCT_TOL,
     OutcomeMismatch,
     OutcomeSpace,
     Piece,
@@ -44,6 +45,7 @@ from srmarket.contracts import (
     combine,
     contract_bounds,
     expected_payoff,
+    expected_scores,
     finite_belief,
     piecewise_contract,
     trade_bounds,
@@ -275,23 +277,46 @@ def test_scan_stops_at_the_tenth_pair(grid, last, margin):
     assert rep.margin == margin
 
 
+def quantile_infimum_error(rule, r, rp):
+    """How far the table's infimum of the quantile trade r -> rp may lie
+    from ``quantile_trade_min``.
+
+    Every operand either side sums is at most m = max(|g(r)|, |g(rp)|) in
+    magnitude: the score coefficients (alpha - 1) g and alpha g, and, at
+    the trade's piece ends t in {g(r), g(rp)}, the terms t (1 - alpha) and
+    t alpha.  The table rounds the two score coefficients c0 and c1 of each
+    side (4 roundings, the c1 ones scaled by |t| <= m), their differences
+    (2), t c1 and c0 + t c1 (2); the closed form rounds g(rp) - g(r) and
+    its product with alpha or alpha - 1 (2).  Each of these 10 roundings is
+    at most half an ulp of a value below 2 m, so at most one ulp of m.
+    Where a coefficient difference of two pieces lies within STRUCT_TOL of
+    its operands, the table snaps it to 0, which moves the infimum by at
+    most STRUCT_TOL m more."""
+    g = rule.transform
+    m = max(abs(g(r)), abs(g(rp)))
+    snaps = any(a != b and abs(a - b) <= STRUCT_TOL * max(abs(a), abs(b))
+                for x in rule.score_pieces(rp)[1] for y in rule.score_pieces(r)[1]
+                for a, b in zip(x, y))
+    return 10 * math.ulp(m) + (STRUCT_TOL * m if snaps else 0.0)
+
+
+# reports at +-1e17 lie beyond 2**53, where adjacent floats are more than
+# 1.0 apart
 @settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_quantile_infima_match_closed_form(data):
-    rule = QuantileRule(data.draw(LEVELS),
-                        data.draw(st.sampled_from([IDENTITY, SIGMOID])))
-    n = data.draw(st.integers(2, 40))
-    # reports at +-1e17 lie beyond 2**53, where adjacent floats are more
-    # than 1.0 apart
-    grid = [float(v) for v in np.linspace(-6.0, 6.0, n)] + \
-        data.draw(st.lists(st.floats(-8.0, 8.0), max_size=5)) + \
-        data.draw(st.lists(st.sampled_from([-1e17, 1e17]), max_size=2))
+@given(LEVELS, st.sampled_from([IDENTITY, SIGMOID]), st.integers(2, 40),
+       st.lists(st.floats(-8.0, 8.0), max_size=5),
+       st.lists(st.sampled_from([-1e17, 1e17]), max_size=2))
+# the trade -1e17 -> -6 sums coefficients of 9.5e16, whose ulp is 16: its
+# infimum lies 7 from the closed form, 1.35e-15 of it
+@example(0.9483226018895924, IDENTITY, 2, [], [-1e17])
+def test_quantile_infima_match_closed_form(alpha, transform, n, inner, far):
+    rule = QuantileRule(alpha, transform)
+    grid = [float(v) for v in np.linspace(-6.0, 6.0, n)] + inner + far
     contracts = [rule.score_contract(r) for r in grid]
     for r, (los, _, _) in zip(grid, trade_bounds(contracts)):
         for rp, lo in zip(grid, los):
-            # within 1e-12, or a few ulps where 1e-12 is below one ulp
-            assert lo == pytest.approx(quantile_trade_min(rule, r, rp),
-                                       rel=1e-15, abs=1e-12)
+            assert abs(lo - quantile_trade_min(rule, r, rp)) <= \
+                quantile_infimum_error(rule, r, rp)
 
 
 def test_check_arb_builds_no_trade_contract():
@@ -471,13 +496,14 @@ def test_ic_scores_each_report_once_per_belief():
     cfg = SearchConfig(report_points=21, ic_beliefs=4)
     calls = []
 
-    def counting(d, p):
-        calls.append(d)
-        return expected_payoff(d, p)
+    def counting(ends, coeffs, p, transform):
+        calls.append(len(coeffs))
+        return expected_scores(ends, coeffs, p, transform)
 
-    with mock.patch.object(axioms, "expected_payoff", counting):
+    # one array read per belief, of the 21 grid reports and the 3 states
+    with mock.patch.object(axioms, "expected_scores", counting):
         check_ic(rule, cfg=cfg)
-    assert len(calls) == 4 * (21 + 3)
+    assert calls == [21 + 3] * 4
 
 
 def test_ic_rejects_a_belief_of_the_wrong_kind():

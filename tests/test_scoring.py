@@ -168,6 +168,20 @@ class TestExpectationRule:
         check_wcl(rule, np.array([0.2, 0.3]))
 
 
+    @pytest.mark.parametrize("pmf", [[0.02, 0.49, 0.49], [0.01, 0.01, 0.98],
+                                     [0.001, 0.4, 0.599]])
+    def test_simplex_best_response_near_the_facet(self, pmf):
+        # the expected score's level sets run along the facet x + y = 1:
+        # after 5 coordinate cycles the picks were (0.483, 0.497) and
+        # (0.0107, 0.9793); on the last belief 200 cycles of coordinate
+        # steps alone stay 1.3e-3 off, and the search along each cycle's
+        # move finds it
+        rule = ExpectationRule(simplex_negentropy(2),
+                               phi=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        r = rule.best_response(finite_belief(rule.outcome_space, pmf))
+        assert float(np.max(np.abs(r - np.array(pmf[1:])))) <= 1e-6
+
+
 class TestQuantileRule:
     def test_pinball_identity_form(self):
         rule = QuantileRule(0.5)

@@ -19,7 +19,9 @@ import pytest
 from srmarket.contracts import (
     RESIDUAL_ACCEPT,
     SIGMOID,
+    OutcomeSpace,
     cdf_belief,
+    expected_payoff,
     finite_belief,
     project_cashless,
 )
@@ -37,6 +39,8 @@ from srmarket.scoring import (
     BoxReports,
     ExpectationRule,
     ExpectileRule,
+    FiniteRule,
+    ModeRule,
     QuantileRule,
     RatioRule,
     RealReports,
@@ -650,6 +654,26 @@ def test_best_response_golden_equals_old_loop():
                                     grid[max(i - 1, 0)],
                                     grid[min(i + 1, len(grid) - 1)], 1e-10)
         assert rule.best_response(p) == want
+
+
+def test_finite_report_picks_equal_the_per_contract_argmax():
+    # each expected score is the dot product expected_payoff takes of the
+    # score contract's payoffs, so ties break as before
+    rng = np.random.default_rng(37)
+    rules = [ModeRule(5), ModeRule(["a", "b"]),
+             FiniteRule.weighted_mode([1, 2, 3], [1.0, 2.0, 0.5]),
+             FiniteRule(rng.uniform(-1.0, 1.0, (6, 4)), OutcomeSpace.finite(range(4)))]
+    for rule in rules:
+        grid = rule.report_grid()
+        n = rule.outcome_space.n
+        # exact ties, a tie within TIE_TOL whose larger value is on the
+        # larger report, and no ties
+        near = np.array([0.5 - 1e-13, 0.5 + 1e-13] + [0.0] * (n - 2))
+        for pmf in [np.full(n, 1.0 / n), near] + list(rng.dirichlet(np.ones(n), 20)):
+            p = finite_belief(rule.outcome_space, pmf)
+            vals = [expected_payoff(rule.score_contract(r), p) for r in grid]
+            want = min(r for r, v in zip(grid, vals) if max(vals) - v <= 1e-12)
+            assert rule.best_response(p) == want
 
 
 def test_score_range_membership_golden_equals_old_loop():
