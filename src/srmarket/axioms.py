@@ -8,7 +8,7 @@ and session primitives alone.
 
 The strictness margin ``delta`` separates the axioms' strict inequalities
 from numerical ties.  ``AXIOMS`` maps each axiom name to its check, its
-replay and the config keys it reads; the CLI and ``replay_witness`` both
+replay and the markets it applies to; the CLI and ``replay_witness`` both
 dispatch through it.
 """
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -68,10 +69,20 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the least value of each integer field: grids need their ends, and
+        # no budget may be empty
+        for name, least in (("report_points", 2), ("candidate_points", 2),
+                            ("scenario_count", 1), ("portfolio_count", 1),
+                            ("portfolio_size", 1), ("ic_beliefs", 1),
+                            ("lattice_bound", 1), ("seed", 0)):
+            n = getattr(self, name)
+            if not isinstance(n, Integral) or isinstance(n, bool) or n < least:
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{least}, not {n!r}")
+        if not self.report_window[0] < self.report_window[1]:
+            raise ValueError(f"report_window {self.report_window!r} must ascend")
         if self.delta <= 0:
             raise ValueError("strictness margin must be positive")
-        if self.report_points < 2 or self.candidate_points < 2:
-            raise ValueError("grids must be nonempty")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -239,12 +250,14 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
     per-trade values within rounding.  Argmaxes that all lie in a
     set-valued property agree, whichever member rounding picks from each
     state.  A belief of the wrong kind for the outcome space raises
-    ``OutcomeMismatch``."""
+    ``OutcomeMismatch``, and an empty belief list ValueError."""
     rng = cfg.rng()
     grid = cfg.report_grid(rule)
     if beliefs is None:
         beliefs = random_beliefs_for(rule, rng, cfg.ic_beliefs,
                                      cfg.report_window)
+    if not beliefs:
+        raise ValueError("IC needs at least one belief")
     if states is None:
         states = [grid[0], grid[len(grid) // 2], grid[-1]]
     continuous = not isinstance(rule.report_space, FiniteReports)
@@ -630,13 +643,12 @@ def _btb_margin(entries, eps: float, delta: float) -> float:
                         for e in entries])
 
 
-def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
-              cfg: SearchConfig = SearchConfig()) -> AxiomReport:
-    """Arbitrarily small budgets still admit positive-expectation trades:
-    for each budget, some trade risks less than it and gains in
-    expectation."""
-    if epsilons is None:
-        epsilons = cfg.epsilons
+def btb_candidates(rule: ScoringRule, belief: Belief, state) -> list:
+    """The trade targets BTB tries from the state: the other labels of a
+    finite report space, or 55 points halving the way to the belief's
+    statistic.  Raises ValueError unless the state is a report away from
+    the statistic."""
+    rule.validate_report(state)
     target = min_label(rule.property_value(belief))
     if isinstance(rule.report_space, FiniteReports):
         at_target = target == state
@@ -652,6 +664,20 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
     if at_target:
         raise ValueError("precondition: the belief's statistic differs "
                          "from the market state")
+    return candidates
+
+
+def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
+              cfg: SearchConfig = SearchConfig()) -> AxiomReport:
+    """Arbitrarily small budgets still admit positive-expectation trades:
+    for each budget, some trade risks less than it and gains in
+    expectation.  No budget, or a state that ``btb_candidates`` refuses,
+    raises ValueError."""
+    if epsilons is None:
+        epsilons = cfg.epsilons
+    if not epsilons:
+        raise ValueError("BTB needs at least one budget")
+    candidates = btb_candidates(rule, belief, state)
     budget = {"epsilons": list(epsilons), "candidates": len(candidates)}
     results = []
     worst_ok = INF
@@ -802,123 +828,65 @@ def _unj(v):
 
 
 # ---------------------------------------------------------------------------
-# the axiom table: what each axiom runs, replays and reads from a config
+# the axiom table: what each axiom runs and replays, and the markets it
+# applies to
 
 
-class ConfigError(ValueError):
-    """A config that cannot be run as written."""
+def build_belief(spec: dict, space) -> Belief:
+    """The belief a pmf, cdf or uniform spec describes over the outcome
+    space; pmf and cdf are the forms ``Belief.to_dict`` writes.  A spec of
+    the wrong kind for the space raises OutcomeMismatch."""
+    if "pmf" in spec:
+        return finite_belief(space, spec["pmf"])
+    if space.is_finite:
+        raise OutcomeMismatch("a cdf or uniform belief needs a real-line "
+                              "outcome space")
+    if "cdf" in spec:
+        return cdf_belief(spec["cdf"]["x"], spec["cdf"]["F"])
+    return uniform_belief(*spec["uniform"])
 
 
-def config_block(block, where: str, required=(), optional=()) -> dict:
-    """``block``, once it is an object holding every required key and no
-    key outside required + optional."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
-    missing = [key for key in required if key not in block]
-    unknown = sorted(set(block) - set(required) - set(optional))
-    if missing or unknown:
-        raise ConfigError(f"{where} has no {missing[0]!r} entry" if missing
-                          else f"{where} has unknown keys {unknown}")
-    return block
+def _cost_market(rule) -> None:
+    if not isinstance(rule, CostRule):
+        raise ValueError("applies to cost markets")
 
 
-# the forms of a belief spec, of which it takes exactly one
-BELIEF_KEYS = ("pmf", "cdf", "uniform")
-
-
-def build_belief(spec, space) -> Belief:
-    """The belief a pmf, cdf or uniform spec describes; pmf and cdf are the
-    forms ``Belief.to_dict`` writes."""
-    config_block(spec, "a belief", (), BELIEF_KEYS)
-    if len(spec) != 1:
-        raise ConfigError(f"a belief takes exactly one of {list(BELIEF_KEYS)}, "
-                          f"not {spec!r}")
-    try:
-        if "pmf" in spec:
-            return finite_belief(space, spec["pmf"])
-        if "cdf" in spec:
-            cdf = config_block(spec["cdf"], "a cdf belief", ("x", "F"))
-            return cdf_belief(cdf["x"], cdf["F"])
-        return uniform_belief(*spec["uniform"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"belief {spec!r}: {exc}") from exc
-
-
-def _scenarios(rule, config):
-    """Every (r1, r1', r2) triple of a finite report space when the search
-    block asks for them; None, for the seeded sample, otherwise."""
-    if config.get("search", {}).get("exhaustive_scenarios") and \
-            isinstance(rule.report_space, FiniteReports):
-        return exhaustive_triples(list(rule.report_space.labels))
-
-
-def _run_ic(rule, config, cfg) -> AxiomReport:
-    beliefs = config.get("ic_beliefs")
-    if beliefs is not None:
-        if not isinstance(beliefs, list):
-            raise ConfigError("'ic_beliefs' must be a list")
-        beliefs = [build_belief(b, rule.outcome_space) for b in beliefs]
-    return check_ic(rule, beliefs, cfg)
-
-
-def _run_btb(rule, config, cfg) -> AxiomReport:
-    btb = config_block(config["btb"], "the btb block", ("state", "belief"),
-                       ("epsilons",))
-    belief = build_belief(btb["belief"], rule.outcome_space)
-    try:  # a state outside the reports, or at the belief's statistic
-        return check_btb(rule, belief, btb["state"],
-                         tuple(btb.get("epsilons", cfg.epsilons)), cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _run_price_bound(rule, config, cfg) -> AxiomReport:
-    trials = config.get("price_bound_trials", 1000)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        raise ConfigError("'price_bound_trials' must be a positive integer")
-    return price_bound_check(rule, trials, cfg.rng())
-
-
-def _cost_market(check):
-    """A structure check that applies to cost markets only."""
-    def run(rule, config, cfg):
-        if not isinstance(rule, CostRule):
-            raise ConfigError("applies to cost markets")
-        return check(rule, config, cfg)
-    return run
-
-
-def _run_subgroup(rule, config, cfg) -> AxiomReport:
+def _subgroup_market(rule) -> None:
     if not (isinstance(rule.report_space, FiniteReports) or
             isinstance(rule, CostRule) and rule.shares.is_lattice):
-        raise ConfigError("needs a finite rule or a lattice market")
-    return market_subgroup(rule, cfg.lattice_bound)
+        raise ValueError("needs a finite rule or a lattice market")
 
 
 class Axiom(NamedTuple):
-    check: Callable           # (rule, config, cfg) -> AxiomReport
+    check: Callable           # (rule, given, cfg) -> AxiomReport
     replay: Callable | None   # (rule, fails report) -> recomputed entries,
     #                           margin
-    needs: tuple = ()         # config keys it reads; "?" marks optional
+    applies: Callable | None = None  # (rule): raises ValueError when the
+    #                                  axiom does not apply to the market
 
 
+# ``given`` holds the values a check config gives the axioms, built: the
+# initial state "r0", IC's beliefs "ic_beliefs", BTB's (belief, state,
+# epsilons) "btb", "price_bound_trials", and WN's and TN's "scenarios" (every
+# triple of a finite report space, or None for the seeded sample)
 AXIOMS = {
-    "ARB": Axiom(lambda r, c, cfg: check_arb(r, cfg=cfg), _replay_arb),
-    "WCL": Axiom(lambda r, c, cfg: check_wcl(r, c["r0"], cfg), _replay_wcl,
-                 ("r0",)),
-    "IC": Axiom(_run_ic, _replay_ic, ("ic_beliefs?",)),
-    "WN": Axiom(lambda r, c, cfg: check_wn(r, _scenarios(r, c), cfg),
+    "ARB": Axiom(lambda r, g, cfg: check_arb(r, cfg=cfg), _replay_arb),
+    "WCL": Axiom(lambda r, g, cfg: check_wcl(r, g["r0"], cfg), _replay_wcl),
+    "IC": Axiom(lambda r, g, cfg: check_ic(r, g.get("ic_beliefs"), cfg),
+                _replay_ic),
+    "WN": Axiom(lambda r, g, cfg: check_wn(r, g.get("scenarios"), cfg),
                 _replay_neutralization),
-    "TN": Axiom(lambda r, c, cfg: check_tn(r, _scenarios(r, c), cfg),
+    "TN": Axiom(lambda r, g, cfg: check_tn(r, g.get("scenarios"), cfg),
                 _replay_neutralization),
-    "PN": Axiom(lambda r, c, cfg: check_pn(r, None, cfg),
+    "PN": Axiom(lambda r, g, cfg: check_pn(r, None, cfg),
                 _replay_neutralization),
-    "BTB": Axiom(_run_btb, _replay_btb, ("btb",)),
-    "OPEN": Axiom(_cost_market(lambda r, c, cfg: check_open(r, cfg.rng())),
-                  None),
-    "QUASI-OPEN": Axiom(_cost_market(lambda r, c, cfg: check_quasi_open(
-        r, cfg.lattice_bound, cfg.rng())), None),
-    "PRICE-BOUND": Axiom(_cost_market(_run_price_bound), None,
-                         ("price_bound_trials?",)),
-    "SUBGROUP": Axiom(_run_subgroup, None),
+    "BTB": Axiom(lambda r, g, cfg: check_btb(r, *g["btb"], cfg), _replay_btb),
+    "OPEN": Axiom(lambda r, g, cfg: check_open(r, cfg.rng()), None,
+                  _cost_market),
+    "QUASI-OPEN": Axiom(lambda r, g, cfg: check_quasi_open(
+        r, cfg.lattice_bound, cfg.rng()), None, _cost_market),
+    "PRICE-BOUND": Axiom(lambda r, g, cfg: price_bound_check(
+        r, g.get("price_bound_trials", 1000), cfg.rng()), None, _cost_market),
+    "SUBGROUP": Axiom(lambda r, g, cfg: market_subgroup(r, cfg.lattice_bound),
+                      None, _subgroup_market),
 }

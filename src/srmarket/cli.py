@@ -14,193 +14,52 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import fields
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from .axioms import AXIOMS, ConfigError, SearchConfig, build_belief, config_block
-from .contracts import IDENTITY, SIGMOID, OutcomeSpace
-from .convex import (
-    binary_lmsr_cost,
-    binary_negentropy,
-    interval_negentropy,
-    log_partition,
-    quadratic,
-    simplex_negentropy,
+from .axioms import (
+    AXIOMS,
+    SearchConfig,
+    btb_candidates,
+    build_belief,
+    exhaustive_triples,
 )
-from .costmarket import (
-    CostRule,
-    ShareSpace,
-    extract_cost_market,
-    roundtrip_residual,
-)
+from .contracts import IDENTITY, SIGMOID
+from .convex import binary_lmsr_cost, quadratic
+from .costmarket import extract_cost_market, roundtrip_residual
 from .engine import MarketSession
 from .reports import HOLDS, HOLDS_AT_BUDGET
-from .scoring import (
-    ExpectationRule,
-    ExpectileRule,
-    FiniteRule,
-    ModeRule,
-    QuantileRule,
-    RatioRule,
+from .schema import (
+    MARKET,
+    ConfigError,
+    build,
+    built,
+    check,
+    figure_values,
+    validate,
 )
-
-# top-level keys of each command's configs; a check config also takes the
-# needs of the axioms it runs
-CHECK_KEYS = ("name", "seed", "market", "r0", "axioms", "expected", "search")
-SESSION_KEYS = ("name", "seed", "market", "r0", "traders", "outcome")
-EXTRACT_KEYS = ("name", "market", "grid", "expect_failure")
-# each family's market keys beside "family": (required, optional)
-FAMILY_KEYS = {
-    "mode": (("outcomes",), ()),
-    "finite": (("outcomes", "matrix"), ("reports",)),
-    "weighted_mode": (("outcomes", "weights"), ()),
-    "expectation": (("potential",), ("phi", "outcomes")),
-    "quantile": (("alpha",), ("transform",)),
-    "expectile": (("tau",), ("g_coeffs",)),
-    "ratio": (("potential", "phi", "b"), ("outcomes",)),
-    "cost": (("cost", "phi"), ("outcomes", "shares", "conjugate_closure")),
-}
-# each potential's keys beside "name": (required, optional)
-POTENTIAL_KEYS = {
-    "quadratic": ((), ("dim", "lo", "hi")),
-    "binary_negentropy": ((), ()),
-    "interval_negentropy": (("lo", "hi"), ()),
-    "simplex_negentropy": (("k",), ()),
-    "log_partition": (("phi",), ()),
-    "binary_lmsr": ((), ()),
-}
-# a lattice share space is named by its first key: (required, optional)
-SHARE_KEYS = {
-    "lattice_scale": (("lattice_scale",), ("k",)),
-    "basis": (("basis",), ()),
-}
-# each figure's keys beside "name" and "figure", all optional
-FIGURE_KEYS = {
-    "mode_position": ("outcomes", "r_left", "r_center", "trade"),
-    "mean_position": ("trade", "state", "contracts", "window", "points"),
-    "median_position": ("alpha", "trade", "scenario", "window", "points"),
-    "discretized_lmsr": ("bound",),
-}
+from .scoring import ExpectationRule, FiniteReports, ModeRule, QuantileRule
 
 
 # ---------------------------------------------------------------------------
-# builders
+# builders: each reads a block that ``schema.validate`` has checked
 
 
-def build_transform(name: str):
-    if name in (None, "identity"):
-        return IDENTITY
-    if name == "sigmoid":
-        return SIGMOID
-    raise ConfigError(f"unknown transform {name!r}")
-
-
-def build_potential(spec: dict):
-    name = spec.get("name") if isinstance(spec, dict) else None
-    if name not in POTENTIAL_KEYS:
-        raise ConfigError(f"unknown potential {name!r}")
-    required, optional = POTENTIAL_KEYS[name]
-    config_block(spec, f"potential {name!r}", ("name",) + required, optional)
-    if name == "quadratic":
-        return quadratic(spec.get("dim", 1), spec.get("lo"), spec.get("hi"))
-    if name == "binary_negentropy":
-        return binary_negentropy()
-    if name == "interval_negentropy":
-        return interval_negentropy(spec["lo"], spec["hi"])
-    if name == "simplex_negentropy":
-        return simplex_negentropy(spec["k"])
-    if name == "log_partition":
-        return log_partition(np.asarray(spec["phi"], dtype=float))
-    return binary_lmsr_cost()
-
-
-def build_shares(spec):
-    if spec in (None, "full"):
-        return ShareSpace.full()
-    kind = next((k for k in SHARE_KEYS if k in spec), None) \
-        if isinstance(spec, dict) else None
-    if kind is None:
-        raise ConfigError(f"unknown share space {spec!r}")
-    config_block(spec, "the share space", *SHARE_KEYS[kind])
-    if kind == "lattice_scale":
-        return ShareSpace.integer_lattice(spec.get("k", 1),
-                                          spec["lattice_scale"])
-    return ShareSpace.lattice(spec["basis"])
-
-
-def build_rule(spec: dict):
-    """The rule a ``market`` block describes; a value its constructor
-    rejects is a config error."""
-    try:
-        return _build_rule(spec)
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"market {spec.get('family')!r} has no {exc} entry") \
-            from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"market {spec.get('family')!r}: {exc}") from exc
-
-
-def _build_rule(spec: dict):
-    if not isinstance(spec, dict):
-        raise ConfigError("the market block must be an object")
-    family = spec.get("family")
-    if family not in FAMILY_KEYS:
-        raise ConfigError(f"unknown family {family!r}")
-    required, optional = FAMILY_KEYS[family]
-    config_block(spec, f"market {family!r}", ("family",) + required, optional)
-    if family == "mode":
-        return ModeRule(spec["outcomes"])
-    if family == "finite":
-        space = OutcomeSpace.finite(spec["outcomes"])
-        return FiniteRule(np.asarray(spec["matrix"], dtype=float), space,
-                          spec.get("reports"))
-    if family == "weighted_mode":
-        return FiniteRule.weighted_mode(spec["outcomes"], spec["weights"])
-    if family == "expectation":
-        pot = build_potential(spec["potential"])
-        phi = spec.get("phi")
-        if phi is None:
-            return ExpectationRule(pot)
-        space = OutcomeSpace.finite(spec["outcomes"]) \
-            if "outcomes" in spec else None
-        return ExpectationRule(pot, np.asarray(phi, dtype=float), space)
-    if family == "quantile":
-        return QuantileRule(spec["alpha"], build_transform(spec.get("transform")))
-    if family == "expectile":
-        return ExpectileRule(spec["tau"],
-                             tuple(spec.get("g_coeffs", (0.0, 0.0, 1.0))))
-    if family == "ratio":
-        space = OutcomeSpace.finite(spec["outcomes"]) \
-            if "outcomes" in spec else None
-        return RatioRule(build_potential(spec["potential"]),
-                         np.asarray(spec["phi"], dtype=float),
-                         np.asarray(spec["b"], dtype=float), space)
-    space = OutcomeSpace.finite(spec["outcomes"]) if "outcomes" in spec else None
-    return CostRule(build_potential(spec["cost"]),
-                    np.asarray(spec["phi"], dtype=float), space,
-                    build_shares(spec.get("shares")),
-                    spec.get("conjugate_closure"))
+def build_rule(spec) -> object:
+    """The rule a ``market`` block describes; a block off the schema, or a
+    value the rule's constructor rejects, is a config error."""
+    check(MARKET, spec, "the market block")
+    return build(MARKET, spec)
 
 
 def build_search(spec: dict | None, seed=None) -> SearchConfig:
-    keys = ("exhaustive_scenarios",) + tuple(f.name for f in fields(SearchConfig))
-    spec = dict(config_block(spec or {}, "search", (), keys))
-    spec.pop("exhaustive_scenarios", None)
+    spec = {k: tuple(v) if isinstance(v, list) else v
+            for k, v in (spec or {}).items() if k != "exhaustive_scenarios"}
     if seed is not None:
         spec["seed"] = seed
-    if "report_window" in spec:
-        spec["report_window"] = tuple(spec["report_window"])
-    if "epsilons" in spec:
-        spec["epsilons"] = tuple(spec["epsilons"])
-    try:
-        return SearchConfig(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"search: {exc}") from exc
+    return SearchConfig(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +89,8 @@ def _write(path: str, text: str) -> None:
 def _market(config: dict):
     """The rule of a config's market block, once r0 lies in its reports."""
     rule = build_rule(config["market"])
-    if "r0" in config and not rule.report_space.contains(config["r0"]):
-        raise ConfigError(f"r0 {config['r0']!r} lies outside the reports")
+    if "r0" in config:
+        built(f"r0 {config['r0']!r}", rule.validate_report, config["r0"])
     return rule
 
 
@@ -241,33 +100,40 @@ def _verdict_matches(expected: str, actual: str) -> bool:
     return expected == actual
 
 
+def _given(config: dict, rule, cfg: SearchConfig) -> dict:
+    """The values a check config gives its axioms, built (see
+    ``axioms.AXIOMS``), once each axiom it runs applies to the market."""
+    given = {key: config[key] for key in ("r0", "price_bound_trials")
+             if key in config}
+    space = rule.outcome_space
+    if "ic_beliefs" in config:
+        given["ic_beliefs"] = [built("ic_beliefs", build_belief, b, space)
+                               for b in config["ic_beliefs"]]
+    if "btb" in config:
+        btb = config["btb"]
+        belief = built("btb", build_belief, btb["belief"], space)
+        built("btb", btb_candidates, rule, belief, btb["state"])
+        given["btb"] = (belief, btb["state"],
+                        tuple(btb.get("epsilons", cfg.epsilons)))
+    if config.get("search", {}).get("exhaustive_scenarios") and \
+            isinstance(rule.report_space, FiniteReports):
+        given["scenarios"] = exhaustive_triples(list(rule.report_space.labels))
+    for axiom in config["axioms"]:
+        if AXIOMS[axiom].applies is not None:
+            built(axiom, AXIOMS[axiom].applies, rule)
+    return given
+
+
 def run_check(config: dict, out_dir: str) -> int:
-    axioms = config.get("axioms")
-    if not axioms or not isinstance(axioms, list):
-        raise ConfigError("a check config needs a nonempty 'axioms' list")
-    unknown = [a for a in axioms if a not in AXIOMS]
-    if unknown:
-        raise ConfigError(f"unknown axioms {unknown}")
-    expected = config.get("expected", {})
-    if not isinstance(expected, dict):
-        raise ConfigError("'expected' must be an object")
-    not_run = sorted(set(expected) - set(axioms))
-    if not_run:
-        raise ConfigError(f"'expected' names axioms that are not run: {not_run}")
-    needs = [key for a in axioms for key in AXIOMS[a].needs]
-    config_block(config, "the check config",
-                 ("market",) + tuple(k for k in needs if k[-1] != "?"),
-                 CHECK_KEYS + tuple(k.rstrip("?") for k in needs))
+    validate(config, "check")
     rule = _market(config)
-    cfg = build_search(config.get("search"), config.get("seed"))
+    cfg = built("search", build_search, config.get("search"), config.get("seed"))
+    given = _given(config, rule, cfg)
     name = config.get("name", "check")
 
     verdicts = {}
-    for axiom in axioms:
-        try:
-            rep = AXIOMS[axiom].check(rule, config, cfg)
-        except ConfigError as exc:
-            raise ConfigError(f"{axiom}: {exc}") from exc
+    for axiom in config["axioms"]:
+        rep = AXIOMS[axiom].check(rule, given, cfg)
         verdicts[axiom] = rep.verdict
         _write(os.path.join(out_dir, f"{name}__{axiom}.report.txt"),
                _header(config) + rep.to_text())
@@ -276,6 +142,7 @@ def run_check(config: dict, out_dir: str) -> int:
     _write(os.path.join(out_dir, f"{name}__summary.json"),
            json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
+    expected = config.get("expected", {})
     bad = {a: (expected[a], verdicts[a]) for a in expected
            if not _verdict_matches(expected[a], verdicts[a])}
     if bad:
@@ -286,17 +153,15 @@ def run_check(config: dict, out_dir: str) -> int:
 
 
 def run_session(config: dict, out_dir: str) -> int:
-    config_block(config, "the session config", ("market", "r0"), SESSION_KEYS)
+    validate(config, "session")
     rule = _market(config)
     name = config.get("name", "session")
     traders = config.get("traders", [])
-    if not isinstance(traders, list):
-        raise ConfigError("'traders' must be a list")
-    beliefs = [build_belief(config_block(t, "a trader", ("id", "belief"))["belief"],
-                            rule.outcome_space) for t in traders]
+    beliefs = [built(f"the belief of trader {t['id']!r}", build_belief,
+                     t["belief"], rule.outcome_space) for t in traders]
     outcome = config.get("outcome")
-    if outcome is not None and not rule.outcome_space.contains(outcome):
-        raise ConfigError(f"outcome {outcome!r} lies outside the outcome space")
+    if outcome is not None:
+        built("outcome", rule.outcome_space.validate, outcome)
     session = MarketSession(rule, config["r0"])
     for trader, belief in zip(traders, beliefs):
         session.execute_trade(trader["id"], rule.best_response(belief))
@@ -323,23 +188,15 @@ def run_session(config: dict, out_dir: str) -> int:
 
 
 def run_extract(config: dict, out_dir: str) -> int:
-    config_block(config, "the extract config", ("market",), EXTRACT_KEYS)
+    validate(config, "extract")
     rule = _market(config)
     name = config.get("name", "extract")
-    gspec = config.get("grid")
-    if isinstance(gspec, dict):
-        config_block(gspec, "the extract grid", ("lo", "hi", "num"))
-        try:
-            grid = [float(v) for v in np.linspace(gspec["lo"], gspec["hi"],
-                                                  gspec["num"])]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"the extract grid: {exc}") from exc
-    elif isinstance(gspec, list):
-        grid = gspec
-    elif gspec is None:
-        grid = rule.report_grid()
-    else:
-        raise ConfigError("the extract grid must be an object or a list")
+    grid = config.get("grid") or rule.report_grid()
+    if isinstance(grid, dict):
+        grid = [float(v) for v in np.linspace(grid["lo"], grid["hi"], grid["num"])]
+    # extraction reads the grid's score table: a finite outcome space, and
+    # reports in the report space
+    built("the extract grid", rule.score_table, grid)
     ext = extract_cost_market(rule, grid)
     lines = [_header(config)]
     lines.append(f"ok: {ext.ok}")
@@ -380,34 +237,29 @@ def _dat(path: str, config: dict, columns: list[str], rows) -> None:
 
 
 def run_figure(config: dict, out_dir: str) -> int:
-    which = config.get("figure")
-    if which not in FIGURE_KEYS:
-        raise ConfigError(f"unknown figure {which!r}")
-    config_block(config, f"figure {which!r}", ("figure",),
-                 ("name",) + FIGURE_KEYS[which])
-    name = config.get("name", which)
-    path = os.path.join(out_dir, f"{name}.dat")
+    validate(config, "figure")
+    which = config["figure"]
+    v = figure_values(config)
     if which == "mode_position":
-        rule = ModeRule(config.get("outcomes", [1, 2, 3]))
-        r_a = config.get("r_left", 1)
-        r_b = config.get("r_center", 3)
-        r_from, r_to = config.get("trade", [1, 2])
+        rule = built("outcomes", ModeRule, v["outcomes"])
+        r_a, r_b, (r_from, r_to) = v["r_left"], v["r_center"], v["trade"]
+        for key, r in (("r_left", r_a), ("r_center", r_b), ("trade", r_from),
+                       ("trade", r_to)):
+            built(key, rule.validate_report, r)
         d = rule.trade_contract(r_from, r_to)
         rows = [[y, rule.score(r_a, y), rule.score(r_b, y), d(y)]
                 for y in rule.outcome_space.labels]
-        _dat(path, config, ["y", f"S({r_a},y)", f"S({r_b},y)",
-                            f"F({r_to},y|{r_from})"], rows)
-        return 0
-    if which == "mean_position":
+        cols = ["y", f"S({r_a},y)", f"S({r_b},y)", f"F({r_to},y|{r_from})"]
+    elif which == "mean_position":
         rule = ExpectationRule(quadratic(1))
-        r, rp = config.get("trade", [-1.0, 1.0])
-        r2 = config.get("state", 1.0)
-        picks = config.get("contracts", [1.5, 2.5])
+        r, rp = v["trade"]
+        r2 = v["state"]
+        picks = v["contracts"]
         r2p = rule.tn_candidate(r, rp, r2)
+        built("trade and state", rule.validate_report, r2p)
         held = rule.trade_contract(r, rp)
         neut = rule.trade_contract(r2, r2p)
-        ys = np.linspace(*config.get("window", (-3.0, 3.0)),
-                         config.get("points", 121))
+        ys = np.linspace(*v["window"], v["points"])
         rows = []
         for y in ys:
             row = [y, held(y)]
@@ -416,18 +268,14 @@ def run_figure(config: dict, out_dir: str) -> int:
             rows.append(row)
         cols = ["y", f"F({rp},y|{r})"] + \
             [f"F({c},y|{r2})" for c in picks] + ["neutralized"]
-        _dat(path, config, cols, rows)
-        return 0
-    if which == "median_position":
-        alpha = config.get("alpha", 0.5)
-        rid = QuantileRule(alpha, IDENTITY)
-        rsig = QuantileRule(alpha, SIGMOID)
-        r, rp = config.get("trade", [-1.0, 1.0])
-        r1, r1p, r2, r2p = config.get("scenario", [1.0, 2.0, 0.0, 0.5])
+    elif which == "median_position":
+        rid = built("alpha", QuantileRule, v["alpha"], IDENTITY)
+        rsig = QuantileRule(v["alpha"], SIGMOID)
+        r, rp = v["trade"]
+        r1, r1p, r2, r2p = v["scenario"]
         held = rid.trade_contract(r1, r1p)
         green = rid.trade_contract(r2, r2p)
-        ys = np.linspace(*config.get("window", (-4.0, 4.0)),
-                         config.get("points", 161))
+        ys = np.linspace(*v["window"], v["points"])
         rows = []
         for y in ys:
             rows.append([
@@ -439,14 +287,13 @@ def run_figure(config: dict, out_dir: str) -> int:
             ])
         cols = ["y", f"S({r},y)", f"S({rp},y)", "F_identity", "F_sigmoid",
                 "held", "candidate", "net"]
-        _dat(path, config, cols, rows)
-        return 0
-    # discretized_lmsr
-    cost = binary_lmsr_cost()
-    bound = config.get("bound", 6)
-    rows = [[q, cost.value([q]), cost.grad([q])[0]]
-            for q in range(-bound, bound + 1)]
-    _dat(path, config, ["q", "C(q)", "price"], rows)
+    else:  # discretized_lmsr
+        cost = binary_lmsr_cost()
+        rows = [[q, cost.value([q]), cost.grad([q])[0]]
+                for q in range(-v["bound"], v["bound"] + 1)]
+        cols = ["q", "C(q)", "price"]
+    name = config.get("name", which)
+    _dat(os.path.join(out_dir, f"{name}.dat"), config, cols, rows)
     return 0
 
 

@@ -124,6 +124,10 @@ class OutcomeSpace:
             return isinstance(y, (int, float)) and math.isfinite(y)
         return y in self.labels
 
+    def validate(self, y) -> None:
+        if not self.contains(y):
+            raise InvalidOutcome(f"outcome {y!r} lies outside the outcome space")
+
 
 REAL_LINE = OutcomeSpace(None)
 

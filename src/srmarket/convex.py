@@ -68,6 +68,8 @@ class ConvexFn:
 def _box(dim, lo, hi):
     lo = np.full(dim, -INF) if lo is None else np.asarray(lo, dtype=float)
     hi = np.full(dim, INF) if hi is None else np.asarray(hi, dtype=float)
+    if lo.shape != (dim,) or hi.shape != (dim,):
+        raise ValueError("a domain box needs one bound per dimension")
     return lo, hi
 
 

@@ -41,6 +41,7 @@ from .scoring import (
     InvalidReport,
     RealReports,
     ScoringRule,
+    payoff_table,
 )
 
 
@@ -64,8 +65,7 @@ class ShareSpace:
 
     @staticmethod
     def integer_lattice(k: int = 1, scale: float = 1.0) -> "ShareSpace":
-        b = np.eye(k) * float(scale)
-        return ShareSpace(tuple(tuple(row) for row in b))
+        return ShareSpace.lattice(np.eye(k) * float(scale))
 
     @staticmethod
     def lattice(basis) -> "ShareSpace":
@@ -123,18 +123,14 @@ class CostRule(ScoringRule):
                  shares: ShareSpace = ShareSpace.full(),
                  conjugate_closure_values=None):
         self.cost = cost
-        self.phi = np.asarray(phi, dtype=float)
-        if self.phi.ndim == 1:
-            self.phi = self.phi[:, None]
-        if outcome_space is None:
-            outcome_space = OutcomeSpace.finite(range(self.phi.shape[0]))
-        if self.phi.shape[0] != outcome_space.n:
-            raise ValueError("phi rows must match the outcome count")
-        if self.phi.shape[1] != cost.dim:
-            raise ValueError("phi columns must match the cost dimension")
-        centered = self.phi - np.mean(self.phi, axis=0)
-        if np.linalg.matrix_rank(centered, tol=PIVOT_TOL) != self.phi.shape[1]:
-            raise ValueError("securities must be affinely independent")
+        self.phi, outcome_space = payoff_table(phi, outcome_space, cost.dim)
+        if np.isfinite(cost.lo).any() or np.isfinite(cost.hi).any():
+            raise ValueError("the cost must be defined on every share state")
+        if shares.is_lattice and len(shares.basis) != cost.dim:
+            raise ValueError("the share lattice needs one basis row per security")
+        if conjugate_closure_values is not None and \
+                len(conjugate_closure_values) != outcome_space.n:
+            raise ValueError("one conjugate closure value per outcome")
         self.outcome_space = outcome_space
         self.shares = shares
         self.conjugate_closure_values = conjugate_closure_values

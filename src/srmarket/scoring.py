@@ -433,6 +433,32 @@ class ModeRule(FiniteRule):
 # rules on a convex potential: expectations and ratios of expectations
 
 
+def payoff_table(phi, outcome_space: OutcomeSpace | None, dim: int,
+                 independent: bool = True) -> tuple:
+    """``(phi, outcome_space)``: a security payoff table as an (n, dim)
+    array, one row per outcome of the finite space (outcomes 0..n-1 when
+    none is given), whose rows are affinely independent if asked."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim == 1:
+        phi = phi[:, None]
+    if outcome_space is None:
+        outcome_space = OutcomeSpace.finite(range(phi.shape[0]))
+    if phi.shape != (outcome_space.n, dim):
+        raise ValueError(f"phi must hold {dim} payoffs per outcome, one row "
+                         f"per outcome, not shape {phi.shape}")
+    if independent and np.linalg.matrix_rank(
+            phi - np.mean(phi, axis=0), tol=PIVOT_TOL) != dim:
+        raise ValueError("securities must be affinely independent")
+    return phi, outcome_space
+
+
+def _inside_domain(potential: ConvexFn, points: np.ndarray) -> None:
+    """Reports span the box of the points: the potential's domain box must
+    hold it."""
+    if np.any(points < potential.lo) or np.any(points > potential.hi):
+        raise ValueError("the potential's domain must hold every payoff point")
+
+
 class PotentialRule(ScoringRule):
     """A rule on a convex potential G whose shares dG(r) trade by matching:
     a trade's share change is undone by inverting the potential's gradient."""
@@ -484,16 +510,9 @@ class ExpectationRule(PotentialRule):
                 raise ValueError("identity securities need a scalar potential")
             self.report_space = report_space or RealReports()
         else:
-            self.phi = np.asarray(phi, dtype=float)
-            if self.phi.ndim == 1:
-                self.phi = self.phi[:, None]
-            if outcome_space is None:
-                outcome_space = OutcomeSpace.finite(range(self.phi.shape[0]))
-            if self.phi.shape[0] != outcome_space.n:
-                raise ValueError("phi rows must match the outcome count")
-            if self.phi.shape[1] != potential.dim:
-                raise ValueError("phi columns must match the potential dimension")
-            self.outcome_space = outcome_space
+            self.phi, self.outcome_space = payoff_table(
+                phi, outcome_space, potential.dim, independent=False)
+            _inside_domain(potential, self.phi)
             if report_space is None:
                 # the box phi spans, cut to the potential's polytope domain
                 lo = tuple(float(v) for v in np.min(self.phi, axis=0))
@@ -706,25 +725,16 @@ class RatioRule(PotentialRule):
                  outcome_space: OutcomeSpace | None = None,
                  report_space=None):
         self.potential = potential
-        self.phi = np.asarray(phi, dtype=float)
-        if self.phi.ndim == 1:
-            self.phi = self.phi[:, None]
+        self.phi, self.outcome_space = payoff_table(phi, outcome_space,
+                                                    potential.dim)
         self.b = np.asarray(b, dtype=float)
-        if np.min(self.b) <= 0:
-            raise ValueError("denominator payoffs must be strictly positive")
-        if outcome_space is None:
-            outcome_space = OutcomeSpace.finite(range(self.phi.shape[0]))
-        if self.phi.shape[0] != outcome_space.n or self.b.shape != (outcome_space.n,):
-            raise ValueError("payoff tables must match the outcome count")
-        if self.phi.shape[1] != potential.dim:
-            raise ValueError("phi columns must match the potential dimension")
-        centered = self.phi - np.mean(self.phi, axis=0)
-        if np.linalg.matrix_rank(centered, tol=PIVOT_TOL) != self.phi.shape[1]:
-            raise ValueError("securities must be affinely independent")
-        self.outcome_space = outcome_space
+        if self.b.shape != (self.outcome_space.n,) or np.min(self.b) <= 0:
+            raise ValueError("denominator payoffs must be strictly positive, "
+                             "one per outcome")
+        # the elicited ratio lives in the convex hull of phi(y)/b(y)
+        ratios = self.phi / self.b[:, None]
+        _inside_domain(potential, ratios)
         if report_space is None:
-            # the elicited ratio lives in the convex hull of phi(y)/b(y)
-            ratios = self.phi / self.b[:, None]
             report_space = BoxReports(
                 tuple(float(v) for v in np.min(ratios, axis=0)),
                 tuple(float(v) for v in np.max(ratios, axis=0)))

@@ -75,6 +75,17 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(report_points=1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("scenario_count", 0), ("portfolio_count", 0), ("portfolio_size", 0),
+        ("ic_beliefs", 0), ("lattice_bound", 0), ("seed", -1),
+        ("report_points", 2.5), ("candidate_points", True),
+        ("report_window", (4.0, -4.0)), ("report_window", (1.0, 1.0))])
+    def test_empty_budgets_and_bad_grids_rejected(self, field, value):
+        # a library caller meets the guard a config meets: no budget may be
+        # empty, so no check can hold over nothing
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
+
     def test_scenario_generators(self):
         rng = np.random.default_rng(0)
         tri = scenario_triples([1, 2, 3], 50, rng)
@@ -87,6 +98,10 @@ class TestSearchConfig:
 class TestIC:
     def test_mode(self):
         assert check_ic(mode3(), cfg=CFG).ok
+
+    def test_no_beliefs_rejected(self):
+        with pytest.raises(ValueError, match="belief"):
+            check_ic(mode3(), [], cfg=CFG)
 
     def test_mean(self):
         assert check_ic(ExpectationRule(quadratic(1)), cfg=CFG).ok
@@ -352,6 +367,19 @@ class TestBTB:
         p = finite_belief(rule.outcome_space, [0.2, 0.5, 0.3])
         with pytest.raises(ValueError):
             check_btb(rule, p, 2, cfg=CFG)
+
+    def test_no_budgets_rejected(self):
+        # no budget to meet would let BTB hold over nothing
+        rule = mode3()
+        p = finite_belief(rule.outcome_space, [0.2, 0.5, 0.3])
+        with pytest.raises(ValueError, match="budget"):
+            check_btb(rule, p, 3, epsilons=(), cfg=CFG)
+
+    def test_state_outside_the_reports_rejected(self):
+        rule = mode3()
+        p = finite_belief(rule.outcome_space, [0.2, 0.5, 0.3])
+        with pytest.raises(ValueError, match="outside"):
+            check_btb(rule, p, 9, cfg=CFG)
 
 
 class TestHelpers:

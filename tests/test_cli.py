@@ -356,7 +356,42 @@ class TestMain:
             axioms=["PRICE-BOUND"], expected={}, price_bound_trials="x"),
          "'price_bound_trials'"),
         ("check", "mode_market", lambda c: c.update(market=5), "market block"),
-        ("check", "mode_market", lambda c: c.update(axioms=5), "'axioms'")])
+        ("check", "mode_market", lambda c: c.update(axioms=5), "'axioms'"),
+        # shapes that exited 3: a belief of the wrong kind for the market,
+        # scalar or misshapen figure, search, btb and seed values, and an
+        # extract grid report outside the report space
+        ("session", "session_mean", lambda c: c.update(
+            market={"family": "mode", "outcomes": [1, 2]}, r0=1, outcome=1),
+         "belief of trader 't1'"),
+        ("figure", "fig_mode_position", lambda c: c.update(trade=5), "'trade'"),
+        ("figure", "fig_mode_position", lambda c: c.update(trade=[1, 2, 3]),
+         "'trade'"),
+        ("check", "expectile_market",
+         lambda c: c["search"].update(report_window=3), "'report_window'"),
+        ("check", "expectile_market",
+         lambda c: c["search"].update(report_window=[4, -4]), "report_window"),
+        ("check", "expectile_market",
+         lambda c: c["search"].update(report_points=2.5), "'report_points'"),
+        ("check", "mode_market", lambda c: c["btb"].update(epsilons=0.5),
+         "'epsilons'"),
+        ("extract", "extract_entropy", lambda c: c.update(grid=[0.1, 5.0]),
+         "extract grid"),
+        ("check", "mode_market", lambda c: c.update(seed="x"), "'seed'"),
+        ("figure", "fig_mean_position", lambda c: c.update(points="x"),
+         "'points'"),
+        ("figure", "fig_discretized_lmsr", lambda c: c.update(bound=2.5),
+         "'bound'"),
+        ("figure", "fig_mean_position", lambda c: c.update(contracts="ab"),
+         "'contracts'"),
+        # accepted before: linspace read the window's one end as start and
+        # the point count as stop
+        ("figure", "fig_mean_position", lambda c: c.update(window=[1]),
+         "'window'"),
+        # empty or zero budgets, which let BTB and WN hold over nothing
+        ("check", "mode_market", lambda c: c["btb"].update(epsilons=[]),
+         "'epsilons'"),
+        ("check", "expectile_market",
+         lambda c: c["search"].update(scenario_count=0), "scenario_count")])
     def test_value_of_the_wrong_shape_exit_two(self, tmp_path, capsys, command,
                                                name, edit, reason):
         self._assert_config_error(tmp_path, capsys, command, name, edit, reason)

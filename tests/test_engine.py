@@ -2,9 +2,12 @@
 independence, replay determinism, worst-case loss."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srmarket.contracts import (
     SIGMOID,
@@ -179,6 +182,29 @@ class TestPathIndependence:
         assert rep.verdict == "fails" and rep.margin == math.inf
 
 
+# rule, initial report, and a strategy for its reports: the families of
+# the long-session benchmark, and the mode market
+LEDGER_FAMILIES = {
+    "mode": (ModeRule([1, 2, 3]), 1, st.sampled_from([1, 2, 3])),
+    "sigmoid quantile": (QuantileRule(0.3, SIGMOID), 0.0, st.floats(-20.0, 20.0)),
+    "expectile": (ExpectileRule(0.3), 0.0, st.floats(-10.0, 10.0)),
+    "binary lmsr": (binary_lmsr_rule(), 0.0, st.floats(-20.0, 20.0)),
+    "ratio": (RatioRule(interval_negentropy(0.0, 3.0), [0.0, 1.0, 3.0],
+                        [2.0, 1.0, 1.0], OutcomeSpace.finite([1, 2, 3])),
+              1.0, st.floats(0.05, 2.95)),
+}
+
+
+def _generated_session(data, rule, r0, report, min_size: int = 0):
+    """A session of up to 30 generated (trader, report) trades."""
+    s = open_session(rule, r0)
+    trades = data.draw(st.lists(st.tuples(st.text(max_size=4), report),
+                                min_size=min_size, max_size=30), label="ledger")
+    for trader, r in trades:
+        s.execute_trade(trader, r)
+    return s
+
+
 def _long_session_ledgers(seed: int, n: int = 350):
     """Seeded ledgers on the families of the long-session benchmark."""
     rng = np.random.default_rng(seed)
@@ -206,22 +232,55 @@ class TestTelescopedPosition:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_sum_of_ledger(self, seed):
         for s, rng in _long_session_ledgers(seed):
-            summed = combine([r.contract for r in s.records],
-                             [1.0] * len(s.records))
-            position = s.position_contract()
-            for want, got in zip(contract_bounds(summed),
-                                 contract_bounds(position)):
-                assert math.isfinite(want) == math.isfinite(got)
-                if math.isfinite(want):
-                    assert abs(got - want) <= STRUCT_TOL * max(abs(want), 1.0)
-            if position.is_finite:
-                outcomes = list(s.rule.outcome_space.labels)
-            else:
-                outcomes = (summed.breakpoints() + position.breakpoints()
-                            + [float(y) for y in rng.uniform(-6.0, 6.0, 20)])
-            for y in outcomes:
-                want = summed(y)
-                assert abs(position(y) - want) <= STRUCT_TOL * (1.0 + abs(want))
+            _assert_telescopes(s, [float(y) for y in rng.uniform(-6.0, 6.0, 20)])
+
+    @pytest.mark.parametrize("family", sorted(LEDGER_FAMILIES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_sum_of_generated_ledger(self, family, data):
+        # pointwise, to the snap of the sum: a net move below combine's snap
+        # of cancellation residue (STRUCT_TOL of the largest term) leaves the
+        # position a slope that the snapped sum drops, so their bounds may
+        # differ (expectile ledger 0 -> 1.0 -> 3.9e-146: -inf against -6e-292)
+        rule, r0, report = LEDGER_FAMILIES[family]
+        s = _generated_session(data, rule, r0, report, min_size=1)
+        _assert_telescopes(s, data.draw(st.lists(
+            st.floats(-6.0, 6.0), max_size=5), label="outcomes"), bounds=False)
+
+
+def _assert_telescopes(s: MarketSession, outcomes, bounds: bool = True) -> None:
+    """The telescoped position S(r_T, .) - S(r_0, .) equals the sum of the
+    ledger's trade contracts: in its bounds, and at each outcome of a finite
+    space, or at the breakpoints and the given outcomes of the real line."""
+    summed = combine([r.contract for r in s.records], [1.0] * len(s.records))
+    position = s.position_contract()
+    for want, got in zip(contract_bounds(summed), contract_bounds(position)) \
+            if bounds else ():
+        assert math.isfinite(want) == math.isfinite(got)
+        if math.isfinite(want):
+            assert abs(got - want) <= STRUCT_TOL * max(abs(want), 1.0)
+    if position.is_finite:
+        outcomes = list(s.rule.outcome_space.labels)
+    else:
+        outcomes = summed.breakpoints() + position.breakpoints() + outcomes
+    for y in outcomes:
+        want = summed(y)
+        if bounds:
+            assert abs(position(y) - want) <= STRUCT_TOL * (1.0 + abs(want))
+        else:
+            # combine snaps each coefficient sum below STRUCT_TOL of its
+            # largest term, so the sum holds to that much of the terms' size
+            size = sum(_term_size(r.contract, y) for r in s.records)
+            assert abs(position(y) - want) <= 2.0 * STRUCT_TOL * (1.0 + size)
+
+
+def _term_size(d, y) -> float:
+    """|c0| + |c1 t| + |c2 t^2| of the piece paying d(y), or |d(y)|."""
+    if d.values is not None:
+        return abs(d(y))
+    i = max(bisect_right([p.lo for p in d.pieces], y) - 1, 0)
+    t = abs(d.transform(y))
+    return sum(abs(c) * t ** k for k, c in enumerate(d.pieces[i].coeffs))
 
 
 class TestWorstCaseLoss:
@@ -277,3 +336,25 @@ class TestLedgerReplay:
         replayed = MarketSession.replay(rule, 0.0, s.ledger_lines())
         for a, b in zip(s.records, replayed.records):
             assert a.contract.pieces == b.contract.pieces
+
+    @pytest.mark.parametrize("family", ["mode", "sigmoid quantile"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_generated_ledgers_round_trip(self, family, data):
+        # ledger_lines -> replay rebuilds every trade contract bit for bit,
+        # on a finite and on a real-line rule
+        rule, r0, report = LEDGER_FAMILIES[family]
+        s = _generated_session(data, rule, r0, report)
+        replayed = MarketSession.replay(rule, r0, s.ledger_lines())
+        assert len(replayed.records) == len(s.records)
+        assert replayed.ledger_lines() == s.ledger_lines()
+        for a, b in zip(s.records, replayed.records):
+            assert _bits(a.contract) == _bits(b.contract)
+
+
+def _bits(d) -> bytes:
+    """The bytes of a contract's payoff vector, or of its pieces' ends and
+    coefficients."""
+    if d.values is not None:
+        return np.asarray(d.values, dtype=float).tobytes()
+    return np.array([(p.lo, p.hi, *p.coeffs) for p in d.pieces]).tobytes()
