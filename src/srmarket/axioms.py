@@ -28,6 +28,7 @@ from .contracts import (
     VERDICT_TOL,
     Belief,
     OutcomeMismatch,
+    PayoffOverflow,
     cdf_belief,
     combine,
     contract_argmin,
@@ -196,7 +197,7 @@ def portfolio_scenarios(grid, count: int, size: int,
 def _require_finite(finite) -> None:
     # trade_contract rejects a trade whose payoffs overflow
     if not np.all(finite):
-        raise ValueError("payoffs must be finite")
+        raise PayoffOverflow("payoffs must be finite")
 
 
 def _require_belief_kind(rule: ScoringRule, p: Belief) -> None:

@@ -26,7 +26,7 @@ from .axioms import (
     build_belief,
     exhaustive_triples,
 )
-from .contracts import IDENTITY, SIGMOID
+from .contracts import IDENTITY, SIGMOID, PayoffOverflow
 from .convex import binary_lmsr_cost, quadratic
 from .costmarket import extract_cost_market, roundtrip_residual
 from .engine import MarketSession
@@ -360,8 +360,10 @@ def main(argv=None) -> int:
             if not (isinstance(overrides, dict) and isinstance(expected, dict)):
                 raise ConfigError("'expected' and --expect must be JSON objects")
             config["expected"] = {**expected, **overrides}
-        return run(config, args.out)
-    except ConfigError as exc:
+        # an overflow is reported once, as PayoffOverflow, not by numpy too
+        with np.errstate(over="ignore"):
+            return run(config, args.out)
+    except (ConfigError, PayoffOverflow) as exc:  # overflow: config's fault
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of srmarket, not of the config

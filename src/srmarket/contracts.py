@@ -76,6 +76,10 @@ class OutcomeMismatch(ValueError):
     """Operands live over different outcome spaces."""
 
 
+class PayoffOverflow(ValueError):
+    """A payoff that a float cannot hold: inf or nan."""
+
+
 class InvalidOutcome(ValueError):
     """Outcome not a member of the outcome space."""
 
@@ -335,7 +339,7 @@ def finite_contract(space: OutcomeSpace, values) -> Contract:
     # a loop over Python floats: a fraction of np.isfinite's cost on the
     # few outcomes of a finite space, and every finite contract passes here
     if not all(map(math.isfinite, arr.tolist())):
-        raise ValueError("payoffs must be finite")
+        raise PayoffOverflow("payoffs must be finite")
     arr.flags.writeable = False
     return Contract(space=space, values=arr)
 

@@ -6,7 +6,9 @@ maker's total exposure only depends on the first and last states: the
 position is the single contract S(r_T, .) - S(r_0, .), and
 ``worst_case_loss`` reads its bounds at a cost independent of the ledger
 length.  Settlement still sums the ledger trade by trade and reports it
-beside the telescoped loss, and path independence is checked pair by pair.
+beside the telescoped loss.  Each state is scored once: a trade is the new
+score less the held one, and path independence scores r_0 ... r_T once
+each, checking a finite ledger as one array.
 """
 from __future__ import annotations
 
@@ -19,12 +21,12 @@ import numpy as np
 from .contracts import (
     STRUCT_TOL,
     Contract,
+    PayoffOverflow,
     combine,
-    constant_contract,
     contract_bounds,
 )
 from .reports import FAILS, HOLDS, AxiomReport
-from .scoring import ScoringRule
+from .scoring import ScoringRule, score_difference
 
 
 @dataclass
@@ -53,22 +55,24 @@ class MarketSession:
         self.r0 = r0
         self.current = r0
         self.records: list[TradeRecord] = []
+        # S(r0, .) and S(current, .): each state is scored once
+        self._first = self._held = rule.score_contract(r0)
 
     def execute_trade(self, trader: str, r_new) -> Contract:
         self.rule.validate_trade(self.current, r_new)
-        contract = self.rule.trade_contract(self.current, r_new)
+        scored = self.rule.score_contract(r_new)
+        contract = score_difference(scored, self._held)
         rec = TradeRecord(index=len(self.records), trader=str(trader),
                          r_old=self.current, r_new=r_new, contract=contract)
         self.records.append(rec)
         self.current = r_new
+        self._held = scored
         return contract
 
     def position_contract(self) -> Contract:
         """The maker's cumulative payout as a contract: by telescoping, the
         one trade from r0 to the current report."""
-        if not self.records:
-            return constant_contract(self.rule.outcome_space, 0.0)
-        return self.rule.trade_contract(self.r0, self.current)
+        return score_difference(self._held, self._first)
 
     def settle(self, y) -> Settlement:
         by_trader: dict[str, float] = {}
@@ -93,10 +97,17 @@ class MarketSession:
         this by construction, so any failure is an implementation bug."""
         if len(self.records) < 2:
             raise ValueError("path independence needs at least 2 trades")
+        states = [self.r0] + [rec.r_new for rec in self.records]
+        if self.rule.outcome_space.is_finite:
+            gaps = _finite_gaps(self.rule.score_table(states), np.array(
+                [rec.contract.values for rec in self.records]))
+        else:
+            scores = [self.rule.score_contract(r) for r in states]
+            gaps = (_max_gap(score_difference(new, old), a.contract, b.contract)
+                    for old, new, a, b in zip(scores, scores[2:], self.records,
+                                              self.records[1:]))
         worst = 0.0
-        for a, b in zip(self.records, self.records[1:]):
-            direct = self.rule.trade_contract(a.r_old, b.r_new)
-            gap = _max_gap(direct, a.contract, b.contract)
+        for a, b, gap in zip(self.records, self.records[1:], gaps):
             worst = max(worst, gap)
             if gap > STRUCT_TOL:
                 return AxiomReport(
@@ -143,11 +154,22 @@ def _unjson(r):
     return r
 
 
+def _finite_gaps(table: np.ndarray, steps: np.ndarray):
+    """Each pair's payoff gap over a finite space, from the states' score
+    table and the recorded trades' payoffs: ``combine``'s floats, since
+    0.0 + a and 1.0 * a are exact.  A pair whose sums overflow raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct, stepped = table[2:] - table[:-2], steps[:-1] + steps[1:]
+        gaps = np.max(np.abs(direct - stepped), axis=1).tolist()
+    finite = (np.isfinite(direct) & np.isfinite(stepped)).all(axis=1).tolist()
+    for gap, ok in zip(gaps, finite):
+        if not ok:
+            raise PayoffOverflow("payoffs must be finite")
+        yield gap
+
+
 def _max_gap(direct: Contract, first: Contract, second: Contract) -> float:
-    """Largest payoff gap between a direct trade and its two steps."""
-    if direct.is_finite:
-        stepped = combine([first, second], [1.0, 1.0])
-        return float(np.max(np.abs(direct.values - stepped.values)))
+    """Largest payoff gap of a direct real-line trade and its two steps."""
     # one three-operand sum, so each coefficient is snapped against the
     # largest of the terms that produced it: cancellation between the two
     # steps leaves a residue that a separate two-step sum would keep

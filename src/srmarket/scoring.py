@@ -29,6 +29,7 @@ from .contracts import (
     Contract,
     OutcomeMismatch,
     OutcomeSpace,
+    PayoffOverflow,
     Piece,
     Transform,
     combine,
@@ -203,7 +204,7 @@ class ScoringRule:
         rows = [self.score_row(r) for r in reports]
         table = np.array(rows, dtype=float).reshape(len(rows), self.outcome_space.n)
         if not np.isfinite(table).all():
-            raise ValueError("payoffs must be finite")
+            raise PayoffOverflow("payoffs must be finite")
         return table
 
     def piece_table(self, reports) -> tuple:
@@ -219,8 +220,8 @@ class ScoringRule:
 
     def trade_contract(self, r_old, r_new) -> Contract:
         """The contract handed out for moving the state r_old -> r_new."""
-        return combine([self.score_contract(r_new),
-                        self.score_contract(r_old)], [1.0, -1.0])
+        return score_difference(self.score_contract(r_new),
+                                self.score_contract(r_old))
 
     def _pmf(self, p: Belief) -> np.ndarray:
         if p.pmf is None or p.space.labels != self.outcome_space.labels:
@@ -301,12 +302,17 @@ class ScoringRule:
         return None
 
 
+def score_difference(new: Contract, old: Contract) -> Contract:
+    """The trade paying S(r_new, .) - S(r_old, .), from the two scores."""
+    return combine([new, old], [1.0, -1.0])
+
+
 def _finite_values(rows, pmf: np.ndarray) -> list:
     """E_p of each payoff row, ``float(np.dot(row, pmf))``; a row holding
     inf or nan makes its value non-finite and raises."""
     vals = [float(np.dot(row, pmf)) for row in rows]
     if not all(map(math.isfinite, vals)):
-        raise ValueError("payoffs must be finite")
+        raise PayoffOverflow("payoffs must be finite")
     return vals
 
 
@@ -454,8 +460,9 @@ def payoff_table(phi, outcome_space: OutcomeSpace | None, dim: int,
 
 def _inside_domain(potential: ConvexFn, points: np.ndarray) -> None:
     """Reports span the box of the points: the potential's domain box must
-    hold it."""
-    if np.any(points < potential.lo) or np.any(points > potential.hi):
+    hold it, and a non-finite point lies in none."""
+    if not np.isfinite(points).all() or np.any(points < potential.lo) or \
+            np.any(points > potential.hi):
         raise ValueError("the potential's domain must hold every payoff point")
 
 
@@ -732,7 +739,8 @@ class RatioRule(PotentialRule):
             raise ValueError("denominator payoffs must be strictly positive, "
                              "one per outcome")
         # the elicited ratio lives in the convex hull of phi(y)/b(y)
-        ratios = self.phi / self.b[:, None]
+        with np.errstate(over="ignore"):
+            ratios = self.phi / self.b[:, None]
         _inside_domain(potential, ratios)
         if report_space is None:
             report_space = BoxReports(

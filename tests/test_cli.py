@@ -4,9 +4,12 @@ bundled configs, and figure data."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import srmarket
 from srmarket.cli import (
     ConfigError,
     build_belief,
@@ -301,6 +304,34 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("Traceback")
         assert err.endswith("\ninternal error: RuntimeError: checker fault\n")
+
+    @pytest.mark.parametrize("command,name,edit,reason", [
+        # phi / b overflows a float
+        ("extract", "extract_ratio", lambda c: c["market"].update(
+            phi=[1e300, 1.0, 3.0], b=[1e-300, 1.0, 1.0]), "payoff point"),
+        # report grids whose payoffs overflow a float
+        ("check", "expectile_market",
+         lambda c: c["search"].update(report_window=[-1e300, 3.0]),
+         "payoffs must be finite"),
+        ("check", "mean_unbounded",
+         lambda c: c["search"].update(report_window=[-1e300, 3.0]),
+         "payoffs must be finite")])
+    def test_overflowing_config_exit_two(self, tmp_path, command, name, edit,
+                                         reason):
+        # a fresh interpreter, where a numpy warning would reach stderr
+        cfg = load_config(name)
+        edit(cfg)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(cfg))
+        src = os.path.dirname(os.path.dirname(srmarket.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "srmarket.cli", command, "--config",
+             str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:")
+        assert proc.stderr.count("\n") == 1 and reason in proc.stderr
 
     def test_jobs_flag_removed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

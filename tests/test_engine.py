@@ -13,10 +13,12 @@ from srmarket.contracts import (
     SIGMOID,
     STRUCT_TOL,
     OutcomeSpace,
+    PayoffOverflow,
     Piece,
     combine,
     contract_bounds,
     finite_belief,
+    finite_contract,
     piecewise_contract,
 )
 from srmarket.convex import interval_negentropy, quadratic
@@ -25,6 +27,7 @@ from srmarket.engine import MarketSession, open_session
 from srmarket.scoring import (
     ExpectationRule,
     ExpectileRule,
+    FiniteRule,
     InvalidReport,
     ModeRule,
     QuantileRule,
@@ -181,6 +184,72 @@ class TestPathIndependence:
         rep = s.verify_path_independence()
         assert rep.verdict == "fails" and rep.margin == math.inf
 
+    def test_finite_record_gap_fails(self):
+        # the finite twin: the check reads the recorded payoffs, so a record
+        # moved by 1e-9 fails its first pair, named by its three states
+        s = open_session(ModeRule([1, 2, 3]), 1)
+        for i, r in enumerate((2, 3, 1, 2)):
+            s.execute_trade(f"t{i}", r)
+        rec = s.records[2]
+        rec.contract = finite_contract(rec.contract.space,
+                                       rec.contract.values + [0.0, 1e-9, 0.0])
+        rep = s.verify_path_independence()
+        assert rep.verdict == "fails"
+        assert rep.margin == pytest.approx(1e-9, rel=1e-6)
+        assert rep.witness == {"r": "2", "r_mid": "3", "r_new": "1",
+                               "gap": rep.margin}
+        assert (rep.verdict, rep.margin) == _pairwise_path_independence(s)
+
+    def test_finite_overflow_raises(self):
+        # each trade pays 1e308 on outcome a; the direct trade overflows
+        rule = FiniteRule([[-1e308, 0.0], [0.0, 0.0], [1e308, 0.0], [1.0, 0.0]],
+                          OutcomeSpace.finite(["a", "b"]))
+        s = open_session(rule, 1)
+        s.execute_trade("t0", 2)
+        s.execute_trade("t1", 3)
+        with pytest.raises(ValueError, match="payoffs must be finite") as exc:
+            s.verify_path_independence()
+        assert isinstance(exc.value, PayoffOverflow)
+        # a pair that fails before the overflowing one still decides
+        s = open_session(rule, 4)
+        for i, r in enumerate((1, 2, 3)):
+            s.execute_trade(f"t{i}", r)
+        rec = s.records[0]
+        rec.contract = finite_contract(rec.contract.space,
+                                       rec.contract.values + [0.0, 1e-9])
+        rep = s.verify_path_independence()
+        assert rep.verdict == "fails" and rep.witness["r_new"] == "2"
+        # recorded steps whose sum overflows raise as well
+        s = open_session(ModeRule([1, 2, 3]), 1)
+        s.execute_trade("t0", 2)
+        s.execute_trade("t1", 3)
+        for rec in s.records:
+            rec.contract = finite_contract(rec.contract.space,
+                                           [1.5e308, 0.0, 0.0])
+        with pytest.raises(PayoffOverflow, match="payoffs must be finite"):
+            s.verify_path_independence()
+
+
+def _pairwise_path_independence(s: MarketSession) -> tuple:
+    """(verdict, margin) of path independence checked pair by pair, each
+    direct trade rebuilt by ``trade_contract``: the check that scoring each
+    state once replaced."""
+    worst = 0.0
+    for a, b in zip(s.records, s.records[1:]):
+        direct = s.rule.trade_contract(a.r_old, b.r_new)
+        if direct.is_finite:
+            stepped = combine([a.contract, b.contract], [1.0, 1.0])
+            gap = float(np.max(np.abs(direct.values - stepped.values)))
+        else:
+            lo, hi = contract_bounds(combine([direct, a.contract, b.contract],
+                                             [1.0, -1.0, -1.0]))
+            span = max(abs(lo), abs(hi))
+            gap = span if math.isfinite(span) else math.inf
+        worst = max(worst, gap)
+        if gap > STRUCT_TOL:
+            return "fails", gap
+    return "holds", worst
+
 
 # rule, initial report, and a strategy for its reports: the families of
 # the long-session benchmark, and the mode market
@@ -246,6 +315,25 @@ class TestTelescopedPosition:
         s = _generated_session(data, rule, r0, report, min_size=1)
         _assert_telescopes(s, data.draw(st.lists(
             st.floats(-6.0, 6.0), max_size=5), label="outcomes"), bounds=False)
+
+
+class TestScoredOnce:
+    @pytest.mark.parametrize("family", sorted(LEDGER_FAMILIES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_rebuilt_trades(self, family, data):
+        # each state scored once gives the contracts and the path check of
+        # rebuilding both scores of every trade
+        rule, r0, report = LEDGER_FAMILIES[family]
+        s = _generated_session(data, rule, r0, report)
+        for rec in s.records:
+            want = rule.trade_contract(rec.r_old, rec.r_new)
+            assert rec.contract.to_dict() == want.to_dict()
+        want = rule.trade_contract(r0, s.current)
+        assert s.position_contract().to_dict() == want.to_dict()
+        if len(s.records) >= 2:
+            rep = s.verify_path_independence()
+            assert (rep.verdict, rep.margin) == _pairwise_path_independence(s)
 
 
 def _assert_telescopes(s: MarketSession, outcomes, bounds: bool = True) -> None:

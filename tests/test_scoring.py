@@ -364,6 +364,13 @@ class TestRatioRule:
             RatioRule(quadratic(1), phi=np.array([0.0, 1.0]),
                       b=np.array([1.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ratio_rejected_without_warning(self):
+        # 1e300 / 1e-300 is inf, which no domain holds, the real line's either
+        with pytest.raises(ValueError, match="domain must hold"):
+            RatioRule(quadratic(1), phi=np.array([1e300, 1.0, 3.0]),
+                      b=np.array([1e-300, 1.0, 1.0]))
+
     def test_affine_independence_required(self):
         with pytest.raises(ValueError):
             RatioRule(quadratic(1), phi=np.array([1.0, 1.0, 1.0]),
