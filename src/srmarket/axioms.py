@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .contracts import (
+    FLAT_TOL,
     INF,
     REPLAY_TOL,
     STRUCT_TOL,
@@ -50,7 +51,13 @@ from .costmarket import (
 )
 from .engine import MarketSession
 from .reports import FAILS, HOLDS, HOLDS_AT_BUDGET, AxiomReport
-from .scoring import BoxReports, FiniteReports, RealReports, ScoringRule
+from .scoring import (
+    BoxReports,
+    FiniteReports,
+    RealReports,
+    ScoringRule,
+    score_difference,
+)
 
 
 @dataclass
@@ -453,6 +460,13 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
 # (one held trade, or a portfolio of them) and in the value of held + trade
 # that must beat it: its own worst-case payoff for WN, its cash level for TN
 # and PN, which is -inf unless held + trade is flat.
+#
+# A check scores each distinct report once.  Over a finite outcome space it
+# judges payoff rows: the held positions of all scenarios form one array,
+# every analytic candidate is judged in one pass, and a scenario it does not
+# settle judges its other candidates as one array.  The rows are the floats
+# ``combine`` gives the contracts, so verdicts and margins are those of the
+# contracts; a failing scenario's witness is built from contracts.
 
 
 def _improved(new_inf: float, base: float, delta: float) -> bool:
@@ -462,7 +476,7 @@ def _improved(new_inf: float, base: float, delta: float) -> bool:
 
 
 def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig, analytic):
-    """A scenario's candidate trade targets, built as they are tried: the
+    """A scenario's candidate trade targets in the order they are tried: the
     analytic candidate first, then the share lattice around the state r2,
     or local moves around it and then the candidate grid."""
     if analytic is not None and rule.report_space.contains(analytic):
@@ -496,6 +510,17 @@ def _cash_level(net) -> float:
     return level if flat else -INF
 
 
+def _flat_rows(rows: np.ndarray) -> tuple:
+    """``contract_is_constant`` of each payoff row: (flags, levels)."""
+    levels = rows.mean(axis=1)
+    return np.abs(rows - levels[:, None]).max(axis=1) <= FLAT_TOL, levels
+
+
+def _cash_levels(rows: np.ndarray) -> np.ndarray:
+    flat, levels = _flat_rows(rows)
+    return np.where(flat, levels, -INF)
+
+
 def _worst_entry(net, c) -> dict:
     y_bad, v_bad, _ = contract_argmin(net)
     return {"candidate": _j(c), "inf": contract_bounds(net)[0],
@@ -515,7 +540,7 @@ class _Position(NamedTuple):
     TN), or a portfolio of trades with the market at a state (PN)."""
     count: str          # budget key of the scenario count
     sample: Callable    # (rule, cfg) -> the seeded scenarios
-    hold: Callable      # (rule, scenario) -> (held contract, market state)
+    trades: Callable    # scenario -> (held trades [(old, new), ...], state)
     failure: Callable   # (scenario, held inf, entries, n, k) -> witness, budget
     read: Callable      # witness -> scenario
 
@@ -524,7 +549,7 @@ _ONE_TRADE = _Position(
     "scenarios",
     lambda rule, cfg: scenario_triples(cfg.report_grid(rule),
                                        cfg.scenario_count, cfg.rng()),
-    lambda rule, sc: (rule.trade_contract(sc[0], sc[1]), sc[2]),
+    lambda sc: ([(sc[0], sc[1])], sc[2]),
     lambda sc, base, entries, n, k: (
         {"scenario": {"r1": _j(sc[0]), "r1_new": _j(sc[1]), "state": _j(sc[2])},
          "held_inf": base, "candidates": entries},
@@ -535,8 +560,7 @@ _PORTFOLIO = _Position(
     "portfolios",
     lambda rule, cfg: portfolio_scenarios(cfg.report_grid(rule), cfg.portfolio_count,
                                           cfg.portfolio_size, cfg.rng()),
-    lambda rule, sc: (combine([rule.trade_contract(a, b) for a, b in sc[0]],
-                              [1.0] * len(sc[0])), sc[1]),
+    lambda sc: sc,
     lambda sc, base, entries, n, k: (
         {"portfolio": [[_j(a), _j(b)] for a, b in sc[0]], "state": _j(sc[1]),
          "position_inf": base, "candidates": entries},
@@ -544,26 +568,34 @@ _PORTFOLIO = _Position(
     lambda w: ([(_unj(a), _unj(b)) for a, b in w["portfolio"]], _unj(w["state"])))
 
 # axiom -> (position, analytic-candidate hook, value of held + trade that
-#           must beat the held infimum, failure entry, failure entries kept)
+#           must beat the held infimum, the same value of payoff rows,
+#           failure entry, failure entries kept)
 _NEUTRALIZATION = {
     "WN": (_ONE_TRADE, "wn_candidate", lambda net: contract_bounds(net)[0],
-           _worst_entry, None),
-    "TN": (_ONE_TRADE, "tn_candidate", _cash_level, _cash_entry, 80),
-    "PN": (_PORTFOLIO, "pn_candidate", _cash_level, _cash_entry, 80),
+           lambda rows: rows.min(axis=1), _worst_entry, None),
+    "TN": (_ONE_TRADE, "tn_candidate", _cash_level, _cash_levels,
+           _cash_entry, 80),
+    "PN": (_PORTFOLIO, "pn_candidate", _cash_level, _cash_levels,
+           _cash_entry, 80),
 }
 
 
-def _net(rule, held, state, c):
-    return combine([held, rule.trade_contract(state, c)], [1.0, 1.0])
+def _held(score, trades):
+    """The held position from the score of each report: the trade
+    S(new) - S(old), or the sum of a portfolio's trades."""
+    parts = [score_difference(score(new), score(old)) for old, new in trades]
+    return parts[0] if len(parts) == 1 else combine(parts, [1.0] * len(parts))
 
 
 def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
     """(held infimum, values, margin, witness, budget) of a failing
     scenario, from the value and the entry of each candidate it lists."""
-    position, _, value, entry, _ = _NEUTRALIZATION[axiom]
-    held, state = position.hold(rule, scenario)
+    position, _, value, _, entry, _ = _NEUTRALIZATION[axiom]
+    trades, state = position.trades(scenario)
+    held = _held(rule.score_contract, trades)
     base, _ = contract_bounds(held)
-    nets = [_net(rule, held, state, c) for c in cands]
+    nets = [combine([held, rule.trade_contract(state, c)], [1.0, 1.0])
+            for c in cands]
     values = [value(net) for net in nets]
     gap = max(values, default=-INF) - base  # 0 when either side is infinite
     witness, budget = position.failure(
@@ -571,18 +603,36 @@ def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
     return base, values, gap if math.isfinite(gap) else 0.0, witness, budget
 
 
-def _neutralize(axiom: str, rule: ScoringRule, scenarios,
-                cfg: SearchConfig) -> AxiomReport:
-    """The WN/TN/PN check: every non-degenerate scenario needs a candidate
-    whose value beats the held infimum by more than ``cfg.delta``; the first
-    scenario without one fails, listing its candidates' entries."""
-    position, hook, value, _, cap = _NEUTRALIZATION[axiom]
-    if scenarios is None:
-        scenarios = position.sample(rule, cfg)
-    degenerate = 0
-    worst = INF
+def _scored_once(score: Callable) -> Callable:
+    """``score`` that scores each distinct report once.  Reports are told
+    apart by type and, for floats and arrays, by their bits, so 0.0 and
+    -0.0 are scored apart."""
+    memo = {}
+
+    def scored(r):
+        if isinstance(r, np.ndarray):
+            key = (r.dtype.str, r.shape, r.tobytes())
+        elif isinstance(r, float):
+            key = (type(r), r.hex())
+        else:
+            key = (type(r), repr(r) if isinstance(r, list) else r)
+        if key not in memo:
+            memo[key] = score(r)
+        return memo[key]
+    return scored
+
+
+def _judge_contracts(axiom: str, rule: ScoringRule, scenarios,
+                     cfg: SearchConfig) -> tuple:
+    """The failing scenario and the candidates it tried, or None with the
+    degenerate count and the least improvement: by contracts, one scenario
+    and one candidate at a time."""
+    position, hook, value, _, _, _ = _NEUTRALIZATION[axiom]
+    score = _scored_once(rule.score_contract)
+    degenerate, worst = 0, INF
     for scenario in scenarios:
-        held, state = position.hold(rule, scenario)
+        trades, state = position.trades(scenario)
+        held = _held(score, trades)
         if contract_is_constant(held)[0]:
             degenerate += 1
             continue
@@ -591,15 +641,100 @@ def _neutralize(axiom: str, rule: ScoringRule, scenarios,
         for c in _scenario_candidates(rule, state, cfg,
                                       getattr(rule, hook)(*scenario)):
             tried.append(c)
-            best = value(_net(rule, held, state, c))
+            trade = score_difference(score(c), score(state))
+            best = value(combine([held, trade], [1.0, 1.0]))
             if _improved(best, base, cfg.delta):
                 break
         else:
-            _, _, margin, witness, budget = _failure(
-                axiom, rule, scenario, tried[:cap], len(scenarios), len(tried))
-            return AxiomReport(axiom=axiom, verdict=FAILS, margin=margin,
-                               witness=witness, budget=budget)
+            return (scenario, tried), None, None
         worst = min(worst, (best - base) if base > -INF else INF)
+    return None, degenerate, worst
+
+
+def _net_rows(held: np.ndarray, state: np.ndarray, targets: np.ndarray):
+    """Payoffs of held + (S(target) - S(state)) in ``combine``'s floats."""
+    return (0.0 + held) + ((0.0 + targets) + (-1.0 * state))
+
+
+def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
+                cfg: SearchConfig) -> tuple:
+    """``_judge_contracts`` over a finite outcome space, on payoff rows.
+
+    Every held position is summed as ``combine`` sums it: each trade is
+    (0.0 + S(new)) + (-1.0 * S(old)) and the trades add to 0.0 in turn (a
+    shorter portfolio adds exact zeros).  A candidate whose payoffs overflow
+    raises ``PayoffOverflow`` when the contract loop would have built it,
+    and so does any held position or analytic candidate."""
+    position, hook, _, value, _, _ = _NEUTRALIZATION[axiom]
+    row = _scored_once(rule.score_row)
+    zero = np.zeros(rule.outcome_space.n)
+    held_trades, states = zip(*map(position.trades, scenarios))
+    if not all(held_trades):
+        raise ValueError("a portfolio needs at least one trade")
+    held = 0.0
+    for j in range(max(map(len, held_trades))):
+        legs = [t[j] if j < len(t) else None for t in held_trades]
+        new = np.array([zero if t is None else row(t[1]) for t in legs])
+        old = np.array([zero if t is None else row(t[0]) for t in legs])
+        held = held + ((0.0 + new) + (-1.0 * old))
+    _require_finite(np.isfinite(held))
+    flat, _ = _flat_rows(held)
+    live = np.flatnonzero(~flat)
+    base = held.min(axis=1)
+    state_rows = {i: row(states[i]) for i in live}
+    best = {}
+    analytic = {}
+    for i in live:
+        c = getattr(rule, hook)(*scenarios[i])
+        if c is not None and rule.report_space.contains(c):
+            analytic[i] = c
+    if analytic:
+        at = list(analytic)
+        nets = _net_rows(held[at], np.array([state_rows[i] for i in at]),
+                         np.array([row(analytic[i]) for i in at]))
+        _require_finite(np.isfinite(nets))
+        vals = value(nets)
+        best = {i: v for i, v, ok in zip(at, vals, vals > base[at] + cfg.delta)
+                if ok}
+    for i in live:
+        if i in best:
+            continue
+        cands = list(_scenario_candidates(rule, states[i], cfg, None))
+        nets = _net_rows(held[i], state_rows[i],
+                         np.array([row(c) for c in cands]))
+        vals = value(nets)
+        hits = np.flatnonzero(vals > base[i] + cfg.delta)
+        stop = int(hits[0]) + 1 if len(hits) else len(cands)
+        _require_finite(np.isfinite(nets[:stop]))
+        if not len(hits):
+            tried = [analytic[i]] + cands if i in analytic else cands
+            return (scenarios[i], tried), None, None
+        best[i] = vals[hits[0]]
+    worst = min((float(best[i] - base[i]) for i in live), default=INF)
+    return None, int(flat.sum()), worst
+
+
+def _neutralize(axiom: str, rule: ScoringRule, scenarios,
+                cfg: SearchConfig) -> AxiomReport:
+    """The WN/TN/PN check: every non-degenerate scenario needs a candidate
+    whose value beats the held infimum by more than ``cfg.delta``; the first
+    scenario without one fails, listing its candidates' entries.  No
+    scenario raises ValueError."""
+    position, _, _, _, _, cap = _NEUTRALIZATION[axiom]
+    if scenarios is None:
+        scenarios = position.sample(rule, cfg)
+    if not len(scenarios):
+        raise ValueError(f"{axiom} needs at least one scenario")
+    judge = _judge_rows if rule.outcome_space.is_finite else _judge_contracts
+    # payoff rows that overflow raise PayoffOverflow, without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed, degenerate, worst = judge(axiom, rule, scenarios, cfg)
+    if failed is not None:
+        scenario, tried = failed
+        _, _, margin, witness, budget = _failure(
+            axiom, rule, scenario, tried[:cap], len(scenarios), len(tried))
+        return AxiomReport(axiom=axiom, verdict=FAILS, margin=margin,
+                           witness=witness, budget=budget)
     return AxiomReport(axiom=axiom, verdict=HOLDS_AT_BUDGET,
                        margin=worst if worst < INF else 0.0,
                        budget={position.count: len(scenarios),

@@ -65,6 +65,18 @@ class ConvexFn:
         return self.value(x)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """``float(np.dot(a, b))`` without numpy's overflow warning: a product
+    past the largest float is inf or nan, which the scoring layer rejects as
+    ``PayoffOverflow``.  Vectors of one entry, every scalar potential's,
+    multiply as Python floats, which round as ``np.dot`` does and never
+    warn."""
+    if len(a) == 1:
+        return float(a[0]) * float(b[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(a, b))
+
+
 def _box(dim, lo, hi):
     lo = np.full(dim, -INF) if lo is None else np.asarray(lo, dtype=float)
     hi = np.full(dim, INF) if hi is None else np.asarray(hi, dtype=float)
@@ -79,7 +91,7 @@ def quadratic(dim: int = 1, lo=None, hi=None) -> ConvexFn:
     full = not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)))
     return ConvexFn(
         dim=dim,
-        value_fn=lambda x: float(np.dot(x, x)),
+        value_fn=lambda x: _dot(x, x),
         grad_fn=lambda x: 2.0 * x,
         lo=lo, hi=hi,
         bounded=not full,

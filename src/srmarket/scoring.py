@@ -40,6 +40,7 @@ from .contracts import (
 )
 from .convex import (
     ConvexFn,
+    _dot,
     _vec,
     bisect,
     bracket,
@@ -176,9 +177,13 @@ class ScoringRule:
         return self.score_contract(r)(y)
 
     def score_contract(self, r) -> Contract:
+        """The payoff contract of report r; payoffs or piece coefficients
+        that overflow raise ``PayoffOverflow``."""
         if self.outcome_space.is_finite:
             return finite_contract(self.outcome_space, self.score_row(r))
         ends, coeffs = self.score_pieces(r)
+        if not all(math.isfinite(v) for c in coeffs for v in c):
+            raise PayoffOverflow("payoffs must be finite")
         return piecewise_contract(map(Piece, (-INF, *ends), (*ends, INF), coeffs),
                                   self.transform)
 
@@ -210,13 +215,16 @@ class ScoringRule:
     def piece_table(self, reports) -> tuple:
         """``score_pieces`` of each report stacked for ``expected_scores``:
         ends of shape (R, P - 1) and coefficients of shape (R, P, 3), rows
-        of fewer pieces padded with +inf ends and zero coefficients."""
+        of fewer pieces padded with +inf ends and zero coefficients.
+        Coefficients that overflow raise ``PayoffOverflow``."""
         rows = [self.score_pieces(r) for r in reports]
         P = max(len(c) for _, c in rows)
         ends = [tuple(e) + (INF,) * (P - 1 - len(e)) for e, _ in rows]
-        coeffs = [tuple(c) + ((0.0, 0.0, 0.0),) * (P - len(c)) for _, c in rows]
-        return (np.array(ends, dtype=float).reshape(len(rows), P - 1),
-                np.array(coeffs, dtype=float))
+        coeffs = np.array([tuple(c) + ((0.0, 0.0, 0.0),) * (P - len(c))
+                           for _, c in rows], dtype=float)
+        if not np.isfinite(coeffs).all():
+            raise PayoffOverflow("payoffs must be finite")
+        return np.array(ends, dtype=float).reshape(len(rows), P - 1), coeffs
 
     def trade_contract(self, r_old, r_new) -> Contract:
         """The contract handed out for moving the state r_old -> r_new."""
@@ -537,13 +545,13 @@ class ExpectationRule(PotentialRule):
             ph = np.array([float(y)])
         else:
             ph = self.phi[self.outcome_space.index(y)]
-        return g + float(np.dot(dg, ph - rv))
+        return g + _dot(dg, ph - rv)
 
     def _affine(self, r) -> tuple:
         """G(r) - dG_r . r and dG_r: the score is their sum with dG_r . phi."""
         rv = self._r(r)
         dg = self.potential.grad(rv)
-        return self.potential.value(rv) - float(np.dot(dg, rv)), dg
+        return self.potential.value(rv) - _dot(dg, rv), dg
 
     def score_row(self, r) -> np.ndarray:
         base, dg = self._affine(r)

@@ -4,6 +4,7 @@ witness replay through the session primitives."""
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from srmarket.cli import build_rule, bundled_config_names, load_config, main
 from srmarket.contracts import (
     SIGMOID,
     OutcomeSpace,
+    PayoffOverflow,
     finite_belief,
     uniform_belief,
 )
@@ -228,6 +230,22 @@ class TestWN:
         rep = check_wn(ExpectationRule(quadratic(1)), cfg=CFG)
         assert rep.ok
 
+    def test_no_scenario_raises(self):
+        # a check over no scenario would hold over nothing
+        with pytest.raises(ValueError, match="at least one"):
+            check_wn(mode3(), scenarios=[], cfg=CFG)
+
+    def test_overflowing_reports_raise_without_a_warning(self):
+        # reports near -1e300 square past the largest float; the score
+        # pieces overflow to nan, which is PayoffOverflow, not a numpy
+        # warning followed by a verdict on nan payoffs
+        rule = ExpectationRule(quadratic())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PayoffOverflow):
+                check_wn(rule, cfg=SearchConfig(report_window=(-1e300, 3.0)))
+            assert math.isnan(rule.score(1e300, 1.0))
+
 
 class TestTN:
     def test_mode_fails(self):
@@ -278,6 +296,10 @@ class TestTN:
         rep = check_tn(rule, scenarios=[(0.0, 1.0, 1.0)], cfg=CFG)
         assert rep.ok
 
+    def test_no_scenario_raises(self):
+        with pytest.raises(ValueError, match="at least one"):
+            check_tn(mode3(), scenarios=[], cfg=CFG)
+
 
 class TestPN:
     def test_entropy_portfolios(self):
@@ -315,6 +337,10 @@ class TestPN:
         rep = check_pn(rule, portfolios=ports, cfg=CFG)
         assert rep.ok
         assert rep.budget["degenerate"] == 1
+
+    def test_no_portfolio_raises(self):
+        with pytest.raises(ValueError, match="at least one"):
+            check_pn(mode3(), portfolios=[], cfg=CFG)
 
 
 class TestBTB:
