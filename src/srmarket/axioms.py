@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -31,6 +31,8 @@ from .contracts import (
     OutcomeMismatch,
     PayoffOverflow,
     cdf_belief,
+    cell_extremes,
+    cell_sums,
     combine,
     contract_argmin,
     contract_bounds,
@@ -38,8 +40,9 @@ from .contracts import (
     expected_payoff,
     expected_scores,
     finite_belief,
+    lay_pieces,
+    stack_pieces,
     trade_bounds,
-    trade_rows,
     uniform_belief,
 )
 from .costmarket import (
@@ -56,7 +59,6 @@ from .scoring import (
     FiniteReports,
     RealReports,
     ScoringRule,
-    score_difference,
 )
 
 
@@ -240,7 +242,7 @@ def _expected_trade_payoffs(rule: ScoringRule, grid, states):
     state_rows = rule.score_table(states)
 
     def values(p, k):
-        rows = trade_rows(table, state_rows[k])
+        rows = cell_sums([table, state_rows[k]], (1.0, -1.0), snap=False)
         _require_finite(np.isfinite(rows))
         return [float(np.dot(row, p.pmf)) for row in rows]
     return values
@@ -461,18 +463,8 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
 # that must beat it: its own worst-case payoff for WN, its cash level for TN
 # and PN, which is -inf unless held + trade is flat.
 #
-# A check scores each distinct report once.  Over a finite outcome space it
-# judges payoff rows: the held positions of all scenarios form one array,
-# every analytic candidate is judged in one pass, and a scenario it does not
-# settle judges its other candidates as one array.  The rows are the floats
-# ``combine`` gives the contracts, so verdicts and margins are those of the
-# contracts; a failing scenario's witness is built from contracts.
-
-
-def _improved(new_inf: float, base: float, delta: float) -> bool:
-    if base == -INF:
-        return new_inf > -INF
-    return new_inf > base + delta
+# A check judges rows of either outcome kind (``_judge_rows``) in the floats
+# of the contracts, and builds a failing scenario's witness from contracts.
 
 
 def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig, analytic):
@@ -510,17 +502,6 @@ def _cash_level(net) -> float:
     return level if flat else -INF
 
 
-def _flat_rows(rows: np.ndarray) -> tuple:
-    """``contract_is_constant`` of each payoff row: (flags, levels)."""
-    levels = rows.mean(axis=1)
-    return np.abs(rows - levels[:, None]).max(axis=1) <= FLAT_TOL, levels
-
-
-def _cash_levels(rows: np.ndarray) -> np.ndarray:
-    flat, levels = _flat_rows(rows)
-    return np.where(flat, levels, -INF)
-
-
 def _worst_entry(net, c) -> dict:
     y_bad, v_bad, _ = contract_argmin(net)
     return {"candidate": _j(c), "inf": contract_bounds(net)[0],
@@ -533,6 +514,25 @@ def _cash_entry(net, c) -> dict:
     return {"candidate": _j(c), "flat": bool(flat),
             "level": level if flat else None,
             "spread": (hi - lo) if math.isfinite(hi - lo) else INF}
+
+
+class _Rows(NamedTuple):
+    """Positions as rows: per cell (per outcome over a finite space) the
+    infimum and sup of its piece, the level a flat row pays (a vector's
+    mean, a contract's first constant term), and whether it is finite."""
+    lo: np.ndarray
+    hi: np.ndarray
+    level: np.ndarray
+    finite: np.ndarray
+
+    def inf(self) -> np.ndarray:
+        return self.lo.min(axis=1)
+
+    def cash(self) -> np.ndarray:
+        """The level where ``contract_is_constant`` finds a row flat, or -inf."""
+        dev = np.maximum(np.abs(self.lo - self.level[:, None]),
+                         np.abs(self.hi - self.level[:, None]))
+        return np.where(dev.max(axis=1) <= FLAT_TOL, self.level, -INF)
 
 
 class _Position(NamedTuple):
@@ -568,23 +568,14 @@ _PORTFOLIO = _Position(
     lambda w: ([(_unj(a), _unj(b)) for a, b in w["portfolio"]], _unj(w["state"])))
 
 # axiom -> (position, analytic-candidate hook, value of held + trade that
-#           must beat the held infimum, the same value of payoff rows,
-#           failure entry, failure entries kept)
+#           must beat the held infimum, the same value of rows, failure
+#           entry, failure entries kept)
 _NEUTRALIZATION = {
     "WN": (_ONE_TRADE, "wn_candidate", lambda net: contract_bounds(net)[0],
-           lambda rows: rows.min(axis=1), _worst_entry, None),
-    "TN": (_ONE_TRADE, "tn_candidate", _cash_level, _cash_levels,
-           _cash_entry, 80),
-    "PN": (_PORTFOLIO, "pn_candidate", _cash_level, _cash_levels,
-           _cash_entry, 80),
+           _Rows.inf, _worst_entry, None),
+    "TN": (_ONE_TRADE, "tn_candidate", _cash_level, _Rows.cash, _cash_entry, 80),
+    "PN": (_PORTFOLIO, "pn_candidate", _cash_level, _Rows.cash, _cash_entry, 80),
 }
-
-
-def _held(score, trades):
-    """The held position from the score of each report: the trade
-    S(new) - S(old), or the sum of a portfolio's trades."""
-    parts = [score_difference(score(new), score(old)) for old, new in trades]
-    return parts[0] if len(parts) == 1 else combine(parts, [1.0] * len(parts))
 
 
 def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
@@ -592,7 +583,8 @@ def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
     scenario, from the value and the entry of each candidate it lists."""
     position, _, value, _, entry, _ = _NEUTRALIZATION[axiom]
     trades, state = position.trades(scenario)
-    held = _held(rule.score_contract, trades)
+    legs = [rule.trade_contract(old, new) for old, new in trades]
+    held = legs[0] if len(legs) == 1 else combine(legs, [1.0] * len(legs))
     base, _ = contract_bounds(held)
     nets = [combine([held, rule.trade_contract(state, c)], [1.0, 1.0])
             for c in cands]
@@ -622,66 +614,63 @@ def _scored_once(score: Callable) -> Callable:
     return scored
 
 
-def _judge_contracts(axiom: str, rule: ScoringRule, scenarios,
-                     cfg: SearchConfig) -> tuple:
-    """The failing scenario and the candidates it tried, or None with the
-    degenerate count and the least improvement: by contracts, one scenario
-    and one candidate at a time."""
-    position, hook, value, _, _, _ = _NEUTRALIZATION[axiom]
-    score = _scored_once(rule.score_contract)
-    degenerate, worst = 0, INF
-    for scenario in scenarios:
-        trades, state = position.trades(scenario)
-        held = _held(score, trades)
-        if contract_is_constant(held)[0]:
-            degenerate += 1
-            continue
-        base, _ = contract_bounds(held)
-        tried = []
-        for c in _scenario_candidates(rule, state, cfg,
-                                      getattr(rule, hook)(*scenario)):
-            tried.append(c)
-            trade = score_difference(score(c), score(state))
-            best = value(combine([held, trade], [1.0, 1.0]))
-            if _improved(best, base, cfg.delta):
-                break
+def _position_rows(rule: ScoringRule) -> tuple:
+    """(scores, rows): scores(reports) stacks the reports' scores, each
+    scored once (None pays nothing); rows(trades, held) sums, row by row,
+    the trades, each a (new, old) pair of score tables, onto a held table
+    if one is given (a table of one row serves all), in ``combine``'s
+    floats, and returns the sums as a table and their ``_Rows``: payoff
+    vectors over a finite space, and on the real line coefficients laid on
+    each row's own breakpoints, read as the contract ``combine`` builds."""
+    finite_space = rule.outcome_space.is_finite
+    score = _scored_once(rule.score_row if finite_space else rule.score_pieces)
+    zero = np.zeros(rule.outcome_space.n) if finite_space else ((), ((0.0, 0.0, 0.0),))
+    add = partial(cell_sums, snap=not finite_space)
+
+    def scores(reports) -> tuple:
+        scored = [zero if r is None else score(r) for r in reports]
+        return (np.array(scored),) if finite_space else stack_pieces(scored)
+
+    def rows(trades, held=None) -> tuple:
+        tables = ([held] if held else []) + [t for trade in trades for t in trade]
+        if finite_space:
+            terms = [table for table, in tables]
         else:
-            return (scenario, tried), None, None
-        worst = min(worst, (best - base) if base > -INF else INF)
-    return None, degenerate, worst
-
-
-def _net_rows(held: np.ndarray, state: np.ndarray, targets: np.ndarray):
-    """Payoffs of held + (S(target) - S(state)) in ``combine``'s floats."""
-    return (0.0 + held) + ((0.0 + targets) + (-1.0 * state))
+            cuts, t_ends, terms = lay_pieces(tables, rule.transform)
+        legs = terms[:1] if held else []
+        for k in range(len(legs), len(terms), 2):
+            legs.append(add(terms[k:k + 2], (1.0, -1.0)))
+        net = add(legs, (1.0,) * len(legs))
+        finite = np.isfinite(net.reshape(len(net), -1)).all(axis=1)
+        if finite_space:
+            return (net,), _Rows(net, net, net.mean(axis=1), finite)
+        return (cuts, net), _Rows(*cell_extremes(t_ends, net), net[:, 0, 0], finite)
+    return scores, rows
 
 
 def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
                 cfg: SearchConfig) -> tuple:
-    """``_judge_contracts`` over a finite outcome space, on payoff rows.
-
-    Every held position is summed as ``combine`` sums it: each trade is
-    (0.0 + S(new)) + (-1.0 * S(old)) and the trades add to 0.0 in turn (a
-    shorter portfolio adds exact zeros).  A candidate whose payoffs overflow
-    raises ``PayoffOverflow`` when the contract loop would have built it,
-    and so does any held position or analytic candidate."""
+    """The failing scenario and the candidates it tried, or None with the
+    degenerate count and the least improvement.  All held positions are one
+    set of rows, and so are all analytic nets held + trade; a scenario they
+    do not settle judges its other candidates as one set and takes the
+    first that improves.  Payoffs that overflow raise ``PayoffOverflow`` in
+    a held position or analytic net, or a net up to the first improving."""
     position, hook, _, value, _, _ = _NEUTRALIZATION[axiom]
-    row = _scored_once(rule.score_row)
-    zero = np.zeros(rule.outcome_space.n)
+    scores, rows = _position_rows(rule)
     held_trades, states = zip(*map(position.trades, scenarios))
     if not all(held_trades):
         raise ValueError("a portfolio needs at least one trade")
-    held = 0.0
+    legs = []
     for j in range(max(map(len, held_trades))):
-        legs = [t[j] if j < len(t) else None for t in held_trades]
-        new = np.array([zero if t is None else row(t[1]) for t in legs])
-        old = np.array([zero if t is None else row(t[0]) for t in legs])
-        held = held + ((0.0 + new) + (-1.0 * old))
-    _require_finite(np.isfinite(held))
-    flat, _ = _flat_rows(held)
+        # a shorter portfolio holds null trades
+        trades = [t[j] if j < len(t) else (None, None) for t in held_trades]
+        legs.append((scores([new for _, new in trades]),
+                     scores([old for old, _ in trades])))
+    table, held = rows(legs)
+    _require_finite(held.finite)
+    flat, base = held.cash() > -INF, held.inf()
     live = np.flatnonzero(~flat)
-    base = held.min(axis=1)
-    state_rows = {i: row(states[i]) for i in live}
     best = {}
     analytic = {}
     for i in live:
@@ -690,9 +679,9 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
             analytic[i] = c
     if analytic:
         at = list(analytic)
-        nets = _net_rows(held[at], np.array([state_rows[i] for i in at]),
-                         np.array([row(analytic[i]) for i in at]))
-        _require_finite(np.isfinite(nets))
+        trade = scores([analytic[i] for i in at]), scores([states[i] for i in at])
+        _, nets = rows([trade], tuple(a[at] for a in table))
+        _require_finite(nets.finite)
         vals = value(nets)
         best = {i: v for i, v, ok in zip(at, vals, vals > base[at] + cfg.delta)
                 if ok}
@@ -700,12 +689,12 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
         if i in best:
             continue
         cands = list(_scenario_candidates(rule, states[i], cfg, None))
-        nets = _net_rows(held[i], state_rows[i],
-                         np.array([row(c) for c in cands]))
+        trade = scores(cands), scores([states[i]])
+        _, nets = rows([trade], tuple(a[i:i + 1] for a in table))
         vals = value(nets)
         hits = np.flatnonzero(vals > base[i] + cfg.delta)
         stop = int(hits[0]) + 1 if len(hits) else len(cands)
-        _require_finite(np.isfinite(nets[:stop]))
+        _require_finite(nets.finite[:stop])
         if not len(hits):
             tried = [analytic[i]] + cands if i in analytic else cands
             return (scenarios[i], tried), None, None
@@ -725,10 +714,9 @@ def _neutralize(axiom: str, rule: ScoringRule, scenarios,
         scenarios = position.sample(rule, cfg)
     if not len(scenarios):
         raise ValueError(f"{axiom} needs at least one scenario")
-    judge = _judge_rows if rule.outcome_space.is_finite else _judge_contracts
-    # payoff rows that overflow raise PayoffOverflow, without numpy's warning
+    # rows that overflow raise PayoffOverflow, without numpy's warning
     with np.errstate(over="ignore", invalid="ignore"):
-        failed, degenerate, worst = judge(axiom, rule, scenarios, cfg)
+        failed, degenerate, worst = _judge_rows(axiom, rule, scenarios, cfg)
     if failed is not None:
         scenario, tried = failed
         _, _, margin, witness, budget = _failure(
@@ -923,7 +911,8 @@ def _replay_neutralization(rule, report) -> tuple:
     base, values, margin, witness, _ = _failure(
         report.axiom, rule, scenario,
         [_unj(e["candidate"]) for e in w["candidates"]], 0, 0)
-    _expect(not any(_improved(v, base, SearchConfig.delta) for v in values),
+    # a value improves past base + delta, which is -inf where base is -inf
+    _expect(not any(v > base + SearchConfig.delta for v in values),
             report.axiom, "candidate improves after all")
     return witness, margin
 

@@ -369,12 +369,6 @@ def piecewise_contract(pieces: Iterable[Piece],
     return Contract(space=REAL_LINE, pieces=pieces, transform=transform)
 
 
-def constant_contract(space: OutcomeSpace, c: float) -> Contract:
-    if space.is_finite:
-        return finite_contract(space, np.full(space.n, float(c)))
-    return piecewise_contract([Piece(-INF, INF, (float(c), 0.0, 0.0))])
-
-
 def _poly_extremes(coeffs, ta: float, tb: float) -> tuple[float, float]:
     """Exact inf/sup of a quadratic over the t-interval (ta, tb)."""
     c0, c1, c2 = coeffs
@@ -502,55 +496,84 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
     return piecewise_contract(merged, first.transform)
 
 
-def contract_table(contracts: Sequence[Contract]) -> tuple:
-    """Lay piecewise contracts on the union of their breakpoints.
+def stack_pieces(rows) -> tuple:
+    """Piecewise payoffs ``(ends, coeffs)`` stacked: ends (R, P - 1) padded
+    with +inf, coefficients (R, P, 3) padded with zeros."""
+    P = max(len(c) for _, c in rows)
+    ends = [tuple(e) + (INF,) * (P - 1 - len(e)) for e, _ in rows]
+    coeffs = [tuple(c) + ((0.0, 0.0, 0.0),) * (P - len(c)) for _, c in rows]
+    return (np.array(ends, dtype=float).reshape(len(rows), P - 1),
+            np.array(coeffs, dtype=float))
 
-    Returns ``(t_ends, coeffs)``: cell x runs between the x-th and the
-    (x + 1)-th of -inf, the ascending breakpoints and +inf, whose
-    coordinates ``t_ends`` holds (the transform's limits at +-inf), and
-    ``coeffs[k, x]`` holds the coefficients of contract k's piece on it.
-    """
-    first = contracts[0]
-    key = first.transform.key()
+
+def contract_pieces(contracts: Sequence[Contract]) -> tuple:
+    """``stack_pieces`` of piecewise contracts in one coordinate."""
+    key = contracts[0].transform.key()
     if any(c.pieces is None or c.transform.key() != key for c in contracts):
         raise OutcomeMismatch("contracts use different outcome coordinates")
-    T = first.transform
-    edges = sorted({b for c in contracts for b in c.breakpoints()})
-    at = {e: x for x, e in enumerate(edges, 1)}
-    m = len(edges) + 1
-    coeffs = np.empty((len(contracts), m, 3))
-    for k, c in enumerate(contracts):
-        starts = [0] + [at[p.lo] for p in c.pieces[1:]]
-        coeffs[k] = np.repeat([p.coeffs for p in c.pieces],
-                              np.diff(starts + [m]), axis=0)
-    t_ends = np.array([T.lo_limit()] + [T(e) for e in edges] + [T.hi_limit()])
-    return t_ends, coeffs
+    return stack_pieces([(c.breakpoints(), [p.coeffs for p in c.pieces])
+                         for c in contracts])
 
 
-def _trade_row_bounds(t_ends: np.ndarray, coeffs: np.ndarray, i: int) -> tuple:
-    """``contract_bounds(combine([c_j, c_i], [1, -1]))`` for every j, to the
-    bit, as (infima, sups), and whether each trade's coefficients are finite.
+def lay_pieces(tables, transform: Transform) -> tuple:
+    """Lay row r of K piece tables (one row serves all) on its breakpoints:
+    ``(cuts, t_ends, terms)``, where cell x runs between the x-th and
+    (x + 1)-th of -inf, ``cuts[r]`` and +inf, whose coordinates ``t_ends[r]``
+    holds, and ``terms[k][r, x]`` is table k's piece there; ``cuts`` and a
+    sum of the terms form a piece table.  A breakpoint that tables share, or
+    a +inf that pads one, starts an empty cell that joins the next cell."""
+    R = max(len(ends) for ends, _ in tables)
+    edges = [np.full((R, 1), -INF)]
+    edges += [np.broadcast_to(ends, (R, ends.shape[1])) for ends, _ in tables]
+    edges = np.sort(np.concatenate(edges + [np.full((R, 1), INF)], axis=1), axis=1)
+    # the distinct edges, from -inf to +inf, and their coordinates
+    knots = np.sort(edges, axis=None)
+    knots = knots[np.append(True, knots[1:] != knots[:-1])]
+    t_knots = np.array([transform.lo_limit()]
+                       + [transform(v) for v in knots[1:-1].tolist()]
+                       + [transform.hi_limit()])
+    t_ends = t_knots[np.searchsorted(knots, edges)]
+    lows = edges[:, :-1]
+    terms = []
+    for ends, coeffs in tables:
+        # the last piece starting at or below the cell; padding starts none
+        at = ((ends[:, None, :] <= lows[:, :, None])
+              & np.isfinite(ends)[:, None, :]).sum(axis=2)
+        terms.append(np.broadcast_to(coeffs, (R,) + coeffs.shape[1:])[
+            np.arange(R)[:, None], at])
+    return edges[:, 1:-1], t_ends, terms
 
-    Each cell of the table lies in one cell of the pair's union and holds
-    the pieces ``combine`` sums there; the sum is ``combine``'s, snap
-    included, and each run of identical cells is the one piece ``combine``
-    compacts it into, whose extremes are ``_poly_extremes``'.
-    """
-    R, m, _ = coeffs.shape
-    t_old = -1.0 * coeffs[i]
-    acc = (0.0 + coeffs) + t_old
-    mag = np.maximum(np.abs(coeffs), np.abs(t_old))
-    acc[(acc != 0.0) & (np.abs(acc) <= STRUCT_TOL * mag)] = 0.0
-    finite = np.isfinite(acc).all(axis=(1, 2))
-    # runs of identical cells are one piece; each cell reads its run's ends
-    first = np.ones((R, m), dtype=bool)
-    first[:, 1:] = (acc[:, 1:] != acc[:, :-1]).any(axis=2)
-    last = np.ones((R, m), dtype=bool)
-    last[:, :-1] = first[:, 1:]
-    cells = np.arange(m)
-    ta = t_ends[np.maximum.accumulate(np.where(first, cells, 0), axis=1)]
-    tb = t_ends[np.minimum.accumulate(
-        np.where(last, cells, m - 1)[:, ::-1], axis=1)[:, ::-1] + 1]
+
+def cell_sums(terms, weights, snap: bool = True) -> np.ndarray:
+    """``combine``'s sum of the weighted terms, entry by entry: 0.0 plus each
+    term in turn, and with ``snap`` 0.0 for a sum within STRUCT_TOL of its
+    largest term.  An overflow stays: ``combine`` snaps a sum with an
+    infinite term to 0.0, as ``abs(inf) <= STRUCT_TOL * inf`` holds."""
+    acc = mag = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, w in zip(terms, weights):
+            term = x if w == 1.0 else w * x  # 1.0 * x is x, to the bit
+            acc = acc + term
+            if snap:
+                mag = np.maximum(mag, np.abs(term))
+    if not snap:
+        return acc
+    return np.where((acc != 0.0) & (np.abs(acc) <= STRUCT_TOL * mag)
+                    & np.isfinite(mag), 0.0, acc)
+
+
+def cell_extremes(t_ends: np.ndarray, acc: np.ndarray) -> tuple:
+    """Per cell of laid rows, the infimum and supremum of the piece
+    ``combine`` compacts it into, a run of identical cells, with
+    ``_poly_extremes``' extremes over the run's coordinates."""
+    change = (acc[:, 1:] != acc[:, :-1]).any(axis=2)
+    first = np.pad(change, ((0, 0), (1, 0)), constant_values=True)
+    last = np.pad(change, ((0, 0), (0, 1)), constant_values=True)
+    cells = np.arange(acc.shape[1])
+    ta = np.take_along_axis(
+        t_ends, np.maximum.accumulate(np.where(first, cells, 0), axis=1), axis=1)
+    tb = np.take_along_axis(t_ends, np.minimum.accumulate(
+        np.where(last, cells, cells[-1])[:, ::-1], axis=1)[:, ::-1] + 1, axis=1)
     c0, c1, c2 = acc[..., 0], acc[..., 1], acc[..., 2]
 
     def poly(t):
@@ -560,50 +583,52 @@ def _trade_row_bounds(t_ends: np.ndarray, coeffs: np.ndarray, i: int) -> tuple:
         return np.where(c2 != 0.0, np.where(c2 > 0, INF, -INF),
                         np.where(c1 != 0.0, np.where(slope > 0, INF, -INF), c0))
 
-    lo_end = np.where(np.isinf(ta), limit(-c1), poly(ta))
-    hi_end = np.where(np.isinf(tb), limit(c1), poly(tb))
-    tv = -c1 / (2.0 * c2)
-    # a vertex inside the piece, or beyond the largest float on an unbounded
-    # side; nan, which fmin and fmax pass over, where the piece has none
-    vertex = np.where(
-        (c2 != 0.0) & (ta < tv) & (tv < tb), poly(tv),
-        np.where((c2 != 0.0) & np.isinf(tv) & ((tv == ta) | (tv == tb)),
-                 c0 - c1 * c1 / (4.0 * c2), np.nan))
-    return (np.fmin(np.minimum(lo_end, hi_end), vertex).min(axis=1),
-            np.fmax(np.maximum(lo_end, hi_end), vertex).max(axis=1), finite)
+    with np.errstate(all="ignore"):
+        lo_end = np.where(np.isinf(ta), limit(-c1), poly(ta))
+        hi_end = np.where(np.isinf(tb), limit(c1), poly(tb))
+        tv = -c1 / (2.0 * c2)
+        # a vertex inside the piece, or beyond the largest float on an
+        # unbounded side; nan, which fmin and fmax pass over, where none is
+        vertex = np.where(
+            (c2 != 0.0) & (ta < tv) & (tv < tb), poly(tv),
+            np.where((c2 != 0.0) & np.isinf(tv) & ((tv == ta) | (tv == tb)),
+                     c0 - c1 * c1 / (4.0 * c2), np.nan))
+    return (np.fmin(np.minimum(lo_end, hi_end), vertex),
+            np.fmax(np.maximum(lo_end, hi_end), vertex))
 
 
 def trade_bounds(contracts: Sequence[Contract]):
     """For each contract c_i in turn: the infimum and the supremum of every
     trade ``combine([c_j, c_i], [1, -1])``, one per c_j, equal to
     ``contract_bounds`` of that trade, and whether each trade's payoffs are
-    finite.  The contracts are tabled once; each row is array reductions,
-    so a scan may stop after any row."""
+    finite.  Pairs are laid on their own breakpoints in blocks of rows of
+    at most 4,096 pairs, which bounds the laid arrays at any grid size."""
     if not contracts:
         return
     first = contracts[0]
     if first.values is None:
-        t_ends, coeffs = contract_table(contracts)
-        for i in range(len(contracts)):
-            with np.errstate(all="ignore"):
-                row = _trade_row_bounds(t_ends, coeffs, i)
-            yield row
+        ends, coeffs = contract_pieces(contracts)
+        R = len(contracts)
+        block = max(1, 4096 // R)
+        for i in range(0, R, block):
+            k = min(block, R - i)
+            _, t_ends, pair = lay_pieces(
+                [(np.tile(ends, (k, 1)), np.tile(coeffs, (k, 1, 1))),
+                 (np.repeat(ends[i:i + k], R, axis=0),
+                  np.repeat(coeffs[i:i + k], R, axis=0))], first.transform)
+            acc = cell_sums(pair, (1.0, -1.0))
+            lo, hi = cell_extremes(t_ends, acc)
+            yield from zip(lo.min(axis=1).reshape(k, R), hi.max(axis=1).reshape(k, R),
+                           np.isfinite(acc).all(axis=(1, 2)).reshape(k, R))
         return
     if any(c.values is None or c.space.labels != first.space.labels
            for c in contracts):
         raise OutcomeMismatch("contracts live over different outcome spaces")
     table = np.array([c.values for c in contracts])
     for row in table:
-        trades = trade_rows(table, row)
+        trades = cell_sums([table, row], (1.0, -1.0), snap=False)
         yield (trades.min(axis=1), trades.max(axis=1),
                np.isfinite(trades).all(axis=1))
-
-
-def trade_rows(table: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Payoff vectors of the trades from a contract paying ``s`` to each row
-    of ``table``, in the float arithmetic of ``combine`` with weights
-    (1, -1): the same floats ``trade_contract`` carries."""
-    return (0.0 + table) + (-1.0 * s)
 
 
 def project_cashless(d: Contract) -> tuple[Contract, float]:

@@ -8,7 +8,7 @@ position is the single contract S(r_T, .) - S(r_0, .), and
 length.  Settlement still sums the ledger trade by trade and reports it
 beside the telescoped loss.  Each state is scored once: a trade is the new
 score less the held one, and path independence scores r_0 ... r_T once
-each, checking a finite ledger as one array.
+each, checking a ledger of either outcome kind as one array pass.
 """
 from __future__ import annotations
 
@@ -22,8 +22,11 @@ from .contracts import (
     STRUCT_TOL,
     Contract,
     PayoffOverflow,
-    combine,
+    cell_extremes,
+    cell_sums,
     contract_bounds,
+    contract_pieces,
+    lay_pieces,
 )
 from .reports import FAILS, HOLDS, AxiomReport
 from .scoring import ScoringRule, score_difference
@@ -98,16 +101,11 @@ class MarketSession:
         if len(self.records) < 2:
             raise ValueError("path independence needs at least 2 trades")
         states = [self.r0] + [rec.r_new for rec in self.records]
-        if self.rule.outcome_space.is_finite:
-            gaps = _finite_gaps(self.rule.score_table(states), np.array(
-                [rec.contract.values for rec in self.records]))
-        else:
-            scores = [self.rule.score_contract(r) for r in states]
-            gaps = (_max_gap(score_difference(new, old), a.contract, b.contract)
-                    for old, new, a, b in zip(scores, scores[2:], self.records,
-                                              self.records[1:]))
+        gaps = _pair_gaps(self.rule, states, [rec.contract for rec in self.records])
         worst = 0.0
-        for a, b, gap in zip(self.records, self.records[1:], gaps):
+        for a, b, (gap, finite) in zip(self.records, self.records[1:], gaps):
+            if not finite:
+                raise PayoffOverflow("payoffs must be finite")
             worst = max(worst, gap)
             if gap > STRUCT_TOL:
                 return AxiomReport(
@@ -154,29 +152,30 @@ def _unjson(r):
     return r
 
 
-def _finite_gaps(table: np.ndarray, steps: np.ndarray):
-    """Each pair's payoff gap over a finite space, from the states' score
-    table and the recorded trades' payoffs: ``combine``'s floats, since
-    0.0 + a and 1.0 * a are exact.  A pair whose sums overflow raises."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct, stepped = table[2:] - table[:-2], steps[:-1] + steps[1:]
-        gaps = np.max(np.abs(direct - stepped), axis=1).tolist()
-    finite = (np.isfinite(direct) & np.isfinite(stepped)).all(axis=1).tolist()
-    for gap, ok in zip(gaps, finite):
-        if not ok:
-            raise PayoffOverflow("payoffs must be finite")
-        yield gap
-
-
-def _max_gap(direct: Contract, first: Contract, second: Contract) -> float:
-    """Largest payoff gap of a direct real-line trade and its two steps."""
-    # one three-operand sum, so each coefficient is snapped against the
-    # largest of the terms that produced it: cancellation between the two
-    # steps leaves a residue that a separate two-step sum would keep
-    lo, hi = contract_bounds(combine([direct, first, second],
-                                     [1.0, -1.0, -1.0]))
-    span = max(abs(lo), abs(hi))
-    return span if math.isfinite(span) else math.inf
+def _pair_gaps(rule: ScoringRule, states: list, steps: list) -> list:
+    """(gap, finite) of each pair of consecutive trades: the largest payoff
+    gap of the direct trade S(r_2) - S(r_0) and its two recorded steps in
+    ``combine``'s floats, and whether those are finite.  On the real line
+    the gap is the span of one three-operand sum on the pair's breakpoints,
+    where each coefficient snaps against its largest term."""
+    if rule.outcome_space.is_finite:
+        table = rule.score_table(states)
+        paid = np.array([c.values for c in steps])
+        direct = cell_sums([table[2:], table[:-2]], (1.0, -1.0), snap=False)
+        stepped = cell_sums([paid[:-1], paid[1:]], (1.0, 1.0), snap=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = np.max(np.abs(direct - stepped), axis=1).tolist()
+        return list(zip(gaps, (np.isfinite(direct) & np.isfinite(stepped)).all(axis=1)))
+    ends, coeffs = rule.piece_table(states)
+    s_ends, s_coeffs = contract_pieces(steps)
+    _, t_ends, (new, old, first, second) = lay_pieces(
+        [(ends[2:], coeffs[2:]), (ends[:-2], coeffs[:-2]),
+         (s_ends[:-1], s_coeffs[:-1]), (s_ends[1:], s_coeffs[1:])], rule.transform)
+    net = cell_sums([cell_sums([new, old], (1.0, -1.0)), first, second],
+                    (1.0, -1.0, -1.0))
+    lo, hi = cell_extremes(t_ends, net)
+    span = np.maximum(np.abs(lo.min(axis=1)), np.abs(hi.max(axis=1)))
+    return list(zip(span.tolist(), np.isfinite(net).all(axis=(1, 2))))
 
 
 def open_session(rule: ScoringRule, r0) -> MarketSession:

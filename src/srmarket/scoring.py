@@ -37,6 +37,7 @@ from .contracts import (
     expected_scores,
     finite_contract,
     piecewise_contract,
+    stack_pieces,
 )
 from .convex import (
     ConvexFn,
@@ -213,18 +214,13 @@ class ScoringRule:
         return table
 
     def piece_table(self, reports) -> tuple:
-        """``score_pieces`` of each report stacked for ``expected_scores``:
-        ends of shape (R, P - 1) and coefficients of shape (R, P, 3), rows
-        of fewer pieces padded with +inf ends and zero coefficients.
-        Coefficients that overflow raise ``PayoffOverflow``."""
-        rows = [self.score_pieces(r) for r in reports]
-        P = max(len(c) for _, c in rows)
-        ends = [tuple(e) + (INF,) * (P - 1 - len(e)) for e, _ in rows]
-        coeffs = np.array([tuple(c) + ((0.0, 0.0, 0.0),) * (P - len(c))
-                           for _, c in rows], dtype=float)
+        """``stack_pieces`` of each report's ``score_pieces``, as
+        ``expected_scores`` reads them; coefficients that overflow raise
+        ``PayoffOverflow``."""
+        ends, coeffs = stack_pieces([self.score_pieces(r) for r in reports])
         if not np.isfinite(coeffs).all():
             raise PayoffOverflow("payoffs must be finite")
-        return np.array(ends, dtype=float).reshape(len(rows), P - 1), coeffs
+        return ends, coeffs
 
     def trade_contract(self, r_old, r_new) -> Contract:
         """The contract handed out for moving the state r_old -> r_new."""

@@ -20,8 +20,9 @@ from srmarket.contracts import (
     OutcomeSpace,
     Piece,
     combine,
-    contract_table,
+    contract_pieces,
     finite_contract,
+    lay_pieces,
     piecewise_contract,
 )
 from srmarket.scoring import ExpectileRule, QuantileRule
@@ -138,7 +139,8 @@ def _coefficients(contracts):
     or its payoff vector: comparable arrays however ``combine`` compacted."""
     if contracts[0].values is not None:
         return np.array([c.values for c in contracts])
-    return contract_table(contracts)[1]
+    tables = [contract_pieces([c]) for c in contracts]
+    return np.array(lay_pieces(tables, contracts[0].transform)[2])[:, 0]
 
 
 def _scale(contracts, weights):

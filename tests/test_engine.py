@@ -229,6 +229,25 @@ class TestPathIndependence:
         with pytest.raises(PayoffOverflow, match="payoffs must be finite"):
             s.verify_path_independence()
 
+    def test_real_overflow_raises(self):
+        # the real-line twin: QuantileRule(0.1) pays -0.9 (t(r') - t(r)) below
+        # both reports, so the trade 1.7e308 -> -1.7e308 holds an infinite
+        # coefficient, whose pair the three-operand sum once read as holding
+        s = open_session(QuantileRule(0.1), 0.0)
+        s.execute_trade("t0", 1.7e308)
+        s.execute_trade("t1", -1.7e308)
+        with pytest.raises(PayoffOverflow, match="payoffs must be finite"):
+            s.verify_path_independence()
+        # a recorded step with an infinite constant term: combine snaps the
+        # infinite sum to 0.0 and reads no gap, the row sums keep it
+        s = open_session(ExpectationRule(quadratic(1)), 0.0)
+        s.execute_trade("t0", 1.0)
+        s.execute_trade("t1", 2.0)
+        s.records[1].contract = piecewise_contract(
+            [Piece(-math.inf, math.inf, (math.inf, 2.0, 0.0))])
+        with pytest.raises(PayoffOverflow, match="payoffs must be finite"):
+            s.verify_path_independence()
+
 
 def _pairwise_path_independence(s: MarketSession) -> tuple:
     """(verdict, margin) of path independence checked pair by pair, each
@@ -317,14 +336,28 @@ class TestTelescopedPosition:
             st.floats(-6.0, 6.0), max_size=5), label="outcomes"), bounds=False)
 
 
+# the ledger families and two more real-line rules; reports also come from
+# a small pool, so that ledgers revisit states (mode reports are few labels)
+REVISITING_FAMILIES = {
+    **LEDGER_FAMILIES,
+    "mean": (ExpectationRule(quadratic(1)), 0.0, st.floats(-20.0, 20.0)),
+    "median": (QuantileRule(0.5), 0.0, st.floats(-20.0, 20.0)),
+}
+for name, (rule, r0, report) in REVISITING_FAMILIES.items():
+    if name != "mode":
+        pool = [0.5, 1.0, 2.5] if name == "ratio" else [0.0, -0.0, 1.5, -2.0]
+        REVISITING_FAMILIES[name] = (
+            rule, r0, st.one_of(st.sampled_from(pool), report))
+
+
 class TestScoredOnce:
-    @pytest.mark.parametrize("family", sorted(LEDGER_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(REVISITING_FAMILIES))
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_matches_rebuilt_trades(self, family, data):
         # each state scored once gives the contracts and the path check of
         # rebuilding both scores of every trade
-        rule, r0, report = LEDGER_FAMILIES[family]
+        rule, r0, report = REVISITING_FAMILIES[family]
         s = _generated_session(data, rule, r0, report)
         for rec in s.records:
             want = rule.trade_contract(rec.r_old, rec.r_new)

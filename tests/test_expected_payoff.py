@@ -53,10 +53,13 @@ def power_integral(T, k, a, b):
 
 def reference_expected_payoff(d, p):
     """E_p d(Y) on the real line, cell by cell as before the moment table:
-    per cell, the CDF at both ends from the scalar ``Belief.cdf``, the piece
-    from a bisection at the lower end, and the power integrals of t."""
+    per cell, the CDF at both ends, interpolated with its end values set to
+    0 and 1 as the moment table sets them, the piece from a bisection at the
+    lower end, and the power integrals of t."""
     T = d.transform
     lo, hi = p.support()
+    fs = np.array(p.fs)
+    fs[0], fs[-1] = 0.0, 1.0
     cuts = set(float(x) for x in p.xs)
     cuts.update(b for b in d.breakpoints() if lo < b < hi)
     cuts.update(k for k in T.kinks() if lo < k < hi)
@@ -64,7 +67,7 @@ def reference_expected_payoff(d, p):
     total = []
     los = [pc.lo for pc in d.pieces]
     for a, b in zip(edges, edges[1:]):
-        fa, fb = p.cdf(a), p.cdf(b)
+        fa, fb = np.interp([a, b], p.xs, fs).tolist()
         dens = (fb - fa) / (b - a)
         if dens == 0.0:
             continue
@@ -117,7 +120,8 @@ def assert_within_reference_error(d, p):
     """The moment table's error against the exact value is at most the
     cell-by-cell reference's plus 4 ulps of the payoff's sup on the
     support; on the sigmoid, whose integrals have no rational form, it is
-    within 1e-12 of that sup of the cell reference."""
+    within 1e-12 of that sup of the cell reference, and never less than 4
+    ulps of the sup, which 1e-12 of a subnormal sup would underflow."""
     got = expected_payoff(d, p)
     scale = _sup_on_support(d, p)
     try:
@@ -126,7 +130,7 @@ def assert_within_reference_error(d, p):
         ref = math.nan
     if d.transform is SIGMOID:
         if math.isfinite(ref):
-            assert abs(got - ref) <= 1e-12 * scale
+            assert abs(got - ref) <= max(1e-12 * scale, 4 * math.ulp(scale))
         else:
             # the reference overflows on a cell narrower than the CDF's rounding
             assert math.isfinite(got)
@@ -211,6 +215,12 @@ def _split(coeffs, cuts, transform=IDENTITY):
                                for lo, hi in zip(edges, edges[1:])], transform)
 
 
+def _split_pieces(coeffs, cuts, transform=IDENTITY):
+    edges = [-INF] + list(cuts) + [INF]
+    return piecewise_contract([Piece(lo, hi, c) for lo, hi, c
+                               in zip(edges, edges[1:], coeffs)], transform)
+
+
 KINKED = PiecewiseLinearTransform([-1.0, 0.5, 2.0], [0.0, 3.0, 3.5])
 # breakpoints on every knot of the belief; the belief's end values are off
 # by the most cdf_belief accepts
@@ -232,11 +242,23 @@ FAR_FROM_X0 = (_split((853.8888989939592, 417.5896447351247, -293.08996030284356
                            0.999999999999]))
 
 
+# t^2 on [-3, 0] under a CDF whose end value is 1 - 1e-12: a cell reference
+# that read the raw end value was off by 1.02e-12 of the sup, 1
+SIGMOID_RAW_END = (_split_pieces([(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0)],
+                                 [-3.0, 0.0], SIGMOID),
+                   cdf_belief([-3.0, 0.125], [0.0, 1.0 - 1e-12]))
+# a subnormal sup, 5e-324, where 1e-12 of it underflows to 0
+SIGMOID_SUBNORMAL = (_split_pieces([(0.0, 0.0, 0.0), (5e-324, 0.0, 0.0)], [-3.0], SIGMOID),
+                     cdf_belief([-3.0, -1.0, -0.25], [0.0, 4.0 / 7.0, 1.0]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(contracts(), beliefs())
 @example(*ON_KNOTS)
 @example(*PW_KINKS)
 @example(*FAR_FROM_X0)
+@example(*SIGMOID_RAW_END)
+@example(*SIGMOID_SUBNORMAL)
 def test_matches_exact_reference(d, p):
     assert_within_reference_error(d, p)
 

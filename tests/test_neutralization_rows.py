@@ -1,9 +1,11 @@
-"""Differential test of WN, TN and PN: the payoff-row path of a finite
-outcome space, and the memoized contract loop of the real line, against the
-per-scenario contract loop they replaced, kept here as the reference.  The
-reports must be equal, and so must their text, byte for byte."""
+"""Differential test of WN, TN and PN: the row judge, on payoff vectors
+over a finite outcome space and on coefficient rows on the real line,
+against the per-scenario contract loop it replaced, kept here as the
+reference.  The reports must be equal, and so must their text, byte for
+byte."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from hypothesis import strategies as st
 from srmarket.axioms import (
     SearchConfig,
     _failure,
-    _improved,
     _scenario_candidates,
     check_pn,
     check_tn,
@@ -89,7 +90,7 @@ def reference(axiom, rule, scenarios, cfg) -> AxiomReport:
             tried.append(c)
             best = value(combine([held, rule.trade_contract(state, c)],
                                  [1.0, 1.0]))
-            if _improved(best, base, cfg.delta):
+            if best > base + cfg.delta:
                 break
         else:
             _, _, margin, witness, budget = _failure(
@@ -265,6 +266,74 @@ def test_real_line_memoized_loop(name, axiom, seed):
     cfg = small_cfg(seed, rule)
     cfg.scenario_count, cfg.portfolio_count = 5, 3
     assert_same(axiom, rule, None, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_RULES))
+@pytest.mark.parametrize("axiom", sorted(CHECKS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_real_line_drawn_scenarios(name, axiom, data):
+    rule = REAL_RULES[name]()
+    cfg = small_cfg(0, rule)
+    scenarios = data.draw(drawn_scenarios(cfg.report_grid(rule), axiom))
+    assert_same(axiom, rule, scenarios, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_RULES))
+def test_real_line_rows_that_share_reports(name):
+    rule = REAL_RULES[name]()
+    cfg = small_cfg(0, rule)
+    # breakpoints at both 0.0 and -0.0, which are one breakpoint
+    assert_same("WN", rule, [(0.0, 1.5, -0.0), (-0.0, -2.25, 0.0)], cfg)
+    assert_same("TN", rule, [(0.0, 1.5, -0.0), (-0.0, -2.25, 0.0)], cfg)
+    assert_same("PN", rule, [([(0.0, 1.5), (-0.0, -0.75)], -0.0)], cfg)
+    # a report repeated within a portfolio: a trade held twice, and a
+    # report that ends one trade and starts the next
+    assert_same("PN", rule, [([(1.5, -0.75), (1.5, -0.75)], 0.0),
+                             ([(0.0, 1.5), (1.5, 3.0)], 1.5)], cfg)
+    # a portfolio that undoes itself holds nothing, alone or before another
+    undone = ([(0.75, 2.25), (2.25, 0.75)], 0.0)
+    rep = assert_same("PN", rule, [undone], cfg)
+    assert rep.budget == {"portfolios": 1, "degenerate": 1}
+    assert_same("PN", rule, [undone, ([(0.75, 2.25), (-3.0, 0.0)], 1.5)], cfg)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_RULES))
+@pytest.mark.parametrize("axiom", sorted(CHECKS))
+def test_real_line_reports_near_1e7(name, axiom):
+    # pieces in absolute t round their constant terms at the scale of r or
+    # r^2 there; the rows must still be combine's floats
+    rule = REAL_RULES[name]()
+    cfg = replace(small_cfg(3, rule), report_window=(1e7 - 3.0, 1e7 + 3.0))
+    cfg.scenario_count, cfg.portfolio_count = 5, 3
+    assert_same(axiom, rule, None, cfg)
+
+
+def test_real_line_net_overflow_raises():
+    # ExpectileRule(0.1) pays -0.9 (y - r)^2 below r: held 0 -> 1.3e154 and
+    # the analytic trade 0 -> -1.3e154 each put -1.52e308 in the constant
+    # term below -1.3e154, and held + trade overflows there
+    rule = ExpectileRule(0.1)
+    with pytest.raises(PayoffOverflow):
+        check_wn(rule, [(0.0, 1.3e154, 0.0)], small_cfg(0, rule))
+    # a score that overflows by itself, -inf in the mean's constant term at
+    # 1e154, is not snapped away by the sums built on it
+    rule = REAL_RULES["mean"]()
+    with pytest.raises(PayoffOverflow):
+        check_wn(rule, [(0.0, 1e154, 0.0)], small_cfg(0, rule))
+
+
+def test_real_line_overflow_after_a_failing_scenario_raises():
+    # all held positions are summed before any scenario is judged: the
+    # reference loop fails at the first scenario and never builds the
+    # second, whose held trade pays -0.9 * 3.4e308 below -1.7e308
+    rule = QuantileRule(0.1)
+    cfg = small_cfg(0, rule)
+    scenarios = [(-3.0, -2.25, -3.0), (-1.7e308, 1.7e308, 0.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert reference("WN", rule, scenarios, cfg).verdict == FAILS
+    with pytest.raises(PayoffOverflow):
+        check_wn(rule, scenarios, cfg)
 
 
 def test_real_line_minus_inf_held_infimum():
