@@ -333,13 +333,22 @@ def _ic_disagreement(picks, gamma) -> float:
     return float(any(_j(r) != _j(picks[0]) for r in picks))
 
 
+def _scores(rule: ScoringRule, reports) -> object:
+    """The reports' scores as ``trade_bounds`` reads them: one score table
+    over a finite outcome space, else each report's score contract."""
+    if rule.outcome_space.is_finite:
+        return rule.score_table(reports)
+    return [rule.score_contract(r) for r in reports]
+
+
 def check_arb(rule: ScoringRule, grid=None,
               cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """No trade may pay strictly positively in every outcome:
     inf F(r'|r) <= 0 for all report pairs on the grid.
 
-    Each grid report is scored once; ``contracts.trade_bounds`` gives the
-    infima of all trades from one report at a time, equal to
+    Each grid report is scored once, in one score table over a finite
+    outcome space; ``contracts.trade_bounds`` gives the infima of all trades
+    from one report at a time, equal to
     ``contract_bounds(trade_contract(r, r'))`` on either outcome kind."""
     if grid is None:
         grid = cfg.report_grid(rule)
@@ -360,7 +369,7 @@ def _arb_scan(rule: ScoringRule, grid, delta: float) -> tuple:
     ``worst`` covers the visited pairs only."""
     worst = -INF
     bad = []
-    rows = trade_bounds([rule.score_contract(r) for r in grid])
+    rows = trade_bounds(_scores(rule, grid))
     for r, (los, _, finite) in zip(grid, rows):
         hits = np.flatnonzero(los > delta)[:10 - len(bad)]
         # the scan stops at the 10th pair above delta
@@ -389,9 +398,7 @@ def _outcome_probe(contract) -> list:
 def _trade_sups(rule: ScoringRule, r0, reports) -> np.ndarray:
     """``contract_bounds(trade_contract(r0, r))[1]`` for each report r: the
     r0 row of one ``trade_bounds`` table."""
-    score = rule.score_contract
-    _, sups, finite = next(trade_bounds([score(r0)] +
-                                        [score(r) for r in reports]))
+    _, sups, finite = next(trade_bounds(_scores(rule, [r0] + list(reports))))
     _require_finite(finite)
     return sups[1:]
 
@@ -615,20 +622,25 @@ def _scored_once(score: Callable) -> Callable:
 
 
 def _position_rows(rule: ScoringRule) -> tuple:
-    """(scores, rows): scores(reports) stacks the reports' scores, each
-    scored once (None pays nothing); rows(trades, held) sums, row by row,
-    the trades, each a (new, old) pair of score tables, onto a held table
-    if one is given (a table of one row serves all), in ``combine``'s
-    floats, and returns the sums as a table and their ``_Rows``: payoff
-    vectors over a finite space, and on the real line coefficients laid on
-    each row's own breakpoints, read as the contract ``combine`` builds."""
+    """(scores, rows): scores(reports) stacks the reports' scores (None
+    pays nothing), in one ``score_rows`` call over a finite space and on
+    the real line each distinct report's pieces once; rows(trades, held)
+    sums, row by row, the trades, each a (new, old) pair of score tables,
+    onto a held table if one is given (a table of one row serves all), in
+    ``combine``'s floats, and returns the sums as a table and their
+    ``_Rows``: payoff vectors over a finite space, and on the real line
+    coefficients laid on each row's own breakpoints, read as the contract
+    ``combine`` builds."""
     finite_space = rule.outcome_space.is_finite
-    score = _scored_once(rule.score_row if finite_space else rule.score_pieces)
     zero = np.zeros(rule.outcome_space.n) if finite_space else ((), ((0.0, 0.0, 0.0),))
     add = partial(cell_sums, snap=not finite_space)
+    if not finite_space:
+        piece = _scored_once(rule.score_pieces)
 
     def scores(reports) -> tuple:
-        scored = [zero if r is None else score(r) for r in reports]
+        given = [r for r in reports if r is not None]
+        scored = iter(rule.score_rows(given) if finite_space else map(piece, given))
+        scored = [zero if r is None else next(scored) for r in reports]
         return (np.array(scored),) if finite_space else stack_pieces(scored)
 
     def rows(trades, held=None) -> tuple:
@@ -673,8 +685,8 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     live = np.flatnonzero(~flat)
     best = {}
     analytic = {}
-    for i in live:
-        c = getattr(rule, hook)(*scenarios[i])
+    for i, c in zip(live, rule.analytic_candidates(
+            hook, [scenarios[i] for i in live])):
         if c is not None and rule.report_space.contains(c):
             analytic[i] = c
     if analytic:

@@ -428,7 +428,7 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
     coefficients of the piece holding lo (piece 0 on the first cell), which
     holds the whole cell.  Lower ends ascend, so each operand's piece is
     found by a walk that only moves forward: the cost is cells times
-    operands.
+    operands.  A sum that overflows raises ``PayoffOverflow``.
     """
     if len(contracts) != len(weights) or not contracts:
         raise ValueError("need matching nonempty contract/weight lists")
@@ -477,6 +477,10 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
                 mag1 = t1
             if t2 > mag2:
                 mag2 = t2
+        # an overflowed sum is inf or nan, and x * 0.0 is 0.0 only for a
+        # finite x
+        if acc0 * 0.0 + acc1 * 0.0 + acc2 * 0.0 != 0.0:
+            raise PayoffOverflow("payoffs must be finite")
         # snap cancellation residue: sums below 1e-12 of the largest term
         # are float noise from exact algebraic cancellations
         if acc0 != 0.0 and abs(acc0) <= STRUCT_TOL * mag0:
@@ -508,9 +512,9 @@ def stack_pieces(rows) -> tuple:
 
 def contract_pieces(contracts: Sequence[Contract]) -> tuple:
     """``stack_pieces`` of piecewise contracts in one coordinate."""
-    key = contracts[0].transform.key()
-    if any(c.pieces is None or c.transform.key() != key for c in contracts):
-        raise OutcomeMismatch("contracts use different outcome coordinates")
+    if any(c.pieces is None or c.transform.key() != contracts[0].transform.key()
+           for c in contracts):
+        raise OutcomeMismatch("contracts need pieces in one outcome coordinate")
     return stack_pieces([(c.breakpoints(), [p.coeffs for p in c.pieces])
                          for c in contracts])
 
@@ -547,8 +551,8 @@ def lay_pieces(tables, transform: Transform) -> tuple:
 def cell_sums(terms, weights, snap: bool = True) -> np.ndarray:
     """``combine``'s sum of the weighted terms, entry by entry: 0.0 plus each
     term in turn, and with ``snap`` 0.0 for a sum within STRUCT_TOL of its
-    largest term.  An overflow stays: ``combine`` snaps a sum with an
-    infinite term to 0.0, as ``abs(inf) <= STRUCT_TOL * inf`` holds."""
+    largest term.  An overflow stays inf or nan, where ``combine`` raises
+    ``PayoffOverflow``; callers read which rows are finite."""
     acc = mag = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for x, w in zip(terms, weights):
@@ -597,38 +601,35 @@ def cell_extremes(t_ends: np.ndarray, acc: np.ndarray) -> tuple:
             np.fmax(np.maximum(lo_end, hi_end), vertex))
 
 
-def trade_bounds(contracts: Sequence[Contract]):
-    """For each contract c_i in turn: the infimum and the supremum of every
+def trade_bounds(scores):
+    """For each score c_i in turn: the infimum and the supremum of every
     trade ``combine([c_j, c_i], [1, -1])``, one per c_j, equal to
     ``contract_bounds`` of that trade, and whether each trade's payoffs are
-    finite.  Pairs are laid on their own breakpoints in blocks of rows of
-    at most 4,096 pairs, which bounds the laid arrays at any grid size."""
-    if not contracts:
+    finite.  The scores are piecewise contracts, or over a finite outcome
+    space a score table, one payoff vector per row.  Pairs of contracts are
+    laid on their own breakpoints in blocks of rows of at most 4,096 pairs,
+    which bounds the laid arrays at any grid size."""
+    if isinstance(scores, np.ndarray):
+        for row in scores:
+            trades = cell_sums([scores, row], (1.0, -1.0), snap=False)
+            yield (trades.min(axis=1), trades.max(axis=1),
+                   np.isfinite(trades).all(axis=1))
         return
-    first = contracts[0]
-    if first.values is None:
-        ends, coeffs = contract_pieces(contracts)
-        R = len(contracts)
-        block = max(1, 4096 // R)
-        for i in range(0, R, block):
-            k = min(block, R - i)
-            _, t_ends, pair = lay_pieces(
-                [(np.tile(ends, (k, 1)), np.tile(coeffs, (k, 1, 1))),
-                 (np.repeat(ends[i:i + k], R, axis=0),
-                  np.repeat(coeffs[i:i + k], R, axis=0))], first.transform)
-            acc = cell_sums(pair, (1.0, -1.0))
-            lo, hi = cell_extremes(t_ends, acc)
-            yield from zip(lo.min(axis=1).reshape(k, R), hi.max(axis=1).reshape(k, R),
-                           np.isfinite(acc).all(axis=(1, 2)).reshape(k, R))
+    if not scores:
         return
-    if any(c.values is None or c.space.labels != first.space.labels
-           for c in contracts):
-        raise OutcomeMismatch("contracts live over different outcome spaces")
-    table = np.array([c.values for c in contracts])
-    for row in table:
-        trades = cell_sums([table, row], (1.0, -1.0), snap=False)
-        yield (trades.min(axis=1), trades.max(axis=1),
-               np.isfinite(trades).all(axis=1))
+    ends, coeffs = contract_pieces(scores)
+    R = len(scores)
+    block = max(1, 4096 // R)
+    for i in range(0, R, block):
+        k = min(block, R - i)
+        _, t_ends, pair = lay_pieces(
+            [(np.tile(ends, (k, 1)), np.tile(coeffs, (k, 1, 1))),
+             (np.repeat(ends[i:i + k], R, axis=0),
+              np.repeat(coeffs[i:i + k], R, axis=0))], scores[0].transform)
+        acc = cell_sums(pair, (1.0, -1.0))
+        lo, hi = cell_extremes(t_ends, acc)
+        yield from zip(lo.min(axis=1).reshape(k, R), hi.max(axis=1).reshape(k, R),
+                       np.isfinite(acc).all(axis=(1, 2)).reshape(k, R))
 
 
 def project_cashless(d: Contract) -> tuple[Contract, float]:

@@ -2,11 +2,13 @@
 
 These power the expectation and ratio scoring families and every
 cost-function market.  A ConvexFn bundles an evaluator, a subgradient
-selection and domain bounds.  Every market trades by matching shares,
-which are gradients of a potential, so one gradient inversion
-(``invert_gradient``) serves all of them: the potential's closed-form
-``grad_inverse`` where it has one, else ``bracket`` and ``bisect``;
-``golden_max`` is the one golden-section search.
+selection and domain bounds; the evaluator and the selection also have an
+array form over the rows of an (N, dim) array, which scores many reports
+in one pass.  Every market trades by matching shares, which are gradients
+of a potential, so one gradient inversion (``invert_gradient``, or
+``invert_gradients`` of many targets) serves all of them: the potential's
+closed-form ``grad_inverse`` where it has one, else ``bracket`` and
+``bisect``; ``golden_max`` is the one golden-section search.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from .contracts import (
     OPT_TOL,
     RESIDUAL_ACCEPT,
     logit,
-    sigmoid,
 )
 
 
@@ -31,6 +32,13 @@ def _vec(x) -> np.ndarray:
     # np.atleast_1d, without its cost on the 1-D arrays most calls pass
     x = np.asarray(x, dtype=float)
     return x if x.ndim else x.reshape(1)
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` of each entry of x, for the ``math`` functions of the scalar
+    forms: numpy's log, log1p and exp round 0.3-5% of inputs one ulp away
+    from libm's, and an array form agrees with its scalar form to the bit."""
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @dataclass(eq=False)
@@ -49,14 +57,37 @@ class ConvexFn:
     # vertices of a polytope that bounds the domain inside the box
     vertices: np.ndarray | None = None
     # the inverse of the gradient in closed form, when the potential has one:
-    # the gradient of its convex conjugate, grad G*
+    # the gradient of its convex conjugate, grad G*, of each row of an
+    # (N, dim) array
     grad_inverse: Callable[[np.ndarray], np.ndarray] | None = None
+    # the array forms of the value and the gradient, of each row of an
+    # (N, dim) array; a missing one loops over the rows
+    values_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    grads_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value(self, x) -> float:
         return float(self.value_fn(_vec(x)))
 
     def grad(self, x) -> np.ndarray:
         return np.asarray(self.grad_fn(_vec(x)), dtype=float)
+
+    def values(self, xs) -> np.ndarray:
+        """``value`` of each row of xs, an (N, dim) array; an overflow is
+        inf or nan, without numpy's warning."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
+        with np.errstate(all="ignore"):
+            if self.values_fn is None:
+                return np.array([self.value(x) for x in xs], dtype=float)
+            return self.values_fn(xs)
+
+    def grads(self, xs) -> np.ndarray:
+        """``grad`` of each row of xs, as an (N, dim) array."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.dim)
+        with np.errstate(all="ignore"):
+            if self.grads_fn is None:
+                return np.array([self.grad(x) for x in xs],
+                                dtype=float).reshape(-1, self.dim)
+            return self.grads_fn(xs)
 
     def value_closure(self, x) -> float:
         """Value extended by limits to the domain boundary where defined."""
@@ -65,16 +96,27 @@ class ConvexFn:
         return self.value(x)
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] * b[..., j], broadcast, with the products added in
+    the order of j.  BLAS may fuse a product into the sum or order the
+    terms by the shape of its input; added in order, a score row and the
+    same row of a score table agree to the bit."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j] * b[..., j]
+    return out
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``float(np.dot(a, b))`` without numpy's overflow warning: a product
-    past the largest float is inf or nan, which the scoring layer rejects as
-    ``PayoffOverflow``.  Vectors of one entry, every scalar potential's,
-    multiply as Python floats, which round as ``np.dot`` does and never
+    """``_dots`` of two vectors as a float, without numpy's overflow
+    warning: a product past the largest float is inf or nan, which the
+    scoring layer rejects as ``PayoffOverflow``.  Vectors of one entry,
+    every scalar potential's, multiply as Python floats, which never
     warn."""
     if len(a) == 1:
         return float(a[0]) * float(b[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.dot(a, b))
+        return float(_dots(a, b))
 
 
 def _box(dim, lo, hi):
@@ -96,8 +138,28 @@ def quadratic(dim: int = 1, lo=None, hi=None) -> ConvexFn:
         lo=lo, hi=hi,
         bounded=not full,
         name="quadratic",
-        grad_inverse=lambda t: 0.5 * t,
+        grad_inverse=lambda ts: 0.5 * ts,
+        values_fn=lambda xs: _dots(xs, xs),
+        grads_fn=lambda xs: 2.0 * xs,
     )
+
+
+def _logits(p: np.ndarray) -> np.ndarray:
+    """``logit`` of each entry, in its floats."""
+    return _libm(math.log, p) - _libm(math.log1p, -p)
+
+
+def _sigmoids(y: np.ndarray) -> np.ndarray:
+    """``contracts.sigmoid`` of each entry, in its floats: each branch takes
+    the exponential of -|y|."""
+    e = _libm(math.exp, -np.abs(y))
+    return np.where(y >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _negentropy(p: np.ndarray) -> np.ndarray:
+    """p log p + (1 - p) log(1 - p) of each entry, in the scalar forms'
+    floats."""
+    return p * _libm(math.log, p) + (1.0 - p) * _libm(math.log, 1.0 - p)
 
 
 def binary_negentropy() -> ConvexFn:
@@ -125,7 +187,9 @@ def binary_negentropy() -> ConvexFn:
         bounded=True,
         name="binary-negentropy",
         closure_fn=clo,
-        grad_inverse=lambda t: np.array([sigmoid(t[0])]),
+        grad_inverse=_sigmoids,
+        values_fn=lambda xs: _negentropy(xs[:, 0]),
+        grads_fn=_logits,
     )
 
 
@@ -158,7 +222,9 @@ def interval_negentropy(lo: float, hi: float) -> ConvexFn:
         bounded=True,
         name=f"interval-negentropy[{lo},{hi}]",
         closure_fn=clo,
-        grad_inverse=lambda t: np.array([lo + span * sigmoid(span * t[0])]),
+        grad_inverse=lambda ts: lo + span * _sigmoids(span * ts),
+        values_fn=lambda xs: _negentropy((xs[:, 0] - lo) / span),
+        grads_fn=lambda xs: _logits((xs - lo) / span) / span,
     )
 
 
@@ -185,10 +251,20 @@ def simplex_negentropy(k: int) -> ConvexFn:
         parts = list(x) + [1.0 - float(np.sum(x))]
         return sum(p * math.log(p) for p in parts if p > 0.0)
 
-    def inverse(t):
-        m = max(0.0, float(np.max(t)))
-        e = np.exp(t - m)
-        return e / (math.exp(-m) + float(np.sum(e)))
+    def vals(xs):
+        x0 = 1.0 - xs.sum(axis=1)
+        return (xs * np.log(xs)).sum(axis=1) + x0 * _libm(math.log, x0)
+
+    def grads(xs):
+        x0 = 1.0 - xs.sum(axis=1)
+        inside = x0 > 0.0
+        log_x0 = _libm(math.log, np.where(inside, x0, 1.0))
+        return np.where(inside[:, None], np.log(xs) - log_x0[:, None], np.nan)
+
+    def inverses(ts):
+        m = np.maximum(0.0, ts.max(axis=1))
+        e = np.exp(ts - m[:, None])
+        return e / (_libm(math.exp, -m) + e.sum(axis=1))[:, None]
 
     return ConvexFn(
         dim=k,
@@ -199,7 +275,9 @@ def simplex_negentropy(k: int) -> ConvexFn:
         name=f"simplex-negentropy-{k}",
         closure_fn=clo,
         vertices=np.vstack([np.zeros(k), np.eye(k)]),
-        grad_inverse=inverse,
+        grad_inverse=inverses,
+        values_fn=vals,
+        grads_fn=grads,
     )
 
 
@@ -211,16 +289,30 @@ def log_partition(phi: np.ndarray) -> ConvexFn:
     n, k = phi.shape
 
     def val(q):
-        w = phi @ q
+        w = _dots(phi, q)
         m = float(np.max(w))
         return m + math.log(float(np.sum(np.exp(w - m))))
 
     def grad(q):
-        w = phi @ q
+        w = _dots(phi, q)
         w = w - np.max(w)
         e = np.exp(w)
         p = e / np.sum(e)
-        return phi.T @ p
+        return _dots(phi.T, p)
+
+    def shifted(qs):
+        # the exponents of each row, and their largest
+        w = _dots(qs[:, None, :], phi)
+        m = w.max(axis=1)
+        return np.exp(w - m[:, None]), m
+
+    def vals(qs):
+        e, m = shifted(qs)
+        return m + _libm(math.log, e.sum(axis=1))
+
+    def grads(qs):
+        e, _ = shifted(qs)
+        return _dots((e / e.sum(axis=1)[:, None])[:, None, :], phi.T)
 
     return ConvexFn(
         dim=k,
@@ -228,6 +320,8 @@ def log_partition(phi: np.ndarray) -> ConvexFn:
         grad_fn=grad,
         lo=np.full(k, -INF), hi=np.full(k, INF),
         name="log-partition",
+        values_fn=vals,
+        grads_fn=grads,
     )
 
 
@@ -305,6 +399,33 @@ def golden_max(f, lo: float, hi: float, xtol: float = 0.0,
     return 0.5 * (a + b)
 
 
+def _boxes(fn: ConvexFn) -> list:
+    """Per coordinate, the domain box inset by BRACKET_PAD of its span where
+    that box is finite, else None."""
+    boxes = []
+    for a, b in zip(fn.lo.tolist(), fn.hi.tolist()):
+        pad = BRACKET_PAD * (b - a)
+        boxes.append((a + pad, b - pad)
+                     if math.isfinite(a) and math.isfinite(b) else None)
+    return boxes
+
+
+def invert_gradients(fn: ConvexFn, targets) -> list:
+    """``invert_gradient`` of each row of targets, an (N, dim) array: one
+    ``grad_inverse`` call and one box test where the potential has a
+    closed-form inverse, else one search per row."""
+    targets = np.asarray(targets, dtype=float).reshape(-1, fn.dim)
+    if fn.grad_inverse is None:
+        return [invert_gradient(fn, t) for t in targets]
+    with np.errstate(all="ignore"):
+        xs = fn.grad_inverse(targets)
+    boxes = _boxes(fn)
+    lo = np.array([-BRACKET_LIMIT if box is None else box[0] for box in boxes])
+    hi = np.array([BRACKET_LIMIT if box is None else box[1] for box in boxes])
+    inside = ((lo <= xs) & (xs <= hi)).all(axis=1)
+    return [x if ok else None for x, ok in zip(xs, inside)]
+
+
 def invert_gradient(fn: ConvexFn, target, xtol: float = 0.0):
     """A point x with grad fn(x) = target, or None when there is none.
 
@@ -319,18 +440,9 @@ def invert_gradient(fn: ConvexFn, target, xtol: float = 0.0):
     residual is within OPT_TOL, and the point is accepted within
     RESIDUAL_ACCEPT."""
     target = np.atleast_1d(np.asarray(target, dtype=float))
-    boxes = []
-    for a, b in zip(fn.lo.tolist(), fn.hi.tolist()):
-        pad = BRACKET_PAD * (b - a)
-        boxes.append((a + pad, b - pad)
-                     if math.isfinite(a) and math.isfinite(b) else None)
     if fn.grad_inverse is not None:
-        x = np.asarray(fn.grad_inverse(target), dtype=float)
-        for v, box in zip(x.tolist(), boxes):
-            if not (box[0] <= v <= box[1] if box is not None
-                    else abs(v) <= BRACKET_LIMIT):
-                return None
-        return x
+        return invert_gradients(fn, target)[0]
+    boxes = _boxes(fn)
     x = np.array([0.5 * (box[0] + box[1]) if box is not None else 0.0
                   for box in boxes])
 

@@ -28,6 +28,7 @@ from .contracts import (
 )
 from .convex import (
     ConvexFn,
+    _dots,
     binary_lmsr_cost,
     golden_max,
     hull_margin,
@@ -42,6 +43,7 @@ from .scoring import (
     RealReports,
     ScoringRule,
     payoff_table,
+    report_rows,
 )
 
 
@@ -152,14 +154,16 @@ class CostRule(ScoringRule):
             raise InvalidReport(
                 f"bundle {bundle.tolist()} is not in the share space")
 
-    def score(self, q, y) -> float:
-        qv = self._q(q)
-        i = self.outcome_space.index(y)
-        return float(np.dot(qv, self.phi[i])) - self.cost.value(qv)
-
     def score_row(self, q) -> np.ndarray:
         qv = self._q(q)
-        return self.phi @ qv - self.cost.value(qv)
+        return _dots(self.phi, qv) - self.cost.value(qv)
+
+    def score_rows(self, reports: list) -> np.ndarray:
+        qs = report_rows(reports, self.k)
+        if qs is None:
+            qs = np.array([self._q(q) for q in reports],
+                          dtype=float).reshape(len(reports), self.k)
+        return _dots(qs[:, None, :], self.phi) - self.cost.values(qs)[:, None]
 
     def price(self, q) -> np.ndarray:
         """Instantaneous prices: the gradient (subgradient selection) of the
@@ -294,20 +298,25 @@ def check_quasi_open(rule: CostRule, bound: int = 8, rng=None) -> AxiomReport:
         qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(Q_SAMPLES)]
         vs = [rng.normal(scale=2.0, size=rule.k) for _ in range(Q_SAMPLES)]
         vs = [v for v in vs if np.linalg.norm(v) > MEMBER_TOL]
-    min_margin = INF
-    for q in qs:
-        x = rule.cost.grad(q)
-        for v in vs:
-            margin = float(np.max(rule.phi @ v)) - float(np.dot(x, v))
-            if margin < min_margin:
-                min_margin = margin
-            if margin <= 0.0:
-                return AxiomReport(
-                    axiom="QUASI-OPEN", verdict=FAILS, margin=margin,
-                    witness={"q": np.atleast_1d(q).tolist(),
-                             "v": np.atleast_1d(v).tolist(),
-                             "subgradient": x.tolist(), "margin": margin},
-                    budget={"states": len(qs), "directions": len(vs)})
+    # margins[i, j] of the state qs[i] and the direction vs[j], in one pass
+    xs = rule.cost.grads(qs)
+    v_arr = np.reshape(vs, (len(vs), rule.k))
+    margins = np.max(_dots(v_arr[:, None, :], rule.phi), axis=1) - xs @ v_arr.T
+    bad = np.flatnonzero(margins <= 0.0)
+    if len(bad):
+        # the first failing pair in row-major order, as a loop over the
+        # states and then the directions meets it
+        i, j = divmod(int(bad[0]), len(vs))
+        margin = float(margins[i, j])
+        return AxiomReport(
+            axiom="QUASI-OPEN", verdict=FAILS, margin=margin,
+            witness={"q": np.atleast_1d(qs[i]).tolist(),
+                     "v": np.atleast_1d(vs[j]).tolist(),
+                     "subgradient": xs[i].tolist(), "margin": margin},
+            budget={"states": len(qs), "directions": len(vs)})
+    # nan margins compare as no margin at all
+    min_margin = float(np.min(np.where(np.isnan(margins), INF, margins),
+                              initial=INF))
     return AxiomReport(axiom="QUASI-OPEN", verdict=HOLDS_AT_BUDGET,
                        margin=min_margin,
                        budget={"states": len(qs), "directions": len(vs),
@@ -319,30 +328,40 @@ def price_bound_check(rule: CostRule, trials: int = 1000, rng=None) -> AxiomRepo
     states and bundles within 8 and 6 steps of zero, or normal draws of
     scale 4 and 3 on a full share space."""
     rng = rng or np.random.default_rng(0)
-    min_margin = INF
-    worst = None
-    for _ in range(trials):
-        if rule.shares.is_lattice:
-            b = rule.shares._b()
-            q = b @ rng.integers(-8, 9, size=rule.k).astype(float)
-            n = rng.integers(-6, 7, size=rule.k).astype(float)
+    k = rule.k
+    if rule.shares.is_lattice:
+        # the draws alternate two ranges, so they stay one trial at a time
+        b = rule.shares._b()
+        qs, vs = [], []
+        for _ in range(trials):
+            qs.append(b @ rng.integers(-8, 9, size=k).astype(float))
+            n = rng.integers(-6, 7, size=k).astype(float)
             if np.all(n == 0):
                 n[0] = 1.0
-            v = b @ n
-        else:
-            q = rng.normal(scale=4.0, size=rule.k)
-            v = rng.normal(scale=3.0, size=rule.k)
-            if np.linalg.norm(v) <= MEMBER_TOL:
-                v = np.ones(rule.k)
-        margin = float(np.max(rule.phi @ v)) - (
-            rule.cost.value(q + v) - rule.cost.value(q))
-        if margin < min_margin:
-            min_margin = margin
-            worst = {"q": q.tolist(), "v": v.tolist(), "margin": margin}
-        if margin <= 0.0:
-            return AxiomReport(axiom="PRICE-BOUND", verdict=FAILS,
-                               margin=margin, witness=worst,
-                               budget={"trials": trials})
+            vs.append(b @ n)
+        q_arr, v_arr = np.reshape(qs, (trials, k)), np.reshape(vs, (trials, k))
+    else:
+        # normal(scale=s) is s times the next standard normal draw, so one
+        # block of draws is the stream of alternating q and v draws
+        z = rng.standard_normal((trials, 2, k))
+        q_arr, v_arr = 4.0 * z[:, 0], 3.0 * z[:, 1]
+        v_arr[np.linalg.norm(v_arr, axis=1) <= MEMBER_TOL] = 1.0
+    # every trial's margin in one pass
+    margins = np.max(_dots(v_arr[:, None, :], rule.phi), axis=1) - (
+        rule.cost.values(q_arr + v_arr) - rule.cost.values(q_arr))
+    bad = np.flatnonzero(margins <= 0.0)
+    # the trials a loop would visit: up to the first failing one
+    seen = margins[:bad[0] + 1] if len(bad) else margins
+    # the first strict minimum, which a loop keeps; nan is never below it
+    seen = np.where(np.isnan(seen), INF, seen)
+    t = int(np.argmin(seen)) if len(seen) else 0
+    min_margin = float(seen[t]) if len(seen) else INF
+    worst = None if min_margin == INF else {
+        "q": q_arr[t].tolist(), "v": v_arr[t].tolist(), "margin": min_margin}
+    if len(bad):
+        return AxiomReport(axiom="PRICE-BOUND", verdict=FAILS,
+                           margin=min_margin, witness=worst,
+                           budget={"trials": trials})
     return AxiomReport(axiom="PRICE-BOUND", verdict=HOLDS_AT_BUDGET,
                        margin=min_margin, witness={"tightest": worst},
                        budget={"trials": trials})
@@ -439,8 +458,9 @@ def score_range_membership(rule: ScoringRule, window: tuple):
         hi = grid[min(i + 1, num - 1)]
 
         def dist_at(r):
-            h = _cashless_table(rule, [float(r)])[0]
-            return float(np.max(np.abs(h - target)))
+            # one report: the scalar score is the cheaper form
+            row = rule.score_contract(float(r)).values
+            return float(np.max(np.abs(row - np.mean(row) - target)))
 
         # golden refine on the 1-d distance slice
         best_r = golden_max(lambda r: -dist_at(r), lo, hi, steps=80)

@@ -42,12 +42,14 @@ from .contracts import (
 from .convex import (
     ConvexFn,
     _dot,
+    _dots,
     _vec,
     bisect,
     bracket,
     golden_max,
     hull_facets,
     invert_gradient,
+    invert_gradients,
 )
 
 
@@ -109,7 +111,15 @@ class BoxReports:
         if self._facets is None:
             return True
         a, b = self._facets
-        return float(np.min(-(a @ r + b))) > STRUCT_TOL
+        return float(np.min(-(_dots(a, r) + b))) > STRUCT_TOL
+
+    def contains_rows(self, xs: np.ndarray) -> np.ndarray:
+        """``contains`` of each row of an (R, dim) array."""
+        inside = ((xs > self._lo) & (xs < self._hi)).all(axis=1)
+        if self._facets is not None:
+            a, b = self._facets
+            inside &= np.min(-(_dots(xs[:, None, :], a) + b), axis=1) > STRUCT_TOL
+        return inside
 
     def grid(self, num: int = 51) -> list:
         """``num`` points per axis, inset by 2% of the axis span, less the
@@ -135,6 +145,9 @@ class RealReports:
             return math.isfinite(float(r))
         except (TypeError, ValueError):
             return False
+
+    def contains_rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.isfinite(xs).all(axis=1)
 
     def grid(self, num: int = 51, window: tuple = (-4.0, 4.0)) -> list:
         return [float(v) for v in np.linspace(window[0], window[1], num)]
@@ -204,14 +217,23 @@ class ScoringRule:
     def score_table(self, reports) -> np.ndarray:
         """The payoff vectors of ``score_contract(r)`` for each report, one
         row per report: an (R, n) array over a finite outcome space.  Each
-        report is validated as ``score_contract`` validates it."""
+        report is validated, in order, as ``score_contract`` validates it;
+        payoffs that overflow raise ``PayoffOverflow``, without numpy's
+        warning."""
         if not self.outcome_space.is_finite:
             raise OutcomeMismatch("score tables need a finite outcome space")
-        rows = [self.score_row(r) for r in reports]
-        table = np.array(rows, dtype=float).reshape(len(rows), self.outcome_space.n)
+        reports = list(reports)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = self.score_rows(reports).reshape(len(reports),
+                                                     self.outcome_space.n)
         if not np.isfinite(table).all():
             raise PayoffOverflow("payoffs must be finite")
         return table
+
+    def score_rows(self, reports: list) -> np.ndarray:
+        """``score_table`` before its finiteness check: ``score_row`` of each
+        report, stacked, where a rule has no array expression for it."""
+        return np.array([self.score_row(r) for r in reports], dtype=float)
 
     def piece_table(self, reports) -> tuple:
         """``stack_pieces`` of each report's ``score_pieces``, as
@@ -304,6 +326,23 @@ class ScoringRule:
     def pn_candidate(self, trades, r):
         """Analytic portfolio-neutralization candidate, when available."""
         return None
+
+    def analytic_candidates(self, hook: str, scenarios) -> list:
+        """``getattr(self, hook)(*scenario)`` for each scenario: the analytic
+        candidates of one of the three hooks above."""
+        return [getattr(self, hook)(*sc) for sc in scenarios]
+
+
+def report_rows(reports: list, k: int) -> np.ndarray | None:
+    """The reports as the rows of an (R, k) array when each is a number
+    (k = 1) or a vector of k numbers, else None."""
+    try:
+        xs = np.array(reports, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    R = len(reports)
+    return xs.reshape(R, k) if xs.shape == (R, k) or k == 1 and xs.shape == (R,) \
+        else None
 
 
 def score_difference(new: Contract, old: Contract) -> Contract:
@@ -405,11 +444,11 @@ class FiniteRule(ScoringRule):
         self.validate_report(r)
         return self.report_space.labels.index(r)
 
-    def score(self, r, y) -> float:
-        return float(self.matrix[self._row(r), self.outcome_space.index(y)])
-
     def score_row(self, r) -> np.ndarray:
         return self.matrix[self._row(r)]
+
+    def score_rows(self, reports: list) -> np.ndarray:
+        return self.matrix[[self._row(r) for r in reports]]
 
     def property_value(self, p: Belief):
         expected = self.matrix @ p.pmf
@@ -480,24 +519,81 @@ class PotentialRule(ScoringRule):
     def k(self) -> int:
         return self.potential.dim
 
+    # the analytic hooks that match shares
+    matched = ("wn_candidate",)
+
     def _r(self, r) -> np.ndarray:
         self.validate_report(r)
         return _vec(r)
+
+    def _stack(self, reports: list) -> np.ndarray:
+        """The reports as the rows of an (R, k) array, validated in order:
+        all at once, or report by report where that finds one outside the
+        report space, so the first such report raises."""
+        xs = report_rows(reports, self.k)
+        inside = getattr(self.report_space, "contains_rows", None)
+        if xs is None or inside is None or not inside(xs).all():
+            xs = np.array([self._r(r) for r in reports],
+                          dtype=float).reshape(len(reports), self.k)
+        return xs
+
+    def _affine(self, r) -> tuple:
+        """G(r) - dG_r . r and dG_r: an expectation score is the first plus
+        dG_r . phi(y), a ratio score b(y) times the first plus dG_r . phi(y)."""
+        rv = self._r(r)
+        dg = self.potential.grad(rv)
+        return self.potential.value(rv) - _dot(dg, rv), dg
+
+    def _affines(self, reports: list) -> tuple:
+        """``_affine`` of each report, as an (R,) and an (R, k) array."""
+        xs = self._stack(reports)
+        dg = self.potential.grads(xs)
+        return self.potential.values(xs) - _dots(dg, xs), dg
 
     def share(self, r) -> np.ndarray:
         return self.potential.grad(self._r(r))
 
     def invert_share(self, q):
         """The report whose share is q, or None when no report has it."""
-        x = invert_gradient(self.potential, q)
+        return self._report_at(invert_gradient(self.potential, q))
+
+    def _report_at(self, x):
+        """The report at the point an inversion found, or None where it found
+        none or the report space leaves the point out."""
         if x is None:
             return None
         r = x if self.k > 1 else float(x[0])
         return r if self.report_space.contains(r) else None
 
     def wn_candidate(self, r1, r1p, r2):
-        delta = self.share(r1p) - self.share(r1)
-        return self.invert_share(self.share(r2) - delta)
+        return self.analytic_candidates("wn_candidate", [(r1, r1p, r2)])[0]
+
+    def analytic_candidates(self, hook: str, scenarios) -> list:
+        """The candidates of a hook that matches shares: per scenario, the
+        report whose share is the state's less the held trades' share
+        change, or None.  The shares of every scenario report are one
+        ``grads`` call, summed from zero in the order of the trades, and
+        the inversions one ``invert_gradients`` call."""
+        if hook not in self.matched or not scenarios:
+            return super().analytic_candidates(hook, scenarios)
+        # per scenario: (held trades, state)
+        held = [sc if hook == "pn_candidate" else ([(sc[0], sc[1])], sc[2])
+                for sc in scenarios]
+        sizes = np.array([len(trades) for trades, _ in held])
+        m = int(sizes.max())
+        # a shorter portfolio pads with its state, which the sum skips
+        reports = [r for trades, state in held for r in
+                   [state, *(r for trade in trades for r in trade),
+                    *[state] * (2 * (m - len(trades)))]]
+        shares = self.potential.grads(self._stack(reports)).reshape(
+            len(held), 2 * m + 1, self.k)
+        total = np.zeros((len(held), self.k))
+        for j in range(m):
+            total = np.where((j < sizes)[:, None],
+                             total + shares[:, 2 * j + 2] - shares[:, 2 * j + 1],
+                             total)
+        return [self._report_at(x) for x in
+                invert_gradients(self.potential, shares[:, 0] - total)]
 
 
 class ExpectationRule(PotentialRule):
@@ -533,25 +629,15 @@ class ExpectationRule(PotentialRule):
                 report_space = BoxReports(lo, hi, hull)
             self.report_space = report_space
 
-    def score(self, r, y) -> float:
-        rv = self._r(r)
-        g = self.potential.value(rv)
-        dg = self.potential.grad(rv)
-        if self.phi is None:
-            ph = np.array([float(y)])
-        else:
-            ph = self.phi[self.outcome_space.index(y)]
-        return g + _dot(dg, ph - rv)
-
-    def _affine(self, r) -> tuple:
-        """G(r) - dG_r . r and dG_r: the score is their sum with dG_r . phi."""
-        rv = self._r(r)
-        dg = self.potential.grad(rv)
-        return self.potential.value(rv) - _dot(dg, rv), dg
+    matched = ("wn_candidate", "tn_candidate", "pn_candidate")
 
     def score_row(self, r) -> np.ndarray:
         base, dg = self._affine(r)
-        return base + self.phi @ dg
+        return base + _dots(self.phi, dg)
+
+    def score_rows(self, reports: list) -> np.ndarray:
+        base, dg = self._affines(reports)
+        return base[:, None] + _dots(dg[:, None, :], self.phi)
 
     def score_pieces(self, r) -> tuple:
         base, dg = self._affine(r)
@@ -587,10 +673,7 @@ class ExpectationRule(PotentialRule):
         return self.wn_candidate(r1, r1p, r2)
 
     def pn_candidate(self, trades, r):
-        total = np.zeros(self.k)
-        for ra, rb in trades:
-            total = total + self.share(rb) - self.share(ra)
-        return self.invert_share(self.share(r) - total)
+        return self.analytic_candidates("pn_candidate", [(trades, r)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -615,12 +698,6 @@ class QuantileRule(ScoringRule):
         self.transform = transform
         self.outcome_space = REAL_LINE
         self.report_space = RealReports()
-
-    def score(self, r, y) -> float:
-        self.validate_report(r)
-        g = self.transform
-        ind = 1.0 if r >= y else 0.0
-        return (self.alpha - ind) * (g(r) - g(y))
 
     def score_pieces(self, r) -> tuple:
         self.validate_report(r)
@@ -752,18 +829,13 @@ class RatioRule(PotentialRule):
                 tuple(float(v) for v in np.max(ratios, axis=0)))
         self.report_space = report_space
 
-    def score(self, r, y) -> float:
-        rv = self._r(r)
-        i = self.outcome_space.index(y)
-        dg = self.potential.grad(rv)
-        return self.b[i] * self.potential.value(rv) + float(
-            np.dot(dg, self.phi[i] - rv * self.b[i]))
-
     def score_row(self, r) -> np.ndarray:
-        rv = self._r(r)
-        g = self.potential.value(rv)
-        dg = self.potential.grad(rv)
-        return self.b * (g - float(np.dot(dg, rv))) + self.phi @ dg
+        base, dg = self._affine(r)
+        return self.b * base + _dots(self.phi, dg)
+
+    def score_rows(self, reports: list) -> np.ndarray:
+        base, dg = self._affines(reports)
+        return self.b * base[:, None] + _dots(dg[:, None, :], self.phi)
 
     def property_value(self, p: Belief):
         num = p.pmf @ self.phi

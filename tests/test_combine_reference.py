@@ -3,8 +3,10 @@ bisects each operand's piece starts at every cell's lower end.  Outputs must
 be equal bit for bit.  Regression tests pin each cell's sum at its lower end
 against ``Contract.__call__`` of the operands, and property tests hold
 ``combine`` linear and associative within STRUCT_TOL of its operands'
-coefficient scale."""
+coefficient scale, or 4 ulps of it where STRUCT_TOL of a subnormal scale
+underflows."""
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -149,8 +151,21 @@ def _scale(contracts, weights):
                 for c, w in zip(contracts, weights)] + [0.0])
 
 
+def _bound(scale: float) -> float:
+    """STRUCT_TOL of the scale, and at least 4 ulps of it: at a subnormal
+    scale two sums may round an ulp apart, while STRUCT_TOL of the scale
+    underflows to 0."""
+    return max(STRUCT_TOL * scale, 4 * math.ulp(scale))
+
+
+def _constant(level: float):
+    return piecewise_contract([Piece(-INF, INF, (level, 0.0, 0.0))])
+
+
 @settings(max_examples=100, deadline=None)
 @given(operand_triples(), WEIGHTS, WEIGHTS)
+# a subnormal weight: the sums round one ulp (5e-324) apart
+@example(ds=[_constant(1.0), _constant(1.5), _constant(0.0)], a=5e-324, b=-1.0)
 def test_combine_is_linear_within_struct_tol(ds, a, b):
     d1, d2, _ = ds
     direct = combine([d1, d2], [a, b])
@@ -160,7 +175,7 @@ def test_combine_is_linear_within_struct_tol(ds, a, b):
     for lhs, rhs, scale in ((direct, summed, _scale([d1, d2], [a, b])),
                             (scaled, both, _scale([d1, d2], [a, a]))):
         x, y = _coefficients([lhs, rhs])
-        assert float(np.max(np.abs(x - y))) <= STRUCT_TOL * scale
+        assert float(np.max(np.abs(x - y))) <= _bound(scale)
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,8 +187,8 @@ def test_combine_is_associative_within_struct_tol(ds, w):
     flat = combine(ds, w)
     scale = _scale(ds, w)
     x, y, z = _coefficients([left, right, flat])
-    assert float(np.max(np.abs(x - z))) <= STRUCT_TOL * scale
-    assert float(np.max(np.abs(y - z))) <= STRUCT_TOL * scale
+    assert float(np.max(np.abs(x - z))) <= _bound(scale)
+    assert float(np.max(np.abs(y - z))) <= _bound(scale)
 
 
 def _ledger_contracts(rule, reports):

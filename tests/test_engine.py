@@ -232,12 +232,15 @@ class TestPathIndependence:
     def test_real_overflow_raises(self):
         # the real-line twin: QuantileRule(0.1) pays -0.9 (t(r') - t(r)) below
         # both reports, so the trade 1.7e308 -> -1.7e308 holds an infinite
-        # coefficient, whose pair the three-operand sum once read as holding
+        # coefficient; combine once recorded it, and now the trade raises
+        # and leaves the session as it was
         s = open_session(QuantileRule(0.1), 0.0)
         s.execute_trade("t0", 1.7e308)
-        s.execute_trade("t1", -1.7e308)
         with pytest.raises(PayoffOverflow, match="payoffs must be finite"):
-            s.verify_path_independence()
+            s.execute_trade("t1", -1.7e308)
+        assert s.current == 1.7e308 and len(s.records) == 1
+        assert s.position_contract().to_dict() == \
+            s.rule.trade_contract(0.0, 1.7e308).to_dict()
         # a recorded step with an infinite constant term: combine snaps the
         # infinite sum to 0.0 and reads no gap, the row sums keep it
         s = open_session(ExpectationRule(quadratic(1)), 0.0)

