@@ -456,8 +456,8 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
                       [(w * c0, w * c1, w * c2)
                        for c0, c1, c2 in (p.coeffs for p in c.pieces)],
                       0])
-    pieces = []
-    for lo, hi in zip(edges, edges[1:]):
+    cells = []
+    for lo in edges[:-1]:
         # running sums acc and largest magnitudes mag, one per coefficient
         acc0 = acc1 = acc2 = mag0 = mag1 = mag2 = 0.0
         for walk in walks:
@@ -489,15 +489,22 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
             acc1 = 0.0
         if acc2 != 0.0 and abs(acc2) <= STRUCT_TOL * mag2:
             acc2 = 0.0
-        pieces.append(Piece(lo, hi, (acc0, acc1, acc2)))
-    # compact runs of identical polynomials
-    merged = [pieces[0]]
-    for p in pieces[1:]:
-        if p.coeffs == merged[-1].coeffs:
-            merged[-1] = Piece(merged[-1].lo, p.hi, p.coeffs)
-        else:
-            merged.append(p)
-    return piecewise_contract(merged, first.transform)
+        cells.append((acc0, acc1, acc2))
+    return piecewise_contract(merge_runs(edges, cells), first.transform)
+
+
+def merge_runs(edges: list, cells: list) -> list[Piece]:
+    """The pieces of cells [edges[x], edges[x + 1]) paying the coefficients
+    ``cells[x]``, a run of equal coefficients compacted into one piece that
+    pays the run's last."""
+    pieces = []
+    lo = edges[0]
+    for hi, c, after in zip(edges[1:], cells, cells[1:]):
+        if c != after:
+            pieces.append(Piece(lo, hi, c))
+            lo = hi
+    pieces.append(Piece(lo, edges[-1], cells[-1]))
+    return pieces
 
 
 def stack_pieces(rows) -> tuple:

@@ -64,6 +64,9 @@ class ConvexFn:
     # (N, dim) array; a missing one loops over the rows
     values_fn: Callable[[np.ndarray], np.ndarray] | None = None
     grads_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    # (lo, hi) of the open box of the points the evaluators take, where
+    # rounding makes it narrower than the domain box
+    interior: tuple | None = None
 
     def value(self, x) -> float:
         return float(self.value_fn(_vec(x)))
@@ -193,13 +196,30 @@ def binary_negentropy() -> ConvexFn:
     )
 
 
+def _least(holds, a: float, b: float) -> float:
+    """The least float in (a, b] where ``holds``, false at a, true at b and
+    monotone between, holds: bisection down to adjacent floats."""
+    while True:
+        m = a + 0.5 * (b - a)
+        if not a < m < b:
+            return b
+        if holds(m):
+            b = m
+        else:
+            a = m
+
+
 def interval_negentropy(lo: float, hi: float) -> ConvexFn:
     """Negative entropy rescaled to (lo, hi); its gradient range is all of R,
-    so share matching never leaves the report space."""
+    so share matching never leaves the report space.  A point within ulps
+    of an end can scale onto it, so the evaluators take the open interval
+    of the points whose scaled coordinate lies strictly inside (0, 1)."""
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise ValueError("need lo < hi")
     span = hi - lo
+    bottom = _least(lambda x: (x - lo) / span > 0.0, lo, hi)
+    top = _least(lambda x: (x - lo) / span >= 1.0, lo, hi)
 
     def val(x):
         z = (x[0] - lo) / span
@@ -225,6 +245,7 @@ def interval_negentropy(lo: float, hi: float) -> ConvexFn:
         grad_inverse=lambda ts: lo + span * _sigmoids(span * ts),
         values_fn=lambda xs: _negentropy((xs[:, 0] - lo) / span),
         grads_fn=lambda xs: _logits((xs - lo) / span) / span,
+        interior=((math.nextafter(bottom, lo),), (top,)),
     )
 
 

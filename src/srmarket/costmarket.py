@@ -149,6 +149,8 @@ class CostRule(ScoringRule):
 
     def validate_trade(self, r_old, r_new) -> None:
         self.validate_report(r_new)
+        if not self.shares.is_lattice:
+            return
         bundle = self._q(r_new) - self._q(r_old)
         if not self.shares.contains(bundle):
             raise InvalidReport(

@@ -8,7 +8,9 @@ position is the single contract S(r_T, .) - S(r_0, .), and
 length.  Settlement still sums the ledger trade by trade and reports it
 beside the telescoped loss.  Each state is scored once: a trade is the new
 score less the held one, and path independence scores r_0 ... r_T once
-each, checking a ledger of either outcome kind as one array pass.
+each, checking a ledger of either outcome kind as one array pass.  A
+replay of the ledger lines validates them in order and then builds every
+trade contract in one such pass, bit for bit as trade by trade.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import (
+    INF,
     STRUCT_TOL,
     Contract,
     PayoffOverflow,
@@ -27,6 +30,8 @@ from .contracts import (
     contract_bounds,
     contract_pieces,
     lay_pieces,
+    merge_runs,
+    piecewise_contract,
 )
 from .reports import FAILS, HOLDS, AxiomReport
 from .scoring import ScoringRule, score_difference
@@ -121,23 +126,52 @@ class MarketSession:
     def ledger_lines(self) -> list[str]:
         """One structured record per trade; replaying them rebuilds the
         contracts bit for bit."""
-        lines = []
-        for rec in self.records:
-            lines.append(json.dumps({
-                "index": rec.index,
-                "trader": rec.trader,
-                "r_old": _jsonable(rec.r_old),
-                "r_new": _jsonable(rec.r_new),
-            }, sort_keys=True))
-        return lines
+        return [_ENCODER.encode({"index": rec.index, "trader": rec.trader,
+                                 "r_old": _jsonable(rec.r_old),
+                                 "r_new": _jsonable(rec.r_new)})
+                for rec in self.records]
 
     @classmethod
     def replay(cls, rule: ScoringRule, r0, lines: list[str]) -> "MarketSession":
+        """The session the ledger lines record from r0: each line is read and
+        validated in order (its index, its r_old and its trade), then every
+        contract is a row of ``_trade_contracts``.  As trade by trade, the
+        first bad line raises, unless the lines before it overflow."""
         session = cls(rule, r0)
-        for line in lines:
-            rec = json.loads(line)
-            session.execute_trade(rec["trader"], _unjson(rec["r_new"]))
+        states, traders = [r0], []
+        try:
+            for i, line in enumerate(lines):
+                rec = json.loads(line)
+                if rec["index"] != i:
+                    raise ValueError(f"ledger line {i} has index {rec['index']!r}")
+                if not _same_state(_unjson(rec["r_old"]), states[-1]):
+                    raise ValueError(f"ledger line {i} trades from {rec['r_old']!r}, "
+                                     f"not from the state {states[-1]!r}")
+                r_new = _unjson(rec["r_new"])
+                rule.validate_trade(states[-1], r_new)
+                states.append(r_new)
+                traders.append(str(rec["trader"]))
+        except (ValueError, KeyError, TypeError):
+            # trade by trade, the lines before the bad one are scored first
+            _trade_contracts(rule, states)
+            raise
+        for i, contract in enumerate(_trade_contracts(rule, states)):
+            session.records.append(TradeRecord(
+                index=i, trader=traders[i], r_old=states[i], r_new=states[i + 1],
+                contract=contract))
+        session.current = states[-1]
+        session._held = rule.score_contract(session.current)
         return session
+
+
+# ledger lines are encoded by one encoder, not one per line
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _same_state(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 def _jsonable(r):
@@ -150,6 +184,31 @@ def _unjson(r):
     if isinstance(r, dict) and "vec" in r:
         return np.asarray(r["vec"], dtype=float)
     return r
+
+
+def _trade_contracts(rule: ScoringRule, states: list) -> list:
+    """``score_difference`` of each pair of consecutive states, to the bit:
+    the states' score table, and its rows' differences in ``combine``'s
+    floats; on the real line laid on each row's breakpoints, snapped and
+    compacted as ``combine`` does.  An overflow raises ``PayoffOverflow``."""
+    if len(states) < 2:
+        return []
+    if rule.outcome_space.is_finite:
+        table = rule.score_table(states)
+        rows = cell_sums([table[1:], table[:-1]], (1.0, -1.0), snap=False)
+        if not np.isfinite(rows).all():
+            raise PayoffOverflow("payoffs must be finite")
+        rows.flags.writeable = False
+        return [Contract(space=rule.outcome_space, values=row) for row in rows]
+    ends, coeffs = rule.piece_table(states)
+    cuts, _, terms = lay_pieces([(ends[1:], coeffs[1:]), (ends[:-1], coeffs[:-1])],
+                                rule.transform)
+    acc = cell_sums(terms, (1.0, -1.0))
+    if not np.isfinite(acc).all():
+        raise PayoffOverflow("payoffs must be finite")
+    return [piecewise_contract(merge_runs([-INF, *row, INF], list(map(tuple, cells))),
+                               rule.transform)
+            for row, cells in zip(cuts.tolist(), acc.tolist())]
 
 
 def _pair_gaps(rule: ScoringRule, states: list, steps: list) -> list:

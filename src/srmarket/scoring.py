@@ -78,18 +78,21 @@ class FiniteReports:
 class BoxReports:
     """Open box in R^k; reports validated strictly inside, and more than
     ``STRUCT_TOL`` inside the convex hull of ``hull``'s points when it is
-    given (the hull's facet equations carry rounding)."""
+    given (the hull's facet equations carry rounding), and inside the open
+    box ``interior`` of a potential when it is given; the grid spans lo..hi."""
 
     lo: tuple
     hi: tuple
     hull: tuple | None = field(default=None, repr=False)
+    interior: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # the corners and the hull's facets converted once, since every
         # validate_report asks; a scalar report of a 1-D box compares with
         # plain floats
-        object.__setattr__(self, "_lo", np.asarray(self.lo, dtype=float))
-        object.__setattr__(self, "_hi", np.asarray(self.hi, dtype=float))
+        lo, hi = self.interior or (-INF, INF)
+        object.__setattr__(self, "_lo", np.maximum(np.asarray(self.lo, dtype=float), lo))
+        object.__setattr__(self, "_hi", np.minimum(np.asarray(self.hi, dtype=float), hi))
         object.__setattr__(self, "_interval", (float(self._lo[0]), float(self._hi[0]))
                            if self._lo.shape == (1,) and self.hull is None else None)
         object.__setattr__(self, "_facets", None if self.hull is None
@@ -626,7 +629,7 @@ class ExpectationRule(PotentialRule):
                 hi = tuple(float(v) for v in np.max(self.phi, axis=0))
                 hull = None if potential.vertices is None else \
                     tuple(map(tuple, potential.vertices.tolist()))
-                report_space = BoxReports(lo, hi, hull)
+                report_space = BoxReports(lo, hi, hull, potential.interior)
             self.report_space = report_space
 
     matched = ("wn_candidate", "tn_candidate", "pn_candidate")
@@ -826,7 +829,8 @@ class RatioRule(PotentialRule):
         if report_space is None:
             report_space = BoxReports(
                 tuple(float(v) for v in np.min(ratios, axis=0)),
-                tuple(float(v) for v in np.max(ratios, axis=0)))
+                tuple(float(v) for v in np.max(ratios, axis=0)),
+                interior=potential.interior)
         self.report_space = report_space
 
     def score_row(self, r) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Market sessions: trade execution, telescoping settlement, path
 independence, replay determinism, worst-case loss."""
 
+import json
 import math
 from bisect import bisect_right
 
@@ -22,8 +23,12 @@ from srmarket.contracts import (
     piecewise_contract,
 )
 from srmarket.convex import interval_negentropy, quadratic
-from srmarket.costmarket import binary_lmsr_rule
-from srmarket.engine import MarketSession, open_session
+from srmarket.costmarket import (
+    binary_lmsr_rule,
+    discretized_lmsr_rule,
+    exp_family_rule,
+)
+from srmarket.engine import MarketSession, _unjson, open_session
 from srmarket.scoring import (
     ExpectationRule,
     ExpectileRule,
@@ -474,6 +479,138 @@ class TestLedgerReplay:
         assert replayed.ledger_lines() == s.ledger_lines()
         for a, b in zip(s.records, replayed.records):
             assert _bits(a.contract) == _bits(b.contract)
+
+
+def _replay_loop(rule, r0, lines) -> MarketSession:
+    """The replay that executed one trade per ledger line, which the
+    one-table replay replaced: the reference it is pinned to."""
+    session = MarketSession(rule, r0)
+    for line in lines:
+        rec = json.loads(line)
+        session.execute_trade(rec["trader"], _unjson(rec["r_new"]))
+    return session
+
+
+def _replayed(replay, rule, r0, lines):
+    """The replayed session, or the class and message of what it raised."""
+    try:
+        return replay(rule, r0, lines)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _ledger_lines(states) -> list[str]:
+    """The lines of a ledger through the states, each trade unchecked."""
+    return [json.dumps({"index": i, "trader": f"t{i}", "r_old": a, "r_new": b},
+                       sort_keys=True) for i, (a, b) in enumerate(zip(states, states[1:]))]
+
+
+def _vector(pool):
+    return st.one_of(st.sampled_from(pool), st.lists(
+        st.floats(-6.0, 6.0), min_size=2, max_size=2)).map(
+            lambda v: np.array(v, dtype=float))
+
+
+# the revisiting families, payoffs of -0.0 (which the row differences must
+# add in combine's order), a share lattice, and a two-security cost market
+# with vector reports; reports also come from a small pool, which holds 0.0
+# and -0.0 where the report space does, and on the real line a report an
+# ulp from the pool's 1.5, whose trade leaves a residue that combine snaps
+REPLAY_FAMILIES = {
+    **{name: (rule, r0, report if rule.outcome_space.is_finite
+              else st.one_of(st.just(1.5000000000000002), report))
+       for name, (rule, r0, report) in REVISITING_FAMILIES.items()},
+    "signed zeros": (FiniteRule([[-0.0, 1.0], [0.0, -0.0], [2.0, -0.0]],
+                                OutcomeSpace.finite(["a", "b"])),
+                     1, st.sampled_from([1, 2, 3])),
+    "discretized lmsr": (discretized_lmsr_rule(), 0.0, st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -2.0]),
+        st.integers(-30, 30).map(float))),
+    "exp family 2": (exp_family_rule([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                     np.zeros(2), _vector([[0.0, -0.0], [-0.0, 1.5], [2.0, 0.0]])),
+}
+
+
+class TestReplayMatchesLoop:
+    @pytest.mark.parametrize("family", sorted(REPLAY_FAMILIES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_generated_ledgers(self, family, data):
+        # every contract and the held score to the bit, the state and the
+        # lines; a line cut short fails as it failed trade by trade
+        rule, r0, report = REPLAY_FAMILIES[family]
+        lines = _generated_session(data, rule, r0, report).ledger_lines()
+        if lines and data.draw(st.booleans(), label="malformed"):
+            k = data.draw(st.integers(0, len(lines) - 1), label="line")
+            lines[k] = lines[k][:-1]
+        want = _replayed(_replay_loop, rule, r0, lines)
+        got = _replayed(MarketSession.replay, rule, r0, lines)
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got.records) == len(want.records)
+        for a, b in zip(want.records, got.records):
+            assert _bits(a.contract) == _bits(b.contract)
+            assert (a.index, a.trader) == (b.index, b.trader)
+        assert _bits(got._held) == _bits(want._held)
+        assert np.array_equal(got.current, want.current)
+        assert got.ledger_lines() == want.ledger_lines() == lines
+
+    def test_off_lattice_bundle(self):
+        # a full-space ledger replayed on the share lattice: line 2 buys 0.5
+        ledger = open_session(binary_lmsr_rule(), 0.0)
+        for i, q in enumerate((1.0, 3.0, 3.5, 4.0)):
+            ledger.execute_trade(f"t{i}", q)
+        lines = ledger.ledger_lines()
+        rule = discretized_lmsr_rule()
+        want = _replayed(_replay_loop, rule, 0.0, lines)
+        assert want == (InvalidReport, "bundle [0.5] is not in the share space")
+        assert _replayed(MarketSession.replay, rule, 0.0, lines) == want
+
+    def test_overflow_decides_before_a_later_bad_line(self):
+        # QuantileRule(0.1) trades 1.7e308 -> -1.7e308 with an infinite
+        # coefficient at line 1; line 2's NaN report fails validation after it
+        rule = QuantileRule(0.1)
+        for states, error in (([0.0, 1.7e308, -1.7e308], PayoffOverflow),
+                              ([0.0, 1.7e308, -1.7e308, math.nan], PayoffOverflow),
+                              ([0.0, 1.7e308, math.nan], InvalidReport)):
+            lines = _ledger_lines(states)
+            want = _replayed(_replay_loop, rule, 0.0, lines)
+            assert want[0] is error
+            assert _replayed(MarketSession.replay, rule, 0.0, lines) == want
+
+    def test_lines_out_of_place_raise(self):
+        # the ledger 1 -> 3 -> 2, replayed from lines that were swapped,
+        # skipped or edited: each names the first line out of place
+        rule = ModeRule([1, 2, 3])
+        s = open_session(rule, 1)
+        for i, r in enumerate((3, 2, 1)):
+            s.execute_trade(f"t{i}", r)
+        lines = s.ledger_lines()
+        with pytest.raises(ValueError, match="ledger line 0 has index 1"):
+            MarketSession.replay(rule, 1, lines[1::-1])
+        with pytest.raises(ValueError, match="ledger line 1 has index 2"):
+            MarketSession.replay(rule, 1, [lines[0], lines[2]])
+        edited = json.loads(lines[1])
+        edited["r_old"] = 2
+        with pytest.raises(ValueError, match="ledger line 1 trades from 2, "
+                                             "not from the state 3"):
+            MarketSession.replay(rule, 1, [lines[0], json.dumps(edited), lines[2]])
+        with pytest.raises(ValueError, match="ledger line 0 trades from 1"):
+            MarketSession.replay(rule, 2, lines)
+        assert MarketSession.replay(rule, 1, lines).ledger_lines() == lines
+
+    def test_vector_r_old_compares_entries(self):
+        rule = exp_family_rule([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        s = open_session(rule, np.zeros(2))
+        s.execute_trade("a", np.array([1.0, -0.5]))
+        s.execute_trade("b", np.array([0.25, 2.0]))
+        lines = s.ledger_lines()
+        assert MarketSession.replay(rule, np.zeros(2), lines).ledger_lines() == lines
+        edited = json.loads(lines[1])
+        edited["r_old"]["vec"][1] = 0.5
+        with pytest.raises(ValueError, match="ledger line 1 trades from"):
+            MarketSession.replay(rule, np.zeros(2), [lines[0], json.dumps(edited)])
 
 
 def _bits(d) -> bytes:

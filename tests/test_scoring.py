@@ -19,6 +19,7 @@ from srmarket.convex import (
     quadratic,
     simplex_negentropy,
 )
+from srmarket.engine import MarketSession
 from srmarket.scoring import (
     ExpectationRule,
     ExpectileRule,
@@ -150,6 +151,33 @@ class TestExpectationRule:
         box = ExpectationRule(quadratic(2), phi=[[0.0, 0.0], [1.0, 0.0],
                                                  [0.0, 1.0]])
         assert box.report_space.contains([0.8, 0.8])
+
+    @pytest.mark.parametrize("lo,hi,r", [(-1.5, 3.0, 2.9999999999999996),
+                                         (0.0, 3.0, 5e-324)])
+    def test_reports_that_scale_onto_an_end_are_invalid(self, lo, hi, r):
+        # inside the open box, but (r - lo) / (hi - lo) rounds to 1.0 or 0.0,
+        # where the rescaled negative entropy has no gradient: every entry
+        # point raises InvalidReport, not a bare ValueError from the logit
+        rule = ExpectationRule(interval_negentropy(lo, hi), phi=[[lo], [hi]])
+        assert lo < r < hi and not rule.report_space.contains(r)
+        assert not rule.report_space.contains_rows(np.array([[r]])).any()
+        ratio = RatioRule(interval_negentropy(lo, hi), [lo, hi], [1.0, 1.0])
+        assert not ratio.report_space.contains(r)
+        mid = 0.5 * (lo + hi)
+        session = MarketSession(rule, mid)
+        ledger = MarketSession(ExpectationRule(quadratic(1)), mid)
+        ledger.execute_trade("a", r)
+        for call in (rule.validate_report, rule.score_contract,
+                     lambda x: rule.score_table([mid, x]),
+                     lambda x: session.execute_trade("a", x),
+                     lambda x: MarketSession.replay(rule, mid, ledger.ledger_lines())):
+            with pytest.raises(InvalidReport, match="outside the report space"):
+                call(r)
+        assert not session.records
+        # the grid and its neighbours an ulp inside still score
+        assert rule.report_grid()[-1] == pytest.approx(hi - 0.02 * (hi - lo))
+        inner = math.nextafter(r, mid)
+        assert rule.score_contract(inner).is_finite
 
     def test_simplex_searches_stay_in_the_hull(self):
         # the report grid and the best response's coordinate search are cut
