@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .contracts import (
-    FLAT_TOL,
     INF,
     REPLAY_TOL,
     STRUCT_TOL,
@@ -30,9 +29,8 @@ from .contracts import (
     Belief,
     OutcomeMismatch,
     PayoffOverflow,
+    Rows,
     cdf_belief,
-    cell_extremes,
-    cell_sums,
     combine,
     contract_argmin,
     contract_bounds,
@@ -40,9 +38,8 @@ from .contracts import (
     expected_payoff,
     expected_scores,
     finite_belief,
-    lay_pieces,
     stack_pieces,
-    trade_bounds,
+    sum_rows,
     uniform_belief,
 )
 from .costmarket import (
@@ -220,9 +217,10 @@ def _expected_trade_payoffs(rule: ScoringRule, grid, states):
     """values(p, k): the expected payoff under p of the trade from
     states[k] to each grid report.
 
-    On a finite outcome space the grid and the states are scored once, and
-    each value is the ``np.dot`` that ``expected_payoff`` takes of the
-    trade's payoff vector.  On the real line each value is
+    On a finite outcome space the grid and the states are scored once, all
+    their trades are one ``_trade_rows`` sum, and each value is the
+    ``np.dot`` that ``expected_payoff`` takes of a trade's payoff vector.
+    On the real line each value is
     E_p S(r, .) - E_p S(states[k], .), by linearity of expectation: the
     grid's and the states' pieces are stacked once, and each belief reads
     them in one ``expected_scores`` call."""
@@ -238,13 +236,13 @@ def _expected_trade_payoffs(rule: ScoringRule, grid, states):
             s = scores(p)
             return (s[:n] - s[n + k]).tolist()
         return values
-    table = rule.score_table(grid)
-    state_rows = rule.score_table(states)
+    n = len(grid)
+    (net,), rows = _trade_rows((rule.score_table(grid),),
+                               (rule.score_table(states),), None)
 
     def values(p, k):
-        rows = cell_sums([table, state_rows[k]], (1.0, -1.0), snap=False)
-        _require_finite(np.isfinite(rows))
-        return [float(np.dot(row, p.pmf)) for row in rows]
+        _require_finite(rows.finite[k * n:(k + 1) * n])
+        return [float(np.dot(row, p.pmf)) for row in net[k * n:(k + 1) * n]]
     return values
 
 
@@ -333,12 +331,14 @@ def _ic_disagreement(picks, gamma) -> float:
     return float(any(_j(r) != _j(picks[0]) for r in picks))
 
 
-def _scores(rule: ScoringRule, reports) -> object:
-    """The reports' scores as ``trade_bounds`` reads them: one score table
-    over a finite outcome space, else each report's score contract."""
-    if rule.outcome_space.is_finite:
-        return rule.score_table(reports)
-    return [rule.score_contract(r) for r in reports]
+def _trade_rows(new: tuple, old: tuple, transform) -> tuple:
+    """``sum_rows`` of the trades from each row of the stack ``old`` to each
+    row of the stack ``new``: row i * len(new) + j is the trade from old row
+    i to new row j, equal to ``combine([S_j, S_i], [1, -1])``."""
+    R, K = len(new[0]), len(old[0])
+    new = tuple(np.tile(a, (K,) + (1,) * (a.ndim - 1)) for a in new)
+    old = tuple(np.repeat(a, R, axis=0) for a in old)
+    return sum_rows([((new, old), (1.0, -1.0))], transform)
 
 
 def check_arb(rule: ScoringRule, grid=None,
@@ -346,9 +346,8 @@ def check_arb(rule: ScoringRule, grid=None,
     """No trade may pay strictly positively in every outcome:
     inf F(r'|r) <= 0 for all report pairs on the grid.
 
-    Each grid report is scored once, in one score table over a finite
-    outcome space; ``contracts.trade_bounds`` gives the infima of all trades
-    from one report at a time, equal to
+    Each grid report is scored once (``score_stack``), and the trades are
+    summed in blocks of at most 4,096 by ``_trade_rows``, whose infima equal
     ``contract_bounds(trade_contract(r, r'))`` on either outcome kind."""
     if grid is None:
         grid = cfg.report_grid(rule)
@@ -369,8 +368,7 @@ def _arb_scan(rule: ScoringRule, grid, delta: float) -> tuple:
     ``worst`` covers the visited pairs only."""
     worst = -INF
     bad = []
-    rows = trade_bounds(_scores(rule, grid))
-    for r, (los, _, finite) in zip(grid, rows):
+    for r, (los, finite) in zip(grid, _trade_infima(rule, grid)):
         hits = np.flatnonzero(los > delta)[:10 - len(bad)]
         # the scan stops at the 10th pair above delta
         stop = int(hits[-1]) + 1 if len(bad) + len(hits) >= 10 else len(grid)
@@ -381,6 +379,19 @@ def _arb_scan(rule: ScoringRule, grid, delta: float) -> tuple:
         if len(bad) >= 10:
             break
     return worst, bad
+
+
+def _trade_infima(rule: ScoringRule, grid):
+    """For each grid report r in turn: the infimum of every trade r -> r'
+    and whether its payoffs are finite.  The trades are summed in blocks of
+    at most 4,096, which bounds the laid arrays at any grid size."""
+    stack, transform = rule.score_stack(grid)
+    R = len(grid)
+    block = max(1, 4096 // R)
+    for i in range(0, R, block):
+        k = min(block, R - i)
+        _, rows = _trade_rows(stack, tuple(a[i:i + k] for a in stack), transform)
+        yield from zip(rows.inf().reshape(k, R), rows.finite.reshape(k, R))
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +407,13 @@ def _outcome_probe(contract) -> list:
 
 
 def _trade_sups(rule: ScoringRule, r0, reports) -> np.ndarray:
-    """``contract_bounds(trade_contract(r0, r))[1]`` for each report r: the
-    r0 row of one ``trade_bounds`` table."""
-    _, sups, finite = next(trade_bounds(_scores(rule, [r0] + list(reports))))
-    _require_finite(finite)
-    return sups[1:]
+    """``contract_bounds(trade_contract(r0, r))[1]`` for each report r, from
+    one ``_trade_rows`` sum."""
+    stack, transform = rule.score_stack([r0] + list(reports))
+    _, rows = _trade_rows(tuple(a[1:] for a in stack), tuple(a[:1] for a in stack),
+                          transform)
+    _require_finite(rows.finite)
+    return rows.sup()
 
 
 def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> AxiomReport:
@@ -523,25 +536,6 @@ def _cash_entry(net, c) -> dict:
             "spread": (hi - lo) if math.isfinite(hi - lo) else INF}
 
 
-class _Rows(NamedTuple):
-    """Positions as rows: per cell (per outcome over a finite space) the
-    infimum and sup of its piece, the level a flat row pays (a vector's
-    mean, a contract's first constant term), and whether it is finite."""
-    lo: np.ndarray
-    hi: np.ndarray
-    level: np.ndarray
-    finite: np.ndarray
-
-    def inf(self) -> np.ndarray:
-        return self.lo.min(axis=1)
-
-    def cash(self) -> np.ndarray:
-        """The level where ``contract_is_constant`` finds a row flat, or -inf."""
-        dev = np.maximum(np.abs(self.lo - self.level[:, None]),
-                         np.abs(self.hi - self.level[:, None]))
-        return np.where(dev.max(axis=1) <= FLAT_TOL, self.level, -INF)
-
-
 class _Position(NamedTuple):
     """What a scenario holds: one trade r1 -> r1' with the market at r2 (WN,
     TN), or a portfolio of trades with the market at a state (PN)."""
@@ -579,9 +573,9 @@ _PORTFOLIO = _Position(
 #           entry, failure entries kept)
 _NEUTRALIZATION = {
     "WN": (_ONE_TRADE, "wn_candidate", lambda net: contract_bounds(net)[0],
-           _Rows.inf, _worst_entry, None),
-    "TN": (_ONE_TRADE, "tn_candidate", _cash_level, _Rows.cash, _cash_entry, 80),
-    "PN": (_PORTFOLIO, "pn_candidate", _cash_level, _Rows.cash, _cash_entry, 80),
+           Rows.inf, _worst_entry, None),
+    "TN": (_ONE_TRADE, "tn_candidate", _cash_level, Rows.cash, _cash_entry, 80),
+    "PN": (_PORTFOLIO, "pn_candidate", _cash_level, Rows.cash, _cash_entry, 80),
 }
 
 
@@ -624,16 +618,12 @@ def _scored_once(score: Callable) -> Callable:
 def _position_rows(rule: ScoringRule) -> tuple:
     """(scores, rows): scores(reports) stacks the reports' scores (None
     pays nothing), in one ``score_rows`` call over a finite space and on
-    the real line each distinct report's pieces once; rows(trades, held)
-    sums, row by row, the trades, each a (new, old) pair of score tables,
-    onto a held table if one is given (a table of one row serves all), in
-    ``combine``'s floats, and returns the sums as a table and their
-    ``_Rows``: payoff vectors over a finite space, and on the real line
-    coefficients laid on each row's own breakpoints, read as the contract
-    ``combine`` builds."""
+    the real line each distinct report's pieces once, and leaves overflow
+    to the rows; rows(trades, held) is the ``sum_rows`` of the trades, each
+    a (new, old) pair of stacks, onto a held stack if one is given."""
     finite_space = rule.outcome_space.is_finite
     zero = np.zeros(rule.outcome_space.n) if finite_space else ((), ((0.0, 0.0, 0.0),))
-    add = partial(cell_sums, snap=not finite_space)
+    transform = None if finite_space else rule.transform
     if not finite_space:
         piece = _scored_once(rule.score_pieces)
 
@@ -644,19 +634,8 @@ def _position_rows(rule: ScoringRule) -> tuple:
         return (np.array(scored),) if finite_space else stack_pieces(scored)
 
     def rows(trades, held=None) -> tuple:
-        tables = ([held] if held else []) + [t for trade in trades for t in trade]
-        if finite_space:
-            terms = [table for table, in tables]
-        else:
-            cuts, t_ends, terms = lay_pieces(tables, rule.transform)
-        legs = terms[:1] if held else []
-        for k in range(len(legs), len(terms), 2):
-            legs.append(add(terms[k:k + 2], (1.0, -1.0)))
-        net = add(legs, (1.0,) * len(legs))
-        finite = np.isfinite(net.reshape(len(net), -1)).all(axis=1)
-        if finite_space:
-            return (net,), _Rows(net, net, net.mean(axis=1), finite)
-        return (cuts, net), _Rows(*cell_extremes(t_ends, net), net[:, 0, 0], finite)
+        legs = [((held,), (1.0,))] if held else []
+        return sum_rows(legs + [(trade, (1.0, -1.0)) for trade in trades], transform)
     return scores, rows
 
 

@@ -259,13 +259,10 @@ def run_figure(config: dict, out_dir: str) -> int:
         built("trade and state", rule.validate_report, r2p)
         held = rule.trade_contract(r, rp)
         neut = rule.trade_contract(r2, r2p)
+        trades = [rule.trade_contract(r2, c) for c in picks]
         ys = np.linspace(*v["window"], v["points"])
-        rows = []
-        for y in ys:
-            row = [y, held(y)]
-            row.extend(rule.trade_contract(r2, c)(y) for c in picks)
-            row.append(held(y) + neut(y))
-            rows.append(row)
+        rows = [[y, held(y), *(d(y) for d in trades), held(y) + neut(y)]
+                for y in ys]
         cols = ["y", f"F({rp},y|{r})"] + \
             [f"F({c},y|{r2})" for c in picks] + ["neutralized"]
     elif which == "median_position":
@@ -275,16 +272,11 @@ def run_figure(config: dict, out_dir: str) -> int:
         r1, r1p, r2, r2p = v["scenario"]
         held = rid.trade_contract(r1, r1p)
         green = rid.trade_contract(r2, r2p)
+        plotted = [rid.score_contract(r), rid.score_contract(rp),
+                   rid.trade_contract(r, rp), rsig.trade_contract(r, rp),
+                   held, green]
         ys = np.linspace(*v["window"], v["points"])
-        rows = []
-        for y in ys:
-            rows.append([
-                y,
-                rid.score(r, y), rid.score(rp, y),
-                rid.trade_contract(r, rp)(y),
-                rsig.trade_contract(r, rp)(y),
-                held(y), green(y), held(y) + green(y),
-            ])
+        rows = [[y, *(d(y) for d in plotted), held(y) + green(y)] for y in ys]
         cols = ["y", f"S({r},y)", f"S({rp},y)", "F_identity", "F_sigmoid",
                 "held", "candidate", "net"]
     else:  # discretized_lmsr

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -608,35 +609,58 @@ def cell_extremes(t_ends: np.ndarray, acc: np.ndarray) -> tuple:
             np.fmax(np.maximum(lo_end, hi_end), vertex))
 
 
-def trade_bounds(scores):
-    """For each score c_i in turn: the infimum and the supremum of every
-    trade ``combine([c_j, c_i], [1, -1])``, one per c_j, equal to
-    ``contract_bounds`` of that trade, and whether each trade's payoffs are
-    finite.  The scores are piecewise contracts, or over a finite outcome
-    space a score table, one payoff vector per row.  Pairs of contracts are
-    laid on their own breakpoints in blocks of rows of at most 4,096 pairs,
-    which bounds the laid arrays at any grid size."""
-    if isinstance(scores, np.ndarray):
-        for row in scores:
-            trades = cell_sums([scores, row], (1.0, -1.0), snap=False)
-            yield (trades.min(axis=1), trades.max(axis=1),
-                   np.isfinite(trades).all(axis=1))
-        return
-    if not scores:
-        return
-    ends, coeffs = contract_pieces(scores)
-    R = len(scores)
-    block = max(1, 4096 // R)
-    for i in range(0, R, block):
-        k = min(block, R - i)
-        _, t_ends, pair = lay_pieces(
-            [(np.tile(ends, (k, 1)), np.tile(coeffs, (k, 1, 1))),
-             (np.repeat(ends[i:i + k], R, axis=0),
-              np.repeat(coeffs[i:i + k], R, axis=0))], scores[0].transform)
-        acc = cell_sums(pair, (1.0, -1.0))
-        lo, hi = cell_extremes(t_ends, acc)
-        yield from zip(lo.min(axis=1).reshape(k, R), hi.max(axis=1).reshape(k, R),
-                       np.isfinite(acc).all(axis=(1, 2)).reshape(k, R))
+class Rows:
+    """Summed rows read as payoffs: per cell (per outcome over a finite
+    space) the infimum and sup of the piece ``combine`` compacts it into
+    (``bounds``, found when first read), and whether each row is
+    ``finite``.  A flat row pays its level: a vector's mean, a contract's
+    first constant term."""
+
+    def __init__(self, net: np.ndarray, t_ends: np.ndarray | None = None):
+        self.net, self.t_ends = net, t_ends
+        self.finite = np.isfinite(net.reshape(len(net), -1)).all(axis=1)
+
+    @cached_property
+    def bounds(self) -> tuple:
+        if self.t_ends is None:
+            return self.net, self.net
+        return cell_extremes(self.t_ends, self.net)
+
+    def inf(self) -> np.ndarray:
+        return self.bounds[0].min(axis=1)
+
+    def sup(self) -> np.ndarray:
+        return self.bounds[1].max(axis=1)
+
+    def cash(self) -> np.ndarray:
+        """The level where ``contract_is_constant`` finds a row flat, or -inf."""
+        lo, hi = self.bounds
+        level = self.net.mean(axis=1) if self.t_ends is None else self.net[:, 0, 0]
+        dev = np.maximum(np.abs(lo - level[:, None]), np.abs(hi - level[:, None]))
+        return np.where(dev.max(axis=1) <= FLAT_TOL, level, -INF)
+
+
+def sum_rows(legs, transform: Transform | None = None) -> tuple:
+    """The row-by-row sum of weighted stacks: the summed stack and its
+    ``Rows``.  A stack is ``(values,)``, payoff rows over a finite outcome
+    space (``transform`` None), or a piece table ``(ends, coeffs)`` in the
+    coordinate ``transform``; a stack of one row serves all rows.  Each leg
+    ``(stacks, weights)`` sums its weighted stacks, then the legs' sums are
+    summed, each in ``combine``'s floats (``cell_sums``, snapped on the real
+    line, where each row's stacks are laid on its own breakpoints)."""
+    stacks = [stack for leg, _ in legs for stack in leg]
+    if transform is None:
+        terms = [values for values, in stacks]
+    else:
+        cuts, t_ends, terms = lay_pieces(stacks, transform)
+    terms = iter(terms)
+    snap = transform is not None
+    sums = [cell_sums([next(terms) for _ in leg], weights, snap) for leg, weights in legs]
+    # the sum of one leg, 0.0 + x, is x to the bit: a sum from 0.0 is never -0.0
+    net = sums[0] if len(sums) == 1 else cell_sums(sums, (1.0,) * len(sums), snap)
+    if transform is None:
+        return (net,), Rows(net)
+    return (cuts, net), Rows(net, t_ends)
 
 
 def project_cashless(d: Contract) -> tuple[Contract, float]:
@@ -654,16 +678,8 @@ def contract_is_constant(d: Contract, tol: float = FLAT_TOL) -> tuple[bool, floa
         lvl = float(np.mean(d.values))
         return bool(np.max(np.abs(d.values - lvl)) <= tol), lvl
     lvl = d.pieces[0].coeffs[0]
-    for p in d.pieces:
-        c0, c1, c2 = p.coeffs
-        # transform values are bounded by the t-limits on each side
-        T = d.transform
-        ta = T(p.lo) if math.isfinite(p.lo) else T.lo_limit()
-        tb = T(p.hi) if math.isfinite(p.hi) else T.hi_limit()
-        plo, phi = _poly_extremes(p.coeffs, ta, tb)
-        if not (abs(plo - lvl) <= tol and abs(phi - lvl) <= tol):
-            return False, lvl
-    return True, lvl
+    lo, hi = contract_bounds(d)
+    return abs(lo - lvl) <= tol and abs(hi - lvl) <= tol, lvl
 
 
 def contract_argmin(d: Contract) -> tuple[object, float, bool]:

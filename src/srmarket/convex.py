@@ -52,7 +52,6 @@ class ConvexFn:
     hi: np.ndarray
     differentiable: bool = True
     bounded: bool = False
-    name: str = ""
     closure_fn: Callable[[np.ndarray], float] | None = None
     # vertices of a polytope that bounds the domain inside the box
     vertices: np.ndarray | None = None
@@ -140,7 +139,6 @@ def quadratic(dim: int = 1, lo=None, hi=None) -> ConvexFn:
         grad_fn=lambda x: 2.0 * x,
         lo=lo, hi=hi,
         bounded=not full,
-        name="quadratic",
         grad_inverse=lambda ts: 0.5 * ts,
         values_fn=lambda xs: _dots(xs, xs),
         grads_fn=lambda xs: 2.0 * xs,
@@ -188,7 +186,6 @@ def binary_negentropy() -> ConvexFn:
         grad_fn=lambda x: np.array([logit(x[0])]),
         lo=np.array([0.0]), hi=np.array([1.0]),
         bounded=True,
-        name="binary-negentropy",
         closure_fn=clo,
         grad_inverse=_sigmoids,
         values_fn=lambda xs: _negentropy(xs[:, 0]),
@@ -240,7 +237,6 @@ def interval_negentropy(lo: float, hi: float) -> ConvexFn:
         grad_fn=lambda x: np.array([logit((x[0] - lo) / span) / span]),
         lo=np.array([lo]), hi=np.array([hi]),
         bounded=True,
-        name=f"interval-negentropy[{lo},{hi}]",
         closure_fn=clo,
         grad_inverse=lambda ts: lo + span * _sigmoids(span * ts),
         values_fn=lambda xs: _negentropy((xs[:, 0] - lo) / span),
@@ -293,7 +289,6 @@ def simplex_negentropy(k: int) -> ConvexFn:
         grad_fn=grad,
         lo=np.zeros(k), hi=np.ones(k),
         bounded=True,
-        name=f"simplex-negentropy-{k}",
         closure_fn=clo,
         vertices=np.vstack([np.zeros(k), np.eye(k)]),
         grad_inverse=inverses,
@@ -340,7 +335,6 @@ def log_partition(phi: np.ndarray) -> ConvexFn:
         value_fn=val,
         grad_fn=grad,
         lo=np.full(k, -INF), hi=np.full(k, INF),
-        name="log-partition",
         values_fn=vals,
         grads_fn=grads,
     )
@@ -348,9 +342,7 @@ def log_partition(phi: np.ndarray) -> ConvexFn:
 
 def binary_lmsr_cost() -> ConvexFn:
     """C(q) = log(1 + e^q) for a single security paying 1{Y = 1}."""
-    fn = log_partition(np.array([[0.0], [1.0]]))
-    fn.name = "binary-lmsr"
-    return fn
+    return log_partition(np.array([[0.0], [1.0]]))
 
 
 def from_callables(dim, value, grad, lo=None, hi=None, **flags) -> ConvexFn:

@@ -29,6 +29,7 @@ from .contracts import (
 from .convex import (
     ConvexFn,
     _dots,
+    _vec,
     binary_lmsr_cost,
     golden_max,
     hull_margin,
@@ -43,7 +44,6 @@ from .scoring import (
     RealReports,
     ScoringRule,
     payoff_table,
-    report_rows,
 )
 
 
@@ -144,33 +144,27 @@ class CostRule(ScoringRule):
     def k(self) -> int:
         return self.cost.dim
 
-    def _q(self, q) -> np.ndarray:
-        return np.atleast_1d(np.asarray(q, dtype=float))
-
     def validate_trade(self, r_old, r_new) -> None:
         self.validate_report(r_new)
         if not self.shares.is_lattice:
             return
-        bundle = self._q(r_new) - self._q(r_old)
+        bundle = _vec(r_new) - _vec(r_old)
         if not self.shares.contains(bundle):
             raise InvalidReport(
                 f"bundle {bundle.tolist()} is not in the share space")
 
     def score_row(self, q) -> np.ndarray:
-        qv = self._q(q)
+        qv = self._r(q)
         return _dots(self.phi, qv) - self.cost.value(qv)
 
     def score_rows(self, reports: list) -> np.ndarray:
-        qs = report_rows(reports, self.k)
-        if qs is None:
-            qs = np.array([self._q(q) for q in reports],
-                          dtype=float).reshape(len(reports), self.k)
+        qs = self._stack(reports)
         return _dots(qs[:, None, :], self.phi) - self.cost.values(qs)[:, None]
 
     def price(self, q) -> np.ndarray:
         """Instantaneous prices: the gradient (subgradient selection) of the
         cost at the share state."""
-        return self.cost.grad(self._q(q))
+        return self.cost.grad(_vec(q))
 
     def property_value(self, p):
         """Share state whose prices match E_p phi (full-space markets)."""
@@ -206,7 +200,7 @@ class CostRule(ScoringRule):
     def loss_bound(self, r0) -> float | None:
         if self.conjugate_closure_values is None:
             return None
-        q0 = self._q(r0)
+        q0 = _vec(r0)
         vals = [g - float(np.dot(q0, row))
                 for g, row in zip(self.conjugate_closure_values, self.phi)]
         return max(vals) + self.cost.value(q0)
@@ -219,8 +213,8 @@ class CostRule(ScoringRule):
     def pn_candidate(self, trades, r):
         total = np.zeros(self.k)
         for ra, rb in trades:
-            total = total + self._q(rb) - self._q(ra)
-        out = self._q(r) - total
+            total = total + _vec(rb) - _vec(ra)
+        out = _vec(r) - total
         return float(out[0]) if self.k == 1 else out
 
 

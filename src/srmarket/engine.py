@@ -7,10 +7,12 @@ position is the single contract S(r_T, .) - S(r_0, .), and
 ``worst_case_loss`` reads its bounds at a cost independent of the ledger
 length.  Settlement still sums the ledger trade by trade and reports it
 beside the telescoped loss.  Each state is scored once: a trade is the new
-score less the held one, and path independence scores r_0 ... r_T once
-each, checking a ledger of either outcome kind as one array pass.  A
-replay of the ledger lines validates them in order and then builds every
-trade contract in one such pass, bit for bit as trade by trade.
+score less the held one.  Path independence scores r_0 ... r_T once each
+and checks a ledger of either outcome kind as one ``contracts.sum_rows``
+of the score stack and the recorded trades.  A replay of the ledger lines
+validates them in order and then builds every trade contract from one
+``sum_rows`` of the score stack less itself shifted by one, bit for bit as
+trade by trade.
 """
 from __future__ import annotations
 
@@ -25,13 +27,11 @@ from .contracts import (
     STRUCT_TOL,
     Contract,
     PayoffOverflow,
-    cell_extremes,
-    cell_sums,
     contract_bounds,
     contract_pieces,
-    lay_pieces,
     merge_runs,
     piecewise_contract,
+    sum_rows,
 )
 from .reports import FAILS, HOLDS, AxiomReport
 from .scoring import ScoringRule, score_difference
@@ -186,55 +186,50 @@ def _unjson(r):
     return r
 
 
+def _rows(stack: tuple, start=None, stop=None) -> tuple:
+    """The rows start:stop of a stack."""
+    return tuple(a[start:stop] for a in stack)
+
+
 def _trade_contracts(rule: ScoringRule, states: list) -> list:
     """``score_difference`` of each pair of consecutive states, to the bit:
-    the states' score table, and its rows' differences in ``combine``'s
-    floats; on the real line laid on each row's breakpoints, snapped and
-    compacted as ``combine`` does.  An overflow raises ``PayoffOverflow``."""
+    one ``sum_rows`` of the states' score stack less itself shifted by one,
+    each row a payoff vector or, on the real line, compacted as ``combine``
+    compacts it.  An overflow raises ``PayoffOverflow``."""
     if len(states) < 2:
         return []
-    if rule.outcome_space.is_finite:
-        table = rule.score_table(states)
-        rows = cell_sums([table[1:], table[:-1]], (1.0, -1.0), snap=False)
-        if not np.isfinite(rows).all():
-            raise PayoffOverflow("payoffs must be finite")
-        rows.flags.writeable = False
-        return [Contract(space=rule.outcome_space, values=row) for row in rows]
-    ends, coeffs = rule.piece_table(states)
-    cuts, _, terms = lay_pieces([(ends[1:], coeffs[1:]), (ends[:-1], coeffs[:-1])],
-                                rule.transform)
-    acc = cell_sums(terms, (1.0, -1.0))
-    if not np.isfinite(acc).all():
+    stack, transform = rule.score_stack(states)
+    (*cuts, net), rows = sum_rows(
+        [((_rows(stack, 1), _rows(stack, None, -1)), (1.0, -1.0))], transform)
+    if not rows.finite.all():
         raise PayoffOverflow("payoffs must be finite")
+    if transform is None:
+        net.flags.writeable = False
+        return [Contract(space=rule.outcome_space, values=row) for row in net]
     return [piecewise_contract(merge_runs([-INF, *row, INF], list(map(tuple, cells))),
-                               rule.transform)
-            for row, cells in zip(cuts.tolist(), acc.tolist())]
+                               transform)
+            for row, cells in zip(cuts[0].tolist(), net.tolist())]
 
 
 def _pair_gaps(rule: ScoringRule, states: list, steps: list) -> list:
     """(gap, finite) of each pair of consecutive trades: the largest payoff
-    gap of the direct trade S(r_2) - S(r_0) and its two recorded steps in
-    ``combine``'s floats, and whether those are finite.  On the real line
-    the gap is the span of one three-operand sum on the pair's breakpoints,
-    where each coefficient snaps against its largest term."""
-    if rule.outcome_space.is_finite:
-        table = rule.score_table(states)
-        paid = np.array([c.values for c in steps])
-        direct = cell_sums([table[2:], table[:-2]], (1.0, -1.0), snap=False)
-        stepped = cell_sums([paid[:-1], paid[1:]], (1.0, 1.0), snap=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = np.max(np.abs(direct - stepped), axis=1).tolist()
-        return list(zip(gaps, (np.isfinite(direct) & np.isfinite(stepped)).all(axis=1)))
-    ends, coeffs = rule.piece_table(states)
-    s_ends, s_coeffs = contract_pieces(steps)
-    _, t_ends, (new, old, first, second) = lay_pieces(
-        [(ends[2:], coeffs[2:]), (ends[:-2], coeffs[:-2]),
-         (s_ends[:-1], s_coeffs[:-1]), (s_ends[1:], s_coeffs[1:])], rule.transform)
-    net = cell_sums([cell_sums([new, old], (1.0, -1.0)), first, second],
-                    (1.0, -1.0, -1.0))
-    lo, hi = cell_extremes(t_ends, net)
-    span = np.maximum(np.abs(lo.min(axis=1)), np.abs(hi.max(axis=1)))
-    return list(zip(span.tolist(), np.isfinite(net).all(axis=(1, 2))))
+    gap of the direct trade S(r_2) - S(r_0) and its two recorded steps V0
+    and V1, in the floats of the pairwise reference, and whether those are
+    finite: one ``sum_rows`` of direct - (V0 + V1) over a finite space, and
+    on the real line of (direct - V0) - V1, where each coefficient snaps
+    against its largest term."""
+    stack, transform = rule.score_stack(states)
+    paid = (np.array([c.values for c in steps]),) if transform is None \
+        else contract_pieces(steps)
+    first, second = _rows(paid, None, -1), _rows(paid, 1)
+    legs = [((_rows(stack, 2), _rows(stack, None, -2)), (1.0, -1.0))]
+    if transform is None:
+        legs.append(((first, second), (-1.0, -1.0)))
+    else:
+        legs += [((first,), (-1.0,)), ((second,), (-1.0,))]
+    _, rows = sum_rows(legs, transform)
+    span = np.maximum(np.abs(rows.inf()), np.abs(rows.sup()))
+    return list(zip(span.tolist(), rows.finite))
 
 
 def open_session(rule: ScoringRule, r0) -> MarketSession:

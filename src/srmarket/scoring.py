@@ -180,6 +180,22 @@ class ScoringRule:
     def validate_trade(self, r_old, r_new) -> None:
         self.validate_report(r_new)
 
+    def _r(self, r) -> np.ndarray:
+        """A report of ``self.k`` numbers as an array, validated."""
+        self.validate_report(r)
+        return _vec(r)
+
+    def _stack(self, reports: list) -> np.ndarray:
+        """The reports as the rows of an (R, k) array, validated in order:
+        all at once, or report by report where that finds one outside the
+        report space, so the first such report raises."""
+        xs = report_rows(reports, self.k)
+        inside = getattr(self.report_space, "contains_rows", None)
+        if xs is None or inside is None or not inside(xs).all():
+            xs = np.array([self._r(r) for r in reports],
+                          dtype=float).reshape(len(reports), self.k)
+        return xs
+
     def report_grid(self, num: int = 51, window: tuple = (-4.0, 4.0)) -> list:
         if isinstance(self.report_space, RealReports):
             return self.report_space.grid(num, window)
@@ -240,12 +256,20 @@ class ScoringRule:
 
     def piece_table(self, reports) -> tuple:
         """``stack_pieces`` of each report's ``score_pieces``, as
-        ``expected_scores`` reads them; coefficients that overflow raise
-        ``PayoffOverflow``."""
+        ``expected_scores`` reads them.  Each report is validated, in order;
+        then coefficients that overflow raise ``PayoffOverflow``."""
         ends, coeffs = stack_pieces([self.score_pieces(r) for r in reports])
         if not np.isfinite(coeffs).all():
             raise PayoffOverflow("payoffs must be finite")
         return ends, coeffs
+
+    def score_stack(self, reports) -> tuple:
+        """The reports' scores as ``contracts.sum_rows`` reads them, and
+        their transform: ``((score_table,), None)`` over a finite outcome
+        space, else ``(piece_table, transform)``."""
+        if self.outcome_space.is_finite:
+            return (self.score_table(reports),), None
+        return self.piece_table(reports), self.transform
 
     def trade_contract(self, r_old, r_new) -> Contract:
         """The contract handed out for moving the state r_old -> r_new."""
@@ -524,21 +548,6 @@ class PotentialRule(ScoringRule):
 
     # the analytic hooks that match shares
     matched = ("wn_candidate",)
-
-    def _r(self, r) -> np.ndarray:
-        self.validate_report(r)
-        return _vec(r)
-
-    def _stack(self, reports: list) -> np.ndarray:
-        """The reports as the rows of an (R, k) array, validated in order:
-        all at once, or report by report where that finds one outside the
-        report space, so the first such report raises."""
-        xs = report_rows(reports, self.k)
-        inside = getattr(self.report_space, "contains_rows", None)
-        if xs is None or inside is None or not inside(xs).all():
-            xs = np.array([self._r(r) for r in reports],
-                          dtype=float).reshape(len(reports), self.k)
-        return xs
 
     def _affine(self, r) -> tuple:
         """G(r) - dG_r . r and dG_r: an expectation score is the first plus

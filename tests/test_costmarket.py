@@ -111,6 +111,23 @@ class TestTrading:
             buy(session, 0.5)
         buy(session, 2.0)  # integers fine
 
+    def test_score_hooks_validate_each_report(self):
+        # a report of the wrong shape, or with an infinite share, raises
+        # before it is scored, and the first such report raises
+        binary = binary_lmsr_rule()
+        p = finite_belief(binary.outcome_space, [0.3, 0.7])
+        two = exp_family_rule(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        calls = [lambda: binary.trade_contract(0.0, [1.0, 5.0]),
+                 lambda: binary.expected_score([1.0, 5.0], p),
+                 lambda: binary.score_table([[1.0, 5.0]]),
+                 lambda: binary.score_table([0.0, [1.0, 5.0], math.inf]),
+                 lambda: binary.score_contract([1.0, math.inf]),
+                 lambda: two.score_contract([1.0]),
+                 lambda: two.score_contract([1.0, math.inf])]
+        for call in calls:
+            with pytest.raises(InvalidReport, match=r"\[1\.0"):
+                call()
+
     def test_cost_path_independence(self):
         rule = binary_lmsr_rule()
         s1 = MarketSession(rule, 0.0)

@@ -2,7 +2,7 @@
 test against the per-pair paths they replaced, kept here as the references
 (WCL's is ``test_score_table.reference_check_wcl``).
 
-ARB: every infimum of ``contracts.trade_bounds`` must equal
+ARB: every infimum of a trade that ``contracts.sum_rows`` sums must equal
 ``contract_bounds(trade_contract(r, r'))`` bit for bit, and ``check_arb``'s
 report must equal the per-pair scan's to the byte; so must every sup, which
 WCL reads.  IC: the expected trade
@@ -40,15 +40,17 @@ from srmarket.contracts import (
     STRUCT_TOL,
     OutcomeMismatch,
     OutcomeSpace,
+    PayoffOverflow,
     Piece,
     PiecewiseLinearTransform,
     combine,
     contract_bounds,
+    contract_pieces,
     expected_payoff,
     expected_scores,
     finite_belief,
     piecewise_contract,
-    trade_bounds,
+    sum_rows,
     uniform_belief,
 )
 from srmarket.convex import ConvexFn
@@ -56,6 +58,7 @@ from srmarket.reports import FAILS, HOLDS, HOLDS_AT_BUDGET, AxiomReport
 from srmarket.scoring import (
     ExpectationRule,
     ExpectileRule,
+    InvalidReport,
     ModeRule,
     QuantileRule,
     ScoringRule,
@@ -150,7 +153,7 @@ def quadratic_mean_rule(a: float, b: float) -> ExpectationRule:
     """Mean rule of the potential G(x) = a x^2 + b x."""
     pot = ConvexFn(dim=1, value_fn=lambda x: float(a * x[0] ** 2 + b * x[0]),
                    grad_fn=lambda x: 2.0 * a * x + b,
-                   lo=np.array([-INF]), hi=np.array([INF]), name="quadratic")
+                   lo=np.array([-INF]), hi=np.array([INF]))
     return ExpectationRule(pot)
 
 
@@ -220,9 +223,23 @@ def grids(draw, rule, max_points=60):
     return grid
 
 
+def trade_rows(stack, transform):
+    """For each row i of a score stack in turn, from one ``sum_rows``: the
+    infimum and the sup of every trade from row i to a row j, and whether
+    its payoffs are finite."""
+    for i in range(len(stack[0])):
+        _, rows = sum_rows([((stack, tuple(a[i:i + 1] for a in stack)),
+                             (1.0, -1.0))], transform)
+        yield rows.inf(), rows.sup(), rows.finite
+
+
+def contract_rows(contracts):
+    """``trade_rows`` of piecewise contracts."""
+    return trade_rows(contract_pieces(contracts), contracts[0].transform)
+
+
 def assert_arb_matches(rule, grid, cfg=SearchConfig()):
-    contracts = [rule.score_contract(r) for r in grid]
-    for r, (los, sups, finite) in zip(grid, trade_bounds(contracts)):
+    for r, (los, sups, finite) in zip(grid, trade_rows(*rule.score_stack(grid))):
         assert finite.all()
         ref = [contract_bounds(rule.trade_contract(r, rp)) for rp in grid]
         assert los.tolist() == [lo for lo, _ in ref]
@@ -312,8 +329,7 @@ def quantile_infimum_error(rule, r, rp):
 def test_quantile_infima_match_closed_form(alpha, transform, n, inner, far):
     rule = QuantileRule(alpha, transform)
     grid = [float(v) for v in np.linspace(-6.0, 6.0, n)] + inner + far
-    contracts = [rule.score_contract(r) for r in grid]
-    for r, (los, _, _) in zip(grid, trade_bounds(contracts)):
+    for r, (los, _, _) in zip(grid, trade_rows(*rule.score_stack(grid))):
         for rp, lo in zip(grid, los):
             assert abs(lo - quantile_trade_min(rule, r, rp)) <= \
                 quantile_infimum_error(rule, r, rp)
@@ -332,6 +348,17 @@ def test_overflowing_trade_coefficients_are_rejected():
     rule = QuantileRule(0.9)
     with pytest.raises(ValueError, match="finite"):
         check_arb(rule, [-1e308, 1e308])
+
+
+def test_an_invalid_report_raises_before_an_overflowing_one():
+    # the whole grid is validated before any score is checked for overflow,
+    # as ``score_table`` does over a finite space
+    rule = ExpectileRule(0.5)
+    for grid in ([0.0, 1e200, math.nan], [0.0, math.nan, 1e200]):
+        with pytest.raises(InvalidReport):
+            check_arb(rule, grid)
+    with pytest.raises(PayoffOverflow):
+        check_arb(rule, [0.0, 1e200])
 
 
 # generated piecewise contracts reach what score contracts of one rule do
@@ -399,7 +426,7 @@ FAR_CELLS = [_tail(0.0, 0.0), piecewise_contract(
 @example(COMPACTED)
 @example(FAR_CELLS)
 def test_generated_contracts_match_combine_bounds(contracts):
-    for i, (los, sups, finite) in enumerate(trade_bounds(contracts)):
+    for i, (los, sups, finite) in enumerate(contract_rows(contracts)):
         assert finite.all()
         ref = [contract_bounds(combine([c, contracts[i]], [1.0, -1.0]))
                for c in contracts]
@@ -408,18 +435,18 @@ def test_generated_contracts_match_combine_bounds(contracts):
 
 
 def test_overflowed_vertex_decides_the_infimum():
-    rows = list(trade_bounds(OVERFLOWED_VERTEX))
+    rows = list(contract_rows(OVERFLOWED_VERTEX))
     assert rows[1][0][0] == -INF
     assert contract_bounds(combine(OVERFLOWED_VERTEX, [1.0, -1.0]))[0] == -INF
 
 
-def test_trade_bounds_rejects_mixed_coordinates():
+def test_contract_pieces_rejects_mixed_coordinates():
     with pytest.raises(OutcomeMismatch):
-        list(trade_bounds([QuantileRule(0.5).score_contract(0.0),
-                           QuantileRule(0.5, SIGMOID).score_contract(0.0)]))
+        contract_pieces([QuantileRule(0.5).score_contract(0.0),
+                         QuantileRule(0.5, SIGMOID).score_contract(0.0)])
     with pytest.raises(OutcomeMismatch):
-        list(trade_bounds([ModeRule([1, 2]).score_contract(1),
-                           ModeRule([1, 3]).score_contract(1)]))
+        contract_pieces([ModeRule([1, 2]).score_contract(1),
+                         ModeRule([1, 3]).score_contract(1)])
 
 
 # ---------------------------------------------------------------------------
