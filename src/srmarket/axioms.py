@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -36,7 +35,6 @@ from .contracts import (
     contract_bounds,
     contract_is_constant,
     expected_payoff,
-    expected_scores,
     finite_belief,
     stack_pieces,
     sum_rows,
@@ -206,58 +204,20 @@ def _require_finite(finite) -> None:
         raise PayoffOverflow("payoffs must be finite")
 
 
-def _require_belief_kind(rule: ScoringRule, p: Belief) -> None:
-    labels = rule.outcome_space.labels
-    if (p.pmf is None) != (labels is None) or \
-            (labels is not None and p.space.labels != labels):
-        raise OutcomeMismatch("belief kind must match the outcome space")
-
-
-def _expected_trade_payoffs(rule: ScoringRule, grid, states):
-    """values(p, k): the expected payoff under p of the trade from
-    states[k] to each grid report.
-
-    On a finite outcome space the grid and the states are scored once, all
-    their trades are one ``_trade_rows`` sum, and each value is the
-    ``np.dot`` that ``expected_payoff`` takes of a trade's payoff vector.
-    On the real line each value is
-    E_p S(r, .) - E_p S(states[k], .), by linearity of expectation: the
-    grid's and the states' pieces are stacked once, and each belief reads
-    them in one ``expected_scores`` call."""
-    if not rule.outcome_space.is_finite:
-        ends, coeffs = rule.piece_table(list(grid) + list(states))
-        n = len(grid)
-
-        @lru_cache(maxsize=1)
-        def scores(p):
-            return expected_scores(ends, coeffs, p, rule.transform)
-
-        def values(p, k):
-            s = scores(p)
-            return (s[:n] - s[n + k]).tolist()
-        return values
-    n = len(grid)
-    (net,), rows = _trade_rows((rule.score_table(grid),),
-                               (rule.score_table(states),), None)
-
-    def values(p, k):
-        _require_finite(rows.finite[k * n:(k + 1) * n])
-        return [float(np.dot(row, p.pmf)) for row in net[k * n:(k + 1) * n]]
-    return values
-
-
 def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
              cfg: SearchConfig = SearchConfig(), states=None) -> AxiomReport:
     """Grid argmax of the expected trade payoff must match the elicited
     statistic, from every market state (the argmax is state-free because
     payments telescope).
 
-    Each grid report and each state is scored once.  Over a finite outcome
-    space the expected trade payoffs are read off the score table; on the
-    real line they are differences of expected scores, which equal the
-    per-trade values within rounding.  Argmaxes that all lie in a
-    set-valued property agree, whichever member rounding picks from each
-    state.  A belief of the wrong kind for the outcome space raises
+    Each grid report and each state is scored once (``score_stack``), and
+    each belief reads all their expected scores in one ``stack_scores``:
+    the expected payoff of the trade s -> r is E_p S(r) - E_p S(s), by
+    linearity, equal to the per-trade value within rounding.  Argmaxes
+    that all lie in a set-valued property agree, whichever member rounding
+    picks from each state.  A trade whose payoffs overflow over a finite
+    outcome space raises ``PayoffOverflow`` before any belief is judged; a
+    belief of the wrong kind for the outcome space raises
     ``OutcomeMismatch``, and an empty belief list ValueError."""
     rng = cfg.rng()
     grid = cfg.report_grid(rule)
@@ -276,15 +236,24 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
             np.diff(np.asarray(grid, dtype=float), axis=0), axis=1)))
     else:
         step = 0.0
-    expected_trades = _expected_trade_payoffs(rule, grid, states)
-    budget = {"beliefs": len(beliefs), "grid": len(grid)}
+    n = len(grid)
+    stack, transform = rule.score_stack(list(grid) + list(states))
+    if transform is None and states:
+        # the trades' payoffs S(r, y) - S(s, y) are finite iff their
+        # extremes over r and s are, in each outcome y
+        table = stack[0]
+        with np.errstate(over="ignore"):
+            _require_finite(np.isfinite([table[:n].max(0) - table[n:].min(0),
+                                         table[n:].max(0) - table[:n].min(0)]))
+    budget = {"beliefs": len(beliefs), "grid": n}
     worst = 0.0
     for p in beliefs:
-        _require_belief_kind(rule, p)
+        # the belief's kind is checked before property_value reads it
+        s = rule.stack_scores(stack, transform, p)
         gamma = rule.property_value(p)
         picks, scores = [], []
         for k, state in enumerate(states):
-            vals = expected_trades(p, k)
+            vals = (s[:n] - s[n + k]).tolist()
             i = int(np.argmax(vals))
             pick = grid[i]
             picks.append(pick)
@@ -517,23 +486,22 @@ def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig, analytic):
     yield from cfg.candidate_grid(rule)
 
 
-def _cash_level(net) -> float:
-    flat, level = contract_is_constant(net)
-    return level if flat else -INF
-
-
-def _worst_entry(net, c) -> dict:
+def _worst_entry(net, c) -> tuple:
+    """(value, entry) of the net held + trade to c for WN: its infimum."""
+    lo, _ = contract_bounds(net)
     y_bad, v_bad, _ = contract_argmin(net)
-    return {"candidate": _j(c), "inf": contract_bounds(net)[0],
-            "bad_outcome": _j(y_bad), "value": v_bad}
+    return lo, {"candidate": _j(c), "inf": lo, "bad_outcome": _j(y_bad),
+                "value": v_bad}
 
 
-def _cash_entry(net, c) -> dict:
+def _cash_entry(net, c) -> tuple:
+    """(value, entry) of the net held + trade to c for TN and PN: its cash
+    level if it is flat, else -inf."""
     flat, level = contract_is_constant(net)
     lo, hi = contract_bounds(net)
-    return {"candidate": _j(c), "flat": bool(flat),
-            "level": level if flat else None,
-            "spread": (hi - lo) if math.isfinite(hi - lo) else INF}
+    return level if flat else -INF, {
+        "candidate": _j(c), "flat": bool(flat), "level": level if flat else None,
+        "spread": (hi - lo) if math.isfinite(hi - lo) else INF}
 
 
 class _Position(NamedTuple):
@@ -568,31 +536,30 @@ _PORTFOLIO = _Position(
         {"portfolios": n}),
     lambda w: ([(_unj(a), _unj(b)) for a, b in w["portfolio"]], _unj(w["state"])))
 
-# axiom -> (position, analytic-candidate hook, value of held + trade that
-#           must beat the held infimum, the same value of rows, failure
-#           entry, failure entries kept)
+# axiom -> (position, analytic-candidate hook, value of rows held + trade
+#           that must beat the held infimum, the same value and the failure
+#           entry of a contract, failure entries kept)
 _NEUTRALIZATION = {
-    "WN": (_ONE_TRADE, "wn_candidate", lambda net: contract_bounds(net)[0],
-           Rows.inf, _worst_entry, None),
-    "TN": (_ONE_TRADE, "tn_candidate", _cash_level, Rows.cash, _cash_entry, 80),
-    "PN": (_PORTFOLIO, "pn_candidate", _cash_level, Rows.cash, _cash_entry, 80),
+    "WN": (_ONE_TRADE, "wn_candidate", Rows.inf, _worst_entry, None),
+    "TN": (_ONE_TRADE, "tn_candidate", Rows.cash, _cash_entry, 80),
+    "PN": (_PORTFOLIO, "pn_candidate", Rows.cash, _cash_entry, 80),
 }
 
 
 def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
     """(held infimum, values, margin, witness, budget) of a failing
     scenario, from the value and the entry of each candidate it lists."""
-    position, _, value, _, entry, _ = _NEUTRALIZATION[axiom]
+    position, _, _, entry, _ = _NEUTRALIZATION[axiom]
     trades, state = position.trades(scenario)
     legs = [rule.trade_contract(old, new) for old, new in trades]
     held = legs[0] if len(legs) == 1 else combine(legs, [1.0] * len(legs))
     base, _ = contract_bounds(held)
-    nets = [combine([held, rule.trade_contract(state, c)], [1.0, 1.0])
-            for c in cands]
-    values = [value(net) for net in nets]
+    scored = [entry(combine([held, rule.trade_contract(state, c)], [1.0, 1.0]), c)
+              for c in cands]
+    values = [v for v, _ in scored]
     gap = max(values, default=-INF) - base  # 0 when either side is infinite
     witness, budget = position.failure(
-        scenario, base, [entry(net, c) for net, c in zip(nets, cands)], n, k)
+        scenario, base, [e for _, e in scored], n, k)
     return base, values, gap if math.isfinite(gap) else 0.0, witness, budget
 
 
@@ -647,7 +614,7 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     do not settle judges its other candidates as one set and takes the
     first that improves.  Payoffs that overflow raise ``PayoffOverflow`` in
     a held position or analytic net, or a net up to the first improving."""
-    position, hook, _, value, _, _ = _NEUTRALIZATION[axiom]
+    position, hook, value, _, _ = _NEUTRALIZATION[axiom]
     scores, rows = _position_rows(rule)
     held_trades, states = zip(*map(position.trades, scenarios))
     if not all(held_trades):
@@ -700,7 +667,7 @@ def _neutralize(axiom: str, rule: ScoringRule, scenarios,
     whose value beats the held infimum by more than ``cfg.delta``; the first
     scenario without one fails, listing its candidates' entries.  No
     scenario raises ValueError."""
-    position, _, _, _, _, cap = _NEUTRALIZATION[axiom]
+    position, _, _, _, cap = _NEUTRALIZATION[axiom]
     if scenarios is None:
         scenarios = position.sample(rule, cfg)
     if not len(scenarios):

@@ -49,6 +49,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -126,7 +127,7 @@ class OutcomeSpace:
 
     def contains(self, y) -> bool:
         if self.labels is None:
-            return isinstance(y, (int, float)) and math.isfinite(y)
+            return isinstance(y, Real) and math.isfinite(y)
         return y in self.labels
 
     def validate(self, y) -> None:
@@ -438,9 +439,12 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
         if any(c.values is None or c.space.labels != first.space.labels
                for c in contracts):
             raise OutcomeMismatch("contracts live over different outcome spaces")
-        total = np.zeros(first.space.n)
+        # Python floats round as numpy's do, and a sum that overflows is inf
+        # or nan without numpy's warning, which finite_contract rejects
+        total = [0.0] * first.space.n
         for c, w in zip(contracts, weights):
-            total = total + float(w) * c.values
+            w = float(w)
+            total = [t + w * v for t, v in zip(total, c.values.tolist())]
         return finite_contract(first.space, total)
 
     key = first.transform.key()

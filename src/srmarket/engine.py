@@ -83,6 +83,9 @@ class MarketSession:
         return score_difference(self._held, self._first)
 
     def settle(self, y) -> Settlement:
+        """Each trader's net payoff and the maker's loss at the outcome y,
+        which must lie in the outcome space (``InvalidOutcome``)."""
+        self.rule.outcome_space.validate(y)
         by_trader: dict[str, float] = {}
         for rec in self.records:
             by_trader[rec.trader] = by_trader.get(rec.trader, 0.0) + rec.contract(y)

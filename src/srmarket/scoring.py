@@ -207,6 +207,7 @@ class ScoringRule:
 
     def score(self, r, y) -> float:
         self.validate_report(r)
+        self.outcome_space.validate(y)
         return self.score_contract(r)(y)
 
     def score_contract(self, r) -> Contract:
@@ -287,14 +288,17 @@ class ScoringRule:
         ends, coeffs = self.score_pieces(r)
         return expected_pieces(ends, coeffs, p, self.transform)
 
+    def stack_scores(self, stack: tuple, transform, p: Belief) -> np.ndarray:
+        """E_p of each row of a ``score_stack``: one dot product per payoff
+        row over a finite space, one ``expected_scores`` on the real line.
+        A belief of the other kind raises ``OutcomeMismatch``."""
+        if transform is None:
+            return np.array(_finite_values(stack[0], self._pmf(p)))
+        return expected_scores(*stack, p, transform)
+
     def grid_scores(self, reports, p: Belief) -> list:
-        """``expected_score`` of each report: one dot product per payoff row
-        over a finite space, one ``expected_scores`` on the real line."""
-        if self.outcome_space.is_finite:
-            pmf = self._pmf(p)
-            return _finite_values([self.score_row(r) for r in reports], pmf)
-        return expected_scores(*self.piece_table(reports), p,
-                               self.transform).tolist()
+        """``expected_score`` of each report, from one score stack."""
+        return self.stack_scores(*self.score_stack(reports), p).tolist()
 
     # -- elicitation --------------------------------------------------------
 
@@ -768,6 +772,7 @@ class ExpectileRule(ScoringRule):
 
     def score(self, r, y) -> float:
         self.validate_report(r)
+        self.outcome_space.validate(y)
         # the Bregman divergence D_g(y, r)
         breg = self.g(y) - self.g(r) - self.gprime(r) * (y - r)
         return -self._weight(r, y) * breg

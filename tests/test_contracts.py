@@ -12,6 +12,7 @@ from srmarket.contracts import (
     INF,
     OutcomeMismatch,
     OutcomeSpace,
+    PayoffOverflow,
     Piece,
     PiecewiseLinearTransform,
     cdf_belief,
@@ -120,6 +121,17 @@ class TestCombine:
             assert s(y) == pytest.approx(d1(y) + d2(y), abs=1e-12)
         lo, hi = contract_bounds(s)
         assert math.isfinite(lo) and math.isfinite(hi)
+
+    def test_finite_overflow_raises_without_a_warning(self):
+        # each score is finite; their difference overflows, and numpy's
+        # RuntimeWarning (an error under the suite's filterwarnings) must not
+        # come before PayoffOverflow
+        from srmarket.scoring import FiniteRule
+
+        rule = FiniteRule([[1.5e308, 0.0], [-1.5e308, 0.0]],
+                          OutcomeSpace.finite((0, 1)))
+        with pytest.raises(PayoffOverflow):
+            rule.trade_contract(2, 1)
 
 
 class TestProjectCashless:

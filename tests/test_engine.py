@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from srmarket.contracts import (
     SIGMOID,
     STRUCT_TOL,
+    InvalidOutcome,
     OutcomeSpace,
     PayoffOverflow,
     Piece,
@@ -129,6 +130,31 @@ class TestSettlement:
         # a: (S(2)-S(1)) + (S(2)-S(1)) at y=2 -> 2; b: S(1)-S(2) -> -1
         assert paid["a"] == pytest.approx(2.0)
         assert paid["b"] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("rule", [QuantileRule(0.5), ExpectileRule(0.3)],
+                             ids=["quantile", "expectile"])
+    def test_real_line_outcome_outside_the_space_raises(self, rule):
+        # nan and +-inf settled to a nan maker loss, and "x" to a bare
+        # TypeError
+        s = open_session(rule, 0.0)
+        s.execute_trade("a", 1.0)
+        s.execute_trade("b", -0.5)
+        for y in (math.nan, math.inf, -math.inf, "x"):
+            with pytest.raises(InvalidOutcome):
+                s.settle(y)
+            with pytest.raises(InvalidOutcome):
+                rule.score(0.0, y)
+        # numpy scalars are outcomes, as before
+        for y in (0.25, np.int64(1), np.float32(-0.5)):
+            assert math.isfinite(s.settle(y).maker_loss)
+
+    def test_finite_outcome_outside_the_space_raises_as_before(self):
+        s = open_session(ModeRule([1, 2, 3]), 1)
+        s.execute_trade("a", 2)
+        for y in (4, math.nan, "x"):
+            with pytest.raises(InvalidOutcome):
+                s.settle(y)
+        assert s.settle(2).maker_loss == 1.0
 
 
 class TestPathIndependence:

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_score_table import reference_check_wcl
+from test_score_table import assert_ic_values_match, reference_check_ic, \
+    reference_check_wcl
 
-from srmarket import axioms
+from srmarket import axioms, scoring
 from srmarket.axioms import (
     SearchConfig,
     _is_exhaustive,
@@ -46,7 +47,6 @@ from srmarket.contracts import (
     combine,
     contract_bounds,
     contract_pieces,
-    expected_payoff,
     expected_scores,
     finite_belief,
     piecewise_contract,
@@ -94,23 +94,6 @@ def reference_check_arb(rule, grid, cfg=SearchConfig()):
     return AxiomReport(axiom="ARB", verdict=verdict, margin=worst,
                        budget={"grid": len(grid),
                                "pairs": len(grid) ** 2})
-
-
-def reference_ic_values(rule, grid, state, p):
-    return [expected_payoff(rule.trade_contract(state, r), p) for r in grid]
-
-
-def per_trade_values(rule, grid, states):
-    def values(p, k):
-        return reference_ic_values(rule, grid, states[k], p)
-    return values
-
-
-def reference_check_ic(rule, beliefs, cfg, states=None):
-    """``check_ic`` with one ``expected_payoff`` per (state, report) trade."""
-    with mock.patch.object(axioms, "_expected_trade_payoffs",
-                           per_trade_values):
-        return check_ic(rule, beliefs, cfg, states)
 
 
 def quantile_trade_min(rule, r, rp):
@@ -457,19 +440,7 @@ def assert_ic_matches(rule, grid, states, beliefs):
     """Values within rounding of the per-trade ones; argmaxes equal or tied
     within 1e-12 of the expected scores' scale; verdicts equal when no
     tie decided a pick, and the reports equal when every pick agrees."""
-    values = axioms._expected_trade_payoffs(rule, grid, states)
-    reference = per_trade_values(rule, grid, states)
-    tied = False
-    for p in beliefs:
-        scale = max([1.0] + [abs(rule.expected_score(r, p))
-                             for r in list(grid) + list(states)])
-        for k in range(len(states)):
-            got, ref = values(p, k), reference(p, k)
-            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * scale
-            i, i_ref = int(np.argmax(got)), int(np.argmax(ref))
-            if i != i_ref:
-                assert ref[i_ref] - ref[i] <= 1e-12 * scale
-                tied = True
+    tied = assert_ic_values_match(rule, grid, states, beliefs)
     cfg = SearchConfig(report_points=len(grid))
     with mock.patch.object(SearchConfig, "report_grid",
                            lambda self, rule: list(grid)):
@@ -528,7 +499,7 @@ def test_ic_scores_each_report_once_per_belief():
         return expected_scores(ends, coeffs, p, transform)
 
     # one array read per belief, of the 21 grid reports and the 3 states
-    with mock.patch.object(axioms, "expected_scores", counting):
+    with mock.patch.object(scoring, "expected_scores", counting):
         check_ic(rule, cfg=cfg)
     assert calls == [21 + 3] * 4
 

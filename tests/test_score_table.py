@@ -1,6 +1,8 @@
 """Finite-outcome ARB, IC and WCL read one score table per report grid: a
 differential test against the per-pair checkers they replaced, kept here as
-the references (reports must agree to the byte, IC values bit for bit)."""
+the references.  Reports must agree to the byte.  IC reads differences of
+expected scores, so its values must equal the per-trade ones within
+rounding, and its argmaxes theirs or a tie."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from srmarket.axioms import (
     SearchConfig,
-    _expected_trade_payoffs,
     _is_exhaustive,
     _j,
     _outcome_probe,
@@ -186,9 +187,36 @@ def reference_ic_values(rule, grid, state, p):
     return [expected_payoff(rule.trade_contract(state, r), p) for r in grid]
 
 
+def stack_ic_values(rule, grid, states, p) -> list:
+    """The expected trade payoffs ``check_ic`` reads under p, one list per
+    state: E_p S(r) - E_p S(state) for each grid report r, from one
+    ``stack_scores`` of the grid and the states."""
+    s = rule.stack_scores(*rule.score_stack(list(grid) + list(states)), p)
+    n = len(grid)
+    return [(s[:n] - s[n + k]).tolist() for k in range(len(states))]
+
+
+def assert_ic_values_match(rule, grid, states, beliefs) -> bool:
+    """Each IC value lies within 1e-12 of the expected scores' scale of the
+    per-trade value, and each argmax is the per-trade one or tied with it
+    within that; returns whether a tie decided a pick."""
+    tied = False
+    for p in beliefs:
+        scale = max([1.0] + [abs(rule.expected_score(r, p))
+                             for r in list(grid) + list(states)])
+        for got, state in zip(stack_ic_values(rule, grid, states, p), states):
+            ref = reference_ic_values(rule, grid, state, p)
+            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * scale
+            i, i_ref = int(np.argmax(got)), int(np.argmax(ref))
+            if i != i_ref:
+                assert ref[i_ref] - ref[i] <= 1e-12 * scale
+                tied = True
+    return tied
+
+
 def assert_same_checks(rule, cfg, r0, beliefs=None):
     """ARB, IC and WCL agree with the references to the byte, and every IC
-    value is the same float."""
+    value with the per-trade one within rounding."""
     assert check_arb(rule, cfg=cfg).to_text() == \
         reference_check_arb(rule, cfg=cfg).to_text()
     assert check_ic(rule, beliefs, cfg).to_text() == \
@@ -200,11 +228,7 @@ def assert_same_checks(rule, cfg, r0, beliefs=None):
         beliefs = random_beliefs_for(rule, cfg.rng(), cfg.ic_beliefs)
     states = [report_grid[0], report_grid[len(report_grid) // 2],
               report_grid[-1]]
-    values = _expected_trade_payoffs(rule, report_grid, states)
-    for p in beliefs:
-        for k, state in enumerate(states):
-            assert values(p, k) == \
-                reference_ic_values(rule, report_grid, state, p)
+    assert_ic_values_match(rule, report_grid, states, beliefs)
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +404,20 @@ def test_overflowing_trade_payoffs_are_rejected():
             check()
     with pytest.raises(ValueError, match="finite"):
         reference_check_arb(rule)
+
+
+def test_ic_scores_each_report_once_per_check():
+    rule = ExpectationRule(quadratic(1, lo=[-1.0], hi=[2.0]), phi=[[0.0], [1.0]])
+    cfg = SearchConfig(report_points=21, ic_beliefs=4)
+    calls = []
+    score_rows = rule.score_rows
+
+    def counting(reports):
+        calls.append(len(reports))
+        return score_rows(reports)
+
+    # one table of the 21 grid reports and the 3 states, which every belief
+    # reads
+    rule.score_rows = counting
+    check_ic(rule, cfg=cfg)
+    assert calls == [21 + 3]
