@@ -36,7 +36,6 @@ from .contracts import (
     contract_is_constant,
     expected_payoff,
     finite_belief,
-    stack_pieces,
     sum_rows,
     uniform_belief,
 )
@@ -84,9 +83,10 @@ class SearchConfig:
             if not isinstance(n, Integral) or isinstance(n, bool) or n < least:
                 raise ValueError(f"{name} must be an integer of at least "
                                  f"{least}, not {n!r}")
-        if not self.report_window[0] < self.report_window[1]:
-            raise ValueError(f"report_window {self.report_window!r} must ascend")
-        if self.delta <= 0:
+        if not -INF < self.report_window[0] < self.report_window[1] < INF:
+            raise ValueError(f"report_window {self.report_window!r} must ascend "
+                             "between finite ends")
+        if not self.delta > 0:
             raise ValueError("strictness margin must be positive")
 
     def rng(self) -> np.random.Generator:
@@ -563,49 +563,6 @@ def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
     return base, values, gap if math.isfinite(gap) else 0.0, witness, budget
 
 
-def _scored_once(score: Callable) -> Callable:
-    """``score`` that scores each distinct report once.  Reports are told
-    apart by type and, for floats and arrays, by their bits, so 0.0 and
-    -0.0 are scored apart."""
-    memo = {}
-
-    def scored(r):
-        if isinstance(r, np.ndarray):
-            key = (r.dtype.str, r.shape, r.tobytes())
-        elif isinstance(r, float):
-            key = (type(r), r.hex())
-        else:
-            key = (type(r), repr(r) if isinstance(r, list) else r)
-        if key not in memo:
-            memo[key] = score(r)
-        return memo[key]
-    return scored
-
-
-def _position_rows(rule: ScoringRule) -> tuple:
-    """(scores, rows): scores(reports) stacks the reports' scores (None
-    pays nothing), in one ``score_rows`` call over a finite space and on
-    the real line each distinct report's pieces once, and leaves overflow
-    to the rows; rows(trades, held) is the ``sum_rows`` of the trades, each
-    a (new, old) pair of stacks, onto a held stack if one is given."""
-    finite_space = rule.outcome_space.is_finite
-    zero = np.zeros(rule.outcome_space.n) if finite_space else ((), ((0.0, 0.0, 0.0),))
-    transform = None if finite_space else rule.transform
-    if not finite_space:
-        piece = _scored_once(rule.score_pieces)
-
-    def scores(reports) -> tuple:
-        given = [r for r in reports if r is not None]
-        scored = iter(rule.score_rows(given) if finite_space else map(piece, given))
-        scored = [zero if r is None else next(scored) for r in reports]
-        return (np.array(scored),) if finite_space else stack_pieces(scored)
-
-    def rows(trades, held=None) -> tuple:
-        legs = [((held,), (1.0,))] if held else []
-        return sum_rows(legs + [(trade, (1.0, -1.0)) for trade in trades], transform)
-    return scores, rows
-
-
 def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
                 cfg: SearchConfig) -> tuple:
     """The failing scenario and the candidates it tried, or None with the
@@ -615,17 +572,25 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     first that improves.  Payoffs that overflow raise ``PayoffOverflow`` in
     a held position or analytic net, or a net up to the first improving."""
     position, hook, value, _, _ = _NEUTRALIZATION[axiom]
-    scores, rows = _position_rows(rule)
+    transform = None if rule.outcome_space.is_finite else rule.transform
+
+    def leg(olds, news) -> tuple:
+        # the trades olds[k] -> news[k] as a sum_rows leg, each side scored
+        # in one call, whose overflow is left to the rows
+        return tuple((rule.score_rows(rs),) if transform is None else
+                     rule.piece_rows(rs) for rs in (news, olds)), (1.0, -1.0)
+
+    def onto(rows, olds, news) -> Rows:
+        return sum_rows([((rows,), (1.0,)), leg(olds, news)], transform)[1]
+
     held_trades, states = zip(*map(position.trades, scenarios))
     if not all(held_trades):
         raise ValueError("a portfolio needs at least one trade")
-    legs = []
-    for j in range(max(map(len, held_trades))):
-        # a shorter portfolio holds null trades
-        trades = [t[j] if j < len(t) else (None, None) for t in held_trades]
-        legs.append((scores([new for _, new in trades]),
-                     scores([old for old, _ in trades])))
-    table, held = rows(legs)
+    # a shorter portfolio holds null trades at a report it holds: they pay
+    # 0.0 in every cell and break where the position already breaks
+    steps = [[t[j] if j < len(t) else (t[0][0],) * 2 for t in held_trades]
+             for j in range(max(map(len, held_trades)))]
+    table, held = sum_rows([leg(*zip(*step)) for step in steps], transform)
     _require_finite(held.finite)
     flat, base = held.cash() > -INF, held.inf()
     live = np.flatnonzero(~flat)
@@ -637,8 +602,8 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
             analytic[i] = c
     if analytic:
         at = list(analytic)
-        trade = scores([analytic[i] for i in at]), scores([states[i] for i in at])
-        _, nets = rows([trade], tuple(a[at] for a in table))
+        nets = onto(tuple(a[at] for a in table), [states[i] for i in at],
+                    [analytic[i] for i in at])
         _require_finite(nets.finite)
         vals = value(nets)
         best = {i: v for i, v, ok in zip(at, vals, vals > base[at] + cfg.delta)
@@ -647,8 +612,7 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
         if i in best:
             continue
         cands = list(_scenario_candidates(rule, states[i], cfg, None))
-        trade = scores(cands), scores([states[i]])
-        _, nets = rows([trade], tuple(a[i:i + 1] for a in table))
+        nets = onto(tuple(a[i:i + 1] for a in table), [states[i]], cands)
         vals = value(nets)
         hits = np.flatnonzero(vals > base[i] + cfg.delta)
         stop = int(hits[0]) + 1 if len(hits) else len(cands)

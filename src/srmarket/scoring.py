@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .convex import (
     ConvexFn,
     _dot,
     _dots,
+    _libm,
     _vec,
     bisect,
     bracket,
@@ -103,18 +105,11 @@ class BoxReports:
         return len(self.lo)
 
     def contains(self, r) -> bool:
-        if self._interval is not None and isinstance(r, (float, int)):
+        if self._interval is not None and isinstance(r, float):
             lo, hi = self._interval
             return lo < float(r) < hi
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if r.shape != (self.dim,):
-            return False
-        if not (np.all(r > self._lo) and np.all(r < self._hi)):
-            return False
-        if self._facets is None:
-            return True
-        a, b = self._facets
-        return float(np.min(-(_dots(a, r) + b))) > STRUCT_TOL
+        xs = report_rows([r], self.dim)
+        return xs is not None and bool(self.contains_rows(xs)[0])
 
     def contains_rows(self, xs: np.ndarray) -> np.ndarray:
         """``contains`` of each row of an (R, dim) array."""
@@ -144,10 +139,8 @@ class RealReports:
     dim = 1
 
     def contains(self, r) -> bool:
-        try:
-            return math.isfinite(float(r))
-        except (TypeError, ValueError):
-            return False
+        # float and int first: they spare the abstract class's slower check
+        return isinstance(r, (float, int, Real)) and math.isfinite(r)
 
     def contains_rows(self, xs: np.ndarray) -> np.ndarray:
         return np.isfinite(xs).all(axis=1)
@@ -181,19 +174,20 @@ class ScoringRule:
         self.validate_report(r_new)
 
     def _r(self, r) -> np.ndarray:
-        """A report of ``self.k`` numbers as an array, validated."""
+        """A report of ``report_space.dim`` numbers as an array, validated."""
         self.validate_report(r)
         return _vec(r)
 
     def _stack(self, reports: list) -> np.ndarray:
-        """The reports as the rows of an (R, k) array, validated in order:
+        """The reports as the rows of an (R, dim) array, validated in order:
         all at once, or report by report where that finds one outside the
         report space, so the first such report raises."""
-        xs = report_rows(reports, self.k)
+        k = self.report_space.dim
+        xs = report_rows(reports, k)
         inside = getattr(self.report_space, "contains_rows", None)
         if xs is None or inside is None or not inside(xs).all():
             xs = np.array([self._r(r) for r in reports],
-                          dtype=float).reshape(len(reports), self.k)
+                          dtype=float).reshape(len(reports), k)
         return xs
 
     def report_grid(self, num: int = 51, window: tuple = (-4.0, 4.0)) -> list:
@@ -236,41 +230,39 @@ class ScoringRule:
 
     def score_table(self, reports) -> np.ndarray:
         """The payoff vectors of ``score_contract(r)`` for each report, one
-        row per report: an (R, n) array over a finite outcome space.  Each
-        report is validated, in order, as ``score_contract`` validates it;
-        payoffs that overflow raise ``PayoffOverflow``, without numpy's
-        warning."""
+        row per report: the (R, n) array of a ``score_stack`` over a finite
+        outcome space."""
         if not self.outcome_space.is_finite:
             raise OutcomeMismatch("score tables need a finite outcome space")
-        reports = list(reports)
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = self.score_rows(reports).reshape(len(reports),
-                                                     self.outcome_space.n)
-        if not np.isfinite(table).all():
-            raise PayoffOverflow("payoffs must be finite")
-        return table
+        return self.score_stack(reports)[0][0]
 
     def score_rows(self, reports: list) -> np.ndarray:
-        """``score_table`` before its finiteness check: ``score_row`` of each
-        report, stacked, where a rule has no array expression for it."""
+        """The unchecked (R, n) score table: ``score_row`` of each report,
+        stacked, where a rule has no array expression for it."""
         return np.array([self.score_row(r) for r in reports], dtype=float)
 
-    def piece_table(self, reports) -> tuple:
-        """``stack_pieces`` of each report's ``score_pieces``, as
-        ``expected_scores`` reads them.  Each report is validated, in order;
-        then coefficients that overflow raise ``PayoffOverflow``."""
-        ends, coeffs = stack_pieces([self.score_pieces(r) for r in reports])
-        if not np.isfinite(coeffs).all():
-            raise PayoffOverflow("payoffs must be finite")
-        return ends, coeffs
+    def piece_rows(self, reports: list) -> tuple:
+        """The unchecked piece table ``(ends, coeffs)`` that
+        ``contracts.stack_pieces`` makes of each report's ``score_pieces``,
+        where a rule has no array expression for it."""
+        return stack_pieces([self.score_pieces(r) for r in reports])
 
     def score_stack(self, reports) -> tuple:
         """The reports' scores as ``contracts.sum_rows`` reads them, and
-        their transform: ``((score_table,), None)`` over a finite outcome
-        space, else ``(piece_table, transform)``."""
-        if self.outcome_space.is_finite:
-            return (self.score_table(reports),), None
-        return self.piece_table(reports), self.transform
+        their transform: ``((score_rows,), None)`` over a finite outcome
+        space, else ``(piece_rows, transform)``.  Each report is validated,
+        in order, as ``score_contract`` validates it; then payoffs or
+        coefficients that overflow raise ``PayoffOverflow``, without numpy's
+        warning."""
+        reports = list(reports)
+        finite_space = self.outcome_space.is_finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = (self.score_rows(reports).reshape(
+                len(reports), self.outcome_space.n),) if finite_space \
+                else self.piece_rows(reports)
+        if not np.isfinite(stack[-1]).all():
+            raise PayoffOverflow("payoffs must be finite")
+        return stack, None if finite_space else self.transform
 
     def trade_contract(self, r_old, r_new) -> Contract:
         """The contract handed out for moving the state r_old -> r_new."""
@@ -365,15 +357,28 @@ class ScoringRule:
 
 
 def report_rows(reports: list, k: int) -> np.ndarray | None:
-    """The reports as the rows of an (R, k) array when each is a number
-    (k = 1) or a vector of k numbers, else None."""
+    """The reports as the rows of an (R, k) float array when each is a real
+    number (k = 1) or a vector of k of them, else None: a numeric string is
+    no report."""
     try:
-        xs = np.array(reports, dtype=float)
+        xs = np.array(reports)
     except (TypeError, ValueError):
         return None
     R = len(reports)
-    return xs.reshape(R, k) if xs.shape == (R, k) or k == 1 and xs.shape == (R,) \
-        else None
+    if xs.dtype.kind not in "biuf" or not (
+            xs.shape == (R, k) or k == 1 and xs.shape == (R,)):
+        return None
+    return xs.reshape(R, k).astype(float, copy=False)
+
+
+def _piece_columns(R: int, ends: tuple, pieces: tuple) -> tuple:
+    """The piece table ``(ends, coeffs)`` of R reports from the array form
+    of a ``score_pieces`` expression: each end and coefficient an (R,)
+    array, or a number that every row shares."""
+    table = np.empty((R, len(ends) + 3 * len(pieces)))
+    for j, v in enumerate((*ends, *(v for c in pieces for v in c))):
+        table[:, j] = v
+    return table[:, :len(ends)], table[:, len(ends):].reshape(R, len(pieces), 3)
 
 
 def score_difference(new: Contract, old: Contract) -> Contract:
@@ -459,8 +464,9 @@ class FiniteRule(ScoringRule):
             raise ValueError("matrix columns must match the outcome count")
         labels = tuple(report_labels) if report_labels is not None \
             else tuple(range(1, self.matrix.shape[0] + 1))
-        if len(labels) != self.matrix.shape[0]:
-            raise ValueError("one report label per matrix row")
+        if not len(set(labels)) == len(labels) == self.matrix.shape[0] >= 2:
+            raise ValueError("a finite rule needs one distinct report label "
+                             "per matrix row, and at least 2 rows")
         self.report_space = FiniteReports(labels)
 
     @classmethod
@@ -659,6 +665,10 @@ class ExpectationRule(PotentialRule):
         base, dg = self._affine(r)
         return (), ((base, float(dg[0]), 0.0),)
 
+    def piece_rows(self, reports: list) -> tuple:
+        base, dg = self._affines(reports)
+        return _piece_columns(len(base), (), ((base, dg[:, 0], 0.0),))
+
     def property_value(self, p: Belief):
         if self.phi is None:
             return p.mean()
@@ -717,9 +727,18 @@ class QuantileRule(ScoringRule):
 
     def score_pieces(self, r) -> tuple:
         self.validate_report(r)
+        return (float(r),), self._pieces(self.transform(r))
+
+    def piece_rows(self, reports: list) -> tuple:
+        xs = self._stack(reports)[:, 0]
+        # the identity's coordinate of a report is the report
+        gr = xs if self.transform is IDENTITY else _libm(self.transform, xs)
+        return _piece_columns(len(xs), (xs,), self._pieces(gr))
+
+    def _pieces(self, gr) -> tuple:
+        """The two pieces of the score at the coordinate gr, a float or an array."""
         a = self.alpha
-        gr = self.transform(r)
-        return (float(r),), (((a - 1.0) * gr, 1.0 - a, 0.0), (a * gr, -a, 0.0))
+        return ((a - 1.0) * gr, 1.0 - a, 0.0), (a * gr, -a, 0.0)
 
     def property_value(self, p: Belief) -> float:
         return p.quantile(self.alpha)
@@ -779,17 +798,25 @@ class ExpectileRule(ScoringRule):
 
     def score_pieces(self, r) -> tuple:
         self.validate_report(r)
+        r = float(r)
+        return (r,), self._pieces(r)
+
+    def piece_rows(self, reports: list) -> tuple:
+        xs = self._stack(reports)[:, 0]
+        return _piece_columns(len(xs), (xs,), self._pieces(xs))
+
+    def _pieces(self, r) -> tuple:
+        """The two pieces of the score of r, a float or an array of reports."""
         if self.g_coeffs is None:
             raise InvalidReport(
                 "contracts need the quadratic transform; supply g_coeffs")
         a = self.g_coeffs[2]
-        r = float(r)
 
         def piece(w):
             # -w * a * (y - r)^2
             return -w * a * r * r, 2.0 * w * a * r, -w * a
 
-        return (r,), (piece(1.0 - self.tau), piece(self.tau))
+        return piece(1.0 - self.tau), piece(self.tau)
 
     def identification_gap(self, x: float, p: Belief) -> float:
         """E_p |1{x >= Y} - tau| (x - Y); the expectile is its unique root."""

@@ -4,8 +4,9 @@ Each named potential's ``values``/``grads`` must equal its ``value``/``grad``
 row by row within 0 ulps, and its array ``grad_inverse`` the closed form of
 one target it replaced: both forms take the same libm functions and add
 products in the same order.  So must
-each rule's ``score_table`` against its stacked ``score_row``, and the
-batched analytic WN/TN/PN candidates against the per-scenario hooks.  The
+each rule's ``score_table`` against its stacked ``score_row``, each
+real-line rule's ``piece_rows`` against its stacked ``score_pieces``, and
+the batched analytic WN/TN/PN candidates against the per-scenario hooks.  The
 one-pass PRICE-BOUND and QUASI-OPEN checks are held to the per-trial loops
 they replaced, kept here as the references: the reports must be equal."""
 
@@ -20,11 +21,14 @@ from hypothesis import strategies as st
 from srmarket.contracts import (
     INF,
     MEMBER_TOL,
+    SIGMOID,
     PayoffOverflow,
+    PiecewiseLinearTransform,
     Piece,
     combine,
     piecewise_contract,
     sigmoid,
+    stack_pieces,
 )
 from srmarket.convex import (
     binary_lmsr_cost,
@@ -47,7 +51,13 @@ from srmarket.costmarket import (
     price_bound_check,
 )
 from srmarket.reports import FAILS, HOLDS_AT_BUDGET, AxiomReport
-from srmarket.scoring import ExpectationRule, InvalidReport, RatioRule
+from srmarket.scoring import (
+    ExpectationRule,
+    ExpectileRule,
+    InvalidReport,
+    QuantileRule,
+    RatioRule,
+)
 
 # the largest distance, in ulps, allowed between an array form's entry and
 # the scalar form's: none
@@ -217,6 +227,83 @@ def test_score_table_overflow_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(PayoffOverflow):
             rule.score_table([0.0, 9e299])
+
+
+# ---------------------------------------------------------------------------
+# real-line piece tables
+
+
+PIECE_RULES = {
+    "median": QuantileRule(0.5),
+    "sigmoid-quantile": QuantileRule(0.3, SIGMOID),
+    "pwlinear-quantile": QuantileRule(0.7, PiecewiseLinearTransform(
+        [-1.0, 0.0, 2.0], [-3.0, 0.0, 1.0])),
+    "expectile": ExpectileRule(0.3),
+    "expectile-g": ExpectileRule(0.8, (1.0, -2.0, 3.0)),
+    "mean": ExpectationRule(quadratic(1)),
+}
+
+# signed zeros, reports near 1e7, where the constant terms round at the
+# scale of r or r^2, and +-1e154, where the mean's and a steep expectile's
+# constant terms overflow
+PIECE_REPORTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e7, -1e7, 1e7 + 0.5, 1e154, -1e154,
+                     float(np.nextafter(0.0, 1.0)), 0.1 + 0.2]),
+    st.floats(1e7 - 8.0, 1e7 + 8.0), st.integers(-4, 4),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(PIECE_RULES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_piece_rows_match_stacked_score_pieces(name, data):
+    # to the bit, signed zeros and overflows included; score_stack then
+    # raises PayoffOverflow, without numpy's warning, where a row overflows
+    rule = PIECE_RULES[name]
+    rs = data.draw(st.lists(PIECE_REPORTS, min_size=1, max_size=12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = stack_pieces([rule.score_pieces(r) for r in rs])
+        got = rule.piece_rows(rs)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert (_bits(g) == _bits(w)).all(), (g, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isfinite(want[1]).all():
+            stack, transform = rule.score_stack(rs)
+            assert transform is rule.transform
+            assert all((_bits(g) == _bits(w)).all() for g, w in zip(stack, want))
+        else:
+            with pytest.raises(PayoffOverflow):
+                rule.score_stack(rs)
+
+
+@pytest.mark.parametrize("name", ["mean", "expectile-g"])
+def test_score_stack_overflows_at_1e154(name):
+    rule = PIECE_RULES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1e154, -1e154):
+            with pytest.raises(PayoffOverflow):
+                rule.score_stack([0.0, r])
+
+
+def test_piece_rows_raise_for_the_first_report_outside_the_space():
+    for rule in PIECE_RULES.values():
+        with pytest.raises(InvalidReport, match="'1.0'"):
+            rule.piece_rows([0.0, "1.0", math.nan])
+        with pytest.raises(InvalidReport, match="nan"):
+            rule.piece_rows([0.0, math.nan, "1.0"])
+    # an expectile on a callable g has a score but no pieces
+    rule = ExpectileRule(0.3, g=lambda y: y ** 4, gprime=lambda y: 4.0 * y ** 3)
+    with pytest.raises(InvalidReport, match="g_coeffs"):
+        rule.piece_rows([0.0, 1.0])
+    with pytest.raises(InvalidReport, match="g_coeffs"):
+        rule.score_stack([0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,9 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(delta=0.0)
+        # a nan margin made every candidate fail to improve
+        with pytest.raises(ValueError, match="margin"):
+            SearchConfig(delta=math.nan, scenario_count=20)
         with pytest.raises(ValueError):
             SearchConfig(report_points=1)
 
@@ -81,7 +84,9 @@ class TestSearchConfig:
         ("scenario_count", 0), ("portfolio_count", 0), ("portfolio_size", 0),
         ("ic_beliefs", 0), ("lattice_bound", 0), ("seed", -1),
         ("report_points", 2.5), ("candidate_points", True),
-        ("report_window", (4.0, -4.0)), ("report_window", (1.0, 1.0))])
+        ("report_window", (4.0, -4.0)), ("report_window", (1.0, 1.0)),
+        ("report_window", (-math.inf, math.inf)), ("report_window", (0.0, math.inf)),
+        ("report_window", (math.nan, 1.0))])
     def test_empty_budgets_and_bad_grids_rejected(self, field, value):
         # a library caller meets the guard a config meets: no budget may be
         # empty, so no check can hold over nothing

@@ -257,6 +257,25 @@ class TestMain:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert reason in err
 
+    @pytest.mark.parametrize("matrix,reports,axiom", [
+        # ARB held although row 2 was never scored
+        ([[1.0, 0.0], [0.0, 1.0]], ["a", "a"], "ARB"),
+        # WN found no scenario, an internal error
+        ([[1.0, 0.0]], None, "WN")])
+    def test_finite_rule_needs_two_distinct_reports_exit_two(
+            self, tmp_path, capsys, matrix, reports, axiom):
+        market = {"family": "finite", "outcomes": [0, 1], "matrix": matrix}
+        if reports is not None:
+            market["reports"] = reports
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "market": market,
+                                    "axioms": [axiom]}))
+        assert main(["check", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "distinct report label" in err
+
     def test_missing_axioms_exit_two(self, tmp_path, capsys):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({
@@ -422,7 +441,11 @@ class TestMain:
         ("check", "mode_market", lambda c: c["btb"].update(epsilons=[]),
          "'epsilons'"),
         ("check", "expectile_market",
-         lambda c: c["search"].update(scenario_count=0), "scenario_count")])
+         lambda c: c["search"].update(scenario_count=0), "scenario_count"),
+        # a numeric string, which the check ran as a report and wrote into
+        # its WCL witness
+        ("check", "quantile_sigmoid", lambda c: c.update(r0="1.0"),
+         "r0 '1.0'")])
     def test_value_of_the_wrong_shape_exit_two(self, tmp_path, capsys, command,
                                                name, edit, reason):
         self._assert_config_error(tmp_path, capsys, command, name, edit, reason)

@@ -297,8 +297,8 @@ FAR = (piecewise_contract([Piece(-INF, 1e300, (0.0, 0.0, 0.0)),
 @example([PW_KINKS[0], _split((0.0, 1.0, 1.0), [-1.0, 0.5], KINKED)], PW_KINKS[1])
 @example([FAR[0], ones_contract(REAL_LINE)], FAR[1])
 def test_array_reader_agrees_with_float_reader(ds, p):
-    # piece_table pads rows of fewer pieces with +inf ends and zero pieces
-    got = expected_scores(*Listed(ds).piece_table(range(len(ds))), p,
+    # score_stack pads rows of fewer pieces with +inf ends and zero pieces
+    got = expected_scores(*Listed(ds).score_stack(range(len(ds)))[0], p,
                           ds[0].transform)
     assert got.shape == (len(ds),)
     for g, d in zip(got.tolist(), ds):

@@ -6,6 +6,7 @@ byte."""
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from srmarket.axioms import (
     SearchConfig,
     _failure,
+    _judge_rows,
     _scenario_candidates,
     check_pn,
     check_tn,
@@ -307,6 +309,65 @@ def test_real_line_reports_near_1e7(name, axiom):
     cfg = replace(small_cfg(3, rule), report_window=(1e7 - 3.0, 1e7 + 3.0))
     cfg.scenario_count, cfg.portfolio_count = 5, 3
     assert_same(axiom, rule, None, cfg)
+
+
+@st.composite
+def unequal_portfolios(draw, grid):
+    """Two to five portfolios on the grid, of one to three trades each, not
+    all of one length."""
+    idx = st.integers(0, len(grid) - 1)
+    portfolio = st.tuples(st.lists(st.tuples(idx, idx), min_size=1, max_size=3),
+                          idx).map(lambda t: ([(grid[i], grid[j]) for i, j in t[0]],
+                                              grid[t[1]]))
+    return draw(st.lists(portfolio, min_size=2, max_size=5).filter(
+        lambda ps: len({len(trades) for trades, _ in ps}) > 1))
+
+
+@pytest.mark.parametrize("name", sorted(REAL_RULES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), delta=st.sampled_from([1e-9, 0.05]))
+def test_real_line_portfolios_of_unequal_length(name, data, delta):
+    # a shorter portfolio holds null trades at a report it holds, which pay
+    # 0.0 in every cell and break only where the position breaks
+    rule = REAL_RULES[name]()
+    cfg = small_cfg(0, rule, delta)
+    assert_same("PN", rule, data.draw(unequal_portfolios(cfg.report_grid(rule))), cfg)
+
+
+def test_null_trades_are_not_scored_at_the_state():
+    # the second portfolio holds nothing, so its state 1e155, whose score
+    # overflows, is never scored; neither is it where the first portfolio
+    # holds a null trade
+    rule = REAL_RULES["mean"]()
+    cfg = SearchConfig(report_points=9, candidate_points=9)
+    rep = assert_same("PN", rule, [([(1.0, 2.0), (2.0, 0.5)], 0.0),
+                                   ([(1.5, 1.5)], 1e155)], cfg)
+    assert rep.verdict == HOLDS_AT_BUDGET
+
+
+@pytest.mark.parametrize("name", sorted(REAL_RULES))
+@pytest.mark.parametrize("axiom", sorted(CHECKS))
+def test_the_real_line_judge_scores_no_report_alone(name, axiom):
+    # the judge scores each step's reports in one piece_rows call
+    rule = REAL_RULES[name]()
+    cfg = small_cfg(4, rule)
+    scenarios = portfolio_scenarios(cfg.report_grid(rule), 4, 3, cfg.rng()) \
+        if axiom == "PN" else scenario_triples(cfg.report_grid(rule), 8, cfg.rng())
+    with mock.patch.object(rule, "score_pieces",
+                           side_effect=AssertionError("scored alone")):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _judge_rows(axiom, rule, scenarios, cfg)
+
+
+@pytest.mark.parametrize("name,axiom", [("expectile", "WN"), ("mean", "WN"),
+                                        ("mean", "TN"), ("mean", "PN")])
+def test_holding_real_line_checks_call_score_pieces_zero_times(name, axiom):
+    # a check that holds builds no witness, so no contract either
+    rule = REAL_RULES[name]()
+    with mock.patch.object(rule, "score_pieces", wraps=rule.score_pieces) as spy:
+        rep = CHECKS[axiom](rule, None, cfg=small_cfg(0, rule))
+    assert rep.verdict == HOLDS_AT_BUDGET
+    assert spy.call_count == 0
 
 
 def test_real_line_net_overflow_raises():

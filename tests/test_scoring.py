@@ -31,6 +31,43 @@ from srmarket.scoring import (
 )
 
 
+class TestNumericStrings:
+    """A report on the real line or in a report box is a real number or a
+    sequence of them; a numeric string is none, in each report path."""
+
+    @staticmethod
+    def ratio_rule():
+        return RatioRule(interval_negentropy(0.0, 3.0), [0.0, 1.0, 3.0],
+                         [2.0, 1.0, 1.0])
+
+    def test_validate_report(self):
+        for rule in (self.ratio_rule(), QuantileRule(0.5),
+                     ExpectationRule(quadratic(1))):
+            with pytest.raises(InvalidReport):
+                rule.validate_report("0.5")
+        with pytest.raises(InvalidReport):
+            ExpectationRule(quadratic(2), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+                            ).validate_report(["0.2", "0.3"])
+
+    def test_sessions(self):
+        rule = ExpectationRule(quadratic(1))
+        with pytest.raises(InvalidReport):
+            MarketSession(rule, "0.5")
+        session = MarketSession(rule, 0.5)
+        with pytest.raises(InvalidReport):
+            session.execute_trade("a", "2.5")
+        assert session.records == []
+
+    def test_report_lists(self):
+        # the array paths refuse what validate_report refuses
+        with pytest.raises(InvalidReport, match="'1.0'"):
+            self.ratio_rule().score_table([0.5, "1.0"])
+        for rule in (QuantileRule(0.5), ExpectileRule(0.3),
+                     ExpectationRule(quadratic(1))):
+            with pytest.raises(InvalidReport, match="'1.0'"):
+                rule.score_stack([0.5, "1.0"])
+
+
 def grid_argmax(rule, p, grid):
     """Independent argmax oracle over an explicit report grid."""
     vals = [rule.expected_score(r, p) for r in grid]
@@ -88,6 +125,17 @@ class TestFiniteRule:
         rule = FiniteRule(m, OutcomeSpace.finite((1, 2, 3)))
         p = finite_belief(rule.outcome_space, [0.8, 0.1, 0.1])
         assert 1 not in rule.property_value(p)
+
+    @pytest.mark.parametrize("matrix,labels", [
+        # a repeated label leaves the second row unscored
+        ([[1.0, 0.0], [0.0, 1.0]], ["a", "a"]),
+        # one report makes no trade, so WN has no scenario
+        ([[1.0, 0.0]], None), ([[1.0, 0.0]], ["a"])])
+    def test_needs_two_distinct_report_labels(self, matrix, labels):
+        from srmarket.contracts import OutcomeSpace
+
+        with pytest.raises(ValueError, match="distinct report label"):
+            FiniteRule(matrix, OutcomeSpace.finite((0, 1)), labels)
 
 
 class TestExpectationRule:

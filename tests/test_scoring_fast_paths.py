@@ -147,7 +147,11 @@ def _outcome(f, *args):
 
 
 def reference_contains(box, r):
-    """``BoxReports.contains`` converting the report and both corners."""
+    """``BoxReports.contains`` converting the report and both corners; only
+    real numbers, or a sequence of them, are reports: not a numeric string,
+    nor an int past the float range."""
+    if np.asarray(r).dtype.kind not in "biuf":
+        return False
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (box.dim,):
         return False
