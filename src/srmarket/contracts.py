@@ -21,10 +21,12 @@ best tie, and the smallest tied report is picked (best responses over
 finite reports, the finite properties).  The searches of ``convex`` bracket
 a finite domain inset by BRACKET_PAD of its span and an infinite one by
 doubling out to BRACKET_LIMIT, and a closed-form gradient inverse is
-attained within the same box; a search that does not run to adjacent floats
-stops at a bracket SEARCH_XTOL wide; a search of one coordinate at a time
-cycles until a cycle moves no coordinate by more than that width or no
-longer raises the objective, for at most SEARCH_CYCLES cycles.  A gradient
+attained within the same box; a bisection that does not run to adjacent
+floats stops at a bracket SEARCH_XTOL wide, and a best-response search
+(Brent's method) once its best probe is within 2 SEARCH_XTOL / 3 plus a few
+ulps of both bracket ends; a search of one coordinate at a time cycles
+until a cycle moves no coordinate by more than SEARCH_XTOL or no longer
+raises the objective, for at most SEARCH_CYCLES cycles.  A gradient
 inversion in more than one dimension stops once its residual is within
 OPT_TOL and accepts its point within RESIDUAL_ACCEPT; openness counts a
 price target as reached, and cost extraction a translate as in the score
@@ -127,7 +129,11 @@ class OutcomeSpace:
 
     def contains(self, y) -> bool:
         if self.labels is None:
-            return isinstance(y, Real) and math.isfinite(y)
+            # a number past the float range is no outcome
+            try:
+                return isinstance(y, Real) and math.isfinite(y)
+            except OverflowError:
+                return False
         return y in self.labels
 
     def validate(self, y) -> None:

@@ -8,11 +8,14 @@ in one pass.  Every market trades by matching shares, which are gradients
 of a potential, so one gradient inversion (``invert_gradient``, or
 ``invert_gradients`` of many targets) serves all of them: the potential's
 closed-form ``grad_inverse`` where it has one, else ``bracket`` and
-``bisect``; ``golden_max`` is the one golden-section search.
+``bisect``.  ``brent_max`` is the one maximizer of a unimodal function to
+a tolerance; ``golden_max`` runs a fixed number of golden-section steps,
+for cost extraction's non-smooth distance.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -355,6 +358,7 @@ def from_callables(dim, value, grad, lo=None, hi=None, **flags) -> ConvexFn:
 # the search core
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+EPS = sys.float_info.epsilon
 
 
 def bisect(f, target, lo: float, hi: float, xtol: float = 0.0) -> float:
@@ -387,20 +391,14 @@ def bracket(f, target):
     return lo, hi
 
 
-def golden_max(f, lo: float, hi: float, xtol: float = 0.0,
-               steps: int | None = None) -> float:
-    """Golden-section maximizer of a unimodal f on [lo, hi], refined until
-    the bracket is xtol wide or its probes stop lying strictly inside it,
-    or, when given, for a fixed number of steps."""
+def golden_max(f, lo: float, hi: float, steps: int) -> float:
+    """Golden-section maximizer of a unimodal f on [lo, hi] after a fixed
+    number of steps: the midpoint of the last bracket."""
     a, b = float(lo), float(hi)
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    n = 0
-    while b - a > xtol and n != steps:
-        if steps is None and not (a < c < b and a < d < b):
-            break
-        n += 1
+    for _ in range(steps):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - INVPHI * (b - a)
@@ -410,6 +408,54 @@ def golden_max(f, lo: float, hi: float, xtol: float = 0.0,
             d = a + INVPHI * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def brent_max(f, lo: float, hi: float, xtol: float) -> float:
+    """Maximizer of a unimodal f on [lo, hi] by Brent's localmin on -f
+    (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
+    ch. 5): a step to the vertex of the parabola through the three best
+    probes where it lies well inside the bracket, else a golden-section
+    step.  Every probe lies in [lo, hi], at least tol = xtol / 3 + 4 eps |x|
+    from the best one x, and the search stops once x is within 2 tol of the
+    bracket's ends; the ulp term lets it stop where xtol is below an ulp."""
+    a, b = float(lo), float(hi)
+    x = w = v = a + (1.0 - INVPHI) * (b - a)
+    fx = fw = fv = -f(x)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = xtol / 3.0 + 4.0 * EPS * abs(x)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p, q) if q > 0.0 else (p, -q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            # the parabola's vertex, unless it is within 2 tol of an end
+            d = p / q
+            u = x + d
+            if min(u - a, b - u) < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (b if x < m else a) - x
+            d = (1.0 - INVPHI) * e
+        # not within tol of x
+        u = x + (d if abs(d) >= tol else tol if d > 0.0 else -tol)
+        fu = -f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _boxes(fn: ConvexFn) -> list:

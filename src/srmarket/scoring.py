@@ -47,8 +47,8 @@ from .convex import (
     _libm,
     _vec,
     bisect,
+    brent_max,
     bracket,
-    golden_max,
     hull_facets,
     invert_gradient,
     invert_gradients,
@@ -139,8 +139,12 @@ class RealReports:
     dim = 1
 
     def contains(self, r) -> bool:
-        # float and int first: they spare the abstract class's slower check
-        return isinstance(r, (float, int, Real)) and math.isfinite(r)
+        # float and int first: they spare the abstract class's slower check;
+        # a number past the float range is no report
+        try:
+            return isinstance(r, (float, int, Real)) and math.isfinite(r)
+        except OverflowError:
+            return False
 
     def contains_rows(self, xs: np.ndarray) -> np.ndarray:
         return np.isfinite(xs).all(axis=1)
@@ -301,7 +305,9 @@ class ScoringRule:
                       xtol: float = SEARCH_XTOL):
         """Maximizer of expected score found by search, independent of
         property_value.  Continuous spaces refine the grid argmax by
-        golden-section (the expected score is unimodal for every family)."""
+        ``brent_max`` between its grid neighbours, one coordinate at a time
+        in more than one dimension (the expected score is unimodal for every
+        family); the search reads only ``expected_score``."""
         if grid is None:
             grid = self._default_search_grid(p)
         vals = self.grid_scores(grid, p)
@@ -313,8 +319,8 @@ class ScoringRule:
         if getattr(self.report_space, "dim", 1) == 1 and np.isscalar(grid[0]):
             lo = grid[max(i - 1, 0)]
             hi = grid[min(i + 1, len(grid) - 1)]
-            return golden_max(lambda r: self.expected_score(r, p), lo, hi, xtol)
-        return _coordinate_golden_max(
+            return brent_max(lambda r: self.expected_score(r, p), lo, hi, xtol)
+        return _coordinate_max(
             lambda r: self.expected_score(r, p), np.asarray(grid[i], dtype=float),
             self._search_box(), xtol)
 
@@ -395,15 +401,15 @@ def _finite_values(rows, pmf: np.ndarray) -> list:
     return vals
 
 
-def _coordinate_golden_max(f, x0: np.ndarray, box: BoxReports,
-                           xtol: float) -> np.ndarray:
-    """Golden-section search along each coordinate in turn, then along the
-    cycle's whole move (on a long diagonal ridge the moves of successive
-    cycles line up with it), within the box inset by BRACKET_PAD of its span
-    and, when the box has a hull, within the hull inset by 2 STRUCT_TOL.
-    The cycles stop once one moves no coordinate by more than xtol or no
-    longer raises f, whose rounding then decides the golden probes, and
-    after SEARCH_CYCLES."""
+def _coordinate_max(f, x0: np.ndarray, box: BoxReports,
+                    xtol: float) -> np.ndarray:
+    """``brent_max`` along each coordinate in turn, then along the cycle's
+    whole move (on a long diagonal ridge the moves of successive cycles line
+    up with it), within the box inset by BRACKET_PAD of its span and, when
+    the box has a hull, within the hull inset by 2 STRUCT_TOL.  The cycles
+    stop once one moves no coordinate by more than xtol or no longer raises
+    f, whose rounding then decides the line searches' probes, and after
+    SEARCH_CYCLES."""
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
     pad = BRACKET_PAD * (hi - lo)
@@ -424,8 +430,8 @@ def _coordinate_golden_max(f, x0: np.ndarray, box: BoxReports,
         s_hi = float(np.min(room[slope > 0.0] / slope[slope > 0.0]))
         if not s_lo < s_hi:
             return x
-        s = golden_max(lambda s: f(x + s * d), s_lo, s_hi,
-                       xtol / float(np.max(np.abs(d))))
+        s = brent_max(lambda s: f(x + s * d), s_lo, s_hi,
+                      xtol / float(np.max(np.abs(d))))
         return x + s * d
 
     x = x0.astype(float)

@@ -148,6 +148,13 @@ class TestSettlement:
         for y in (0.25, np.int64(1), np.float32(-0.5)):
             assert math.isfinite(s.settle(y).maker_loss)
 
+    def test_an_int_past_the_float_range_is_no_outcome(self):
+        # math.isfinite of it raised OverflowError
+        s = open_session(QuantileRule(0.5), 0.0)
+        s.execute_trade("a", 1.0)
+        with pytest.raises(InvalidOutcome):
+            s.settle(10 ** 400)
+
     def test_finite_outcome_outside_the_space_raises_as_before(self):
         s = open_session(ModeRule([1, 2, 3]), 1)
         s.execute_trade("a", 2)

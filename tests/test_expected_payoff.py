@@ -31,7 +31,7 @@ from srmarket.contracts import (
     softplus,
     uniform_belief,
 )
-from srmarket.convex import golden_max, quadratic
+from srmarket.convex import brent_max, quadratic
 from srmarket.scoring import ExpectationRule, ExpectileRule, QuantileRule, ScoringRule
 
 
@@ -357,13 +357,13 @@ def test_rule_contracts_match_reference():
 
 def old_best_response(rule, p):
     """``best_response`` on the cell-by-cell reference: grid argmax, then
-    golden section between its neighbours."""
+    ``brent_max`` between its neighbours."""
     def f(r):
         return reference_expected_payoff(rule.score_contract(r), p)
     grid = rule._default_search_grid(p)
     i = int(np.argmax([f(r) for r in grid]))
-    return golden_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
-                      SEARCH_XTOL)
+    return brent_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
+                     SEARCH_XTOL)
 
 
 def test_real_line_picks_match_old_picks_and_property():

@@ -68,6 +68,12 @@ class TestNumericStrings:
                 rule.score_stack([0.5, "1.0"])
 
 
+def test_an_int_past_the_float_range_is_no_report():
+    # math.isfinite of it raised OverflowError
+    with pytest.raises(InvalidReport):
+        QuantileRule(0.5).validate_report(10 ** 400)
+
+
 def grid_argmax(rule, p, grid):
     """Independent argmax oracle over an explicit report grid."""
     vals = [rule.expected_score(r, p) for r in grid]

@@ -1,12 +1,14 @@
 """Fast paths and searches of the rule primitives, each pinned against the
 code it replaced: ``RatioRule.invert_share`` stopping once its bracket
-stops moving, ``BoxReports.contains`` with its corners converted once, and
-the one search core of ``convex`` (``bisect``, ``bracket``, ``golden_max``
-and ``invert_gradient``) against the loops each caller hand-rolled.  The
-named potentials invert their gradients in closed form; the share-inversion
-tests run the bisection fallback, the same potential without its
-``grad_inverse``, and ``test_closed_form_inverses_are_within_ulps_of_exact``
-pins the closed forms against exact arithmetic."""
+stops moving, ``BoxReports.contains`` with its corners converted once, the
+search core of ``convex`` (``bisect``, ``bracket``, the fixed-step
+``golden_max`` and ``invert_gradient``) against the loops each caller
+hand-rolled, and ``brent_max`` against the golden-section search it
+replaced.  The named potentials invert their gradients in closed form; the
+share-inversion tests run the bisection fallback, the same potential
+without its ``grad_inverse``, and
+``test_closed_form_inverses_are_within_ulps_of_exact`` pins the closed forms
+against exact arithmetic."""
 
 import dataclasses
 import math
@@ -27,6 +29,7 @@ from srmarket.contracts import (
 )
 from srmarket.convex import (
     binary_negentropy,
+    brent_max,
     golden_max,
     interval_negentropy,
     invert_gradient,
@@ -573,17 +576,11 @@ def test_expectile_wn_candidate_equals_old_loop():
 
 
 def _golden_cases():
-    return [(lambda r: -(r - 0.3) ** 2, -1.0, 2.0),
-            (lambda r: math.sin(r), 0.0, 3.0),
-            (lambda r: -abs(r - 1e-3), -0.5, 0.5),
-            (lambda r: -math.cosh(r - 4.0), 3.5, 4.4)]
-
-
-@pytest.mark.parametrize("case", range(4))
-def test_golden_max_equals_old_loop(case):
-    f, lo, hi = _golden_cases()[case]
-    for xtol in (1e-10, 1e-6, 0.3):
-        assert golden_max(f, lo, hi, xtol) == reference_golden_max(f, lo, hi, xtol)
+    # (f, lo, hi, the maximizer of f)
+    return [(lambda r: -(r - 0.3) ** 2, -1.0, 2.0, 0.3),
+            (lambda r: math.sin(r), 0.0, 3.0, math.pi / 2.0),
+            (lambda r: -abs(r - 1e-3), -0.5, 0.5, 1e-3),
+            (lambda r: -math.cosh(r - 4.0), 3.5, 4.4, 4.0)]
 
 
 def reference_golden_min_steps(f, lo: float, hi: float, steps: int) -> float:
@@ -608,7 +605,7 @@ def reference_golden_min_steps(f, lo: float, hi: float, steps: int) -> float:
 
 @pytest.mark.parametrize("case", range(4))
 def test_golden_max_fixed_steps_equals_old_loop(case):
-    f, lo, hi = _golden_cases()[case]
+    f, lo, hi, _ = _golden_cases()[case]
     for steps in (1, 5, 80):
         assert golden_max(lambda r: -f(r), lo, hi, steps=steps) == \
             reference_golden_min_steps(f, lo, hi, steps)
@@ -626,10 +623,36 @@ def _budgeted(f, calls: int):
     return g
 
 
-def test_golden_max_stops_at_adjacent_floats():
+def _in_bracket(f, lo: float, hi: float):
+    """f, failing when it is probed outside [lo, hi]."""
+    def g(r):
+        assert lo <= r <= hi, f"probe {r!r} outside [{lo!r}, {hi!r}]"
+        return f(r)
+    return g
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_brent_max_stays_in_the_bracket_and_stops_at_the_maximizer(case):
+    f, lo, hi, best = _golden_cases()[case]
+    for xtol in (1e-10, 1e-6, 0.3):
+        r = brent_max(_budgeted(_in_bracket(f, lo, hi), 60), lo, hi, xtol)
+        # a value-only search fixes a smooth maximum only where rounding
+        # still tells f(r) from f(best), about sqrt(eps) away
+        assert abs(r - best) <= xtol + math.ulp(best) or f(r) >= f(best)
+
+
+def test_brent_max_stops_where_xtol_is_below_an_ulp():
     # the ulp of 1e7 is 1.9e-9, above xtol
-    f = _budgeted(lambda r: -(r - 1e7) ** 2, 1000)
-    assert golden_max(f, 1e7 - 1, 1e7 + 1, 1e-10) == 1e7
+    lo, hi = 1e7 - 1.0, 1e7 + 1.0
+    f = _budgeted(_in_bracket(lambda r: -(r - 1e7) ** 2, lo, hi), 60)
+    assert abs(brent_max(f, lo, hi, 1e-10) - 1e7) <= 1e-10 + math.ulp(1e7)
+
+
+def test_brent_max_converges_on_a_kink():
+    for c in (0.0, 1e-3, 0.123456789, -0.4, 0.49999):
+        for xtol in (1e-10, 1e-6):
+            f = _budgeted(_in_bracket(lambda r: -abs(r - c), -0.5, 0.5), 60)
+            assert abs(brent_max(f, -0.5, 0.5, xtol) - c) <= xtol
 
 
 def test_best_response_returns_where_xtol_is_below_an_ulp():
@@ -640,6 +663,9 @@ def test_best_response_returns_where_xtol_is_below_an_ulp():
 
 
 def test_best_response_golden_equals_old_loop():
+    # brent_max and the old golden-section loop each fix a maximizer to
+    # about sqrt(eps) of the expected score, so their picks agree to the
+    # elicitation bound, not to the bit
     rng = np.random.default_rng(35)
     ratio = RatioRule(interval_negentropy(0.0, 3.0), [0.0, 1.0, 3.0],
                       [2.0, 1.0, 1.0])
@@ -657,7 +683,48 @@ def test_best_response_golden_equals_old_loop():
         want = reference_golden_max(lambda r: rule.expected_score(r, p),
                                     grid[max(i - 1, 0)],
                                     grid[min(i + 1, len(grid) - 1)], 1e-10)
-        assert rule.best_response(p) == want
+        r = rule.best_response(p)
+        tol = 1e-6 * (1.0 + abs(r))
+        assert abs(r - want) <= tol
+        assert abs(r - rule.property_value(p)) <= tol
+
+
+def _search_families(rng, count):
+    """Three rules over finite outcomes and four on the real line, each
+    with ``count`` seeded beliefs."""
+    ratio = RatioRule(interval_negentropy(0.0, 3.0), [0.0, 1.0, 3.0],
+                      [2.0, 1.0, 1.0])
+    finite = [ratio, ExpectationRule(binary_negentropy(), phi=[[0.0], [1.0]]),
+              ExpectationRule(quadratic(1), phi=[[0.0], [1.0], [3.0]])]
+    real = [QuantileRule(0.5, SIGMOID), QuantileRule(0.2),
+            ExpectileRule(0.3), ExpectationRule(quadratic(1))]
+    fams = [(rule, _cdf_beliefs(rng, count)) for rule in real]
+    for rule in finite:
+        # pmfs at least 0.05 away from the simplex's faces, where the grid
+        # of a binary entropy report stops short of the mean
+        n = rule.outcome_space.n
+        fams.append((rule, [finite_belief(rule.outcome_space, 0.05 + (1.0 - 0.05 * n)
+                                          * rng.dirichlet(np.ones(n)))
+                            for _ in range(count)]))
+    return fams
+
+
+def test_best_response_probe_counts():
+    # golden section took 44-46 probes for each of these searches
+    for rule, beliefs in _search_families(np.random.default_rng(38), 20):
+        n = [0]
+        score = rule.expected_score
+
+        def counted(r, q):
+            n[0] += 1
+            return score(r, q)
+        rule.expected_score = counted
+        counts = []
+        for p in beliefs:
+            n[0] = 0
+            rule.best_response(p)
+            counts.append(n[0])
+        assert np.mean(counts) <= 28 and max(counts) < 44, (rule, counts)
 
 
 def test_finite_report_picks_equal_the_per_contract_argmax():
