@@ -7,7 +7,6 @@ from .contracts import (  # noqa: F401
     Belief,
     Contract,
     OutcomeSpace,
-    Piece,
     REAL_LINE,
     cdf_belief,
     combine,

@@ -2,16 +2,17 @@
 
 Payoffs over a finite outcome space are plain vectors.  Payoffs over the
 real line are piecewise polynomials of degree <= 2 in a strictly
-increasing coordinate t = transform(y).  Restricting to this class keeps
-payoff bounds and expectations against piecewise-linear CDFs exact: every
-piece is analyzed at its endpoints and vertex, and every integral has a
-closed form.  A belief keeps, per transform, one moment table: the
-cumulative integrals of 1, s and s^2 dF at its knots and the transform's
-kinks, with s = t re-centred at the belief's mean of t where t is affine
-between kinks.  A piece's expectation is its coefficients dotted with the
-difference of the table read at its ends; ``expected_payoff`` and
-``expected_pieces`` read one payoff in floats, ``expected_scores`` many as
-arrays, by the same operations.
+increasing coordinate t = transform(y), in one format: a piece table,
+which a ``Contract`` holds as one row and the row layer stacks.
+Restricting to this class keeps payoff bounds and expectations against
+piecewise-linear CDFs exact: every piece is analyzed at its endpoints and
+vertex, and every integral has a closed form.  A belief keeps, per
+transform, one moment table: the cumulative integrals of 1, s and s^2 dF
+at its knots and the transform's kinks, with s = t re-centred at the
+belief's mean of t where t is affine between kinks.  A piece's expectation
+is its coefficients dotted with the difference of the table read at its
+ends; ``expected_payoff`` and ``expected_pieces`` read one payoff in
+floats, ``expected_scores`` many as arrays, by the same operations.
 
 Tolerance policy: structural identities (telescoping, projection, a BTB
 state at its target) are held to STRUCT_TOL, and a lattice basis whose
@@ -287,44 +288,25 @@ class PiecewiseLinearTransform(Transform):
 # contracts
 
 
-@dataclass(frozen=True)
-class Piece:
-    """Polynomial payoff c0 + c1*t + c2*t^2 on the outcome interval [lo, hi)."""
-
-    lo: float
-    hi: float
-    coeffs: tuple[float, float, float]
-
-    def poly(self, t: float) -> float:
-        c0, c1, c2 = self.coeffs
-        return c0 + t * (c1 + t * c2)
-
-
 @dataclass(frozen=True, eq=False)
 class Contract:
-    """Outcome-contingent payoff: a vector, or pieces in a monotone coordinate."""
+    """Outcome-contingent payoff: a vector over a finite space, or on the
+    real line a piece table: P - 1 finite, strictly ascending ``ends`` and P
+    ``pieces`` (c0, c1, c2), piece j paying c0 + c1 t + c2 t^2, t =
+    transform(y), on [ends[j - 1], ends[j]), with -inf and +inf outermost."""
 
     space: OutcomeSpace
     values: np.ndarray | None = None
-    pieces: tuple[Piece, ...] | None = None
+    ends: tuple | None = None
+    pieces: tuple | None = None
     transform: Transform | None = None
 
     def __call__(self, y) -> float:
         if self.values is not None:
             return float(self.values[self.space.index(y)])
-        i = bisect_right([p.lo for p in self.pieces], y) - 1
-        i = max(i, 0)
-        return self.pieces[i].poly(self.transform(y))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.values is not None
-
-    def breakpoints(self) -> list[float]:
-        """Finite piece boundaries (empty for finite-space contracts)."""
-        if self.values is not None:
-            return []
-        return [p.hi for p in self.pieces if math.isfinite(p.hi)]
+        c0, c1, c2 = self.pieces[bisect_right(self.ends, y)]
+        t = self.transform(y)
+        return c0 + t * (c1 + t * c2)
 
     def to_dict(self) -> dict:
         if self.values is not None:
@@ -333,8 +315,8 @@ class Contract:
         return {
             "kind": "piecewise",
             "transform": list(self.transform.key()),
-            "pieces": [{"lo": p.lo, "hi": p.hi, "coeffs": list(p.coeffs)}
-                       for p in self.pieces],
+            "pieces": [{"lo": lo, "hi": hi, "coeffs": list(c)} for lo, hi, c
+                       in zip((-INF, *self.ends), (*self.ends, INF), self.pieces)],
         }
 
 
@@ -356,25 +338,24 @@ def ones_contract(space: OutcomeSpace) -> Contract:
     """The all-cash contract paying 1 in every outcome."""
     if space.is_finite:
         return finite_contract(space, np.ones(space.n))
-    return piecewise_contract([Piece(-INF, INF, (1.0, 0.0, 0.0))])
+    return piecewise_contract((), ((1.0, 0.0, 0.0),))
 
 
-def piecewise_contract(pieces: Iterable[Piece],
+def piecewise_contract(ends: Iterable[float], pieces: Iterable,
                        transform: Transform = IDENTITY) -> Contract:
-    pieces = tuple(sorted(pieces, key=lambda p: p.lo))
-    if not pieces:
-        raise ValueError("need at least one piece")
-    if pieces[0].lo != -INF or pieces[-1].hi != INF:
-        raise ValueError("pieces must tile the whole real line")
-    for a, b in zip(pieces, pieces[1:]):
-        if a.hi != b.lo:
-            raise ValueError("pieces must be contiguous without gaps/overlaps")
-    for p in pieces:
-        if not p.lo < p.hi:
-            raise ValueError("empty piece interval")
-        if len(p.coeffs) != 3:
-            raise ValueError("pieces carry exactly 3 polynomial coefficients")
-    return Contract(space=REAL_LINE, pieces=pieces, transform=transform)
+    """The real-line contract of a piece table from outside, checked (see
+    ``Contract``); coefficients may be infinite, whose sums ``combine`` refuses."""
+    ends = tuple(ends)
+    pieces = tuple(map(tuple, pieces))
+    if not all(map(math.isfinite, ends)):
+        raise ValueError("piece ends must be finite")
+    if any(b <= a for a, b in zip(ends, ends[1:])):
+        raise ValueError("piece ends must be strictly ascending")
+    if len(pieces) != len(ends) + 1:
+        raise ValueError("need one piece more than piece ends")
+    if any(len(c) != 3 or not all(isinstance(v, Real) for v in c) for c in pieces):
+        raise ValueError("pieces carry exactly 3 real polynomial coefficients")
+    return Contract(space=REAL_LINE, ends=ends, pieces=pieces, transform=transform)
 
 
 def _poly_extremes(coeffs, ta: float, tb: float) -> tuple[float, float]:
@@ -420,17 +401,16 @@ def contract_bounds(d: Contract) -> tuple[float, float]:
         return float(np.min(d.values)), float(np.max(d.values))
     lo, hi = INF, -INF
     T = d.transform
-    for p in d.pieces:
-        ta = T(p.lo) if math.isfinite(p.lo) else T.lo_limit()
-        tb = T(p.hi) if math.isfinite(p.hi) else T.hi_limit()
-        plo, phi = _poly_extremes(p.coeffs, ta, tb)
+    t = [T.lo_limit(), *map(T, d.ends), T.hi_limit()]
+    for ta, tb, coeffs in zip(t, t[1:], d.pieces):
+        plo, phi = _poly_extremes(coeffs, ta, tb)
         lo = min(lo, plo)
         hi = max(hi, phi)
     return lo, hi
 
 
 def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract:
-    """Pointwise weighted sum; piece lists merge on the union of breakpoints.
+    """Pointwise weighted sum; piece tables merge on the union of their ends.
 
     Each cell [lo, hi) of the union sums, operand by operand, the weighted
     coefficients of the piece holding lo (piece 0 on the first cell), which
@@ -456,19 +436,15 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
     key = first.transform.key()
     if any(c.pieces is None or c.transform.key() != key for c in contracts):
         raise OutcomeMismatch("contracts use different outcome coordinates")
-    cuts = sorted({b for c in contracts for b in c.breakpoints()})
-    edges = [-INF] + cuts + [INF]
+    cuts = sorted({b for c in contracts for b in c.ends})
     # per operand: where its later pieces start, each piece's weighted
     # coefficients, and the index of the piece holding the current cell
     walks = []
     for c, w in zip(contracts, weights):
         w = float(w)
-        walks.append([[p.lo for p in c.pieces[1:]],
-                      [(w * c0, w * c1, w * c2)
-                       for c0, c1, c2 in (p.coeffs for p in c.pieces)],
-                      0])
+        walks.append([c.ends, [(w * c0, w * c1, w * c2) for c0, c1, c2 in c.pieces], 0])
     cells = []
-    for lo in edges[:-1]:
+    for lo in [-INF] + cuts:
         # running sums acc and largest magnitudes mag, one per coefficient
         acc0 = acc1 = acc2 = mag0 = mag1 = mag2 = 0.0
         for walk in walks:
@@ -501,21 +477,23 @@ def combine(contracts: Sequence[Contract], weights: Sequence[float]) -> Contract
         if acc2 != 0.0 and abs(acc2) <= STRUCT_TOL * mag2:
             acc2 = 0.0
         cells.append((acc0, acc1, acc2))
-    return piecewise_contract(merge_runs(edges, cells), first.transform)
+    ends, pieces = merge_runs(cuts, cells)
+    return Contract(space=REAL_LINE, ends=ends, pieces=pieces,
+                    transform=first.transform)
 
 
-def merge_runs(edges: list, cells: list) -> list[Piece]:
-    """The pieces of cells [edges[x], edges[x + 1]) paying the coefficients
-    ``cells[x]``, a run of equal coefficients compacted into one piece that
-    pays the run's last."""
-    pieces = []
-    lo = edges[0]
-    for hi, c, after in zip(edges[1:], cells, cells[1:]):
+def merge_runs(cuts: list, cells: list) -> tuple:
+    """The piece table ``(ends, pieces)`` of the cells between -inf, the
+    ascending ``cuts`` and +inf, cell x paying the coefficients ``cells[x]``:
+    a run of equal coefficients is compacted into one piece that pays the
+    run's last."""
+    ends, pieces = [], []
+    for end, c, after in zip(cuts, cells, cells[1:]):
         if c != after:
-            pieces.append(Piece(lo, hi, c))
-            lo = hi
-    pieces.append(Piece(lo, edges[-1], cells[-1]))
-    return pieces
+            ends.append(end)
+            pieces.append(c)
+    pieces.append(cells[-1])
+    return tuple(ends), tuple(pieces)
 
 
 def stack_pieces(rows) -> tuple:
@@ -533,8 +511,7 @@ def contract_pieces(contracts: Sequence[Contract]) -> tuple:
     if any(c.pieces is None or c.transform.key() != contracts[0].transform.key()
            for c in contracts):
         raise OutcomeMismatch("contracts need pieces in one outcome coordinate")
-    return stack_pieces([(c.breakpoints(), [p.coeffs for p in c.pieces])
-                         for c in contracts])
+    return stack_pieces([(c.ends, c.pieces) for c in contracts])
 
 
 def lay_pieces(tables, transform: Transform) -> tuple:
@@ -687,7 +664,7 @@ def contract_is_constant(d: Contract, tol: float = FLAT_TOL) -> tuple[bool, floa
     if d.values is not None:
         lvl = float(np.mean(d.values))
         return bool(np.max(np.abs(d.values - lvl)) <= tol), lvl
-    lvl = d.pieces[0].coeffs[0]
+    lvl = d.pieces[0][0]
     lo, hi = contract_bounds(d)
     return abs(lo - lvl) <= tol and abs(hi - lvl) <= tol, lvl
 
@@ -712,28 +689,28 @@ def contract_argmin(d: Contract) -> tuple[object, float, bool]:
         probe = y if d(y) <= d(-y) else -y
         return probe, d(probe), False
     T = d.transform
+    t = [T.lo_limit(), *map(T, d.ends), T.hi_limit()]
     best = (None, INF)
-    for p in d.pieces:
+    for a, b, ta, tb, (c0, c1, c2) in zip((-INF, *d.ends), (*d.ends, INF), t, t[1:],
+                                          d.pieces):
         cands = []
-        if math.isfinite(p.lo):
-            cands.append(p.lo)
-        if math.isfinite(p.hi):
-            cands.append(p.hi)
-        if math.isfinite(p.lo) and math.isfinite(p.hi):
-            cands.append(0.5 * (p.lo + p.hi))
-        if not math.isfinite(p.lo):
-            cands.append((p.hi if math.isfinite(p.hi) else 0.0) - 50.0)
-        if not math.isfinite(p.hi):
-            cands.append((p.lo if math.isfinite(p.lo) else 0.0) + 50.0)
-        c0, c1, c2 = p.coeffs
+        if math.isfinite(a):
+            cands.append(a)
+        if math.isfinite(b):
+            cands.append(b)
+        if math.isfinite(a) and math.isfinite(b):
+            cands.append(0.5 * (a + b))
+        if not math.isfinite(a):
+            cands.append((b if math.isfinite(b) else 0.0) - 50.0)
+        if not math.isfinite(b):
+            cands.append((a if math.isfinite(a) else 0.0) + 50.0)
         if c2 != 0.0:
             tv = -c1 / (2.0 * c2)
-            ta = T(p.lo) if math.isfinite(p.lo) else T.lo_limit()
-            tb = T(p.hi) if math.isfinite(p.hi) else T.hi_limit()
             if ta < tv < tb:
                 cands.append(T.inverse(tv))
         for y in cands:
-            v = p.poly(T(y))
+            t = T(y)
+            v = c0 + t * (c1 + t * c2)
             if v < best[1]:
                 best = (y, v)
     attained = abs(best[1] - lo) <= ATTAIN_TOL * (1.0 + abs(lo))
@@ -1010,5 +987,4 @@ def expected_payoff(d: Contract, p: Belief) -> float:
         if p.pmf is None or p.space.labels != d.space.labels:
             raise OutcomeMismatch("belief kind must match the outcome space")
         return float(np.dot(d.values, p.pmf))
-    return expected_pieces(d.breakpoints(), [pc.coeffs for pc in d.pieces],
-                           p, d.transform)
+    return expected_pieces(d.ends, d.pieces, p, d.transform)

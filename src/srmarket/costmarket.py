@@ -174,13 +174,12 @@ class CostRule(ScoringRule):
             raise ValueError("expected security payoff outside the price range")
         return float(q[0]) if self.k == 1 else q
 
-    def best_response(self, p, grid=None, xtol: float = SEARCH_XTOL):
+    def best_response(self, p):
         """On a lattice share space, the best lattice state: refining between
         lattice states would return a state no lattice trade reaches."""
         if not self.shares.is_lattice:
-            return super().best_response(p, grid, xtol)
-        if grid is None:
-            grid = self._default_search_grid(p)
+            return super().best_response(p)
+        grid = self._default_search_grid(p)
         return grid[int(np.argmax(self.grid_scores(grid, p)))]
 
     def _default_search_grid(self, p):

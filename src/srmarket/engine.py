@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import (
-    INF,
+    REAL_LINE,
     STRUCT_TOL,
     Contract,
     PayoffOverflow,
     contract_bounds,
     contract_pieces,
     merge_runs,
-    piecewise_contract,
     sum_rows,
 )
 from .reports import FAILS, HOLDS, AxiomReport
@@ -209,9 +208,9 @@ def _trade_contracts(rule: ScoringRule, states: list) -> list:
     if transform is None:
         net.flags.writeable = False
         return [Contract(space=rule.outcome_space, values=row) for row in net]
-    return [piecewise_contract(merge_runs([-INF, *row, INF], list(map(tuple, cells))),
-                               transform)
-            for row, cells in zip(cuts[0].tolist(), net.tolist())]
+    return [Contract(space=REAL_LINE, ends=ends, pieces=pieces, transform=transform)
+            for ends, pieces in (merge_runs(row, list(map(tuple, cells)))
+                                 for row, cells in zip(cuts[0].tolist(), net.tolist()))]
 
 
 def _pair_gaps(rule: ScoringRule, states: list, steps: list) -> list:

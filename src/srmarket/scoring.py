@@ -31,13 +31,11 @@ from .contracts import (
     OutcomeMismatch,
     OutcomeSpace,
     PayoffOverflow,
-    Piece,
     Transform,
     combine,
     expected_pieces,
     expected_scores,
     finite_contract,
-    piecewise_contract,
     stack_pieces,
 )
 from .convex import (
@@ -216,8 +214,8 @@ class ScoringRule:
         ends, coeffs = self.score_pieces(r)
         if not all(math.isfinite(v) for c in coeffs for v in c):
             raise PayoffOverflow("payoffs must be finite")
-        return piecewise_contract(map(Piece, (-INF, *ends), (*ends, INF), coeffs),
-                                  self.transform)
+        return Contract(space=REAL_LINE, ends=tuple(ends),
+                        pieces=tuple(map(tuple, coeffs)), transform=self.transform)
 
     def score_row(self, r) -> np.ndarray:
         """The payoffs of report r over a finite outcome space, the row
@@ -230,7 +228,7 @@ class ScoringRule:
         (c0, c1, c2) in the coordinate ``transform``, breaking at P - 1
         ascending ends.  Validates r."""
         c = self.score_contract(r)
-        return c.breakpoints(), [p.coeffs for p in c.pieces]
+        return c.ends, c.pieces
 
     def score_table(self, reports) -> np.ndarray:
         """The payoff vectors of ``score_contract(r)`` for each report, one
@@ -301,15 +299,15 @@ class ScoringRule:
     def property_value(self, p: Belief):
         raise NotImplementedError
 
-    def best_response(self, p: Belief, grid: Sequence | None = None,
-                      xtol: float = SEARCH_XTOL):
+    def best_response(self, p: Belief):
         """Maximizer of expected score found by search, independent of
         property_value.  Continuous spaces refine the grid argmax by
-        ``brent_max`` between its grid neighbours, one coordinate at a time
-        in more than one dimension (the expected score is unimodal for every
+        ``brent_max`` between its grid neighbours, or, at an end of a box's
+        grid (which is inset from the box), its neighbour and the box's end
+        inset by BRACKET_PAD of its span; one coordinate at a time in more
+        than one dimension (the expected score is unimodal for every
         family); the search reads only ``expected_score``."""
-        if grid is None:
-            grid = self._default_search_grid(p)
+        grid = self._default_search_grid(p)
         vals = self.grid_scores(grid, p)
         i = int(np.argmax(vals))
         if isinstance(self.report_space, FiniteReports):
@@ -319,10 +317,15 @@ class ScoringRule:
         if getattr(self.report_space, "dim", 1) == 1 and np.isscalar(grid[0]):
             lo = grid[max(i - 1, 0)]
             hi = grid[min(i + 1, len(grid) - 1)]
-            return brent_max(lambda r: self.expected_score(r, p), lo, hi, xtol)
+            box = self.report_space
+            if isinstance(box, BoxReports):
+                pad = BRACKET_PAD * (box.hi[0] - box.lo[0])
+                lo = box.lo[0] + pad if i == 0 else lo
+                hi = box.hi[0] - pad if i == len(grid) - 1 else hi
+            return brent_max(lambda r: self.expected_score(r, p), lo, hi, SEARCH_XTOL)
         return _coordinate_max(
             lambda r: self.expected_score(r, p), np.asarray(grid[i], dtype=float),
-            self._search_box(), xtol)
+            self._search_box())
 
     def _search_box(self) -> BoxReports:
         """The box a multi-dimensional best_response searches."""
@@ -401,15 +404,14 @@ def _finite_values(rows, pmf: np.ndarray) -> list:
     return vals
 
 
-def _coordinate_max(f, x0: np.ndarray, box: BoxReports,
-                    xtol: float) -> np.ndarray:
+def _coordinate_max(f, x0: np.ndarray, box: BoxReports) -> np.ndarray:
     """``brent_max`` along each coordinate in turn, then along the cycle's
     whole move (on a long diagonal ridge the moves of successive cycles line
     up with it), within the box inset by BRACKET_PAD of its span and, when
     the box has a hull, within the hull inset by 2 STRUCT_TOL.  The cycles
-    stop once one moves no coordinate by more than xtol or no longer raises
-    f, whose rounding then decides the line searches' probes, and after
-    SEARCH_CYCLES."""
+    stop once one moves no coordinate by more than SEARCH_XTOL or no longer
+    raises f, whose rounding then decides the line searches' probes, and
+    after SEARCH_CYCLES."""
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
     pad = BRACKET_PAD * (hi - lo)
@@ -431,7 +433,7 @@ def _coordinate_max(f, x0: np.ndarray, box: BoxReports,
         if not s_lo < s_hi:
             return x
         s = brent_max(lambda s: f(x + s * d), s_lo, s_hi,
-                      xtol / float(np.max(np.abs(d))))
+                      SEARCH_XTOL / float(np.max(np.abs(d))))
         return x + s * d
 
     x = x0.astype(float)
@@ -443,7 +445,7 @@ def _coordinate_max(f, x0: np.ndarray, box: BoxReports,
         if np.any(x != start):
             x = line_max(x, x - start)
         fy = f(x)
-        if not fy > fx or np.max(np.abs(x - start)) <= xtol:
+        if not fy > fx or np.max(np.abs(x - start)) <= SEARCH_XTOL:
             return x
         fx = fy
     return x

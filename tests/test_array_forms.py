@@ -24,7 +24,6 @@ from srmarket.contracts import (
     SIGMOID,
     PayoffOverflow,
     PiecewiseLinearTransform,
-    Piece,
     combine,
     piecewise_contract,
     sigmoid,
@@ -476,7 +475,7 @@ def test_quasi_open_matches_the_pair_loop(name, seed, bound):
 
 
 def _constant(level):
-    return piecewise_contract([Piece(-INF, INF, (level, 0.0, 0.0))])
+    return piecewise_contract((), [(level, 0.0, 0.0)])
 
 
 def test_combine_raises_on_an_infinite_term():
@@ -489,4 +488,4 @@ def test_combine_raises_on_a_sum_that_overflows():
     with pytest.raises(PayoffOverflow):
         combine([_constant(1.7e308), _constant(1.7e308)], [1.0, 1.0])
     assert combine([_constant(1.7e308), _constant(-1.7e308)],
-                   [1.0, 1.0]).pieces[0].coeffs == (0.0, 0.0, 0.0)
+                   [1.0, 1.0]).pieces[0] == (0.0, 0.0, 0.0)

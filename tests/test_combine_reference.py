@@ -20,7 +20,6 @@ from srmarket.contracts import (
     SIGMOID,
     STRUCT_TOL,
     OutcomeSpace,
-    Piece,
     combine,
     contract_pieces,
     finite_contract,
@@ -34,30 +33,30 @@ def reference_combine(contracts, weights):
     """Piecewise weighted sum: for every cell of the union of breakpoints,
     bisect each operand's piece starts at the cell's lower end."""
     first = contracts[0]
-    cuts = sorted({b for c in contracts for b in c.breakpoints()})
-    edges = [-INF] + cuts + [INF]
-    pieces = []
-    for lo, hi in zip(edges, edges[1:]):
+    cuts = sorted({b for c in contracts for b in c.ends})
+    cells = []
+    for lo in [-INF] + cuts:
         acc = [0.0, 0.0, 0.0]
         mag = [0.0, 0.0, 0.0]
         for c, w in zip(contracts, weights):
-            i = bisect_right([p.lo for p in c.pieces], lo) - 1
+            i = bisect_right([-INF, *c.ends], lo) - 1
             i = max(i, 0)
             for j in range(3):
-                term = float(w) * c.pieces[i].coeffs[j]
+                term = float(w) * c.pieces[i][j]
                 acc[j] += term
                 mag[j] = max(mag[j], abs(term))
         for j in range(3):
             if acc[j] != 0.0 and abs(acc[j]) <= STRUCT_TOL * mag[j]:
                 acc[j] = 0.0
-        pieces.append(Piece(lo, hi, tuple(acc)))
-    merged = [pieces[0]]
-    for p in pieces[1:]:
-        if p.coeffs == merged[-1].coeffs:
-            merged[-1] = Piece(merged[-1].lo, p.hi, p.coeffs)
+        cells.append(tuple(acc))
+    ends, pieces = [], [cells[0]]
+    for lo, acc in zip(cuts, cells[1:]):
+        if acc == pieces[-1]:
+            pieces[-1] = acc
         else:
-            merged.append(p)
-    return piecewise_contract(merged, first.transform)
+            ends.append(lo)
+            pieces.append(acc)
+    return piecewise_contract(ends, pieces, first.transform)
 
 
 # A small pool of breakpoints and coefficients makes operands share edges and
@@ -77,12 +76,10 @@ def contract_lists(draw):
     contracts = []
     for _ in range(n):
         cuts = sorted(set(draw(st.lists(EDGES, max_size=3))))
-        edges = [-INF] + cuts + [INF]
-        m = len(edges) - 1
+        m = len(cuts) + 1
         flat = draw(st.lists(COEFFS, min_size=3 * m, max_size=3 * m))
-        pieces = [Piece(lo, hi, tuple(flat[3 * i:3 * i + 3]))
-                  for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
-        contracts.append(piecewise_contract(pieces, transform))
+        contracts.append(piecewise_contract(
+            cuts, [tuple(flat[3 * i:3 * i + 3]) for i in range(m)], transform))
     weights = draw(st.lists(WEIGHTS, min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):
         # the first operand again, negated: the sums cancel up to rounding
@@ -92,7 +89,7 @@ def contract_lists(draw):
 
 
 def _split(coeffs, cut=0.0):
-    return piecewise_contract([Piece(-INF, cut, coeffs), Piece(cut, INF, coeffs)])
+    return piecewise_contract([cut], [coeffs, coeffs])
 
 
 # 0.1 + 0.2 - 0.3 leaves a residue of 5.6e-17 in every coefficient
@@ -120,11 +117,9 @@ def contracts_on(draw, transform):
     if transform is None:
         return finite_contract(SPACE3, draw(st.lists(COEFFS, min_size=3, max_size=3)))
     cuts = sorted(set(draw(st.lists(EDGES, max_size=3))))
-    edges = [-INF] + cuts + [INF]
     flat = draw(st.lists(COEFFS, min_size=3 * len(cuts) + 3, max_size=3 * len(cuts) + 3))
-    return piecewise_contract([Piece(lo, hi, tuple(flat[3 * i:3 * i + 3]))
-                               for i, (lo, hi) in enumerate(zip(edges, edges[1:]))],
-                              transform)
+    return piecewise_contract(
+        cuts, [tuple(flat[3 * i:3 * i + 3]) for i in range(len(cuts) + 1)], transform)
 
 
 SPACE3 = OutcomeSpace.finite([0, 1, 2])
@@ -159,7 +154,7 @@ def _bound(scale: float) -> float:
 
 
 def _constant(level: float):
-    return piecewise_contract([Piece(-INF, INF, (level, 0.0, 0.0))])
+    return piecewise_contract((), [(level, 0.0, 0.0)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -221,9 +216,7 @@ def test_long_ledgers_match_reference():
 
 def _steps(cuts, levels):
     """A piecewise-constant contract: levels[k] from cuts[k - 1] on."""
-    ends = [-INF] + list(cuts) + [INF]
-    return piecewise_contract([Piece(lo, hi, (v, 0.0, 0.0))
-                               for lo, hi, v in zip(ends, ends[1:], levels)])
+    return piecewise_contract(cuts, [(v, 0.0, 0.0) for v in levels])
 
 
 _QUANTILE = QuantileRule(0.3)

@@ -13,7 +13,6 @@ from srmarket.contracts import (
     OutcomeMismatch,
     OutcomeSpace,
     PayoffOverflow,
-    Piece,
     PiecewiseLinearTransform,
     cdf_belief,
     combine,
@@ -28,12 +27,13 @@ from srmarket.contracts import (
     project_cashless,
     uniform_belief,
 )
+from srmarket.scoring import QuantileRule
 
 SPACE3 = OutcomeSpace.finite((1, 2, 3))
 
 
 def affine(c0, c1, transform=IDENTITY):
-    return piecewise_contract([Piece(-INF, INF, (c0, c1, 0.0))], transform)
+    return piecewise_contract((), [(c0, c1, 0.0)], transform)
 
 
 class TestBounds:
@@ -51,7 +51,7 @@ class TestBounds:
 
     def test_quadratic_vertex_interior(self):
         # -(y - 1)^2 peaks at the vertex y = 1
-        d = piecewise_contract([Piece(-INF, INF, (-1.0, 2.0, -1.0))])
+        d = piecewise_contract((), [(-1.0, 2.0, -1.0)])
         lo, hi = contract_bounds(d)
         assert lo == -INF
         assert hi == pytest.approx(0.0, abs=1e-15)
@@ -65,15 +65,12 @@ class TestBounds:
         # the vertex -1 / (2 * c2) overflows; the infimum -1 / (4 * c2) does not
         c2 = 2.225073858507203e-309
         lo, hi = contract_bounds(
-            piecewise_contract([Piece(-INF, INF, (0.0, 1.0, c2))]))
+            piecewise_contract((), [(0.0, 1.0, c2)]))
         assert lo == pytest.approx(-1.0 / (4.0 * c2), rel=1e-12)
         assert hi == INF
 
     def test_self_cancellation_is_zero(self):
-        d = piecewise_contract([
-            Piece(-INF, 0.0, (1.0, 2.0, 0.0)),
-            Piece(0.0, INF, (1.0, -1.0, 0.5)),
-        ])
+        d = piecewise_contract([0.0], [(1.0, 2.0, 0.0), (1.0, -1.0, 0.5)])
         z = combine([d, d], [1.0, -1.0])
         assert contract_bounds(z) == (0.0, 0.0)
 
@@ -85,6 +82,45 @@ class TestFiniteContract:
             finite_contract(OutcomeSpace.finite((0, 1)), [bad, 0.0])
 
 
+class TestPiecewiseContract:
+    @pytest.mark.parametrize("ends,pieces,message", [
+        ([1.0, 0.0], [(0.0, 0.0, 0.0)] * 3, "strictly ascending"),
+        ([0.0, 0.0], [(0.0, 0.0, 0.0)] * 3, "strictly ascending"),
+        ([-0.0, 0.0], [(0.0, 0.0, 0.0)] * 3, "strictly ascending"),
+        ([INF], [(0.0, 0.0, 0.0)] * 2, "finite"),
+        ([-INF, 0.0], [(0.0, 0.0, 0.0)] * 3, "finite"),
+        ([math.nan], [(0.0, 0.0, 0.0)] * 2, "finite"),
+        ([0.0], [(0.0, 0.0, 0.0)], "one piece more"),
+        ([0.0], [(0.0, 0.0, 0.0)] * 3, "one piece more"),
+        ((), [], "one piece more"),
+        ([0.0], [(0.0, 0.0, 0.0), (1.0, 2.0)], "exactly 3"),
+        ((), [(0.0, 0.0, 0.0, 0.0)], "exactly 3"),
+        ((), [("1.0", 0.0, 0.0)], "exactly 3 real"),
+    ], ids=["unsorted", "duplicate", "signed_zeros", "inf", "minus_inf", "nan",
+            "too_few_pieces", "too_many_pieces", "no_piece", "two_coefficients",
+            "four_coefficients", "string_coefficient"])
+    def test_rejects_a_malformed_table(self, ends, pieces, message):
+        with pytest.raises(ValueError, match=message):
+            piecewise_contract(ends, pieces)
+
+    def test_accepts_infinite_coefficients(self):
+        d = piecewise_contract([0.0], [(INF, 0.0, 0.0), (-INF, 1.0, 0.0)])
+        assert d.ends == (0.0,) and d.pieces == ((INF, 0.0, 0.0), (-INF, 1.0, 0.0))
+
+    def test_each_piece_pays_from_its_lower_end(self):
+        d = piecewise_contract([0.0, 1.0], [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                            (0.0, 0.0, 1.0)])
+        assert [d(y) for y in (-1.0, 0.0, 0.5, 1.0, 3.0)] == [1.0, 0.0, 0.5, 1.0, 9.0]
+
+    def test_sigmoid_quantile_trade_serializes_as_before(self):
+        trade = QuantileRule(0.3, SIGMOID).trade_contract(0.0, 1.0)
+        assert trade.to_dict() == {
+            "kind": "piecewise", "transform": ["sigmoid"], "pieces": [
+                {"lo": -INF, "hi": 0.0, "coeffs": [-0.16174100504100342, 0.0, 0.0]},
+                {"lo": 0.0, "hi": 1.0, "coeffs": [-0.6617410050410034, 1.0, 0.0]},
+                {"lo": 1.0, "hi": INF, "coeffs": [0.06931757358900148, 0.0, 0.0]}]}
+
+
 class TestCombine:
     def test_sums_to_cash(self):
         space = OutcomeSpace.finite((1, 2))
@@ -94,8 +130,7 @@ class TestCombine:
         assert np.array_equal(out.values, [1.0, 1.0])
 
     def test_negation(self):
-        d = piecewise_contract([Piece(-INF, 0.0, (1.0, 1.0, 0.0)),
-                                Piece(0.0, INF, (1.0, -2.0, 0.0))])
+        d = piecewise_contract([0.0], [(1.0, 1.0, 0.0), (1.0, -2.0, 0.0)])
         n = combine([d], [-1.0])
         for y in (-3.0, -0.5, 0.0, 0.5, 3.0):
             assert n(y) == -d(y)
@@ -111,8 +146,6 @@ class TestCombine:
     def test_median_trade_sum_matches_grid_and_is_bounded(self):
         # two piecewise-affine median-market trades; their sum must agree
         # with pointwise addition on a dense grid and stay bounded
-        from srmarket.scoring import QuantileRule
-
         rule = QuantileRule(0.5)
         d1 = rule.trade_contract(1.0, 2.0)
         d2 = rule.trade_contract(0.0, 0.5)
@@ -191,8 +224,7 @@ class TestExpectedPayoff:
         assert exact == pytest.approx(mc, abs=2e-3)
 
     def test_quadratic_against_monte_carlo(self):
-        d = piecewise_contract([Piece(-INF, 0.5, (0.0, 0.0, 1.0)),
-                                Piece(0.5, INF, (0.25, -1.0, 2.0))])
+        d = piecewise_contract([0.5], [(0.0, 0.0, 1.0), (0.25, -1.0, 2.0)])
         p = cdf_belief([-1.0, 0.0, 2.0], [0.0, 0.7, 1.0])
         exact = expected_payoff(d, p)
         rng = np.random.default_rng(7)
@@ -201,8 +233,7 @@ class TestExpectedPayoff:
         assert exact == pytest.approx(mc, rel=0.02)
 
     def test_sigmoid_integrals_against_quadrature(self):
-        d = piecewise_contract([Piece(-INF, 0.0, (0.5, 1.0, -0.25)),
-                                Piece(0.0, INF, (0.5, 1.0, -0.25))], SIGMOID)
+        d = piecewise_contract([0.0], [(0.5, 1.0, -0.25), (0.5, 1.0, -0.25)], SIGMOID)
         p = cdf_belief([-2.0, 1.0, 3.0], [0.0, 0.4, 1.0])
         exact = expected_payoff(d, p)
         from scipy.integrate import quad
@@ -218,10 +249,8 @@ class TestExpectedPayoff:
         # the cell (-5e-324, 0) gets the 1e-13 that the CDF's clamp to 0
         # moves at the left end: its density overflowed to inf
         p = cdf_belief([-5e-324, 1.0], [1e-13, 1.0])
-        zero = piecewise_contract([Piece(-INF, 0.0, (0.0, 0.0, 0.0)),
-                                   Piece(0.0, INF, (0.0, 0.0, 0.0))])
-        ones = piecewise_contract([Piece(-INF, 0.0, (1.0, 0.0, 0.0)),
-                                   Piece(0.0, INF, (1.0, 0.0, 0.0))])
+        zero = piecewise_contract([0.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
+        ones = piecewise_contract([0.0], [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
         assert expected_payoff(zero, p) == 0.0
         assert expected_payoff(ones, p) == pytest.approx(1.0, abs=1e-12)
 
@@ -235,10 +264,8 @@ class TestExpectedPayoff:
         p = cdf_belief([-1.0, 0.5, 2.0], [0.0, 0.3, 1.0])
         for _ in range(20):
             c = rng.normal(size=6)
-            d1 = piecewise_contract([Piece(-INF, 0.0, tuple(c[:3])),
-                                     Piece(0.0, INF, tuple(c[:3]))])
-            d2 = piecewise_contract([Piece(-INF, 1.0, tuple(c[3:])),
-                                     Piece(1.0, INF, tuple(c[3:]))])
+            d1 = piecewise_contract([0.0], [tuple(c[:3]), tuple(c[:3])])
+            d2 = piecewise_contract([1.0], [tuple(c[3:]), tuple(c[3:])])
             a, b = rng.normal(size=2)
             lhs = expected_payoff(combine([d1, d2], [a, b]), p)
             rhs = a * expected_payoff(d1, p) + b * expected_payoff(d2, p)
@@ -248,8 +275,7 @@ class TestExpectedPayoff:
         rng = np.random.default_rng(11)
         for _ in range(20):
             c = rng.normal(size=3)
-            d = piecewise_contract([Piece(-INF, 0.3, tuple(c)),
-                                    Piece(0.3, INF, (c[0], c[1], 0.0))])
+            d = piecewise_contract([0.3], [tuple(c), (c[0], c[1], 0.0)])
             p = cdf_belief([-2.0, 0.0, 1.5], [0.0, 0.5, 1.0])
             lo, hi = contract_bounds(d)
             e = expected_payoff(d, p)
@@ -335,8 +361,7 @@ class TestHelpers:
         assert (y, v, attained) == (2, -2.0, True)
 
     def test_argmin_piecewise(self):
-        d = piecewise_contract([Piece(-INF, 0.0, (1.0, 0.0, 0.0)),
-                                Piece(0.0, INF, (1.0, -2.0, 1.0))])
+        d = piecewise_contract([0.0], [(1.0, 0.0, 0.0), (1.0, -2.0, 1.0)])
         y, v, attained = contract_argmin(d)
         assert attained
         assert v == pytest.approx(0.0, abs=1e-12)

@@ -16,7 +16,6 @@ from srmarket.contracts import (
     InvalidOutcome,
     OutcomeSpace,
     PayoffOverflow,
-    Piece,
     combine,
     contract_bounds,
     finite_belief,
@@ -215,10 +214,9 @@ class TestPathIndependence:
         for i, r in enumerate(EXPECTILE_TRADES):
             s.execute_trade(f"t{i}", r)
         rec = s.records[-1]
-        *body, (lo, hi, (c0, c1, c2)) = [(p.lo, p.hi, p.coeffs)
-                                         for p in rec.contract.pieces]
-        rec.contract = piecewise_contract(
-            [Piece(*p) for p in body] + [Piece(lo, hi, (c0, c1 + 1e-9, c2))])
+        *body, (c0, c1, c2) = rec.contract.pieces
+        rec.contract = piecewise_contract(rec.contract.ends,
+                                          [*body, (c0, c1 + 1e-9, c2)])
         rep = s.verify_path_independence()
         assert rep.verdict == "fails" and rep.margin == math.inf
 
@@ -284,8 +282,7 @@ class TestPathIndependence:
         s = open_session(ExpectationRule(quadratic(1)), 0.0)
         s.execute_trade("t0", 1.0)
         s.execute_trade("t1", 2.0)
-        s.records[1].contract = piecewise_contract(
-            [Piece(-math.inf, math.inf, (math.inf, 2.0, 0.0))])
+        s.records[1].contract = piecewise_contract((), [(math.inf, 2.0, 0.0)])
         with pytest.raises(PayoffOverflow, match="payoffs must be finite"):
             s.verify_path_independence()
 
@@ -297,7 +294,7 @@ def _pairwise_path_independence(s: MarketSession) -> tuple:
     worst = 0.0
     for a, b in zip(s.records, s.records[1:]):
         direct = s.rule.trade_contract(a.r_old, b.r_new)
-        if direct.is_finite:
+        if direct.values is not None:
             stepped = combine([a.contract, b.contract], [1.0, 1.0])
             gap = float(np.max(np.abs(direct.values - stepped.values)))
         else:
@@ -421,10 +418,10 @@ def _assert_telescopes(s: MarketSession, outcomes, bounds: bool = True) -> None:
         assert math.isfinite(want) == math.isfinite(got)
         if math.isfinite(want):
             assert abs(got - want) <= STRUCT_TOL * max(abs(want), 1.0)
-    if position.is_finite:
+    if position.values is not None:
         outcomes = list(s.rule.outcome_space.labels)
     else:
-        outcomes = summed.breakpoints() + position.breakpoints() + outcomes
+        outcomes = [*summed.ends, *position.ends, *outcomes]
     for y in outcomes:
         want = summed(y)
         if bounds:
@@ -440,9 +437,8 @@ def _term_size(d, y) -> float:
     """|c0| + |c1 t| + |c2 t^2| of the piece paying d(y), or |d(y)|."""
     if d.values is not None:
         return abs(d(y))
-    i = max(bisect_right([p.lo for p in d.pieces], y) - 1, 0)
     t = abs(d.transform(y))
-    return sum(abs(c) * t ** k for k, c in enumerate(d.pieces[i].coeffs))
+    return sum(abs(c) * t ** k for k, c in enumerate(d.pieces[bisect_right(d.ends, y)]))
 
 
 class TestWorstCaseLoss:
@@ -497,7 +493,8 @@ class TestLedgerReplay:
             s.execute_trade(f"t{i}", r)
         replayed = MarketSession.replay(rule, 0.0, s.ledger_lines())
         for a, b in zip(s.records, replayed.records):
-            assert a.contract.pieces == b.contract.pieces
+            assert (a.contract.ends, a.contract.pieces) == \
+                (b.contract.ends, b.contract.pieces)
 
     @pytest.mark.parametrize("family", ["mode", "sigmoid quantile"])
     @settings(max_examples=25, deadline=None)
@@ -651,4 +648,4 @@ def _bits(d) -> bytes:
     coefficients."""
     if d.values is not None:
         return np.asarray(d.values, dtype=float).tobytes()
-    return np.array([(p.lo, p.hi, *p.coeffs) for p in d.pieces]).tobytes()
+    return np.array([*d.ends, *np.ravel(d.pieces)], dtype=float).tobytes()

@@ -18,7 +18,6 @@ from srmarket.contracts import (
     REAL_LINE,
     SEARCH_XTOL,
     SIGMOID,
-    Piece,
     PiecewiseLinearTransform,
     cdf_belief,
     combine,
@@ -61,18 +60,18 @@ def reference_expected_payoff(d, p):
     fs = np.array(p.fs)
     fs[0], fs[-1] = 0.0, 1.0
     cuts = set(float(x) for x in p.xs)
-    cuts.update(b for b in d.breakpoints() if lo < b < hi)
+    cuts.update(b for b in d.ends if lo < b < hi)
     cuts.update(k for k in T.kinks() if lo < k < hi)
     edges = sorted(cuts)
     total = []
-    los = [pc.lo for pc in d.pieces]
+    los = [-INF, *d.ends]
     for a, b in zip(edges, edges[1:]):
         fa, fb = np.interp([a, b], p.xs, fs).tolist()
         dens = (fb - fa) / (b - a)
         if dens == 0.0:
             continue
         i = max(bisect_right(los, a) - 1, 0)
-        c0, c1, c2 = d.pieces[i].coeffs
+        c0, c1, c2 = d.pieces[i]
         cell = 0.0
         if c0 != 0.0:
             cell += c0 * power_integral(T, 0, a, b)
@@ -95,15 +94,15 @@ def exact_expected_payoff(d, p):
     fs[0], fs[-1] = F(0), F(1)
     lo, hi = p.support()
     cuts = set(xs)
-    cuts.update(F(b) for b in d.breakpoints() if lo < b < hi)
+    cuts.update(F(b) for b in d.ends if lo < b < hi)
     cuts.update(F(k) for k in T.kinks() if lo < k < hi)
     edges = sorted(cuts)
-    los = [pc.lo for pc in d.pieces]
+    los = [-INF, *d.ends]
     total = F(0)
     for a, b in zip(edges, edges[1:]):
         i = bisect_right(xs, a) - 1
         dens = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
-        coeffs = d.pieces[max(bisect_right(los, a) - 1, 0)].coeffs
+        coeffs = d.pieces[max(bisect_right(los, a) - 1, 0)]
         if isinstance(T, PiecewiseLinearTransform):
             j = min(max(bisect_right(T.xs, a) - 1, 0), len(T.xs) - 2)
             x0, t0 = F(T.xs[j]), F(T.ts[j])
@@ -184,12 +183,11 @@ def contracts(draw, points=POINTS, transform=None):
     """Piecewise contracts of 1-6 pieces, zero coefficients included."""
     if transform is None:
         transform = draw(transforms())
-    edges = [-INF] + _distinct(draw, points, 0, 5) + [INF]
-    m = len(edges) - 1
+    ends = _distinct(draw, points, 0, 5)
+    m = len(ends) + 1
     flat = draw(st.lists(COEFFS, min_size=3 * m, max_size=3 * m))
-    pieces = [Piece(lo, hi, tuple(flat[3 * i:3 * i + 3]))
-              for i, (lo, hi) in enumerate(zip(edges, edges[1:]))]
-    return piecewise_contract(pieces, transform)
+    return piecewise_contract(ends, [tuple(flat[3 * i:3 * i + 3]) for i in range(m)],
+                              transform)
 
 
 @st.composite
@@ -210,15 +208,7 @@ def beliefs(draw, points=POINTS):
 
 
 def _split(coeffs, cuts, transform=IDENTITY):
-    edges = [-INF] + list(cuts) + [INF]
-    return piecewise_contract([Piece(lo, hi, coeffs)
-                               for lo, hi in zip(edges, edges[1:])], transform)
-
-
-def _split_pieces(coeffs, cuts, transform=IDENTITY):
-    edges = [-INF] + list(cuts) + [INF]
-    return piecewise_contract([Piece(lo, hi, c) for lo, hi, c
-                               in zip(edges, edges[1:], coeffs)], transform)
+    return piecewise_contract(cuts, [coeffs] * (len(cuts) + 1), transform)
 
 
 KINKED = PiecewiseLinearTransform([-1.0, 0.5, 2.0], [0.0, 3.0, 3.5])
@@ -244,11 +234,12 @@ FAR_FROM_X0 = (_split((853.8888989939592, 417.5896447351247, -293.08996030284356
 
 # t^2 on [-3, 0] under a CDF whose end value is 1 - 1e-12: a cell reference
 # that read the raw end value was off by 1.02e-12 of the sup, 1
-SIGMOID_RAW_END = (_split_pieces([(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0)],
-                                 [-3.0, 0.0], SIGMOID),
+SIGMOID_RAW_END = (piecewise_contract([-3.0, 0.0], [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0),
+                                                  (-1.0, 0.0, 0.0)], SIGMOID),
                    cdf_belief([-3.0, 0.125], [0.0, 1.0 - 1e-12]))
 # a subnormal sup, 5e-324, where 1e-12 of it underflows to 0
-SIGMOID_SUBNORMAL = (_split_pieces([(0.0, 0.0, 0.0), (5e-324, 0.0, 0.0)], [-3.0], SIGMOID),
+SIGMOID_SUBNORMAL = (piecewise_contract([-3.0], [(0.0, 0.0, 0.0), (5e-324, 0.0, 0.0)],
+                                        SIGMOID),
                      cdf_belief([-3.0, -1.0, -0.25], [0.0, 4.0 / 7.0, 1.0]))
 
 
@@ -286,8 +277,7 @@ class Listed(ScoringRule):
 
 # pays 0 below 1e300 and 1e300 from there; under this belief the integrals
 # of t and t^2 overflow, which only zero coefficients read
-FAR = (piecewise_contract([Piece(-INF, 1e300, (0.0, 0.0, 0.0)),
-                           Piece(1e300, INF, (1e300, 0.0, 0.0))]),
+FAR = (piecewise_contract([1e300], [(0.0, 0.0, 0.0), (1e300, 0.0, 0.0)]),
        cdf_belief([0.0, math.nextafter(1e300, 0.0), 1e300], [0.0, 0.5, 1.0]))
 
 
@@ -318,8 +308,7 @@ def test_quantile_far_from_the_origin_finds_the_median():
 def test_each_cell_takes_the_piece_at_its_lower_end(x):
     # d pays 0 below x and x from x on; the belief puts half its mass on the
     # one-ulp cell below x, whose midpoint rounds onto x
-    d = piecewise_contract([Piece(-INF, x, (0.0, 0.0, 0.0)),
-                            Piece(x, INF, (x, 0.0, 0.0))])
+    d = piecewise_contract([x], [(0.0, 0.0, 0.0), (x, 0.0, 0.0)])
     p = cdf_belief([0.0, math.nextafter(x, 0.0), x], [0.0, 0.5, 1.0])
     assert expected_payoff(d, p) == 0.0
 
@@ -385,7 +374,7 @@ def _sup_on_support(d, p):
     lo, hi = p.support()
     t = max(abs(T(lo)), abs(T(hi)))
     return max(abs(c0) + abs(c1) * t + abs(c2) * t * t
-               for c0, c1, c2 in (pc.coeffs for pc in d.pieces))
+               for c0, c1, c2 in d.pieces)
 
 
 WEIGHTS = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 0.5, -2.5]),

@@ -42,7 +42,6 @@ from srmarket.contracts import (
     OutcomeMismatch,
     OutcomeSpace,
     PayoffOverflow,
-    Piece,
     PiecewiseLinearTransform,
     combine,
     contract_bounds,
@@ -125,8 +124,7 @@ class CashBonus(ScoringRule):
         c = self.base.score_contract(r)
         bonus = self.slope * c.transform(r)
         return piecewise_contract(
-            [Piece(p.lo, p.hi, (p.coeffs[0] + bonus,) + p.coeffs[1:])
-             for p in c.pieces], c.transform)
+            c.ends, [(c0 + bonus, c1, c2) for c0, c1, c2 in c.pieces], c.transform)
 
     def property_value(self, p):
         return self.base.property_value(p)
@@ -363,43 +361,35 @@ def contract_lists(draw):
     out = []
     for _ in range(draw(st.integers(1, 8))):
         cuts = sorted(set(draw(st.lists(EDGES, max_size=3))))
-        ends = [-INF] + cuts + [INF]
-        flat = draw(st.lists(COEFFS, min_size=3 * (len(ends) - 1),
-                             max_size=3 * (len(ends) - 1)))
+        m = len(cuts) + 1
+        flat = draw(st.lists(COEFFS, min_size=3 * m, max_size=3 * m))
         out.append(piecewise_contract(
-            [Piece(lo, hi, tuple(flat[3 * k:3 * k + 3]))
-             for k, (lo, hi) in enumerate(zip(ends, ends[1:]))], transform))
+            cuts, [tuple(flat[3 * k:3 * k + 3]) for k in range(m)], transform))
     if draw(st.booleans()):
         out.append(out[0])
     return out
 
 
 def _tail(c1, c2):
-    return piecewise_contract([Piece(-INF, 0.0, (0.0, c1, c2)),
-                               Piece(0.0, INF, (0.0, 0.0, 0.0))])
+    return piecewise_contract([0.0], [(0.0, c1, c2), (0.0, 0.0, 0.0)])
 
 
 # the lower tail of the trade is 1e10 t + 1e-300 t^2: its vertex overflows
 # to -inf and decides the infimum
 OVERFLOWED_VERTEX = [_tail(1e10, 1e-300), _tail(0.0, 0.0)]
 # 0.3 - (0.1 + 0.2) is rounding residue, which the snap clears to 0.0
-SNAPPED_RESIDUE = [_tail(0.0, 0.0), piecewise_contract(
-    [Piece(-INF, INF, (0.3, 0.0, 0.0))]), piecewise_contract(
-    [Piece(-INF, INF, (0.1 + 0.2, 0.0, 0.0))])]
+SNAPPED_RESIDUE = [_tail(0.0, 0.0), piecewise_contract((), [(0.3, 0.0, 0.0)]),
+                   piecewise_contract((), [(0.1 + 0.2, 0.0, 0.0)])]
 # one polynomial on both sides of a breakpoint, one float from its vertex,
 # where it rounds below its value at the vertex: compacted into one piece,
 # the breakpoint is no candidate
 _BOWL = (0.1, 4.127555772777217, 3.0371125210782273)
-COMPACTED = [_tail(0.0, 0.0), piecewise_contract(
-    [Piece(-INF, -0.6795197320038475, _BOWL),
-     Piece(-0.6795197320038475, INF, _BOWL)])]
+COMPACTED = [_tail(0.0, 0.0), piecewise_contract([-0.6795197320038475], [_BOWL, _BOWL])]
 
 # beyond 2**53, the first cell [-inf, -1.7e308) takes the first piece; the
 # second cell, whose ends sum past the largest float, takes the second
 FAR_CELLS = [_tail(0.0, 0.0), piecewise_contract(
-    [Piece(-INF, -1.7e308, (-9.0, 0.0, 0.0)),
-     Piece(-1.7e308, -1e308, (3.0, 0.0, 0.0)),
-     Piece(-1e308, INF, (2.0, 0.0, 0.0))])]
+    [-1.7e308, -1e308], [(-9.0, 0.0, 0.0), (3.0, 0.0, 0.0), (2.0, 0.0, 0.0)])]
 
 
 @settings(max_examples=200, deadline=None)

@@ -180,6 +180,15 @@ class TestExpectationRule:
         assert rule.property_value(p) == pytest.approx(0.75)
         assert rule.best_response(p) == pytest.approx(0.75, abs=1e-7)
 
+    def test_entropy_best_response_reaches_past_the_grid_ends(self):
+        # the search grid is inset by 2% of the box; an end grid point is
+        # bracketed against the box's end, inset by BRACKET_PAD of its span
+        rule = ExpectationRule(binary_negentropy(),
+                               phi=np.array([[0.0], [1.0]]))
+        for q in (0.006, 0.994):
+            p = finite_belief(rule.outcome_space, [1.0 - q, q])
+            assert abs(rule.best_response(p) - q) <= 1e-6
+
     def test_divergence_probe_grows(self):
         losses = self.mean.divergence_probe(0.0)
         vals = [v for _, v in losses]
@@ -231,7 +240,7 @@ class TestExpectationRule:
         # the grid and its neighbours an ulp inside still score
         assert rule.report_grid()[-1] == pytest.approx(hi - 0.02 * (hi - lo))
         inner = math.nextafter(r, mid)
-        assert rule.score_contract(inner).is_finite
+        assert rule.score_contract(inner).values is not None
 
     def test_simplex_searches_stay_in_the_hull(self):
         # the report grid and the best response's coordinate search are cut
@@ -485,9 +494,8 @@ class TestElicitationAgreement:
 
             p2 = finite_belief(ent.outcome_space,
                                rng.dirichlet(np.ones(2)))
-            if 0.02 < p2.pmf[1] < 0.98:
-                assert ent.best_response(p2) == pytest.approx(
-                    ent.property_value(p2), abs=1e-6)
+            assert ent.best_response(p2) == pytest.approx(
+                ent.property_value(p2), abs=1e-6)
 
             xs = np.cumsum(rng.uniform(0.3, 1.0, size=5)) - 2.0
             fs = np.cumsum(rng.uniform(0.3, 1.0, size=5))

@@ -20,7 +20,6 @@ from srmarket.contracts import (
     SIGMOID,
     OutcomeSpace,
     PayoffOverflow,
-    Piece,
     _poly_extremes,
     combine,
     contract_bounds,
@@ -45,12 +44,10 @@ SPACE = OutcomeSpace.finite([0, 1, 2])
 @st.composite
 def piecewise(draw, transform):
     cuts = sorted(set(draw(st.lists(EDGES, max_size=3))))
-    ends = [-INF] + cuts + [INF]
-    flat = draw(st.lists(COEFFS, min_size=3 * (len(ends) - 1),
-                         max_size=3 * (len(ends) - 1)))
+    m = len(cuts) + 1
+    flat = draw(st.lists(COEFFS, min_size=3 * m, max_size=3 * m))
     return piecewise_contract(
-        [Piece(lo, hi, tuple(flat[3 * k:3 * k + 3]))
-         for k, (lo, hi) in enumerate(zip(ends, ends[1:]))], transform)
+        cuts, [tuple(flat[3 * k:3 * k + 3]) for k in range(m)], transform)
 
 
 @st.composite
@@ -121,8 +118,7 @@ def test_real_line_rows_match_nested_combine(data):
 
     def compacted(cuts, net, r):
         cells = [tuple(c) for c in net[r].tolist()]
-        return piecewise_contract(
-            merge_runs([-INF, *cuts[0][r].tolist(), INF], cells), transform)
+        return piecewise_contract(*merge_runs(cuts[0][r].tolist(), cells), transform)
 
     assert_rows_match(rows, legs_, summed(legs_, contract_pieces), compacted)
 
@@ -156,12 +152,12 @@ def reference_is_constant(d, tol):
     if d.values is not None:
         lvl = float(np.mean(d.values))
         return bool(np.max(np.abs(d.values - lvl)) <= tol), lvl
-    lvl = d.pieces[0].coeffs[0]
+    lvl = d.pieces[0][0]
     T = d.transform
-    for p in d.pieces:
-        ta = T(p.lo) if math.isfinite(p.lo) else T.lo_limit()
-        tb = T(p.hi) if math.isfinite(p.hi) else T.hi_limit()
-        plo, phi = _poly_extremes(p.coeffs, ta, tb)
+    for lo, hi, coeffs in zip((-INF, *d.ends), (*d.ends, INF), d.pieces):
+        ta = T(lo) if math.isfinite(lo) else T.lo_limit()
+        tb = T(hi) if math.isfinite(hi) else T.hi_limit()
+        plo, phi = _poly_extremes(coeffs, ta, tb)
         if not (abs(plo - lvl) <= tol and abs(phi - lvl) <= tol):
             return False, lvl
     return True, lvl
@@ -178,12 +174,11 @@ def near_flat(draw):
         return finite_contract(SPACE, draw(st.lists(
             st.one_of(NEAR, st.floats(-1e3, 1e3)), min_size=3, max_size=3)))
     cuts = sorted(set(draw(st.lists(EDGES, max_size=3))))
-    ends = [-INF] + cuts + [INF]
     return piecewise_contract(
-        [Piece(lo, hi, (draw(st.one_of(NEAR, COEFFS)),
-                        draw(st.one_of(st.just(0.0), NEAR, COEFFS)),
-                        draw(st.one_of(st.just(0.0), NEAR))))
-         for lo, hi in zip(ends, ends[1:])], transform)
+        cuts, [(draw(st.one_of(NEAR, COEFFS)),
+                draw(st.one_of(st.just(0.0), NEAR, COEFFS)),
+                draw(st.one_of(st.just(0.0), NEAR)))
+               for _ in range(len(cuts) + 1)], transform)
 
 
 @settings(max_examples=300, deadline=None)
