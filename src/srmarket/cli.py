@@ -9,6 +9,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -320,7 +321,9 @@ def bundled_config_names() -> list[str]:
     return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="srmarket",
         description="scoring-rule market toolkit: axiom checks, sessions, "
@@ -338,7 +341,11 @@ def main(argv=None) -> int:
         if cmd == "check":
             p.add_argument("--expect", default=None,
                            help="golden verdict JSON file")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     run = {"check": run_check, "session": run_session, "extract": run_extract,
            "figure": run_figure}[args.command]

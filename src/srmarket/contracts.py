@@ -732,10 +732,6 @@ class Belief:
     # moment tables by transform key, built on first use
     _moments: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.pmf is not None
-
     def moments(self, transform: Transform) -> "MomentTable":
         """The belief's moment table in the transform's coordinate."""
         key = transform.key()

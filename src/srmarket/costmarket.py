@@ -179,18 +179,13 @@ class CostRule(ScoringRule):
         lattice states would return a state no lattice trade reaches."""
         if not self.shares.is_lattice:
             return super().best_response(p)
-        grid = self._default_search_grid(p)
+        grid = [float(v[0]) if self.k == 1 else v
+                for v in self.shares.lattice_points(SEARCH_BOUND)]
         return grid[int(np.argmax(self.grid_scores(grid, p)))]
 
-    def _default_search_grid(self, p):
-        if self.shares.is_lattice:
-            return [float(v[0]) if self.k == 1 else v
-                    for v in self.shares.lattice_points(SEARCH_BOUND)]
-        if self.k == 1:
-            # share states 0.1 apart, as far out as the lattice search reaches
-            return self.report_space.grid(20 * SEARCH_BOUND + 1,
-                                          (-SEARCH_BOUND, SEARCH_BOUND))
-        return super()._default_search_grid(p)
+    def _search_bracket(self, p):
+        # a pmf belief has no support: the share states a lattice search reaches
+        return -SEARCH_BOUND, SEARCH_BOUND
 
     def _search_box(self) -> BoxReports:
         # the report space is all of R^k, which no grid covers

@@ -30,16 +30,6 @@ class AxiomReport:
     def ok(self) -> bool:
         return self.verdict != FAILS
 
-    def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "witness": self.witness,
-            "budget": self.budget,
-            "notes": self.notes,
-        }
-
     def to_text(self) -> str:
         head = [
             f"axiom: {self.axiom}",

@@ -301,44 +301,41 @@ class ScoringRule:
 
     def best_response(self, p: Belief):
         """Maximizer of expected score found by search, independent of
-        property_value.  Continuous spaces refine the grid argmax by
-        ``brent_max`` between its grid neighbours, or, at an end of a box's
-        grid (which is inset from the box), its neighbour and the box's end
-        inset by BRACKET_PAD of its span; one coordinate at a time in more
-        than one dimension (the expected score is unimodal for every
-        family); the search reads only ``expected_score``."""
-        grid = self._default_search_grid(p)
-        vals = self.grid_scores(grid, p)
-        i = int(np.argmax(vals))
-        if isinstance(self.report_space, FiniteReports):
-            best = max(vals)
-            ties = [g for g, v in zip(grid, vals) if best - v <= TIE_TOL]
-            return min(ties)
-        if getattr(self.report_space, "dim", 1) == 1 and np.isscalar(grid[0]):
-            lo = grid[max(i - 1, 0)]
-            hi = grid[min(i + 1, len(grid) - 1)]
-            box = self.report_space
-            if isinstance(box, BoxReports):
-                pad = BRACKET_PAD * (box.hi[0] - box.lo[0])
-                lo = box.lo[0] + pad if i == 0 else lo
-                hi = box.hi[0] - pad if i == len(grid) - 1 else hi
+        property_value: one ``brent_max`` over ``_search_bracket`` in one
+        continuous dimension, which assumes the expected score unimodal in
+        r, as it is for every family (its derivative G''(r)(mu - r), a
+        positive multiple of alpha - F(r), or monotone, changes sign once);
+        the least finite report within TIE_TOL of the best; in more
+        dimensions a grid argmax refined one coordinate at a time.  The
+        search reads only ``expected_score``."""
+        if self.report_space.dim == 1:
+            lo, hi = self._search_bracket(p)
             return brent_max(lambda r: self.expected_score(r, p), lo, hi, SEARCH_XTOL)
+        finite = isinstance(self.report_space, FiniteReports)
+        grid = self.report_space.grid() if finite else self._search_box().grid(41)
+        vals = self.grid_scores(grid, p)
+        if finite:
+            best = max(vals)
+            return min(g for g, v in zip(grid, vals) if best - v <= TIE_TOL)
         return _coordinate_max(
-            lambda r: self.expected_score(r, p), np.asarray(grid[i], dtype=float),
-            self._search_box())
+            lambda r: self.expected_score(r, p),
+            np.asarray(grid[int(np.argmax(vals))], dtype=float), self._search_box())
 
     def _search_box(self) -> BoxReports:
         """The box a multi-dimensional best_response searches."""
         return self.report_space
 
-    def _default_search_grid(self, p: Belief) -> list:
+    def _search_bracket(self, p: Belief) -> tuple:
+        """The interval a 1-D best_response searches: on the real line the
+        belief's support, padded by 1 + 0.1 of its width; else the box
+        inset by BRACKET_PAD of its span."""
         if isinstance(self.report_space, RealReports):
             a, b = p.support()
             pad = 1.0 + 0.1 * (b - a)
-            return self.report_space.grid(201, (a - pad, b + pad))
-        if isinstance(self.report_space, BoxReports):
-            return self._search_box().grid(41)
-        return self.report_space.grid()
+            return a - pad, b + pad
+        lo, hi = self.report_space.lo[0], self.report_space.hi[0]
+        pad = BRACKET_PAD * (hi - lo)
+        return lo + pad, hi - pad
 
     # -- family hooks used by the axiom checkers -----------------------------
 

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import srmarket
+from srmarket import cli
 from srmarket.cli import (
     ConfigError,
     build_belief,
@@ -373,6 +374,24 @@ class TestMain:
             main([command, "--config", name, "--out", str(tmp_path / "out"),
                   flag, value])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_successive_calls(self, tmp_path, monkeypatch):
+        # the parser is built once per process; each call's flags reach its
+        # own command, and --seed does not carry into the next call
+        seen = []
+        for run in ("run_check", "run_figure"):
+            monkeypatch.setattr(cli, run, lambda config, out, run=run:
+                                seen.append((run, config, out)) or 0)
+        assert main(["check", "--config", "mode_market", "--seed", "11",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["figure", "--config", "fig_mode_position",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert cli._parser() is cli._parser()
+        (run_a, config_a, out_a), (run_b, config_b, out_b) = seen
+        assert (run_a, out_a) == ("run_check", str(tmp_path / "a"))
+        assert config_a == {**load_config("mode_market"), "seed": 11}
+        assert (run_b, out_b) == ("run_figure", str(tmp_path / "b"))
+        assert config_b == load_config("fig_mode_position")
 
     def test_session_seed_flag_changes_hash(self, tmp_path):
         headers = []

@@ -345,11 +345,14 @@ def test_rule_contracts_match_reference():
 
 
 def old_best_response(rule, p):
-    """``best_response`` on the cell-by-cell reference: grid argmax, then
+    """``best_response`` on the cell-by-cell reference: the argmax of 201
+    reports over the belief's support padded by 1 + 0.1 of its width, then
     ``brent_max`` between its neighbours."""
     def f(r):
         return reference_expected_payoff(rule.score_contract(r), p)
-    grid = rule._default_search_grid(p)
+    a, b = p.support()
+    pad = 1.0 + 0.1 * (b - a)
+    grid = [float(v) for v in np.linspace(a - pad, b + pad, 201)]
     i = int(np.argmax([f(r) for r in grid]))
     return brent_max(f, grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
                      SEARCH_XTOL)

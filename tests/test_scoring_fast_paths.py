@@ -662,6 +662,17 @@ def test_best_response_returns_where_xtol_is_below_an_ulp():
     assert 1e7 <= r <= 1e7 + 1.0
 
 
+def old_search_grid(rule, p):
+    """The grid a 1-D best_response scored before it searched the whole
+    bracket: 41 reports over a box, or 201 over the belief's support padded
+    by 1 + 0.1 of its width."""
+    if isinstance(rule.report_space, BoxReports):
+        return rule.report_space.grid(41)
+    a, b = p.support()
+    pad = 1.0 + 0.1 * (b - a)
+    return rule.report_space.grid(201, (a - pad, b + pad))
+
+
 def test_best_response_golden_equals_old_loop():
     # brent_max and the old golden-section loop each fix a maximizer to
     # about sqrt(eps) of the expected score, so their picks agree to the
@@ -677,7 +688,7 @@ def test_best_response_golden_equals_old_loop():
                                    rng.dirichlet(np.ones(rule.outcome_space.n))))
               for rule in (ratio, entropy) for _ in range(4)]
     for rule, p in cases:
-        grid = rule._default_search_grid(p)
+        grid = old_search_grid(rule, p)
         vals = [rule.expected_score(r, p) for r in grid]
         i = int(np.argmax(vals))
         want = reference_golden_max(lambda r: rule.expected_score(r, p),
@@ -700,8 +711,8 @@ def _search_families(rng, count):
             ExpectileRule(0.3), ExpectationRule(quadratic(1))]
     fams = [(rule, _cdf_beliefs(rng, count)) for rule in real]
     for rule in finite:
-        # pmfs at least 0.05 away from the simplex's faces, where the grid
-        # of a binary entropy report stops short of the mean
+        # pmfs at least 0.05 away from the simplex's faces;
+        # tests/test_best_response.py draws them nearer
         n = rule.outcome_space.n
         fams.append((rule, [finite_belief(rule.outcome_space, 0.05 + (1.0 - 0.05 * n)
                                           * rng.dirichlet(np.ones(n)))
