@@ -56,6 +56,16 @@ from .scoring import (
 )
 
 
+def btb_budgets(epsilons) -> tuple:
+    """BTB's budgets as a tuple, once there is one and each is positive: BTB
+    quantifies over budgets epsilon > 0.  Else ValueError."""
+    epsilons = tuple(epsilons)
+    if not epsilons or not all(e > 0 for e in epsilons):
+        raise ValueError(f"epsilons {epsilons!r} must be one or more positive "
+                         "BTB budgets")
+    return epsilons
+
+
 @dataclass
 class SearchConfig:
     """Grids, budgets, and the strictness margin shared by the checkers."""
@@ -88,6 +98,7 @@ class SearchConfig:
                              "between finite ends")
         if not self.delta > 0:
             raise ValueError("strictness margin must be positive")
+        btb_budgets(self.epsilons)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -211,9 +222,10 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
     payments telescope).
 
     Each grid report and each state is scored once (``score_stack``), and
-    each belief reads all their expected scores in one ``stack_scores``:
-    the expected payoff of the trade s -> r is E_p S(r) - E_p S(s), by
-    linearity, equal to the per-trade value within rounding.  Argmaxes
+    each belief reads all their expected scores in one ``stack_scores``,
+    on the real line row by row from its moment table: the expected
+    payoff of the trade s -> r is E_p S(r) - E_p S(s), by linearity, equal
+    to the per-trade value within rounding.  Argmaxes
     that all lie in a set-valued property agree, whichever member rounding
     picks from each state.  A trade whose payoffs overflow over a finite
     outcome space raises ``PayoffOverflow`` before any belief is judged; a
@@ -717,12 +729,9 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
               cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Arbitrarily small budgets still admit positive-expectation trades:
     for each budget, some trade risks less than it and gains in
-    expectation.  No budget, or a state that ``btb_candidates`` refuses,
-    raises ValueError."""
-    if epsilons is None:
-        epsilons = cfg.epsilons
-    if not epsilons:
-        raise ValueError("BTB needs at least one budget")
+    expectation.  No budget, a budget that is not positive, or a state that
+    ``btb_candidates`` refuses raises ValueError."""
+    epsilons = btb_budgets(cfg.epsilons if epsilons is None else epsilons)
     candidates = btb_candidates(rule, belief, state)
     budget = {"epsilons": list(epsilons), "candidates": len(candidates)}
     results = []

@@ -23,6 +23,7 @@ from . import __version__
 from .axioms import (
     AXIOMS,
     SearchConfig,
+    btb_budgets,
     btb_candidates,
     build_belief,
     exhaustive_triples,
@@ -114,8 +115,8 @@ def _given(config: dict, rule, cfg: SearchConfig) -> dict:
         btb = config["btb"]
         belief = built("btb", build_belief, btb["belief"], space)
         built("btb", btb_candidates, rule, belief, btb["state"])
-        given["btb"] = (belief, btb["state"],
-                        tuple(btb.get("epsilons", cfg.epsilons)))
+        given["btb"] = (belief, btb["state"], built(
+            "btb", btb_budgets, btb.get("epsilons", cfg.epsilons)))
     if config.get("search", {}).get("exhaustive_scenarios") and \
             isinstance(rule.report_space, FiniteReports):
         given["scenarios"] = exhaustive_triples(list(rule.report_space.labels))

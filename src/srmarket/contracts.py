@@ -11,8 +11,8 @@ transform, one moment table: the cumulative integrals of 1, s and s^2 dF
 at its knots and the transform's kinks, with s = t re-centred at the
 belief's mean of t where t is affine between kinks.  A piece's expectation
 is its coefficients dotted with the difference of the table read at its
-ends; ``expected_payoff`` and ``expected_pieces`` read one payoff in
-floats, ``expected_scores`` many as arrays, by the same operations.
+ends, read in plain floats by ``MomentTable.expectation``, the one reader
+of a payoff and of each row of a stack (``ScoringRule.stack_scores``).
 
 Tolerance policy: structural identities (telescoping, projection, a BTB
 state at its target) are held to STRUCT_TOL, and a lattice basis whose
@@ -760,7 +760,7 @@ class Belief:
         return float(self.xs[0]), float(self.xs[-1])
 
     def mean(self) -> float:
-        return expected_pieces((), ((0.0, 1.0, 0.0),), self, IDENTITY)
+        return self.moments(IDENTITY).expectation((), ((0.0, 1.0, 0.0),))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size)
@@ -827,8 +827,8 @@ class MomentTable:
     and a cell's moments up to y are polynomials of the offset h = y - a
     from its lower end a, with s(a) and the slope stored per cell; the
     sigmoid keeps shift 0 and differences its antiderivatives.  ``at``
-    reads one point in plain floats, ``at_array`` an array of points, by
-    the same operations, so the two agree to the bit.
+    reads one point, and ``expectation`` a payoff from the points at its
+    pieces' ends, in plain floats: the one reader of the table.
     """
 
     def __init__(self, p: Belief, T: Transform):
@@ -857,12 +857,6 @@ class MomentTable:
         else:
             self.anti = [T.antiderivatives(a) for a in knots]
             self._accumulate(0.0)
-        # the same lists as arrays, for at_array; _local holds s(a) and the
-        # slope per cell, or the antiderivatives per knot
-        self._knots, self._dens, self._cum = (
-            np.array(v, dtype=float) for v in (knots, self.dens, self.cum))
-        self._local = np.array(list(zip(self.s_lo, self.slopes)) if T.affine
-                               else self.anti, dtype=float)
 
     def _accumulate(self, shift: float) -> None:
         self.shift = shift
@@ -896,91 +890,36 @@ class MomentTable:
             return self.total
         return self._within(bisect_right(knots, y) - 1, y)
 
-    def at_array(self, y: np.ndarray) -> np.ndarray:
-        """M at every entry of y, stacked on a last axis of 3."""
-        knots = self._knots
-        j = np.clip(np.searchsorted(knots, y, side="right") - 1, 0, len(knots) - 2)
-        cum = self._cum[j]
-        h = y - knots[j]
-        w = self._dens[j]
-        local = self._local[j]
-        if self.affine:
-            sa = local[..., 0]
-            mh = local[..., 1] * h
-            parts = (h, h * (sa + 0.5 * mh), h * (sa * sa + mh * (sa + mh / 3.0)))
-        else:
-            # the float reader's antiderivatives, point by point: a narrow
-            # cell differences them, where another rounding would show
-            anti = np.array([self.transform.antiderivatives(v) for v in y.ravel().tolist()])
-            anti = anti.reshape(y.shape + (2,)) - local
-            parts = (h, anti[..., 0], anti[..., 1])
-        out = np.stack([cum[..., k] + w * parts[k] for k in range(3)], axis=-1)
-        out = np.where((y <= knots[0])[..., None], 0.0, out)
-        return np.where((y >= knots[-1])[..., None], self._cum[-1], out)
-
-
-def _shifted(c0, c1, c2, t0):
-    """Coefficients of c0 + c1 t + c2 t^2 in s = t - t0; floats or arrays."""
-    return c0 + t0 * (c1 + c2 * t0), c1 + 2.0 * c2 * t0, c2
-
-
-def expected_pieces(ends: Sequence[float], coeffs: Sequence, p: Belief,
-                    transform: Transform) -> float:
-    """E_p of the piecewise payoff whose P pieces carry ``coeffs`` (each
-    (c0, c1, c2) in the coordinate t = transform(y)) and break at the P - 1
-    ascending ``ends``: the float reader of the belief's moment table.
-
-    Each piece pays c . (M(hi) - M(lo)) in the table's coordinate, a piece
-    between two points of one cell included, so no point inside a piece is
-    computed; a zero coefficient adds nothing, whatever its moment.
-    """
-    tab = p.moments(transform)
-    t0 = tab.shift
-    prev = (0.0, 0.0, 0.0)
-    total = 0.0
-    for j, (c0, c1, c2) in enumerate(coeffs):
-        cur = tab.at(ends[j]) if j < len(ends) else tab.total
-        if t0 != 0.0:
-            c0, c1, c2 = _shifted(c0, c1, c2, t0)
-        if c0 != 0.0:
-            total += c0 * (cur[0] - prev[0])
-        if c1 != 0.0:
-            total += c1 * (cur[1] - prev[1])
-        if c2 != 0.0:
-            total += c2 * (cur[2] - prev[2])
-        prev = cur
-    return float(total)
-
-
-def expected_scores(ends: np.ndarray, coeffs: np.ndarray, p: Belief,
-                    transform: Transform) -> np.ndarray:
-    """``expected_pieces`` of R payoffs at once, the array reader of the same
-    table: ``ends`` has shape (R, P - 1) and ``coeffs`` (R, P, 3).  A row
-    with fewer pieces pads its ends with +inf and its coefficients with 0.
-    Each row takes the float reader's operations in its order."""
-    tab = p.moments(transform)
-    t0 = tab.shift
-    R, P, _ = coeffs.shape
-    with np.errstate(all="ignore"):
-        moments = tab.at_array(np.asarray(ends, dtype=float))
-        c = coeffs if t0 == 0.0 else np.stack(
-            _shifted(coeffs[..., 0], coeffs[..., 1], coeffs[..., 2], t0), axis=-1)
-        prev = np.zeros((R, 3))
-        total = np.zeros(R)
-        for j in range(P):
-            cur = moments[:, j] if j < P - 1 else np.array(tab.total)
-            for k in range(3):
-                ck = c[:, j, k]
-                total = total + np.where(ck != 0.0, ck * (cur[..., k] - prev[..., k]), 0.0)
+    def expectation(self, ends: Sequence[float], coeffs: Sequence) -> float:
+        """E of the piecewise payoff whose P pieces carry ``coeffs`` (each
+        (c0, c1, c2) in the coordinate t) and break at the P - 1 ascending
+        ``ends``, raw or as ``stack_pieces`` pads them.  Each piece pays
+        c . (M(hi) - M(lo)) in the table's coordinate, a piece between two
+        points of one cell included, so no point inside a piece is computed;
+        a zero coefficient adds nothing, whatever its moment."""
+        t0 = self.shift
+        prev = (0.0, 0.0, 0.0)
+        total = 0.0
+        for j, (c0, c1, c2) in enumerate(coeffs):
+            cur = self.at(ends[j]) if j < len(ends) else self.total
+            if t0 != 0.0:
+                # the coefficients in s = t - t0
+                c0, c1, c2 = c0 + t0 * (c1 + c2 * t0), c1 + 2.0 * c2 * t0, c2
+            if c0 != 0.0:
+                total += c0 * (cur[0] - prev[0])
+            if c1 != 0.0:
+                total += c1 * (cur[1] - prev[1])
+            if c2 != 0.0:
+                total += c2 * (cur[2] - prev[2])
             prev = cur
-    return total
+        return float(total)
 
 
 def expected_payoff(d: Contract, p: Belief) -> float:
     """E_p d(Y), exact for the supported representations: a dot product with
-    the pmf over a finite space, ``expected_pieces`` on the real line."""
+    the pmf over a finite space, the belief's moment table on the real line."""
     if d.values is not None:
         if p.pmf is None or p.space.labels != d.space.labels:
             raise OutcomeMismatch("belief kind must match the outcome space")
         return float(np.dot(d.values, p.pmf))
-    return expected_pieces(d.ends, d.pieces, p, d.transform)
+    return p.moments(d.transform).expectation(d.ends, d.pieces)

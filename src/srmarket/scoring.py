@@ -33,8 +33,6 @@ from .contracts import (
     PayoffOverflow,
     Transform,
     combine,
-    expected_pieces,
-    expected_scores,
     finite_contract,
     stack_pieces,
 )
@@ -280,15 +278,19 @@ class ScoringRule:
         if self.outcome_space.is_finite:
             return _finite_values([self.score_row(r)], self._pmf(p))[0]
         ends, coeffs = self.score_pieces(r)
-        return expected_pieces(ends, coeffs, p, self.transform)
+        return p.moments(self.transform).expectation(ends, coeffs)
 
     def stack_scores(self, stack: tuple, transform, p: Belief) -> np.ndarray:
         """E_p of each row of a ``score_stack``: one dot product per payoff
-        row over a finite space, one ``expected_scores`` on the real line.
-        A belief of the other kind raises ``OutcomeMismatch``."""
+        row over a finite space, and on the real line one
+        ``MomentTable.expectation`` per row of the belief's table, fetched
+        once.  A belief of the other kind raises ``OutcomeMismatch``, even
+        for an empty stack."""
         if transform is None:
             return np.array(_finite_values(stack[0], self._pmf(p)))
-        return expected_scores(*stack, p, transform)
+        table = p.moments(transform)
+        return np.array([table.expectation(ends, coeffs) for ends, coeffs
+                         in zip(stack[0].tolist(), stack[1].tolist())])
 
     def grid_scores(self, reports, p: Belief) -> list:
         """``expected_score`` of each report, from one score stack."""
@@ -826,8 +828,8 @@ class ExpectileRule(ScoringRule):
     def identification_gap(self, x: float, p: Belief) -> float:
         """E_p |1{x >= Y} - tau| (x - Y); the expectile is its unique root."""
         t = self.tau
-        return expected_pieces((float(x),), (((1 - t) * x, -(1 - t), 0.0),
-                                             (t * x, -t, 0.0)), p, IDENTITY)
+        return p.moments(IDENTITY).expectation(
+            (float(x),), (((1 - t) * x, -(1 - t), 0.0), (t * x, -t, 0.0)))
 
     def property_value(self, p: Belief) -> float:
         # the gap is strictly increasing in x, so bisection is globally safe

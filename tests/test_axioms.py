@@ -407,6 +407,16 @@ class TestBTB:
         with pytest.raises(ValueError, match="budget"):
             check_btb(rule, p, 3, epsilons=(), cfg=CFG)
 
+    @pytest.mark.parametrize("epsilons", [(), (-0.5,), (0.5, 0.0), (math.nan,)])
+    def test_budgets_that_are_not_positive_rejected(self, epsilons):
+        # BTB quantifies over budgets epsilon > 0
+        rule = mode3()
+        p = finite_belief(rule.outcome_space, [0.2, 0.5, 0.3])
+        with pytest.raises(ValueError, match="positive"):
+            check_btb(rule, p, 3, epsilons=epsilons, cfg=CFG)
+        with pytest.raises(ValueError, match="positive"):
+            SearchConfig(epsilons=epsilons)
+
     def test_state_outside_the_reports_rejected(self):
         rule = mode3()
         p = finite_belief(rule.outcome_space, [0.2, 0.5, 0.3])

@@ -1,7 +1,7 @@
-"""``expected_payoff`` on the real line: the moment table's readers against
-an exact rational reference and the cell-by-cell implementation they
-replaced, kept here, the array reader against the float reader, and
-property tests of the expectation itself."""
+"""``expected_payoff`` on the real line: the moment table's reader against
+an exact rational reference and the cell-by-cell implementation it
+replaced, kept here, ``stack_scores`` on padded rows against each row's
+contract, and property tests of the expectation itself."""
 
 import math
 from bisect import bisect_right
@@ -23,7 +23,6 @@ from srmarket.contracts import (
     combine,
     contract_bounds,
     expected_payoff,
-    expected_scores,
     ones_contract,
     piecewise_contract,
     sigmoid,
@@ -286,13 +285,14 @@ FAR = (piecewise_contract([1e300], [(0.0, 0.0, 0.0), (1e300, 0.0, 0.0)]),
 @example([ON_KNOTS[0], _split((1.0, 0.0, 0.0), [])], ON_KNOTS[1])
 @example([PW_KINKS[0], _split((0.0, 1.0, 1.0), [-1.0, 0.5], KINKED)], PW_KINKS[1])
 @example([FAR[0], ones_contract(REAL_LINE)], FAR[1])
-def test_array_reader_agrees_with_float_reader(ds, p):
-    # score_stack pads rows of fewer pieces with +inf ends and zero pieces
-    got = expected_scores(*Listed(ds).score_stack(range(len(ds)))[0], p,
-                          ds[0].transform)
+def test_stack_scores_read_each_padded_row_as_its_contract(ds, p):
+    # score_stack pads rows of fewer pieces with +inf ends and zero pieces,
+    # and the one reader reads such a row as the contract it pads
+    rule = Listed(ds)
+    got = rule.stack_scores(*rule.score_stack(range(len(ds))), p)
     assert got.shape == (len(ds),)
-    for g, d in zip(got.tolist(), ds):
-        assert abs(g - expected_payoff(d, p)) <= 4 * math.ulp(_sup_on_support(d, p))
+    assert np.array([expected_payoff(d, p) for d in ds]).tobytes() == \
+        got.tobytes()
 
 
 def test_quantile_far_from_the_origin_finds_the_median():

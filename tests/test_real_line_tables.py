@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from test_score_table import assert_ic_values_match, reference_check_ic, \
     reference_check_wcl
 
-from srmarket import axioms, scoring
+from srmarket import axioms
 from srmarket.axioms import (
     SearchConfig,
     _is_exhaustive,
@@ -39,6 +39,8 @@ from srmarket.contracts import (
     INF,
     SIGMOID,
     STRUCT_TOL,
+    Belief,
+    MomentTable,
     OutcomeMismatch,
     OutcomeSpace,
     PayoffOverflow,
@@ -46,7 +48,6 @@ from srmarket.contracts import (
     combine,
     contract_bounds,
     contract_pieces,
-    expected_scores,
     finite_belief,
     piecewise_contract,
     sum_rows,
@@ -482,16 +483,30 @@ def test_bundled_real_line_ic_matches_per_trade_values():
 def test_ic_scores_each_report_once_per_belief():
     rule = ExpectileRule(0.3)
     cfg = SearchConfig(report_points=21, ic_beliefs=4)
-    calls = []
+    stacks, reads = [], []
+    score_stack, stack_scores = ScoringRule.score_stack, ScoringRule.stack_scores
 
-    def counting(ends, coeffs, p, transform):
-        calls.append(len(coeffs))
-        return expected_scores(ends, coeffs, p, transform)
+    def counting_stack(self, reports):
+        reports = list(reports)
+        stacks.append(len(reports))
+        return score_stack(self, reports)
 
-    # one array read per belief, of the 21 grid reports and the 3 states
-    with mock.patch.object(scoring, "expected_scores", counting):
+    def counting_scores(self, stack, transform, p):
+        # the belief's moment table fetched once, and read once per row
+        with mock.patch.object(Belief, "moments", autospec=True,
+                               side_effect=Belief.moments) as tables, \
+                mock.patch.object(MomentTable, "expectation", autospec=True,
+                                  side_effect=MomentTable.expectation) as rows:
+            out = stack_scores(self, stack, transform, p)
+        reads.append((tables.call_count, rows.call_count))
+        return out
+
+    # one stack of the 21 grid reports and the 3 states, read once per belief
+    with mock.patch.object(ScoringRule, "score_stack", counting_stack), \
+            mock.patch.object(ScoringRule, "stack_scores", counting_scores):
         check_ic(rule, cfg=cfg)
-    assert calls == [21 + 3] * 4
+    assert stacks == [21 + 3]
+    assert reads == [(1, 21 + 3)] * 4
 
 
 def test_ic_rejects_a_belief_of_the_wrong_kind():

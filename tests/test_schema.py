@@ -113,3 +113,19 @@ def test_validate_leaves_the_config_unchanged(name):
     before = json.dumps(config, sort_keys=True)
     validate(config, command(config))
     assert json.dumps(config, sort_keys=True) == before
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c["btb"].update(epsilons=[-0.5]),
+    lambda c: c["btb"].update(epsilons=[0.5, 0.0]),
+    lambda c: c["search"].update(epsilons=[-0.5])],
+    ids=["btb", "btb-zero", "search"])
+def test_a_budget_that_is_not_positive_exits_two(edit):
+    # BTB quantifies over budgets epsilon > 0; a negative one held its
+    # verdict to `fails` with margin 0
+    config = load_config("mode_market")
+    edit(config)
+    code, err = run_main("check", config)
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "positive" in err

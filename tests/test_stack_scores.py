@@ -8,18 +8,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_real_line_tables import RULES, grids
+from test_real_line_tables import RULES, grids, quadratic_mean_rule
 from test_score_table import finite_rules
 
 from srmarket.axioms import random_beliefs_for
-from srmarket.contracts import OutcomeSpace, PayoffOverflow, finite_belief
+from srmarket.contracts import (
+    SIGMOID,
+    OutcomeMismatch,
+    OutcomeSpace,
+    PayoffOverflow,
+    finite_belief,
+)
 from srmarket.convex import binary_negentropy, interval_negentropy
 from srmarket.costmarket import binary_lmsr_rule, discretized_lmsr_rule
 from srmarket.scoring import (
     ExpectationRule,
+    ExpectileRule,
     FiniteRule,
     InvalidReport,
     ModeRule,
+    QuantileRule,
     RatioRule,
     _finite_values,
 )
@@ -88,3 +96,14 @@ def test_a_finite_grid_rejects_reports_as_row_by_row():
         assert got[0] is error
     assert raised(rule.grid_scores, [2, 4, 5], p)[1] == \
         "report 4 outside the report space"
+
+
+@pytest.mark.parametrize("rule", [
+    QuantileRule(0.5), QuantileRule(0.3, SIGMOID), ExpectileRule(0.3),
+    quadratic_mean_rule(1.0, 0.0)], ids=["quantile", "sigmoid", "expectile",
+                                         "mean"])
+def test_an_empty_real_line_stack_checks_the_belief_kind(rule):
+    # the belief's moment table is fetched before any row is read
+    pmf = finite_belief(OutcomeSpace.finite([0, 1]), [0.5, 0.5])
+    with pytest.raises(OutcomeMismatch):
+        rule.grid_scores([], pmf)
