@@ -14,7 +14,6 @@ from .contracts import (  # noqa: F401
     expected_payoff,
     finite_belief,
     finite_contract,
-    ones_contract,
     piecewise_contract,
     project_cashless,
     uniform_belief,

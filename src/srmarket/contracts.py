@@ -8,8 +8,8 @@ Restricting to this class keeps payoff bounds and expectations against
 piecewise-linear CDFs exact: every piece is analyzed at its endpoints and
 vertex, and every integral has a closed form.  A belief keeps, per
 transform, one moment table: the cumulative integrals of 1, s and s^2 dF
-at its knots and the transform's kinks, with s = t re-centred at the
-belief's mean of t where t is affine between kinks.  A piece's expectation
+at its knots, with s = t re-centred at the belief's mean of t where t is
+the identity.  A piece's expectation
 is its coefficients dotted with the difference of the table read at its
 ends, read in plain floats by ``MomentTable.expectation``, the one reader
 of a payoff and of each row of a stack (``ScoringRule.stack_scores``).
@@ -185,17 +185,9 @@ class Transform:
     def inverse(self, t: float) -> float:
         return float(t)
 
-    # affine between kinks: a moment table re-centres t on the belief and
-    # integrates its powers as polynomials of the offset within a cell
+    # affine: a moment table re-centres t on the belief and integrates its
+    # powers as polynomials of the offset within a cell
     affine = True
-
-    def kinks(self) -> tuple:
-        """Interior points where the slope changes."""
-        return ()
-
-    def slope(self, y: float) -> float:
-        """dt/dy on the kink-free cell that starts at y (affine transforms)."""
-        return 1.0
 
     def key(self) -> tuple:
         return (self.name,)
@@ -235,53 +227,6 @@ class SigmoidTransform(Transform):
 
 
 SIGMOID = SigmoidTransform()
-
-
-class PiecewiseLinearTransform(Transform):
-    """User-supplied strictly increasing piecewise-linear map.
-
-    Extends beyond the first/last knot with the end-segment slopes.
-    """
-
-    name = "pwlinear"
-
-    def __init__(self, xs: Sequence[float], ts: Sequence[float]):
-        xs = [float(x) for x in xs]
-        ts = [float(t) for t in ts]
-        if len(xs) != len(ts) or len(xs) < 2:
-            raise ValueError("need matching knot arrays of length >= 2")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("knot locations must be strictly increasing")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("knot values must be strictly increasing")
-        self.xs = xs
-        self.ts = ts
-
-    def _segment(self, y: float) -> tuple[float, float]:
-        # slope/intercept of the active linear segment
-        i = bisect_right(self.xs, y) - 1
-        i = max(0, min(i, len(self.xs) - 2))
-        m = (self.ts[i + 1] - self.ts[i]) / (self.xs[i + 1] - self.xs[i])
-        return m, self.ts[i] - m * self.xs[i]
-
-    def __call__(self, y: float) -> float:
-        m, b = self._segment(y)
-        return m * float(y) + b
-
-    def inverse(self, t: float) -> float:
-        i = bisect_right(self.ts, t) - 1
-        i = max(0, min(i, len(self.ts) - 2))
-        m = (self.ts[i + 1] - self.ts[i]) / (self.xs[i + 1] - self.xs[i])
-        return self.xs[i] + (t - self.ts[i]) / m
-
-    def kinks(self) -> tuple:
-        return tuple(self.xs[1:-1])
-
-    def slope(self, y: float) -> float:
-        return self._segment(y)[0]
-
-    def key(self) -> tuple:
-        return (self.name, tuple(self.xs), tuple(self.ts))
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +277,6 @@ def finite_contract(space: OutcomeSpace, values) -> Contract:
         raise PayoffOverflow("payoffs must be finite")
     arr.flags.writeable = False
     return Contract(space=space, values=arr)
-
-
-def ones_contract(space: OutcomeSpace) -> Contract:
-    """The all-cash contract paying 1 in every outcome."""
-    if space.is_finite:
-        return finite_contract(space, np.ones(space.n))
-    return piecewise_contract((), ((1.0, 0.0, 0.0),))
 
 
 def piecewise_contract(ends: Iterable[float], pieces: Iterable,
@@ -742,14 +680,6 @@ class Belief:
             tab = self._moments[key] = MomentTable(self, transform)
         return tab
 
-    def cdf(self, y: float) -> float:
-        x, f = self.xs, self.fs
-        if y <= x[0]:
-            return 0.0
-        if y >= x[-1]:
-            return 1.0
-        return float(np.interp(y, x, f))
-
     def quantile(self, alpha: float) -> float:
         """The unique x with CDF(x) = alpha (CDF strictly increasing on support)."""
         if not 0.0 < alpha < 1.0:
@@ -821,32 +751,26 @@ class MomentTable:
     """Cumulative moments M(y) = (F(y), int s dF, int s^2 dF) up to y of a
     piecewise-linear CDF F, in the coordinate s = t - shift.
 
-    The cells run between the belief's knots and the transform's kinks
-    inside the support, and each holds the density of the belief cell it
-    lies in.  An affine transform is re-centred at the belief's mean of t,
+    The cells run between the belief's knots, and each holds the belief's
+    density on it.  The identity is re-centred at the belief's mean of t,
     and a cell's moments up to y are polynomials of the offset h = y - a
-    from its lower end a, with s(a) and the slope stored per cell; the
-    sigmoid keeps shift 0 and differences its antiderivatives.  ``at``
+    from its lower end a, with s(a) stored per cell; the sigmoid keeps
+    shift 0 and differences its antiderivatives.  ``at``
     reads one point, and ``expectation`` a payoff from the points at its
     pieces' ends, in plain floats: the one reader of the table.
     """
 
     def __init__(self, p: Belief, T: Transform):
-        lo, hi = p.support()
-        knots = sorted(set(p.xs.tolist()).union(
-            k for k in T.kinks() if lo < k < hi))
+        knots = p.xs.tolist()
         # the CDF is exactly 0 and 1 at the ends of the support, which the
         # stored values meet only within STRUCT_TOL
         f = np.array(p.fs)
         f[0], f[-1] = 0.0, 1.0
-        dens = np.diff(f) / np.diff(p.xs)
-        cell = np.searchsorted(p.xs, knots[:-1], side="right") - 1
         self.transform = T
         self.knots = knots
-        self.dens = dens[cell].tolist()
+        self.dens = (np.diff(f) / np.diff(p.xs)).tolist()
         self.affine = T.affine
         if T.affine:
-            self.slopes = [T.slope(a) for a in knots[:-1]]
             # centred at t(x0) first, then at the mean of t where it is
             # finite: there the terms of an expectation, and so its
             # rounding, are smallest
@@ -874,9 +798,8 @@ class MomentTable:
         w = self.dens[j]
         if self.affine:
             sa = self.s_lo[j]
-            mh = self.slopes[j] * h
-            return (m0 + w * h, m1 + w * (h * (sa + 0.5 * mh)),
-                    m2 + w * (h * (sa * sa + mh * (sa + mh / 3.0))))
+            return (m0 + w * h, m1 + w * (h * (sa + 0.5 * h)),
+                    m2 + w * (h * (sa * sa + h * (sa + h / 3.0))))
         a1, a2 = self.transform.antiderivatives(y)
         b1, b2 = self.anti[j]
         return m0 + w * h, m1 + w * (a1 - b1), m2 + w * (a2 - b2)

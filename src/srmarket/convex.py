@@ -53,7 +53,6 @@ class ConvexFn:
     grad_fn: Callable[[np.ndarray], np.ndarray]
     lo: np.ndarray
     hi: np.ndarray
-    differentiable: bool = True
     bounded: bool = False
     closure_fn: Callable[[np.ndarray], float] | None = None
     # vertices of a polytope that bounds the domain inside the box
@@ -346,12 +345,6 @@ def log_partition(phi: np.ndarray) -> ConvexFn:
 def binary_lmsr_cost() -> ConvexFn:
     """C(q) = log(1 + e^q) for a single security paying 1{Y = 1}."""
     return log_partition(np.array([[0.0], [1.0]]))
-
-
-def from_callables(dim, value, grad, lo=None, hi=None, **flags) -> ConvexFn:
-    lo, hi = _box(dim, lo, hi)
-    return ConvexFn(dim=dim, value_fn=lambda x: float(value(x)),
-                    grad_fn=lambda x: _vec(grad(x)), lo=lo, hi=hi, **flags)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .convex import (
     _vec,
     bisect,
     brent_max,
-    bracket,
     hull_facets,
     invert_gradient,
     invert_gradients,
@@ -764,32 +763,22 @@ class QuantileRule(ScoringRule):
 class ExpectileRule(ScoringRule):
     """S(r, y) = -|1{y <= r} - tau| D_g(y, r) for strictly convex g.
 
-    The representable path takes g as a quadratic (coefficients c0+c1 y+c2 y^2,
-    c2 > 0), whose Bregman kernel is c2 (y - r)^2 and keeps contracts
-    piecewise quadratic.  Arbitrary differentiable strictly convex g is
-    accepted as a callable pair for pointwise scoring and property
-    evaluation, without contract support.
+    g is a quadratic (coefficients c0 + c1 y + c2 y^2, c2 > 0), whose
+    Bregman kernel is c2 (y - r)^2 and keeps contracts piecewise quadratic.
     """
 
     family = "expectile"
 
-    def __init__(self, tau: float, g_coeffs: tuple = (0.0, 0.0, 1.0),
-                 g=None, gprime=None):
+    def __init__(self, tau: float, g_coeffs: tuple = (0.0, 0.0, 1.0)):
         if not 0.0 < tau < 1.0:
             raise ValueError("expectile level must lie in (0, 1)")
         self.tau = float(tau)
-        if g is not None or gprime is not None:
-            if g is None or gprime is None:
-                raise ValueError("supply both g and gprime")
-            self.g, self.gprime = g, gprime
-            self.g_coeffs = None
-        else:
-            c0, c1, c2 = (float(v) for v in g_coeffs)
-            if c2 <= 0:
-                raise ValueError("quadratic transform needs positive curvature")
-            self.g_coeffs = (c0, c1, c2)
-            self.g = lambda y: c0 + c1 * y + c2 * y * y
-            self.gprime = lambda y: c1 + 2.0 * c2 * y
+        c0, c1, c2 = (float(v) for v in g_coeffs)
+        if c2 <= 0:
+            raise ValueError("quadratic transform needs positive curvature")
+        self.g_coeffs = (c0, c1, c2)
+        self.g = lambda y: c0 + c1 * y + c2 * y * y
+        self.gprime = lambda y: c1 + 2.0 * c2 * y
         self.outcome_space = REAL_LINE
         self.report_space = RealReports()
 
@@ -814,9 +803,6 @@ class ExpectileRule(ScoringRule):
 
     def _pieces(self, r) -> tuple:
         """The two pieces of the score of r, a float or an array of reports."""
-        if self.g_coeffs is None:
-            raise InvalidReport(
-                "contracts need the quadratic transform; supply g_coeffs")
         a = self.g_coeffs[2]
 
         def piece(w):
@@ -838,12 +824,9 @@ class ExpectileRule(ScoringRule):
                       a - 1.0, b + 1.0, SEARCH_XTOL)
 
     def wn_candidate(self, r1, r1p, r2):
-        """Match tail slopes: g'(r2') - g'(r2) = g'(r1) - g'(r1p)."""
-        if self.g_coeffs is not None:
-            return float(r2) + (float(r1) - float(r1p))
-        target = self.gprime(r2) + self.gprime(r1) - self.gprime(r1p)
-        ends = bracket(self.gprime, target)
-        return None if ends is None else bisect(self.gprime, target, *ends)
+        """Match tail slopes: g'(r2') - g'(r2) = g'(r1) - g'(r1p), which for
+        the linear g' is r2' = r2 + (r1 - r1p)."""
+        return float(r2) + (float(r1) - float(r1p))
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,15 @@ from srmarket.contracts import (
     MEMBER_TOL,
     SIGMOID,
     PayoffOverflow,
-    PiecewiseLinearTransform,
     combine,
     piecewise_contract,
     sigmoid,
     stack_pieces,
 )
 from srmarket.convex import (
+    ConvexFn,
     binary_lmsr_cost,
     binary_negentropy,
-    from_callables,
     interval_negentropy,
     invert_gradient,
     invert_gradients,
@@ -160,7 +159,10 @@ def test_simplex_gradient_is_nan_off_the_open_simplex():
 
 
 def test_from_callables_loops_over_the_rows():
-    fn = from_callables(1, lambda x: x[0] ** 4, lambda x: [4.0 * x[0] ** 3])
+    # a potential given by its value and gradient alone, no array forms
+    fn = ConvexFn(dim=1, value_fn=lambda x: x[0] ** 4,
+                  grad_fn=lambda x: [4.0 * x[0] ** 3], lo=np.array([-INF]),
+                  hi=np.array([INF]))
     assert fn.values_fn is None and fn.grad_inverse is None
     xs = np.array([[-1.0], [0.5], [2.0]])
     assert fn.values(xs).tolist() == [1.0, 0.0625, 16.0]
@@ -235,8 +237,6 @@ def test_score_table_overflow_raises_without_a_warning():
 PIECE_RULES = {
     "median": QuantileRule(0.5),
     "sigmoid-quantile": QuantileRule(0.3, SIGMOID),
-    "pwlinear-quantile": QuantileRule(0.7, PiecewiseLinearTransform(
-        [-1.0, 0.0, 2.0], [-3.0, 0.0, 1.0])),
     "expectile": ExpectileRule(0.3),
     "expectile-g": ExpectileRule(0.8, (1.0, -2.0, 3.0)),
     "mean": ExpectationRule(quadratic(1)),
@@ -297,12 +297,6 @@ def test_piece_rows_raise_for_the_first_report_outside_the_space():
             rule.piece_rows([0.0, "1.0", math.nan])
         with pytest.raises(InvalidReport, match="nan"):
             rule.piece_rows([0.0, math.nan, "1.0"])
-    # an expectile on a callable g has a score but no pieces
-    rule = ExpectileRule(0.3, g=lambda y: y ** 4, gprime=lambda y: 4.0 * y ** 3)
-    with pytest.raises(InvalidReport, match="g_coeffs"):
-        rule.piece_rows([0.0, 1.0])
-    with pytest.raises(InvalidReport, match="g_coeffs"):
-        rule.score_stack([0.0])
 
 
 # ---------------------------------------------------------------------------

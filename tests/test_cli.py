@@ -183,6 +183,25 @@ class TestExtractCommand:
     def test_ratio_extract_expected_failure(self, tmp_path):
         assert run_extract(load_config("extract_ratio"), str(tmp_path)) == 0
 
+    def test_report_prints_floats_not_numpy_reprs(self, tmp_path):
+        # a quadratic potential leaves a rounding-sized convexity gap; each
+        # residual line is a float's repr, readable by float()
+        cfg = {"name": "quad_extract",
+               "market": {"family": "expectation",
+                          "potential": {"name": "quadratic", "lo": [-2.0],
+                                        "hi": [3.0]},
+                          "phi": [0.0, 1.0, 2.5], "outcomes": [1, 2, 3]},
+               "grid": {"lo": 0.1, "hi": 2.3, "num": 13}}
+        path = tmp_path / "quad_extract.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["extract", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "quad_extract__extract.txt").read_text()
+        assert "ok: True" in text and "np." not in text
+        for key in ("solve_residual", "roundtrip_residual", "convexity_gap"):
+            line = next(l for l in text.splitlines() if l.startswith(key + ":"))
+            assert 0.0 <= float(line.split(": ")[1]) < 1e-8
+
 
 class TestFigureCommand:
     def test_mode_figure_values(self, tmp_path):

@@ -13,7 +13,6 @@ from srmarket.contracts import (
     OutcomeMismatch,
     OutcomeSpace,
     PayoffOverflow,
-    PiecewiseLinearTransform,
     cdf_belief,
     combine,
     contract_argmin,
@@ -22,7 +21,6 @@ from srmarket.contracts import (
     expected_payoff,
     finite_belief,
     finite_contract,
-    ones_contract,
     piecewise_contract,
     project_cashless,
     uniform_belief,
@@ -30,6 +28,8 @@ from srmarket.contracts import (
 from srmarket.scoring import QuantileRule
 
 SPACE3 = OutcomeSpace.finite((1, 2, 3))
+# the all-cash contract on SPACE3
+CASH3 = finite_contract(SPACE3, np.ones(3))
 
 
 def affine(c0, c1, transform=IDENTITY):
@@ -42,7 +42,7 @@ class TestBounds:
         assert contract_bounds(d) == (-1.0, 1.0)
 
     def test_all_ones_constant(self):
-        assert contract_bounds(ones_contract(SPACE3)) == (1.0, 1.0)
+        assert contract_bounds(CASH3) == (1.0, 1.0)
 
     def test_unbounded_affine_line(self):
         # mean-market trade 2y - 1 has unbounded loss and gain
@@ -212,7 +212,7 @@ class TestExpectedPayoff:
 
     def test_normalization(self):
         p = finite_belief(SPACE3, [0.2, 0.5, 0.3])
-        assert expected_payoff(ones_contract(SPACE3), p) == pytest.approx(1.0)
+        assert expected_payoff(CASH3, p) == pytest.approx(1.0)
 
     def test_uniform_mean_closed_form_and_monte_carlo(self):
         d = affine(0.0, 1.0)  # payoff y
@@ -314,7 +314,8 @@ class TestBeliefs:
         p = cdf_belief([0.0, 1.0, 4.0], [0.0, 0.25, 1.0])
         assert p.quantile(0.25) == pytest.approx(1.0, abs=1e-12)
         assert p.quantile(0.625) == pytest.approx(2.5, abs=1e-12)
-        assert p.cdf(p.quantile(0.1)) == pytest.approx(0.1, abs=1e-12)
+        # F is y / 4 on [0, 1]
+        assert p.quantile(0.1) == pytest.approx(0.4, abs=1e-12)
 
     def test_uniform_mean(self):
         assert uniform_belief(2.0, 6.0).mean() == pytest.approx(4.0, abs=1e-12)
@@ -336,19 +337,10 @@ class TestTransforms:
             approx, _ = quad(lambda y: SIGMOID(y) ** k, -1.5, 2.0)
             assert 3.5 * total[k] == pytest.approx(approx, abs=1e-10)
 
-    def test_piecewise_linear_transform(self):
-        t = PiecewiseLinearTransform([0.0, 1.0, 2.0], [0.0, 0.5, 2.0])
-        assert t(0.5) == pytest.approx(0.25)
-        assert t(1.5) == pytest.approx(1.25)
-        assert t(-1.0) == pytest.approx(-0.5)  # extended by end slope
-        assert t.inverse(t(1.7)) == pytest.approx(1.7, abs=1e-12)
-        with pytest.raises(ValueError):
-            PiecewiseLinearTransform([0.0, 1.0], [1.0, 0.0])
-
 
 class TestHelpers:
     def test_constant_detection(self):
-        flat, lvl = contract_is_constant(ones_contract(SPACE3))
+        flat, lvl = contract_is_constant(CASH3)
         assert flat and lvl == 1.0
         d = affine(2.0, 0.0)
         flat, lvl = contract_is_constant(d)

@@ -20,8 +20,8 @@ from srmarket.contracts import (
     project_cashless,
 )
 from srmarket.convex import (
+    ConvexFn,
     binary_negentropy,
-    from_callables,
     interval_negentropy,
     quadratic,
     simplex_negentropy,
@@ -44,6 +44,13 @@ from srmarket.engine import MarketSession
 from srmarket.scoring import ExpectationRule, InvalidReport, ModeRule, RatioRule
 
 
+def line_fn(value, grad, lo=-math.inf, hi=math.inf):
+    """A scalar potential from its value and gradient alone: no array forms,
+    so its ``values`` and ``grads`` loop over the rows."""
+    return ConvexFn(dim=1, value_fn=value, grad_fn=grad, lo=np.array([lo]),
+                    hi=np.array([hi]))
+
+
 def capped_cost():
     """Differentiable convex cost whose gradient attains the hull vertex 1:
     flat left tail, quadratic bridge, unit-slope right tail."""
@@ -64,7 +71,7 @@ def capped_cost():
             return np.array([(q + 1.0) / 4.0])
         return np.array([1.0])
 
-    return from_callables(1, val, grad)
+    return line_fn(val, grad)
 
 
 class TestShareSpace:
@@ -151,8 +158,7 @@ class TestTrading:
         rule = binary_lmsr_rule()
         c = rule.cost
         mirrored = CostRule(
-            from_callables(1, lambda q: c.value(-q),
-                           lambda q: -c.grad(-q)),
+            line_fn(lambda q: c.value(-q), lambda q: -c.grad(-q)),
             rule.phi, rule.outcome_space)
         phi = rule.phi[:, 0]
         for q, qp in ((0.0, 1.5), (-2.0, 0.7), (1.0, -1.0)):
@@ -419,3 +425,17 @@ class TestExtraction:
         ext = extract_cost_market(rule, grid)
         assert ext.ok and ext.k == 2
         assert roundtrip_residual(rule, ext) < 1e-8
+
+    def test_nonconvex_potential_fails_at_convexity(self):
+        # sin(6x) is concave near 0.9: the cost point of that report sits
+        # above the lower convex envelope of the others
+        fn = line_fn(lambda x: math.sin(6.0 * x[0]),
+                     lambda x: np.array([6.0 * math.cos(6.0 * x[0])]), 0.0, 1.0)
+        rule = ExpectationRule(fn, phi=[[0.0], [1.0]])
+        ext = extract_cost_market(rule, [k / 10 for k in range(1, 10)])
+        assert not ext.ok and ext.failure_step == "convexity" and ext.k == 1
+        assert ext.witness["report"] == "0.9"
+        gap = ext.witness["envelope_gap"]
+        assert type(gap) is float and type(ext.convexity_gap) is float
+        assert gap == ext.convexity_gap
+        assert gap == pytest.approx(4.588976817564819, rel=1e-9)

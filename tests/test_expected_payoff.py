@@ -18,12 +18,10 @@ from srmarket.contracts import (
     REAL_LINE,
     SEARCH_XTOL,
     SIGMOID,
-    PiecewiseLinearTransform,
     cdf_belief,
     combine,
     contract_bounds,
     expected_payoff,
-    ones_contract,
     piecewise_contract,
     sigmoid,
     softplus,
@@ -34,7 +32,7 @@ from srmarket.scoring import ExpectationRule, ExpectileRule, QuantileRule, Scori
 
 
 def power_integral(T, k, a, b):
-    """Integral of T(y)**k dy over a finite [a, b] free of kinks."""
+    """Integral of T(y)**k dy over a finite [a, b]."""
     if k == 0:
         return b - a
     if T is SIGMOID:
@@ -42,10 +40,6 @@ def power_integral(T, k, a, b):
         def anti(y):
             return softplus(y) if k == 1 else softplus(y) - sigmoid(y)
         return anti(b) - anti(a)
-    if isinstance(T, PiecewiseLinearTransform):
-        m, c = T._segment(0.5 * (a + b))
-        ta, tb = m * a + c, m * b + c
-        return (tb ** (k + 1) - ta ** (k + 1)) / ((k + 1) * m)
     return (b ** (k + 1) - a ** (k + 1)) / (k + 1)
 
 
@@ -60,7 +54,6 @@ def reference_expected_payoff(d, p):
     fs[0], fs[-1] = 0.0, 1.0
     cuts = set(float(x) for x in p.xs)
     cuts.update(b for b in d.ends if lo < b < hi)
-    cuts.update(k for k in T.kinks() if lo < k < hi)
     edges = sorted(cuts)
     total = []
     los = [-INF, *d.ends]
@@ -83,18 +76,17 @@ def reference_expected_payoff(d, p):
 
 
 def exact_expected_payoff(d, p):
-    """E_p d(Y) in rational arithmetic, for the identity and piecewise-linear
-    transforms: the belief's CDF with its end values set to 0 and 1, each
-    cell of knots, breakpoints and kinks taking the piece at its lower end,
-    and the exact integrals of the affine t."""
-    T, F = d.transform, Fraction
+    """E_p d(Y) in rational arithmetic, for the identity transform: the
+    belief's CDF with its end values set to 0 and 1, each cell of knots and
+    breakpoints taking the piece at its lower end, and the exact integrals
+    of t = y."""
+    F = Fraction
     xs = [F(x) for x in p.xs]
     fs = [F(f) for f in p.fs]
     fs[0], fs[-1] = F(0), F(1)
     lo, hi = p.support()
     cuts = set(xs)
     cuts.update(F(b) for b in d.ends if lo < b < hi)
-    cuts.update(F(k) for k in T.kinks() if lo < k < hi)
     edges = sorted(cuts)
     los = [-INF, *d.ends]
     total = F(0)
@@ -102,14 +94,7 @@ def exact_expected_payoff(d, p):
         i = bisect_right(xs, a) - 1
         dens = (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i])
         coeffs = d.pieces[max(bisect_right(los, a) - 1, 0)]
-        if isinstance(T, PiecewiseLinearTransform):
-            j = min(max(bisect_right(T.xs, a) - 1, 0), len(T.xs) - 2)
-            x0, t0 = F(T.xs[j]), F(T.ts[j])
-            m = (F(T.ts[j + 1]) - t0) / (F(T.xs[j + 1]) - x0)
-        else:
-            x0, t0, m = F(0), F(0), F(1)
-        ta, tb = t0 + m * (a - x0), t0 + m * (b - x0)
-        total += dens * sum(F(c) * (tb ** (k + 1) - ta ** (k + 1)) / ((k + 1) * m)
+        total += dens * sum(F(c) * (b ** (k + 1) - a ** (k + 1)) / (k + 1)
                             for k, c in enumerate(coeffs))
     return total
 
@@ -138,8 +123,8 @@ def assert_within_reference_error(d, p):
     assert abs(Fraction(got) - exact) <= ref_err + 4 * Fraction(math.ulp(scale))
 
 
-# Belief knots, contract breakpoints and transform kinks draw from one pool,
-# so they often coincide.
+# Belief knots and contract breakpoints draw from one pool, so they often
+# coincide.
 POOL = [-3.0, -1.0, -0.25, 0.0, 0.5, 2.0, 7.5]
 POINTS = st.one_of(st.sampled_from(POOL),
                    st.floats(-20.0, 20.0, allow_nan=False))
@@ -158,30 +143,14 @@ def _distinct(draw, points, min_size, max_size):
     return sorted(set(draw(st.lists(points, min_size=min_size, max_size=max_size))))
 
 
-@st.composite
-def transforms(draw):
-    kind = draw(st.sampled_from(["identity", "sigmoid", "pwlinear"]))
-    if kind == "identity":
-        return IDENTITY
-    if kind == "sigmoid":
-        return SIGMOID
-    # knots on the grid keep the knot values strictly increasing
-    xs = _distinct(draw, GRID_POINTS, 2, 5)
-    if len(xs) < 2:
-        xs = [xs[0], xs[0] + 1.0]
-    slopes = draw(st.lists(st.floats(0.25, 4.0), min_size=len(xs) - 1,
-                           max_size=len(xs) - 1))
-    ts = [0.0]
-    for a, b, m in zip(xs, xs[1:], slopes):
-        ts.append(ts[-1] + m * (b - a))
-    return PiecewiseLinearTransform(xs, ts)
+TRANSFORMS = st.sampled_from([IDENTITY, SIGMOID])
 
 
 @st.composite
 def contracts(draw, points=POINTS, transform=None):
     """Piecewise contracts of 1-6 pieces, zero coefficients included."""
     if transform is None:
-        transform = draw(transforms())
+        transform = draw(TRANSFORMS)
     ends = _distinct(draw, points, 0, 5)
     m = len(ends) + 1
     flat = draw(st.lists(COEFFS, min_size=3 * m, max_size=3 * m))
@@ -210,14 +179,16 @@ def _split(coeffs, cuts, transform=IDENTITY):
     return piecewise_contract(cuts, [coeffs] * (len(cuts) + 1), transform)
 
 
-KINKED = PiecewiseLinearTransform([-1.0, 0.5, 2.0], [0.0, 3.0, 3.5])
 # breakpoints on every knot of the belief; the belief's end values are off
 # by the most cdf_belief accepts
 ON_KNOTS = (_split((0.3, -0.7, 1.0), [-1.0, 0.5, 2.0]),
             cdf_belief([-1.0, 0.5, 2.0], [1e-12, 0.4, 1.0 - 1e-12]))
-# kinks inside the support and on its ends, a breakpoint between them
-PW_KINKS = (_split((1.0, 2.0, -0.5), [0.0], KINKED),
+# breakpoints on an inner knot and on both ends of the support, and one
+# between knots
+AT_KNOTS = (_split((1.0, 2.0, -0.5), [-1.0, 0.0, 1.0, 2.0]),
             cdf_belief([-1.0, 0.25, 1.0, 2.0], [1e-13, 0.3, 0.6, 1.0]))
+# the all-cash contract, of one piece
+CASH = piecewise_contract((), ((1.0, 0.0, 0.0),))
 
 
 # most of the mass far from the first knot: re-centred there rather than at
@@ -245,7 +216,7 @@ SIGMOID_SUBNORMAL = (piecewise_contract([-3.0], [(0.0, 0.0, 0.0), (5e-324, 0.0, 
 @settings(max_examples=300, deadline=None)
 @given(contracts(), beliefs())
 @example(*ON_KNOTS)
-@example(*PW_KINKS)
+@example(*AT_KNOTS)
 @example(*FAR_FROM_X0)
 @example(*SIGMOID_RAW_END)
 @example(*SIGMOID_SUBNORMAL)
@@ -256,7 +227,7 @@ def test_matches_exact_reference(d, p):
 @st.composite
 def contract_rows(draw):
     """1-6 contracts in one coordinate, of 1-6 pieces each."""
-    transform = draw(transforms())
+    transform = draw(TRANSFORMS)
     return [draw(contracts(transform=transform))
             for _ in range(draw(st.integers(1, 6)))]
 
@@ -283,8 +254,8 @@ FAR = (piecewise_contract([1e300], [(0.0, 0.0, 0.0), (1e300, 0.0, 0.0)]),
 @settings(max_examples=200, deadline=None)
 @given(contract_rows(), beliefs())
 @example([ON_KNOTS[0], _split((1.0, 0.0, 0.0), [])], ON_KNOTS[1])
-@example([PW_KINKS[0], _split((0.0, 1.0, 1.0), [-1.0, 0.5], KINKED)], PW_KINKS[1])
-@example([FAR[0], ones_contract(REAL_LINE)], FAR[1])
+@example([AT_KNOTS[0], _split((0.0, 1.0, 1.0), [-1.0, 0.5])], AT_KNOTS[1])
+@example([FAR[0], CASH], FAR[1])
 def test_stack_scores_read_each_padded_row_as_its_contract(ds, p):
     # score_stack pads rows of fewer pieces with +inf ends and zero pieces,
     # and the one reader reads such a row as the contract it pads
@@ -386,7 +357,7 @@ WEIGHTS = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 0.5, -2.5]),
 
 @st.composite
 def same_coordinate_pairs(draw):
-    transform = draw(transforms())
+    transform = draw(TRANSFORMS)
     return (draw(contracts(GRID_POINTS, transform)),
             draw(contracts(GRID_POINTS, transform)))
 
@@ -411,8 +382,8 @@ def test_within_contract_bounds(d, p):
 
 
 @settings(max_examples=100, deadline=None)
-@given(transforms(), st.lists(POINTS, max_size=4), beliefs())
+@given(TRANSFORMS, st.lists(POINTS, max_size=4), beliefs())
 def test_cash_integrates_to_one(transform, cuts, p):
-    assert abs(expected_payoff(ones_contract(REAL_LINE), p) - 1.0) <= 1e-12
+    assert abs(expected_payoff(CASH, p) - 1.0) <= 1e-12
     ones = _split((1.0, 0.0, 0.0), sorted(set(cuts)), transform)
     assert abs(expected_payoff(ones, p) - 1.0) <= 1e-12

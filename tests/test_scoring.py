@@ -315,32 +315,6 @@ class TestQuantileRule:
                 assert r_id == pytest.approx(r_sig, abs=1e-6)
                 assert r_id == pytest.approx(p.quantile(alpha), abs=1e-6)
 
-    def test_user_monotone_piecewise_transform(self):
-        from srmarket.contracts import PiecewiseLinearTransform
-
-        g = PiecewiseLinearTransform([-1.0, 0.0, 2.0], [-2.0, 0.0, 1.0])
-        rule = QuantileRule(0.4, g)
-        # contract evaluation matches the raw formula everywhere
-        d = rule.score_contract(0.5)
-        for y in np.linspace(-3, 4, 71):
-            want = (0.4 - (1.0 if 0.5 >= y else 0.0)) * (g(0.5) - g(y))
-            assert d(y) == pytest.approx(want, abs=1e-12)
-        # expected score integrates exactly across the transform kinks
-        p = cdf_belief([-2.0, 1.0, 3.0], [0.0, 0.6, 1.0])
-        from scipy.integrate import quad
-
-        def integrand(y):
-            dens = 0.6 / 3.0 if y < 1.0 else 0.4 / 2.0
-            # the raw formula, not the contract the expectation reads
-            return (0.4 - (1.0 if 0.5 >= y else 0.0)) * (g(0.5) - g(y)) * dens
-
-        approx, _ = quad(integrand, -2.0, 3.0, points=[0.0, 0.5, 1.0, 2.0],
-                         limit=200)
-        assert rule.expected_score(0.5, p) == pytest.approx(approx, abs=1e-9)
-        # the transform does not move the elicited quantile
-        assert rule.best_response(p) == pytest.approx(p.quantile(0.4),
-                                                      abs=1e-6)
-
 
 class TestExpectileRule:
     def test_asymmetric_squared_error(self):
@@ -392,21 +366,13 @@ class TestExpectileRule:
     def test_bregman_kernel_quasi_convex_in_second_argument(self):
         # no strict interior local max along x for D(y, x); at tau = 1/2 the
         # weight is 1/2 on both sides, so the score is -D(y, x) / 2
-        rule = ExpectileRule(0.5, g=math.exp, gprime=math.exp)
+        rule = ExpectileRule(0.5, (1.0, -2.0, 3.0))
         for y in (-1.0, 0.0, 1.5):
             xs = np.linspace(-3, 3, 601)
             vals = np.array([-2.0 * rule.score(x, y) for x in xs])
             inner = (vals[1:-1] > vals[:-2] + 1e-12) & \
                     (vals[1:-1] > vals[2:] + 1e-12)
             assert not np.any(inner)
-
-    def test_callable_transform_scores(self):
-        rule = ExpectileRule(0.4, g=lambda y: math.exp(y),
-                             gprime=lambda y: math.exp(y))
-        breg = math.exp(2.0) - math.exp(1.0) - math.exp(1.0) * 1.0
-        assert rule.score(1.0, 2.0) == pytest.approx(-0.4 * breg)
-        with pytest.raises(InvalidReport):
-            rule.score_contract(1.0)
 
 
 class TestRatioRule:

@@ -301,27 +301,6 @@ def reference_expectile_property_value(self, p, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def reference_expectile_wn_candidate(self, r1, r1p, r2):
-    """``ExpectileRule.wn_candidate`` on a callable transform, as it was."""
-    target = self.gprime(r2) + self.gprime(r1) - self.gprime(r1p)
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if self.gprime(lo) <= target:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if self.gprime(hi) >= target:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        m = 0.5 * (lo + hi)
-        if self.gprime(m) < target:
-            lo = m
-        else:
-            hi = m
-    return 0.5 * (lo + hi)
-
-
 def reference_golden_max(f, lo: float, hi: float, xtol: float) -> float:
     """``scoring._golden_max`` as it was."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -556,23 +535,6 @@ def test_expectile_property_value_equals_old_loop():
         for p in _cdf_beliefs(rng, 15):
             assert rule.property_value(p) == \
                 reference_expectile_property_value(rule, p)
-
-
-def test_expectile_wn_candidate_equals_old_loop():
-    rule = ExpectileRule(0.3, g=math.exp, gprime=math.exp)
-    rng = np.random.default_rng(34)
-    below = 0
-    for r1, r1p, r2 in rng.uniform(-3.0, 3.0, (200, 3)):
-        got = rule.wn_candidate(r1, r1p, r2)
-        want = reference_expectile_wn_candidate(rule, r1, r1p, r2)
-        if math.exp(r2) + math.exp(r1) - math.exp(r1p) <= 0.0:
-            # below the range of g' = exp: the old loop returned the end of
-            # a bracket doubled 200 times, the new one no candidate
-            assert got is None and want < -1e59
-            below += 1
-        else:
-            assert got == want
-    assert 0 < below < 200
 
 
 def _golden_cases():

@@ -52,7 +52,7 @@ def finite_cases(draw):
 @st.composite
 def real_line_cases(draw):
     rule = draw(RULES)
-    return rule, draw(grids(rule, max_points=30))
+    return rule, draw(grids(max_points=30))
 
 
 def bits(values) -> bytes:
