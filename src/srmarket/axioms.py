@@ -106,13 +106,6 @@ class SearchConfig:
     def report_grid(self, rule: ScoringRule) -> list:
         return rule.report_grid(self.report_points, self.report_window)
 
-    def candidate_grid(self, rule: ScoringRule) -> list:
-        shares = getattr(rule, "shares", None)
-        if shares is not None and shares.is_lattice:
-            pts = shares.lattice_points(self.lattice_bound)
-            return [float(v[0]) if len(v) == 1 else v for v in pts]
-        return rule.report_grid(self.candidate_points, self.report_window)
-
 
 def _j(r):
     """JSON-able rendering of a report or outcome."""
@@ -495,7 +488,7 @@ def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig, analytic):
                 if rule.report_space.contains(cand):
                     yield float(cand)
             step *= 0.5
-    yield from cfg.candidate_grid(rule)
+    yield from rule.report_grid(cfg.candidate_points, cfg.report_window)
 
 
 def _worst_entry(net, c) -> tuple:
@@ -842,8 +835,10 @@ def _replay_neutralization(rule, report) -> tuple:
     base, values, margin, witness, _ = _failure(
         report.axiom, rule, scenario,
         [_unj(e["candidate"]) for e in w["candidates"]], 0, 0)
-    # a value improves past base + delta, which is -inf where base is -inf
-    _expect(not any(v > base + SearchConfig.delta for v in values),
+    # no value beats base + margin, the best the check saw, past REPLAY_TOL
+    top = base + report.margin
+    slack = REPLAY_TOL * max(1.0, abs(top)) if math.isfinite(top) else 0.0
+    _expect(not any(v > top + slack for v in values),
             report.axiom, "candidate improves after all")
     return witness, margin
 

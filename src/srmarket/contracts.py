@@ -16,7 +16,8 @@ of a payoff and of each row of a stack (``ScoringRule.stack_scores``).
 
 Tolerance policy: structural identities (telescoping, projection, a BTB
 state at its target) are held to STRUCT_TOL, and a lattice basis whose
-determinant is below it is singular; anything derived from iterative
+determinant is below it is singular; a lifted hull facet whose normal's
+cost component is within it of 0 is vertical; anything derived from iterative
 optimization is held to OPT_TOL.  Expected scores within TIE_TOL of the
 best tie, and the smallest tied report is picked (best responses over
 finite reports, the finite properties).  The searches of ``convex`` bracket

@@ -10,7 +10,9 @@ of a potential, so one gradient inversion (``invert_gradient``, or
 closed-form ``grad_inverse`` where it has one, else ``bracket`` and
 ``bisect``.  ``brent_max`` is the one maximizer of a unimodal function to
 a tolerance; ``golden_max`` runs a fixed number of golden-section steps,
-for cost extraction's non-smooth distance.
+for cost extraction's non-smooth distance.  ``hull_facets`` (Qhull) is the
+one hull routine: report-space hulls, openness margins, and extraction's
+convexity certificate, the lower hull of the lifted (share, cost) points.
 """
 from __future__ import annotations
 

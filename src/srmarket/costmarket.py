@@ -32,6 +32,7 @@ from .convex import (
     _vec,
     binary_lmsr_cost,
     golden_max,
+    hull_facets,
     hull_margin,
     invert_gradient,
     log_partition,
@@ -475,25 +476,26 @@ class Extraction:
 
 
 def _lower_envelope_gap(shares: np.ndarray, costs: np.ndarray) -> tuple:
-    """Max amount by which a cost point sits above the lower convex envelope
-    of the point set; 0 (within tol) iff some convex function interpolates."""
-    from scipy.optimize import linprog
+    """(gap, index) of the first cost point farthest above the lower convex
+    envelope of the (share, cost) points, else (0.0, None).  The envelope is
+    the max of the lifted hull's facet planes, costs in units of max(1,
+    |cost|), whose unit normal has a cost component below -STRUCT_TOL: a
+    facet within rounding of vertical would lift it and hide a gap.  Qhull
+    raises on fewer than k + 2 points or a flat lifted set; with extraction's
+    shares, 0 and each unit vector among them, that is an affine cost."""
+    from scipy.spatial import QhullError
 
-    m, k = shares.shape
-    a_ub = np.hstack([shares, np.ones((m, 1))])
-    worst, worst_i = 0.0, None
-    for j in range(m):
-        c = -np.concatenate([shares[j], [1.0]])
-        res = linprog(c, A_ub=a_ub, b_ub=costs,
-                      bounds=[(None, None)] * (k + 1), method="highs")
-        if not res.success:
-            continue
-        env = -res.fun
-        # a Python float: the extract report prints the gap's repr
-        gap = float(costs[j] - env)
-        if gap > worst:
-            worst, worst_i = gap, j
-    return worst, worst_i
+    scale = max(1.0, float(np.max(np.abs(costs))))
+    try:
+        a, b = hull_facets(np.column_stack([shares, costs / scale]))
+    except QhullError:
+        return 0.0, None
+    lower = a[:, -1] < -STRUCT_TOL
+    env = np.max(-(shares @ a[lower, :-1].T + b[lower]) / a[lower, -1], axis=1)
+    gaps = costs - scale * env
+    at = int(np.argmax(gaps))
+    # a Python float: the extract report prints the gap's repr
+    return (float(gaps[at]), at) if gaps[at] > 0.0 else (0.0, None)
 
 
 def extract_cost_market(rule: ScoringRule, grid) -> Extraction:

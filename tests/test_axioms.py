@@ -337,6 +337,22 @@ class TestPN:
         assert replay_witness(rule, rep) == -1.0
         assert check_tn(rule, scenarios=[(1, 2, 3)], cfg=CFG).margin == -1.0
 
+    def test_replay_reads_the_margin_the_check_ran_with(self):
+        # with delta 1.0 the best improvement, 0.45, is no improvement: the
+        # replay judges the candidates against the recorded margin, not
+        # against the default delta; a margin below the best improvement
+        # does not reproduce
+        rule = entropy_rule()
+        cfg = SearchConfig(report_points=9, candidate_points=9,
+                           portfolio_count=6, lattice_bound=3, seed=0,
+                           delta=1.0, report_window=(-3.0, 3.0))
+        rep = check_pn(rule, cfg=cfg)
+        assert rep.verdict == "fails"
+        assert rep.margin == pytest.approx(0.4518800531602495, rel=1e-9)
+        assert replay_witness(rule, rep) == pytest.approx(rep.margin, rel=1e-9)
+        with pytest.raises(AssertionError, match="improves after all"):
+            replay_witness(rule, dataclasses.replace(rep, margin=0.1))
+
     def test_degenerate_constant_portfolio_skipped(self):
         rule = entropy_rule()
         ports = [([(0.3, 0.7), (0.7, 0.3)], 0.5)]

@@ -426,6 +426,15 @@ class TestExtraction:
         assert ext.ok and ext.k == 2
         assert roundtrip_residual(rule, ext) < 1e-8
 
+    def test_large_scores_keep_a_convex_cost(self):
+        # scores of order 1e13 on shares of order 1: the cost's slopes put
+        # the lower hull's facets within 1e-13 of vertical unless the costs
+        # are taken in units of their scale
+        rule = ExpectationRule(quadratic(1), phi=[[0.0], [1e7]])
+        ext = extract_cost_market(rule, [k * 1e6 for k in range(1, 10)])
+        assert ext.ok and ext.k == 1
+        assert ext.convexity_gap <= 1e-7 * np.max(np.abs(ext.cost_values))
+
     def test_nonconvex_potential_fails_at_convexity(self):
         # sin(6x) is concave near 0.9: the cost point of that report sits
         # above the lower convex envelope of the others
