@@ -461,12 +461,10 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
 # of the contracts, and builds a failing scenario's witness from contracts.
 
 
-def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig, analytic):
-    """A scenario's candidate trade targets in the order they are tried: the
-    analytic candidate first, then the share lattice around the state r2,
-    or local moves around it and then the candidate grid."""
-    if analytic is not None and rule.report_space.contains(analytic):
-        yield analytic
+def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig):
+    """A scenario's candidate trade targets after the analytic one, in the
+    order they are tried: the share lattice around the state r2, or local
+    moves around it and then the candidate grid."""
     shares = getattr(rule, "shares", None)
     if shares is not None and shares.is_lattice:
         base_q = np.atleast_1d(np.asarray(r2, dtype=float))
@@ -541,20 +539,20 @@ _PORTFOLIO = _Position(
         {"portfolios": n}),
     lambda w: ([(_unj(a), _unj(b)) for a, b in w["portfolio"]], _unj(w["state"])))
 
-# axiom -> (position, analytic-candidate hook, value of rows held + trade
-#           that must beat the held infimum, the same value and the failure
-#           entry of a contract, failure entries kept)
+# axiom -> (position, value of rows held + trade that must beat the held
+#           infimum, the same value and the failure entry of a contract,
+#           failure entries kept)
 _NEUTRALIZATION = {
-    "WN": (_ONE_TRADE, "wn_candidate", Rows.inf, _worst_entry, None),
-    "TN": (_ONE_TRADE, "tn_candidate", Rows.cash, _cash_entry, 80),
-    "PN": (_PORTFOLIO, "pn_candidate", Rows.cash, _cash_entry, 80),
+    "WN": (_ONE_TRADE, Rows.inf, _worst_entry, None),
+    "TN": (_ONE_TRADE, Rows.cash, _cash_entry, 80),
+    "PN": (_PORTFOLIO, Rows.cash, _cash_entry, 80),
 }
 
 
 def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
     """(held infimum, values, margin, witness, budget) of a failing
     scenario, from the value and the entry of each candidate it lists."""
-    position, _, _, entry, _ = _NEUTRALIZATION[axiom]
+    position, _, entry, _ = _NEUTRALIZATION[axiom]
     trades, state = position.trades(scenario)
     legs = [rule.trade_contract(old, new) for old, new in trades]
     held = legs[0] if len(legs) == 1 else combine(legs, [1.0] * len(legs))
@@ -576,7 +574,7 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     do not settle judges its other candidates as one set and takes the
     first that improves.  Payoffs that overflow raise ``PayoffOverflow`` in
     a held position or analytic net, or a net up to the first improving."""
-    position, hook, value, _, _ = _NEUTRALIZATION[axiom]
+    position, value, _, _ = _NEUTRALIZATION[axiom]
     transform = None if rule.outcome_space.is_finite else rule.transform
 
     def leg(olds, news) -> tuple:
@@ -601,10 +599,11 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     live = np.flatnonzero(~flat)
     best = {}
     analytic = {}
-    for i, c in zip(live, rule.analytic_candidates(
-            hook, [scenarios[i] for i in live])):
-        if c is not None and rule.report_space.contains(c):
-            analytic[i] = c
+    if axiom in rule.matches:
+        for i, c in zip(live, rule.matched_candidates(
+                [(held_trades[i], states[i]) for i in live])):
+            if c is not None and rule.report_space.contains(c):
+                analytic[i] = c
     if analytic:
         at = list(analytic)
         nets = onto(tuple(a[at] for a in table), [states[i] for i in at],
@@ -616,7 +615,7 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     for i in live:
         if i in best:
             continue
-        cands = list(_scenario_candidates(rule, states[i], cfg, None))
+        cands = list(_scenario_candidates(rule, states[i], cfg))
         nets = onto(tuple(a[i:i + 1] for a in table), [states[i]], cands)
         vals = value(nets)
         hits = np.flatnonzero(vals > base[i] + cfg.delta)
@@ -636,7 +635,7 @@ def _neutralize(axiom: str, rule: ScoringRule, scenarios,
     whose value beats the held infimum by more than ``cfg.delta``; the first
     scenario without one fails, listing its candidates' entries.  No
     scenario raises ValueError."""
-    position, _, _, _, cap = _NEUTRALIZATION[axiom]
+    position, _, _, cap = _NEUTRALIZATION[axiom]
     if scenarios is None:
         scenarios = position.sample(rule, cfg)
     if not len(scenarios):
@@ -785,7 +784,8 @@ def _same(a, b, tol: float = REPLAY_TOL) -> bool:
         return isinstance(b, (list, tuple)) and len(a) == len(b) and \
             all(_same(x, y, tol) for x, y in zip(a, b))
     if isinstance(a, float) and isinstance(b, (int, float)) and a != b:
-        return abs(a - b) <= tol * max(1.0, abs(b))
+        # a stored infinity is reproduced only by itself
+        return math.isfinite(b) and abs(a - b) <= tol * max(1.0, abs(b))
     return a == b
 
 

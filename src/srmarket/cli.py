@@ -257,7 +257,7 @@ def run_figure(config: dict, out_dir: str) -> int:
         r, rp = v["trade"]
         r2 = v["state"]
         picks = v["contracts"]
-        r2p = rule.tn_candidate(r, rp, r2)
+        r2p = rule.matched_candidates([([(r, rp)], r2)])[0]
         built("trade and state", rule.validate_report, r2p)
         held = rule.trade_contract(r, rp)
         neut = rule.trade_contract(r2, r2p)

@@ -170,31 +170,7 @@ def _negentropy(p: np.ndarray) -> np.ndarray:
 def binary_negentropy() -> ConvexFn:
     """G(p) = p log p + (1-p) log(1-p) on (0, 1); its gradient is the logit,
     whose inverse is the sigmoid."""
-
-    def val(x):
-        p = x[0]
-        return p * math.log(p) + (1.0 - p) * math.log(1.0 - p)
-
-    def clo(x):
-        p = min(max(x[0], 0.0), 1.0)
-        out = 0.0
-        if 0.0 < p:
-            out += p * math.log(p)
-        if p < 1.0:
-            out += (1.0 - p) * math.log(1.0 - p)
-        return out
-
-    return ConvexFn(
-        dim=1,
-        value_fn=val,
-        grad_fn=lambda x: np.array([logit(x[0])]),
-        lo=np.array([0.0]), hi=np.array([1.0]),
-        bounded=True,
-        closure_fn=clo,
-        grad_inverse=_sigmoids,
-        values_fn=lambda xs: _negentropy(xs[:, 0]),
-        grads_fn=_logits,
-    )
+    return interval_negentropy(0.0, 1.0)
 
 
 def _least(holds, a: float, b: float) -> float:

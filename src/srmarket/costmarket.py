@@ -122,6 +122,10 @@ class CostRule(ScoringRule):
 
     family = "cost"
 
+    # a share state is its own share: selling back the held bundles
+    # neutralizes every position
+    matches = frozenset({"WN", "TN", "PN"})
+
     def __init__(self, cost: ConvexFn, phi, outcome_space: OutcomeSpace | None = None,
                  shares: ShareSpace = ShareSpace.full(),
                  conjugate_closure_values=None):
@@ -199,18 +203,6 @@ class CostRule(ScoringRule):
         vals = [g - float(np.dot(q0, row))
                 for g, row in zip(self.conjugate_closure_values, self.phi)]
         return max(vals) + self.cost.value(q0)
-
-    def tn_candidate(self, r1, r1p, r2):
-        return self.pn_candidate([(r1, r1p)], r2)
-
-    wn_candidate = tn_candidate
-
-    def pn_candidate(self, trades, r):
-        total = np.zeros(self.k)
-        for ra, rb in trades:
-            total = total + _vec(rb) - _vec(ra)
-        out = _vec(r) - total
-        return float(out[0]) if self.k == 1 else out
 
 
 def binary_lmsr_rule(shares: ShareSpace = ShareSpace.full()) -> CostRule:

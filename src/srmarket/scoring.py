@@ -45,7 +45,6 @@ from .convex import (
     bisect,
     brent_max,
     hull_facets,
-    invert_gradient,
     invert_gradients,
 )
 
@@ -345,22 +344,41 @@ class ScoringRule:
         one; None means only grid evidence is available."""
         return None
 
-    def wn_candidate(self, r1, r1p, r2):
-        """Analytic weak-neutralization candidate, when the family has one."""
-        return None
+    # the neutralization checks whose analytic candidate is share matching
+    matches: frozenset = frozenset()
 
-    def tn_candidate(self, r1, r1p, r2):
-        """Analytic trade-neutralization candidate, when available."""
-        return None
+    def share_rows(self, reports: list) -> np.ndarray:
+        """The share of each report, as the rows of an (R, dim) array: the
+        report itself, as a cost market's share state or an expectile's tail
+        slope (affine in the report) is."""
+        return self._stack(reports)
 
-    def pn_candidate(self, trades, r):
-        """Analytic portfolio-neutralization candidate, when available."""
-        return None
+    def reports_at(self, shares) -> list:
+        """The report whose share is each row, or None where there is none."""
+        return [None if x is None else float(x[0]) if len(x) == 1 else x
+                for x in shares]
 
-    def analytic_candidates(self, hook: str, scenarios) -> list:
-        """``getattr(self, hook)(*scenario)`` for each scenario: the analytic
-        candidates of one of the three hooks above."""
-        return [getattr(self, hook)(*sc) for sc in scenarios]
+    def matched_candidates(self, positions: list) -> list:
+        """Per position (held trades [(old, new), ...], state): the report
+        whose share is the state's less the held trades' share change, or
+        None.  The shares of every position's reports are one ``share_rows``
+        call, summed from zero in the order of the trades, and the reports
+        one ``reports_at`` call."""
+        if not positions:
+            return []
+        sizes = np.array([len(trades) for trades, _ in positions])
+        m = int(sizes.max())
+        # a shorter portfolio pads with its state, which the sum skips
+        reports = [r for trades, state in positions for r in
+                   [state, *(r for trade in trades for r in trade),
+                    *[state] * (2 * (m - len(trades)))]]
+        shares = self.share_rows(reports).reshape(len(positions), 2 * m + 1, -1)
+        total = np.zeros_like(shares[:, 0])
+        for j in range(m):
+            total = np.where((j < sizes)[:, None],
+                             total + shares[:, 2 * j + 2] - shares[:, 2 * j + 1],
+                             total)
+        return self.reports_at(shares[:, 0] - total)
 
 
 def report_rows(reports: list, k: int) -> np.ndarray | None:
@@ -562,8 +580,7 @@ class PotentialRule(ScoringRule):
     def k(self) -> int:
         return self.potential.dim
 
-    # the analytic hooks that match shares
-    matched = ("wn_candidate",)
+    matches = frozenset({"WN"})
 
     def _affine(self, r) -> tuple:
         """G(r) - dG_r . r and dG_r: an expectation score is the first plus
@@ -578,50 +595,14 @@ class PotentialRule(ScoringRule):
         dg = self.potential.grads(xs)
         return self.potential.values(xs) - _dots(dg, xs), dg
 
-    def share(self, r) -> np.ndarray:
-        return self.potential.grad(self._r(r))
+    def share_rows(self, reports: list) -> np.ndarray:
+        return self.potential.grads(self._stack(reports))
 
-    def invert_share(self, q):
-        """The report whose share is q, or None when no report has it."""
-        return self._report_at(invert_gradient(self.potential, q))
-
-    def _report_at(self, x):
-        """The report at the point an inversion found, or None where it found
-        none or the report space leaves the point out."""
-        if x is None:
-            return None
-        r = x if self.k > 1 else float(x[0])
-        return r if self.report_space.contains(r) else None
-
-    def wn_candidate(self, r1, r1p, r2):
-        return self.analytic_candidates("wn_candidate", [(r1, r1p, r2)])[0]
-
-    def analytic_candidates(self, hook: str, scenarios) -> list:
-        """The candidates of a hook that matches shares: per scenario, the
-        report whose share is the state's less the held trades' share
-        change, or None.  The shares of every scenario report are one
-        ``grads`` call, summed from zero in the order of the trades, and
-        the inversions one ``invert_gradients`` call."""
-        if hook not in self.matched or not scenarios:
-            return super().analytic_candidates(hook, scenarios)
-        # per scenario: (held trades, state)
-        held = [sc if hook == "pn_candidate" else ([(sc[0], sc[1])], sc[2])
-                for sc in scenarios]
-        sizes = np.array([len(trades) for trades, _ in held])
-        m = int(sizes.max())
-        # a shorter portfolio pads with its state, which the sum skips
-        reports = [r for trades, state in held for r in
-                   [state, *(r for trade in trades for r in trade),
-                    *[state] * (2 * (m - len(trades)))]]
-        shares = self.potential.grads(self._stack(reports)).reshape(
-            len(held), 2 * m + 1, self.k)
-        total = np.zeros((len(held), self.k))
-        for j in range(m):
-            total = np.where((j < sizes)[:, None],
-                             total + shares[:, 2 * j + 2] - shares[:, 2 * j + 1],
-                             total)
-        return [self._report_at(x) for x in
-                invert_gradients(self.potential, shares[:, 0] - total)]
+    def reports_at(self, shares) -> list:
+        """One ``invert_gradients`` call; None also where the report space
+        leaves the point out."""
+        return [r if r is not None and self.report_space.contains(r) else None
+                for r in super().reports_at(invert_gradients(self.potential, shares))]
 
 
 class ExpectationRule(PotentialRule):
@@ -657,7 +638,7 @@ class ExpectationRule(PotentialRule):
                 report_space = BoxReports(lo, hi, hull, potential.interior)
             self.report_space = report_space
 
-    matched = ("wn_candidate", "tn_candidate", "pn_candidate")
+    matches = frozenset({"WN", "TN", "PN"})
 
     def score_row(self, r) -> np.ndarray:
         base, dg = self._affine(r)
@@ -698,14 +679,6 @@ class ExpectationRule(PotentialRule):
         r0 = float(r0)
         d = self.trade_contract(r0, r0 + 1.0)
         return [[r0 + 4.0 ** i, d(r0 + 4.0 ** i)] for i in range(12)]
-
-    # analytic neutralization via share matching -----------------------------
-
-    def tn_candidate(self, r1, r1p, r2):
-        return self.wn_candidate(r1, r1p, r2)
-
-    def pn_candidate(self, trades, r):
-        return self.analytic_candidates("pn_candidate", [(trades, r)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +742,10 @@ class ExpectileRule(ScoringRule):
 
     family = "expectile"
 
+    # WN matches tail slopes g'(r), which are affine in r: the report is its
+    # share
+    matches = frozenset({"WN"})
+
     def __init__(self, tau: float, g_coeffs: tuple = (0.0, 0.0, 1.0)):
         if not 0.0 < tau < 1.0:
             raise ValueError("expectile level must lie in (0, 1)")
@@ -822,11 +799,6 @@ class ExpectileRule(ScoringRule):
         a, b = p.support()
         return bisect(lambda x: self.identification_gap(x, p), 0.0,
                       a - 1.0, b + 1.0, SEARCH_XTOL)
-
-    def wn_candidate(self, r1, r1p, r2):
-        """Match tail slopes: g'(r2') - g'(r2) = g'(r1) - g'(r1p), which for
-        the linear g' is r2' = r2 + (r1 - r1p)."""
-        return float(r2) + (float(r1) - float(r1p))
 
 
 # ---------------------------------------------------------------------------

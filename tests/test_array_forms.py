@@ -6,7 +6,8 @@ one target it replaced: both forms take the same libm functions and add
 products in the same order.  So must
 each rule's ``score_table`` against its stacked ``score_row``, each
 real-line rule's ``piece_rows`` against its stacked ``score_pieces``, and
-the batched analytic WN/TN/PN candidates against the per-scenario hooks.  The
+the batched share-matching candidates against the per-position hooks they
+replaced.  The
 one-pass PRICE-BOUND and QUASI-OPEN checks are held to the per-trial loops
 they replaced, kept here as the references: the reports must be equal."""
 
@@ -30,6 +31,7 @@ from srmarket.contracts import (
 )
 from srmarket.convex import (
     ConvexFn,
+    _vec,
     binary_lmsr_cost,
     binary_negentropy,
     interval_negentropy,
@@ -53,6 +55,7 @@ from srmarket.scoring import (
     ExpectationRule,
     ExpectileRule,
     InvalidReport,
+    ModeRule,
     QuantileRule,
     RatioRule,
 )
@@ -307,45 +310,93 @@ def _report_or_none(c):
     return None if c is None else np.atleast_1d(c).tolist()
 
 
-def reference_candidate(rule, hook, scenario):
+def reference_share(rule, r):
+    """``PotentialRule.share`` as it was: dG at one report."""
+    return rule.potential.grad(rule._r(r))
+
+
+def reference_invert_share(rule, q):
+    """``PotentialRule.invert_share`` as it was: one inversion, and None
+    where it finds no point or the report space leaves the point out."""
+    x = invert_gradient(rule.potential, q)
+    if x is None:
+        return None
+    r = x if rule.k > 1 else float(x[0])
+    return r if rule.report_space.contains(r) else None
+
+
+def reference_candidate(rule, hook, position):
     """The share-matching hooks as they were, one share at a time: WN and
     TN subtract the held trade's share change, PN sums its trades' changes
     from zero."""
+    trades, state = position
     if hook == "pn_candidate":
-        trades, state = scenario
         total = np.zeros(rule.k)
         for ra, rb in trades:
-            total = total + rule.share(rb) - rule.share(ra)
+            total = total + reference_share(rule, rb) - reference_share(rule, ra)
     else:
-        r1, r1p, state = scenario
-        total = rule.share(r1p) - rule.share(r1)
-    return rule.invert_share(rule.share(state) - total)
+        [(r1, r1p)] = trades
+        total = reference_share(rule, r1p) - reference_share(rule, r1)
+    return reference_invert_share(rule, reference_share(rule, state) - total)
+
+
+def reference_cost_candidate(rule, hook, position):
+    """``CostRule.pn_candidate`` as it was: sell back each held bundle."""
+    trades, r = position
+    total = np.zeros(rule.k)
+    for ra, rb in trades:
+        total = total + _vec(rb) - _vec(ra)
+    out = _vec(r) - total
+    return float(out[0]) if rule.k == 1 else out
+
+
+def reference_expectile_candidate(rule, hook, position):
+    """``ExpectileRule.wn_candidate`` as it was: match the tail slopes, which
+    for the linear g' is r2' = r2 + (r1 - r1p)."""
+    [(r1, r1p)], r2 = position
+    return float(r2) + (float(r1) - float(r1p))
+
+
+MATCHED_RULES = {**RULES, "expectile": (ExpectileRule(0.3), st.floats(-30.0, 30.0))}
+
+# each deleted hook, and the check it served
+HOOKS = {"wn_candidate": "WN", "tn_candidate": "TN", "pn_candidate": "PN"}
 
 
 @pytest.mark.parametrize("name", ["entropy-expectation", "simplex-expectation",
-                                  "quadratic-box-2", "ratio"])
-@pytest.mark.parametrize("hook", ["wn_candidate", "tn_candidate", "pn_candidate"])
+                                  "quadratic-box-2", "ratio", "lmsr",
+                                  "lmsr-lattice", "exp-family-2", "expectile"])
+@pytest.mark.parametrize("hook", sorted(HOOKS))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_analytic_candidates_match_the_share_loop(name, hook, data):
-    # one batch over scenarios of mixed sizes, each scenario alone, and the
-    # share-by-share reference agree; no report is -0.0, whose share the sum
-    # from zero could turn into 0.0
-    rule, reports = RULES[name]
-    reports = reports.map(lambda r: r + 0.0)   # -0.0 + 0.0 is 0.0
-    if hook == "pn_candidate":
-        scenario = st.integers(1, 3).flatmap(lambda m: st.tuples(
-            st.lists(st.tuples(reports, reports), min_size=m, max_size=m), reports))
-    else:
-        scenario = st.tuples(reports, reports, reports)
-    scenarios = data.draw(st.lists(scenario, min_size=1, max_size=8))
-    got = list(map(_report_or_none, rule.analytic_candidates(hook, scenarios)))
-    assert got == [_report_or_none(getattr(rule, hook)(*sc)) for sc in scenarios]
-    if name == "ratio" and hook != "wn_candidate":
-        assert got == [None] * len(scenarios)   # no analytic TN or PN
+    # one batch over positions of mixed sizes, each position alone, and the
+    # hook it replaced agree; no report is -0.0, whose share the sum from
+    # zero could turn into 0.0
+    rule, reports = MATCHED_RULES[name]
+    serves = HOOKS[hook] in rule.matches
+    # the ratio's and the expectile's hooks matched for WN alone
+    assert serves == (hook == "wn_candidate" or name not in ("ratio", "expectile"))
+    if not serves:
         return
-    assert got == [_report_or_none(reference_candidate(rule, hook, sc))
-                   for sc in scenarios]
+    reports = reports.map(lambda r: r + 0.0)   # -0.0 + 0.0 is 0.0
+    most = 3 if hook == "pn_candidate" else 1
+    position = st.integers(1, most).flatmap(lambda m: st.tuples(
+        st.lists(st.tuples(reports, reports), min_size=m, max_size=m), reports))
+    positions = data.draw(st.lists(position, min_size=1, max_size=8))
+    got = list(map(_report_or_none, rule.matched_candidates(positions)))
+    assert got == [_report_or_none(rule.matched_candidates([p])[0])
+                   for p in positions]
+    reference = reference_cost_candidate if isinstance(rule, CostRule) else \
+        reference_expectile_candidate if isinstance(rule, ExpectileRule) else \
+        reference_candidate
+    assert got == [_report_or_none(reference(rule, hook, p)) for p in positions]
+
+
+def test_rules_without_a_hook_match_for_no_check():
+    # the quantile and the payoff matrices had no analytic candidate
+    assert not QuantileRule(0.3).matches
+    assert not ModeRule(3).matches
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from implication import implication_chain_consistent
 from srmarket.axioms import (
     AXIOMS,
     SearchConfig,
+    _same,
     check_arb,
     check_btb,
     check_ic,
@@ -601,4 +602,26 @@ class TestReplay:
         witness = json.loads(json.dumps(rep.witness))
         TAMPERS[name](witness)
         with pytest.raises(AssertionError):
+            replay_witness(rule, dataclasses.replace(rep, witness=witness))
+
+    def test_a_finite_number_does_not_reproduce_an_infinity(self):
+        # |a - b| <= tol * max(1, |b|) reads inf <= inf for a stored +-inf
+        assert not _same(1.0, -math.inf)
+        assert not _same(5.0, math.inf)
+        assert _same(math.inf, math.inf) and _same(-math.inf, -math.inf)
+        assert _same(1.0, 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda w: w["candidates"][0].update(spread=math.inf),
+        lambda w: w.update(held_inf=-math.inf),
+    ], ids=["spread", "held_inf"])
+    def test_an_infinity_tampered_into_a_witness_is_rejected(self, tamper):
+        rule = QuantileRule(0.3)
+        rep = check_tn(rule, cfg=SearchConfig(seed=1))
+        assert rep.verdict == "fails"
+        assert math.isfinite(rep.witness["candidates"][0]["spread"])
+        assert math.isfinite(rep.witness["held_inf"])
+        witness = json.loads(json.dumps(rep.witness))
+        tamper(witness)
+        with pytest.raises(AssertionError, match="does not reproduce"):
             replay_witness(rule, dataclasses.replace(rep, witness=witness))

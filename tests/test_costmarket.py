@@ -215,12 +215,12 @@ class TestBestResponse:
 
 def neutralize(rule, bundles: list) -> tuple:
     """Buy each bundle in turn from the zero state, then move to the
-    state ``pn_candidate`` picks: (closing bundle, held portfolio, net
+    state ``matched_candidates`` picks: (closing bundle, held portfolio, net
     position)."""
     session = MarketSession(rule, 0.0)
     held = [buy(session, v) for v in bundles]
     trades = [(r.r_old, r.r_new) for r in session.records]
-    q_star = rule.pn_candidate(trades, session.current)
+    [q_star] = rule.matched_candidates([(trades, session.current)])
     v_star = q_star - session.current
     closing = session.execute_trade("t", q_star)
     portfolio = combine(held, [1.0] * len(held))
@@ -259,7 +259,7 @@ class TestNeutralization:
                                    fromlist=["RealReports"]).RealReports())
         held = rule.trade_contract(0.0, 2.0)
         assert np.allclose(held.values, [-4.0, 0.0])
-        cand = rule.tn_candidate(0.0, 2.0, 5.0)
+        [cand] = rule.matched_candidates([([(0.0, 2.0)], 5.0)])
         assert cand == pytest.approx(3.0, abs=1e-9)
         net = combine([held, rule.trade_contract(5.0, cand)], [1.0, 1.0])
         flat, level = contract_is_constant(net, tol=1e-7)

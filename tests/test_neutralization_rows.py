@@ -54,18 +54,18 @@ def _cash_level(net) -> float:
     return level if flat else -math.inf
 
 
-# axiom -> (analytic-candidate hook, value of held + trade, entries kept)
+# axiom -> (value of held + trade, entries kept)
 REFERENCE = {
-    "WN": ("wn_candidate", lambda net: contract_bounds(net)[0], None),
-    "TN": ("tn_candidate", _cash_level, 80),
-    "PN": ("pn_candidate", _cash_level, 80),
+    "WN": (lambda net: contract_bounds(net)[0], None),
+    "TN": (_cash_level, 80),
+    "PN": (_cash_level, 80),
 }
 
 
 def reference(axiom, rule, scenarios, cfg) -> AxiomReport:
     """The per-scenario contract loop: each held position, trade and net is
     built as a contract, rescoring its reports, one candidate at a time."""
-    hook, value, cap = REFERENCE[axiom]
+    value, cap = REFERENCE[axiom]
     count = "portfolios" if axiom == "PN" else "scenarios"
     if scenarios is None:
         grid = cfg.report_grid(rule)
@@ -81,14 +81,19 @@ def reference(axiom, rule, scenarios, cfg) -> AxiomReport:
             held = combine([rule.trade_contract(a, b) for a, b in trades],
                            [1.0] * len(trades))
         else:
-            held, state = rule.trade_contract(scenario[0], scenario[1]), scenario[2]
+            trades, state = [(scenario[0], scenario[1])], scenario[2]
+            held = rule.trade_contract(*trades[0])
         if contract_is_constant(held)[0]:
             degenerate += 1
             continue
         base, _ = contract_bounds(held)
+        # the analytic candidate first, when it is a report
+        analytic = rule.matched_candidates([(trades, state)])[0] \
+            if axiom in rule.matches else None
+        first = [analytic] if analytic is not None and \
+            rule.report_space.contains(analytic) else []
         tried = []
-        for c in _scenario_candidates(rule, state, cfg,
-                                      getattr(rule, hook)(*scenario)):
+        for c in first + list(_scenario_candidates(rule, state, cfg)):
             tried.append(c)
             best = value(combine([held, rule.trade_contract(state, c)],
                                  [1.0, 1.0]))
@@ -112,21 +117,21 @@ def priced_cash_rule():
 
 
 class HookedMatrix(FiniteRule):
-    """A payoff matrix with analytic candidates: the held trade's start when
-    the market stands at its end (an unwind), else a label picked from the
-    scenario, or a report outside the space, which no check may try."""
+    """A payoff matrix with analytic candidates for WN, TN and PN: the first
+    held trade's start when the market stands at the last one's end (an
+    unwind), else a label picked from the position, or a report outside the
+    space, which no check may try."""
 
-    def wn_candidate(self, r1, r1p, r2):
-        if r2 == r1p:
-            return r1
+    matches = frozenset({"WN", "TN", "PN"})
+
+    def matched_candidates(self, positions: list) -> list:
         labels = self.report_space.labels
-        k = labels.index(r1) + 2 * labels.index(r2)
-        return labels[k % len(labels)] if k % 3 else 0
-
-    tn_candidate = wn_candidate
-
-    def pn_candidate(self, trades, r):
-        return self.wn_candidate(trades[0][0], trades[-1][1], r)
+        out = []
+        for trades, r2 in positions:
+            r1, r1p = trades[0][0], trades[-1][1]
+            k = labels.index(r1) + 2 * labels.index(r2)
+            out.append(r1 if r2 == r1p else labels[k % len(labels)] if k % 3 else 0)
+        return out
 
 
 def hooked_matrix():

@@ -198,7 +198,7 @@ class TestExpectationRule:
     def test_share_inversion(self):
         rule = ExpectationRule(binary_negentropy(),
                                phi=np.array([[0.0], [1.0]]))
-        r = rule.invert_share(rule.share(0.3))
+        [r] = rule.reports_at(rule.share_rows([0.3]))
         assert r == pytest.approx(0.3, abs=1e-10)
 
     def test_reports_outside_the_potential_domain_are_invalid(self):

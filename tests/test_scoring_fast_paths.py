@@ -1,5 +1,5 @@
 """Fast paths and searches of the rule primitives, each pinned against the
-code it replaced: ``RatioRule.invert_share`` stopping once its bracket
+code it replaced: ``RatioRule.reports_at`` stopping once its bracket
 stops moving, ``BoxReports.contains`` with its corners converted once, the
 search core of ``convex`` (``bisect``, ``bracket``, the fixed-step
 ``golden_max`` and ``invert_gradient``) against the loops each caller
@@ -51,7 +51,8 @@ from srmarket.scoring import (
 
 
 def reference_invert_share(rule, q):
-    """``RatioRule.invert_share`` with all 300 bisection steps."""
+    """The report whose share is q, ``reports_at([q])[0]``, with all 300
+    bisection steps."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
     dlo, dhi = float(rule.potential.lo[0]), float(rule.potential.hi[0])
     if math.isfinite(dlo) and math.isfinite(dhi):
@@ -108,7 +109,7 @@ def test_invert_share_equals_full_bisection(kind):
                 rule.potential.grad([hi - 1e-9])[0], 0.0, -0.0, 1e300, -1e300]
     seen = 0
     for q in targets:
-        got, want = rule.invert_share(q), reference_invert_share(rule, q)
+        got, want = rule.reports_at([q])[0], reference_invert_share(rule, q)
         assert got == want, q
         seen += got is not None
     assert seen >= 100
@@ -136,7 +137,7 @@ def test_invert_share_stops_when_the_bracket_stops_moving(kind, monkeypatch):
     for r in (0.1, 0.7, 1.5, 2.9):
         q = counter.fn.grad([r])[0]
         counter.grads = 0
-        assert abs(rule.invert_share(q) - r) < 1e-9
+        assert abs(rule.reports_at([q])[0] - r) < 1e-9
         # bracketing takes at most a few dozen calls; a double's bracket
         # stops moving after well under 120 halvings, not 300
         assert counter.grads < 200
@@ -395,7 +396,7 @@ def test_expectation_invert_share_equals_old_loop(kind):
         if kind == "binary_negentropy" else ExpectationRule(bisecting(quadratic(1)))
     attained, sharper = set(), 0
     for q in _expectation_targets(kind, rule):
-        got = rule.invert_share(q)
+        got = rule.reports_at([q])[0]
         want = reference_expectation_invert_share(rule, q)
         if got == want:
             continue
@@ -472,7 +473,7 @@ def test_simplex_invert_share_matches_softmax():
     for _ in range(60):
         x = rng.dirichlet(np.ones(3))[:2]
         q = rule.potential.grad(x)
-        r = rule.invert_share(q)
+        r = rule.reports_at([q])[0]
         if r is not None:
             found += 1
             softmax = np.exp(q) / (1.0 + float(np.sum(np.exp(q))))
@@ -488,7 +489,7 @@ def test_simplex_invert_share_matches_softmax():
     far = np.array([800.0, 799.0])
     w = 1.0 / (1.0 + math.exp(-1.0))
     assert np.allclose(invert_gradient(rule.potential, far), [w, 1.0 - w])
-    assert rule.invert_share(far) is None
+    assert rule.reports_at([far])[0] is None
 
 
 LOG_PARTITIONS = {
