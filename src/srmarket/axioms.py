@@ -131,49 +131,53 @@ def min_label(prop):
 
 # ---------------------------------------------------------------------------
 # belief generators (seeded, used by elicitation and budget checks)
+#
+# Each seeded sampler takes its whole sample in one generator call: numpy
+# fills a block item by item, from the draws each item alone would take, and
+# PCG64 keeps a bounded integer's spare 32-bit half between calls, so a block
+# is the item-by-item stream, to the items and the generator's state after.
 
 
-def random_finite_belief(rng: np.random.Generator, space) -> Belief:
-    pmf = rng.dirichlet(np.ones(space.n))
-    pmf = pmf / np.sum(pmf)
-    return finite_belief(space, pmf)
-
-
-def random_cdf_belief(rng: np.random.Generator,
-                      window: tuple = (-4.0, 4.0)) -> Belief:
-    """A piecewise-linear CDF on the window with 6 seeded knots."""
+def random_cdf_beliefs(rng: np.random.Generator, count: int,
+                       window: tuple = (-4.0, 4.0)) -> list[Belief]:
+    """count piecewise-linear CDFs on the window, with 6 seeded knots each:
+    the running sums of uniform steps on [0.5, 1.5], rescaled to the window
+    for the knots and to [0, 1] for the levels."""
     a, b = window
-    gx = np.cumsum(rng.uniform(0.5, 1.5, size=6))
-    xs = a + (b - a) * (gx - gx[0]) / (gx[-1] - gx[0])
-    gf = np.cumsum(rng.uniform(0.5, 1.5, size=6))
-    fs = (gf - gf[0]) / (gf[-1] - gf[0])
-    return cdf_belief(xs, fs)
+    g = np.cumsum(rng.uniform(0.5, 1.5, size=(count, 2, 6)), axis=2)
+    gx, gf = g[:, 0], g[:, 1]
+    xs = a + (b - a) * (gx - gx[:, :1]) / (gx[:, -1:] - gx[:, :1])
+    fs = (gf - gf[:, :1]) / (gf[:, -1:] - gf[:, :1])
+    return [cdf_belief(x, f) for x, f in zip(xs, fs)]
 
 
 def random_beliefs_for(rule: ScoringRule, rng: np.random.Generator,
                        count: int, window: tuple = (-4.0, 4.0)) -> list[Belief]:
-    if rule.outcome_space.is_finite:
-        return [random_finite_belief(rng, rule.outcome_space)
-                for _ in range(count)]
-    return [random_cdf_belief(rng, window) for _ in range(count)]
+    """count seeded beliefs of the rule's outcome space: flat-Dirichlet pmfs
+    on a finite space, else ``random_cdf_beliefs`` on the window."""
+    space = rule.outcome_space
+    if not space.is_finite:
+        return random_cdf_beliefs(rng, count, window)
+    pmfs = rng.dirichlet(np.ones(space.n), size=count)
+    return [finite_belief(space, pmf / np.sum(pmf)) for pmf in pmfs]
 
 
 # ---------------------------------------------------------------------------
 # scenario generators
 
 
-def scenario_triples(grid, count: int, rng: np.random.Generator) -> list:
-    """(held trade r1 -> r1', current state r2) triples with r1 != r1'."""
-    out = []
-    n = len(grid)
-    guard = 0
-    while len(out) < count and guard < 50 * count:
-        guard += 1
-        i, j, s = rng.integers(0, n, size=3)
-        if i == j:
-            continue
-        out.append((grid[int(i)], grid[int(j)], grid[int(s)]))
-    return out
+def scenario_triples(grid, count: int, rng: np.random.Generator,
+                     budget: int | None = None) -> list:
+    """(held trade r1 -> r1', current state r2) triples with r1 != r1', the
+    missing ones drawn as one block until count are kept or budget (50 count)
+    index triples are spent."""
+    budget = 50 * count if budget is None else budget
+    m = min(count, budget)
+    if m <= 0:
+        return []
+    draws = rng.integers(0, len(grid), size=(m, 3)).tolist()
+    kept = [(grid[i], grid[j], grid[s]) for i, j, s in draws if i != j]
+    return kept + scenario_triples(grid, count - len(kept), rng, budget - m)
 
 
 def exhaustive_triples(grid) -> list:
@@ -182,20 +186,13 @@ def exhaustive_triples(grid) -> list:
 
 def portfolio_scenarios(grid, count: int, size: int,
                         rng: np.random.Generator) -> list:
-    out = []
+    """count (trades, state) portfolios of size trades r -> r' (r' the next
+    report where the draw repeats r), one row of grid indices per portfolio."""
     n = len(grid)
-    guard = 0
-    while len(out) < count and guard < 50 * count:
-        guard += 1
-        trades = []
-        for _ in range(size):
-            i, j = rng.integers(0, n, size=2)
-            if i == j:
-                j = (j + 1) % n
-            trades.append((grid[int(i)], grid[int(j)]))
-        s = grid[int(rng.integers(0, n))]
-        out.append((trades, s))
-    return out
+    rows = rng.integers(0, n, size=(count, 2 * size + 1)).tolist()
+    return [([(grid[i], grid[(j + 1) % n if i == j else j])
+              for i, j in zip(row[:-1:2], row[1::2])], grid[row[-1]])
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -518,10 +518,3 @@ def hull_facets(points) -> tuple[np.ndarray, np.ndarray]:
 
     eq = ConvexHull(pts).equations
     return eq[:, :-1], eq[:, -1]
-
-
-def hull_margin(points: np.ndarray, x) -> float:
-    """Signed distance of x to the boundary of conv(points): positive
-    inside."""
-    a, b = hull_facets(points)
-    return float(np.min(-(a @ _vec(x) + b)))

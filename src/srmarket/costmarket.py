@@ -33,7 +33,6 @@ from .convex import (
     binary_lmsr_cost,
     golden_max,
     hull_facets,
-    hull_margin,
     invert_gradient,
     log_partition,
 )
@@ -235,21 +234,26 @@ def check_open(rule: CostRule, rng=None) -> AxiomReport:
     """Openness: gradients stay strictly inside conv(phi) and every interior
     grid target is hit by gradient inversion within RESIDUAL_ACCEPT."""
     rng = rng or np.random.default_rng(0)
-    qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(GRAD_SAMPLES)]
-    min_margin = INF
-    for q in qs:
-        m = hull_margin(rule.phi, rule.cost.grad(q))
-        min_margin = min(min_margin, m)
-        if m <= 0.0:
-            return AxiomReport(
-                axiom="OPEN", verdict=FAILS, margin=m,
-                witness={"q": q.tolist(), "gradient": rule.cost.grad(q).tolist(),
-                         "hull_margin": m},
-                budget={"grad_samples": GRAD_SAMPLES})
+    qs = 4.0 * rng.standard_normal((GRAD_SAMPLES, rule.k))
+    # every state's hull margin in one pass; the first failing state in draw
+    # order is the witness, and nan margins compare as no margin at all
+    xs = rule.cost.grads(qs)
+    a, b = hull_facets(rule.phi)
+    margins = np.min(-(np.matmul(a, xs[..., None])[..., 0] + b), axis=1)
+    bad = np.flatnonzero(margins <= 0.0)
+    if len(bad):
+        i = int(bad[0])
+        m = float(margins[i])
+        return AxiomReport(
+            axiom="OPEN", verdict=FAILS, margin=m,
+            witness={"q": qs[i].tolist(), "gradient": xs[i].tolist(),
+                     "hull_margin": m},
+            budget={"grad_samples": GRAD_SAMPLES})
+    min_margin = float(np.min(np.where(np.isnan(margins), INF, margins)))
     # interior targets: strict convex mixtures of the security payoffs
     misses = []
-    for _ in range(INVERT_TARGETS):
-        w = rng.uniform(0.2, 1.0, size=rule.phi.shape[0])
+    ws = rng.uniform(0.2, 1.0, size=(INVERT_TARGETS, rule.phi.shape[0]))
+    for w in ws:
         w = w / np.sum(w)
         target = w @ rule.phi
         q = invert_gradient(rule.cost, target, SEARCH_XTOL)
@@ -275,9 +279,9 @@ def check_quasi_open(rule: CostRule, bound: int = 8, rng=None) -> AxiomReport:
         qs = rule.shares.lattice_points(bound)
         vs = rule.shares.lattice_points(bound, include_zero=False)
     else:
-        qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(Q_SAMPLES)]
-        vs = [rng.normal(scale=2.0, size=rule.k) for _ in range(Q_SAMPLES)]
-        vs = [v for v in vs if np.linalg.norm(v) > MEMBER_TOL]
+        qs = 4.0 * rng.standard_normal((Q_SAMPLES, rule.k))
+        vs = 2.0 * rng.standard_normal((Q_SAMPLES, rule.k))
+        vs = vs[np.linalg.norm(vs, axis=1) > MEMBER_TOL]
     # margins[i, j] of the state qs[i] and the direction vs[j], in one pass
     xs = rule.cost.grads(qs)
     v_arr = np.reshape(vs, (len(vs), rule.k))
@@ -307,19 +311,18 @@ def price_bound_check(rule: CostRule, trials: int = 1000, rng=None) -> AxiomRepo
     """max_y v . phi(y) > C(q + v) - C(q) on seeded (q, v) trials: lattice
     states and bundles within 8 and 6 steps of zero, or normal draws of
     scale 4 and 3 on a full share space."""
+    if trials < 1:
+        raise ValueError("PRICE-BOUND needs at least one trial")
     rng = rng or np.random.default_rng(0)
     k = rule.k
     if rule.shares.is_lattice:
-        # the draws alternate two ranges, so they stay one trial at a time
-        b = rule.shares._b()
-        qs, vs = [], []
-        for _ in range(trials):
-            qs.append(b @ rng.integers(-8, 9, size=k).astype(float))
-            n = rng.integers(-6, 7, size=k).astype(float)
-            if np.all(n == 0):
-                n[0] = 1.0
-            vs.append(b @ n)
-        q_arr, v_arr = np.reshape(qs, (trials, k)), np.reshape(vs, (trials, k))
+        # each trial's state and bundle coefficients, within 8 and 6 of zero;
+        # a zero bundle buys the first basis vector.  The stacked product is
+        # each row's b @ n to the bit, which d @ b.T is not
+        d = rng.integers([[-8], [-6]], [[9], [7]], size=(trials, 2, k)).astype(float)
+        d[np.all(d[:, 1] == 0.0, axis=1), 1, 0] = 1.0
+        x = np.matmul(rule.shares._b(), d[..., None])[..., 0]
+        q_arr, v_arr = x[:, 0], x[:, 1]
     else:
         # normal(scale=s) is s times the next standard normal draw, so one
         # block of draws is the stream of alternating q and v draws
@@ -334,8 +337,8 @@ def price_bound_check(rule: CostRule, trials: int = 1000, rng=None) -> AxiomRepo
     seen = margins[:bad[0] + 1] if len(bad) else margins
     # the first strict minimum, which a loop keeps; nan is never below it
     seen = np.where(np.isnan(seen), INF, seen)
-    t = int(np.argmin(seen)) if len(seen) else 0
-    min_margin = float(seen[t]) if len(seen) else INF
+    t = int(np.argmin(seen))
+    min_margin = float(seen[t])
     worst = None if min_margin == INF else {
         "q": q_arr[t].tolist(), "v": v_arr[t].tolist(), "margin": min_margin}
     if len(bad):

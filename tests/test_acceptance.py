@@ -20,7 +20,7 @@ from srmarket.axioms import (
     check_wcl,
     check_wn,
     exhaustive_triples,
-    random_cdf_belief,
+    random_cdf_beliefs,
     replay_witness,
     scenario_triples,
 )
@@ -172,7 +172,7 @@ def signatures():
         rng = cfgq.rng()
         verdicts = []
         for _ in range(3):
-            p = random_cdf_belief(rng, cfgq.report_window)
+            p = random_cdf_beliefs(rng, 1, cfgq.report_window)[0]
             state = p.quantile(rule.alpha) - 0.25
             verdicts.append(check_btb(rule, p, state,
                                       epsilons=(0.5, 0.05), cfg=cfgq))
@@ -374,7 +374,7 @@ class TestCriterion6:
                         got = rules["ratio"].best_response(p)
                         assert abs(got - gamma) <= 1e-6
                         count["ratio"] += 1
-                pc = random_cdf_belief(rng, (-3.0, 3.0))
+                pc = random_cdf_beliefs(rng, 1, (-3.0, 3.0))[0]
                 if count["expectation"] < 100:
                     got = rules["expectation"].best_response(pc)
                     assert abs(got - pc.mean()) <= 1e-6

@@ -10,13 +10,20 @@ import pytest
 from srmarket.convex import (
     binary_lmsr_cost,
     binary_negentropy,
-    hull_margin,
+    hull_facets,
     interval_negentropy,
     log_partition,
     quadratic,
     simplex_negentropy,
 )
 from srmarket.scoring import ExpectileRule
+
+
+def hull_margin(points, x) -> float:
+    """Signed distance of x to the boundary of conv(points), positive
+    inside: the least slack of the hull's facet inequalities at x."""
+    a, b = hull_facets(points)
+    return float(np.min(-(a @ np.atleast_1d(np.asarray(x, dtype=float)) + b)))
 
 
 class TestConjugate:

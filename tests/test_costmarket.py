@@ -319,6 +319,17 @@ class TestPriceBound:
                                        abs=1e-12)
         assert margin > 0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trial_on_a_lattice_raises(self, trials):
+        # zero trials checked nothing, and must not report holds-at-budget
+        with pytest.raises(ValueError, match="at least one trial"):
+            price_bound_check(discretized_lmsr_rule(), trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trial_on_the_full_space_raises(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            price_bound_check(binary_lmsr_rule(), trials=trials)
+
     def test_ratio_form_spot_check(self):
         # cost q^2/4 with security-to-denominator ratios {0, 1}: one unit
         # costs 1/4, strictly below the best ratio payoff of 1

@@ -30,7 +30,7 @@ from srmarket.axioms import (
     check_arb,
     check_ic,
     check_wcl,
-    random_cdf_belief,
+    random_cdf_beliefs,
 )
 from srmarket.cli import build_rule, build_search, bundled_config_names, \
     load_config
@@ -448,8 +448,7 @@ def test_ic_matches_per_trade_values(data):
         st.one_of(st.sampled_from(grid), st.floats(-8.0, 8.0)),
         min_size=1, max_size=3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    beliefs = [random_cdf_belief(rng, (lo - 1.0, lo + width + 1.0))
-               for _ in range(3)]
+    beliefs = random_cdf_beliefs(rng, 3, (lo - 1.0, lo + width + 1.0))
     assert_ic_matches(rule, grid, states, beliefs)
 
 

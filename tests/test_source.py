@@ -1,8 +1,10 @@
 """The package's own source: every module but ``__init__.py``, whose imports
 are re-exports, uses each name it imports, so a deletion leaves no import
-behind; and no module imports ``scipy.optimize``, since the convex geometry
+behind; no module imports ``scipy.optimize``, since the convex geometry
 (hull margins, report-space hulls, extraction's convexity certificate) is
-one Qhull routine."""
+one Qhull routine; and no seeded sampler draws one item at a time: no call
+on a generator named ``rng`` sits in a loop or a comprehension, since one
+block of draws is the same stream as the items drawn one by one."""
 
 import ast
 from pathlib import Path
@@ -39,6 +41,24 @@ def imports_scipy_optimize(source: str) -> bool:
                for name in names)
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def draws_in_loops(source: str) -> list:
+    """The line numbers of the calls ``rng.<method>(...)`` that sit inside a
+    for or while loop (its iterable included) or a comprehension."""
+    lines = set()
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, LOOPS):
+            lines |= {node.lineno for node in ast.walk(loop)
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name)
+                      and node.func.value.id == "rng"}
+    return sorted(lines)
+
+
 def test_the_walk_finds_an_unused_import():
     assert unused_imports("import math\nfrom functools import lru_cache as c\n"
                           "from os import path\nfrom __future__ import annotations\n"
@@ -70,3 +90,27 @@ def test_no_module_imports_scipy_optimize():
     found = [p.name for p in sorted(PACKAGE.glob("*.py"))
              if imports_scipy_optimize(p.read_text())]
     assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "for _ in range(3):\n    x = rng.integers(0, 9, size=3)\n",
+    "while len(out) < 5:\n    out.append(rng.normal())\n",
+    "for w in rng.uniform(size=(4, 2)):\n    pass\n",
+    "xs = [rng.normal(scale=4.0, size=2) for _ in range(9)]\n",
+    "xs = {i: rng.random() for i in range(9)}\n",
+    "def f(rng):\n    for a in b:\n        if a:\n            rng.integers(0, a)\n",
+])
+def test_the_walk_finds_a_draw_in_a_loop(source):
+    assert draws_in_loops(source) != []
+
+
+def test_the_walk_passes_a_draw_outside_loops():
+    assert draws_in_loops(
+        "ws = rng.uniform(0.2, 1.0, size=(9, 3))\nfor w in ws:\n    f(w)\n"
+        "xs = [cfg.rng() for cfg in cfgs]\n") == []
+
+
+def test_no_module_draws_in_a_loop():
+    found = {p.name: draws_in_loops(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
