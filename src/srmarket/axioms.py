@@ -166,18 +166,20 @@ def random_beliefs_for(rule: ScoringRule, rng: np.random.Generator,
 # scenario generators
 
 
-def scenario_triples(grid, count: int, rng: np.random.Generator,
-                     budget: int | None = None) -> list:
+def scenario_triples(grid, count: int, rng: np.random.Generator) -> list:
     """(held trade r1 -> r1', current state r2) triples with r1 != r1', the
-    missing ones drawn as one block until count are kept or budget (50 count)
-    index triples are spent."""
-    budget = 50 * count if budget is None else budget
+    missing ones drawn as one block until count are kept or 50 count index
+    triples are spent."""
+    return _triples(grid, count, rng, 50 * count)
+
+
+def _triples(grid, count: int, rng: np.random.Generator, budget: int) -> list:
     m = min(count, budget)
     if m <= 0:
         return []
     draws = rng.integers(0, len(grid), size=(m, 3)).tolist()
     kept = [(grid[i], grid[j], grid[s]) for i, j, s in draws if i != j]
-    return kept + scenario_triples(grid, count - len(kept), rng, budget - m)
+    return kept + _triples(grid, count - len(kept), rng, budget - m)
 
 
 def exhaustive_triples(grid) -> list:

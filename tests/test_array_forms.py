@@ -9,7 +9,9 @@ real-line rule's ``piece_rows`` against its stacked ``score_pieces``, and
 the batched share-matching candidates against the per-position hooks they
 replaced.  The
 one-pass PRICE-BOUND and QUASI-OPEN checks are held to the per-trial loops
-they replaced, kept here as the references: the reports must be equal."""
+they replaced, kept here as the references: the reports must be equal, on
+seeds, and for PRICE-BOUND on lattices of random real bases of one to three
+rows, and the generator must end in the loop's state."""
 
 import math
 import warnings
@@ -490,13 +492,37 @@ def test_price_bound_matches_the_trial_loop(name):
     assert got.verdict == (FAILS if name.startswith("steep") else HOLDS_AT_BUDGET)
 
 
+def assert_price_bound_matches(rule, seed, trials):
+    """The one-pass check gives the loop's report; where the loop ran every
+    trial (it stops at a failing one), the generator ends in its state."""
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = price_bound_check(rule, trials, got_rng)
+    assert got == reference_price_bound(rule, trials, want_rng)
+    if got.verdict == HOLDS_AT_BUDGET:
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("name", sorted(MARKETS))
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), trials=st.integers(1, 300))
 def test_price_bound_matches_the_trial_loop_on_seeds(name, seed, trials):
-    rule = MARKETS[name]
-    assert price_bound_check(rule, trials, np.random.default_rng(seed)) == \
-        reference_price_bound(rule, trials, np.random.default_rng(seed))
+    assert_price_bound_matches(MARKETS[name], seed, trials)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([1, 2, 3]),
+       trials=st.integers(1, 300), data=st.data())
+def test_price_bound_matches_the_trial_loop_on_random_lattices(seed, k, trials,
+                                                               data):
+    # the simplex's exponential family on a lattice of a random real basis,
+    # diagonally dominant so invertible: its products round, so the reports
+    # are equal only if the one-pass basis product is each trial's b @ n
+    basis = np.eye(k) + np.array(data.draw(st.lists(
+        st.lists(st.floats(-0.3, 0.3), min_size=k, max_size=k),
+        min_size=k, max_size=k)))
+    phi = np.vstack([np.zeros(k), np.eye(k)])
+    rule = CostRule(log_partition(phi), phi, shares=ShareSpace.lattice(basis))
+    assert_price_bound_matches(rule, seed, trials)
 
 
 @pytest.mark.parametrize("name", sorted(MARKETS))
@@ -504,8 +530,10 @@ def test_price_bound_matches_the_trial_loop_on_seeds(name, seed, trials):
 @given(seed=st.integers(0, 2 ** 16), bound=st.integers(1, 8))
 def test_quasi_open_matches_the_pair_loop(name, seed, bound):
     rule = MARKETS[name]
-    got = check_quasi_open(rule, bound, np.random.default_rng(seed))
-    want = reference_quasi_open(rule, bound, np.random.default_rng(seed))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = check_quasi_open(rule, bound, got_rng)
+    want = reference_quasi_open(rule, bound, want_rng)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
     if rule.k == 1:
         assert got == want
     else:

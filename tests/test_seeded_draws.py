@@ -1,15 +1,13 @@
 """Each seeded sampler against the one-at-a-time loop it replaced.
 
 The samplers take their whole sample in one generator call: WN and TN's
-scenario triples, PN's portfolios, IC's beliefs, PRICE-BOUND's lattice
-trials and OPEN's and QUASI-OPEN's share states on a full share space.  The
-loops below are the references.  A sampler must draw the same items, to
-the bit, and leave the generator in the same state, on every seed, grid
-size and count (0 included), and on lattice bases of one to three real
-rows, where the stacked product ``np.matmul(b, d[..., None])`` must equal
-each row's ``b @ n``."""
-
-import dataclasses
+scenario triples, PN's portfolios, IC's beliefs and OPEN's share states
+and hull margins on a full share space.  The loops below are the
+references.  A sampler must draw the same items, to the bit, and leave the
+generator in the same state, on every seed, grid size and count (0
+included); OPEN must give the loop's report on markets of one to three
+securities.  PRICE-BOUND's lattice trials and QUASI-OPEN's states are held
+to their loops in ``test_array_forms.py``."""
 
 import numpy as np
 import pytest
@@ -17,19 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srmarket.contracts import INF, RESIDUAL_ACCEPT, SEARCH_XTOL
-from srmarket.convex import hull_facets, quadratic
+from srmarket.convex import quadratic
 from srmarket.costmarket import (
     GRAD_SAMPLES,
     INVERT_TARGETS,
-    Q_SAMPLES,
     CostRule,
-    ShareSpace,
     binary_lmsr_rule,
     check_open,
-    check_quasi_open,
     exp_family_rule,
     invert_gradient,
-    price_bound_check,
 )
 from srmarket.axioms import (
     portfolio_scenarios,
@@ -42,7 +36,6 @@ from test_convex import hull_margin
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 GRID_SIZES = st.sampled_from([1, 2, 3, 17])
-DIMS = st.sampled_from([1, 2, 3])
 
 
 def reference_triples(grid, count, rng):
@@ -95,19 +88,6 @@ def reference_cdfs(count, window, rng):
     return out
 
 
-def reference_lattice_trials(b, trials, rng):
-    """PRICE-BOUND's (q, v) lattice trials, one draw of each range at a time."""
-    k = b.shape[0]
-    qs, vs = [], []
-    for _ in range(trials):
-        qs.append(b @ rng.integers(-8, 9, size=k).astype(float))
-        n = rng.integers(-6, 7, size=k).astype(float)
-        if np.all(n == 0):
-            n[0] = 1.0
-        vs.append(b @ n)
-    return np.reshape(qs, (trials, k)), np.reshape(vs, (trials, k))
-
-
 def reference_open(rule, rng):
     """``check_open`` with a state's draw, gradient and hull margin at a time."""
     qs = [rng.normal(scale=4.0, size=rule.k) for _ in range(GRAD_SAMPLES)]
@@ -139,20 +119,6 @@ def reference_open(rule, rng):
     return AxiomReport(axiom="OPEN", verdict=HOLDS_AT_BUDGET, margin=min_margin,
                        budget={"grad_samples": GRAD_SAMPLES,
                                "invert_targets": INVERT_TARGETS})
-
-
-def recording(rule, seen):
-    """The rule with a cost whose array forms append each input to seen."""
-    cost = rule.cost
-    rec = dataclasses.replace(
-        cost, values_fn=lambda xs: seen.append(xs.copy()) or cost.values(xs),
-        grads_fn=lambda xs: seen.append(xs.copy()) or cost.grads(xs))
-    return CostRule(rec, rule.phi, rule.outcome_space, rule.shares)
-
-
-def simplex_market(k):
-    """The exponential family of the simplex's k + 1 vertices in R^k."""
-    return exp_family_rule(np.vstack([np.zeros(k), np.eye(k)]))
 
 
 def assert_same_state(a, b):
@@ -214,52 +180,11 @@ def test_real_line_beliefs_are_the_loops_draws(seed, count, lo, width):
     assert_same_state(got_rng, want_rng)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=SEEDS, k=DIMS, trials=st.integers(1, 200), data=st.data())
-def test_lattice_trials_are_the_loops_draws(seed, k, trials, data):
-    # a random real basis, kept well away from singular
-    basis = np.array(data.draw(st.lists(
-        st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k),
-        min_size=k, max_size=k))) + 4.0 * np.eye(k)
-    rule = CostRule(quadratic(k), np.vstack([np.zeros(k), np.eye(k)]),
-                    shares=ShareSpace.lattice(basis))
-    seen = []
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    price_bound_check(recording(rule, seen), trials, got_rng)
-    qs, vs = reference_lattice_trials(rule.shares._b(), trials, want_rng)
-    # the check prices C(q + v), then C(q)
-    assert np.array_equal(seen[1], qs) and np.array_equal(seen[0], qs + vs)
-    assert_same_state(got_rng, want_rng)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=SEEDS, k=DIMS)
-def test_open_states_are_the_loops_draws(seed, k):
-    seen = []
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    check_open(recording(simplex_market(k), seen), got_rng)
-    want = [want_rng.normal(scale=4.0, size=k) for _ in range(GRAD_SAMPLES)]
-    assert np.array_equal(seen[0], want)
-    want_rng.uniform(0.2, 1.0, size=(INVERT_TARGETS, k + 1))
-    assert_same_state(got_rng, want_rng)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=SEEDS, k=DIMS)
-def test_quasi_open_states_are_the_loops_draws(seed, k):
-    seen = []
-    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    check_quasi_open(recording(simplex_market(k), seen), 8, got_rng)
-    want = [want_rng.normal(scale=4.0, size=k) for _ in range(Q_SAMPLES)]
-    for _ in range(Q_SAMPLES):
-        want_rng.normal(scale=2.0, size=k)
-    assert np.array_equal(seen[0], want)
-    assert_same_state(got_rng, want_rng)
-
-
 OPEN_MARKETS = {
     "lmsr_open": binary_lmsr_rule(),
     "exp_family_2": exp_family_rule([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+    # the simplex's four vertices in R^3
+    "exp_family_3": exp_family_rule(np.vstack([np.zeros(3), np.eye(3)])),
     # C(q) = q^2: the gradient 2q leaves [0, 1] at most states
     "steep_cost": CostRule(quadratic(1), [[0.0], [1.0]]),
 }
@@ -273,17 +198,3 @@ def test_open_matches_the_state_loop(name, seed):
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     assert check_open(rule, got_rng) == reference_open(rule, want_rng)
     assert_same_state(got_rng, want_rng)
-
-
-@pytest.mark.parametrize("name", ["lmsr_open", "exp_family_2"])
-def test_open_margins_are_the_per_state_margins(name):
-    # the one-pass gradients and hull margins, to the bit
-    rule = OPEN_MARKETS[name]
-    qs = 4.0 * np.random.default_rng(0).standard_normal((GRAD_SAMPLES, rule.k))
-    xs = rule.cost.grads(qs)
-    a, b = hull_facets(rule.phi)
-    margins = np.min(-(np.matmul(a, xs[..., None])[..., 0] + b), axis=1)
-    assert np.array_equal(xs, [rule.cost.grad(q) for q in qs])
-    assert margins.tolist() == [hull_margin(rule.phi, rule.cost.grad(q))
-                                for q in qs]
-
