@@ -5,14 +5,14 @@ the market to and the report they found it at.  Payments telescope, so the
 maker's total exposure only depends on the first and last states: the
 position is the single contract S(r_T, .) - S(r_0, .), and
 ``worst_case_loss`` reads its bounds at a cost independent of the ledger
-length.  Settlement still sums the ledger trade by trade and reports it
-beside the telescoped loss.  Each state is scored once: a trade is the new
-score less the held one.  Path independence scores r_0 ... r_T once each
-and checks a ledger of either outcome kind as one ``contracts.sum_rows``
-of the score stack and the recorded trades.  A replay of the ledger lines
-validates them in order and then builds every trade contract from one
-``sum_rows`` of the score stack less itself shifted by one, bit for bit as
-trade by trade.
+length.  Each state is scored once.  Over a finite space a session holds the
+score rows of its first and current states, and a trade, live or replayed
+from the ledger lines, is the row difference (new + 0.0) - held, in
+``combine``'s floats; on the real line it holds score contracts.
+Settlement sums the ledger trade by trade, in record order, beside the
+telescoped loss.  Path independence scores r_0 ... r_T once each and checks
+a ledger of either outcome kind as one ``contracts.sum_rows`` of the score
+stack and the recorded trades.
 """
 from __future__ import annotations
 
@@ -62,13 +62,28 @@ class MarketSession:
         self.r0 = r0
         self.current = r0
         self.records: list[TradeRecord] = []
-        # S(r0, .) and S(current, .): each state is scored once
-        self._first = self._held = rule.score_contract(r0)
+        # S(r0, .) and S(current, .), each state scored once: payoff rows
+        # over a finite space, contracts on the real line
+        first = rule.score_contract(r0)
+        self._first = self._held = first if first.values is None else first.values
+
+    def _score(self, r):
+        """S(r, .) as a session holds it.  Validates r."""
+        if self.rule.outcome_space.is_finite:
+            return self.rule.score_row(r)
+        return self.rule.score_contract(r)
+
+    def _trade(self, new, old) -> Contract:
+        """``score_difference`` of two held scores."""
+        if isinstance(old, Contract):
+            return score_difference(new, old)
+        return Contract(space=self.rule.outcome_space,
+                        values=_row_differences(new, old))
 
     def execute_trade(self, trader: str, r_new) -> Contract:
         self.rule.validate_trade(self.current, r_new)
-        scored = self.rule.score_contract(r_new)
-        contract = score_difference(scored, self._held)
+        scored = self._score(r_new)
+        contract = self._trade(scored, self._held)
         rec = TradeRecord(index=len(self.records), trader=str(trader),
                          r_old=self.current, r_new=r_new, contract=contract)
         self.records.append(rec)
@@ -79,17 +94,24 @@ class MarketSession:
     def position_contract(self) -> Contract:
         """The maker's cumulative payout as a contract: by telescoping, the
         one trade from r0 to the current report."""
-        return score_difference(self._held, self._first)
+        return self._trade(self._held, self._first)
 
     def settle(self, y) -> Settlement:
         """Each trader's net payoff and the maker's loss at the outcome y,
         which must lie in the outcome space (``InvalidOutcome``)."""
-        self.rule.outcome_space.validate(y)
+        space = self.rule.outcome_space
+        space.validate(y)
+        if space.is_finite:
+            j = space.index(y)
+            paid = [(rec.trader, float(rec.contract.values[j])) for rec in self.records]
+            telescoped = float(self._held[j]) - float(self._first[j])
+        else:
+            paid = [(rec.trader, rec.contract(y)) for rec in self.records]
+            telescoped = self.rule.score(self.current, y) - self.rule.score(self.r0, y)
         by_trader: dict[str, float] = {}
-        for rec in self.records:
-            by_trader[rec.trader] = by_trader.get(rec.trader, 0.0) + rec.contract(y)
+        for trader, v in paid:
+            by_trader[trader] = by_trader.get(trader, 0.0) + v
         total = math.fsum(by_trader.values())
-        telescoped = self.rule.score(self.current, y) - self.rule.score(self.r0, y)
         return Settlement(outcome=y,
                           payoffs=list(by_trader.items()),
                           maker_loss=total,
@@ -162,7 +184,7 @@ class MarketSession:
                 index=i, trader=traders[i], r_old=states[i], r_new=states[i + 1],
                 contract=contract))
         session.current = states[-1]
-        session._held = rule.score_contract(session.current)
+        session._held = session._score(session.current)
         return session
 
 
@@ -193,24 +215,38 @@ def _rows(stack: tuple, start=None, stop=None) -> tuple:
     return tuple(a[start:stop] for a in stack)
 
 
+def _row_differences(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``score_difference``'s payoffs over a finite space, row by row:
+    (new + 0.0) - old, the floats ``combine`` gives (0.0 + -0.0 is 0.0),
+    read-only.  As in ``combine``, Python floats: an overflow is inf
+    without numpy's warning, and raises ``PayoffOverflow``."""
+    net = [(a + 0.0) - b for a, b in zip(new.ravel().tolist(), old.ravel().tolist())]
+    if not all(map(math.isfinite, net)):
+        raise PayoffOverflow("payoffs must be finite")
+    rows = np.array(net).reshape(new.shape)
+    rows.flags.writeable = False
+    return rows
+
+
 def _trade_contracts(rule: ScoringRule, states: list) -> list:
-    """``score_difference`` of each pair of consecutive states, to the bit:
-    one ``sum_rows`` of the states' score stack less itself shifted by one,
-    each row a payoff vector or, on the real line, compacted as ``combine``
-    compacts it.  An overflow raises ``PayoffOverflow``."""
+    """``score_difference`` of each pair of consecutive states, to the bit,
+    from the states' score stack: over a finite space its
+    ``_row_differences`` with itself shifted by one, on the real line one
+    ``sum_rows`` of the same, each row compacted as ``combine`` compacts
+    it.  An overflow raises ``PayoffOverflow``."""
     if len(states) < 2:
         return []
     stack, transform = rule.score_stack(states)
-    (*cuts, net), rows = sum_rows(
+    if transform is None:
+        return [Contract(space=rule.outcome_space, values=row)
+                for row in _row_differences(stack[0][1:], stack[0][:-1])]
+    (cuts, net), rows = sum_rows(
         [((_rows(stack, 1), _rows(stack, None, -1)), (1.0, -1.0))], transform)
     if not rows.finite.all():
         raise PayoffOverflow("payoffs must be finite")
-    if transform is None:
-        net.flags.writeable = False
-        return [Contract(space=rule.outcome_space, values=row) for row in net]
     return [Contract(space=REAL_LINE, ends=ends, pieces=pieces, transform=transform)
             for ends, pieces in (merge_runs(row, list(map(tuple, cells)))
-                                 for row, cells in zip(cuts[0].tolist(), net.tolist()))]
+                                 for row, cells in zip(cuts.tolist(), net.tolist()))]
 
 
 def _pair_gaps(rule: ScoringRule, states: list, steps: list) -> list:

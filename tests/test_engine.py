@@ -265,6 +265,18 @@ class TestPathIndependence:
         with pytest.raises(PayoffOverflow, match="payoffs must be finite"):
             s.verify_path_independence()
 
+    def test_finite_trade_overflow_raises(self):
+        # the trade 1 -> 2 pays 1e308 - (-1e308) on outcome a: it raises and
+        # leaves the session as it was
+        rule = FiniteRule([[-1e308, 0.0], [1e308, 0.0]],
+                          OutcomeSpace.finite(["a", "b"]))
+        s = open_session(rule, 1)
+        with pytest.raises(PayoffOverflow, match="payoffs must be finite"):
+            s.execute_trade("t0", 2)
+        assert s.current == 1 and s.records == []
+        assert _bits(s.position_contract()) == _bits(rule.trade_contract(1, 1))
+        assert s.settle("a").maker_loss == 0.0
+
     def test_real_overflow_raises(self):
         # the real-line twin: QuantileRule(0.1) pays -0.9 (t(r') - t(r)) below
         # both reports, so the trade 1.7e308 -> -1.7e308 holds an infinite
@@ -388,23 +400,80 @@ for name, (rule, r0, report) in REVISITING_FAMILIES.items():
             rule, r0, st.one_of(st.sampled_from(pool), report))
 
 
+def _vector(pool):
+    return st.one_of(st.sampled_from(pool), st.lists(
+        st.floats(-6.0, 6.0), min_size=2, max_size=2)).map(
+            lambda v: np.array(v, dtype=float))
+
+
+# the revisiting families, payoffs of -0.0 (which the row differences must
+# add in combine's order), a share lattice, and a two-security cost market
+# with vector reports; reports also come from a small pool, which holds 0.0
+# and -0.0 where the report space does, and on the real line a report an
+# ulp from the pool's 1.5, whose trade leaves a residue that combine snaps
+REPLAY_FAMILIES = {
+    **{name: (rule, r0, report if rule.outcome_space.is_finite
+              else st.one_of(st.just(1.5000000000000002), report))
+       for name, (rule, r0, report) in REVISITING_FAMILIES.items()},
+    "signed zeros": (FiniteRule([[-0.0, 1.0], [0.0, -0.0], [2.0, -0.0]],
+                                OutcomeSpace.finite(["a", "b"])),
+                     1, st.sampled_from([1, 2, 3])),
+    "discretized lmsr": (discretized_lmsr_rule(), 0.0, st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -2.0]),
+        st.integers(-30, 30).map(float))),
+    "exp family 2": (exp_family_rule([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                     np.zeros(2), _vector([[0.0, -0.0], [-0.0, 1.5], [2.0, 0.0]])),
+}
+
+
+# the revisiting families, and the replay families whose payoffs hold -0.0
+# or whose reports are share lattice points or vectors
+SCORED_ONCE_FAMILIES = {
+    **REVISITING_FAMILIES,
+    **{name: REPLAY_FAMILIES[name]
+       for name in ("signed zeros", "discretized lmsr", "exp family 2")},
+}
+
+
 class TestScoredOnce:
-    @pytest.mark.parametrize("family", sorted(REVISITING_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(SCORED_ONCE_FAMILIES))
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_matches_rebuilt_trades(self, family, data):
-        # each state scored once gives the contracts and the path check of
-        # rebuilding both scores of every trade
-        rule, r0, report = REVISITING_FAMILIES[family]
+        # each state scored once gives, to the bit, the contracts of
+        # rebuilding both scores of every trade through score_difference,
+        # and the path check of the pairwise reference
+        rule, r0, report = SCORED_ONCE_FAMILIES[family]
         s = _generated_session(data, rule, r0, report)
         for rec in s.records:
             want = rule.trade_contract(rec.r_old, rec.r_new)
-            assert rec.contract.to_dict() == want.to_dict()
+            assert _bits(rec.contract) == _bits(want)
         want = rule.trade_contract(r0, s.current)
-        assert s.position_contract().to_dict() == want.to_dict()
+        assert _bits(s.position_contract()) == _bits(want)
         if len(s.records) >= 2:
             rep = s.verify_path_independence()
             assert (rep.verdict, rep.margin) == _pairwise_path_independence(s)
+
+    @pytest.mark.parametrize("family", sorted(SCORED_ONCE_FAMILIES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_settles_as_the_record_loop(self, family, data):
+        # the payoffs and the maker loss of the loop over rec.contract(y) in
+        # record order, and the telescoped loss of rule.score, to the bit
+        rule, r0, report = SCORED_ONCE_FAMILIES[family]
+        s = _generated_session(data, rule, r0, report)
+        outcomes = rule.outcome_space.labels or data.draw(st.lists(
+            st.floats(-6.0, 6.0), min_size=1, max_size=5), label="outcomes")
+        for y in outcomes:
+            by_trader: dict = {}
+            for rec in s.records:
+                by_trader[rec.trader] = by_trader.get(rec.trader, 0.0) + rec.contract(y)
+            settled = s.settle(y)
+            assert [(t, v.hex()) for t, v in settled.payoffs] == \
+                [(t, v.hex()) for t, v in by_trader.items()]
+            assert settled.maker_loss.hex() == math.fsum(by_trader.values()).hex()
+            want = rule.score(s.current, y) - rule.score(r0, y)
+            assert settled.telescoped_loss.hex() == want.hex()
 
 
 def _assert_telescopes(s: MarketSession, outcomes, bounds: bool = True) -> None:
@@ -535,32 +604,6 @@ def _ledger_lines(states) -> list[str]:
                        sort_keys=True) for i, (a, b) in enumerate(zip(states, states[1:]))]
 
 
-def _vector(pool):
-    return st.one_of(st.sampled_from(pool), st.lists(
-        st.floats(-6.0, 6.0), min_size=2, max_size=2)).map(
-            lambda v: np.array(v, dtype=float))
-
-
-# the revisiting families, payoffs of -0.0 (which the row differences must
-# add in combine's order), a share lattice, and a two-security cost market
-# with vector reports; reports also come from a small pool, which holds 0.0
-# and -0.0 where the report space does, and on the real line a report an
-# ulp from the pool's 1.5, whose trade leaves a residue that combine snaps
-REPLAY_FAMILIES = {
-    **{name: (rule, r0, report if rule.outcome_space.is_finite
-              else st.one_of(st.just(1.5000000000000002), report))
-       for name, (rule, r0, report) in REVISITING_FAMILIES.items()},
-    "signed zeros": (FiniteRule([[-0.0, 1.0], [0.0, -0.0], [2.0, -0.0]],
-                                OutcomeSpace.finite(["a", "b"])),
-                     1, st.sampled_from([1, 2, 3])),
-    "discretized lmsr": (discretized_lmsr_rule(), 0.0, st.one_of(
-        st.sampled_from([0.0, -0.0, 1.0, -2.0]),
-        st.integers(-30, 30).map(float))),
-    "exp family 2": (exp_family_rule([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-                     np.zeros(2), _vector([[0.0, -0.0], [-0.0, 1.5], [2.0, 0.0]])),
-}
-
-
 class TestReplayMatchesLoop:
     @pytest.mark.parametrize("family", sorted(REPLAY_FAMILIES))
     @settings(max_examples=20, deadline=None)
@@ -582,6 +625,8 @@ class TestReplayMatchesLoop:
         for a, b in zip(want.records, got.records):
             assert _bits(a.contract) == _bits(b.contract)
             assert (a.index, a.trader) == (b.index, b.trader)
+        # the held score: a payoff row over a finite space, else a contract
+        assert type(got._held) is type(want._held)
         assert _bits(got._held) == _bits(want._held)
         assert np.array_equal(got.current, want.current)
         assert got.ledger_lines() == want.ledger_lines() == lines
@@ -644,8 +689,9 @@ class TestReplayMatchesLoop:
 
 
 def _bits(d) -> bytes:
-    """The bytes of a contract's payoff vector, or of its pieces' ends and
-    coefficients."""
-    if d.values is not None:
-        return np.asarray(d.values, dtype=float).tobytes()
+    """The bytes of a payoff row, of a contract's payoff vector, or of its
+    pieces' ends and coefficients."""
+    values = d if isinstance(d, np.ndarray) else d.values
+    if values is not None:
+        return np.asarray(values, dtype=float).tobytes()
     return np.array([*d.ends, *np.ravel(d.pieces)], dtype=float).tobytes()

@@ -9,7 +9,7 @@ cost scale, and the same point wherever the largest gap leads the next by
 more than that."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -22,14 +22,17 @@ TOL = 1e-9
 def reference_gaps(shares: np.ndarray, costs: np.ndarray) -> np.ndarray:
     """Each point's height above the lower convex envelope of the set: the
     max of s_j . w + t over the affine functions (w, t) below every point,
-    one linear program per point."""
+    one linear program per point, at feasibility tolerances of 1e-10: at
+    HiGHS's defaults a gap below about 5e-8 reads 0.0."""
     m, k = shares.shape
     a_ub = np.hstack([shares, np.ones((m, 1))])
     gaps = np.empty(m)
     for j in range(m):
         c = -np.concatenate([shares[j], [1.0]])
         res = linprog(c, A_ub=a_ub, b_ub=costs,
-                      bounds=[(None, None)] * (k + 1), method="highs")
+                      bounds=[(None, None)] * (k + 1), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
         assert res.success, res.message
         gaps[j] = costs[j] + res.fun
     return gaps
@@ -114,6 +117,8 @@ def test_convex_costs_sit_on_the_envelope(case, scale):
 @given(st.integers(1, 2).flatmap(lambda k: share_sets(k).flatmap(
     lambda s: st.tuples(st.just(s), st.lists(
         st.floats(-5, 5), min_size=len(s), max_size=len(s))))), SCALES)
+# (0, 1e-8) lies 1e-8 above the chord from (-0.5, 0) to (1, 0)
+@example((np.array([[0.0], [1.0], [-0.5]]), [1e-8, 0.0, 0.0]), 1.0)
 def test_arbitrary_costs(case, scale):
     shares, costs = case
     assert_agrees(shares, scale * np.asarray(costs))
