@@ -57,12 +57,13 @@ from .scoring import (
 
 
 def btb_budgets(epsilons) -> tuple:
-    """BTB's budgets as a tuple, once there is one and each is positive: BTB
-    quantifies over budgets epsilon > 0.  Else ValueError."""
+    """BTB's budgets as a tuple, once there is one and each is positive and
+    finite: BTB quantifies over budgets epsilon > 0, and every trade risks
+    less than an infinite one.  Else ValueError."""
     epsilons = tuple(epsilons)
-    if not epsilons or not all(e > 0 for e in epsilons):
+    if not epsilons or not all(0 < e < INF for e in epsilons):
         raise ValueError(f"epsilons {epsilons!r} must be one or more positive "
-                         "BTB budgets")
+                         "finite BTB budgets")
     return epsilons
 
 
@@ -96,8 +97,8 @@ class SearchConfig:
         if not -INF < self.report_window[0] < self.report_window[1] < INF:
             raise ValueError(f"report_window {self.report_window!r} must ascend "
                              "between finite ends")
-        if not self.delta > 0:
-            raise ValueError("strictness margin must be positive")
+        if not 0 < self.delta < INF:
+            raise ValueError("strictness margin must be positive and finite")
         btb_budgets(self.epsilons)
 
     def rng(self) -> np.random.Generator:

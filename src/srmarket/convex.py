@@ -10,9 +10,11 @@ of a potential, so one gradient inversion (``invert_gradient``, or
 closed-form ``grad_inverse`` where it has one, else ``bracket`` and
 ``bisect``.  ``brent_max`` is the one maximizer of a unimodal function to
 a tolerance; ``golden_max`` runs a fixed number of golden-section steps,
-for cost extraction's non-smooth distance.  ``hull_facets`` (Qhull) is the
-one hull routine: report-space hulls, openness margins, and extraction's
-convexity certificate, the lower hull of the lifted (share, cost) points.
+for cost extraction's non-smooth distance.  ``hull_facets`` is the one hull
+routine: report-space hulls, openness margins, and extraction's convexity
+certificate, the lower hull of the lifted (share, cost) points.  It is
+exact on the line, a monotone chain in the plane, and Qhull, imported on
+first use, in 3 or more dimensions.
 """
 from __future__ import annotations
 
@@ -504,17 +506,60 @@ def invert_gradient(fn: ConvexFn, target, xtol: float = 0.0):
         else None
 
 
+class FlatHull(ValueError):
+    """A set of 2 or more dimensions whose hull has no interior."""
+
+
+def _cross(o, p, q) -> float:
+    """(p - o) x (q - o): positive when o, p, q turn counter-clockwise."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def _hull_ring(pts: np.ndarray) -> list:
+    """The vertices of conv(pts) of a 2-D set, counter-clockwise, by
+    Andrew's monotone chain (A. M. Andrew, *IPL* 9(5), 1979) over the
+    distinct points in plain floats; collinear points are not vertices."""
+    order = sorted(set(map(tuple, pts.tolist())))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(order) + chain(reversed(order))
+
+
 def hull_facets(points) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) with conv(points) = {x : a @ x + b <= 0}, each row of a a unit
-    normal: exact intervals in one dimension, the convex hull's facet
-    equations otherwise."""
+    normal: exact intervals in one dimension, a monotone chain's edges in
+    two, and Qhull's facet equations (C. B. Barber et al., *ACM TOMS*
+    22(4), 1996) in more.  A non-finite point is a ValueError, and a set
+    of 2 or more dimensions whose hull is flat is ``FlatHull``."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
+    if not np.isfinite(pts).all():
+        raise ValueError("hull points must be finite")
     if pts.shape[1] == 1:
         return np.array([[-1.0], [1.0]]), \
             np.array([float(np.min(pts)), -float(np.max(pts))])
-    from scipy.spatial import ConvexHull
+    if pts.shape[1] == 2:
+        ring = _hull_ring(pts)
+        if len(ring) < 3:
+            raise FlatHull("a 2-D hull needs 3 points off one line")
+        # the outward normal of the edge p -> q of a counter-clockwise ring
+        # is (dy, -dx), and each edge's line passes through its p
+        p = np.array(ring)
+        d = np.roll(p, -1, axis=0) - p
+        a = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 1], d[:, 0])[:, None]
+        return a, -_dots(a, p)
+    from scipy.spatial import ConvexHull, QhullError
 
-    eq = ConvexHull(pts).equations
+    try:
+        eq = ConvexHull(pts).equations
+    except QhullError as exc:
+        raise FlatHull(str(exc)) from exc
     return eq[:, :-1], eq[:, -1]

@@ -28,6 +28,7 @@ from .contracts import (
 )
 from .convex import (
     ConvexFn,
+    FlatHull,
     _dots,
     _vec,
     binary_lmsr_cost,
@@ -475,15 +476,14 @@ def _lower_envelope_gap(shares: np.ndarray, costs: np.ndarray) -> tuple:
     envelope of the (share, cost) points, else (0.0, None).  The envelope is
     the max of the lifted hull's facet planes, costs in units of max(1,
     |cost|), whose unit normal has a cost component below -STRUCT_TOL: a
-    facet within rounding of vertical would lift it and hide a gap.  Qhull
-    raises on fewer than k + 2 points or a flat lifted set; with extraction's
-    shares, 0 and each unit vector among them, that is an affine cost."""
-    from scipy.spatial import QhullError
-
+    facet within rounding of vertical would lift it and hide a gap.  The
+    lifted set is ``FlatHull`` when it has fewer than k + 2 points or lies in
+    one hyperplane; with extraction's shares, 0 and each unit vector among
+    them, that is an affine cost.  A non-finite point still raises."""
     scale = max(1.0, float(np.max(np.abs(costs))))
     try:
         a, b = hull_facets(np.column_stack([shares, costs / scale]))
-    except QhullError:
+    except FlatHull:
         return 0.0, None
     lower = a[:, -1] < -STRUCT_TOL
     env = np.max(-(shares @ a[lower, :-1].T + b[lower]) / a[lower, -1], axis=1)

@@ -78,6 +78,9 @@ class TestSearchConfig:
         # a nan margin made every candidate fail to improve
         with pytest.raises(ValueError, match="margin"):
             SearchConfig(delta=math.nan, scenario_count=20)
+        # an infinite margin made every improvement fall short of it
+        with pytest.raises(ValueError, match="margin"):
+            SearchConfig(delta=math.inf)
         with pytest.raises(ValueError):
             SearchConfig(report_points=1)
 
@@ -424,9 +427,11 @@ class TestBTB:
         with pytest.raises(ValueError, match="budget"):
             check_btb(rule, p, 3, epsilons=(), cfg=CFG)
 
-    @pytest.mark.parametrize("epsilons", [(), (-0.5,), (0.5, 0.0), (math.nan,)])
+    @pytest.mark.parametrize("epsilons", [(), (-0.5,), (0.5, 0.0), (math.nan,),
+                                          (math.inf,)])
     def test_budgets_that_are_not_positive_rejected(self, epsilons):
-        # BTB quantifies over budgets epsilon > 0
+        # BTB quantifies over budgets epsilon > 0; every trade risks less
+        # than an infinite one
         rule = mode3()
         p = finite_belief(rule.outcome_space, [0.2, 0.5, 0.3])
         with pytest.raises(ValueError, match="positive"):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -218,6 +219,37 @@ class TestExtractCommand:
         assert run_extract(load_config("extract_entropy"), str(tmp_path)) == 0
         text = (tmp_path / "extract_entropy__extract.txt").read_text()
         assert "ok: True" in text
+
+    def test_planar_hulls_leave_scipy_spatial_unloaded(self, tmp_path):
+        # in a fresh interpreter, a one-security extraction, OPEN on a two-
+        # security cost market and a 2-D hull report space take the planar
+        # hull; a two-security extraction lifts its shares to 3-D, Qhull's
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from srmarket.cli import main
+            from srmarket.convex import log_partition, simplex_negentropy
+            from srmarket.costmarket import CostRule, check_open, extract_cost_market
+            from srmarket.reports import HOLDS_AT_BUDGET
+            from srmarket.scoring import ExpectationRule
+            assert main(["extract", "--config", "extract_entropy",
+                         "--out", sys.argv[1]]) == 0
+            phi = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+            report = check_open(CostRule(log_partition(phi), phi))
+            assert report.verdict == HOLDS_AT_BUDGET
+            rule = ExpectationRule(simplex_negentropy(2), phi=phi)
+            assert rule.report_space._facets is not None
+            assert "scipy.spatial" not in sys.modules
+            ext = extract_cost_market(rule, [np.array([a, b]) for a in (0.2, 0.4)
+                                             for b in (0.15, 0.3)])
+            assert ext.ok and ext.k == 2
+            assert "scipy.spatial" in sys.modules
+        """)
+        src = os.path.dirname(os.path.dirname(srmarket.__file__))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
 
     def test_mode_extract_expected_failure(self, tmp_path):
         assert run_extract(load_config("extract_mode"), str(tmp_path)) == 0

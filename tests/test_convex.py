@@ -1,13 +1,18 @@
 """Convex potentials: values, gradients and their ranges, the conjugate
-pair of the binary LMSR cost and the negative entropy, and the Bregman
-kernel of the expectile score."""
+pair of the binary LMSR cost and the negative entropy, the Bregman
+kernel of the expectile score, and the hull routine, whose 2-D monotone
+chain is tested against Qhull."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from srmarket.convex import (
+    FlatHull,
     binary_lmsr_cost,
     binary_negentropy,
     hull_facets,
@@ -102,6 +107,80 @@ class TestGradientRange:
     def test_hull_margin_interval(self):
         assert hull_margin(np.array([0.0, 1.0]), 0.25) == pytest.approx(0.25)
         assert hull_margin(np.array([0.0, 1.0]), 1.25) == pytest.approx(-0.25)
+
+
+def cross(o, p, q) -> int:
+    """(p - o) x (q - o) of integer points, exact: 0 when they are
+    collinear."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+@st.composite
+def lattice_sets(draw):
+    """(integer points, unit): 2-D points on an integer lattice, some of
+    them repeated and a collinear run among them, to be scaled by a unit
+    that makes the largest coordinate about a power of two from 2^-20 to
+    2^27.  Every orientation test on them is exact in floats."""
+    bound = draw(st.sampled_from([4, 64, 2 ** 20]))
+    coord = st.integers(-bound, bound)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))
+    if draw(st.booleans()):
+        x, y = draw(st.sampled_from(pts))
+        step = st.integers(-bound // 4, bound // 4)
+        dx, dy = draw(step), draw(step)
+        ts = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=6))
+        pts += [(x + t * dx, y + t * dy) for t in ts]
+    return pts, 2.0 ** draw(st.integers(-20, 27)) / bound
+
+
+def margins(a, b, xs) -> np.ndarray:
+    """The hull margin min(-(a @ x + b)) of each row of xs."""
+    return np.min(-(xs @ a.T + b), axis=1)
+
+
+class TestHullFacets:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_sets(), st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+                                    max_size=6))
+    def test_planar_hull_matches_qhull(self, case, probes):
+        pts, unit = case
+        xs = unit * np.asarray(pts, dtype=float)
+        distinct = sorted(set(pts))
+        flat = len(distinct) < 3 or all(
+            cross(distinct[0], distinct[1], p) == 0 for p in distinct[2:])
+        if flat:
+            with pytest.raises(FlatHull):
+                hull_facets(xs)
+            return
+        a, b = hull_facets(xs)
+        assert np.all(np.abs(np.hypot(a[:, 0], a[:, 1]) - 1.0) <= 4e-16)
+        scale = float(np.max(np.abs(xs)))
+        eq = ConvexHull(xs).equations
+        at = np.vstack([xs, xs.mean(axis=0),
+                        scale * np.asarray(probes).reshape(-1, 2)])
+        got, ref = margins(a, b, at), margins(eq[:, :-1], eq[:, -1], at)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale), np.abs(got - ref).max()
+        # every input point is in the hull
+        assert np.all(got[:len(xs)] >= -1e-12 * scale)
+
+    @pytest.mark.parametrize("points", [
+        [[1.0, 2.0]], [[1.0, 2.0], [1.0, 2.0], [-0.0, 0.0]],
+        [[0.0, 0.0], [1.0, 1.0], [3.0, 3.0], [-2.0, -2.0], [1.0, 1.0]],
+        [[0.0, 5.0], [0.0, -1.0], [0.0, 2.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]])
+    def test_flat_sets_raise(self, points):
+        with pytest.raises(FlatHull):
+            hull_facets(points)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_points_raise(self, dim, bad):
+        points = np.vstack([np.zeros(dim), np.eye(dim)])
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match="finite") as exc:
+            hull_facets(points)
+        assert not isinstance(exc.value, FlatHull)
 
 
 class TestBuiltins:

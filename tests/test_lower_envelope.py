@@ -9,6 +9,7 @@ cost scale, and the same point wherever the largest gap leads the next by
 more than that."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -128,7 +129,8 @@ def test_arbitrary_costs(case, scale):
 @given(st.integers(1, 2).flatmap(
     lambda k: st.tuples(share_sets(k), affine(k))))
 def test_affine_costs_have_no_gap(case):
-    # a flat lifted set, which Qhull refuses, or one flat within rounding
+    # a flat lifted set, which hull_facets refuses, or one flat within
+    # rounding
     shares, cost = case
     assert_agrees(shares, cost(shares))
 
@@ -138,7 +140,7 @@ def test_affine_costs_have_no_gap(case):
     st.just(k), st.lists(st.floats(-5, 5), min_size=k + 1, max_size=k + 1))))
 def test_fewer_than_k_plus_two_points(case):
     # 0 and the unit vectors alone: an affine function interpolates any
-    # costs, and Qhull refuses the k + 1 lifted points
+    # costs, and hull_facets refuses the k + 1 lifted points
     k, costs = case
     shares = spanning(k, np.empty((0, k)))
     assert _lower_envelope_gap(shares, np.asarray(costs)) == (0.0, None)
@@ -171,3 +173,16 @@ def test_raised_cost_on_a_collinear_boundary(cost, n, side, data, raise_by):
     assert at == index(mid)
     assert abs(gap - raise_by) <= TOL * max(1.0, float(np.max(np.abs(costs))))
     assert_agrees(shares, costs)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_non_finite_point_raises(k):
+    # a flat lifted set reads as no gap; a non-finite one is no verdict
+    shares = spanning(k, np.full((1, k), 0.5))
+    costs = np.zeros(len(shares))
+    costs[-1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        _lower_envelope_gap(shares, costs)
+    shares[-1, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        _lower_envelope_gap(shares, np.zeros(len(shares)))
