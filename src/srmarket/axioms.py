@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -36,6 +37,8 @@ from .contracts import (
     contract_is_constant,
     expected_payoff,
     finite_belief,
+    row_contracts,
+    stack_pieces,
     sum_rows,
     uniform_belief,
 )
@@ -53,6 +56,7 @@ from .scoring import (
     FiniteReports,
     RealReports,
     ScoringRule,
+    report_rows,
 )
 
 
@@ -457,20 +461,17 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
 # that must beat it: its own worst-case payoff for WN, its cash level for TN
 # and PN, which is -inf unless held + trade is flat.
 #
-# A check judges rows of either outcome kind (``_judge_rows``) in the floats
-# of the contracts, and builds a failing scenario's witness from contracts.
+# A check reads a failing scenario's witness from the rows it judges
+# (``_judge_rows``); the replay rebuilds it from contracts (``_failure``).
 
 
-def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig):
-    """A scenario's candidate trade targets after the analytic one, in the
-    order they are tried: the share lattice around the state r2, or local
-    moves around it and then the candidate grid."""
-    shares = getattr(rule, "shares", None)
-    if shares is not None and shares.is_lattice:
+def _local_candidates(rule: ScoringRule, r2, cfg: SearchConfig) -> list:
+    """A scenario's own candidate trade targets after the analytic one: the
+    share lattice around the state r2, or local moves around it."""
+    if getattr(getattr(rule, "shares", None), "is_lattice", False):
         base_q = np.atleast_1d(np.asarray(r2, dtype=float))
-        for w in shares.lattice_points(cfg.lattice_bound):
-            yield float((base_q + w)[0]) if len(w) == 1 else base_q + w
-        return
+        return [float((base_q + w)[0]) if len(w) == 1 else base_q + w
+                for w in rule.shares.lattice_points(cfg.lattice_bound)]
     # local moves around the state: small trades are the improving ones for
     # share-like markets whose cash is itself a security
     if isinstance(rule.report_space, RealReports):
@@ -478,33 +479,31 @@ def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig):
     elif isinstance(rule.report_space, BoxReports) and rule.report_space.dim == 1:
         span = rule.report_space.hi[0] - rule.report_space.lo[0]
     else:
-        span = None
-    if span is not None and np.isscalar(r2):
-        step = 0.3 * span
-        while step > 1e-4 * span:
-            for cand in (r2 + step, r2 - step):
-                if rule.report_space.contains(cand):
-                    yield float(cand)
-            step *= 0.5
-    yield from rule.report_grid(cfg.candidate_points, cfg.report_window)
+        return []
+    moves, step = [], 0.3 * span
+    while np.isscalar(r2) and step > 1e-4 * span:
+        moves += [float(c) for c in (r2 + step, r2 - step)
+                  if rule.report_space.contains(c)]
+        step *= 0.5
+    return moves
 
 
-def _worst_entry(net, c) -> tuple:
-    """(value, entry) of the net held + trade to c for WN: its infimum."""
-    lo, _ = contract_bounds(net)
-    y_bad, v_bad, _ = contract_argmin(net)
-    return lo, {"candidate": _j(c), "inf": lo, "bad_outcome": _j(y_bad),
-                "value": v_bad}
+def _candidate_grid(rule: ScoringRule, cfg: SearchConfig) -> list:
+    """The candidates each scenario tries after its own, off a share lattice."""
+    on_lattice = getattr(getattr(rule, "shares", None), "is_lattice", False)
+    return [] if on_lattice else rule.report_grid(cfg.candidate_points, cfg.report_window)
 
 
-def _cash_entry(net, c) -> tuple:
-    """(value, entry) of the net held + trade to c for TN and PN: its cash
-    level if it is flat, else -inf."""
-    flat, level = contract_is_constant(net)
-    lo, hi = contract_bounds(net)
-    return level if flat else -INF, {
-        "candidate": _j(c), "flat": bool(flat), "level": level if flat else None,
-        "spread": (hi - lo) if math.isfinite(hi - lo) else INF}
+def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig) -> list:
+    """A scenario's candidate trade targets after the analytic one, in order."""
+    return _local_candidates(rule, r2, cfg) + _candidate_grid(rule, cfg)
+
+
+def _joined(a: tuple, b: tuple) -> tuple:
+    """Two score stacks as one, padded as ``stack_pieces`` pads them."""
+    if len(a) == 1 or a[1].shape[1] == b[1].shape[1]:
+        return tuple(map(np.concatenate, zip(a, b)))
+    return stack_pieces([row for s in (a, b) for row in zip(*(x.tolist() for x in s))])
 
 
 class _Position(NamedTuple):
@@ -540,51 +539,95 @@ _PORTFOLIO = _Position(
     lambda w: ([(_unj(a), _unj(b)) for a, b in w["portfolio"]], _unj(w["state"])))
 
 # axiom -> (position, value of rows held + trade that must beat the held
-#           infimum, the same value and the failure entry of a contract,
-#           failure entries kept)
+#           infimum, failure entries kept)
 _NEUTRALIZATION = {
-    "WN": (_ONE_TRADE, Rows.inf, _worst_entry, None),
-    "TN": (_ONE_TRADE, Rows.cash, _cash_entry, 80),
-    "PN": (_PORTFOLIO, Rows.cash, _cash_entry, 80),
+    "WN": (_ONE_TRADE, Rows.inf, None),
+    "TN": (_ONE_TRADE, Rows.cash, 80),
+    "PN": (_PORTFOLIO, Rows.cash, 80),
 }
 
 
+def _failed(axiom: str, scenario, base: float, cands, lo, hi, cash, nets,
+            n: int, k: int) -> tuple:
+    """(values, margin, witness, budget) of a failing scenario, from its nets
+    held + trade: infima, suprema, cash levels (-inf unless flat), contracts."""
+    if axiom == "WN":
+        values = lo
+        entries = [{"candidate": _j(c), "inf": v, "bad_outcome": _j(y), "value": w}
+                   for c, v, (y, w, _) in zip(cands, lo, map(contract_argmin, nets))]
+    else:
+        values = list(cash)
+        entries = [{"candidate": _j(c), "flat": v > -INF,
+                    "level": v if v > -INF else None,
+                    "spread": b - a if math.isfinite(b - a) else INF}
+                   for c, v, a, b in zip(cands, values, lo, hi)]
+    gap = max(values, default=-INF) - base  # 0 when either side is infinite
+    witness, budget = _NEUTRALIZATION[axiom][0].failure(scenario, base, entries, n, k)
+    return values, gap if math.isfinite(gap) else 0.0, witness, budget
+
+
 def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
-    """(held infimum, values, margin, witness, budget) of a failing
-    scenario, from the value and the entry of each candidate it lists."""
-    position, _, entry, _ = _NEUTRALIZATION[axiom]
-    trades, state = position.trades(scenario)
+    """(held infimum, values, margin, witness, budget) of a failing scenario
+    from contracts: the replay's reference for the witness read from rows."""
+    trades, state = _NEUTRALIZATION[axiom][0].trades(scenario)
     legs = [rule.trade_contract(old, new) for old, new in trades]
     held = legs[0] if len(legs) == 1 else combine(legs, [1.0] * len(legs))
     base, _ = contract_bounds(held)
-    scored = [entry(combine([held, rule.trade_contract(state, c)], [1.0, 1.0]), c)
-              for c in cands]
-    values = [v for v, _ in scored]
-    gap = max(values, default=-INF) - base  # 0 when either side is infinite
-    witness, budget = position.failure(
-        scenario, base, [e for _, e in scored], n, k)
-    return base, values, gap if math.isfinite(gap) else 0.0, witness, budget
+    nets = [combine([held, rule.trade_contract(state, c)], [1.0, 1.0]) for c in cands]
+    lo, hi = zip(*map(contract_bounds, nets)) if nets else ((), ())
+    # a generator: TN and PN read it, WN does not
+    cash = (level if flat else -INF for flat, level in map(contract_is_constant, nets))
+    return (base, *_failed(axiom, scenario, base, cands, lo, hi, cash, nets, n, k))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises, not warns
 def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
-                cfg: SearchConfig) -> tuple:
-    """The failing scenario and the candidates it tried, or None with the
-    degenerate count and the least improvement.  All held positions are one
-    set of rows, and so are all analytic nets held + trade; a scenario they
-    do not settle judges its other candidates as one set and takes the
-    first that improves.  Payoffs that overflow raise ``PayoffOverflow`` in
-    a held position or analytic net, or a net up to the first improving."""
-    position, value, _, _ = _NEUTRALIZATION[axiom]
+                cfg: SearchConfig) -> AxiomReport:
+    """The WN/TN/PN check, each report scored once: every scenario that is
+    not degenerate needs a candidate beating the held infimum by more than
+    ``cfg.delta``.  Held positions, analytic nets held + trade, and then the
+    unsettled scenarios in batches of 1, 2, 4, ... are each one set of rows,
+    read in scenario order; the first without an improving candidate fails,
+    its entries read from rows.  Overflow raises in a held position, an
+    analytic net, or a net before its scenario's first improving candidate.
+    No scenario raises ValueError."""
+    position, value, cap = _NEUTRALIZATION[axiom]
+    if scenarios is None:
+        scenarios = position.sample(rule, cfg)
+    if not len(scenarios):
+        raise ValueError(f"{axiom} needs at least one scenario")
     transform = None if rule.outcome_space.is_finite else rule.transform
+    at, pool = {}, None  # report key -> row of the score stack pool
 
-    def leg(olds, news) -> tuple:
-        # the trades olds[k] -> news[k] as a sum_rows leg, each side scored
-        # in one call, whose overflow is left to the rows
-        return tuple((rule.score_rows(rs),) if transform is None else
-                     rule.piece_rows(rs) for rs in (news, olds)), (1.0, -1.0)
+    def scored(*groups) -> list:
+        # each group's rows in the pool, its new reports scored in one call,
+        # whose overflow is left to the rows
+        nonlocal pool
+        reports = list(chain.from_iterable(groups))
+        if isinstance(rule.report_space, FiniteReports):
+            keys = reports
+        else:  # bytes, as 0.0 and -0.0 may score apart; no number shares a row
+            xs = report_rows(reports, rule.report_space.dim)
+            keys = [object() for _ in reports] if xs is None else \
+                xs.view(f"V{8 * xs.shape[1]}").ravel().tolist()
+        by_key = dict(zip(keys, reports))
+        new = [k for k in by_key if k not in at]
+        if new:
+            rs = [by_key[k] for k in new]
+            stack = (rule.score_rows(rs),) if transform is None else rule.piece_rows(rs)
+            pool = stack if pool is None else _joined(pool, stack)
+            at.update(zip(new, range(len(at), len(at) + len(new))))
+        rows = np.fromiter(map(at.__getitem__, keys), int, len(keys))
+        ends = [0, *accumulate(map(len, groups))]
+        return [rows[a:b] for a, b in zip(ends, ends[1:])]
 
-    def onto(rows, olds, news) -> Rows:
-        return sum_rows([((rows,), (1.0,)), leg(olds, news)], transform)[1]
+    def leg(news, olds) -> tuple:
+        # the trades from the pool rows olds[k] to news[k]
+        return tuple(tuple(a[r] for a in pool) for r in (news, olds)), (1.0, -1.0)
+
+    def nets(held_at, news, olds) -> tuple:
+        held_rows = tuple(a[held_at] for a in table)
+        return sum_rows([((held_rows,), (1.0,)), leg(news, olds)], transform)
 
     held_trades, states = zip(*map(position.trades, scenarios))
     if not all(held_trades):
@@ -593,87 +636,81 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     # 0.0 in every cell and break where the position already breaks
     steps = [[t[j] if j < len(t) else (t[0][0],) * 2 for t in held_trades]
              for j in range(max(map(len, held_trades)))]
-    table, held = sum_rows([leg(*zip(*step)) for step in steps], transform)
+    table, held = sum_rows([leg(*scored(news, olds)) for olds, news in
+                            (zip(*step) for step in steps)], transform)
     _require_finite(held.finite)
     flat, base = held.cash() > -INF, held.inf()
     live = np.flatnonzero(~flat)
-    best = {}
-    analytic = {}
+    analytic, best = {}, {}
     if axiom in rule.matches:
         for i, c in zip(live, rule.matched_candidates(
                 [(held_trades[i], states[i]) for i in live])):
             if c is not None and rule.report_space.contains(c):
                 analytic[i] = c
     if analytic:
-        at = list(analytic)
-        nets = onto(tuple(a[at] for a in table), [states[i] for i in at],
-                    [analytic[i] for i in at])
-        _require_finite(nets.finite)
-        vals = value(nets)
-        best = {i: v for i, v, ok in zip(at, vals, vals > base[at] + cfg.delta)
-                if ok}
-    for i in live:
-        if i in best:
-            continue
-        cands = list(_scenario_candidates(rule, states[i], cfg))
-        nets = onto(tuple(a[i:i + 1] for a in table), [states[i]], cands)
-        vals = value(nets)
-        hits = np.flatnonzero(vals > base[i] + cfg.delta)
-        stop = int(hits[0]) + 1 if len(hits) else len(cands)
-        _require_finite(nets.finite[:stop])
-        if not len(hits):
-            tried = [analytic[i]] + cands if i in analytic else cands
-            return (scenarios[i], tried), None, None
-        best[i] = vals[hits[0]]
+        i = list(analytic)
+        _, judged = nets(i, *scored(analytic.values(), [states[j] for j in i]))
+        _require_finite(judged.finite)
+        vals = value(judged)
+        best = {j: v for j, v, ok in zip(i, vals, vals > base[i] + cfg.delta) if ok}
+    unsettled = [i for i in live if i not in best]
+    grid = _candidate_grid(rule, cfg) if unsettled else []
+    grid_rows, tries = scored(grid)[0], {}  # state row -> candidates, their rows
+    for batch in (unsettled[2 ** j - 1:2 ** (j + 1) - 1]
+                  for j in range(len(unsettled).bit_length())):
+        # each new state's own candidates, scored in one call
+        olds = scored([states[i] for i in batch])[0]
+        new = {r: _local_candidates(rule, states[i], cfg)
+               for r, i in zip(olds.tolist(), batch) if r not in tries}
+        for (r, local), here in zip(new.items(), scored(*new.values())):
+            tries[r] = local + grid, np.concatenate([here, grid_rows])
+        cands, news = zip(*map(tries.get, olds.tolist()))
+        sizes = list(map(len, cands))
+        _, judged = nets(np.repeat(batch, sizes), np.concatenate(news),
+                         np.repeat(olds, sizes))
+        vals, end = value(judged), 0
+        for i, tried, size in zip(batch, cands, sizes):
+            hits = np.flatnonzero(vals[end:end + size] > base[i] + cfg.delta)
+            _require_finite(judged.finite[end:end + (hits[0] + 1 if len(hits) else size)])
+            if not len(hits):
+                tried = [analytic[i]] + tried if i in analytic else tried
+                listed = tried[:cap]
+                at_i = [i] * len(listed)
+                stack, judged = nets(at_i, *scored(listed, [states[i]] * len(at_i)))
+                _, margin, witness, budget = _failed(
+                    axiom, scenarios[i], float(base[i]), listed, judged.inf().tolist(),
+                    judged.sup().tolist(), judged.cash().tolist(),
+                    row_contracts(rule.outcome_space, stack, transform),
+                    len(scenarios), len(tried))
+                return AxiomReport(axiom=axiom, verdict=FAILS, margin=margin,
+                                   witness=witness, budget=budget)
+            best[i], end = vals[end + hits[0]], end + size
     worst = min((float(best[i] - base[i]) for i in live), default=INF)
-    return None, int(flat.sum()), worst
-
-
-def _neutralize(axiom: str, rule: ScoringRule, scenarios,
-                cfg: SearchConfig) -> AxiomReport:
-    """The WN/TN/PN check: every non-degenerate scenario needs a candidate
-    whose value beats the held infimum by more than ``cfg.delta``; the first
-    scenario without one fails, listing its candidates' entries.  No
-    scenario raises ValueError."""
-    position, _, _, cap = _NEUTRALIZATION[axiom]
-    if scenarios is None:
-        scenarios = position.sample(rule, cfg)
-    if not len(scenarios):
-        raise ValueError(f"{axiom} needs at least one scenario")
-    # rows that overflow raise PayoffOverflow, without numpy's warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        failed, degenerate, worst = _judge_rows(axiom, rule, scenarios, cfg)
-    if failed is not None:
-        scenario, tried = failed
-        _, _, margin, witness, budget = _failure(
-            axiom, rule, scenario, tried[:cap], len(scenarios), len(tried))
-        return AxiomReport(axiom=axiom, verdict=FAILS, margin=margin,
-                           witness=witness, budget=budget)
     return AxiomReport(axiom=axiom, verdict=HOLDS_AT_BUDGET,
                        margin=worst if worst < INF else 0.0,
                        budget={position.count: len(scenarios),
-                               "degenerate": degenerate})
+                               "degenerate": int(flat.sum())})
 
 
 def check_wn(rule: ScoringRule, scenarios=None,
              cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Weak neutralization: some candidate trade strictly raises the held
     contract's worst-case payoff."""
-    return _neutralize("WN", rule, scenarios, cfg)
+    return _judge_rows("WN", rule, scenarios, cfg)
 
 
 def check_tn(rule: ScoringRule, scenarios=None,
              cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Trade neutralization: some candidate trade turns the held contract
     into cash strictly above its worst-case payoff."""
-    return _neutralize("TN", rule, scenarios, cfg)
+    return _judge_rows("TN", rule, scenarios, cfg)
 
 
 def check_pn(rule: ScoringRule, portfolios=None,
              cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Portfolio neutralization: one trade converts the whole held portfolio
     into cash strictly above its worst-case payoff."""
-    return _neutralize("PN", rule, portfolios, cfg)
+    return _judge_rows("PN", rule, portfolios, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -739,11 +776,13 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
                 break
             entries.append(e)
         else:
+            # the replay judges with a strictness margin other than the default
+            delta = {} if cfg.delta == SearchConfig.delta else {"delta": cfg.delta}
             return AxiomReport(
                 axiom="BTB", verdict=FAILS,
                 margin=_btb_margin(entries, eps, cfg.delta),
                 witness={"epsilon": eps, "state": _j(state),
-                         "belief": belief.to_dict(), "candidates": entries},
+                         "belief": belief.to_dict(), "candidates": entries, **delta},
                 budget=budget)
     return AxiomReport(axiom="BTB", verdict=HOLDS_AT_BUDGET,
                        margin=worst_ok if worst_ok < INF else 0.0,
@@ -754,11 +793,12 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
 # witness replay
 #
 # A replay rebuilds a fails witness from the rule alone.  It recomputes the
-# numbers the witness stores with the check's own code, and the margin from
-# them as the check computed it; ``replay_witness`` raises AssertionError
-# when a recomputed number differs from the stored one by more than REPLAY_TOL
-# (relative above 1), and each replay raises when the violation no longer
-# holds.
+# numbers the witness stores from trade contracts and sessions, apart from
+# the score rows most checks read them from (BTB's check and replay share
+# ``_btb_entry``), and the margin from them as the check computed it;
+# ``replay_witness`` raises AssertionError when a recomputed number differs
+# from the stored one by more than REPLAY_TOL (relative above 1), and each
+# replay raises when the violation no longer holds.
 
 
 def replay_witness(rule: ScoringRule, report: AxiomReport) -> float:
@@ -829,7 +869,8 @@ def _replay_wcl(rule, report) -> tuple:
 
 def _replay_neutralization(rule, report) -> tuple:
     """WN, TN and PN: the held position and each listed candidate's value
-    and entry, recomputed with the check's own functions."""
+    and entry, recomputed from contracts (``_failure``), apart from the rows
+    the check read them from."""
     w = report.witness
     scenario = _NEUTRALIZATION[report.axiom][0].read(w)
     base, values, margin, witness, _ = _failure(
@@ -848,7 +889,7 @@ def _replay_btb(rule, report) -> tuple:
     belief = build_belief(w["belief"], rule.outcome_space)
     entries = [_btb_entry(rule, belief, _unj(w["state"]), _unj(e["candidate"]))
                for e in w["candidates"]]
-    margin = _btb_margin(entries, w["epsilon"], SearchConfig.delta)
+    margin = _btb_margin(entries, w["epsilon"], w.get("delta", SearchConfig.delta))
     _expect(margin == 0.0, "BTB", "candidate meets the budget after all")
     return {"candidates": entries}, margin
 

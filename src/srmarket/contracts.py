@@ -435,6 +435,16 @@ def merge_runs(cuts: list, cells: list) -> tuple:
     return tuple(ends), tuple(pieces)
 
 
+def row_contracts(space: OutcomeSpace, stack: tuple, transform) -> Iterable:
+    """Each row of a ``sum_rows`` stack as a contract, in turn: its payoffs
+    (``transform`` None), or its cells compacted as ``combine`` compacts them."""
+    if transform is None:
+        return map(Contract, [space] * len(stack[0]), stack[0])
+    cuts, net = stack
+    return (Contract(REAL_LINE, None, *merge_runs(row, [*map(tuple, cells)]), transform)
+            for row, cells in zip(cuts.tolist(), net.tolist()))
+
+
 def stack_pieces(rows) -> tuple:
     """Piecewise payoffs ``(ends, coeffs)`` stacked: ends (R, P - 1) padded
     with +inf, coefficients (R, P, 3) padded with zeros."""

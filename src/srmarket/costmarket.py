@@ -479,7 +479,9 @@ def _lower_envelope_gap(shares: np.ndarray, costs: np.ndarray) -> tuple:
     facet within rounding of vertical would lift it and hide a gap.  The
     lifted set is ``FlatHull`` when it has fewer than k + 2 points or lies in
     one hyperplane; with extraction's shares, 0 and each unit vector among
-    them, that is an affine cost.  A non-finite point still raises."""
+    them, that is an affine cost.  A non-finite point raises, before scaling."""
+    if not np.isfinite(costs).all():
+        raise ValueError("cost points must be finite")
     scale = max(1.0, float(np.max(np.abs(costs))))
     try:
         a, b = hull_facets(np.column_stack([shares, costs / scale]))

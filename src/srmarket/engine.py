@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import (
-    REAL_LINE,
     STRUCT_TOL,
     Contract,
     PayoffOverflow,
     contract_bounds,
     contract_pieces,
-    merge_runs,
+    row_contracts,
     sum_rows,
 )
 from .reports import FAILS, HOLDS, AxiomReport
@@ -139,8 +138,8 @@ class MarketSession:
             if gap > STRUCT_TOL:
                 return AxiomReport(
                     axiom="PI", verdict=FAILS, margin=gap,
-                    witness={"r": repr(a.r_old), "r_mid": repr(a.r_new),
-                             "r_new": repr(b.r_new), "gap": gap},
+                    witness={"r": _jsonable(a.r_old), "r_mid": _jsonable(a.r_new),
+                             "r_new": _jsonable(b.r_new), "gap": gap},
                     budget={"pairs": len(self.records) - 1})
         return AxiomReport(axiom="PI", verdict=HOLDS, margin=worst,
                            budget={"pairs": len(self.records) - 1})
@@ -238,15 +237,13 @@ def _trade_contracts(rule: ScoringRule, states: list) -> list:
         return []
     stack, transform = rule.score_stack(states)
     if transform is None:
-        return [Contract(space=rule.outcome_space, values=row)
-                for row in _row_differences(stack[0][1:], stack[0][:-1])]
-    (cuts, net), rows = sum_rows(
-        [((_rows(stack, 1), _rows(stack, None, -1)), (1.0, -1.0))], transform)
-    if not rows.finite.all():
-        raise PayoffOverflow("payoffs must be finite")
-    return [Contract(space=REAL_LINE, ends=ends, pieces=pieces, transform=transform)
-            for ends, pieces in (merge_runs(row, list(map(tuple, cells)))
-                                 for row, cells in zip(cuts.tolist(), net.tolist()))]
+        stack = (_row_differences(stack[0][1:], stack[0][:-1]),)
+    else:
+        stack, rows = sum_rows(
+            [((_rows(stack, 1), _rows(stack, None, -1)), (1.0, -1.0))], transform)
+        if not rows.finite.all():
+            raise PayoffOverflow("payoffs must be finite")
+    return list(row_contracts(rule.outcome_space, stack, transform))
 
 
 def _pair_gaps(rule: ScoringRule, states: list, steps: list) -> list:

@@ -414,6 +414,19 @@ class TestBTB:
         for entry in rep.witness["candidates"]:
             assert entry["inf"] <= -0.5 or entry["expected"] <= CFG.delta
 
+    def test_a_strictness_margin_other_than_the_default_replays(self):
+        # delta 1.0 leaves no candidate of the entropy market a strict gain;
+        # the witness records it, and the replay judges with it
+        rule = entropy_rule()
+        p = finite_belief(rule.outcome_space, [0.3, 0.7])
+        rep = check_btb(rule, p, 0.5, cfg=SearchConfig(delta=1.0))
+        assert rep.verdict == "fails" and rep.witness["delta"] == 1.0
+        assert replay_witness(rule, rep) == rep.margin
+        # a witness of the default margin records none
+        rep = check_btb(mode3(), finite_belief(mode3().outcome_space,
+                                               [0.2, 0.5, 0.3]), 3, cfg=CFG)
+        assert rep.verdict == "fails" and "delta" not in rep.witness
+
     def test_precondition_enforced(self):
         rule = mode3()
         p = finite_belief(rule.outcome_space, [0.2, 0.5, 0.3])

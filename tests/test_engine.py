@@ -232,7 +232,7 @@ class TestPathIndependence:
         rep = s.verify_path_independence()
         assert rep.verdict == "fails"
         assert rep.margin == pytest.approx(1e-9, rel=1e-6)
-        assert rep.witness == {"r": "2", "r_mid": "3", "r_new": "1",
+        assert rep.witness == {"r": 2, "r_mid": 3, "r_new": 1,
                                "gap": rep.margin}
         assert (rep.verdict, rep.margin) == _pairwise_path_independence(s)
 
@@ -254,7 +254,7 @@ class TestPathIndependence:
         rec.contract = finite_contract(rec.contract.space,
                                        rec.contract.values + [0.0, 1e-9])
         rep = s.verify_path_independence()
-        assert rep.verdict == "fails" and rep.witness["r_new"] == "2"
+        assert rep.verdict == "fails" and rep.witness["r_new"] == 2
         # recorded steps whose sum overflows raise as well
         s = open_session(ModeRule([1, 2, 3]), 1)
         s.execute_trade("t0", 2)

@@ -183,6 +183,10 @@ def test_a_non_finite_point_raises(k):
     costs[-1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         _lower_envelope_gap(shares, costs)
+    # an infinite cost raises before it scales the others, which would warn
+    costs[-1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        _lower_envelope_gap(shares, costs)
     shares[-1, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         _lower_envelope_gap(shares, np.zeros(len(shares)))

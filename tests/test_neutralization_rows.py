@@ -44,6 +44,7 @@ from srmarket.scoring import (
     ModeRule,
     QuantileRule,
     RatioRule,
+    ScoringRule,
 )
 
 CHECKS = {"WN": check_wn, "TN": check_tn, "PN": check_pn}
@@ -435,3 +436,139 @@ def test_overflow_before_the_first_improving_candidate_raises():
             reference("WN", rule, [(4, 2, 4)], small_cfg(0, None))
     with pytest.raises(PayoffOverflow):
         check_wn(rule, [(4, 2, 4)], small_cfg(0, None))
+
+
+# ---------------------------------------------------------------------------
+# the judge's batches, its score stack, and its row-built witnesses
+
+# axiom, rule, a failing scenario, and scenarios that hold (or are
+# degenerate); no rule here has an analytic candidate, so every scenario
+# that is not degenerate is judged in the batches
+PLACED = {
+    "WN-mode4": ("WN", lambda: ModeRule(4), (1, 2, 1),
+                 [(1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 1, 1)]),
+    "TN-priced-cash": ("TN", priced_cash_rule, (1, 2, 1),
+                       [(1, 2, 2), (1, 4, 1), (1, 3, 1), (1, 4, 3), (2, 1, 1)]),
+    "PN-mode3": ("PN", lambda: ModeRule(3), ([(3, 2), (1, 3)], 1),
+                 [([(2, 3), (3, 1)], 1), ([(1, 3), (3, 1)], 1),
+                  ([(1, 2), (3, 1)], 2)]),
+    "WN-median": ("WN", REAL_RULES["median"], (2.25, 3.0, -1.5),
+                  [(3.0, -3.0, -2.25), (-1.5, 2.25, -0.75), (-0.75, 0.75, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("at", range(21))
+@pytest.mark.parametrize("case", sorted(PLACED))
+def test_a_failing_scenario_at_each_place_in_the_batches(case, at):
+    # batches of 1, 2, 4, 8 and 16 unsettled scenarios: a failure at places
+    # 0 to 20 meets every batch size, first, last and within a batch
+    axiom, make, failing, holding = PLACED[case]
+    rule = make()
+    others = [holding[j % len(holding)] for j in range(20)]
+    rep = assert_same(axiom, rule, others[:at] + [failing] + others[at:],
+                      small_cfg(0, rule))
+    assert rep.verdict == FAILS
+
+
+def test_an_overflow_later_in_a_batch_does_not_raise_before_a_failure():
+    # with the market at 1 the held trade 1 -> 2 fails WN, and 1 -> 3 holds
+    # a payoff that the candidate 1 overflows; after the first scenario the
+    # batches hold scenarios 1-2 and 3-6, read in order
+    rule = overflow_rule(True)
+    cfg = small_cfg(0, None)
+    holding, failing, overflowing = (1, 2, 4), (1, 2, 1), (1, 3, 1)
+    for scenarios in ([holding, failing, overflowing],
+                      [holding] * 3 + [failing, holding, holding, overflowing]):
+        rep = assert_same("WN", rule, scenarios, cfg)
+        assert rep.witness["scenario"] == {"r1": 1, "r1_new": 2, "state": 1}
+    for scenarios in ([holding, overflowing, failing],
+                      [holding] * 3 + [overflowing, holding, holding, failing]):
+        with pytest.raises(PayoffOverflow):
+            with np.errstate(over="ignore"):
+                reference("WN", rule, scenarios, cfg)
+        with pytest.raises(PayoffOverflow):
+            check_wn(rule, scenarios, cfg)
+
+
+@pytest.mark.parametrize("name", ["median", "sigmoid-quantile"])
+def test_states_at_zero_and_minus_zero_in_one_batch(name):
+    # 0.0 and -0.0 are equal floats, and one key of a plain dict; the judge
+    # scores each, as the contract loop does
+    rule = REAL_RULES[name]()
+    scenarios = [(-0.75, 0.75, 0.0), (-0.75, 0.75, -0.0), (3.0, -3.0, -0.0),
+                 (1.5, 2.25, 0.0), (1.5, 2.25, -0.0)]
+    with mock.patch.object(rule, "piece_rows", wraps=rule.piece_rows) as spy:
+        rep = assert_same("WN", rule, scenarios, small_cfg(0, rule))
+    assert rep.verdict == FAILS
+    zeros = [r for call in spy.call_args_list for r in call.args[0] if r == 0.0]
+    assert sorted(math.copysign(1.0, r) for r in zeros) == [-1.0, 1.0]
+
+
+# axiom -> the rules and scenarios of failing checks, on both outcome kinds
+FAILING = {
+    "WN": [(lambda: ModeRule(4), [(1, 2, 2), (1, 2, 1)]),
+           (REAL_RULES["median"], [(3.0, -3.0, -2.25), (2.25, 3.0, -1.5)])],
+    "TN": [(priced_cash_rule, [(1, 2, 2), (1, 2, 1)]),
+           (REAL_RULES["expectile"], [(-2.25, -0.75, -0.75), (3.0, -3.0, -2.25)])],
+    "PN": [(lambda: ModeRule(3), [([(2, 3), (3, 1)], 1), ([(3, 2), (1, 3)], 1)]),
+           (REAL_RULES["median"], [([(0.0, 0.75), (1.5, 3.0)], -3.0)])],
+}
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["finite", "real-line"])
+@pytest.mark.parametrize("axiom", sorted(FAILING))
+def test_a_failing_check_builds_no_trade_contract(axiom, kind):
+    # the witness is read from rows: no trade_contract, and no combine
+    make, scenarios = FAILING[axiom][kind]
+    rule = make()
+    cfg = small_cfg(0, rule)
+    refuse = AssertionError("a contract was built")
+    with mock.patch.object(rule, "trade_contract", side_effect=refuse), \
+            mock.patch("srmarket.axioms.combine", side_effect=refuse), \
+            mock.patch("srmarket.scoring.combine", side_effect=refuse):
+        rep = CHECKS[axiom](rule, scenarios, cfg=cfg)
+    assert rep.verdict == FAILS
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rep == reference(axiom, rule, scenarios, cfg)
+
+
+def _scored(r):
+    # a scored report, told apart to the bit
+    if isinstance(r, np.ndarray):
+        return r.tobytes()
+    return float(r).hex() if isinstance(r, (float, np.floating)) else r
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_RULES) + sorted(REAL_RULES))
+@pytest.mark.parametrize("axiom", sorted(CHECKS))
+def test_no_report_is_scored_twice_in_a_check(name, axiom):
+    # held positions, analytic candidates, states, local moves and the grid
+    # share one score stack
+    rule = {**FINITE_RULES, **REAL_RULES}[name]()
+    method = "score_rows" if rule.outcome_space.is_finite else "piece_rows"
+    with mock.patch.object(rule, method, wraps=getattr(rule, method)) as spy:
+        CHECKS[axiom](rule, None, cfg=small_cfg(1, rule))
+    scored = [_scored(r) for call in spy.call_args_list for r in call.args[0]]
+    assert scored and len(scored) == len(set(scored))
+
+
+class SplitMedian(QuantileRule):
+    """The median rule with the last piece of a positive report's score split
+    at r + 1 into two equal pieces: its score tables, stacked per report,
+    have unequal piece counts from call to call."""
+
+    piece_rows = ScoringRule.piece_rows  # stack_pieces of each report's pieces
+
+    def score_pieces(self, r):
+        ends, pieces = super().score_pieces(r)
+        return (ends, pieces) if r <= 0.0 else ((*ends, r + 1.0), (*pieces, pieces[-1]))
+
+
+@pytest.mark.parametrize("axiom", sorted(CHECKS))
+def test_score_tables_of_unequal_piece_counts_share_one_stack(axiom):
+    rule = SplitMedian(0.5)
+    assert rule.piece_rows([-1.0])[1].shape[1] == 2
+    assert rule.piece_rows([-1.0, 1.0])[1].shape[1] == 3
+    cfg = small_cfg(2, rule)
+    cfg.scenario_count, cfg.portfolio_count = 6, 4
+    assert_same(axiom, rule, None, cfg)
