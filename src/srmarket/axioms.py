@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -38,7 +38,6 @@ from .contracts import (
     expected_payoff,
     finite_belief,
     row_contracts,
-    stack_pieces,
     sum_rows,
     uniform_belief,
 )
@@ -56,7 +55,6 @@ from .scoring import (
     FiniteReports,
     RealReports,
     ScoringRule,
-    report_rows,
 )
 
 
@@ -98,9 +96,9 @@ class SearchConfig:
             if not isinstance(n, Integral) or isinstance(n, bool) or n < least:
                 raise ValueError(f"{name} must be an integer of at least "
                                  f"{least}, not {n!r}")
-        if not -INF < self.report_window[0] < self.report_window[1] < INF:
-            raise ValueError(f"report_window {self.report_window!r} must ascend "
-                             "between finite ends")
+        window = self.report_window
+        if len(window) != 2 or not -INF < window[0] < window[1] < INF:
+            raise ValueError(f"report_window {window!r} needs two ascending finite ends")
         if not 0 < self.delta < INF:
             raise ValueError("strictness margin must be positive and finite")
         btb_budgets(self.epsilons)
@@ -227,7 +225,7 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
     picks from each state.  A trade whose payoffs overflow over a finite
     outcome space raises ``PayoffOverflow`` before any belief is judged; a
     belief of the wrong kind for the outcome space raises
-    ``OutcomeMismatch``, and an empty belief list ValueError."""
+    ``OutcomeMismatch``, and an empty belief or state list ValueError."""
     rng = cfg.rng()
     grid = cfg.report_grid(rule)
     if beliefs is None:
@@ -237,6 +235,8 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
         raise ValueError("IC needs at least one belief")
     if states is None:
         states = [grid[0], grid[len(grid) // 2], grid[-1]]
+    if not len(states):
+        raise ValueError("IC needs at least one state")
     continuous = not isinstance(rule.report_space, FiniteReports)
     if continuous and np.isscalar(grid[0]):
         step = max(b - a for a, b in zip(grid, grid[1:]))
@@ -247,7 +247,7 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
         step = 0.0
     n = len(grid)
     stack, transform = rule.score_stack(list(grid) + list(states))
-    if transform is None and states:
+    if transform is None:
         # the trades' payoffs S(r, y) - S(s, y) are finite iff their
         # extremes over r and s are, in each outcome y
         table = stack[0]
@@ -326,9 +326,12 @@ def check_arb(rule: ScoringRule, grid=None,
 
     Each grid report is scored once (``score_stack``), and the trades are
     summed in blocks of at most 4,096 by ``_trade_rows``, whose infima equal
-    ``contract_bounds(trade_contract(r, r'))`` on either outcome kind."""
+    ``contract_bounds(trade_contract(r, r'))`` on either outcome kind.  An
+    empty grid raises ValueError."""
     if grid is None:
         grid = cfg.report_grid(rule)
+    if not len(grid):
+        raise ValueError("ARB needs at least one grid report")
     worst, bad = _arb_scan(rule, grid, cfg.delta)
     if bad:
         return AxiomReport(axiom="ARB", verdict=FAILS, margin=worst,
@@ -494,18 +497,6 @@ def _candidate_grid(rule: ScoringRule, cfg: SearchConfig) -> list:
     return [] if on_lattice else rule.report_grid(cfg.candidate_points, cfg.report_window)
 
 
-def _scenario_candidates(rule: ScoringRule, r2, cfg: SearchConfig) -> list:
-    """A scenario's candidate trade targets after the analytic one, in order."""
-    return _local_candidates(rule, r2, cfg) + _candidate_grid(rule, cfg)
-
-
-def _joined(a: tuple, b: tuple) -> tuple:
-    """Two score stacks as one, padded as ``stack_pieces`` pads them."""
-    if len(a) == 1 or a[1].shape[1] == b[1].shape[1]:
-        return tuple(map(np.concatenate, zip(a, b)))
-    return stack_pieces([row for s in (a, b) for row in zip(*(x.tolist() for x in s))])
-
-
 class _Position(NamedTuple):
     """What a scenario holds: one trade r1 -> r1' with the market at r2 (WN,
     TN), or a portfolio of trades with the market at a state (PN)."""
@@ -583,51 +574,34 @@ def _failure(axiom: str, rule, scenario, cands, n: int, k: int) -> tuple:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises, not warns
 def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
                 cfg: SearchConfig) -> AxiomReport:
-    """The WN/TN/PN check, each report scored once: every scenario that is
-    not degenerate needs a candidate beating the held infimum by more than
-    ``cfg.delta``.  Held positions, analytic nets held + trade, and then the
-    unsettled scenarios in batches of 1, 2, 4, ... are each one set of rows,
-    read in scenario order; the first without an improving candidate fails,
-    its entries read from rows.  Overflow raises in a held position, an
-    analytic net, or a net before its scenario's first improving candidate.
-    No scenario raises ValueError."""
+    """The WN/TN/PN check: every scenario that is not degenerate needs a
+    candidate beating the held infimum by more than ``cfg.delta``.  Held
+    positions, analytic nets held + trade, and then the unsettled scenarios
+    in batches of 1, 2, 4, ... are each one set of rows, read in scenario
+    order, whose reports are scored in one unchecked call; the first
+    scenario without an improving candidate fails, its entries read from
+    rows.  Overflow raises in a held position, an analytic net, or a net
+    before its scenario's first improving candidate.  No scenario raises
+    ValueError."""
     position, value, cap = _NEUTRALIZATION[axiom]
     if scenarios is None:
         scenarios = position.sample(rule, cfg)
     if not len(scenarios):
         raise ValueError(f"{axiom} needs at least one scenario")
     transform = None if rule.outcome_space.is_finite else rule.transform
-    at, pool = {}, None  # report key -> row of the score stack pool
 
-    def scored(*groups) -> list:
-        # each group's rows in the pool, its new reports scored in one call,
-        # whose overflow is left to the rows
-        nonlocal pool
-        reports = list(chain.from_iterable(groups))
-        if isinstance(rule.report_space, FiniteReports):
-            keys = reports
-        else:  # bytes, as 0.0 and -0.0 may score apart; no number shares a row
-            xs = report_rows(reports, rule.report_space.dim)
-            keys = [object() for _ in reports] if xs is None else \
-                xs.view(f"V{8 * xs.shape[1]}").ravel().tolist()
-        by_key = dict(zip(keys, reports))
-        new = [k for k in by_key if k not in at]
-        if new:
-            rs = [by_key[k] for k in new]
-            stack = (rule.score_rows(rs),) if transform is None else rule.piece_rows(rs)
-            pool = stack if pool is None else _joined(pool, stack)
-            at.update(zip(new, range(len(at), len(at) + len(new))))
-        rows = np.fromiter(map(at.__getitem__, keys), int, len(keys))
-        ends = [0, *accumulate(map(len, groups))]
-        return [rows[a:b] for a, b in zip(ends, ends[1:])]
+    def score(reports) -> tuple:
+        # the reports' score stack, its overflow left to the rows
+        return (rule.score_rows(reports),) if transform is None else \
+            rule.piece_rows(reports)
 
-    def leg(news, olds) -> tuple:
-        # the trades from the pool rows olds[k] to news[k]
-        return tuple(tuple(a[r] for a in pool) for r in (news, olds)), (1.0, -1.0)
+    def leg(stack, news, olds) -> tuple:
+        # the trades from the stack's rows olds[k] to news[k]
+        return tuple(tuple(a[r] for a in stack) for r in (news, olds)), (1.0, -1.0)
 
-    def nets(held_at, news, olds) -> tuple:
+    def nets(held_at, stack, news, olds) -> tuple:
         held_rows = tuple(a[held_at] for a in table)
-        return sum_rows([((held_rows,), (1.0,)), leg(news, olds)], transform)
+        return sum_rows([((held_rows,), (1.0,)), leg(stack, news, olds)], transform)
 
     held_trades, states = zip(*map(position.trades, scenarios))
     if not all(held_trades):
@@ -636,8 +610,10 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     # 0.0 in every cell and break where the position already breaks
     steps = [[t[j] if j < len(t) else (t[0][0],) * 2 for t in held_trades]
              for j in range(max(map(len, held_trades)))]
-    table, held = sum_rows([leg(*scored(news, olds)) for olds, news in
-                            (zip(*step) for step in steps)], transform)
+    # trade k of step j: old report in row 2 (j * len(scenarios) + k), new in the next
+    stack = score([r for step in steps for trade in step for r in trade])
+    olds = 2 * np.arange(len(steps) * len(scenarios)).reshape(len(steps), -1)
+    table, held = sum_rows([leg(stack, at + 1, at) for at in olds], transform)
     _require_finite(held.finite)
     flat, base = held.cash() > -INF, held.inf()
     live = np.flatnonzero(~flat)
@@ -648,35 +624,38 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
             if c is not None and rule.report_space.contains(c):
                 analytic[i] = c
     if analytic:
-        i = list(analytic)
-        _, judged = nets(i, *scored(analytic.values(), [states[j] for j in i]))
+        i, k = list(analytic), len(analytic)
+        stack = score([*analytic.values(), *(states[j] for j in i)])
+        _, judged = nets(i, stack, np.arange(k), np.arange(k, 2 * k))
         _require_finite(judged.finite)
         vals = value(judged)
         best = {j: v for j, v, ok in zip(i, vals, vals > base[i] + cfg.delta) if ok}
     unsettled = [i for i in live if i not in best]
     grid = _candidate_grid(rule, cfg) if unsettled else []
-    grid_rows, tries = scored(grid)[0], {}  # state row -> candidates, their rows
     for batch in (unsettled[2 ** j - 1:2 ** (j + 1) - 1]
                   for j in range(len(unsettled).bit_length())):
-        # each new state's own candidates, scored in one call
-        olds = scored([states[i] for i in batch])[0]
-        new = {r: _local_candidates(rule, states[i], cfg)
-               for r, i in zip(olds.tolist(), batch) if r not in tries}
-        for (r, local), here in zip(new.items(), scored(*new.values())):
-            tries[r] = local + grid, np.concatenate([here, grid_rows])
-        cands, news = zip(*map(tries.get, olds.tolist()))
-        sizes = list(map(len, cands))
-        _, judged = nets(np.repeat(batch, sizes), np.concatenate(news),
-                         np.repeat(olds, sizes))
+        # rows: the batch's states, the grid, then each state's own
+        # candidates, which it tries before the grid
+        local = [_local_candidates(rule, states[i], cfg) for i in batch]
+        stack = score([*(states[i] for i in batch), *grid,
+                       *chain.from_iterable(local)])
+        B, G = len(batch), len(grid)
+        ends = np.cumsum([B + G, *map(len, local)])
+        sizes = np.diff(ends) + G
+        news = np.concatenate([x for a, b in zip(ends.tolist(), ends[1:].tolist())
+                               for x in (np.arange(a, b), np.arange(B, B + G))])
+        _, judged = nets(np.repeat(batch, sizes), stack, news,
+                         np.repeat(np.arange(B), sizes))
         vals, end = value(judged), 0
-        for i, tried, size in zip(batch, cands, sizes):
+        for i, here, size in zip(batch, local, sizes):
             hits = np.flatnonzero(vals[end:end + size] > base[i] + cfg.delta)
             _require_finite(judged.finite[end:end + (hits[0] + 1 if len(hits) else size)])
             if not len(hits):
-                tried = [analytic[i]] + tried if i in analytic else tried
+                tried = ([analytic[i]] if i in analytic else []) + here + grid
                 listed = tried[:cap]
-                at_i = [i] * len(listed)
-                stack, judged = nets(at_i, *scored(listed, [states[i]] * len(at_i)))
+                m = len(listed)
+                stack, judged = nets([i] * m, score([*listed, states[i]]),
+                                     np.arange(m), np.full(m, m))
                 _, margin, witness, budget = _failed(
                     axiom, scenarios[i], float(base[i]), listed, judged.inf().tolist(),
                     judged.sup().tolist(), judged.cash().tolist(),

@@ -515,8 +515,9 @@ def cell_extremes(t_ends: np.ndarray, acc: np.ndarray) -> tuple:
     ``combine`` compacts it into, a run of identical cells, with
     ``_poly_extremes``' extremes over the run's coordinates."""
     change = (acc[:, 1:] != acc[:, :-1]).any(axis=2)
-    first = np.pad(change, ((0, 0), (1, 0)), constant_values=True)
-    last = np.pad(change, ((0, 0), (0, 1)), constant_values=True)
+    edge = np.ones((len(acc), 1), dtype=bool)
+    first = np.concatenate([edge, change], axis=1)
+    last = np.concatenate([change, edge], axis=1)
     cells = np.arange(acc.shape[1])
     ta = np.take_along_axis(
         t_ends, np.maximum.accumulate(np.where(first, cells, 0), axis=1), axis=1)

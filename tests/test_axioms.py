@@ -90,7 +90,7 @@ class TestSearchConfig:
         ("report_points", 2.5), ("candidate_points", True),
         ("report_window", (4.0, -4.0)), ("report_window", (1.0, 1.0)),
         ("report_window", (-math.inf, math.inf)), ("report_window", (0.0, math.inf)),
-        ("report_window", (math.nan, 1.0))])
+        ("report_window", (math.nan, 1.0)), ("report_window", (1.0,))])
     def test_empty_budgets_and_bad_grids_rejected(self, field, value):
         # a library caller meets the guard a config meets: no budget may be
         # empty, so no check can hold over nothing
@@ -113,6 +113,12 @@ class TestIC:
     def test_no_beliefs_rejected(self):
         with pytest.raises(ValueError, match="belief"):
             check_ic(mode3(), [], cfg=CFG)
+
+    @pytest.mark.parametrize("rule", [mode3(), QuantileRule(0.5)])
+    def test_no_states_rejected(self, rule):
+        # IC quantifies over the market's states: none is no check
+        with pytest.raises(ValueError, match="state"):
+            check_ic(rule, cfg=CFG, states=[])
 
     def test_mean(self):
         assert check_ic(ExpectationRule(quadratic(1)), cfg=CFG).ok
@@ -164,6 +170,11 @@ class TestARB:
         rep = check_arb(mode3(), cfg=CFG)
         assert rep.verdict == "holds"
         assert rep.margin <= 0.0 + 1e-12
+
+    def test_empty_grid_rejected(self):
+        # no pair of reports is no check
+        with pytest.raises(ValueError, match="grid"):
+            check_arb(mode3(), grid=[], cfg=CFG)
 
     def test_identity_trades_zero(self):
         rep = check_arb(QuantileRule(0.5), cfg=CFG)
