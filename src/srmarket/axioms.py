@@ -39,6 +39,7 @@ from .contracts import (
     finite_belief,
     row_contracts,
     sum_rows,
+    trade_leg,
     uniform_belief,
 )
 from .costmarket import (
@@ -309,25 +310,15 @@ def _ic_disagreement(picks, gamma) -> float:
     return float(any(_j(r) != _j(picks[0]) for r in picks))
 
 
-def _trade_rows(new: tuple, old: tuple, transform) -> tuple:
-    """``sum_rows`` of the trades from each row of the stack ``old`` to each
-    row of the stack ``new``: row i * len(new) + j is the trade from old row
-    i to new row j, equal to ``combine([S_j, S_i], [1, -1])``."""
-    R, K = len(new[0]), len(old[0])
-    new = tuple(np.tile(a, (K,) + (1,) * (a.ndim - 1)) for a in new)
-    old = tuple(np.repeat(a, R, axis=0) for a in old)
-    return sum_rows([((new, old), (1.0, -1.0))], transform)
-
-
 def check_arb(rule: ScoringRule, grid=None,
               cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """No trade may pay strictly positively in every outcome:
     inf F(r'|r) <= 0 for all report pairs on the grid.
 
     Each grid report is scored once (``score_stack``), and the trades are
-    summed in blocks of at most 4,096 by ``_trade_rows``, whose infima equal
-    ``contract_bounds(trade_contract(r, r'))`` on either outcome kind.  An
-    empty grid raises ValueError."""
+    summed in blocks of at most 4,096, one ``trade_leg`` each, whose infima
+    equal ``contract_bounds(trade_contract(r, r'))`` on either outcome kind.
+    An empty grid raises ValueError."""
     if grid is None:
         grid = cfg.report_grid(rule)
     if not len(grid):
@@ -371,7 +362,9 @@ def _trade_infima(rule: ScoringRule, grid):
     block = max(1, 4096 // R)
     for i in range(0, R, block):
         k = min(block, R - i)
-        _, rows = _trade_rows(stack, tuple(a[i:i + k] for a in stack), transform)
+        # row j * R + l trades from grid report i + j to grid report l
+        _, rows = sum_rows([trade_leg(stack, np.tile(np.arange(R), k),
+                                      np.repeat(np.arange(i, i + k), R))], transform)
         yield from zip(rows.inf().reshape(k, R), rows.finite.reshape(k, R))
 
 
@@ -389,10 +382,9 @@ def _outcome_probe(contract) -> list:
 
 def _trade_sups(rule: ScoringRule, r0, reports) -> np.ndarray:
     """``contract_bounds(trade_contract(r0, r))[1]`` for each report r, from
-    one ``_trade_rows`` sum."""
+    one ``sum_rows``, in which r0's row serves every trade."""
     stack, transform = rule.score_stack([r0] + list(reports))
-    _, rows = _trade_rows(tuple(a[1:] for a in stack), tuple(a[:1] for a in stack),
-                          transform)
+    _, rows = sum_rows([trade_leg(stack, slice(1, None), slice(0, 1))], transform)
     _require_finite(rows.finite)
     return rows.sup()
 
@@ -410,15 +402,10 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
     # the first grid report whose trade attains the largest sup
     i = int(np.argmax(sups))
     if sups[i] == INF:
-        if hasattr(rule, "divergence_probe") and getattr(rule, "phi", 1) is None:
-            losses = rule.divergence_probe(r0)
-            trade_to = float(r0) + 1.0
-        else:
-            losses = _outcome_probe(rule.trade_contract(r0, grid[i]))
-            trade_to = grid[i]
+        losses = _outcome_probe(rule.trade_contract(r0, grid[i]))
         return AxiomReport(
             axiom="WCL", verdict=FAILS, margin=losses[-1][1],
-            witness={"r0": _j(r0), "trade_to": _j(trade_to),
+            witness={"r0": _j(r0), "trade_to": _j(grid[i]),
                      "losses": [[_j(y), v] for y, v in losses],
                      "diverges": True},
             budget={"grid": len(grid)})
@@ -595,13 +582,9 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
         return (rule.score_rows(reports),) if transform is None else \
             rule.piece_rows(reports)
 
-    def leg(stack, news, olds) -> tuple:
-        # the trades from the stack's rows olds[k] to news[k]
-        return tuple(tuple(a[r] for a in stack) for r in (news, olds)), (1.0, -1.0)
-
     def nets(held_at, stack, news, olds) -> tuple:
         held_rows = tuple(a[held_at] for a in table)
-        return sum_rows([((held_rows,), (1.0,)), leg(stack, news, olds)], transform)
+        return sum_rows([((held_rows,), (1.0,)), trade_leg(stack, news, olds)], transform)
 
     held_trades, states = zip(*map(position.trades, scenarios))
     if not all(held_trades):
@@ -613,7 +596,7 @@ def _judge_rows(axiom: str, rule: ScoringRule, scenarios,
     # trade k of step j: old report in row 2 (j * len(scenarios) + k), new in the next
     stack = score([r for step in steps for trade in step for r in trade])
     olds = 2 * np.arange(len(steps) * len(scenarios)).reshape(len(steps), -1)
-    table, held = sum_rows([leg(stack, at + 1, at) for at in olds], transform)
+    table, held = sum_rows([trade_leg(stack, at + 1, at) for at in olds], transform)
     _require_finite(held.finite)
     flat, base = held.cash() > -INF, held.inf()
     live = np.flatnonzero(~flat)

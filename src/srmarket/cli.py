@@ -336,10 +336,9 @@ def _parser() -> argparse.ArgumentParser:
                        help="config path or bundled config name")
         p.add_argument("--out", default="out", help="output directory")
         # each command offers only the flags it reads
-        if cmd in ("check", "session"):
+        if cmd == "check":
             p.add_argument("--seed", type=int, default=None,
                            help="overrides the config seed")
-        if cmd == "check":
             p.add_argument("--expect", default=None,
                            help="golden verdict JSON file")
     return parser

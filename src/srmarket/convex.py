@@ -57,7 +57,6 @@ class ConvexFn:
     grad_fn: Callable[[np.ndarray], np.ndarray]
     lo: np.ndarray
     hi: np.ndarray
-    bounded: bool = False
     closure_fn: Callable[[np.ndarray], float] | None = None
     # vertices of a polytope that bounds the domain inside the box
     vertices: np.ndarray | None = None
@@ -138,13 +137,11 @@ def _box(dim, lo, hi):
 def quadratic(dim: int = 1, lo=None, hi=None) -> ConvexFn:
     """G(x) = ||x||^2 with gradient 2x and inverse t / 2."""
     lo, hi = _box(dim, lo, hi)
-    full = not (np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)))
     return ConvexFn(
         dim=dim,
         value_fn=lambda x: _dot(x, x),
         grad_fn=lambda x: 2.0 * x,
         lo=lo, hi=hi,
-        bounded=not full,
         grad_inverse=lambda ts: 0.5 * ts,
         values_fn=lambda xs: _dots(xs, xs),
         grads_fn=lambda xs: 2.0 * xs,
@@ -218,7 +215,6 @@ def interval_negentropy(lo: float, hi: float) -> ConvexFn:
         value_fn=val,
         grad_fn=lambda x: np.array([logit((x[0] - lo) / span) / span]),
         lo=np.array([lo]), hi=np.array([hi]),
-        bounded=True,
         closure_fn=clo,
         grad_inverse=lambda ts: lo + span * _sigmoids(span * ts),
         values_fn=lambda xs: _negentropy((xs[:, 0] - lo) / span),
@@ -270,7 +266,6 @@ def simplex_negentropy(k: int) -> ConvexFn:
         value_fn=val,
         grad_fn=grad,
         lo=np.zeros(k), hi=np.ones(k),
-        bounded=True,
         closure_fn=clo,
         vertices=np.vstack([np.zeros(k), np.eye(k)]),
         grad_inverse=inverses,

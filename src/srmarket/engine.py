@@ -30,6 +30,7 @@ from .contracts import (
     contract_pieces,
     row_contracts,
     sum_rows,
+    trade_leg,
 )
 from .reports import FAILS, HOLDS, AxiomReport
 from .scoring import ScoringRule, score_difference
@@ -209,11 +210,6 @@ def _unjson(r):
     return r
 
 
-def _rows(stack: tuple, start=None, stop=None) -> tuple:
-    """The rows start:stop of a stack."""
-    return tuple(a[start:stop] for a in stack)
-
-
 def _row_differences(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     """``score_difference``'s payoffs over a finite space, row by row:
     (new + 0.0) - old, the floats ``combine`` gives (0.0 + -0.0 is 0.0),
@@ -228,21 +224,18 @@ def _row_differences(new: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 
 def _trade_contracts(rule: ScoringRule, states: list) -> list:
-    """``score_difference`` of each pair of consecutive states, to the bit,
-    from the states' score stack: over a finite space its
-    ``_row_differences`` with itself shifted by one, on the real line one
-    ``sum_rows`` of the same, each row compacted as ``combine`` compacts
-    it.  An overflow raises ``PayoffOverflow``."""
+    """``score_difference`` of each pair of consecutive states, to the bit:
+    one ``sum_rows`` of the states' score stack and itself shifted by one,
+    over a finite space the floats (new + 0.0) - old, on the real line each
+    row compacted as ``combine`` compacts it.  An overflow raises
+    ``PayoffOverflow``."""
     if len(states) < 2:
         return []
     stack, transform = rule.score_stack(states)
-    if transform is None:
-        stack = (_row_differences(stack[0][1:], stack[0][:-1]),)
-    else:
-        stack, rows = sum_rows(
-            [((_rows(stack, 1), _rows(stack, None, -1)), (1.0, -1.0))], transform)
-        if not rows.finite.all():
-            raise PayoffOverflow("payoffs must be finite")
+    stack, rows = sum_rows([trade_leg(stack, slice(1, None), slice(None, -1))], transform)
+    if not rows.finite.all():
+        raise PayoffOverflow("payoffs must be finite")
+    stack[-1].flags.writeable = False  # as every finite contract's payoffs
     return list(row_contracts(rule.outcome_space, stack, transform))
 
 
@@ -256,8 +249,8 @@ def _pair_gaps(rule: ScoringRule, states: list, steps: list) -> list:
     stack, transform = rule.score_stack(states)
     paid = (np.array([c.values for c in steps]),) if transform is None \
         else contract_pieces(steps)
-    first, second = _rows(paid, None, -1), _rows(paid, 1)
-    legs = [((_rows(stack, 2), _rows(stack, None, -2)), (1.0, -1.0))]
+    first, second = tuple(a[:-1] for a in paid), tuple(a[1:] for a in paid)
+    legs = [trade_leg(stack, slice(2, None), slice(None, -2))]
     if transform is None:
         legs.append(((first, second), (-1.0, -1.0)))
     else:

@@ -291,7 +291,7 @@ FIGURES = {
 
 COMMANDS = {
     "session": Shape("the session config", keys={
-        "market": MARKET, "r0": REPORT, "name": opt(TEXT), "seed": opt(count(0)),
+        "market": MARKET, "r0": REPORT, "name": opt(TEXT),
         "outcome": opt(LABEL), "traders": opt(Shape("a list", _list(), Shape(
             "a trader", keys={"id": ANY, "belief": BELIEF})))}),
     "extract": Shape("the extract config", keys={

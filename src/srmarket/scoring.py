@@ -663,22 +663,12 @@ class ExpectationRule(PotentialRule):
         return float(out[0]) if self.k == 1 else out
 
     def loss_bound(self, r0) -> float | None:
-        if self.phi is None or not self.potential.bounded:
+        if self.phi is None:
             return None
         # S(r, y) <= G(phi(y)) by the subgradient inequality
         top = max(self.potential.value_closure(row) for row in self.phi)
         base = self.score_contract(r0)
         return top - float(np.min(base.values))
-
-    def divergence_probe(self, r0) -> list:
-        """Losses of the trade r0 -> r0 + 1 on the 12 outcomes r0 + 4^i,
-        marching to infinity; witnesses unbounded worst-case loss on the
-        real line."""
-        if self.phi is not None:
-            raise ValueError("the divergence probe needs an unbounded domain")
-        r0 = float(r0)
-        d = self.trade_contract(r0, r0 + 1.0)
-        return [[r0 + 4.0 ** i, d(r0 + 4.0 ** i)] for i in range(12)]
 
 
 # ---------------------------------------------------------------------------

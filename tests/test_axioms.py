@@ -205,6 +205,10 @@ class TestWCL:
         losses = [v for _, v in rep.witness["losses"]]
         assert all(b > a for a, b in zip(losses, losses[1:]))
         assert replay_witness(rule, rep) == losses[-1]
+        # the outcome probe of the trade to the first grid report, whose
+        # payoff grows towards -inf
+        assert rep.witness["trade_to"] == CFG.report_grid(rule)[0] < 0.0
+        assert [y for y, _ in rep.witness["losses"]] == [-4.0 ** i for i in range(14)]
 
     def test_sigmoid_quantile_closed_form_bound(self):
         rep = check_wcl(QuantileRule(0.5, SIGMOID), 0.0, CFG)
@@ -216,6 +220,15 @@ class TestWCL:
         rep = check_wcl(rule, 0.0, CFG)
         assert rep.verdict == "fails"
         assert replay_witness(rule, rep) == rep.margin
+
+    def test_quadratic_expectation_closed_form_bound(self):
+        # max_y G(phi(y)) - min_y S(r0, y) by the subgradient inequality, on
+        # a potential with no bounded domain: 2.5^2 - S(1, 0) = 6.25 + 1
+        rule = ExpectationRule(quadratic(1), phi=[0.0, 1.0, 2.5])
+        rep = check_wcl(rule, 1.0)
+        assert rep.verdict == "holds"
+        assert rep.margin == 7.25
+        assert rep.witness["grid_sup"] == pytest.approx(2.2475)
 
     def test_entropy_rule_bounded(self):
         rep = check_wcl(entropy_rule(), 0.5, CFG)

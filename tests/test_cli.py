@@ -457,6 +457,7 @@ class TestMain:
     @pytest.mark.parametrize("command,name,flag", [
         ("extract", "extract_entropy", "--seed"),
         ("figure", "fig_mode_position", "--seed"),
+        ("session", "session_mean", "--seed"),
         ("session", "session_mean", "--expect"),
         ("extract", "extract_entropy", "--expect"),
         ("figure", "fig_mode_position", "--expect")])
@@ -488,17 +489,6 @@ class TestMain:
         assert (run_b, out_b) == ("run_figure", str(tmp_path / "b"))
         assert config_b == load_config("fig_mode_position")
 
-    def test_session_seed_flag_changes_hash(self, tmp_path):
-        headers = []
-        for seed in ("1", "2"):
-            out = tmp_path / seed
-            assert main(["session", "--config", "session_mean",
-                         "--out", str(out), "--seed", seed]) == 0
-            text = (out / "session_mean__session.txt").read_text()
-            headers.append(text.splitlines()[2])
-        assert headers[0].startswith("# config_sha256:")
-        assert headers[0] != headers[1]
-
     @pytest.mark.parametrize("command,name,edit,reason", [
         # traders, outcome, grid, ic_beliefs, expected, trials, market,
         # axioms
@@ -507,6 +497,7 @@ class TestMain:
         ("session", "session_mean", lambda c: c.update(traders="abc"),
          "'traders'"),
         ("session", "session_mean", lambda c: c.update(outcome="abc"), "'abc'"),
+        ("session", "session_mean", lambda c: c.update(seed=29), "seed"),
         ("extract", "extract_entropy", lambda c: c["grid"].pop("num"), "'num'"),
         ("extract", "extract_entropy", lambda c: c["grid"].update(num="x"),
          "extract grid"),

@@ -553,6 +553,9 @@ class TestLedgerReplay:
         assert replayed.current == s.current
         for a, b in zip(s.records, replayed.records):
             assert np.array_equal(a.contract.values, b.contract.values)
+            # read-only, as the payoffs of every finite contract
+            assert not (a.contract.values.flags.writeable
+                        or b.contract.values.flags.writeable)
             assert a.trader == b.trader and a.index == b.index
 
     def test_replay_real_line(self):

@@ -137,15 +137,10 @@ def reference_check_wcl(rule, r0, cfg=SearchConfig()):
         d = rule.trade_contract(r0, r)
         _, hi = contract_bounds(d)
         if hi == INF:
-            if hasattr(rule, "divergence_probe") and getattr(rule, "phi", 1) is None:
-                losses = rule.divergence_probe(r0)
-                trade_to = float(r0) + 1.0
-            else:
-                losses = _outcome_probe(d)
-                trade_to = r
+            losses = _outcome_probe(d)
             return AxiomReport(
                 axiom="WCL", verdict=FAILS, margin=losses[-1][1],
-                witness={"r0": _j(r0), "trade_to": _j(trade_to),
+                witness={"r0": _j(r0), "trade_to": _j(r),
                          "losses": [[_j(y), v] for y, v in losses],
                          "diverges": True},
                 budget={"grid": len(grid)})

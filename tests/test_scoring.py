@@ -189,12 +189,6 @@ class TestExpectationRule:
             p = finite_belief(rule.outcome_space, [1.0 - q, q])
             assert abs(rule.best_response(p) - q) <= 1e-6
 
-    def test_divergence_probe_grows(self):
-        losses = self.mean.divergence_probe(0.0)
-        vals = [v for _, v in losses]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert vals[-1] > 1e6
-
     def test_share_inversion(self):
         rule = ExpectationRule(binary_negentropy(),
                                phi=np.array([[0.0], [1.0]]))

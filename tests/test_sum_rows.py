@@ -5,8 +5,10 @@ operands, and the legs a ``combine`` with weights 1.  Row by row the
 infimum and sup of ``Rows`` must equal ``contract_bounds`` of that contract
 bit for bit, and the summed stack must be that contract, compacted by
 ``merge_runs`` on the real line.  A row whose sum overflows must be one
-that ``combine`` refuses.  ``contract_is_constant`` is held to the
-per-piece loop it replaced, kept here as the reference."""
+that ``combine`` refuses.  The one leg of ``trade_leg`` must sum to
+``trade_contract`` of each row's pair of reports, bit for bit, for every
+bundled check market.  ``contract_is_constant`` is held to the per-piece
+loop it replaced, kept here as the reference."""
 
 import math
 
@@ -14,6 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srmarket.cli import build_rule, bundled_config_names, load_config
 from srmarket.contracts import (
     IDENTITY,
     INF,
@@ -28,7 +31,9 @@ from srmarket.contracts import (
     finite_contract,
     merge_runs,
     piecewise_contract,
+    row_contracts,
     sum_rows,
+    trade_leg,
 )
 
 EDGES = st.one_of(st.sampled_from([-1e308, -3.0, -1.0, 0.0, 0.5, 2.0, 1e17]),
@@ -140,6 +145,44 @@ def test_one_leg_of_one_stack_is_the_stack():
     (net,), rows = sum_rows([(((values,),), (1.0,))])
     assert net.tobytes() == values.tobytes()
     assert rows.finite.tolist() == [True]
+
+
+# ---------------------------------------------------------------------------
+# trade_leg
+
+CHECK_MARKETS = [name for name in bundled_config_names()
+                 if "axioms" in load_config(name)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CHECK_MARKETS), st.data())
+def test_trade_leg_sums_to_trade_contracts(name, data):
+    rule = build_rule(load_config(name)["market"])
+    grid = rule.report_grid()
+    reports = [grid[i] for i in data.draw(
+        st.lists(st.integers(0, len(grid) - 1), min_size=2, max_size=6))]
+    R = len(reports)
+    form = data.draw(st.sampled_from(["indices", "slices", "one old row"]))
+    if form == "indices":
+        n = data.draw(st.integers(1, 8))
+        idx = st.lists(st.integers(0, R - 1), min_size=n, max_size=n)
+        new, old = np.array(data.draw(idx)), np.array(data.draw(idx))
+        pairs = list(zip(old.tolist(), new.tolist()))
+    elif form == "slices":
+        new, old = slice(1, None), slice(None, -1)
+        pairs = [(k, k + 1) for k in range(R - 1)]
+    else:
+        new, old = slice(1, None), slice(0, 1)
+        pairs = [(0, k) for k in range(1, R)]
+    scores, transform = rule.score_stack(reports)
+    stack, got = sum_rows([trade_leg(scores, new, old)], transform)
+    assert got.finite.all()
+    for k, (row, (i, j)) in enumerate(zip(
+            row_contracts(rule.outcome_space, stack, transform), pairs, strict=True)):
+        want = rule.trade_contract(reports[i], reports[j])
+        assert repr(row.to_dict()) == repr(want.to_dict())
+        lo, hi = contract_bounds(want)
+        assert (float(got.inf()[k]), float(got.sup()[k])) == (lo, hi)
 
 
 # ---------------------------------------------------------------------------
