@@ -108,7 +108,14 @@ class SearchConfig:
         return np.random.default_rng(self.seed)
 
     def report_grid(self, rule: ScoringRule) -> list:
-        return rule.report_grid(self.report_points, self.report_window)
+        """The rule's report grid; one of fewer than two reports, which a
+        hull can leave of a box grid, raises ValueError: no trade moves on
+        it, so every check over it would hold vacuously."""
+        grid = rule.report_grid(self.report_points, self.report_window)
+        if len(grid) < 2:
+            raise ValueError(f"the report grid needs at least two reports, "
+                             f"not {len(grid)}")
+        return grid
 
 
 def _j(r):
@@ -212,21 +219,20 @@ def _require_finite(finite) -> None:
 
 
 def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
-             cfg: SearchConfig = SearchConfig(), states=None) -> AxiomReport:
+             cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """Grid argmax of the expected trade payoff must match the elicited
-    statistic, from every market state (the argmax is state-free because
-    payments telescope).
+    statistic.  Payments telescope, so the expected payoff of the trade
+    s -> r is E_p S(r) - E_p S(s) and its argmax does not depend on the
+    market state s: each belief reads one argmax of the grid's expected
+    scores, and a failure reports the trade from one reference state, the
+    first grid report.
 
-    Each grid report and each state is scored once (``score_stack``), and
-    each belief reads all their expected scores in one ``stack_scores``,
-    on the real line row by row from its moment table: the expected
-    payoff of the trade s -> r is E_p S(r) - E_p S(s), by linearity, equal
-    to the per-trade value within rounding.  Argmaxes
-    that all lie in a set-valued property agree, whichever member rounding
-    picks from each state.  A trade whose payoffs overflow over a finite
+    The grid is scored once (``score_stack``), and each belief reads its
+    expected scores in one ``stack_scores``, on the real line row by row
+    from its moment table.  A trade whose payoffs overflow over a finite
     outcome space raises ``PayoffOverflow`` before any belief is judged; a
     belief of the wrong kind for the outcome space raises
-    ``OutcomeMismatch``, and an empty belief or state list ValueError."""
+    ``OutcomeMismatch``, and an empty belief list ValueError."""
     rng = cfg.rng()
     grid = cfg.report_grid(rule)
     if beliefs is None:
@@ -234,10 +240,6 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
                                      cfg.report_window)
     if not beliefs:
         raise ValueError("IC needs at least one belief")
-    if states is None:
-        states = [grid[0], grid[len(grid) // 2], grid[-1]]
-    if not len(states):
-        raise ValueError("IC needs at least one state")
     continuous = not isinstance(rule.report_space, FiniteReports)
     if continuous and np.isscalar(grid[0]):
         step = max(b - a for a, b in zip(grid, grid[1:]))
@@ -246,50 +248,32 @@ def check_ic(rule: ScoringRule, beliefs: list[Belief] | None = None,
             np.diff(np.asarray(grid, dtype=float), axis=0), axis=1)))
     else:
         step = 0.0
-    n = len(grid)
-    stack, transform = rule.score_stack(list(grid) + list(states))
+    stack, transform = rule.score_stack(grid)
     if transform is None:
-        # the trades' payoffs S(r, y) - S(s, y) are finite iff their
-        # extremes over r and s are, in each outcome y
+        # the trades' payoffs S(r, y) - S(s, y) are finite iff the spread
+        # of the scores is, in each outcome y
         table = stack[0]
         with np.errstate(over="ignore"):
-            _require_finite(np.isfinite([table[:n].max(0) - table[n:].min(0),
-                                         table[n:].max(0) - table[:n].min(0)]))
-    budget = {"beliefs": len(beliefs), "grid": n}
+            _require_finite(np.isfinite(table.max(0) - table.min(0)))
+    budget = {"beliefs": len(beliefs), "grid": len(grid)}
     worst = 0.0
     for p in beliefs:
         # the belief's kind is checked before property_value reads it
         s = rule.stack_scores(stack, transform, p)
         gamma = rule.property_value(p)
-        picks, scores = [], []
-        for k, state in enumerate(states):
-            vals = (s[:n] - s[n + k]).tolist()
-            i = int(np.argmax(vals))
-            pick = grid[i]
-            picks.append(pick)
-            scores.append(vals[i])
-            gap = _ic_gap(pick, gamma)
-            worst = max(worst, gap)
-            if gap > step + VERDICT_TOL:
-                return AxiomReport(
-                    axiom="IC", verdict=FAILS, margin=gap,
-                    witness={"belief": p.to_dict(), "state": _j(state),
-                             "argmax": _j(pick), "property": _j(gamma),
-                             "argmax_score": vals[i],
-                             "grid_resolution": step},
-                    budget=budget)
-        if _ic_disagreement(picks, gamma):
+        i = int(np.argmax(s))
+        gap = _ic_gap(grid[i], gamma)
+        worst = max(worst, gap)
+        if gap > step + VERDICT_TOL:
             return AxiomReport(
-                axiom="IC", verdict=FAILS, margin=1.0,
-                witness={"belief": p.to_dict(),
-                         "states": [_j(s) for s in states],
-                         "argmaxes": [_j(r) for r in picks],
-                         "argmax_scores": scores,
-                         "reason": "argmax varies with the market state"},
+                axiom="IC", verdict=FAILS, margin=gap,
+                witness={"belief": p.to_dict(), "state": _j(grid[0]),
+                         "argmax": _j(grid[i]), "property": _j(gamma),
+                         "argmax_score": float(s[i] - s[0]),
+                         "grid_resolution": step},
                 budget=budget)
     return AxiomReport(axiom="IC", verdict=HOLDS_AT_BUDGET, margin=worst,
-                       budget={**budget, "states": len(states),
-                               "grid_resolution": step})
+                       budget={**budget, "grid_resolution": step})
 
 
 def _ic_gap(pick, gamma) -> float:
@@ -302,14 +286,6 @@ def _ic_gap(pick, gamma) -> float:
         np.atleast_1d(np.asarray(gamma, dtype=float)))))
 
 
-def _ic_disagreement(picks, gamma) -> float:
-    """1 when the argmaxes from different states differ, unless they all lie
-    in a set-valued property; else 0."""
-    if isinstance(gamma, tuple) and all(r in gamma for r in picks):
-        return 0.0
-    return float(any(_j(r) != _j(picks[0]) for r in picks))
-
-
 def check_arb(rule: ScoringRule, grid=None,
               cfg: SearchConfig = SearchConfig()) -> AxiomReport:
     """No trade may pay strictly positively in every outcome:
@@ -318,11 +294,11 @@ def check_arb(rule: ScoringRule, grid=None,
     Each grid report is scored once (``score_stack``), and the trades are
     summed in blocks of at most 4,096, one ``trade_leg`` each, whose infima
     equal ``contract_bounds(trade_contract(r, r'))`` on either outcome kind.
-    An empty grid raises ValueError."""
+    A grid of fewer than two reports raises ValueError."""
     if grid is None:
         grid = cfg.report_grid(rule)
-    if not len(grid):
-        raise ValueError("ARB needs at least one grid report")
+    if len(grid) < 2:
+        raise ValueError("ARB needs at least two grid reports")
     worst, bad = _arb_scan(rule, grid, cfg.delta)
     if bad:
         return AxiomReport(axiom="ARB", verdict=FAILS, margin=worst,
@@ -860,13 +836,6 @@ def _replay_ic(rule, report) -> tuple:
     w = report.witness
     belief = build_belief(w["belief"], rule.outcome_space)
     gamma = rule.property_value(belief)
-    if "argmaxes" in w:
-        picks = [_unj(r) for r in w["argmaxes"]]
-        scores = [expected_payoff(rule.trade_contract(_unj(s), r), belief)
-                  for s, r in zip(w["states"], picks)]
-        margin = _ic_disagreement(picks, gamma)
-        _expect(margin > 0, "IC", "argmaxes agree after all")
-        return {"argmax_scores": scores}, margin
     pick = _unj(w["argmax"])
     gap = _ic_gap(pick, gamma)
     _expect(gap > w["grid_resolution"] + VERDICT_TOL, "IC",

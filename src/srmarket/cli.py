@@ -130,6 +130,7 @@ def run_check(config: dict, out_dir: str) -> int:
     validate(config, "check")
     rule = _market(config)
     cfg = built("search", build_search, config.get("search"), config.get("seed"))
+    built("search", cfg.report_grid, rule)
     given = _given(config, rule, cfg)
     name = config.get("name", "check")
 

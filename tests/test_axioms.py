@@ -35,7 +35,12 @@ from srmarket.contracts import (
     finite_belief,
     uniform_belief,
 )
-from srmarket.convex import binary_negentropy, interval_negentropy, quadratic
+from srmarket.convex import (
+    binary_negentropy,
+    interval_negentropy,
+    quadratic,
+    simplex_negentropy,
+)
 from srmarket.costmarket import binary_lmsr_rule, discretized_lmsr_rule
 from srmarket.reports import AxiomReport
 from srmarket.scoring import (
@@ -114,12 +119,6 @@ class TestIC:
         with pytest.raises(ValueError, match="belief"):
             check_ic(mode3(), [], cfg=CFG)
 
-    @pytest.mark.parametrize("rule", [mode3(), QuantileRule(0.5)])
-    def test_no_states_rejected(self, rule):
-        # IC quantifies over the market's states: none is no check
-        with pytest.raises(ValueError, match="state"):
-            check_ic(rule, cfg=CFG, states=[])
-
     def test_mean(self):
         assert check_ic(ExpectationRule(quadratic(1)), cfg=CFG).ok
 
@@ -131,8 +130,7 @@ class TestIC:
         assert check_ic(ratio_rule(), cfg=CFG).ok
 
     def test_set_valued_property_picks_agree(self):
-        # rounding in the trade rows breaks the tie between labels 1 and 2
-        # differently from state 4
+        # labels 1 and 2 tie up to rounding, and both are the mode
         rule = FiniteRule(np.array([
             [0.7857857007138075, 0.4146558493556708, 0.7344835717887294],
             [0.8857857007138075, 0.41307126522535736, 0.7344835717887294],
@@ -143,26 +141,24 @@ class TestIC:
         p = finite_belief(rule.outcome_space, [
             0.008206770373050174, 0.5179131998139413, 0.47388002981300836])
         assert rule.property_value(p) == (1, 2)
-        rep = check_ic(rule, [p], SearchConfig(), states=[1, 2, 3, 4, 5])
+        rep = check_ic(rule, [p], SearchConfig())
         assert rep.ok, rep.witness
 
-    def test_argmax_varies_replays(self):
+    def test_midway_mean_holds(self):
         # the mean 0.068 lies midway between the grid reports 0.02 and
-        # 0.116, whose expected trade payoffs tie up to rounding
+        # 0.116, whose expected scores tie up to rounding: either pick lies
+        # within a grid step, whichever rounding prefers
         rule = ExpectationRule(quadratic(1, lo=[-1.0], hi=[2.0]),
                                phi=[[0.0], [1.0]])
-        cfg = SearchConfig(report_points=11)
-        grid = cfg.report_grid(rule)
         p = finite_belief(rule.outcome_space, [0.932, 0.068])
-        rep = check_ic(rule, [p], cfg, states=grid)
-        assert rep.verdict == "fails"
-        assert set(map(float, rep.witness["argmaxes"])) == {0.02, 0.116}
-        assert replay_witness(rule, rep) == rep.margin == 1.0
+        rep = check_ic(rule, [p], SearchConfig(report_points=11))
+        assert rep.verdict != "fails", rep.witness
+        assert rep.margin == pytest.approx(0.048)
 
     def test_argmax_state_free(self):
         rep = check_ic(entropy_rule(), cfg=CFG)
         assert rep.ok
-        assert rep.budget["states"] == 3
+        assert "states" not in rep.budget
 
 
 class TestARB:
@@ -175,6 +171,9 @@ class TestARB:
         # no pair of reports is no check
         with pytest.raises(ValueError, match="grid"):
             check_arb(mode3(), grid=[], cfg=CFG)
+        # nor is the null trade alone
+        with pytest.raises(ValueError, match="grid"):
+            check_arb(mode3(), grid=[1], cfg=CFG)
 
     def test_identity_trades_zero(self):
         rep = check_arb(QuantileRule(0.5), cfg=CFG)
@@ -190,6 +189,18 @@ class TestARB:
         pairs = rep.witness["pairs"]
         assert {"r": 1, "r_new": 2, "inf": 1.0} in pairs
         assert replay_witness(rule, rep) == pytest.approx(rep.margin)
+
+
+def test_one_report_grid_rejected():
+    # the hull of the simplex leaves one report of the 2 x 2 box grid: ARB
+    # and PN would hold over null trades alone, and IC had no grid step
+    rule = ExpectationRule(simplex_negentropy(2),
+                           [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cfg = SearchConfig(report_points=2)
+    assert len(rule.report_grid(2)) == 1
+    for check in (check_ic, check_arb, check_pn):
+        with pytest.raises(ValueError, match="not 1"):
+            check(rule, cfg=cfg)
 
 
 class TestWCL:
@@ -529,15 +540,12 @@ def targeted_fails() -> dict:
     """name -> (rule, fails report): every replay path and witness shape."""
     mode = mode3()
     mean = ExpectationRule(quadratic(1))
-    box = ExpectationRule(quadratic(1, lo=[-1.0], hi=[2.0]),
-                          phi=[[0.0], [1.0]])
     wrong, shifted = WrongMode([1, 2, 3]), ShiftedMean(quadratic(1))
     arb = FiniteRule(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
                                [0.0, 1.0, 0.0]]), OutcomeSpace.finite((1, 2, 3)))
     priced, median = priced_cash_rule(), QuantileRule(0.5)
     low = LowBoundMode([1, 2, 3])
     pmf = finite_belief(mode.outcome_space, [0.2, 0.5, 0.3])
-    box_cfg = SearchConfig(report_points=11)
     return {
         "ARB": (arb, check_arb(arb, cfg=CFG)),
         "WCL-losses": (mean, check_wcl(mean, 0.0, CFG)),
@@ -555,9 +563,6 @@ def targeted_fails() -> dict:
                                      epsilons=(0.5,), cfg=CFG)),
         "IC-set": (wrong, check_ic(wrong, [pmf], CFG)),
         "IC-scalar": (shifted, check_ic(shifted, cfg=CFG)),
-        "IC-varies": (box, check_ic(
-            box, [finite_belief(box.outcome_space, [0.932, 0.068])], box_cfg,
-            states=box_cfg.report_grid(box))),
     }
 
 
@@ -589,8 +594,6 @@ TAMPERS = {
     "BTB-mean": lambda w: w["candidates"][-1].update(expected=1.0),
     "IC-set": lambda w: w.update(property=[3]),
     "IC-scalar": lambda w: w.update(argmax_score=w["argmax_score"] + 1e-3),
-    "IC-varies": lambda w: w["argmax_scores"].__setitem__(
-        0, w["argmax_scores"][0] + 1e-3),
 }
 
 

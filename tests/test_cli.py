@@ -372,6 +372,23 @@ class TestMain:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "distinct report label" in err
 
+    def test_one_report_grid_exit_two(self, tmp_path, capsys):
+        # the simplex hull leaves one report of the 2 x 2 grid: IC died on
+        # an empty array, and ARB and PN held over null trades alone
+        market = {"family": "expectation",
+                  "potential": {"name": "simplex_negentropy", "k": 2},
+                  "phi": [[0, 0], [1, 0], [0, 1]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "market": market,
+                                    "axioms": ["IC", "ARB", "PN"],
+                                    "search": {"report_points": 2}}))
+        assert main(["check", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "at least two reports, not 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_axioms_exit_two(self, tmp_path, capsys):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({

@@ -411,16 +411,16 @@ def test_contract_pieces_rejects_mixed_coordinates():
 # IC
 
 
-def assert_ic_matches(rule, grid, states, beliefs):
-    """Values within rounding of the per-trade ones; argmaxes equal or tied
-    within 1e-12 of the expected scores' scale; verdicts equal when no
-    tie decided a pick, and the reports equal when every pick agrees."""
-    tied = assert_ic_values_match(rule, grid, states, beliefs)
+def assert_ic_matches(rule, grid, beliefs):
+    """Values within rounding of the per-trade ones from the first grid
+    report; each argmax equal or tied within 1e-12 of the expected scores'
+    scale; the reports equal when no tie decided a pick."""
+    tied = assert_ic_values_match(rule, grid, beliefs)
     cfg = SearchConfig(report_points=len(grid))
     with mock.patch.object(SearchConfig, "report_grid",
                            lambda self, rule: list(grid)):
-        rep = check_ic(rule, beliefs, cfg, states)
-        ref = reference_check_ic(rule, beliefs, cfg, states)
+        rep = check_ic(rule, beliefs, cfg)
+        ref = reference_check_ic(rule, beliefs, cfg)
     if tied:
         return
     assert rep.verdict == ref.verdict
@@ -444,12 +444,9 @@ def test_ic_matches_per_trade_values(data):
     width = data.draw(st.floats(0.5, 10.0))
     grid = [float(v) for v in np.linspace(lo, lo + width, n)]
     grid += data.draw(st.lists(st.sampled_from(grid), max_size=3))
-    states = data.draw(st.lists(
-        st.one_of(st.sampled_from(grid), st.floats(-8.0, 8.0)),
-        min_size=1, max_size=3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     beliefs = random_cdf_beliefs(rng, 3, (lo - 1.0, lo + width + 1.0))
-    assert_ic_matches(rule, grid, states, beliefs)
+    assert_ic_matches(rule, grid, beliefs)
 
 
 def test_bundled_real_line_ic_matches_per_trade_values():
@@ -457,10 +454,9 @@ def test_bundled_real_line_ic_matches_per_trade_values():
     for rule in (QuantileRule(0.5, SIGMOID), quadratic_mean_rule(1.0, 0.0),
                  ExpectileRule(0.3)):
         grid = cfg.report_grid(rule)
-        states = [grid[0], grid[len(grid) // 2], grid[-1]]
         beliefs = axioms.random_beliefs_for(rule, cfg.rng(), cfg.ic_beliefs,
                                             cfg.report_window)
-        assert_ic_matches(rule, grid, states, beliefs)
+        assert_ic_matches(rule, grid, beliefs)
 
 
 def test_ic_scores_each_report_once_per_belief():
@@ -484,12 +480,12 @@ def test_ic_scores_each_report_once_per_belief():
         reads.append((tables.call_count, rows.call_count))
         return out
 
-    # one stack of the 21 grid reports and the 3 states, read once per belief
+    # one stack of the 21 grid reports, read once per belief
     with mock.patch.object(ScoringRule, "score_stack", counting_stack), \
             mock.patch.object(ScoringRule, "stack_scores", counting_scores):
         check_ic(rule, cfg=cfg)
-    assert stacks == [21 + 3]
-    assert reads == [(1, 21 + 3)] * 4
+    assert stacks == [21]
+    assert reads == [(1, 21)] * 4
 
 
 def test_ic_rejects_a_belief_of_the_wrong_kind():

@@ -1,8 +1,8 @@
 """Finite-outcome ARB, IC and WCL read one score table per report grid: a
 differential test against the per-pair checkers they replaced, kept here as
-the references.  Reports must agree to the byte.  IC reads differences of
-expected scores, so its values must equal the per-trade ones within
-rounding, and its argmaxes theirs or a tie."""
+the references.  Reports must agree to the byte.  IC reads expected
+scores, so its trade values must equal the per-trade ones within rounding,
+and each argmax the reference's or a tie."""
 
 import numpy as np
 import pytest
@@ -47,14 +47,12 @@ from srmarket.scoring import (
 # the per-pair checkers, as they were before the score table
 
 
-def reference_check_ic(rule, beliefs=None, cfg=SearchConfig(), states=None):
+def reference_check_ic(rule, beliefs=None, cfg=SearchConfig()):
     rng = cfg.rng()
     grid = cfg.report_grid(rule)
     if beliefs is None:
         beliefs = random_beliefs_for(rule, rng, cfg.ic_beliefs,
                                      cfg.report_window)
-    if states is None:
-        states = [grid[0], grid[len(grid) // 2], grid[-1]]
     continuous = not isinstance(rule.report_space, FiniteReports)
     if continuous and np.isscalar(grid[0]):
         step = max(b - a for a, b in zip(grid, grid[1:]))
@@ -64,43 +62,31 @@ def reference_check_ic(rule, beliefs=None, cfg=SearchConfig(), states=None):
     else:
         step = 0.0
     worst = 0.0
-    for bi, p in enumerate(beliefs):
+    for p in beliefs:
         gamma = rule.property_value(p)
-        argmaxes = []
-        for state in states:
-            vals = [expected_payoff(rule.trade_contract(state, r), p)
-                    for r in grid]
-            i = int(np.argmax(vals))
-            argmaxes.append(i)
-            pick = grid[i]
-            if isinstance(gamma, tuple):
-                bad = pick not in gamma
-                gap = 0.0 if not bad else 1.0
-            else:
-                gap = float(np.max(np.abs(
-                    np.atleast_1d(np.asarray(pick, dtype=float)) -
-                    np.atleast_1d(np.asarray(gamma, dtype=float)))))
-                bad = gap > step + 1e-9
-            worst = max(worst, gap)
-            if bad:
-                return AxiomReport(
-                    axiom="IC", verdict=FAILS, margin=gap,
-                    witness={"belief": p.to_dict(), "state": _j(state),
-                             "argmax": _j(pick), "property": _j(gamma),
-                             "argmax_score": vals[i],
-                             "grid_resolution": step},
-                    budget={"beliefs": len(beliefs), "grid": len(grid)})
-        if len(set(argmaxes)) != 1:
+        # the trades from the reference state, the first grid report
+        vals = reference_ic_values(rule, grid, grid[0], p)
+        i = int(np.argmax(vals))
+        pick = grid[i]
+        if isinstance(gamma, tuple):
+            bad = pick not in gamma
+            gap = 0.0 if not bad else 1.0
+        else:
+            gap = float(np.max(np.abs(
+                np.atleast_1d(np.asarray(pick, dtype=float)) -
+                np.atleast_1d(np.asarray(gamma, dtype=float)))))
+            bad = gap > step + 1e-9
+        worst = max(worst, gap)
+        if bad:
             return AxiomReport(
-                axiom="IC", verdict=FAILS, margin=1.0,
-                witness={"belief": p.to_dict(),
-                         "states": [_j(s) for s in states],
-                         "argmaxes": [_j(grid[i]) for i in argmaxes],
-                         "reason": "argmax varies with the market state"},
+                axiom="IC", verdict=FAILS, margin=gap,
+                witness={"belief": p.to_dict(), "state": _j(grid[0]),
+                         "argmax": _j(pick), "property": _j(gamma),
+                         "argmax_score": vals[i],
+                         "grid_resolution": step},
                 budget={"beliefs": len(beliefs), "grid": len(grid)})
     return AxiomReport(axiom="IC", verdict=HOLDS_AT_BUDGET, margin=worst,
                        budget={"beliefs": len(beliefs), "grid": len(grid),
-                               "states": len(states),
                                "grid_resolution": step})
 
 
@@ -182,30 +168,29 @@ def reference_ic_values(rule, grid, state, p):
     return [expected_payoff(rule.trade_contract(state, r), p) for r in grid]
 
 
-def stack_ic_values(rule, grid, states, p) -> list:
-    """The expected trade payoffs ``check_ic`` reads under p, one list per
-    state: E_p S(r) - E_p S(state) for each grid report r, from one
-    ``stack_scores`` of the grid and the states."""
-    s = rule.stack_scores(*rule.score_stack(list(grid) + list(states)), p)
-    n = len(grid)
-    return [(s[:n] - s[n + k]).tolist() for k in range(len(states))]
+def stack_ic_values(rule, grid, p) -> tuple:
+    """What ``check_ic`` reads under p: the index of its argmax, from one
+    ``stack_scores`` of the grid, and the expected trade payoffs
+    E_p S(r) - E_p S(grid[0]) for each grid report r."""
+    s = rule.stack_scores(*rule.score_stack(grid), p)
+    return int(np.argmax(s)), (s - s[0]).tolist()
 
 
-def assert_ic_values_match(rule, grid, states, beliefs) -> bool:
+def assert_ic_values_match(rule, grid, beliefs) -> bool:
     """Each IC value lies within 1e-12 of the expected scores' scale of the
-    per-trade value, and each argmax is the per-trade one or tied with it
-    within that; returns whether a tie decided a pick."""
+    per-trade value from the first grid report, and the argmax is the
+    per-trade one or tied with it within that; returns whether a tie
+    decided a pick."""
     tied = False
     for p in beliefs:
-        scale = max([1.0] + [abs(rule.expected_score(r, p))
-                             for r in list(grid) + list(states)])
-        for got, state in zip(stack_ic_values(rule, grid, states, p), states):
-            ref = reference_ic_values(rule, grid, state, p)
-            assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * scale
-            i, i_ref = int(np.argmax(got)), int(np.argmax(ref))
-            if i != i_ref:
-                assert ref[i_ref] - ref[i] <= 1e-12 * scale
-                tied = True
+        scale = max([1.0] + [abs(rule.expected_score(r, p)) for r in grid])
+        i, got = stack_ic_values(rule, grid, p)
+        ref = reference_ic_values(rule, grid, grid[0], p)
+        assert np.max(np.abs(np.subtract(got, ref))) <= 1e-12 * scale
+        i_ref = int(np.argmax(ref))
+        if i != i_ref:
+            assert ref[i_ref] - ref[i] <= 1e-12 * scale
+            tied = True
     return tied
 
 
@@ -218,12 +203,9 @@ def assert_same_checks(rule, cfg, r0, beliefs=None):
         reference_check_ic(rule, beliefs, cfg).to_text()
     assert check_wcl(rule, r0, cfg).to_text() == \
         reference_check_wcl(rule, r0, cfg).to_text()
-    report_grid = cfg.report_grid(rule)
     if beliefs is None:
         beliefs = random_beliefs_for(rule, cfg.rng(), cfg.ic_beliefs)
-    states = [report_grid[0], report_grid[len(report_grid) // 2],
-              report_grid[-1]]
-    assert_ic_values_match(rule, report_grid, states, beliefs)
+    assert_ic_values_match(rule, cfg.report_grid(rule), beliefs)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +291,15 @@ def test_generated_finite_rules_match_reference(rule, seed, r0_index):
 
 @settings(max_examples=60, deadline=None)
 @given(rule=finite_rules(), data=st.data())
-def test_explicit_grids_and_states_match_reference(rule, data):
+def test_explicit_grids_match_reference(rule, data):
     labels = list(rule.report_space.labels)
-    reports = st.sampled_from(labels)
-    grid = data.draw(st.lists(reports, min_size=1, max_size=12))
-    states = data.draw(st.lists(reports, min_size=1, max_size=3))
+    grid = data.draw(st.lists(st.sampled_from(labels), min_size=2, max_size=12))
     cfg = SearchConfig(seed=data.draw(st.integers(0, 99)), ic_beliefs=3)
     beliefs = random_beliefs_for(rule, np.random.default_rng(7), 3)
     assert check_arb(rule, grid, cfg).to_text() == \
         reference_check_arb(rule, grid, cfg).to_text()
-    assert check_ic(rule, beliefs, cfg, states).to_text() == \
-        reference_check_ic(rule, beliefs, cfg, states).to_text()
+    assert check_ic(rule, beliefs, cfg).to_text() == \
+        reference_check_ic(rule, beliefs, cfg).to_text()
 
 
 def test_break_after_ten_pairs_keeps_worst_of_visited_pairs():
@@ -411,8 +391,7 @@ def test_ic_scores_each_report_once_per_check():
         calls.append(len(reports))
         return score_rows(reports)
 
-    # one table of the 21 grid reports and the 3 states, which every belief
-    # reads
+    # one table of the 21 grid reports, which every belief reads
     rule.score_rows = counting
     check_ic(rule, cfg=cfg)
-    assert calls == [21 + 3]
+    assert calls == [21]
