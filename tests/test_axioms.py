@@ -541,6 +541,7 @@ def targeted_fails() -> dict:
     mode = mode3()
     mean = ExpectationRule(quadratic(1))
     wrong, shifted = WrongMode([1, 2, 3]), ShiftedMean(quadratic(1))
+    box = ShiftedMean(quadratic(1, lo=[-1.0], hi=[2.0]), phi=[[0.0], [1.0]])
     arb = FiniteRule(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
                                [0.0, 1.0, 0.0]]), OutcomeSpace.finite((1, 2, 3)))
     priced, median = priced_cash_rule(), QuantileRule(0.5)
@@ -563,6 +564,7 @@ def targeted_fails() -> dict:
                                      epsilons=(0.5,), cfg=CFG)),
         "IC-set": (wrong, check_ic(wrong, [pmf], CFG)),
         "IC-scalar": (shifted, check_ic(shifted, cfg=CFG)),
+        "IC-state": (box, check_ic(box, cfg=CFG)),
     }
 
 
@@ -594,6 +596,7 @@ TAMPERS = {
     "BTB-mean": lambda w: w["candidates"][-1].update(expected=1.0),
     "IC-set": lambda w: w.update(property=[3]),
     "IC-scalar": lambda w: w.update(argmax_score=w["argmax_score"] + 1e-3),
+    "IC-state": lambda w: w.update(state=w["argmax"]),
 }
 
 
