@@ -23,7 +23,6 @@ import numpy as np
 
 from .contracts import (
     INF,
-    REPLAY_TOL,
     STRUCT_TOL,
     VERDICT_TOL,
     Belief,
@@ -59,11 +58,11 @@ from .scoring import (
 )
 
 
-def btb_budgets(epsilons) -> tuple:
-    """BTB's budgets as a tuple, once there is one and each is positive and
-    finite: BTB quantifies over budgets epsilon > 0, and every trade risks
-    less than an infinite one.  Else ValueError."""
-    epsilons = tuple(epsilons)
+def btb_budgets(epsilons=None) -> tuple:
+    """BTB's budgets as a tuple, (0.5, 0.05) for None, once there is one and
+    each is positive and finite: BTB quantifies over budgets epsilon > 0,
+    and every trade risks less than an infinite one.  Else ValueError."""
+    epsilons = (0.5, 0.05) if epsilons is None else tuple(epsilons)
     if not epsilons or not all(0 < e < INF for e in epsilons):
         raise ValueError(f"epsilons {epsilons!r} must be one or more positive "
                          "finite BTB budgets")
@@ -81,7 +80,6 @@ class SearchConfig:
     portfolio_count: int = 40
     portfolio_size: int = 3
     ic_beliefs: int = 20
-    epsilons: tuple = (0.5, 0.05)
     delta: float = 1e-9
     lattice_bound: int = 8
     seed: int = 0
@@ -102,7 +100,6 @@ class SearchConfig:
             raise ValueError(f"report_window {window!r} needs two ascending finite ends")
         if not 0 < self.delta < INF:
             raise ValueError("strictness margin must be positive and finite")
-        btb_budgets(self.epsilons)
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -508,7 +505,7 @@ def _failed(axiom: str, scenario, base: float, cands, lo, hi, cash, nets,
     if axiom == "WN":
         values = lo
         entries = [{"candidate": _j(c), "inf": v, "bad_outcome": _j(y), "value": w}
-                   for c, v, (y, w, _) in zip(cands, lo, map(contract_argmin, nets))]
+                   for c, v, (y, w) in zip(cands, lo, map(contract_argmin, nets))]
     else:
         values = list(cash)
         entries = [{"candidate": _j(c), "flat": v > -INF,
@@ -698,7 +695,7 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
     for each budget, some trade risks less than it and gains in
     expectation.  No budget, a budget that is not positive, or a state that
     ``btb_candidates`` refuses raises ValueError."""
-    epsilons = btb_budgets(cfg.epsilons if epsilons is None else epsilons)
+    epsilons = btb_budgets(epsilons)
     candidates = btb_candidates(rule, belief, state)
     budget = {"epsilons": list(epsilons), "candidates": len(candidates)}
     results = []
@@ -735,7 +732,7 @@ def check_btb(rule: ScoringRule, belief: Belief, state, epsilons=None,
 # the score rows most checks read them from (BTB's check and replay share
 # ``_btb_entry``), and the margin from them as the check computed it;
 # ``replay_witness`` raises AssertionError when a recomputed number differs
-# from the stored one by more than REPLAY_TOL (relative above 1), and each
+# from the stored one by more than VERDICT_TOL (relative above 1), and each
 # replay raises when the violation no longer holds.
 
 
@@ -753,17 +750,17 @@ def replay_witness(rule: ScoringRule, report: AxiomReport) -> float:
     return float(margin)
 
 
-def _same(a, b, tol: float = REPLAY_TOL) -> bool:
-    """JSON-like values equal up to tol * max(1, |b|) in every number."""
+def _same(a, b) -> bool:
+    """JSON-like values equal up to VERDICT_TOL * max(1, |b|) in every number."""
     if isinstance(a, dict):
         return isinstance(b, dict) and a.keys() == b.keys() and \
-            all(_same(a[k], b[k], tol) for k in a)
+            all(_same(a[k], b[k]) for k in a)
     if isinstance(a, (list, tuple)):
         return isinstance(b, (list, tuple)) and len(a) == len(b) and \
-            all(_same(x, y, tol) for x, y in zip(a, b))
+            all(_same(x, y) for x, y in zip(a, b))
     if isinstance(a, float) and isinstance(b, (int, float)) and a != b:
         # a stored infinity is reproduced only by itself
-        return math.isfinite(b) and abs(a - b) <= tol * max(1.0, abs(b))
+        return math.isfinite(b) and abs(a - b) <= VERDICT_TOL * max(1.0, abs(b))
     return a == b
 
 
@@ -814,9 +811,9 @@ def _replay_neutralization(rule, report) -> tuple:
     base, values, margin, witness, _ = _failure(
         report.axiom, rule, scenario,
         [_unj(e["candidate"]) for e in w["candidates"]], 0, 0)
-    # no value beats base + margin, the best the check saw, past REPLAY_TOL
+    # no value beats base + margin, the best the check saw, past VERDICT_TOL
     top = base + report.margin
-    slack = REPLAY_TOL * max(1.0, abs(top)) if math.isfinite(top) else 0.0
+    slack = VERDICT_TOL * max(1.0, abs(top)) if math.isfinite(top) else 0.0
     _expect(not any(v > top + slack for v in values),
             report.axiom, "candidate improves after all")
     return witness, margin

@@ -102,7 +102,7 @@ def _verdict_matches(expected: str, actual: str) -> bool:
     return expected == actual
 
 
-def _given(config: dict, rule, cfg: SearchConfig) -> dict:
+def _given(config: dict, rule) -> dict:
     """The values a check config gives its axioms, built (see
     ``axioms.AXIOMS``), once each axiom it runs applies to the market."""
     given = {key: config[key] for key in ("r0", "price_bound_trials")
@@ -115,8 +115,8 @@ def _given(config: dict, rule, cfg: SearchConfig) -> dict:
         btb = config["btb"]
         belief = built("btb", build_belief, btb["belief"], space)
         built("btb", btb_candidates, rule, belief, btb["state"])
-        given["btb"] = (belief, btb["state"], built(
-            "btb", btb_budgets, btb.get("epsilons", cfg.epsilons)))
+        epsilons = built("btb", btb_budgets, btb.get("epsilons"))
+        given["btb"] = (belief, btb["state"], epsilons)
     if config.get("search", {}).get("exhaustive_scenarios") and \
             isinstance(rule.report_space, FiniteReports):
         given["scenarios"] = exhaustive_triples(list(rule.report_space.labels))
@@ -131,7 +131,7 @@ def run_check(config: dict, out_dir: str) -> int:
     rule = _market(config)
     cfg = built("search", build_search, config.get("search"), config.get("seed"))
     built("search", cfg.report_grid, rule)
-    given = _given(config, rule, cfg)
+    given = _given(config, rule)
     name = config.get("name", "check")
 
     verdicts = {}
@@ -197,10 +197,9 @@ def run_extract(config: dict, out_dir: str) -> int:
     grid = config.get("grid") or rule.report_grid()
     if isinstance(grid, dict):
         grid = [float(v) for v in np.linspace(grid["lo"], grid["hi"], grid["num"])]
-    # extraction reads the grid's score table: a finite outcome space, and
-    # reports in the report space
-    built("the extract grid", rule.score_table, grid)
-    ext = extract_cost_market(rule, grid)
+    # extraction reads the grid's score table: a finite outcome space, two
+    # distinct reports, and reports in the report space
+    ext = built("the extract grid", extract_cost_market, rule, grid)
     lines = [_header(config)]
     lines.append(f"ok: {ext.ok}")
     lines.append(f"failure_step: {ext.failure_step}")

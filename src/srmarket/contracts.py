@@ -17,35 +17,34 @@ of a payoff and of each row of a stack (``ScoringRule.stack_scores``).
 Tolerance policy: structural identities (telescoping, projection, a BTB
 state at its target) are held to STRUCT_TOL, and a lattice basis whose
 determinant is below it is singular; a lifted hull facet whose normal's
-cost component is within it of 0 is vertical; anything derived from iterative
-optimization is held to OPT_TOL.  Expected scores within TIE_TOL of the
-best tie, and the smallest tied report is picked (best responses over
-finite reports, the finite properties).  The searches of ``convex`` bracket
-a finite domain inset by BRACKET_PAD of its span and an infinite one by
-doubling out to BRACKET_LIMIT, and a closed-form gradient inverse is
-attained within the same box; a bisection that does not run to adjacent
-floats stops at a bracket SEARCH_XTOL wide, and a best-response search
-(Brent's method) once its best probe is within 2 SEARCH_XTOL / 3 plus a few
-ulps of both bracket ends; a search of one coordinate at a time cycles
-until a cycle moves no coordinate by more than SEARCH_XTOL or no longer
-raises the objective, for at most SEARCH_CYCLES cycles.  A gradient
-inversion in more than one dimension stops once its residual is within
-OPT_TOL and accepts its point within RESIDUAL_ACCEPT; openness counts a
-price target as reached, and cost extraction a translate as in the score
-range, within RESIDUAL_ACCEPT too.  A bundle lies on a share lattice, and a
-vector in a subgroup sample, when it is within MEMBER_TOL of a member, and
-a sampled direction within MEMBER_TOL of zero is zero.  Cost extraction
-takes a difference vector as a new security when it leaves the span of the
-earlier ones by more than PIVOT_TOL of the largest difference, and
-securities are affinely independent at that rank tolerance; extraction fits
-the shares and costs within FIT_TOL of their scale, in a report window
-inset by WINDOW_PAD of the report box's span.  A contract is cash when its
-payoff is constant within FLAT_TOL, and a candidate outcome attains a
-contract's infimum within ATTAIN_TOL (relative above 1).  A grid verdict
-fails only past VERDICT_TOL: an IC argmax beyond a grid step of the
-property, a WCL grid sup above the closed-form bound.  A replayed witness
-reproduces when every number it recomputes is within REPLAY_TOL of the
-stored one (relative above 1).
+cost component is within it of 0 is vertical.  Expected scores within
+TIE_TOL of the best tie, and the smallest tied report is picked (best
+responses over finite reports, the finite properties).  The searches of
+``convex`` bracket a finite domain inset by BRACKET_PAD of its span and an
+infinite one by doubling out to BRACKET_LIMIT, and a closed-form gradient
+inverse is attained within the same box; cost extraction's report window
+is inset by BRACKET_PAD of the report box's span too.  A bisection that
+does not run to adjacent floats stops at a bracket SEARCH_XTOL wide, and a
+best-response search (Brent's method) once its best probe is within
+2 SEARCH_XTOL / 3 plus a few ulps of both bracket ends; a search of one
+coordinate at a time cycles until a cycle moves no coordinate by more than
+SEARCH_XTOL or no longer raises the objective, for at most SEARCH_CYCLES
+cycles.  A gradient inversion in more than one dimension stops once its
+residual is within OPT_TOL and accepts its point within RESIDUAL_ACCEPT;
+openness counts a price target as reached, and cost extraction a
+translate as in the score range and its shares and costs as fitted, within
+RESIDUAL_ACCEPT (of their scale) too.  A bundle lies on a share lattice,
+and a vector in a subgroup sample, when it is within MEMBER_TOL of a
+member, and a sampled direction within MEMBER_TOL of zero is zero;
+securities are affinely independent at that rank tolerance, and cost
+extraction takes a difference vector as a new security when it leaves the
+span of the earlier ones by more than MEMBER_TOL of the largest
+difference.  A contract is cash when its payoff is constant within
+FLAT_TOL.  A grid verdict fails only past VERDICT_TOL (an IC argmax beyond
+a grid step of the property, a WCL grid sup above the closed-form bound),
+and a replayed witness reproduces when every number it recomputes is
+within VERDICT_TOL of the stored one (relative above 1).  Each constant
+names the test that fails once it moves 100-fold.
 """
 from __future__ import annotations
 
@@ -58,22 +57,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-STRUCT_TOL = 1e-12
-OPT_TOL = 1e-8
-TIE_TOL = 1e-12
-SEARCH_XTOL = 1e-10
-SEARCH_CYCLES = 200
-ATTAIN_TOL = 1e-9
-BRACKET_PAD = 1e-13
-BRACKET_LIMIT = 2.0 ** 200
-RESIDUAL_ACCEPT = 1e-6
-MEMBER_TOL = 1e-9
-PIVOT_TOL = 1e-9
-FIT_TOL = 1e-7
-WINDOW_PAD = 1e-6
-FLAT_TOL = 1e-9
-VERDICT_TOL = 1e-9
-REPLAY_TOL = 1e-9
+STRUCT_TOL = 1e-12  # pinned: tests/test_tolerances.py::test_struct_tol
+OPT_TOL = 1e-8  # pinned: tests/test_tolerances.py::test_opt_tol
+TIE_TOL = 1e-12  # pinned: tests/test_tolerances.py::test_tie_tol
+SEARCH_XTOL = 1e-10  # pinned: tests/test_tolerances.py::test_search_xtol
+SEARCH_CYCLES = 200  # pinned: tests/test_costmarket.py::TestBestResponse::test_two_securities_full_space
+BRACKET_PAD = 1e-13  # pinned: tests/test_cli.py::TestSessionCommand::test_ratio_session_bytes
+BRACKET_LIMIT = 2.0 ** 200  # pinned: tests/test_scoring_fast_paths.py::test_expectation_invert_share_equals_old_loop
+RESIDUAL_ACCEPT = 1e-6  # pinned: tests/test_tolerances.py::test_residual_accept
+MEMBER_TOL = 1e-9  # pinned: tests/test_tolerances.py::test_member_tol
+FLAT_TOL = 1e-9  # pinned: tests/test_tolerances.py::test_flat_tol
+VERDICT_TOL = 1e-9  # pinned: tests/test_tolerances.py::test_verdict_tol
 
 INF = math.inf
 
@@ -620,25 +614,22 @@ def project_cashless(d: Contract) -> tuple[Contract, float]:
     return d0, cash
 
 
-def contract_is_constant(d: Contract, tol: float = FLAT_TOL) -> tuple[bool, float]:
-    """Whether the payoff is constant within tol; returns (flag, level)."""
+def contract_is_constant(d: Contract) -> tuple[bool, float]:
+    """Whether the payoff is constant within FLAT_TOL; returns (flag, level)."""
     if d.values is not None:
         lvl = float(np.mean(d.values))
-        return bool(np.max(np.abs(d.values - lvl)) <= tol), lvl
+        return bool(np.max(np.abs(d.values - lvl)) <= FLAT_TOL), lvl
     lvl = d.pieces[0][0]
     lo, hi = contract_bounds(d)
-    return abs(lo - lvl) <= tol and abs(hi - lvl) <= tol, lvl
+    return abs(lo - lvl) <= FLAT_TOL and abs(hi - lvl) <= FLAT_TOL, lvl
 
 
-def contract_argmin(d: Contract) -> tuple[object, float, bool]:
-    """An outcome (nearly) attaining the infimum: (y, value, attained).
-
-    For unbounded-below contracts returns a deep probe outcome with
-    attained=False.
-    """
+def contract_argmin(d: Contract) -> tuple[object, float]:
+    """An outcome (nearly) attaining the infimum: (y, value); a deep probe
+    outcome for a contract unbounded below."""
     if d.values is not None:
         i = int(np.argmin(d.values))
-        return d.space.labels[i], float(d.values[i]), True
+        return d.space.labels[i], float(d.values[i])
     lo, _ = contract_bounds(d)
     if lo == -INF:
         # walk a probe outward until the payoff is very negative
@@ -648,7 +639,7 @@ def contract_argmin(d: Contract) -> tuple[object, float, bool]:
                 break
             y *= 4.0
         probe = y if d(y) <= d(-y) else -y
-        return probe, d(probe), False
+        return probe, d(probe)
     T = d.transform
     t = [T.lo_limit(), *map(T, d.ends), T.hi_limit()]
     best = (None, INF)
@@ -674,8 +665,7 @@ def contract_argmin(d: Contract) -> tuple[object, float, bool]:
             v = c0 + t * (c1 + t * c2)
             if v < best[1]:
                 best = (y, v)
-    attained = abs(best[1] - lo) <= ATTAIN_TOL * (1.0 + abs(lo))
-    return best[0], best[1], attained
+    return best
 
 
 # ---------------------------------------------------------------------------

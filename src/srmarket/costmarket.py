@@ -16,14 +16,12 @@ from itertools import product
 import numpy as np
 
 from .contracts import (
-    FIT_TOL,
+    BRACKET_PAD,
     INF,
     MEMBER_TOL,
-    PIVOT_TOL,
     RESIDUAL_ACCEPT,
     SEARCH_XTOL,
     STRUCT_TOL,
-    WINDOW_PAD,
     OutcomeSpace,
 )
 from .convex import (
@@ -509,11 +507,16 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
     is a lower-dimensional curve, not an additive subgroup; for scalar
     reports the witness adds a translate d + h of a cashless score h by a
     difference d that lies farther than RESIDUAL_ACCEPT from every
-    cashless score.
+    cashless score.  A grid of fewer than two distinct reports raises
+    ValueError: it holds no trade, so every rule would read as redundant.
     """
     if not rule.outcome_space.is_finite:
         raise ValueError("cost extraction needs a finite outcome space")
     reports = list(grid)
+    distinct = len({tuple(np.ravel(r).tolist()) for r in reports})
+    if distinct < 2:
+        raise ValueError(f"cost extraction needs at least two distinct "
+                         f"reports, not {distinct}")
     scores = rule.score_table(reports)
     n = scores.shape[1]
     h = scores - np.mean(scores, axis=1, keepdims=True)
@@ -534,7 +537,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
         for b in basis_orth:
             res = res - np.dot(res, b) * b
         norm = float(np.linalg.norm(res))
-        if norm > PIVOT_TOL * scale:
+        if norm > MEMBER_TOL * scale:
             basis.append(row.copy())
             basis_orth.append(res / norm)
     k = len(basis)
@@ -558,7 +561,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
             if isinstance(rule.report_space, BoxReports):
                 lo = float(rule.report_space.lo[0])
                 hi = float(rule.report_space.hi[0])
-                pad = WINDOW_PAD * (hi - lo)
+                pad = BRACKET_PAD * (hi - lo)
                 window = (max(window[0], lo + pad), min(window[1], hi - pad))
             d, hm = diffs[-1], h[len(h) // 2]
             dist, at = score_range_membership(rule, window)(d + hm)
@@ -574,7 +577,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
     sol = sol.T  # one row per report: (v_1..v_k, g)
     recon = sol @ a.T
     residual = float(np.max(np.abs(recon - (scores - scores[0]))))
-    if residual > FIT_TOL * scale:
+    if residual > RESIDUAL_ACCEPT * scale:
         return Extraction(ok=False, failure_step="rank",
                           witness={"solve_residual": residual},
                           reports=reports, k=k, phi=phi)
@@ -582,7 +585,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
     cost_values = -sol[:, k]
 
     gap, at = _lower_envelope_gap(shares, cost_values)
-    if gap > FIT_TOL * max(1.0, float(np.max(np.abs(cost_values)))):
+    if gap > RESIDUAL_ACCEPT * max(1.0, float(np.max(np.abs(cost_values)))):
         return Extraction(ok=False, failure_step="convexity",
                           witness={"report": repr(reports[at]),
                                    "share": shares[at].tolist(),

@@ -252,7 +252,7 @@ BELIEF = keyed("a belief", {
 SEARCH = Shape("the search block", keys={key: opt(shape) for key, shape in {
     "report_points": INT, "report_window": PAIR, "candidate_points": INT,
     "scenario_count": INT, "portfolio_count": INT, "portfolio_size": INT,
-    "ic_beliefs": INT, "epsilons": NONEMPTY_NUMBERS, "delta": NUMBER,
+    "ic_beliefs": INT, "delta": NUMBER,
     "lattice_bound": INT, "seed": count(0),
     "exhaustive_scenarios": Shape("true or false", lambda v: isinstance(v, bool)),
 }.items()})
@@ -297,7 +297,7 @@ COMMANDS = {
     "extract": Shape("the extract config", keys={
         "market": MARKET, "name": opt(TEXT), "expect_failure": opt(TEXT),
         "grid": opt(Shape("grid", pick=lambda v: Shape("the extract grid", keys={
-            "lo": NUMBER, "hi": NUMBER, "num": count(1)}) if isinstance(v, dict)
+            "lo": NUMBER, "hi": NUMBER, "num": count(2)}) if isinstance(v, dict)
             else Shape("a nonempty list of reports or the extract grid object",
                        _list(1), REPORT)))}),
     "figure": tagged("figure", "the figure config", "figure", {

@@ -20,7 +20,7 @@ from .contracts import (
     BRACKET_PAD,
     IDENTITY,
     INF,
-    PIVOT_TOL,
+    MEMBER_TOL,
     REAL_LINE,
     SEARCH_CYCLES,
     SEARCH_XTOL,
@@ -557,7 +557,7 @@ def payoff_table(phi, outcome_space: OutcomeSpace | None, dim: int,
         raise ValueError(f"phi must hold {dim} payoffs per outcome, one row "
                          f"per outcome, not shape {phi.shape}")
     if independent and np.linalg.matrix_rank(
-            phi - np.mean(phi, axis=0), tol=PIVOT_TOL) != dim:
+            phi - np.mean(phi, axis=0), tol=MEMBER_TOL) != dim:
         raise ValueError("securities must be affinely independent")
     return phi, outcome_space
 

@@ -4,7 +4,7 @@
 
 Both directories must hold the same file names.  In each file that differs,
 verdicts, witness keys, budgets and every word must be equal, and every
-number that changed must lie within REPLAY_TOL of the old one (relative
+number that changed must lie within VERDICT_TOL of the old one (relative
 above 1), the tolerance within which a replayed witness reproduces.  Axiom
 reports (``*.report.txt``) and JSON files are compared field by field;
 other files line by line, number by number.  Each changed number is printed
@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from srmarket.contracts import REPLAY_TOL
+from srmarket.contracts import VERDICT_TOL
 
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan)")
 
@@ -26,7 +26,7 @@ class Mismatch(AssertionError):
     """A difference that a declared number update may not make."""
 
 
-def _compare(old, new, where: str, changes: list, tol: float = REPLAY_TOL):
+def _compare(old, new, where: str, changes: list, tol: float = VERDICT_TOL):
     """Walk two JSON-like values: containers keep their keys and lengths,
     words stay equal, numbers move by at most tol * max(1, |old|)."""
     if isinstance(old, dict) and isinstance(new, dict):

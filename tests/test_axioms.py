@@ -461,6 +461,8 @@ class TestBTB:
         rep = check_btb(mode3(), finite_belief(mode3().outcome_space,
                                                [0.2, 0.5, 0.3]), 3, cfg=CFG)
         assert rep.verdict == "fails" and "delta" not in rep.witness
+        # no budgets given: BTB's default two
+        assert rep.budget["epsilons"] == [0.5, 0.05]
 
     def test_precondition_enforced(self):
         rule = mode3()
@@ -484,8 +486,6 @@ class TestBTB:
         p = finite_belief(rule.outcome_space, [0.2, 0.5, 0.3])
         with pytest.raises(ValueError, match="positive"):
             check_btb(rule, p, 3, epsilons=epsilons, cfg=CFG)
-        with pytest.raises(ValueError, match="positive"):
-            SearchConfig(epsilons=epsilons)
 
     def test_state_outside_the_reports_rejected(self):
         rule = mode3()

@@ -278,6 +278,26 @@ class TestExtractCommand:
             line = next(l for l in text.splitlines() if l.startswith(key + ":"))
             assert 0.0 <= float(line.split(": ")[1]) < 1e-8
 
+    @pytest.mark.parametrize("grid,reason", [
+        ({"lo": 0.1, "hi": 2.3, "num": 1}, "'num'"),
+        ([1.0, 1.0], "two distinct reports, not 1")])
+    def test_one_report_grid_exit_two(self, tmp_path, capsys, grid, reason):
+        # such a grid read as "all contracts are cash" and exited 1
+        cfg = {"name": "quad_extract",
+               "market": {"family": "expectation",
+                          "potential": {"name": "quadratic", "lo": [-2.0],
+                                        "hi": [3.0]},
+                          "phi": [0.0, 1.0, 2.5], "outcomes": [1, 2, 3]},
+               "grid": grid}
+        path = tmp_path / "quad_extract.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["extract", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert reason in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestFigureCommand:
     def test_mode_figure_values(self, tmp_path):
@@ -403,6 +423,8 @@ class TestMain:
         (lambda c: c.setdefault("search", {}).update(report_ponits=5),
          "report_ponits"),
         (lambda c: c.update(serach={}), "serach"),
+        # BTB's budgets live in the btb block alone
+        (lambda c: c["search"].update(epsilons=[-0.5]), "epsilons"),
         (lambda c: c["axioms"].remove("BTB") or c["expected"].pop("BTB"),
          "btb"),
         (lambda c: c.pop("r0"), "'r0'"),
@@ -411,9 +433,10 @@ class TestMain:
         (lambda c: c["btb"].update(state=2), "precondition")])
     def test_config_typo_exit_two(self, tmp_path, capsys, edit, reason):
         # a missing need, a misspelt search key, an unknown top-level key,
-        # a block no axiom run reads, WCL without its initial state, a
-        # market without its outcomes, an initial state outside the
-        # reports, and a BTB state at the belief's statistic
+        # budgets in the search block, a block no axiom run reads, WCL
+        # without its initial state, a market without its outcomes, an
+        # initial state outside the reports, and a BTB state at the
+        # belief's statistic
         cfg = load_config("mode_market")
         edit(cfg)
         path = tmp_path / "typo.json"

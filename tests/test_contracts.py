@@ -349,12 +349,10 @@ class TestHelpers:
 
     def test_argmin_finite(self):
         d = finite_contract(SPACE3, [0.5, -2.0, 1.0])
-        y, v, attained = contract_argmin(d)
-        assert (y, v, attained) == (2, -2.0, True)
+        assert contract_argmin(d) == (2, -2.0)
 
     def test_argmin_piecewise(self):
         d = piecewise_contract([0.0], [(1.0, 0.0, 0.0), (1.0, -2.0, 1.0)])
-        y, v, attained = contract_argmin(d)
-        assert attained
+        y, v = contract_argmin(d)
         assert v == pytest.approx(0.0, abs=1e-12)
         assert y == pytest.approx(1.0, abs=1e-9)

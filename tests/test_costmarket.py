@@ -231,14 +231,14 @@ class TestNeutralization:
     def test_single_bundle(self):
         v_star, held, net = neutralize(binary_lmsr_rule(), [2.0])
         assert v_star == -2.0
-        flat, cash = contract_is_constant(net, tol=1e-9)
+        flat, cash = contract_is_constant(net)
         assert flat
         assert cash - float(np.min(held.values)) > 0
 
     def test_portfolio_cancellation(self):
         v_star, _, net = neutralize(binary_lmsr_rule(), [2.0, -1.0, 3.0])
         assert v_star == pytest.approx(-4.0)
-        assert contract_is_constant(net, tol=1e-9)[0]
+        assert contract_is_constant(net)[0]
 
     def test_empty_sum_is_degenerate(self):
         rule = binary_lmsr_rule()
@@ -246,7 +246,7 @@ class TestNeutralization:
         assert abs(v_star) <= 1e-12
         costs = [rule.cost.value([1.0]) - rule.cost.value([0.0]),
                  rule.cost.value([0.0]) - rule.cost.value([1.0])]
-        flat, cash = contract_is_constant(net, tol=1e-9)
+        flat, cash = contract_is_constant(net)
         assert flat and cash == pytest.approx(-sum(costs), abs=1e-12)
 
     def test_mean_market_share_matching(self):
@@ -262,7 +262,7 @@ class TestNeutralization:
         [cand] = rule.matched_candidates([([(0.0, 2.0)], 5.0)])
         assert cand == pytest.approx(3.0, abs=1e-9)
         net = combine([held, rule.trade_contract(5.0, cand)], [1.0, 1.0])
-        flat, level = contract_is_constant(net, tol=1e-7)
+        flat, level = contract_is_constant(net)
         assert flat and level == pytest.approx(12.0, abs=1e-7)
         assert level > float(np.min(held.values))
 
@@ -404,6 +404,16 @@ class TestExtraction:
         assert not ext.ok
         assert ext.failure_step == "subgroup"
         assert ext.witness["kind"] == "sum"
+
+    @pytest.mark.parametrize("rule,grid", [
+        (ModeRule([1, 2, 3]), [2]),
+        (ExpectationRule(quadratic(1, lo=[-2.0], hi=[3.0]),
+                         phi=[[0.0], [1.0], [2.5]]), [1.0, 1.0])],
+        ids=["mode-one", "mean-repeated"])
+    def test_grid_of_one_distinct_report_rejected(self, rule, grid):
+        # a grid holds no trade: every rule read as redundant at the rank step
+        with pytest.raises(ValueError, match="two distinct reports, not 1"):
+            extract_cost_market(rule, grid)
 
     def test_constant_shift_rule_rejected_as_degenerate(self):
         from srmarket.scoring import FiniteRule

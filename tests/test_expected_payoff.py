@@ -47,7 +47,9 @@ def reference_expected_payoff(d, p):
     """E_p d(Y) on the real line, cell by cell as before the moment table:
     per cell, the CDF at both ends, interpolated with its end values set to
     0 and 1 as the moment table sets them, the piece from a bisection at the
-    lower end, and the power integrals of t."""
+    lower end, and the power integrals of t.  Each integral takes the
+    density before its coefficient: a tiny coefficient times a narrow
+    cell's width would round to a subnormal and lose its digits."""
     T = d.transform
     lo, hi = p.support()
     fs = np.array(p.fs)
@@ -63,15 +65,11 @@ def reference_expected_payoff(d, p):
         if dens == 0.0:
             continue
         i = max(bisect_right(los, a) - 1, 0)
-        c0, c1, c2 = d.pieces[i]
         cell = 0.0
-        if c0 != 0.0:
-            cell += c0 * power_integral(T, 0, a, b)
-        if c1 != 0.0:
-            cell += c1 * power_integral(T, 1, a, b)
-        if c2 != 0.0:
-            cell += c2 * power_integral(T, 2, a, b)
-        total.append(dens * cell)
+        for k, c in enumerate(d.pieces[i]):
+            if c != 0.0:
+                cell += c * (dens * power_integral(T, k, a, b))
+        total.append(cell)
     return float(math.fsum(total))
 
 

@@ -4,8 +4,8 @@ point that it replaced, kept here as the reference.
 
 The point sets hold 0 and every unit vector among their shares, as
 extraction's do (report 0 and each basis report), so they span the share
-space.  Both must give the same verdict at FIT_TOL, gaps within 1e-9 of the
-cost scale, and the same point wherever the largest gap leads the next by
+space.  Both must give the same verdict at RESIDUAL_ACCEPT, gaps within
+1e-9 of the cost scale, and the same point wherever the largest gap leads the next by
 more than that."""
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from srmarket.contracts import FIT_TOL
+from srmarket.contracts import RESIDUAL_ACCEPT
 from srmarket.costmarket import _lower_envelope_gap
 
 TOL = 1e-9
@@ -51,7 +51,8 @@ def assert_agrees(shares, costs) -> None:
     # the first point with the largest positive gap, as the loop picked it
     ref_at = int(np.argmax(gaps)) if np.max(gaps) > 0.0 else None
     ref = 0.0 if ref_at is None else float(gaps[ref_at])
-    assert (gap > FIT_TOL * scale) == (ref > FIT_TOL * scale), (gap, ref)
+    accept = RESIDUAL_ACCEPT * scale
+    assert (gap > accept) == (ref > accept), (gap, ref)
     assert abs(gap - ref) <= TOL * scale, (gap, ref)
     ranked = np.sort(gaps)[::-1]
     if ref > 0.0 and ranked[0] - ranked[1] > TOL * scale:
@@ -109,7 +110,7 @@ SCALES = st.sampled_from([1.0, 1e4, 1e8, 1e12])
 def test_convex_costs_sit_on_the_envelope(case, scale):
     shares, cost = case
     costs = scale * cost(shares)
-    assert _lower_envelope_gap(shares, costs)[0] <= FIT_TOL * max(
+    assert _lower_envelope_gap(shares, costs)[0] <= RESIDUAL_ACCEPT * max(
         1.0, float(np.max(np.abs(costs))))
     assert_agrees(shares, costs)
 

@@ -117,9 +117,8 @@ def test_validate_leaves_the_config_unchanged(name):
 
 @pytest.mark.parametrize("edit", [
     lambda c: c["btb"].update(epsilons=[-0.5]),
-    lambda c: c["btb"].update(epsilons=[0.5, 0.0]),
-    lambda c: c["search"].update(epsilons=[-0.5])],
-    ids=["btb", "btb-zero", "search"])
+    lambda c: c["btb"].update(epsilons=[0.5, 0.0])],
+    ids=["btb", "btb-zero"])
 def test_a_budget_that_is_not_positive_exits_two(edit):
     # BTB quantifies over budgets epsilon > 0; a negative one held its
     # verdict to `fails` with margin 0

@@ -2,16 +2,20 @@
 are re-exports, uses each name it imports, so a deletion leaves no import
 behind; no module imports ``scipy.optimize``, since the convex geometry
 (hull margins, report-space hulls, extraction's convexity certificate) is
-one Qhull routine; and no seeded sampler draws one item at a time: no call
-on a generator named ``rng`` sits in a loop or a comprehension, since one
-block of draws is the same stream as the items drawn one by one."""
+one Qhull routine; no seeded sampler draws one item at a time: no call on a
+generator named ``rng`` sits in a loop or a comprehension, since one block
+of draws is the same stream as the items drawn one by one; and every
+tolerance constant of ``contracts.py`` names, in a ``# pinned:`` comment on
+its line, a test under ``tests/`` that fails once it moves 100-fold."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "srmarket"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "srmarket"
 
 
 def unused_imports(source: str) -> list:
@@ -114,3 +118,61 @@ def test_no_module_draws_in_a_loop():
     found = {p.name: draws_in_loops(p.read_text())
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _number(node) -> bool:
+    """Whether an expression is number literals under arithmetic."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.UnaryOp):
+        return _number(node.operand)
+    return isinstance(node, ast.BinOp) and _number(node.left) and _number(node.right)
+
+
+def defines_test(test_id: str) -> bool:
+    """Whether ``path::[Class::]test[params]``, path from the repository
+    root, names a test function defined in that file (read by AST)."""
+    path, *names = test_id.split("::")
+    if not names or not (ROOT / path).is_file():
+        return False
+    body = ast.parse((ROOT / path).read_text()).body
+    for name in names[:-1]:
+        body = next((node.body for node in body if isinstance(node, ast.ClassDef)
+                     and node.name == name), [])
+    last = names[-1].split("[")[0]
+    return last.startswith("test") and any(
+        isinstance(node, ast.FunctionDef) and node.name == last for node in body)
+
+
+def unpinned_constants(source: str) -> list:
+    """The module-level upper-case names assigned a number, INF aside, whose
+    line names no defined test in a ``# pinned: <test id>`` comment."""
+    lines = source.splitlines()
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
+                isinstance(node.targets[0], ast.Name) and \
+                node.targets[0].id.isupper() and node.targets[0].id != "INF" and \
+                _number(node.value):
+            pin = re.search(r"# pinned: (\S+)", lines[node.end_lineno - 1])
+            if not (pin and defines_test(pin.group(1))):
+                found.append(node.targets[0].id)
+    return found
+
+
+def test_the_walk_flags_a_constant_with_no_pin():
+    here = "tests/test_source.py::"
+    assert unpinned_constants(
+        "import math\n"
+        "A_TOL = 1e-9\n"
+        f"B_TOL = -2.0 ** 3  # pinned: {here}test_no_such_test\n"
+        f"C_TOL = 1  # pinned: {here}test_the_walk_finds_an_unused_import\n"
+        f"D_TOL = 2  # pinned: {here}test_the_walk_finds_a_draw_in_a_loop[0]\n"
+        "E_TOL = 3  # pinned: tests/no_such_file.py::test_x\n"
+        "F_TOL = 4  # pinned: tests/test_source.py::TestNoSuchClass::test_x\n"
+        "INF = math.inf\nSPACE = object()\nlower = 1.0\n") == \
+        ["A_TOL", "B_TOL", "E_TOL", "F_TOL"]
+
+
+def test_every_tolerance_names_its_pinning_test():
+    assert unpinned_constants((PACKAGE / "contracts.py").read_text()) == []

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from srmarket.cli import build_rule, bundled_config_names, load_config
 from srmarket.contracts import (
+    FLAT_TOL,
     IDENTITY,
     INF,
     SIGMOID,
@@ -225,6 +226,6 @@ def near_flat(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(near_flat(), st.sampled_from([1e-9, 1e-7, 0.5]))
-def test_is_constant_matches_per_piece_loop(d, tol):
-    assert contract_is_constant(d, tol) == reference_is_constant(d, tol)
+@given(near_flat())
+def test_is_constant_matches_per_piece_loop(d):
+    assert contract_is_constant(d) == reference_is_constant(d, FLAT_TOL)
