@@ -693,6 +693,12 @@ class Belief:
             tab = self._moments[key] = MomentTable(self, transform)
         return tab
 
+    @cached_property
+    def pmf_list(self) -> list:
+        """The pmf as a list of Python floats, which one payoff row's
+        ``ordered_dot`` reads."""
+        return self.pmf.tolist()
+
     def quantile(self, alpha: float) -> float:
         """The unique x with CDF(x) = alpha (CDF strictly increasing on support)."""
         if not 0.0 < alpha < 1.0:
@@ -851,11 +857,24 @@ class MomentTable:
         return float(total)
 
 
+def ordered_dot(a, b) -> float:
+    """sum_j a[j] b[j] of two lists of Python floats, the products added
+    in the order of j, as ``convex._dots`` adds the columns of a table: one
+    payoff row and the same row of a table agree to the bit, whatever BLAS
+    numpy links.  A product or sum past the largest float is inf or nan,
+    without a warning."""
+    total = a[0] * b[0]
+    for j in range(1, len(a)):
+        total += a[j] * b[j]
+    return total
+
+
 def expected_payoff(d: Contract, p: Belief) -> float:
-    """E_p d(Y), exact for the supported representations: a dot product with
-    the pmf over a finite space, the belief's moment table on the real line."""
+    """E_p d(Y), exact for the supported representations: the payoffs times
+    the pmf, summed in the order of the outcomes (``ordered_dot``), over a
+    finite space, the belief's moment table on the real line."""
     if d.values is not None:
         if p.pmf is None or p.space.labels != d.space.labels:
             raise OutcomeMismatch("belief kind must match the outcome space")
-        return float(np.dot(d.values, p.pmf))
+        return ordered_dot(d.values.tolist(), p.pmf_list)
     return p.moments(d.transform).expectation(d.ends, d.pieces)

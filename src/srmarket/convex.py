@@ -32,6 +32,7 @@ from .contracts import (
     OPT_TOL,
     RESIDUAL_ACCEPT,
     logit,
+    ordered_dot,
 )
 
 
@@ -39,6 +40,15 @@ def _vec(x) -> np.ndarray:
     # np.atleast_1d, without its cost on the 1-D arrays most calls pass
     x = np.asarray(x, dtype=float)
     return x if x.ndim else x.reshape(1)
+
+
+def _floats(x) -> list:
+    """A number or a vector as a list of Python floats, the argument of a
+    potential's scalar forms; a numpy float becomes a Python float, whose
+    arithmetic never warns."""
+    if isinstance(x, float):
+        return [float(x)]
+    return np.asarray(x, dtype=float).reshape(-1).tolist()
 
 
 def _libm(f, x: np.ndarray) -> np.ndarray:
@@ -50,14 +60,22 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class ConvexFn:
-    """A convex function on a box domain with a chosen subgradient selection."""
+    """A convex function on a box domain with a chosen subgradient selection.
+
+    The scalar forms ``value_fn``, ``grad_fn`` and ``closure_fn`` take one
+    point as a list of ``dim`` Python floats; the value and the closure
+    return a Python float, the gradient a list of ``dim`` Python floats, so
+    a rule scores one report without numpy (a form may use numpy inside).
+    ``value``, ``grad`` and ``value_closure`` call them on a number, a
+    sequence or an array, ``grad`` returning an array.  An array form must
+    equal its scalar form row by row to the bit."""
 
     dim: int
-    value_fn: Callable[[np.ndarray], float]
-    grad_fn: Callable[[np.ndarray], np.ndarray]
+    value_fn: Callable[[list], float]
+    grad_fn: Callable[[list], list]
     lo: np.ndarray
     hi: np.ndarray
-    closure_fn: Callable[[np.ndarray], float] | None = None
+    closure_fn: Callable[[list], float] | None = None
     # vertices of a polytope that bounds the domain inside the box
     vertices: np.ndarray | None = None
     # the inverse of the gradient in closed form, when the potential has one:
@@ -73,10 +91,10 @@ class ConvexFn:
     interior: tuple | None = None
 
     def value(self, x) -> float:
-        return float(self.value_fn(_vec(x)))
+        return float(self.value_fn(_floats(x)))
 
     def grad(self, x) -> np.ndarray:
-        return np.asarray(self.grad_fn(_vec(x)), dtype=float)
+        return np.array(self.grad_fn(_floats(x)), dtype=float)
 
     def values(self, xs) -> np.ndarray:
         """``value`` of each row of xs, an (N, dim) array; an overflow is
@@ -99,31 +117,20 @@ class ConvexFn:
     def value_closure(self, x) -> float:
         """Value extended by limits to the domain boundary where defined."""
         if self.closure_fn is not None:
-            return float(self.closure_fn(_vec(x)))
+            return float(self.closure_fn(_floats(x)))
         return self.value(x)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_j a[..., j] * b[..., j], broadcast, with the products added in
-    the order of j.  BLAS may fuse a product into the sum or order the
-    terms by the shape of its input; added in order, a score row and the
-    same row of a score table agree to the bit."""
+    the order of j, as ``contracts.ordered_dot`` adds them in Python floats.
+    BLAS may fuse a product into the sum or order the terms by the shape of
+    its input and the CPU it detects; added in order, a score row and the
+    same row of a score table agree to the bit on any host."""
     out = a[..., 0] * b[..., 0]
     for j in range(1, a.shape[-1]):
         out = out + a[..., j] * b[..., j]
     return out
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """``_dots`` of two vectors as a float, without numpy's overflow
-    warning: a product past the largest float is inf or nan, which the
-    scoring layer rejects as ``PayoffOverflow``.  Vectors of one entry,
-    every scalar potential's, multiply as Python floats, which never
-    warn."""
-    if len(a) == 1:
-        return float(a[0]) * float(b[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_dots(a, b))
 
 
 def _box(dim, lo, hi):
@@ -139,8 +146,8 @@ def quadratic(dim: int = 1, lo=None, hi=None) -> ConvexFn:
     lo, hi = _box(dim, lo, hi)
     return ConvexFn(
         dim=dim,
-        value_fn=lambda x: _dot(x, x),
-        grad_fn=lambda x: 2.0 * x,
+        value_fn=lambda x: ordered_dot(x, x),
+        grad_fn=lambda x: [2.0 * v for v in x],
         lo=lo, hi=hi,
         grad_inverse=lambda ts: 0.5 * ts,
         values_fn=lambda xs: _dots(xs, xs),
@@ -213,7 +220,7 @@ def interval_negentropy(lo: float, hi: float) -> ConvexFn:
     return ConvexFn(
         dim=1,
         value_fn=val,
-        grad_fn=lambda x: np.array([logit((x[0] - lo) / span) / span]),
+        grad_fn=lambda x: [logit((x[0] - lo) / span) / span],
         lo=np.array([lo]), hi=np.array([hi]),
         closure_fn=clo,
         grad_inverse=lambda ts: lo + span * _sigmoids(span * ts),
@@ -233,17 +240,18 @@ def simplex_negentropy(k: int) -> ConvexFn:
     """
 
     def val(x):
+        x = np.array(x)
         x0 = 1.0 - float(np.sum(x))
         return float(np.sum(x * np.log(x))) + x0 * math.log(x0)
 
     def grad(x):
         x0 = 1.0 - float(np.sum(x))
         if x0 <= 0.0:
-            return np.full(k, np.nan)
-        return np.log(x) - math.log(x0)
+            return [math.nan] * k
+        return (np.log(x) - math.log(x0)).tolist()
 
     def clo(x):
-        parts = list(x) + [1.0 - float(np.sum(x))]
+        parts = x + [1.0 - float(np.sum(x))]
         return sum(p * math.log(p) for p in parts if p > 0.0)
 
     def vals(xs):
@@ -282,16 +290,16 @@ def log_partition(phi: np.ndarray) -> ConvexFn:
     n, k = phi.shape
 
     def val(q):
-        w = _dots(phi, q)
+        w = _dots(phi, np.array(q))
         m = float(np.max(w))
         return m + math.log(float(np.sum(np.exp(w - m))))
 
     def grad(q):
-        w = _dots(phi, q)
+        w = _dots(phi, np.array(q))
         w = w - np.max(w)
         e = np.exp(w)
         p = e / np.sum(e)
-        return _dots(phi.T, p)
+        return _dots(phi.T, p).tolist()
 
     def shifted(qs):
         # the exponents of each row, and their largest

@@ -23,11 +23,13 @@ from .contracts import (
     SEARCH_XTOL,
     STRUCT_TOL,
     OutcomeSpace,
+    ordered_dot,
 )
 from .convex import (
     ConvexFn,
     FlatHull,
     _dots,
+    _floats,
     _vec,
     binary_lmsr_cost,
     golden_max,
@@ -171,7 +173,7 @@ class CostRule(ScoringRule):
 
     def property_value(self, p):
         """Share state whose prices match E_p phi (full-space markets)."""
-        target = p.pmf @ self.phi
+        target = _dots(self.phi.T, p.pmf)
         q = invert_gradient(self.cost, target, SEARCH_XTOL)
         if q is None:
             raise ValueError("expected security payoff outside the price range")
@@ -197,9 +199,9 @@ class CostRule(ScoringRule):
     def loss_bound(self, r0) -> float | None:
         if self.conjugate_closure_values is None:
             return None
-        q0 = _vec(r0)
-        vals = [g - float(np.dot(q0, row))
-                for g, row in zip(self.conjugate_closure_values, self.phi)]
+        q0 = _floats(r0)
+        vals = [g - ordered_dot(q0, row)
+                for g, row in zip(self.conjugate_closure_values, self.phi.tolist())]
         return max(vals) + self.cost.value(q0)
 
 
@@ -535,7 +537,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
     for row in diffs[1:]:
         res = row.copy()
         for b in basis_orth:
-            res = res - np.dot(res, b) * b
+            res = res - _dots(res, b) * b
         norm = float(np.linalg.norm(res))
         if norm > MEMBER_TOL * scale:
             basis.append(row.copy())

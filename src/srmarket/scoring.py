@@ -34,12 +34,13 @@ from .contracts import (
     Transform,
     combine,
     finite_contract,
+    ordered_dot,
     stack_pieces,
 )
 from .convex import (
     ConvexFn,
-    _dot,
     _dots,
+    _floats,
     _libm,
     _vec,
     bisect,
@@ -153,7 +154,8 @@ class RealReports:
 
 class ScoringRule:
     """A rule defines ``score_contract``, or the form it wraps: ``score_row``
-    over a finite outcome space, ``score_pieces`` on the real line."""
+    or ``score_list`` over a finite outcome space, ``score_pieces`` on the
+    real line."""
 
     family = "abstract"
 
@@ -206,7 +208,7 @@ class ScoringRule:
         """The payoff contract of report r; payoffs or piece coefficients
         that overflow raise ``PayoffOverflow``."""
         if self.outcome_space.is_finite:
-            return finite_contract(self.outcome_space, self.score_row(r))
+            return finite_contract(self.outcome_space, self.score_list(r))
         ends, coeffs = self.score_pieces(r)
         if not all(math.isfinite(v) for c in coeffs for v in c):
             raise PayoffOverflow("payoffs must be finite")
@@ -218,6 +220,11 @@ class ScoringRule:
         ``score_contract`` wraps before it checks them for finiteness.
         Validates r."""
         return self.score_contract(r).values
+
+    def score_list(self, r) -> list:
+        """``score_row`` as a list of Python floats, which ``expected_score``
+        sums.  Validates r."""
+        return self.score_row(r).tolist()
 
     def score_pieces(self, r) -> tuple:
         """``(ends, coeffs)`` of report r's real-line score: P pieces, each
@@ -273,14 +280,22 @@ class ScoringRule:
         return p.pmf
 
     def expected_score(self, r, p: Belief) -> float:
+        """E_p S(r, Y): over a finite space the payoffs times the pmf summed
+        in Python floats in the order of the outcomes, as ``stack_scores``
+        sums each row of a table; a payoff that overflows raises
+        ``PayoffOverflow``."""
         if self.outcome_space.is_finite:
-            return _finite_values([self.score_row(r)], self._pmf(p))[0]
+            self._pmf(p)
+            val = ordered_dot(self.score_list(r), p.pmf_list)
+            if not math.isfinite(val):
+                raise PayoffOverflow("payoffs must be finite")
+            return val
         ends, coeffs = self.score_pieces(r)
         return p.moments(self.transform).expectation(ends, coeffs)
 
     def stack_scores(self, stack: tuple, transform, p: Belief) -> np.ndarray:
-        """E_p of each row of a ``score_stack``: one dot product per payoff
-        row over a finite space, and on the real line one
+        """E_p of each row of a ``score_stack``: one ``_finite_values`` sum
+        of the payoff table over a finite space, and on the real line one
         ``MomentTable.expectation`` per row of the belief's table, fetched
         once.  A belief of the other kind raises ``OutcomeMismatch``, even
         for an empty stack."""
@@ -412,9 +427,12 @@ def score_difference(new: Contract, old: Contract) -> Contract:
 
 
 def _finite_values(rows, pmf: np.ndarray) -> list:
-    """E_p of each payoff row, ``float(np.dot(row, pmf))``; a row holding
-    inf or nan makes its value non-finite and raises."""
-    vals = [float(np.dot(row, pmf)) for row in rows]
+    """E_p of each row of an (R, n) payoff table: one ``_dots`` sum over the
+    outcomes, in their order, so a row's value is its ``ordered_dot`` with
+    the pmf to the bit; a row holding inf or nan makes its value
+    non-finite and raises, without numpy's warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _dots(np.asarray(rows, dtype=float), pmf).tolist()
     if not all(map(math.isfinite, vals)):
         raise PayoffOverflow("payoffs must be finite")
     return vals
@@ -431,7 +449,7 @@ def _coordinate_max(f, x0: np.ndarray, box: BoxReports) -> np.ndarray:
     lo = np.asarray(box.lo, dtype=float)
     hi = np.asarray(box.hi, dtype=float)
     pad = BRACKET_PAD * (hi - lo)
-    # the search region as rows of normals @ x <= limits
+    # the search region as rows of normals . x <= limits
     eye = np.eye(len(x0))
     normals, limits = np.vstack([eye, -eye]), np.concatenate([hi - pad, pad - lo])
     if box._facets is not None:
@@ -441,9 +459,10 @@ def _coordinate_max(f, x0: np.ndarray, box: BoxReports) -> np.ndarray:
 
     def line_max(x, d):
         # x + s d stays in the region for s between the bounds each row sets;
-        # the box's rows bound s on both sides for any d != 0
-        slope = normals @ d
-        room = limits - normals @ x
+        # the box's rows bound s on both sides for any d != 0; products
+        # summed in order, so the probes do not move with the BLAS kernel
+        slope = _dots(normals, d)
+        room = limits - _dots(normals, x)
         s_lo = float(np.max(room[slope < 0.0] / slope[slope < 0.0]))
         s_hi = float(np.min(room[slope > 0.0] / slope[slope > 0.0]))
         if not s_lo < s_hi:
@@ -512,7 +531,7 @@ class FiniteRule(ScoringRule):
         return self.matrix[[self._row(r) for r in reports]]
 
     def property_value(self, p: Belief):
-        expected = self.matrix @ p.pmf
+        expected = _dots(self.matrix, p.pmf)
         best = float(np.max(expected))
         return tuple(lbl for lbl, v in zip(self.report_space.labels, expected)
                      if best - v <= TIE_TOL)
@@ -583,11 +602,16 @@ class PotentialRule(ScoringRule):
     matches = frozenset({"WN"})
 
     def _affine(self, r) -> tuple:
-        """G(r) - dG_r . r and dG_r: an expectation score is the first plus
-        dG_r . phi(y), a ratio score b(y) times the first plus dG_r . phi(y)."""
-        rv = self._r(r)
-        dg = self.potential.grad(rv)
-        return self.potential.value(rv) - _dot(dg, rv), dg
+        """G(r) - dG_r . r and dG_r, from the potential's scalar forms in
+        Python floats: an expectation score is the first plus dG_r . phi(y),
+        a ratio score b(y) times the first plus dG_r . phi(y).  Validates r."""
+        self.validate_report(r)
+        x = _floats(r)
+        dg = self.potential.grad_fn(x)
+        return self.potential.value_fn(x) - ordered_dot(dg, x), dg
+
+    def score_row(self, r) -> np.ndarray:
+        return np.array(self.score_list(r))
 
     def _affines(self, reports: list) -> tuple:
         """``_affine`` of each report, as an (R,) and an (R, k) array."""
@@ -629,6 +653,7 @@ class ExpectationRule(PotentialRule):
             self.phi, self.outcome_space = payoff_table(
                 phi, outcome_space, potential.dim, independent=False)
             _inside_domain(potential, self.phi)
+            self._phi_rows = self.phi.tolist()
             if report_space is None:
                 # the box phi spans, cut to the potential's polytope domain
                 lo = tuple(float(v) for v in np.min(self.phi, axis=0))
@@ -640,9 +665,9 @@ class ExpectationRule(PotentialRule):
 
     matches = frozenset({"WN", "TN", "PN"})
 
-    def score_row(self, r) -> np.ndarray:
+    def score_list(self, r) -> list:
         base, dg = self._affine(r)
-        return base + _dots(self.phi, dg)
+        return [base + ordered_dot(dg, row) for row in self._phi_rows]
 
     def score_rows(self, reports: list) -> np.ndarray:
         base, dg = self._affines(reports)
@@ -650,7 +675,7 @@ class ExpectationRule(PotentialRule):
 
     def score_pieces(self, r) -> tuple:
         base, dg = self._affine(r)
-        return (), ((base, float(dg[0]), 0.0),)
+        return (), ((base, dg[0], 0.0),)
 
     def piece_rows(self, reports: list) -> tuple:
         base, dg = self._affines(reports)
@@ -659,7 +684,7 @@ class ExpectationRule(PotentialRule):
     def property_value(self, p: Belief):
         if self.phi is None:
             return p.mean()
-        out = p.pmf @ self.phi
+        out = _dots(self.phi.T, p.pmf)
         return float(out[0]) if self.k == 1 else out
 
     def loss_bound(self, r0) -> float | None:
@@ -815,6 +840,7 @@ class RatioRule(PotentialRule):
         if self.b.shape != (self.outcome_space.n,) or np.min(self.b) <= 0:
             raise ValueError("denominator payoffs must be strictly positive, "
                              "one per outcome")
+        self._phi_rows, self._b_list = self.phi.tolist(), self.b.tolist()
         # the elicited ratio lives in the convex hull of phi(y)/b(y)
         with np.errstate(over="ignore"):
             ratios = self.phi / self.b[:, None]
@@ -826,17 +852,18 @@ class RatioRule(PotentialRule):
                 interior=potential.interior)
         self.report_space = report_space
 
-    def score_row(self, r) -> np.ndarray:
+    def score_list(self, r) -> list:
         base, dg = self._affine(r)
-        return self.b * base + _dots(self.phi, dg)
+        return [bb * base + ordered_dot(dg, row)
+                for bb, row in zip(self._b_list, self._phi_rows)]
 
     def score_rows(self, reports: list) -> np.ndarray:
         base, dg = self._affines(reports)
         return self.b * base[:, None] + _dots(dg[:, None, :], self.phi)
 
     def property_value(self, p: Belief):
-        num = p.pmf @ self.phi
-        den = float(p.pmf @ self.b)
+        num = _dots(self.phi.T, p.pmf)
+        den = ordered_dot(self._b_list, p.pmf_list)
         out = num / den
         return float(out[0]) if self.k == 1 else out
 

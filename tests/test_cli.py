@@ -174,28 +174,29 @@ class TestSessionCommand:
     def test_ratio_session_bytes(self, tmp_path):
         # a finite-market session: three pmf traders on the ratio market;
         # the report's bytes are pinned, and its ledger lines replay
-        cfg = {
-            "name": "ratio_session",
-            "market": {"family": "ratio",
-                       "potential": {"name": "interval_negentropy",
-                                     "lo": 0.0, "hi": 3.0},
-                       "phi": [0.0, 1.0, 3.0], "b": [2.0, 1.0, 1.0],
-                       "outcomes": [1, 2, 3]},
-            "r0": 1.0,
-            "traders": [
-                {"id": "t1", "belief": {"pmf": [0.2, 0.5, 0.3]}},
-                {"id": "t2", "belief": {"pmf": [0.6, 0.1, 0.3]}},
-                {"id": "t1", "belief": {"pmf": [0.3, 0.3, 0.4]}},
-            ],
-            "outcome": 3,
-        }
-        assert run_session(cfg, str(tmp_path)) == 0
+        assert run_session(RATIO_SESSION_CONFIG, str(tmp_path)) == 0
         text = (tmp_path / "ratio_session__session.txt").read_text()
         assert text == RATIO_SESSION
         lines = text.split("\nledger:\n")[1].split("\nsettlement:\n")[0].splitlines()
-        replayed = MarketSession.replay(build_rule(cfg["market"]), 1.0, lines)
+        replayed = MarketSession.replay(
+            build_rule(RATIO_SESSION_CONFIG["market"]), 1.0, lines)
         assert replayed.ledger_lines() == lines
 
+
+RATIO_SESSION_CONFIG = {
+    "name": "ratio_session",
+    "market": {"family": "ratio",
+               "potential": {"name": "interval_negentropy", "lo": 0.0, "hi": 3.0},
+               "phi": [0.0, 1.0, 3.0], "b": [2.0, 1.0, 1.0],
+               "outcomes": [1, 2, 3]},
+    "r0": 1.0,
+    "traders": [
+        {"id": "t1", "belief": {"pmf": [0.2, 0.5, 0.3]}},
+        {"id": "t2", "belief": {"pmf": [0.6, 0.1, 0.3]}},
+        {"id": "t1", "belief": {"pmf": [0.3, 0.3, 0.4]}},
+    ],
+    "outcome": 3,
+}
 
 RATIO_SESSION = """\
 # tool: srmarket 0.1.0
@@ -203,13 +204,13 @@ RATIO_SESSION = """\
 # config_sha256: d25af9b771b46e05
 
 ledger:
-{"index": 0, "r_new": 1.1666666874398206, "r_old": 1.0, "trader": "t1"}
-{"index": 1, "r_new": 0.6250000014260622, "r_old": 1.1666666874398206, "trader": "t2"}
-{"index": 2, "r_new": 1.1538461558418303, "r_old": 0.6250000014260622, "trader": "t1"}
+{"index": 0, "r_new": 1.1666666755332822, "r_old": 1.0, "trader": "t1"}
+{"index": 1, "r_new": 0.6250000024675644, "r_old": 1.1666666755332822, "trader": "t2"}
+{"index": 2, "r_new": 1.1538461589634819, "r_old": 0.6250000024675644, "trader": "t1"}
 settlement:
-{"maker_loss": 0.14310084537025947, "outcome": 3, "payoffs": [["t1", 0.7672551699671143], \
-["t2", -0.6241543245968548]], "telescoped_loss": 0.14310084537025947}
-worst_case_loss: 0.14310084537025947
+{"maker_loss": 0.1431008480756909, "outcome": 3, "payoffs": [["t1", 0.767255160800538], \
+["t2", -0.6241543127248471]], "telescoped_loss": 0.1431008480756909}
+worst_case_loss: 0.1431008480756909
 path_independence: holds (margin 0.0)
 """
 

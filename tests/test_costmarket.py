@@ -66,10 +66,10 @@ def capped_cost():
     def grad(q):
         q = q[0]
         if q <= -1.0:
-            return np.array([0.0])
+            return [0.0]
         if q < 3.0:
-            return np.array([(q + 1.0) / 4.0])
-        return np.array([1.0])
+            return [(q + 1.0) / 4.0]
+        return [1.0]
 
     return line_fn(val, grad)
 
@@ -158,7 +158,7 @@ class TestTrading:
         rule = binary_lmsr_rule()
         c = rule.cost
         mirrored = CostRule(
-            line_fn(lambda q: c.value(-q), lambda q: -c.grad(-q)),
+            line_fn(lambda q: c.value([-q[0]]), lambda q: [-c.grad([-q[0]])[0]]),
             rule.phi, rule.outcome_space)
         phi = rule.phi[:, 0]
         for q, qp in ((0.0, 1.5), (-2.0, 0.7), (1.0, -1.0)):
@@ -460,7 +460,7 @@ class TestExtraction:
         # sin(6x) is concave near 0.9: the cost point of that report sits
         # above the lower convex envelope of the others
         fn = line_fn(lambda x: math.sin(6.0 * x[0]),
-                     lambda x: np.array([6.0 * math.cos(6.0 * x[0])]), 0.0, 1.0)
+                     lambda x: [6.0 * math.cos(6.0 * x[0])], 0.0, 1.0)
         rule = ExpectationRule(fn, phi=[[0.0], [1.0]])
         ext = extract_cost_market(rule, [k / 10 for k in range(1, 10)])
         assert not ext.ok and ext.failure_step == "convexity" and ext.k == 1

@@ -133,7 +133,7 @@ class CashBonus(ScoringRule):
 def quadratic_mean_rule(a: float, b: float) -> ExpectationRule:
     """Mean rule of the potential G(x) = a x^2 + b x."""
     pot = ConvexFn(dim=1, value_fn=lambda x: float(a * x[0] ** 2 + b * x[0]),
-                   grad_fn=lambda x: 2.0 * a * x + b,
+                   grad_fn=lambda x: [2.0 * a * x[0] + b],
                    lo=np.array([-INF]), hi=np.array([INF]))
     return ExpectationRule(pot)
 

@@ -4,9 +4,13 @@ behind; no module imports ``scipy.optimize``, since the convex geometry
 (hull margins, report-space hulls, extraction's convexity certificate) is
 one Qhull routine; no seeded sampler draws one item at a time: no call on a
 generator named ``rng`` sits in a loop or a comprehension, since one block
-of draws is the same stream as the items drawn one by one; and every
+of draws is the same stream as the items drawn one by one; every
 tolerance constant of ``contracts.py`` names, in a ``# pinned:`` comment on
-its line, a test under ``tests/`` that fails once it moves 100-fold."""
+its line, a test under ``tests/`` that fails once it moves 100-fold; and no
+expectation goes through BLAS: no module calls ``np.dot``, and no ``@`` or
+``np.matmul`` takes a belief's ``.pmf``, since a BLAS kernel orders the
+products by the CPU it detects (``ordered_dot`` and ``_dots`` sum in the
+order of the outcomes)."""
 
 import ast
 import re
@@ -176,3 +180,52 @@ def test_the_walk_flags_a_constant_with_no_pin():
 
 def test_every_tolerance_names_its_pinning_test():
     assert unpinned_constants((PACKAGE / "contracts.py").read_text()) == []
+
+
+def _is_pmf(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "pmf"
+
+
+def _is_np(node, name: str) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == name and \
+        isinstance(node.value, ast.Name) and node.value.id == "np"
+
+
+def blas_products(source: str) -> list:
+    """The line numbers of the calls ``np.dot(...)``, and of the products
+    ``a @ b`` and ``np.matmul(a, b)`` with an operand ``<expr>.pmf``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _is_np(node.func, "dot"):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and _is_np(node.func, "matmul") and \
+                any(map(_is_pmf, node.args)):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+                and (_is_pmf(node.left) or _is_pmf(node.right)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source", [
+    "v = float(np.dot(row, pmf))\n",
+    "def f(a, b):\n    return a - np.dot(a, b) * b\n",
+    "expected = self.matrix @ p.pmf\n",
+    "num = p.pmf @ self.phi\n",
+    "x = np.matmul(rule.phi.T, belief.pmf)\n",
+])
+def test_the_walk_finds_a_blas_product(source):
+    assert blas_products(source) != []
+
+
+def test_the_walk_passes_ordered_sums_and_other_products():
+    assert blas_products(
+        "v = ordered_dot(row, p.pmf_list)\nw = _dots(self.phi.T, p.pmf)\n"
+        "x = normals @ d\ny = np.matmul(a, xs[..., None])\nz = a.dot(b)\n"
+        "pmf = p.pmf\n") == []
+
+
+def test_no_module_takes_an_expectation_through_blas():
+    found = {p.name: blas_products(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

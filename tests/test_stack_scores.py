@@ -2,7 +2,9 @@
 row of a ``score_stack``, and ``grid_scores`` is it on the reports' stack.
 Each value must equal ``expected_score`` of its report bit for bit, on
 either outcome kind, and a finite grid must reject its reports as the
-row-by-row path it replaced did."""
+row-by-row path it replaced did.  Over a finite space one report's payoff
+row, scored in Python floats, must equal its row of the score table bit for
+bit, and ``expected_payoff`` of its contract its expected score."""
 
 import numpy as np
 import pytest
@@ -17,9 +19,15 @@ from srmarket.contracts import (
     OutcomeMismatch,
     OutcomeSpace,
     PayoffOverflow,
+    expected_payoff,
     finite_belief,
 )
-from srmarket.convex import binary_negentropy, interval_negentropy
+from srmarket.convex import (
+    binary_negentropy,
+    interval_negentropy,
+    quadratic,
+    simplex_negentropy,
+)
 from srmarket.costmarket import binary_lmsr_rule, discretized_lmsr_rule
 from srmarket.scoring import (
     ExpectationRule,
@@ -32,13 +40,16 @@ from srmarket.scoring import (
     _finite_values,
 )
 
-NAMED_FINITE = st.sampled_from([
+NAMED_FINITE_RULES = [
     ModeRule(4),
     ExpectationRule(binary_negentropy(), phi=[[0.0], [1.0]]),
+    ExpectationRule(simplex_negentropy(2), phi=[[0, 0], [1, 0], [0, 1]]),
+    ExpectationRule(quadratic(1, lo=[-2.0], hi=[3.0]), phi=[0.0, 1.0, 2.5]),
     RatioRule(interval_negentropy(0.0, 3.0), [0.0, 1.0, 3.0], [2.0, 1.0, 1.0]),
     binary_lmsr_rule(),
     discretized_lmsr_rule(),
-])
+]
+NAMED_FINITE = st.sampled_from(NAMED_FINITE_RULES)
 
 
 @st.composite
@@ -68,6 +79,18 @@ def test_grid_scores_are_expected_scores_bit_for_bit(case, seed):
         want = [rule.expected_score(r, p) for r in reports]
         assert bits(rule.grid_scores(reports, p)) == bits(want)
         assert bits(rule.stack_scores(*rule.score_stack(reports), p)) == bits(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=finite_cases(), seed=st.integers(0, 2 ** 16))
+def test_one_report_is_its_table_row_bit_for_bit(case, seed):
+    rule, reports = case
+    for r in reports:
+        assert bits(rule.score_row(r)) == bits(rule.score_rows([r])[0])
+    for p in random_beliefs_for(rule, np.random.default_rng(seed), 3):
+        for r in reports:
+            assert bits(expected_payoff(rule.score_contract(r), p)) == \
+                bits(rule.expected_score(r, p))
 
 
 def row_by_row(rule, reports, p):
