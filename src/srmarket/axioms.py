@@ -41,6 +41,7 @@ from .contracts import (
     trade_leg,
     uniform_belief,
 )
+from .convex import _vec
 from .costmarket import (
     CostRule,
     check_open,
@@ -55,6 +56,7 @@ from .scoring import (
     FiniteReports,
     RealReports,
     ScoringRule,
+    as_report,
 )
 
 
@@ -278,9 +280,7 @@ def _ic_gap(pick, gamma) -> float:
     property 0 inside the set and 1 outside it."""
     if isinstance(gamma, tuple):
         return 0.0 if pick in gamma else 1.0
-    return float(np.max(np.abs(
-        np.atleast_1d(np.asarray(pick, dtype=float)) -
-        np.atleast_1d(np.asarray(gamma, dtype=float)))))
+    return float(np.max(np.abs(_vec(pick) - _vec(gamma))))
 
 
 def check_arb(rule: ScoringRule, grid=None,
@@ -432,8 +432,7 @@ def _local_candidates(rule: ScoringRule, r2, cfg: SearchConfig) -> list:
     """A scenario's own candidate trade targets after the analytic one: the
     share lattice around the state r2, or local moves around it."""
     if getattr(getattr(rule, "shares", None), "is_lattice", False):
-        base_q = np.atleast_1d(np.asarray(r2, dtype=float))
-        return [float((base_q + w)[0]) if len(w) == 1 else base_q + w
+        return [as_report(_vec(r2) + w)
                 for w in rule.shares.lattice_points(cfg.lattice_bound)]
     # local moves around the state: small trades are the improving ones for
     # share-like markets whose cash is itself a security
@@ -676,13 +675,10 @@ def btb_candidates(rule: ScoringRule, belief: Belief, state) -> list:
         at_target = target == state
         candidates = [r for r in rule.report_space.labels if r != state]
     else:
-        t_arr = np.atleast_1d(np.asarray(target, dtype=float))
-        s_arr = np.atleast_1d(np.asarray(state, dtype=float))
+        t_arr, s_arr = _vec(target), _vec(state)
         at_target = float(np.max(np.abs(t_arr - s_arr))) <= STRUCT_TOL
-        candidates = []
-        for i in range(55):
-            cand = s_arr + (t_arr - s_arr) * (0.5 ** i)
-            candidates.append(cand if len(cand) > 1 else float(cand[0]))
+        candidates = [as_report(s_arr + (t_arr - s_arr) * (0.5 ** i))
+                      for i in range(55)]
     if at_target:
         raise ValueError("precondition: the belief's statistic differs "
                          "from the market state")

@@ -22,29 +22,29 @@ TIE_TOL of the best tie, and the smallest tied report is picked (best
 responses over finite reports, the finite properties).  The searches of
 ``convex`` bracket a finite domain inset by BRACKET_PAD of its span and an
 infinite one by doubling out to BRACKET_LIMIT, and a closed-form gradient
-inverse is attained within the same box; cost extraction's report window
-is inset by BRACKET_PAD of the report box's span too.  A bisection that
-does not run to adjacent floats stops at a bracket SEARCH_XTOL wide, and a
-best-response search (Brent's method) once its best probe is within
-2 SEARCH_XTOL / 3 plus a few ulps of both bracket ends; a search of one
-coordinate at a time cycles until a cycle moves no coordinate by more than
-SEARCH_XTOL or no longer raises the objective, for at most SEARCH_CYCLES
-cycles.  A gradient inversion in more than one dimension stops once its
-residual is within OPT_TOL and accepts its point within RESIDUAL_ACCEPT;
-openness counts a price target as reached, and cost extraction a
-translate as in the score range and its shares and costs as fitted, within
-RESIDUAL_ACCEPT (of their scale) too.  A bundle lies on a share lattice,
-and a vector in a subgroup sample, when it is within MEMBER_TOL of a
-member, and a sampled direction within MEMBER_TOL of zero is zero;
-securities are affinely independent at that rank tolerance, and cost
-extraction takes a difference vector as a new security when it leaves the
-span of the earlier ones by more than MEMBER_TOL of the largest
-difference.  A contract is cash when its payoff is constant within
-FLAT_TOL.  A grid verdict fails only past VERDICT_TOL (an IC argmax beyond
-a grid step of the property, a WCL grid sup above the closed-form bound),
-and a replayed witness reproduces when every number it recomputes is
-within VERDICT_TOL of the stored one (relative above 1).  Each constant
-names the test that fails once it moves 100-fold.
+inverse is attained within the same box; a best response searches the
+report box, and cost extraction's window lies in it, inset by BRACKET_PAD
+of its span too (``inset``, its one reader).  A bisection that does not run
+to adjacent floats stops at a bracket SEARCH_XTOL wide, and a best-response
+search (Brent's method) once its best probe is within 2 SEARCH_XTOL / 3
+plus a few ulps of both bracket ends; a search of one coordinate at a time
+cycles until a cycle moves no coordinate by more than SEARCH_XTOL or no
+longer raises the objective, for at most SEARCH_CYCLES cycles.  A gradient
+inversion in more than one dimension stops once its residual is within
+OPT_TOL and accepts its point within RESIDUAL_ACCEPT; openness counts a
+price target as reached, and cost extraction a translate as in the score
+range and its shares and costs as fitted, within RESIDUAL_ACCEPT (of their
+scale) too.  A bundle lies on a share lattice, and a vector in a subgroup
+sample, when it is within MEMBER_TOL of a member, and a sampled direction
+within MEMBER_TOL of zero is zero; securities are affinely independent at
+that rank tolerance, and cost extraction takes a difference vector as a new
+security when it leaves the span of the earlier ones by more than
+MEMBER_TOL of the largest difference.  A contract is cash when its payoff
+is constant within FLAT_TOL.  A grid verdict fails only past VERDICT_TOL
+(an IC argmax beyond a grid step of the property, a WCL grid sup above the
+closed-form bound), and a replayed witness reproduces when every number it
+recomputes is within VERDICT_TOL of the stored one (relative above 1).
+Each constant names the test that fails once it moves 100-fold.
 """
 from __future__ import annotations
 
@@ -70,6 +70,13 @@ FLAT_TOL = 1e-9  # pinned: tests/test_tolerances.py::test_flat_tol
 VERDICT_TOL = 1e-9  # pinned: tests/test_tolerances.py::test_verdict_tol
 
 INF = math.inf
+
+
+def inset(lo, hi) -> tuple:
+    """The interval [lo, hi] inset at each end by BRACKET_PAD of its span,
+    of numbers or, per coordinate, of arrays."""
+    pad = BRACKET_PAD * (hi - lo)
+    return lo + pad, hi - pad
 
 
 class OutcomeMismatch(ValueError):

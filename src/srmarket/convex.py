@@ -27,10 +27,10 @@ import numpy as np
 
 from .contracts import (
     BRACKET_LIMIT,
-    BRACKET_PAD,
     INF,
     OPT_TOL,
     RESIDUAL_ACCEPT,
+    inset,
     logit,
     ordered_dot,
 )
@@ -437,12 +437,8 @@ def brent_max(f, lo: float, hi: float, xtol: float) -> float:
 def _boxes(fn: ConvexFn) -> list:
     """Per coordinate, the domain box inset by BRACKET_PAD of its span where
     that box is finite, else None."""
-    boxes = []
-    for a, b in zip(fn.lo.tolist(), fn.hi.tolist()):
-        pad = BRACKET_PAD * (b - a)
-        boxes.append((a + pad, b - pad)
-                     if math.isfinite(a) and math.isfinite(b) else None)
-    return boxes
+    return [inset(a, b) if math.isfinite(a) and math.isfinite(b) else None
+            for a, b in zip(fn.lo.tolist(), fn.hi.tolist())]
 
 
 def invert_gradients(fn: ConvexFn, targets) -> list:
@@ -474,7 +470,7 @@ def invert_gradient(fn: ConvexFn, target, xtol: float = 0.0):
     bracket encloses it.  In more dimensions the coordinates cycle until the
     residual is within OPT_TOL, and the point is accepted within
     RESIDUAL_ACCEPT."""
-    target = np.atleast_1d(np.asarray(target, dtype=float))
+    target = _vec(target)
     if fn.grad_inverse is not None:
         return invert_gradients(fn, target)[0]
     boxes = _boxes(fn)

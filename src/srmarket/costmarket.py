@@ -16,13 +16,13 @@ from itertools import product
 import numpy as np
 
 from .contracts import (
-    BRACKET_PAD,
     INF,
     MEMBER_TOL,
     RESIDUAL_ACCEPT,
     SEARCH_XTOL,
     STRUCT_TOL,
     OutcomeSpace,
+    inset,
     ordered_dot,
 )
 from .convex import (
@@ -44,6 +44,7 @@ from .scoring import (
     InvalidReport,
     RealReports,
     ScoringRule,
+    as_report,
     payoff_table,
 )
 
@@ -89,8 +90,7 @@ class ShareSpace:
     def contains(self, v) -> bool:
         if self.basis is None:
             return True
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        n = np.linalg.solve(self._b(), v)
+        n = np.linalg.solve(self._b(), _vec(v))
         return bool(np.max(np.abs(n - np.round(n))) <= MEMBER_TOL)
 
     def lattice_points(self, bound: int, include_zero: bool = True) -> list:
@@ -141,6 +141,7 @@ class CostRule(ScoringRule):
         self.outcome_space = outcome_space
         self.shares = shares
         self.conjugate_closure_values = conjugate_closure_values
+        self._phi_rows = self.phi.tolist()
         k = cost.dim
         self.report_space = RealReports() if k == 1 else BoxReports(
             tuple(-INF for _ in range(k)), tuple(INF for _ in range(k)))
@@ -158,9 +159,11 @@ class CostRule(ScoringRule):
             raise InvalidReport(
                 f"bundle {bundle.tolist()} is not in the share space")
 
-    def score_row(self, q) -> np.ndarray:
-        qv = self._r(q)
-        return _dots(self.phi, qv) - self.cost.value(qv)
+    def score_list(self, q) -> list:
+        self.validate_report(q)
+        x = _floats(q)
+        c = float(self.cost.value_fn(x))
+        return [ordered_dot(row, x) - c for row in self._phi_rows]
 
     def score_rows(self, reports: list) -> np.ndarray:
         qs = self._stack(reports)
@@ -177,15 +180,14 @@ class CostRule(ScoringRule):
         q = invert_gradient(self.cost, target, SEARCH_XTOL)
         if q is None:
             raise ValueError("expected security payoff outside the price range")
-        return float(q[0]) if self.k == 1 else q
+        return as_report(q)
 
     def best_response(self, p):
         """On a lattice share space, the best lattice state: refining between
         lattice states would return a state no lattice trade reaches."""
         if not self.shares.is_lattice:
             return super().best_response(p)
-        grid = [float(v[0]) if self.k == 1 else v
-                for v in self.shares.lattice_points(SEARCH_BOUND)]
+        grid = [as_report(v) for v in self.shares.lattice_points(SEARCH_BOUND)]
         return grid[int(np.argmax(self.grid_scores(grid, p)))]
 
     def _search_bracket(self, p):
@@ -201,7 +203,7 @@ class CostRule(ScoringRule):
             return None
         q0 = _floats(r0)
         vals = [g - ordered_dot(q0, row)
-                for g, row in zip(self.conjugate_closure_values, self.phi.tolist())]
+                for g, row in zip(self.conjugate_closure_values, self._phi_rows)]
         return max(vals) + self.cost.value(q0)
 
 
@@ -561,10 +563,9 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
             span = max(rs) - min(rs)
             window = (min(rs) - 2 * span, max(rs) + 2 * span)
             if isinstance(rule.report_space, BoxReports):
-                lo = float(rule.report_space.lo[0])
-                hi = float(rule.report_space.hi[0])
-                pad = BRACKET_PAD * (hi - lo)
-                window = (max(window[0], lo + pad), min(window[1], hi - pad))
+                lo, hi = inset(float(rule.report_space.lo[0]),
+                               float(rule.report_space.hi[0]))
+                window = (max(window[0], lo), min(window[1], hi))
             d, hm = diffs[-1], h[len(h) // 2]
             dist, at = score_range_membership(rule, window)(d + hm)
             if dist > RESIDUAL_ACCEPT:

@@ -6,9 +6,9 @@ maker's total exposure only depends on the first and last states: the
 position is the single contract S(r_T, .) - S(r_0, .), and
 ``worst_case_loss`` reads its bounds at a cost independent of the ledger
 length.  Each state is scored once.  Over a finite space a session holds the
-score rows of its first and current states, and a trade, live or replayed
-from the ledger lines, is the row difference (new + 0.0) - held, in
-``combine``'s floats; on the real line it holds score contracts.
+``score_list`` of its first and current states, and a live trade is the
+difference (new + 0.0) - held, in ``combine``'s floats, as is a trade
+replayed from the ledger lines; on the real line it holds score contracts.
 Settlement sums the ledger trade by trade, in record order, beside the
 telescoped loss.  Path independence scores r_0 ... r_T once each and checks
 a ledger of either outcome kind as one ``contracts.sum_rows`` of the score
@@ -26,14 +26,16 @@ from .contracts import (
     STRUCT_TOL,
     Contract,
     PayoffOverflow,
+    combine,
     contract_bounds,
     contract_pieces,
+    finite_contract,
     row_contracts,
     sum_rows,
     trade_leg,
 )
 from .reports import FAILS, HOLDS, AxiomReport
-from .scoring import ScoringRule, score_difference
+from .scoring import ScoringRule
 
 
 @dataclass
@@ -62,23 +64,27 @@ class MarketSession:
         self.r0 = r0
         self.current = r0
         self.records: list[TradeRecord] = []
-        # S(r0, .) and S(current, .), each state scored once: payoff rows
-        # over a finite space, contracts on the real line
+        # S(r0, .) and S(current, .), each state scored once: payoff lists
+        # over a finite space, contracts on the real line; the first through
+        # score_contract, so a non-finite first score raises
         first = rule.score_contract(r0)
-        self._first = self._held = first if first.values is None else first.values
+        self._first = self._held = \
+            first if first.values is None else first.values.tolist()
 
     def _score(self, r):
         """S(r, .) as a session holds it.  Validates r."""
         if self.rule.outcome_space.is_finite:
-            return self.rule.score_row(r)
+            return self.rule.score_list(r)
         return self.rule.score_contract(r)
 
     def _trade(self, new, old) -> Contract:
-        """``score_difference`` of two held scores."""
+        """The trade paying S(new) - S(old) of two held scores, in the
+        floats of ``combine``: over a finite space (a + 0.0) - b outcome by
+        outcome (0.0 + -0.0 is 0.0).  An overflow raises ``PayoffOverflow``."""
         if isinstance(old, Contract):
-            return score_difference(new, old)
-        return Contract(space=self.rule.outcome_space,
-                        values=_row_differences(new, old))
+            return combine([new, old], [1.0, -1.0])
+        return finite_contract(self.rule.outcome_space,
+                               [(a + 0.0) - b for a, b in zip(new, old)])
 
     def execute_trade(self, trader: str, r_new) -> Contract:
         self.rule.validate_trade(self.current, r_new)
@@ -104,7 +110,7 @@ class MarketSession:
         if space.is_finite:
             j = space.index(y)
             paid = [(rec.trader, float(rec.contract.values[j])) for rec in self.records]
-            telescoped = float(self._held[j]) - float(self._first[j])
+            telescoped = self._held[j] - self._first[j]
         else:
             paid = [(rec.trader, rec.contract(y)) for rec in self.records]
             telescoped = self.rule.score(self.current, y) - self.rule.score(self.r0, y)
@@ -210,21 +216,8 @@ def _unjson(r):
     return r
 
 
-def _row_differences(new: np.ndarray, old: np.ndarray) -> np.ndarray:
-    """``score_difference``'s payoffs over a finite space, row by row:
-    (new + 0.0) - old, the floats ``combine`` gives (0.0 + -0.0 is 0.0),
-    read-only.  As in ``combine``, Python floats: an overflow is inf
-    without numpy's warning, and raises ``PayoffOverflow``."""
-    net = [(a + 0.0) - b for a, b in zip(new.ravel().tolist(), old.ravel().tolist())]
-    if not all(map(math.isfinite, net)):
-        raise PayoffOverflow("payoffs must be finite")
-    rows = np.array(net).reshape(new.shape)
-    rows.flags.writeable = False
-    return rows
-
-
 def _trade_contracts(rule: ScoringRule, states: list) -> list:
-    """``score_difference`` of each pair of consecutive states, to the bit:
+    """``trade_contract`` of each pair of consecutive states, to the bit:
     one ``sum_rows`` of the states' score stack and itself shifted by one,
     over a finite space the floats (new + 0.0) - old, on the real line each
     row compacted as ``combine`` compacts it.  An overflow raises

@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .contracts import (
-    BRACKET_PAD,
     IDENTITY,
     INF,
     MEMBER_TOL,
@@ -34,6 +33,7 @@ from .contracts import (
     Transform,
     combine,
     finite_contract,
+    inset,
     ordered_dot,
     stack_pieces,
 )
@@ -67,7 +67,8 @@ class FiniteReports:
     def contains(self, r) -> bool:
         return r in self.labels
 
-    def grid(self) -> list:
+    def grid(self, num: int = 51, window: tuple = (-4.0, 4.0)) -> list:
+        """Every label, whatever the number of points or the window."""
         return list(self.labels)
 
 
@@ -114,9 +115,9 @@ class BoxReports:
             inside &= np.min(-(_dots(xs[:, None, :], a) + b), axis=1) > STRUCT_TOL
         return inside
 
-    def grid(self, num: int = 51) -> list:
+    def grid(self, num: int = 51, window: tuple = (-4.0, 4.0)) -> list:
         """``num`` points per axis, inset by 2% of the axis span, less the
-        points the hull does not contain."""
+        points the hull does not contain; the box, not ``window``, bounds them."""
         axes = []
         for a, b in zip(self.lo, self.hi):
             pad = 0.02 * (b - a)
@@ -153,9 +154,9 @@ class RealReports:
 
 
 class ScoringRule:
-    """A rule defines ``score_contract``, or the form it wraps: ``score_row``
-    or ``score_list`` over a finite outcome space, ``score_pieces`` on the
-    real line."""
+    """A rule defines ``score_contract``, or the form it wraps:
+    ``score_list`` over a finite outcome space, ``score_pieces`` on the real
+    line."""
 
     family = "abstract"
 
@@ -191,11 +192,7 @@ class ScoringRule:
         return xs
 
     def report_grid(self, num: int = 51, window: tuple = (-4.0, 4.0)) -> list:
-        if isinstance(self.report_space, RealReports):
-            return self.report_space.grid(num, window)
-        if isinstance(self.report_space, BoxReports):
-            return self.report_space.grid(num)
-        return self.report_space.grid()
+        return self.report_space.grid(num, window)
 
     # -- scoring ------------------------------------------------------------
 
@@ -215,16 +212,11 @@ class ScoringRule:
         return Contract(space=REAL_LINE, ends=tuple(ends),
                         pieces=tuple(map(tuple, coeffs)), transform=self.transform)
 
-    def score_row(self, r) -> np.ndarray:
-        """The payoffs of report r over a finite outcome space, the row
-        ``score_contract`` wraps before it checks them for finiteness.
-        Validates r."""
-        return self.score_contract(r).values
-
     def score_list(self, r) -> list:
-        """``score_row`` as a list of Python floats, which ``expected_score``
-        sums.  Validates r."""
-        return self.score_row(r).tolist()
+        """The payoffs of report r over a finite outcome space as Python
+        floats, which ``score_contract`` wraps once it has checked them for
+        finiteness, and ``expected_score`` and a session read.  Validates r."""
+        return self.score_contract(r).values.tolist()
 
     def score_pieces(self, r) -> tuple:
         """``(ends, coeffs)`` of report r's real-line score: P pieces, each
@@ -242,9 +234,9 @@ class ScoringRule:
         return self.score_stack(reports)[0][0]
 
     def score_rows(self, reports: list) -> np.ndarray:
-        """The unchecked (R, n) score table: ``score_row`` of each report,
+        """The unchecked (R, n) score table: ``score_list`` of each report,
         stacked, where a rule has no array expression for it."""
-        return np.array([self.score_row(r) for r in reports], dtype=float)
+        return np.array([self.score_list(r) for r in reports], dtype=float)
 
     def piece_rows(self, reports: list) -> tuple:
         """The unchecked piece table ``(ends, coeffs)`` that
@@ -270,9 +262,10 @@ class ScoringRule:
         return stack, None if finite_space else self.transform
 
     def trade_contract(self, r_old, r_new) -> Contract:
-        """The contract handed out for moving the state r_old -> r_new."""
-        return score_difference(self.score_contract(r_new),
-                                self.score_contract(r_old))
+        """The contract handed out for moving the state r_old -> r_new: it
+        pays S(r_new, .) - S(r_old, .)."""
+        return combine([self.score_contract(r_new), self.score_contract(r_old)],
+                       [1.0, -1.0])
 
     def _pmf(self, p: Belief) -> np.ndarray:
         if p.pmf is None or p.space.labels != self.outcome_space.labels:
@@ -348,9 +341,7 @@ class ScoringRule:
             a, b = p.support()
             pad = 1.0 + 0.1 * (b - a)
             return a - pad, b + pad
-        lo, hi = self.report_space.lo[0], self.report_space.hi[0]
-        pad = BRACKET_PAD * (hi - lo)
-        return lo + pad, hi - pad
+        return inset(self.report_space.lo[0], self.report_space.hi[0])
 
     # -- family hooks used by the axiom checkers -----------------------------
 
@@ -370,8 +361,7 @@ class ScoringRule:
 
     def reports_at(self, shares) -> list:
         """The report whose share is each row, or None where there is none."""
-        return [None if x is None else float(x[0]) if len(x) == 1 else x
-                for x in shares]
+        return [None if x is None else as_report(x) for x in shares]
 
     def matched_candidates(self, positions: list) -> list:
         """Per position (held trades [(old, new), ...], state): the report
@@ -394,6 +384,12 @@ class ScoringRule:
                              total + shares[:, 2 * j + 2] - shares[:, 2 * j + 1],
                              total)
         return self.reports_at(shares[:, 0] - total)
+
+
+def as_report(x):
+    """The report of a vector x of report coordinates: a float when x has
+    one entry, else x."""
+    return float(x[0]) if len(x) == 1 else x
 
 
 def report_rows(reports: list, k: int) -> np.ndarray | None:
@@ -421,11 +417,6 @@ def _piece_columns(R: int, ends: tuple, pieces: tuple) -> tuple:
     return table[:, :len(ends)], table[:, len(ends):].reshape(R, len(pieces), 3)
 
 
-def score_difference(new: Contract, old: Contract) -> Contract:
-    """The trade paying S(r_new, .) - S(r_old, .), from the two scores."""
-    return combine([new, old], [1.0, -1.0])
-
-
 def _finite_values(rows, pmf: np.ndarray) -> list:
     """E_p of each row of an (R, n) payoff table: one ``_dots`` sum over the
     outcomes, in their order, so a row's value is its ``ordered_dot`` with
@@ -446,12 +437,10 @@ def _coordinate_max(f, x0: np.ndarray, box: BoxReports) -> np.ndarray:
     stop once one moves no coordinate by more than SEARCH_XTOL or no longer
     raises f, whose rounding then decides the line searches' probes, and
     after SEARCH_CYCLES."""
-    lo = np.asarray(box.lo, dtype=float)
-    hi = np.asarray(box.hi, dtype=float)
-    pad = BRACKET_PAD * (hi - lo)
+    lo, hi = inset(np.asarray(box.lo, dtype=float), np.asarray(box.hi, dtype=float))
     # the search region as rows of normals . x <= limits
     eye = np.eye(len(x0))
-    normals, limits = np.vstack([eye, -eye]), np.concatenate([hi - pad, pad - lo])
+    normals, limits = np.vstack([eye, -eye]), np.concatenate([hi, -lo])
     if box._facets is not None:
         a, b = box._facets
         normals = np.vstack([normals, a])
@@ -524,8 +513,8 @@ class FiniteRule(ScoringRule):
         self.validate_report(r)
         return self.report_space.labels.index(r)
 
-    def score_row(self, r) -> np.ndarray:
-        return self.matrix[self._row(r)]
+    def score_list(self, r) -> list:
+        return self.matrix[self._row(r)].tolist()
 
     def score_rows(self, reports: list) -> np.ndarray:
         return self.matrix[[self._row(r) for r in reports]]
@@ -610,9 +599,6 @@ class PotentialRule(ScoringRule):
         dg = self.potential.grad_fn(x)
         return self.potential.value_fn(x) - ordered_dot(dg, x), dg
 
-    def score_row(self, r) -> np.ndarray:
-        return np.array(self.score_list(r))
-
     def _affines(self, reports: list) -> tuple:
         """``_affine`` of each report, as an (R,) and an (R, k) array."""
         xs = self._stack(reports)
@@ -685,7 +671,7 @@ class ExpectationRule(PotentialRule):
         if self.phi is None:
             return p.mean()
         out = _dots(self.phi.T, p.pmf)
-        return float(out[0]) if self.k == 1 else out
+        return as_report(out)
 
     def loss_bound(self, r0) -> float | None:
         if self.phi is None:
@@ -865,7 +851,7 @@ class RatioRule(PotentialRule):
         num = _dots(self.phi.T, p.pmf)
         den = ordered_dot(self._b_list, p.pmf_list)
         out = num / den
-        return float(out[0]) if self.k == 1 else out
+        return as_report(out)
 
     def loss_bound(self, r0) -> float | None:
         # S(r, y) = b(y) [G(r) + dG_r . (phi(y)/b(y) - r)] <= b(y) G(phi(y)/b(y))

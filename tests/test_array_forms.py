@@ -4,7 +4,7 @@ Each named potential's ``values``/``grads`` must equal its ``value``/``grad``
 row by row within 0 ulps, and its array ``grad_inverse`` the closed form of
 one target it replaced: both forms take the same libm functions and add
 products in the same order.  So must
-each rule's ``score_table`` against its stacked ``score_row``, each
+each rule's ``score_table`` against its stacked ``score_list``, each
 real-line rule's ``piece_rows`` against its stacked ``score_pieces``, and
 the batched share-matching candidates against the per-position hooks they
 replaced.  The
@@ -211,7 +211,7 @@ RULES = {
 def test_score_table_matches_stacked_score_rows(name, data):
     rule, reports = RULES[name]
     rs = data.draw(st.lists(reports, min_size=1, max_size=12))
-    assert_within_ulps(rule.score_table(rs), [rule.score_row(r) for r in rs])
+    assert_within_ulps(rule.score_table(rs), [rule.score_list(r) for r in rs])
 
 
 def test_score_table_raises_for_the_first_report_outside_the_space():

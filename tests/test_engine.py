@@ -441,7 +441,7 @@ class TestScoredOnce:
     @given(data=st.data())
     def test_matches_rebuilt_trades(self, family, data):
         # each state scored once gives, to the bit, the contracts of
-        # rebuilding both scores of every trade through score_difference,
+        # rebuilding both scores of every trade through trade_contract,
         # and the path check of the pairwise reference
         rule, r0, report = SCORED_ONCE_FAMILIES[family]
         s = _generated_session(data, rule, r0, report)
@@ -628,7 +628,7 @@ class TestReplayMatchesLoop:
         for a, b in zip(want.records, got.records):
             assert _bits(a.contract) == _bits(b.contract)
             assert (a.index, a.trader) == (b.index, b.trader)
-        # the held score: a payoff row over a finite space, else a contract
+        # the held score: a payoff list over a finite space, else a contract
         assert type(got._held) is type(want._held)
         assert _bits(got._held) == _bits(want._held)
         assert np.array_equal(got.current, want.current)
@@ -692,9 +692,9 @@ class TestReplayMatchesLoop:
 
 
 def _bits(d) -> bytes:
-    """The bytes of a payoff row, of a contract's payoff vector, or of its
+    """The bytes of a payoff list, of a contract's payoff vector, or of its
     pieces' ends and coefficients."""
-    values = d if isinstance(d, np.ndarray) else d.values
+    values = d if isinstance(d, list) else d.values
     if values is not None:
         return np.asarray(values, dtype=float).tobytes()
     return np.array([*d.ends, *np.ravel(d.pieces)], dtype=float).tobytes()

@@ -2,6 +2,7 @@
 statistics, and independent best responses."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from srmarket.contracts import (
 )
 from srmarket.convex import (
     binary_negentropy,
+    brent_max,
     interval_negentropy,
     quadratic,
     simplex_negentropy,
@@ -265,6 +267,26 @@ class TestExpectationRule:
                                phi=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         r = rule.best_response(finite_belief(rule.outcome_space, pmf))
         assert float(np.max(np.abs(r - np.array(pmf[1:])))) <= 1e-6
+
+    def test_box_search_brackets_lie_inside_the_box(self):
+        # every line search of the coordinate search is bracketed within
+        # the box inset by BRACKET_PAD of its span, at its lower faces too:
+        # they once let the first bracket, from (0.02, 0.02), reach
+        # x = -1e-13, where scoring raised InvalidReport
+        rule = ExpectationRule(quadratic(2), [[0.0, 0.0], [1.0, 0.0],
+                                              [0.0, 1.0], [1.0, 1.0]])
+        p = finite_belief(rule.outcome_space, [0.97, 0.01, 0.01, 0.01])
+        brackets = []
+
+        def probing(f, lo, hi, xtol):
+            brackets.append((lo, hi))
+            f(lo), f(hi)
+            return brent_max(f, lo, hi, xtol)
+
+        with mock.patch("srmarket.scoring.brent_max", probing):
+            r = rule.best_response(p)
+        assert brackets
+        assert float(np.max(np.abs(r - 0.02))) <= 1e-6
 
 
 class TestQuantileRule:

@@ -10,7 +10,8 @@ its line, a test under ``tests/`` that fails once it moves 100-fold; and no
 expectation goes through BLAS: no module calls ``np.dot``, and no ``@`` or
 ``np.matmul`` takes a belief's ``.pmf``, since a BLAS kernel orders the
 products by the CPU it detects (``ordered_dot`` and ``_dots`` sum in the
-order of the outcomes)."""
+order of the outcomes); and BRACKET_PAD is read only in ``contracts.inset``,
+so every search box is inset by the same rule."""
 
 import ast
 import re
@@ -227,5 +228,41 @@ def test_the_walk_passes_ordered_sums_and_other_products():
 
 def test_no_module_takes_an_expectation_through_blas():
     found = {p.name: blas_products(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+
+def bracket_pad_reads(source: str) -> list:
+    """The line numbers that read ``BRACKET_PAD``, as a name or an
+    attribute, outside a function named ``inset``."""
+    tree = ast.parse(source)
+    inset = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             and fn.name == "inset" for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inset and (
+        isinstance(node, ast.Name) and node.id == "BRACKET_PAD"
+        and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == "BRACKET_PAD"))
+
+
+@pytest.mark.parametrize("source", [
+    "def f(lo, hi):\n    pad = BRACKET_PAD * (hi - lo)\n    return lo + pad, hi - pad\n",
+    "limits = [hi - BRACKET_PAD * (hi - lo), BRACKET_PAD * (hi - lo) - lo]\n",
+    "def inset_box(lo, hi):\n    return contracts.BRACKET_PAD * (hi - lo)\n",
+])
+def test_the_walk_finds_a_bracket_pad_read(source):
+    assert bracket_pad_reads(source) != []
+
+
+def test_the_walk_passes_inset_and_the_constant():
+    assert bracket_pad_reads(
+        "BRACKET_PAD = 1e-13\n"
+        "def inset(lo, hi):\n    pad = BRACKET_PAD * (hi - lo)\n"
+        "    return lo + pad, hi - pad\n"
+        "lo, hi = inset(a, b)\n") == []
+
+
+def test_only_inset_reads_bracket_pad():
+    found = {p.name: bracket_pad_reads(p.read_text())
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}

@@ -86,7 +86,7 @@ def test_grid_scores_are_expected_scores_bit_for_bit(case, seed):
 def test_one_report_is_its_table_row_bit_for_bit(case, seed):
     rule, reports = case
     for r in reports:
-        assert bits(rule.score_row(r)) == bits(rule.score_rows([r])[0])
+        assert bits(rule.score_list(r)) == bits(rule.score_rows([r])[0])
     for p in random_beliefs_for(rule, np.random.default_rng(seed), 3):
         for r in reports:
             assert bits(expected_payoff(rule.score_contract(r), p)) == \
@@ -96,7 +96,7 @@ def test_one_report_is_its_table_row_bit_for_bit(case, seed):
 def row_by_row(rule, reports, p):
     """The finite ``grid_scores`` that ``stack_scores`` replaced: each
     report validated and scored alone, then one dot product per row."""
-    return _finite_values([rule.score_row(r) for r in reports], rule._pmf(p))
+    return _finite_values([rule.score_list(r) for r in reports], rule._pmf(p))
 
 
 def raised(f, *args):
