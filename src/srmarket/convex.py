@@ -65,7 +65,8 @@ class ConvexFn:
     The scalar forms ``value_fn``, ``grad_fn`` and ``closure_fn`` take one
     point as a list of ``dim`` Python floats; the value and the closure
     return a Python float, the gradient a list of ``dim`` Python floats, so
-    a rule scores one report without numpy (a form may use numpy inside).
+    a rule scores one report without numpy (of the named potentials, only
+    ``simplex_negentropy``'s scalar forms use numpy inside).
     ``value``, ``grad`` and ``value_closure`` call them on a number, a
     sequence or an array, ``grad`` returning an array.  An array form must
     equal its scalar form row by row to the bit."""
@@ -283,37 +284,56 @@ def simplex_negentropy(k: int) -> ConvexFn:
 
 
 def log_partition(phi: np.ndarray) -> ConvexFn:
-    """C(q) = log sum_y exp(q . phi(y)), the exponential-family cost."""
+    """C(q) = log sum_y exp(q . phi(y)), the exponential-family cost.
+
+    Both forms take the same steps with libm, the scalar forms in Python
+    floats: each exponent less the largest through ``math.exp``, their sum
+    in the order of the outcomes (numpy's pairwise sum regroups 8 or more
+    terms, Python's ``sum`` compensates from 3.12), then ``math.log``.  So
+    they agree to the bit whichever SIMD loops numpy dispatches to."""
     phi = np.asarray(phi, dtype=float)
     if phi.ndim == 1:
         phi = phi[:, None]
     n, k = phi.shape
+    rows, cols = phi.tolist(), phi.T.tolist()
+
+    def weights(q):
+        # the exponentials of the exponents less the largest, their sum,
+        # and the largest
+        w = [ordered_dot(row, q) for row in rows]
+        m = max(w)
+        e = [math.exp(v - m) for v in w]
+        total = e[0]
+        for v in e[1:]:
+            total += v
+        return e, total, m
 
     def val(q):
-        w = _dots(phi, np.array(q))
-        m = float(np.max(w))
-        return m + math.log(float(np.sum(np.exp(w - m))))
+        _, total, m = weights(q)
+        return m + math.log(total)
 
     def grad(q):
-        w = _dots(phi, np.array(q))
-        w = w - np.max(w)
-        e = np.exp(w)
-        p = e / np.sum(e)
-        return _dots(phi.T, p).tolist()
+        e, total, _ = weights(q)
+        p = [v / total for v in e]
+        return [ordered_dot(col, p) for col in cols]
 
     def shifted(qs):
-        # the exponents of each row, and their largest
+        # weights of each row of qs, as arrays
         w = _dots(qs[:, None, :], phi)
         m = w.max(axis=1)
-        return np.exp(w - m[:, None]), m
+        e = _libm(math.exp, w - m[:, None])
+        total = e[:, 0]
+        for j in range(1, n):
+            total = total + e[:, j]
+        return e, total, m
 
     def vals(qs):
-        e, m = shifted(qs)
-        return m + _libm(math.log, e.sum(axis=1))
+        _, total, m = shifted(qs)
+        return m + _libm(math.log, total)
 
     def grads(qs):
-        e, _ = shifted(qs)
-        return _dots((e / e.sum(axis=1)[:, None])[:, None, :], phi.T)
+        e, total, _ = shifted(qs)
+        return _dots((e / total[:, None])[:, None, :], phi.T)
 
     return ConvexFn(
         dim=k,

@@ -92,6 +92,8 @@ def _simplex_points(k):
 
 
 PHI3 = np.array([[0.3, -1.2], [2.5, 0.7], [-0.4, 1.9]])
+# nine outcomes: numpy's pairwise sum would regroup the terms of each row
+PHI9 = np.random.default_rng(9).normal(size=(9, 3))
 POTENTIALS = {
     "quadratic-1": (quadratic(1), st.floats(-1e6, 1e6).map(lambda v: [v])),
     "quadratic-3": (quadratic(3), st.lists(st.floats(-1e6, 1e6), min_size=3,
@@ -107,6 +109,8 @@ POTENTIALS = {
     "binary-lmsr": (binary_lmsr_cost(), st.floats(-700.0, 700.0).map(lambda v: [v])),
     "log-partition-2": (log_partition(PHI3), st.lists(st.floats(-50.0, 50.0),
                                                       min_size=2, max_size=2)),
+    "log-partition-9": (log_partition(PHI9), st.lists(st.floats(-50.0, 50.0),
+                                                      min_size=3, max_size=3)),
 }
 
 

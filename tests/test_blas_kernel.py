@@ -10,7 +10,14 @@ reruns ``expected_score``, ``grid_scores``, ``expected_payoff`` and
 report, under another ``OPENBLAS_CORETYPE``; every bit must equal this
 process's.  Where the other kernel's ``np.dot`` rounds as this process's
 does on fixed vectors, the comparison would show nothing, and the test
-skips."""
+skips.
+
+numpy also picks its SIMD loops of ``exp`` and ``log`` by the CPU it
+detects, and they round differently.  ``log_partition`` takes its
+exponentials through libm, so a cost market's values, gradients and session
+do not depend on them either: a subprocess with numpy's AVX-512 loops
+switched off (``NPY_DISABLE_CPU_FEATURES``) must give the same bits, and
+the test skips where that leaves ``np.exp`` as it was."""
 
 import json
 import os
@@ -30,6 +37,16 @@ CHILD = """\
 import json
 import test_blas_kernel as t
 print(json.dumps({"dot": t.dot_probe(), "scores": t.fingerprint()}))
+"""
+
+
+# numpy's AVX-512 feature groups; a name a host lacks is ignored
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+DISPATCH_CHILD = """\
+import json
+import test_blas_kernel as t
+print(json.dumps({"exp": t.exp_probe(), "costs": t.cost_fingerprint()}))
 """
 
 
@@ -66,14 +83,65 @@ def fingerprint() -> dict:
     return out
 
 
-@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
-def test_finite_scores_do_not_depend_on_the_blas_kernel(kernel):
+def exp_probe() -> str:
+    """``np.exp`` of 200 fixed numbers, as the hex of its bytes: numpy's
+    AVX-512 and AVX2 loops round a few of them differently."""
+    x = np.random.default_rng(0).uniform(-5.0, 5.0, 200)
+    return np.exp(x).tobytes().hex()
+
+
+def cost_fingerprint() -> dict:
+    """The bits of ``log_partition``'s four forms on seeded states, for the
+    binary LMSR cost and a three-outcome phi; and of a seeded 300-trade
+    binary-LMSR session: each contract, the held score, the replayed
+    contracts and the ledger lines."""
+    from srmarket.convex import binary_lmsr_cost, log_partition
+    from srmarket.costmarket import binary_lmsr_rule
+    from srmarket.engine import MarketSession
+
+    rng = np.random.default_rng(7)
+    out = {}
+    phi3 = [[0.3, -1.2], [2.5, 0.7], [-0.4, 1.9]]
+    for name, fn in (("binary", binary_lmsr_cost()), ("three", log_partition(phi3))):
+        qs = rng.uniform(-30.0, 30.0, size=(200, fn.dim))
+        vals = [fn.values(qs), fn.grads(qs), [fn.value(q) for q in qs],
+                [fn.grad(q) for q in qs]]
+        out[name] = np.concatenate([np.ravel(v) for v in vals]).tobytes().hex()
+    rule = binary_lmsr_rule()
+    session = MarketSession(rule, 0.0)
+    for i, q in enumerate(rng.uniform(-20.0, 20.0, 300).tolist()):
+        session.execute_trade(f"t{i % 7}", q)
+    lines = session.ledger_lines()
+    replayed = MarketSession.replay(rule, 0.0, lines)
+    contracts = [rec.contract.values for rec in session.records + replayed.records]
+    out["session"] = np.concatenate(contracts + [session._held]).tobytes().hex()
+    out["ledger"] = lines
+    return out
+
+
+def run_child(code: str, **env) -> dict:
+    """The JSON that code prints in a subprocess that imports this module
+    and srmarket's sources, with env added to this process's environment."""
     path = os.pathsep.join([str(TESTS), str(Path(srmarket.__file__).parents[1])])
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel, "PYTHONPATH": path}
-    child = subprocess.run([sys.executable, "-c", CHILD], env=env, cwd=TESTS,
+    child = subprocess.run([sys.executable, "-c", code],
+                           env={**os.environ, **env, "PYTHONPATH": path}, cwd=TESTS,
                            capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stderr
-    got = json.loads(child.stdout)
+    return json.loads(child.stdout)
+
+
+def test_cost_markets_do_not_depend_on_numpy_simd_dispatch():
+    got = run_child(DISPATCH_CHILD, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    if got["exp"] == exp_probe():
+        pytest.skip(f"np.exp under NPY_DISABLE_CPU_FEATURES={NO_AVX512!r} rounds "
+                    "as this process's does: this host has no AVX-512, or "
+                    "this process runs without it already")
+    assert got["costs"] == cost_fingerprint()
+
+
+@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+def test_finite_scores_do_not_depend_on_the_blas_kernel(kernel):
+    got = run_child(CHILD, OPENBLAS_CORETYPE=kernel)
     if got["dot"] == dot_probe():
         pytest.skip(f"np.dot under OPENBLAS_CORETYPE={kernel} rounds as this "
                     "process's does: numpy links no OpenBLAS, or this process "
