@@ -52,9 +52,7 @@ from .costmarket import (
 from .engine import MarketSession
 from .reports import FAILS, HOLDS, HOLDS_AT_BUDGET, AxiomReport
 from .scoring import (
-    BoxReports,
     FiniteReports,
-    RealReports,
     ScoringRule,
     as_report,
 )
@@ -395,7 +393,7 @@ def check_wcl(rule: ScoringRule, r0, cfg: SearchConfig = SearchConfig()) -> Axio
         return AxiomReport(axiom="WCL", verdict=HOLDS, margin=bound,
                            witness={"bound": bound, "grid_sup": grid_sup},
                            budget={"grid": len(grid)})
-    if isinstance(rule.report_space, RealReports):
+    if rule.report_space.dim == 1 and not rule.report_space.bounded:
         base = max(abs(cfg.report_window[0]), abs(cfg.report_window[1]), 1.0)
         cands = [c for r in (base * 4.0 ** i for i in range(10))
                  for c in (r, -r)]
@@ -436,16 +434,15 @@ def _local_candidates(rule: ScoringRule, r2, cfg: SearchConfig) -> list:
                 for w in rule.shares.lattice_points(cfg.lattice_bound)]
     # local moves around the state: small trades are the improving ones for
     # share-like markets whose cash is itself a security
-    if isinstance(rule.report_space, RealReports):
-        span = cfg.report_window[1] - cfg.report_window[0]
-    elif isinstance(rule.report_space, BoxReports) and rule.report_space.dim == 1:
-        span = rule.report_space.hi[0] - rule.report_space.lo[0]
-    else:
+    space = rule.report_space
+    if space.dim != 1:
         return []
+    lo, hi = (space.lo[0], space.hi[0]) if space.bounded else cfg.report_window
+    span = hi - lo
     moves, step = [], 0.3 * span
     while np.isscalar(r2) and step > 1e-4 * span:
         moves += [float(c) for c in (r2 + step, r2 - step)
-                  if rule.report_space.contains(c)]
+                  if space.contains(c)]
         step *= 0.5
     return moves
 

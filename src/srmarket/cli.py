@@ -23,6 +23,7 @@ from . import __version__
 from .axioms import (
     AXIOMS,
     SearchConfig,
+    _j,
     btb_budgets,
     btb_candidates,
     build_belief,
@@ -209,10 +210,11 @@ def run_extract(config: dict, out_dir: str) -> int:
         for row in ext.phi:
             lines.append("  " + " ".join(f"{v:.17g}" for v in row))
     if ext.shares is not None:
+        # a vector report as the list of its floats, which reads back
         lines.append("shares (one row per report: report, v, cost):")
         for r, v, c in zip(ext.reports, ext.shares, ext.cost_values):
             vtxt = " ".join(f"{x:.17g}" for x in v)
-            lines.append(f"  {r!r} {vtxt} {c:.17g}")
+            lines.append(f"  {_j(r)!r} {vtxt} {c:.17g}")
         lines.append(f"solve_residual: {ext.solve_residual!r}")
         lines.append(f"roundtrip_residual: {roundtrip_residual(rule, ext)!r}")
         lines.append(f"convexity_gap: {ext.convexity_gap!r}")

@@ -42,7 +42,6 @@ from .scoring import (
     BoxReports,
     FiniteReports,
     InvalidReport,
-    RealReports,
     ScoringRule,
     as_report,
     payoff_table,
@@ -142,9 +141,7 @@ class CostRule(ScoringRule):
         self.shares = shares
         self.conjugate_closure_values = conjugate_closure_values
         self._phi_rows = self.phi.tolist()
-        k = cost.dim
-        self.report_space = RealReports() if k == 1 else BoxReports(
-            tuple(-INF for _ in range(k)), tuple(INF for _ in range(k)))
+        self.report_space = BoxReports((-INF,) * cost.dim, (INF,) * cost.dim)
 
     @property
     def k(self) -> int:
@@ -562,7 +559,7 @@ def extract_cost_market(rule: ScoringRule, grid) -> Extraction:
             rs = [float(r) for r in reports]
             span = max(rs) - min(rs)
             window = (min(rs) - 2 * span, max(rs) + 2 * span)
-            if isinstance(rule.report_space, BoxReports):
+            if rule.report_space.bounded:
                 lo, hi = inset(float(rule.report_space.lo[0]),
                                float(rule.report_space.hi[0]))
                 window = (max(window[0], lo), min(window[1], hi))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -74,10 +73,15 @@ class FiniteReports:
 
 @dataclass(frozen=True)
 class BoxReports:
-    """Open box in R^k; reports validated strictly inside, and more than
+    """Open box in R^k, whose corners may be infinite: the real line is
+    ``BoxReports((-INF,), (INF,))``, and a cost market's share states are
+    R^k.  Reports are validated strictly inside, and more than
     ``STRUCT_TOL`` inside the convex hull of ``hull``'s points when it is
     given (the hull's facet equations carry rounding), and inside the open
-    box ``interior`` of a potential when it is given; the grid spans lo..hi."""
+    box ``interior`` of a potential when it is given.  A box is bounded
+    when every corner is finite.  An unbounded box takes its grid and the
+    span of local moves from the search window, and a best response's
+    bracket from the belief's support."""
 
     lo: tuple
     hi: tuple
@@ -100,6 +104,10 @@ class BoxReports:
     def dim(self) -> int:
         return len(self.lo)
 
+    @property
+    def bounded(self) -> bool:
+        return all(map(math.isfinite, (*self.lo, *self.hi)))
+
     def contains(self, r) -> bool:
         if self._interval is not None and isinstance(r, float):
             lo, hi = self._interval
@@ -116,37 +124,20 @@ class BoxReports:
         return inside
 
     def grid(self, num: int = 51, window: tuple = (-4.0, 4.0)) -> list:
-        """``num`` points per axis, inset by 2% of the axis span, less the
-        points the hull does not contain; the box, not ``window``, bounds them."""
-        axes = []
-        for a, b in zip(self.lo, self.hi):
-            pad = 0.02 * (b - a)
-            axes.append(np.linspace(a + pad, b - pad, num))
+        """``num`` points per axis, less the points the hull does not
+        contain: on a bounded box lo..hi inset by 2% of each axis' span, on
+        an unbounded one ``window``."""
+        if self.bounded:
+            axes = [np.linspace(a + 0.02 * (b - a), b - 0.02 * (b - a), num)
+                    for a, b in zip(self.lo, self.hi)]
+        else:
+            axes = [np.linspace(window[0], window[1], num)] * self.dim
         if self.dim == 1:
             pts = [float(v) for v in axes[0]]
         else:
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = [np.array(v) for v in zip(*[m.ravel() for m in mesh])]
         return pts if self.hull is None else [p for p in pts if self.contains(p)]
-
-
-@dataclass(frozen=True)
-class RealReports:
-    dim = 1
-
-    def contains(self, r) -> bool:
-        # float and int first: they spare the abstract class's slower check;
-        # a number past the float range is no report
-        try:
-            return isinstance(r, (float, int, Real)) and math.isfinite(r)
-        except OverflowError:
-            return False
-
-    def contains_rows(self, xs: np.ndarray) -> np.ndarray:
-        return np.isfinite(xs).all(axis=1)
-
-    def grid(self, num: int = 51, window: tuple = (-4.0, 4.0)) -> list:
-        return [float(v) for v in np.linspace(window[0], window[1], num)]
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +325,10 @@ class ScoringRule:
         return self.report_space
 
     def _search_bracket(self, p: Belief) -> tuple:
-        """The interval a 1-D best_response searches: on the real line the
-        belief's support, padded by 1 + 0.1 of its width; else the box
-        inset by BRACKET_PAD of its span."""
-        if isinstance(self.report_space, RealReports):
+        """The interval a 1-D best_response searches: on an unbounded
+        report space the belief's support, padded by 1 + 0.1 of its width;
+        else the box inset by BRACKET_PAD of its span."""
+        if not self.report_space.bounded:
             a, b = p.support()
             pad = 1.0 + 0.1 * (b - a)
             return a - pad, b + pad
@@ -626,28 +617,25 @@ class ExpectationRule(PotentialRule):
     family = "expectation"
 
     def __init__(self, potential: ConvexFn, phi=None,
-                 outcome_space: OutcomeSpace | None = None,
-                 report_space=None):
+                 outcome_space: OutcomeSpace | None = None):
         self.potential = potential
         if phi is None:
             self.outcome_space = REAL_LINE
             self.phi = None
             if potential.dim != 1:
                 raise ValueError("identity securities need a scalar potential")
-            self.report_space = report_space or RealReports()
+            self.report_space = BoxReports((-INF,), (INF,))
         else:
             self.phi, self.outcome_space = payoff_table(
                 phi, outcome_space, potential.dim, independent=False)
             _inside_domain(potential, self.phi)
             self._phi_rows = self.phi.tolist()
-            if report_space is None:
-                # the box phi spans, cut to the potential's polytope domain
-                lo = tuple(float(v) for v in np.min(self.phi, axis=0))
-                hi = tuple(float(v) for v in np.max(self.phi, axis=0))
-                hull = None if potential.vertices is None else \
-                    tuple(map(tuple, potential.vertices.tolist()))
-                report_space = BoxReports(lo, hi, hull, potential.interior)
-            self.report_space = report_space
+            # the box phi spans, cut to the potential's polytope domain
+            lo = tuple(float(v) for v in np.min(self.phi, axis=0))
+            hi = tuple(float(v) for v in np.max(self.phi, axis=0))
+            hull = None if potential.vertices is None else \
+                tuple(map(tuple, potential.vertices.tolist()))
+            self.report_space = BoxReports(lo, hi, hull, potential.interior)
 
     matches = frozenset({"WN", "TN", "PN"})
 
@@ -703,7 +691,7 @@ class QuantileRule(ScoringRule):
         self.alpha = float(alpha)
         self.transform = transform
         self.outcome_space = REAL_LINE
-        self.report_space = RealReports()
+        self.report_space = BoxReports((-INF,), (INF,))
 
     def score_pieces(self, r) -> tuple:
         self.validate_report(r)
@@ -758,7 +746,7 @@ class ExpectileRule(ScoringRule):
         self.g = lambda y: c0 + c1 * y + c2 * y * y
         self.gprime = lambda y: c1 + 2.0 * c2 * y
         self.outcome_space = REAL_LINE
-        self.report_space = RealReports()
+        self.report_space = BoxReports((-INF,), (INF,))
 
     def _weight(self, r, y) -> float:
         return abs((1.0 if y <= r else 0.0) - self.tau)
@@ -817,8 +805,7 @@ class RatioRule(PotentialRule):
     family = "ratio"
 
     def __init__(self, potential: ConvexFn, phi, b,
-                 outcome_space: OutcomeSpace | None = None,
-                 report_space=None):
+                 outcome_space: OutcomeSpace | None = None):
         self.potential = potential
         self.phi, self.outcome_space = payoff_table(phi, outcome_space,
                                                     potential.dim)
@@ -831,12 +818,10 @@ class RatioRule(PotentialRule):
         with np.errstate(over="ignore"):
             ratios = self.phi / self.b[:, None]
         _inside_domain(potential, ratios)
-        if report_space is None:
-            report_space = BoxReports(
-                tuple(float(v) for v in np.min(ratios, axis=0)),
-                tuple(float(v) for v in np.max(ratios, axis=0)),
-                interior=potential.interior)
-        self.report_space = report_space
+        self.report_space = BoxReports(
+            tuple(float(v) for v in np.min(ratios, axis=0)),
+            tuple(float(v) for v in np.max(ratios, axis=0)),
+            interior=potential.interior)
 
     def score_list(self, r) -> list:
         base, dg = self._affine(r)

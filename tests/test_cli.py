@@ -30,6 +30,10 @@ from srmarket.contracts import OutcomeSpace
 from srmarket.engine import MarketSession
 from srmarket.scoring import ExpectationRule, ModeRule, QuantileRule
 
+# a two-security LMSR over three outcomes, k = n - 1, the paper's canonical
+# cost-function market
+LMSR3 = os.path.join(os.path.dirname(__file__), "data", "lmsr3.json")
+
 
 class TestBuilders:
     def test_rule_families(self):
@@ -111,6 +115,19 @@ class TestRunCheck:
         with pytest.raises(ConfigError, match="WN"):
             run_check(cfg, str(tmp_path))
         assert not os.listdir(tmp_path)
+
+    def test_two_security_lmsr_verdicts(self, tmp_path):
+        # its report grid spans the search window on both axes of R^2;
+        # WCL holds at the closed-form bound log 3 from r0 = [0, 0]
+        assert main(["check", "--config", LMSR3, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "lmsr3__summary.json").read_text())
+        assert summary["verdicts"] == {
+            "OPEN": "holds-at-budget", "QUASI-OPEN": "holds-at-budget",
+            "ARB": "holds-at-budget", "WN": "holds-at-budget",
+            "TN": "holds-at-budget", "PN": "holds-at-budget", "WCL": "holds",
+            "PRICE-BOUND": "holds-at-budget"}
+        wcl = (tmp_path / "lmsr3__WCL.report.txt").read_text()
+        assert f"margin: {math.log(3.0)!r}\n" in wcl
 
     def test_byte_identical_reports(self, tmp_path):
         cfg = load_config("ratio_market")
@@ -251,6 +268,21 @@ class TestExtractCommand:
                               capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
+
+    def test_vector_reports_read_back(self, tmp_path):
+        # each report of the two-security LMSR's grid is written as the list
+        # of its floats, not numpy's rounded repr
+        market = load_config(LMSR3)["market"]
+        path = tmp_path / "lmsr3_extract.json"
+        path.write_text(json.dumps({"name": "lmsr3", "market": market}))
+        assert main(["extract", "--config", str(path),
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "lmsr3__extract.txt").read_text()
+        assert "ok: True" in text and "array(" not in text
+        rows = text.split("report, v, cost):\n")[1].split("\nsolve_residual")[0]
+        written = [json.loads(row[:row.index("]") + 1])
+                   for row in rows.splitlines()]
+        assert written == [r.tolist() for r in build_rule(market).report_grid()]
 
     def test_mode_extract_expected_failure(self, tmp_path):
         assert run_extract(load_config("extract_mode"), str(tmp_path)) == 0

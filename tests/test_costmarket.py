@@ -251,19 +251,16 @@ class TestNeutralization:
 
     def test_mean_market_share_matching(self):
         # quadratic-potential market over outcomes {0, 1}: holding the trade
-        # 0 -> 2 and standing at 5, the canceling report is 3 and the net
-        # position is 12 cash, far above the held contract's floor of -4
-        rule = ExpectationRule(quadratic(1), phi=np.array([[0.0], [1.0]]),
-                               report_space=__import__(
-                                   "srmarket.scoring",
-                                   fromlist=["RealReports"]).RealReports())
-        held = rule.trade_contract(0.0, 2.0)
-        assert np.allclose(held.values, [-4.0, 0.0])
-        [cand] = rule.matched_candidates([([(0.0, 2.0)], 5.0)])
-        assert cand == pytest.approx(3.0, abs=1e-9)
-        net = combine([held, rule.trade_contract(5.0, cand)], [1.0, 1.0])
+        # 0.1 -> 0.3 and standing at 0.9, the canceling report is 0.7 and the
+        # net position is 0.24 cash, above the held contract's floor of -0.08
+        rule = ExpectationRule(quadratic(1), phi=np.array([[0.0], [1.0]]))
+        held = rule.trade_contract(0.1, 0.3)
+        assert np.allclose(held.values, [-0.08, 0.32])
+        [cand] = rule.matched_candidates([([(0.1, 0.3)], 0.9)])
+        assert cand == pytest.approx(0.7, abs=1e-9)
+        net = combine([held, rule.trade_contract(0.9, cand)], [1.0, 1.0])
         flat, level = contract_is_constant(net)
-        assert flat and level == pytest.approx(12.0, abs=1e-7)
+        assert flat and level == pytest.approx(0.24, abs=1e-7)
         assert level > float(np.min(held.values))
 
 

@@ -14,12 +14,13 @@ import tempfile
 from contextlib import redirect_stderr
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from srmarket.axioms import SearchConfig
-from srmarket.cli import bundled_config_names, load_config, main
+from srmarket.cli import build_rule, bundled_config_names, load_config, main
 from srmarket.schema import SEARCH, validate
 from test_bundled_reports import _command as command
 
@@ -128,3 +129,46 @@ def test_a_budget_that_is_not_positive_exits_two(edit):
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1, err
     assert "positive" in err
+
+
+# a market block of each family the schema builds, at one report coordinate
+# and, where the family has more, at two
+GRID_MARKETS = {
+    "mode": {"family": "mode", "outcomes": 3},
+    "finite": {"family": "finite", "outcomes": [0, 1],
+               "matrix": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]},
+    "weighted_mode": {"family": "weighted_mode", "outcomes": [0, 1, 2],
+                      "weights": [1.0, 2.0, 3.0]},
+    "expectation-line": {"family": "expectation",
+                         "potential": {"name": "quadratic"}},
+    "expectation-1": {"family": "expectation",
+                      "potential": {"name": "binary_negentropy"},
+                      "phi": [[0.0], [1.0]], "outcomes": [0, 1]},
+    "expectation-2": {"family": "expectation",
+                      "potential": {"name": "simplex_negentropy", "k": 2},
+                      "phi": [[1, 0], [0, 1], [0, 0]], "outcomes": [0, 1, 2]},
+    "quantile": {"family": "quantile", "alpha": 0.3, "transform": "sigmoid"},
+    "expectile": {"family": "expectile", "tau": 0.3},
+    "ratio-1": {"family": "ratio",
+                "potential": {"name": "interval_negentropy", "lo": 0.0, "hi": 3.0},
+                "phi": [0.0, 1.0, 3.0], "b": [2.0, 1.0, 1.0]},
+    "ratio-2": {"family": "ratio", "potential": {"name": "quadratic", "dim": 2},
+                "phi": [[1, 0], [0, 1], [0, 0]], "b": [1.0, 2.0, 1.0]},
+    "cost-1": {"family": "cost", "cost": {"name": "binary_lmsr"},
+               "phi": [[0.0], [1.0]]},
+    "cost-2": {"family": "cost",
+               "cost": {"name": "log_partition", "phi": [[1, 0], [0, 1], [0, 0]]},
+               "phi": [[1, 0], [0, 1], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("market", GRID_MARKETS.values(), ids=GRID_MARKETS)
+def test_every_grid_report_is_a_finite_report(market):
+    # an unbounded axis spans the search window: the grid of a two-security
+    # cost market, over all of R^2, was nan on every axis
+    rule = build_rule(market)
+    grid = SearchConfig().report_grid(rule)
+    assert len(grid) >= 2
+    for r in grid:
+        assert np.isfinite(np.asarray(r, dtype=float)).all(), r
+        assert rule.report_space.contains(r), r

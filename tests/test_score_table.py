@@ -38,7 +38,6 @@ from srmarket.scoring import (
     FiniteRule,
     InvalidReport,
     ModeRule,
-    RealReports,
     RatioRule,
 )
 
@@ -141,7 +140,7 @@ def reference_check_wcl(rule, r0, cfg=SearchConfig()):
         return AxiomReport(axiom="WCL", verdict=HOLDS, margin=bound,
                            witness={"bound": bound, "grid_sup": grid_sup},
                            budget={"grid": len(grid)})
-    if isinstance(rule.report_space, RealReports):
+    if rule.report_space.dim == 1 and not rule.report_space.bounded:
         seq = []
         base = max(abs(cfg.report_window[0]), abs(cfg.report_window[1]), 1.0)
         for i in range(10):

@@ -46,7 +46,6 @@ from srmarket.scoring import (
     ModeRule,
     QuantileRule,
     RatioRule,
-    RealReports,
 )
 
 
@@ -176,6 +175,7 @@ CONTAINS_INPUTS = [
     NAN, INF, -INF, [NAN, 0.5], [0.5, INF], np.array([-INF, 0.0]),
     np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 1e-320, -1e-320,
     "0.5", "abc", None, 10 ** 400, 2 ** 53 + 1,
+    "1.0", Fraction(1, 2), np.float64(NAN), np.float64(-INF), np.int64(-5),
 ]
 BOXES = [
     BoxReports((-1.0,), (1.0,)),
@@ -199,6 +199,14 @@ def test_box_contains_returns_plain_bools():
     assert box.contains(0.5) is True
     assert box.contains(np.float64(2.0)) is False
     assert BoxReports((0.0, 0.0), (1.0, 1.0)).contains([0.5, 0.5]) is True
+    # the real line's reports come from outside: nan, the infinities, an int
+    # past the float range, a numeric string and a Real that is no float,
+    # int or numpy number are refused, as on every box
+    line = BoxReports((-INF,), (INF,))
+    for r in (NAN, INF, -INF, 10 ** 400, "1.0", Fraction(1, 2), np.float64(NAN)):
+        assert line.contains(r) is False, r
+    for r in (np.int64(-5), np.float64(2.5), True, 7, -1e300):
+        assert line.contains(r) is True, r
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +217,7 @@ def reference_expectation_invert_share(self, q, tol=1e-12):
     """``ExpectationRule.invert_share`` as it was: 110 halvings a coordinate,
     8 cycles, and a residual test for every dimension."""
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if isinstance(self.report_space, RealReports):
+    if not self.report_space.bounded:
         lo, hi = np.array([-1.0]), np.array([1.0])
         for _ in range(200):
             if self.potential.grad(lo)[0] <= q[0]:
@@ -629,7 +637,7 @@ def old_search_grid(rule, p):
     """The grid a 1-D best_response scored before it searched the whole
     bracket: 41 reports over a box, or 201 over the belief's support padded
     by 1 + 0.1 of its width."""
-    if isinstance(rule.report_space, BoxReports):
+    if rule.report_space.bounded:
         return rule.report_space.grid(41)
     a, b = p.support()
     pad = 1.0 + 0.1 * (b - a)
